@@ -13,7 +13,7 @@ use crate::metrics::{MetricsHub, StreamRecorder};
 use crate::msg::NetMsg;
 use crate::runtime::{DpcActor, RuntimeCtx};
 use crate::upstream::{UpstreamAction, UpstreamManager};
-use borealis_sim::{Actor, Ctx, FaultEvent};
+use borealis_sim::FaultEvent;
 use borealis_types::{Duration, NodeId, StreamId, Tuple};
 
 /// Tuning knobs for a client proxy.
@@ -73,9 +73,9 @@ impl ClientProxy {
         }
     }
 
-    fn apply_actions<C: RuntimeCtx + ?Sized>(
+    fn apply_actions(
         &self,
-        ctx: &mut C,
+        ctx: &mut dyn RuntimeCtx<NetMsg>,
         stream: StreamId,
         actions: Vec<UpstreamAction>,
     ) {
@@ -105,11 +105,11 @@ impl ClientProxy {
     }
 }
 
-/// The protocol body, written once against [`RuntimeCtx`]; the adapters
-/// below expose it to both runtimes.
-impl ClientProxy {
+/// The protocol body, written once against [`RuntimeCtx`] and driven
+/// unchanged by every runtime.
+impl DpcActor<NetMsg> for ClientProxy {
     /// Startup: subscribe to every watched stream, arm the timers.
-    pub fn start<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C) {
+    fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
         let now = ctx.now();
         for cs in self.streams.clone() {
             let monitor = cs.candidates.len() > 1;
@@ -124,7 +124,7 @@ impl ClientProxy {
     }
 
     /// Handles one protocol message.
-    pub fn message<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, from: NodeId, msg: NetMsg) {
+    fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, msg: NetMsg) {
         match msg {
             NetMsg::Data { stream, tuples } => {
                 let now = ctx.now();
@@ -169,7 +169,7 @@ impl ClientProxy {
     }
 
     /// Handles one timer callback.
-    pub fn timer<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, kind: u64) {
+    fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
         let now = ctx.now();
         match kind {
             TIMER_HEARTBEAT => {
@@ -207,7 +207,7 @@ impl ClientProxy {
     /// of a producer's process) invalidates the subscriptions that process
     /// held for us — the next evaluation switches to a live replica or
     /// re-subscribes when the producer recovers from disk.
-    pub fn fault<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, fault: &FaultEvent) {
+    fn on_fault(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, fault: &FaultEvent) {
         if let FaultEvent::NodeDown(n) = fault {
             if *n == ctx.id() {
                 return;
@@ -217,37 +217,5 @@ impl ClientProxy {
                 um.connection_lost(*n, now);
             }
         }
-    }
-}
-
-/// Simulator adapter: static dispatch into the shared protocol body.
-impl Actor<NetMsg> for ClientProxy {
-    fn on_start(&mut self, ctx: &mut Ctx<NetMsg>) {
-        self.start(ctx)
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<NetMsg>, from: NodeId, msg: NetMsg) {
-        self.message(ctx, from, msg)
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<NetMsg>, kind: u64) {
-        self.timer(ctx, kind)
-    }
-    fn on_fault(&mut self, ctx: &mut Ctx<NetMsg>, fault: &FaultEvent) {
-        self.fault(ctx, fault)
-    }
-}
-
-/// Thread-engine adapter: dynamic dispatch into the shared protocol body.
-impl DpcActor for ClientProxy {
-    fn on_start(&mut self, ctx: &mut dyn RuntimeCtx) {
-        self.start(ctx)
-    }
-    fn on_message(&mut self, ctx: &mut dyn RuntimeCtx, from: NodeId, msg: NetMsg) {
-        self.message(ctx, from, msg)
-    }
-    fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx, kind: u64) {
-        self.timer(ctx, kind)
-    }
-    fn on_fault(&mut self, ctx: &mut dyn RuntimeCtx, fault: &FaultEvent) {
-        self.fault(ctx, fault)
     }
 }

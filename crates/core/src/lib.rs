@@ -41,7 +41,6 @@ pub mod node;
 pub mod runtime;
 pub mod source;
 pub mod system;
-pub mod transport;
 pub mod upstream;
 
 pub use buffers::{BufferPolicy, OutputBuffer};
@@ -54,7 +53,6 @@ pub use node::{NodeConfig, NodeTuning, ProcessingNode, UpstreamSpec};
 pub use runtime::{DpcActor, RuntimeCtx};
 pub use source::{DataSource, SourceConfig, ValueGen};
 pub use system::{ActorSpec, FaultSpec, RunningSystem, SystemBuilder, SystemLayout, RESTART_DELAY};
-pub use transport::Transport;
 pub use upstream::{UpstreamAction, UpstreamManager};
 
 #[cfg(test)]

@@ -197,15 +197,6 @@ impl StreamRecorder {
 #[derive(Debug, Default, Clone)]
 pub struct MetricsHub {
     streams: Arc<Mutex<HashMap<u32, Arc<Mutex<StreamMetrics>>>>>,
-    /// Latest transport flow-control gauges (queue depth, stall time),
-    /// recorded by the deployment after (or during) a run.
-    flow: Arc<Mutex<borealis_types::FlowGauges>>,
-    /// Latest worker-pool scheduler gauges (steals, queue depths,
-    /// activation run-time histogram), recorded by the thread runtime.
-    sched: Arc<Mutex<borealis_types::SchedGauges>>,
-    /// Latest socket-transport wire gauges (bytes, frames per flush,
-    /// credit grants), recorded by multi-process deployments.
-    wire: Arc<Mutex<borealis_types::WireGauges>>,
 }
 
 impl MetricsHub {
@@ -281,42 +272,6 @@ impl MetricsHub {
     /// Total protocol violations (must be zero in a correct run).
     pub fn total_dup_stable(&self) -> u64 {
         self.fold(0, |acc, m| acc + m.dup_stable)
-    }
-
-    /// Records the transport's flow-control gauges (the deployments call
-    /// this after letting the system run, so experiment harnesses read
-    /// queue-depth and stall-time next to the client metrics).
-    pub fn record_flow(&self, gauges: borealis_types::FlowGauges) {
-        *self.flow.lock().expect("flow gauges lock") = gauges;
-    }
-
-    /// The most recently recorded transport flow-control gauges.
-    pub fn flow_gauges(&self) -> borealis_types::FlowGauges {
-        *self.flow.lock().expect("flow gauges lock")
-    }
-
-    /// Records the thread runtime's worker-pool scheduler gauges (the
-    /// deployments call this next to [`MetricsHub::record_flow`], so
-    /// harnesses read steal counts and queue depths with the client
-    /// metrics).
-    pub fn record_sched(&self, gauges: borealis_types::SchedGauges) {
-        *self.sched.lock().expect("sched gauges lock") = gauges;
-    }
-
-    /// The most recently recorded scheduler gauges.
-    pub fn sched_gauges(&self) -> borealis_types::SchedGauges {
-        *self.sched.lock().expect("sched gauges lock")
-    }
-
-    /// Records the socket transport's wire gauges (multi-process
-    /// deployments call this next to [`MetricsHub::record_flow`]).
-    pub fn record_wire(&self, gauges: borealis_types::WireGauges) {
-        *self.wire.lock().expect("wire gauges lock") = gauges;
-    }
-
-    /// The most recently recorded wire gauges.
-    pub fn wire_gauges(&self) -> borealis_types::WireGauges {
-        *self.wire.lock().expect("wire gauges lock")
     }
 }
 

@@ -25,7 +25,7 @@ use crate::runtime::{DpcActor, RuntimeCtx};
 use crate::upstream::{UpstreamAction, UpstreamManager};
 use borealis_diagram::FragmentPlan;
 use borealis_engine::{Batch, Fragment};
-use borealis_sim::{Actor, Ctx, FaultEvent};
+use borealis_sim::FaultEvent;
 use borealis_types::{BatchView, Duration, NodeId, StreamId, Time, Tuple, TupleBatch, TupleId};
 use std::collections::HashMap;
 
@@ -169,9 +169,9 @@ impl ProcessingNode {
         &self.fragment
     }
 
-    fn apply_actions<C: RuntimeCtx + ?Sized>(
+    fn apply_actions(
         &mut self,
-        ctx: &mut C,
+        ctx: &mut dyn RuntimeCtx<NetMsg>,
         stream: StreamId,
         actions: Vec<UpstreamAction>,
     ) {
@@ -202,12 +202,7 @@ impl ProcessingNode {
 
     /// Charges CPU time for a batch and retains its output batches by
     /// shared view, then dispatches across the busy window.
-    fn handle_batch<C: RuntimeCtx + ?Sized>(
-        &mut self,
-        ctx: &mut C,
-        batch: Batch,
-        event_time: Time,
-    ) {
+    fn handle_batch(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, batch: Batch, event_time: Time) {
         let start = self.busy_until.max(event_time);
         let cost = Duration::from_micros(
             self.cfg
@@ -233,12 +228,7 @@ impl ProcessingNode {
     /// split, so N subscribers behind the same position cost N
     /// reference-count bumps per batch — fan-out is independent of
     /// replication degree.
-    fn flush_subscribers<C: RuntimeCtx + ?Sized>(
-        &mut self,
-        ctx: &mut C,
-        w_start: Time,
-        w_end: Time,
-    ) {
+    fn flush_subscribers(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, w_start: Time, w_end: Time) {
         let chunk = self.cfg.tuning.dispatch_chunk.max(1);
         for (&stream, subs) in &mut self.subscribers {
             let Some(buf) = self.out.get(&stream) else {
@@ -285,7 +275,7 @@ impl ProcessingNode {
         }
     }
 
-    fn post_event<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C) {
+    fn post_event(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
         self.refresh_state();
         if let Some(d) = self.fragment.next_deadline() {
             let at = d.max(ctx.now());
@@ -298,7 +288,7 @@ impl ProcessingNode {
     }
 
     /// The stagger protocol's requesting side (Fig. 9).
-    fn check_reconcile<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C) {
+    fn check_reconcile(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
         if self.state == NodeState::Stabilization
             || self.pending_request.is_some()
             || !self.granted_to.is_empty()
@@ -328,7 +318,7 @@ impl ProcessingNode {
         );
     }
 
-    fn do_reconcile<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C) {
+    fn do_reconcile(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
         let now = ctx.now();
         self.state = NodeState::Stabilization;
         let batch = self.fragment.reconcile(now);
@@ -359,40 +349,7 @@ impl ProcessingNode {
     }
 }
 
-/// The protocol body, written once against [`RuntimeCtx`]. The
-/// `borealis_sim::Actor` and [`DpcActor`] impls below forward here, so the
-/// identical logic runs under the simulator (static dispatch) and the
-/// thread engine (dynamic dispatch).
 impl ProcessingNode {
-    /// Startup: recover from disk if a durable store exists, then
-    /// subscribe to upstreams and arm the periodic timers. The disk
-    /// recovery runs *before* the first `Subscribe`, so the subscription
-    /// carries the recovered stable positions — the upstream replays only
-    /// the suffix the disk image does not cover.
-    pub fn start<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C) {
-        let now = ctx.now();
-        let specs = self.cfg.upstreams.clone();
-        for spec in specs {
-            self.ums.push(UpstreamManager::new(
-                spec.stream,
-                spec.candidates,
-                spec.monitor,
-                now,
-            ));
-        }
-        if let Some(dcfg) = self.cfg.durability.clone() {
-            self.recover_from_disk(ctx, &dcfg);
-            ctx.set_timer(now + dcfg.interval, TIMER_CHECKPOINT);
-        }
-        for i in 0..self.ums.len() {
-            let actions = self.ums[i].initial_subscribe();
-            let stream = self.ums[i].stream();
-            self.apply_actions(ctx, stream, actions);
-        }
-        ctx.set_timer(now + self.cfg.tuning.heartbeat_period, TIMER_HEARTBEAT);
-        ctx.set_timer(now + self.cfg.tuning.ack_period, TIMER_ACK);
-    }
-
     /// Opens the durable store and, when it holds a snapshot, performs
     /// the crash→restart→catch-up sequence: restore the operator states,
     /// replay the logged input suffix through the fragment (charging the
@@ -400,7 +357,7 @@ impl ProcessingNode {
     /// managers so their first `Subscribe` resumes where the disk image
     /// ends. A cold or unreadable store degrades to the volatile §4.5
     /// empty-state start.
-    fn recover_from_disk<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, dcfg: &DurabilityConfig) {
+    fn recover_from_disk(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, dcfg: &DurabilityConfig) {
         self.disk = None; // close a previous incarnation's handles first
         let wall_start = std::time::Instant::now();
         let mut disk = match NodeDisk::open(dcfg) {
@@ -442,9 +399,42 @@ impl ProcessingNode {
         self.recovering = true;
         ctx.set_timer(self.busy_until.max(now), TIMER_RECOVERY_DONE);
     }
+}
+
+/// The protocol body, written once against [`RuntimeCtx`]: the identical
+/// logic runs under the simulator, the worker pool and the TCP deployment.
+impl DpcActor<NetMsg> for ProcessingNode {
+    /// Startup: recover from disk if a durable store exists, then
+    /// subscribe to upstreams and arm the periodic timers. The disk
+    /// recovery runs *before* the first `Subscribe`, so the subscription
+    /// carries the recovered stable positions — the upstream replays only
+    /// the suffix the disk image does not cover.
+    fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
+        let now = ctx.now();
+        let specs = self.cfg.upstreams.clone();
+        for spec in specs {
+            self.ums.push(UpstreamManager::new(
+                spec.stream,
+                spec.candidates,
+                spec.monitor,
+                now,
+            ));
+        }
+        if let Some(dcfg) = self.cfg.durability.clone() {
+            self.recover_from_disk(ctx, &dcfg);
+            ctx.set_timer(now + dcfg.interval, TIMER_CHECKPOINT);
+        }
+        for i in 0..self.ums.len() {
+            let actions = self.ums[i].initial_subscribe();
+            let stream = self.ums[i].stream();
+            self.apply_actions(ctx, stream, actions);
+        }
+        ctx.set_timer(now + self.cfg.tuning.heartbeat_period, TIMER_HEARTBEAT);
+        ctx.set_timer(now + self.cfg.tuning.ack_period, TIMER_ACK);
+    }
 
     /// Handles one protocol message.
-    pub fn message<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, from: NodeId, msg: NetMsg) {
+    fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, msg: NetMsg) {
         match msg {
             NetMsg::Data { stream, tuples } => {
                 let now = ctx.now();
@@ -621,7 +611,7 @@ impl ProcessingNode {
     }
 
     /// Handles one timer callback.
-    pub fn timer<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, kind: u64) {
+    fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
         let now = ctx.now();
         match kind {
             TIMER_TICK => {
@@ -758,7 +748,7 @@ impl ProcessingNode {
     }
 
     /// Reacts to a fault notification (link heals, own crash/restart).
-    pub fn fault<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, fault: &FaultEvent) {
+    fn on_fault(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, fault: &FaultEvent) {
         match fault {
             FaultEvent::LinkUp { a, b } => {
                 // In-flight output tuples may have been lost: rewind healed
@@ -803,7 +793,7 @@ impl ProcessingNode {
                 self.granted_to.clear();
                 self.authorized_by = None;
                 self.recovering = true;
-                self.start(ctx);
+                self.on_start(ctx);
                 ctx.set_timer(ctx.now() + Duration::from_millis(500), TIMER_RECOVERY_DONE);
             }
             FaultEvent::NodeDown(n) if *n != ctx.id() => {
@@ -827,37 +817,5 @@ impl ProcessingNode {
             }
             _ => {}
         }
-    }
-}
-
-/// Simulator adapter: static dispatch into the shared protocol body.
-impl Actor<NetMsg> for ProcessingNode {
-    fn on_start(&mut self, ctx: &mut Ctx<NetMsg>) {
-        self.start(ctx)
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<NetMsg>, from: NodeId, msg: NetMsg) {
-        self.message(ctx, from, msg)
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<NetMsg>, kind: u64) {
-        self.timer(ctx, kind)
-    }
-    fn on_fault(&mut self, ctx: &mut Ctx<NetMsg>, fault: &FaultEvent) {
-        self.fault(ctx, fault)
-    }
-}
-
-/// Thread-engine adapter: dynamic dispatch into the shared protocol body.
-impl DpcActor for ProcessingNode {
-    fn on_start(&mut self, ctx: &mut dyn RuntimeCtx) {
-        self.start(ctx)
-    }
-    fn on_message(&mut self, ctx: &mut dyn RuntimeCtx, from: NodeId, msg: NetMsg) {
-        self.message(ctx, from, msg)
-    }
-    fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx, kind: u64) {
-        self.timer(ctx, kind)
-    }
-    fn on_fault(&mut self, ctx: &mut dyn RuntimeCtx, fault: &FaultEvent) {
-        self.fault(ctx, fault)
     }
 }

@@ -3,170 +3,43 @@
 //!
 //! Every protocol participant — [`crate::node::ProcessingNode`],
 //! [`crate::source::DataSource`], [`crate::client::ClientProxy`] — is
-//! written against two small traits:
+//! written against two small traits, defined once in `borealis-sim` next to
+//! the link fabric and re-exported here at the names protocol code uses:
 //!
-//! * [`RuntimeCtx`]: the handler-side view of a runtime (clock, messaging,
-//!   timers, reachability, randomness). The deterministic simulator's
-//!   `borealis_sim::Ctx` implements it (virtual time, seeded RNG), and so
-//!   does the real-time thread engine's context in `borealis-runtime`
-//!   (monotonic wall clock, OS threads, `mpsc` channels).
-//! * [`DpcActor`]: the runtime-agnostic actor interface. It mirrors
-//!   `borealis_sim::Actor` but takes `&mut dyn RuntimeCtx`, so a runtime
-//!   can drive boxed protocol actors without knowing their concrete types.
+//! * [`RuntimeCtx`]`<NetMsg>` (`borealis_sim::Ctx`): the handler-side view
+//!   of a runtime (clock, messaging, timers, reachability, randomness). The
+//!   deterministic simulator's kernel implements it (virtual time, seeded
+//!   RNG), and so does the worker pool's context in `borealis-runtime`
+//!   (monotonic wall clock, mailboxes, sockets).
+//! * [`DpcActor`]`<NetMsg>` (`borealis_sim::Actor`): the actor interface.
+//!   It takes `&mut dyn RuntimeCtx`, so every runtime drives the same boxed
+//!   protocol actors without knowing their concrete types.
 //!
-//! The protocol types implement their logic once, as inherent methods
-//! generic over `C: RuntimeCtx + ?Sized`; thin forwarding impls expose that
-//! single body through both `borealis_sim::Actor` (static dispatch — the
-//! simulator monomorphizes, no overhead against the seed implementation)
-//! and [`DpcActor`] (dynamic dispatch for the thread engine). There are no
-//! `#[cfg]` forks: the exact same protocol code runs under virtual and
-//! wall-clock time.
-//!
-//! Fault *model* types ([`FaultEvent`], the link-table semantics of
-//! `borealis_sim::Network`) stay in `borealis-sim`: they describe scripted
-//! failure scenarios, which both runtimes support, not the discrete-event
-//! kernel.
+//! The protocol types implement `DpcActor<NetMsg>` directly — one body,
+//! no adapters, no `#[cfg]` forks: the exact same protocol code runs under
+//! virtual and wall-clock time. What a send, an arrival or a fault *means*
+//! (reachability, shard routing, credits, loss accounting) is not decided
+//! here or in any runtime either: that is `borealis_sim::Fabric`.
 
-use crate::msg::NetMsg;
-use borealis_sim::{Ctx, FaultEvent};
-use borealis_types::{Duration, NodeId, SendOutcome, Time};
-use rand::Rng;
-
-/// The handler-side view of a runtime: what a protocol actor may do while
-/// reacting to an event.
-///
-/// Implementations exist for the simulator kernel (`borealis_sim::Ctx`)
-/// and the thread engine (`borealis_runtime`'s context). Protocol code
-/// must not assume anything beyond this interface — in particular, `now()`
-/// may be virtual or wall-clock time, and `send` may deliver with simulated
-/// or native latency.
-pub trait RuntimeCtx {
-    /// Current time (virtual in the simulator, monotonic wall clock in the
-    /// thread engine).
-    fn now(&self) -> Time;
-
-    /// This actor's id.
-    fn id(&self) -> NodeId;
-
-    /// Sends `msg` to `to` through the runtime's [`Transport`]
-    /// (`crate::transport::Transport`) layer. Lost if the link or either
-    /// endpoint is down ([`SendOutcome::DroppedFault`]); under a bounded
-    /// credit policy a data message may instead be queued at the sender
-    /// awaiting credit ([`SendOutcome::Queued`] — the transport releases it
-    /// in FIFO order once the receiver consumes earlier deliveries).
-    fn send(&mut self, to: NodeId, msg: NetMsg) -> SendOutcome;
-
-    /// Sends `msg` so it departs at `depart` (clamped to now) — used by the
-    /// CPU cost model: outputs leave the node when the work completes.
-    /// Credit admission happens at the departure instant.
-    fn send_after(&mut self, to: NodeId, msg: NetMsg, depart: Time) -> SendOutcome;
-
-    /// Marks the data message currently being handled as consumed at `at`
-    /// (the receiver's modeled CPU completion): its link credit returns
-    /// then. Handlers that never call this consume instantly.
-    fn data_consumed_at(&mut self, _at: Time) {}
-
-    /// Continuous credit-stall duration of the inbound link `from → self`:
-    /// how long `from`'s sends to this actor have been queued awaiting
-    /// credit ([`Duration::ZERO`] when credit is flowing or flow control is
-    /// off). This is how an overloaded consumer's backpressure is surfaced
-    /// to the protocol layer (and from there to `SUnion`).
-    fn inbound_stall(&self, _from: NodeId) -> Duration {
-        Duration::ZERO
-    }
-
-    /// Schedules an `on_timer(kind)` callback at `at` (clamped to now).
-    fn set_timer(&mut self, at: Time, kind: u64);
-
-    /// True if `to` is currently reachable from this actor.
-    fn reachable(&self, to: NodeId) -> bool;
-
-    /// Uniform random sample from `[0, n)`; deterministic (seeded) in the
-    /// simulator.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    fn rand_range(&mut self, n: u64) -> u64;
-}
-
-/// Adapter: the deterministic simulator's context is a [`RuntimeCtx`].
-///
-/// This is the *only* glue between the protocol crate and the discrete-event
-/// kernel; everything else goes through the trait.
-impl RuntimeCtx for Ctx<'_, NetMsg> {
-    fn now(&self) -> Time {
-        Ctx::now(self)
-    }
-
-    fn id(&self) -> NodeId {
-        Ctx::id(self)
-    }
-
-    fn send(&mut self, to: NodeId, msg: NetMsg) -> SendOutcome {
-        Ctx::send(self, to, msg)
-    }
-
-    fn send_after(&mut self, to: NodeId, msg: NetMsg, depart: Time) -> SendOutcome {
-        Ctx::send_after(self, to, msg, depart)
-    }
-
-    fn data_consumed_at(&mut self, at: Time) {
-        Ctx::data_consumed_at(self, at)
-    }
-
-    fn inbound_stall(&self, from: NodeId) -> Duration {
-        Ctx::inbound_stall(self, from)
-    }
-
-    fn set_timer(&mut self, at: Time, kind: u64) {
-        Ctx::set_timer(self, at, kind)
-    }
-
-    fn reachable(&self, to: NodeId) -> bool {
-        Ctx::reachable(self, to)
-    }
-
-    fn rand_range(&mut self, n: u64) -> u64 {
-        self.rng().gen_range(0..n)
-    }
-}
-
-/// A runtime-agnostic protocol actor: the boxed interface a runtime uses to
-/// drive [`crate::node::ProcessingNode`], [`crate::source::DataSource`],
-/// and [`crate::client::ClientProxy`] without knowing which is which.
-///
-/// `Send` is required so the thread engine can move actors onto their OS
-/// threads; the simulator ignores the bound.
-pub trait DpcActor: Send {
-    /// Called once when the runtime starts the actor.
-    fn on_start(&mut self, _ctx: &mut dyn RuntimeCtx) {}
-
-    /// Handles a message delivered from another actor.
-    fn on_message(&mut self, ctx: &mut dyn RuntimeCtx, from: NodeId, msg: NetMsg);
-
-    /// Handles a timer previously set with [`RuntimeCtx::set_timer`].
-    fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx, kind: u64);
-
-    /// Notified of faults involving this actor.
-    fn on_fault(&mut self, _ctx: &mut dyn RuntimeCtx, _fault: &FaultEvent) {}
-}
+pub use borealis_sim::{Actor as DpcActor, Ctx as RuntimeCtx};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borealis_sim::{Actor, Network, Sim};
-    use borealis_types::Duration;
+    use crate::msg::NetMsg;
+    use borealis_sim::{Fabric, Sim};
+    use borealis_types::{Duration, NodeId, Time};
 
-    /// An actor written purely against RuntimeCtx, driven by the simulator
-    /// through the adapter impl: proves the abstraction carries the full
-    /// surface (now/id/send/send_after/set_timer/reachable/rand_range).
+    /// An actor written purely against RuntimeCtx, driven by the simulator:
+    /// exercises the full surface
+    /// (now/id/send/send_after/set_timer/reachable/rand_range).
     struct Probe {
         peer: NodeId,
         got: Vec<(u64, String)>,
     }
 
-    impl Probe {
-        fn start<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C) {
+    impl DpcActor<NetMsg> for Probe {
+        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
             assert!(ctx.reachable(self.peer));
             let r = ctx.rand_range(10);
             assert!(r < 10);
@@ -178,11 +51,11 @@ mod tests {
                 },
             );
         }
-        fn message<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, _from: NodeId, msg: NetMsg) {
+        fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, msg: NetMsg) {
             self.got
                 .push((ctx.now().as_millis(), msg.kind_name().into()));
         }
-        fn timer<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, kind: u64) {
+        fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
             self.got
                 .push((ctx.now().as_millis(), format!("timer{kind}")));
             // Departure in the future: arrival = depart + latency.
@@ -194,21 +67,9 @@ mod tests {
         }
     }
 
-    impl Actor<NetMsg> for Probe {
-        fn on_start(&mut self, ctx: &mut Ctx<NetMsg>) {
-            self.start(ctx)
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<NetMsg>, from: NodeId, msg: NetMsg) {
-            self.message(ctx, from, msg)
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<NetMsg>, kind: u64) {
-            self.timer(ctx, kind)
-        }
-    }
-
     #[test]
     fn sim_ctx_satisfies_runtime_ctx() {
-        let mut sim: Sim<NetMsg> = Sim::new(1, Network::new(Duration::from_millis(1)));
+        let mut sim: Sim<NetMsg> = Sim::new(1, Duration::from_millis(1), Fabric::default());
         let a = sim.add_actor(Box::new(Probe {
             peer: NodeId(1),
             got: Vec::new(),

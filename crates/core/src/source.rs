@@ -16,7 +16,7 @@
 
 use crate::msg::{NetMsg, NodeState};
 use crate::runtime::{DpcActor, RuntimeCtx};
-use borealis_sim::{Actor, Ctx, FaultEvent};
+use borealis_sim::FaultEvent;
 use borealis_types::{
     BatchLog, Duration, NodeId, StreamId, Time, Tuple, TupleBatch, TupleId, Value,
 };
@@ -135,7 +135,7 @@ impl DataSource {
         self.log.len()
     }
 
-    fn flush<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C) {
+    fn flush(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
         let stream = self.cfg.stream;
         for (&sub, pos) in &mut self.subscribers {
             if *pos >= self.log.len() || !ctx.reachable(sub) {
@@ -190,11 +190,11 @@ impl DataSource {
     }
 }
 
-/// The protocol body, written once against [`RuntimeCtx`]; the adapters
-/// below expose it to both runtimes.
-impl DataSource {
+/// The protocol body, written once against [`RuntimeCtx`] and driven
+/// unchanged by every runtime.
+impl DpcActor<NetMsg> for DataSource {
     /// Startup: arm the generation and boundary timers.
-    pub fn start<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C) {
+    fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
         ctx.set_timer(ctx.now() + self.cfg.batch_period, TIMER_GEN);
         if self.cfg.boundary_interval > Duration::ZERO {
             ctx.set_timer(ctx.now() + self.cfg.boundary_interval, TIMER_BOUNDARY);
@@ -202,7 +202,7 @@ impl DataSource {
     }
 
     /// Handles one protocol message.
-    pub fn message<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, from: NodeId, msg: NetMsg) {
+    fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, msg: NetMsg) {
         match msg {
             NetMsg::Subscribe {
                 stream,
@@ -257,7 +257,7 @@ impl DataSource {
     }
 
     /// Handles one timer callback.
-    pub fn timer<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, kind: u64) {
+    fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
         match kind {
             TIMER_GEN => {
                 self.generate(ctx.now());
@@ -278,7 +278,7 @@ impl DataSource {
     }
 
     /// Reacts to a fault notification (boundary muting, link heals).
-    pub fn fault<C: RuntimeCtx + ?Sized>(&mut self, ctx: &mut C, fault: &FaultEvent) {
+    fn on_fault(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, fault: &FaultEvent) {
         match fault {
             FaultEvent::Custom { tag, .. } if *tag == Self::MUTE_BOUNDARIES => {
                 self.boundaries_muted = true;
@@ -308,37 +308,5 @@ impl DataSource {
             }
             _ => {}
         }
-    }
-}
-
-/// Simulator adapter: static dispatch into the shared protocol body.
-impl Actor<NetMsg> for DataSource {
-    fn on_start(&mut self, ctx: &mut Ctx<NetMsg>) {
-        self.start(ctx)
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<NetMsg>, from: NodeId, msg: NetMsg) {
-        self.message(ctx, from, msg)
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<NetMsg>, kind: u64) {
-        self.timer(ctx, kind)
-    }
-    fn on_fault(&mut self, ctx: &mut Ctx<NetMsg>, fault: &FaultEvent) {
-        self.fault(ctx, fault)
-    }
-}
-
-/// Thread-engine adapter: dynamic dispatch into the shared protocol body.
-impl DpcActor for DataSource {
-    fn on_start(&mut self, ctx: &mut dyn RuntimeCtx) {
-        self.start(ctx)
-    }
-    fn on_message(&mut self, ctx: &mut dyn RuntimeCtx, from: NodeId, msg: NetMsg) {
-        self.message(ctx, from, msg)
-    }
-    fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx, kind: u64) {
-        self.timer(ctx, kind)
-    }
-    fn on_fault(&mut self, ctx: &mut dyn RuntimeCtx, fault: &FaultEvent) {
-        self.fault(ctx, fault)
     }
 }

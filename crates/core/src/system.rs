@@ -17,9 +17,10 @@
 //!    [`FaultEvent`]s.
 //! 3. A launcher turns the layout into a running system:
 //!    [`SystemLayout::deploy_sim`] (or the [`SystemBuilder::build`]
-//!    shorthand) under the deterministic simulator, and
-//!    `borealis_runtime::deploy_threads` under the real-time thread
-//!    engine. Both deploy the *same* actor objects — the protocol code
+//!    shorthand) under the deterministic simulator,
+//!    `borealis_runtime::deploy_threads` on the real-time worker pool, and
+//!    `borealis_runtime::deploy_tcp` across OS processes. All deploy the
+//!    *same* actor objects over the same link `Fabric` — the protocol code
 //!    never knows which runtime drives it.
 
 use crate::client::{ClientProxy, ClientStream, ClientTuning};
@@ -30,7 +31,7 @@ use crate::node::{NodeConfig, NodeTuning, ProcessingNode, UpstreamSpec};
 use crate::runtime::DpcActor;
 use crate::source::{DataSource, SourceConfig};
 use borealis_diagram::{PhysicalPlan, StreamOrigin};
-use borealis_sim::{Actor, FaultEvent, Network, Sim};
+use borealis_sim::{Fabric, FaultEvent, Sim};
 use borealis_types::{CreditPolicy, Duration, FlowGauges, NodeId, PartitionSpec, StreamId, Time};
 use std::collections::HashMap;
 
@@ -154,7 +155,7 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the transport's credit-based flow-control policy (all links;
+    /// Sets the link fabric's credit-based flow-control policy (all links;
     /// defaults to [`CreditPolicy::Unbounded`], the pre-credit behavior).
     pub fn credit_policy(mut self, policy: CreditPolicy) -> Self {
         self.flow_policy = policy;
@@ -163,8 +164,7 @@ impl SystemBuilder {
 
     /// Sets the thread runtime's worker-pool size (the number of OS
     /// threads every actor multiplexes onto). Ignored by the simulator.
-    /// Unset, the runtime picks a machine-derived default (overridable via
-    /// the `BOREALIS_WORKERS` environment variable).
+    /// Unset, the runtime picks a machine-derived default.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = Some(n.max(1));
         self
@@ -295,7 +295,7 @@ impl SystemBuilder {
             let ids: Vec<NodeId> = (0..replication[fi]).map(|r| node_id(fi, r)).collect();
             // A shard's replicas only accept their key partition of any
             // data stream: the layout turns the plan's shard assignment
-            // into per-receiver filters both runtimes install.
+            // into per-receiver filters every runtime installs in its fabric.
             if let Some(sa) = &fp.shard {
                 for &id in &ids {
                     partitions.push((
@@ -440,19 +440,8 @@ pub enum ActorSpec {
 
 impl ActorSpec {
     /// Instantiates the actor behind the runtime-agnostic [`DpcActor`]
-    /// interface (used by the thread engine).
-    pub fn into_dpc_actor(self, metrics: &MetricsHub) -> Box<dyn DpcActor> {
-        match self {
-            ActorSpec::Source(cfg) => Box::new(DataSource::new(cfg)),
-            ActorSpec::Node(cfg) => Box::new(ProcessingNode::new(*cfg)),
-            ActorSpec::Client { streams, tuning } => {
-                Box::new(ClientProxy::new(streams, tuning, metrics.clone()))
-            }
-        }
-    }
-
-    /// Instantiates the actor behind the simulator's `Actor` interface.
-    pub fn into_sim_actor(self, metrics: &MetricsHub) -> Box<dyn Actor<NetMsg>> {
+    /// interface every runtime drives.
+    pub fn into_actor(self, metrics: &MetricsHub) -> Box<dyn DpcActor<NetMsg>> {
         match self {
             ActorSpec::Source(cfg) => Box::new(DataSource::new(cfg)),
             ActorSpec::Node(cfg) => Box::new(ProcessingNode::new(*cfg)),
@@ -486,14 +475,14 @@ pub struct SystemLayout {
     /// (identity for unsharded plans).
     pub groups: Vec<Vec<usize>>,
     /// Key-partition filters per shard-replica node, installed into the
-    /// runtime's link routing at deploy time.
+    /// runtime's link fabric at deploy time.
     pub partitions: Vec<(NodeId, PartitionSpec)>,
     /// The client proxy, if any.
     pub client: Option<NodeId>,
     /// Scripted faults, lowered to concrete events, sorted by time.
     pub script: Vec<(Time, FaultEvent)>,
-    /// Credit-based flow-control policy of every link (both runtimes
-    /// install it into their transport at deploy time).
+    /// Credit-based flow-control policy of every link (every runtime
+    /// installs it into its link fabric at deploy time).
     pub flow_policy: CreditPolicy,
     /// Worker-pool size for the thread runtime (`None`: runtime default).
     /// The simulator ignores it — scheduling there is virtual-time driven.
@@ -585,14 +574,10 @@ impl SystemLayout {
 
     /// Launches the layout under the deterministic simulator.
     pub fn deploy_sim(self) -> RunningSystem {
-        let mut net = Network::new(self.latency);
-        for (node, spec) in self.partitions {
-            net.set_partition(node, spec);
-        }
-        let mut sim: Sim<NetMsg> = Sim::new(self.seed, net);
-        sim.set_flow_policy(self.flow_policy);
+        let fabric = Fabric::new(self.partitions, self.flow_policy);
+        let mut sim: Sim<NetMsg> = Sim::new(self.seed, self.latency, fabric);
         for (i, spec) in self.actors.into_iter().enumerate() {
-            let id = sim.add_actor(spec.into_sim_actor(&self.metrics));
+            let id = sim.add_actor(spec.into_actor(&self.metrics));
             assert_eq!(id, NodeId(i as u32), "id layout mismatch");
         }
         for (at, fault) in self.script {
@@ -700,16 +685,14 @@ impl RunningSystem {
         }
     }
 
-    /// Runs the simulation to `until`, then refreshes the metrics hub's
-    /// transport gauges.
+    /// Runs the simulation to `until`.
     pub fn run_until(&mut self, until: Time) {
         self.sim.run_until(until);
-        self.metrics.record_flow(self.sim.flow_gauges());
     }
 
-    /// Queue-depth and stall-time gauges of the transport's credit ledger.
+    /// Queue-depth and stall-time gauges of the fabric's credit ledger.
     pub fn flow_gauges(&self) -> FlowGauges {
-        self.sim.flow_gauges()
+        self.sim.stats().flow
     }
 }
 
@@ -928,15 +911,15 @@ mod tests {
         assert_eq!(policy_of(3), BufferPolicy::Unbounded, "tuning default");
     }
 
-    /// The builder's credit policy reaches the simulator's transport, and
+    /// The builder's credit policy reaches the simulator's fabric, and
     /// a bounded deployment still runs clean below saturation (credits are
     /// returned as the modeled CPU consumes, so a healthy run never sees
     /// the window as a limit).
     #[test]
-    fn credit_policy_reaches_sim_transport() {
+    fn credit_policy_reaches_sim_fabric() {
         let l = tiny_layout(Vec::new());
         let sys = l.deploy_sim();
-        assert_eq!(sys.sim.flow_policy(), CreditPolicy::Unbounded);
+        assert_eq!(sys.sim.fabric().policy(), CreditPolicy::Unbounded);
 
         let mut q = QueryBuilder::new();
         let s1 = q.source("s1");
@@ -954,7 +937,7 @@ mod tests {
             .client_streams(vec![u.id()])
             .credit_policy(CreditPolicy::Window(32))
             .build();
-        assert_eq!(sys.sim.flow_policy(), CreditPolicy::Window(32));
+        assert_eq!(sys.sim.fabric().policy(), CreditPolicy::Window(32));
         sys.run_until(Time::from_secs(5));
         sys.metrics.with(u.id(), |m| {
             assert!(m.n_stable > 500, "stable = {}", m.n_stable);
@@ -963,7 +946,6 @@ mod tests {
         });
         let g = sys.flow_gauges();
         assert!(g.delivered > 0, "data messages were metered: {g:?}");
-        assert_eq!(sys.metrics.flow_gauges(), g, "hub mirrors the gauges");
     }
 
     #[test]

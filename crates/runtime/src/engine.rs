@@ -2,45 +2,43 @@
 //! **fixed pool of worker threads** (per-worker run queues with work
 //! stealing plus a global injector — see [`crate::scheduler`]), a
 //! per-worker timer wheel against the monotonic clock, and a
-//! fault-controller thread replaying scripted failures against the shared
-//! link table.
+//! fault-controller thread replaying scripted failures.
 //!
-//! Event semantics mirror the simulator's kernel so the same protocol code
-//! behaves identically under both runtimes:
+//! The engine is a *driver* of the link [`Fabric`]: it owns mailboxes,
+//! wheels and threads, and asks the one shared fabric ([`SharedFabric`], a
+//! mutex around the same type the simulator kernel owns) what every send,
+//! arrival, credit return and fault means — so the same protocol code
+//! behaves identically under both runtimes by construction:
 //!
 //! * sends check reachability at **send time** (counted drops) and again
-//!   at **delivery time** (in-flight losses on a link that broke);
+//!   at **departure and delivery time** (in-flight losses on a link that
+//!   broke);
 //! * timers due while an actor is crashed are consumed and suppressed —
 //!   checked both when the wheel entry fires and again when the
 //!   re-enqueued timer envelope is processed, so a crash landing between
-//!   the two instants still suppresses the callback (a crashed actor's
-//!   queued run delivers nothing: its messages become delivery drops, its
-//!   timers suppressions);
+//!   the two instants still suppresses the callback;
 //! * fault notifications reach an actor unless it is down (except its own
 //!   `NodeDown`, which it observes so crash semantics stay scripted).
 //!
 //! Messages carry [`NetMsg`] values whose `Data` payloads are `Arc`-backed
 //! [`TupleBatch`](borealis_types::TupleBatch) views: moving a batch across
-//! a mailbox transfers a reference count, never copies tuples, so the
-//! wall-clock data plane inherits the zero-copy fan-out of the simulator
-//! path.
+//! a mailbox transfers a reference count, never copies tuples.
 //!
 //! Idle workers park on a condvar bounded by their wheel's earliest
 //! deadline — no polling backstop, no sleep loops: a fully idle pool
 //! burns zero CPU until a push or a deadline wakes it.
 
 use crate::clock::MonotonicClock;
-use crate::links::{LinkTable, RuntimeStats, StatsSnapshot};
 use crate::scheduler::{ActorCell, Envelope, Scheduler, Task};
 use crate::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use crate::sync::relock;
-use crate::sync::Arc;
+use crate::sync::{relock, Arc, Mutex, MutexGuard};
 use crate::tcp::TcpFabric;
 use crate::wheel::{Due, TimerWheel};
+use crate::SharedFabric;
 use borealis_dpc::{DpcActor, NetMsg, RuntimeCtx};
-use borealis_sim::{FaultEvent, ShardMsg};
+use borealis_sim::{Fabric, FaultEvent, Sent, StatsSnapshot};
 use borealis_types::{
-    CreditPolicy, Duration, NodeId, PartitionSpec, SchedGauges, SendOutcome, ShardRouter, Time,
+    CreditPolicy, Duration, NodeId, PartitionSpec, SendOutcome, ShardRouter, Time,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,103 +49,36 @@ use std::thread::JoinHandle;
 /// one busy actor can starve the others sharing its worker.
 const ACTIVATION_BATCH: usize = 32;
 
-/// The single send-time delivery rule, shared by immediate sends and
-/// delayed departures: reachability gates the handoff (counted drop
-/// otherwise), the credit ledger gates data messages (queued at the sender
-/// when the window is exhausted), and a send to a stopped mailbox
-/// (shutdown in progress) is dropped silently, like a connection reset
-/// during teardown.
-///
-/// With a socket `fabric`, a remote destination changes only the last
-/// hop: admission still debits the **local** ledger (it is the wire
-/// credit window — see [`crate::tcp`]), a queued outcome additionally
-/// reports the stall to the remote receiver, and the admitted message is
-/// encoded onto the connection instead of pushed into a mailbox.
-#[allow(clippy::too_many_arguments)]
-fn deliver(
-    sched: &Scheduler,
-    from_worker: Option<usize>,
-    links: &LinkTable,
-    router: &mut ShardRouter,
-    stats: &RuntimeStats,
-    fabric: Option<&TcpFabric>,
-    from: NodeId,
-    to: NodeId,
-    msg: NetMsg,
-    now: Time,
-) -> SendOutcome {
-    if links.reachable(from, to) {
-        // Partitioned send path: a key-sharded receiver gets only its shard
-        // of the message (routing, not loss). The worker-local router memo
-        // makes the whole K·R fan-out of one batch a single key-hash pass:
-        // all of a sender's receiver links are routed on this worker.
-        let msg = match links.partition_of(to) {
-            Some(spec) => match msg.partition(spec.as_ref(), router) {
-                Some(m) => m,
-                None => return SendOutcome::Delivered,
-            },
-            None => msg,
-        };
-        // Credit admission: a data message past the link window queues in
-        // the shared ledger; the receiver's consumption releases it later.
-        let msg = if links.tracks(&msg) {
-            match links.admit(from, to, msg, now) {
-                Some(m) => m,
-                None => {
-                    if let Some(f) = fabric {
-                        if f.is_remote(to) {
-                            f.note_queued(from, to, links.stalled_for(from, to, now));
-                        }
-                    }
-                    return SendOutcome::Queued;
-                }
-            }
-        } else {
-            msg
-        };
-        match fabric {
-            Some(f) if f.is_remote(to) => {
-                if f.send_net(from, to, msg) {
-                    SendOutcome::Delivered
-                } else {
-                    // The connection died between the reachability check
-                    // and the enqueue: the frame is lost in flight.
-                    stats.count_send_drop();
-                    SendOutcome::DroppedFault
-                }
-            }
-            _ => {
-                sched.push(to, Envelope::Msg { from, msg }, from_worker);
-                SendOutcome::Delivered
-            }
-        }
-    } else {
-        stats.count_send_drop();
-        SendOutcome::DroppedFault
+/// What every thread of a runtime shares: the mailboxes, the link fabric
+/// and the clock. Workers, the fault controller and the socket mesh's I/O
+/// threads all hold one.
+pub(crate) struct Hub {
+    pub(crate) sched: Scheduler,
+    pub(crate) fabric: SharedFabric,
+    pub(crate) clock: MonotonicClock,
+}
+
+impl Hub {
+    /// The shared fabric, locked.
+    pub(crate) fn fabric(&self) -> MutexGuard<'_, Fabric<NetMsg>> {
+        relock(&self.fabric)
     }
 }
 
-/// The [`RuntimeCtx`] handed to protocol handlers on a worker thread.
+/// The [`RuntimeCtx`] handed to protocol handlers on a worker thread: the
+/// worker itself (its wheel and router serve the running actor) plus the
+/// actor's identity and RNG.
 struct ThreadCtx<'a> {
     id: NodeId,
     now: Time,
-    sched: &'a Scheduler,
-    worker: usize,
-    links: &'a LinkTable,
-    /// The worker's one-pass partition memo (every send from this worker
-    /// routes through it).
-    router: &'a mut ShardRouter,
-    stats: &'a RuntimeStats,
-    fabric: Option<&'a TcpFabric>,
-    /// The *worker's* wheel: deferred work is owner-tagged with `id`.
-    wheel: &'a mut TimerWheel,
+    worker: &'a mut Worker,
     rng: &'a mut StdRng,
     /// The handler's consumption mark for the delivery being processed
     /// (credit returns then; see [`RuntimeCtx::data_consumed_at`]).
     consumed_at: Option<Time>,
 }
 
-impl RuntimeCtx for ThreadCtx<'_> {
+impl RuntimeCtx<NetMsg> for ThreadCtx<'_> {
     fn now(&self) -> Time {
         self.now
     }
@@ -157,34 +88,22 @@ impl RuntimeCtx for ThreadCtx<'_> {
     }
 
     fn send(&mut self, to: NodeId, msg: NetMsg) -> SendOutcome {
-        deliver(
-            self.sched,
-            Some(self.worker),
-            self.links,
-            self.router,
-            self.stats,
-            self.fabric,
-            self.id,
-            to,
-            msg,
-            self.now,
-        )
+        self.worker.send(self.id, to, msg, self.now, false)
     }
 
     fn send_after(&mut self, to: NodeId, msg: NetMsg, depart: Time) -> SendOutcome {
+        if depart <= self.now {
+            return self.send(to, msg);
+        }
         // Send-time reachability is checked NOW, as the simulator does for
-        // its deferred sends; an unreachable destination at call time is a
-        // counted send drop. Faults striking between here and the departure
-        // are in-flight losses, caught by the departure/delivery checks.
-        // Credit admission happens at the departure instant.
-        if !self.links.reachable(self.id, to) {
-            self.stats.count_send_drop();
-            SendOutcome::DroppedFault
-        } else if depart <= self.now {
-            self.send(to, msg)
-        } else {
-            self.wheel.push_send(depart, self.id, to, msg);
+        // its deferred sends; faults striking between here and the
+        // departure are in-flight losses. Credit admission happens at the
+        // departure instant.
+        if self.worker.hub.fabric().defer(self.id, to) {
+            self.worker.wheel.push_send(depart, self.id, to, msg);
             SendOutcome::Deferred
+        } else {
+            SendOutcome::DroppedFault
         }
     }
 
@@ -195,20 +114,24 @@ impl RuntimeCtx for ThreadCtx<'_> {
     fn inbound_stall(&self, from: NodeId) -> Duration {
         // A remote sender's ledger lives in its own process: use the
         // stall it reported over the wire instead of the local ledger.
-        if let Some(f) = self.fabric {
-            if f.is_remote(from) {
-                return f.remote_stalled_for(from, self.id);
-            }
+        match &self.worker.tcp {
+            Some(t) if t.is_remote(from) => t.remote_stalled_for(from, self.id),
+            _ => self
+                .worker
+                .hub
+                .fabric()
+                .stalled_for(from, self.id, self.now),
         }
-        self.links.stalled_for(from, self.id, self.now)
     }
 
     fn set_timer(&mut self, at: Time, kind: u64) {
-        self.wheel.push_timer(at.max(self.now), self.id, kind);
+        self.worker
+            .wheel
+            .push_timer(at.max(self.now), self.id, kind);
     }
 
     fn reachable(&self, to: NodeId) -> bool {
-        self.links.reachable(self.id, to)
+        self.worker.hub.fabric().reachable(self.id, to)
     }
 
     fn rand_range(&mut self, n: u64) -> u64 {
@@ -229,14 +152,12 @@ enum Activation {
 /// One pool worker: a run-queue consumer with its own timer wheel.
 struct Worker {
     idx: usize,
-    sched: Arc<Scheduler>,
-    links: Arc<LinkTable>,
-    stats: Arc<RuntimeStats>,
-    fabric: Option<Arc<TcpFabric>>,
-    clock: MonotonicClock,
+    hub: Arc<Hub>,
+    tcp: Option<Arc<TcpFabric>>,
     wheel: TimerWheel,
-    /// Worker-local one-pass partition memo: a sender's whole fan-out runs
-    /// on its worker, so per-worker state needs no cross-thread sharing.
+    /// Worker-local one-pass partition memo: a sender's whole K·R fan-out
+    /// runs back-to-back on its worker, so per-worker state needs no
+    /// cross-thread sharing and the memo's few entries suffice.
     router: ShardRouter,
 }
 
@@ -247,78 +168,118 @@ impl Worker {
     fn run(mut self) {
         loop {
             self.fire_due();
-            if let Some(task) = self.sched.pop(self.idx) {
+            if let Some(task) = self.hub.sched.pop(self.idx) {
                 self.run_task(&task);
                 continue;
             }
-            if self.sched.exiting() {
+            if self.hub.sched.exiting() {
                 break;
             }
-            let timeout = self.wheel.next_due().map(|at| self.clock.until(at));
-            self.sched.park(timeout);
+            let timeout = self.wheel.next_due().map(|at| self.hub.clock.until(at));
+            self.hub.sched.park(timeout);
+        }
+    }
+
+    /// One send (`departed`: the due departure of a deferred one) of
+    /// `from`, an actor running on this worker: the fabric decides, the
+    /// worker carries the message to its last hop — the destination's
+    /// mailbox, or its process's connection. A send to a stopped mailbox
+    /// (shutdown in progress) is dropped silently, like a connection reset
+    /// during teardown.
+    ///
+    /// With a socket mesh, a remote destination changes only that last
+    /// hop: admission still debits the **local** ledger (it is the wire
+    /// credit window — see [`crate::tcp`]) and a queued outcome
+    /// additionally reports the stall to the remote receiver.
+    fn send(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        msg: NetMsg,
+        now: Time,
+        departed: bool,
+    ) -> SendOutcome {
+        let sent = {
+            let mut fabric = self.hub.fabric();
+            if departed {
+                fabric.depart(&mut self.router, from, to, msg, now)
+            } else {
+                fabric.send(&mut self.router, from, to, msg, now)
+            }
+        };
+        let remote = self.tcp.as_deref().filter(|t| t.is_remote(to));
+        match (sent, remote) {
+            (Sent::Go(msg), None) => {
+                self.hub
+                    .sched
+                    .push(to, Envelope::Msg { from, msg }, Some(self.idx));
+                SendOutcome::Delivered
+            }
+            (Sent::Go(msg), Some(tcp)) => {
+                if tcp.send_net(from, to, msg) {
+                    SendOutcome::Delivered
+                } else {
+                    // The connection died between the reachability check
+                    // and the enqueue: the frame is lost.
+                    self.hub.fabric().count_lost(departed);
+                    SendOutcome::DroppedFault
+                }
+            }
+            (Sent::Queued, remote) => {
+                if let Some(tcp) = remote {
+                    let stalled = self.hub.fabric().stalled_for(from, to, now);
+                    tcp.note_queued(from, to, stalled);
+                }
+                SendOutcome::Queued
+            }
+            (Sent::NotForShard, _) => SendOutcome::Delivered,
+            (Sent::Dropped, _) => SendOutcome::DroppedFault,
         }
     }
 
     /// Fires every wheel entry due now, on behalf of its owning actor.
     fn fire_due(&mut self) {
-        while let Some((_, due)) = self.wheel.pop_due(self.clock.now()) {
+        while let Some((_, due)) = self.wheel.pop_due(self.hub.clock.now()) {
             match due {
                 Due::Timer { owner, kind } => {
                     // Crashed actors fire no timers (the entry is consumed,
                     // as in the simulator); live ones get the timer
                     // re-enqueued behind their pending mailbox work.
-                    if self.links.node_up(owner) {
-                        self.sched
+                    if self.hub.fabric().timer_fires(owner) {
+                        self.hub
+                            .sched
                             .push(owner, Envelope::Timer(kind), Some(self.idx));
-                    } else {
-                        self.stats.count_timer_suppressed();
                     }
                 }
                 Due::Send { owner, to, msg } => {
-                    // The send-time check already passed when this entry was
-                    // scheduled; a link that broke since loses the message
-                    // in flight (delivery drop, as in the simulator).
-                    if self.links.reachable(owner, to) {
-                        deliver(
-                            &self.sched,
-                            Some(self.idx),
-                            &self.links,
-                            &mut self.router,
-                            &self.stats,
-                            self.fabric.as_deref(),
-                            owner,
-                            to,
-                            msg,
-                            self.clock.now(),
-                        );
-                    } else {
-                        self.stats.count_delivery_drop();
-                    }
+                    let now = self.hub.clock.now();
+                    self.send(owner, to, msg, now, true);
                 }
                 Due::Replenish { owner, from } => {
                     // The owner's modeled CPU finished a delivery: its
                     // credit returns now.
-                    self.replenish(owner, from);
+                    self.return_credit(from, owner);
                 }
             }
         }
     }
 
-    /// Returns the credit of one consumed delivery from `from` and hands
-    /// the released queued message (if any) to `owner`'s own mailbox — the
-    /// same delivery path as a fresh send, so the delivery-time checks
-    /// still apply. A *remote* sender's ledger lives in its process: the
-    /// credit travels back as a `CreditGrant` frame instead.
-    fn replenish(&mut self, owner: NodeId, from: NodeId) {
-        if let Some(f) = &self.fabric {
-            if f.is_remote(from) {
-                f.send_grant(from, owner);
-                return;
+    /// Returns the credit of one consumed delivery on `from → to` and
+    /// hands the released queued message (if any) to `to`'s own mailbox —
+    /// the delivery-time checks still apply there. A *remote* sender's
+    /// ledger lives in its process: the credit travels back as a
+    /// `CreditGrant` frame instead.
+    fn return_credit(&mut self, from: NodeId, to: NodeId) {
+        match &self.tcp {
+            Some(t) if t.is_remote(from) => t.send_grant(from, to),
+            _ => {
+                let released = self.hub.fabric().consumed(from, to, self.hub.clock.now());
+                if let Some(msg) = released {
+                    self.hub
+                        .sched
+                        .push(to, Envelope::Msg { from, msg }, Some(self.idx));
+                }
             }
-        }
-        if let Some(msg) = self.links.consumed_release(from, owner, self.clock.now()) {
-            self.sched
-                .push(owner, Envelope::Msg { from, msg }, Some(self.idx));
         }
     }
 
@@ -330,19 +291,20 @@ impl Worker {
         let started = std::time::Instant::now();
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.activate(task)));
-        self.sched.record_run(started.elapsed());
+        self.hub.sched.record_run(started.elapsed());
         match outcome {
             Ok(Activation::Drained) | Ok(Activation::Stopped) => {}
             Ok(Activation::Budget) => {
                 if task.yield_back() {
-                    self.sched.enqueue(Arc::clone(task), Some(self.idx));
+                    self.hub.sched.enqueue(Arc::clone(task), Some(self.idx));
                 }
             }
             Err(_) => {
                 if task.mark_stopped() {
-                    self.sched
+                    self.hub
+                        .sched
                         .note_crashed(format!("dpc-actor-{}", task.id.index()));
-                    self.sched.note_stopped();
+                    self.hub.sched.note_stopped();
                 }
             }
         }
@@ -360,7 +322,7 @@ impl Worker {
                 None => return Activation::Drained,
                 Some(Envelope::Stop) => {
                     if task.mark_stopped() {
-                        self.sched.note_stopped();
+                        self.hub.sched.note_stopped();
                     }
                     return Activation::Stopped;
                 }
@@ -374,10 +336,8 @@ impl Worker {
                     // Re-check liveness: a crash landing after the wheel
                     // fired but before this envelope ran still suppresses
                     // the callback.
-                    if self.links.node_up(task.id) {
+                    if self.hub.fabric().timer_fires(task.id) {
                         self.dispatch(task.id, &mut cell, |a, ctx| a.on_timer(ctx, kind));
-                    } else {
-                        self.stats.count_timer_suppressed();
                     }
                 }
             }
@@ -385,32 +345,22 @@ impl Worker {
         Activation::Budget
     }
 
-    /// One message delivery, with the delivery-time checks and credit
-    /// accounting of the old per-actor loop.
+    /// One message arrival: the fabric's delivery-time verdict, the
+    /// handler, and the credit return.
     fn process_msg(&mut self, id: NodeId, cell: &mut ActorCell, from: NodeId, msg: NetMsg) {
-        let tracked = self.links.tracks(&msg);
-        // Delivery-time reachability: a link (or endpoint) that went down
-        // while the message was in flight loses it.
-        if self.links.reachable(from, id) {
-            self.stats.count_delivered();
-            let mark = self.dispatch(id, cell, |a, ctx| a.on_message(ctx, from, msg));
-            if tracked {
-                // Credit returns at the handler's consumption mark (the
-                // modeled CPU completion), or right away for infinitely
-                // fast consumers.
-                match mark {
-                    Some(at) if at > self.clock.now() => {
-                        self.wheel.push_replenish(at, id, from);
-                    }
-                    _ => self.replenish(id, from),
-                }
-            }
+        let arrival = self.hub.fabric().arrive(from, id, &msg);
+        let mark = if arrival.deliver {
+            self.dispatch(id, cell, |a, ctx| a.on_message(ctx, from, msg))
         } else {
-            self.stats.count_delivery_drop();
-            if tracked {
-                // A tracked loss still returns its credit — a broken link
-                // must not shrink the window.
-                self.replenish(id, from);
+            None
+        };
+        if arrival.owes_credit {
+            // Credit returns at the handler's consumption mark (the
+            // modeled CPU completion), or right away for infinitely fast
+            // consumers and in-flight losses.
+            match mark {
+                Some(at) if at > self.hub.clock.now() => self.wheel.push_replenish(at, id, from),
+                _ => self.return_credit(from, id),
             }
         }
     }
@@ -421,18 +371,12 @@ impl Worker {
         &mut self,
         id: NodeId,
         cell: &mut ActorCell,
-        f: impl FnOnce(&mut dyn DpcActor, &mut dyn RuntimeCtx),
+        f: impl FnOnce(&mut dyn DpcActor<NetMsg>, &mut dyn RuntimeCtx<NetMsg>),
     ) -> Option<Time> {
         let mut ctx = ThreadCtx {
             id,
-            now: self.clock.now(),
-            sched: &self.sched,
-            worker: self.idx,
-            links: &self.links,
-            router: &mut self.router,
-            stats: &self.stats,
-            fabric: self.fabric.as_deref(),
-            wheel: &mut self.wheel,
+            now: self.hub.clock.now(),
+            worker: self,
             rng: &mut cell.rng,
             consumed_at: None,
         };
@@ -441,21 +385,13 @@ impl Worker {
     }
 }
 
-/// The fault controller: replays the script against the link table and
-/// notifies affected actors, with the simulator's gating (a crashed node
-/// hears nothing except its own `NodeDown`). Sleeps on its stop channel
-/// between scripted instants — no polling.
-fn fault_controller(
-    script: Vec<(Time, FaultEvent)>,
-    clock: MonotonicClock,
-    links: Arc<LinkTable>,
-    stats: Arc<RuntimeStats>,
-    sched: Arc<Scheduler>,
-    stop: Receiver<()>,
-) {
+/// The fault controller: replays the script against the fabric and
+/// notifies the actors it names. Sleeps on its stop channel between
+/// scripted instants — no polling.
+fn fault_controller(script: Vec<(Time, FaultEvent)>, hub: Arc<Hub>, stop: Receiver<()>) {
     for (at, fault) in script {
         loop {
-            let wait = clock.until(at);
+            let wait = hub.clock.until(at);
             if wait.is_zero() {
                 break;
             }
@@ -464,14 +400,9 @@ fn fault_controller(
                 Err(RecvTimeoutError::Timeout) => {}
             }
         }
-        // A crash purges the node's queued (credit-stalled) sends: those
-        // are in-flight losses, counted like the simulator does.
-        stats.count_delivery_drops(links.apply(&fault, clock.now()));
-        for id in fault.notifies() {
-            if !links.node_up(id) && !matches!(fault, FaultEvent::NodeDown(_)) {
-                continue;
-            }
-            sched.push(id, Envelope::Fault(fault.clone()), None);
+        let notify = hub.fabric().apply(&fault, hub.clock.now());
+        for id in notify {
+            hub.sched.push(id, Envelope::Fault(fault.clone()), None);
         }
     }
 }
@@ -480,110 +411,64 @@ fn fault_controller(
 /// plus the fault controller. Dropping it (or calling
 /// [`ThreadRuntime::shutdown`]) stops every thread in order.
 pub struct ThreadRuntime {
-    sched: Arc<Scheduler>,
+    hub: Arc<Hub>,
     workers: Vec<JoinHandle<()>>,
     fault_handle: Option<JoinHandle<()>>,
     fault_stop: Option<Sender<()>>,
-    clock: MonotonicClock,
-    links: Arc<LinkTable>,
-    stats: Arc<RuntimeStats>,
 }
 
 impl ThreadRuntime {
-    /// The pool size used when none is requested: the `BOREALIS_WORKERS`
-    /// environment variable if set, else the machine's available
-    /// parallelism clamped to `[2, 8]` (at least two so stealing is live
-    /// even on one core; at most eight — the scaling target's pool size).
+    /// The pool size used when a layout requests none: the machine's
+    /// available parallelism clamped to `[2, 8]` (at least two so stealing
+    /// is live even on one core; at most eight — the scaling target's pool
+    /// size).
     pub fn default_workers() -> usize {
-        if let Some(n) = std::env::var("BOREALIS_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            if n > 0 {
-                return n;
-            }
-        }
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(2)
             .clamp(2, 8)
     }
 
-    /// Spawns the engine with the default pool size
-    /// ([`ThreadRuntime::default_workers`]); see
-    /// [`ThreadRuntime::spawn_pooled`].
-    pub fn spawn(
-        actors: Vec<Box<dyn DpcActor>>,
-        script: Vec<(Time, FaultEvent)>,
-        seed: u64,
-        partitions: Vec<(NodeId, PartitionSpec)>,
-        flow_policy: CreditPolicy,
-    ) -> ThreadRuntime {
-        Self::spawn_pooled(
-            actors,
-            script,
-            seed,
-            partitions,
-            flow_policy,
-            Self::default_workers(),
-        )
-    }
-
     /// Spawns a pool of `workers` threads multiplexing every actor
     /// (`actors[i]` becomes `NodeId(i)`), plus a controller thread
     /// replaying `script` (already sorted by time). `partitions` declares
     /// key-sharded receivers: every data batch sent to such a node is
-    /// filtered to its shard on the wire. `flow_policy` governs
+    /// filtered to its shard on the way out. `flow_policy` governs
     /// credit-based flow control on every link.
+    ///
+    /// With a socket mesh (`tcp`), sends to actors it plans in another
+    /// process travel the wire, and its per-connection reader threads feed
+    /// incoming frames into local mailboxes.
     ///
     /// Every actor starts Queued, so its `on_start` runs as soon as a
     /// worker picks it up; the clock starts just before the pool spawns.
     /// The OS-thread budget is exactly `workers + 1` spawned threads
     /// (pool + fault controller), independent of the topology size.
-    pub fn spawn_pooled(
-        actors: Vec<Box<dyn DpcActor>>,
+    pub fn spawn(
+        actors: Vec<Box<dyn DpcActor<NetMsg>>>,
         script: Vec<(Time, FaultEvent)>,
         seed: u64,
         partitions: Vec<(NodeId, PartitionSpec)>,
         flow_policy: CreditPolicy,
         workers: usize,
-    ) -> ThreadRuntime {
-        Self::spawn_with_fabric(actors, script, seed, partitions, flow_policy, workers, None)
-    }
-
-    /// [`ThreadRuntime::spawn_pooled`] plus an optional socket fabric
-    /// ([`crate::tcp::TcpFabric`]): sends to actors the fabric plans in
-    /// another process travel the wire, and the fabric's per-connection
-    /// reader threads feed incoming frames into local mailboxes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_with_fabric(
-        actors: Vec<Box<dyn DpcActor>>,
-        script: Vec<(Time, FaultEvent)>,
-        seed: u64,
-        partitions: Vec<(NodeId, PartitionSpec)>,
-        flow_policy: CreditPolicy,
-        workers: usize,
-        fabric: Option<Arc<TcpFabric>>,
+        tcp: Option<Arc<TcpFabric>>,
     ) -> ThreadRuntime {
         let workers = workers.max(1);
         let clock = MonotonicClock::start();
-        let links = Arc::new(LinkTable::with_config(partitions, flow_policy));
-        let stats = Arc::new(RuntimeStats::default());
+        let mut fabric = Fabric::new(partitions, flow_policy);
         // Faults scripted at t=0 shape the initial connectivity: apply them
         // before any worker starts, as the simulator does for faults
         // scheduled ahead of the Start events. (The controller re-applies
         // them idempotently and delivers the notifications.)
-        for (at, fault) in script.iter().filter(|(at, _)| *at == Time::ZERO) {
-            let _ = at;
-            links.apply(fault, Time::ZERO);
+        for (_, fault) in script.iter().filter(|(at, _)| *at == Time::ZERO) {
+            fabric.apply(fault, Time::ZERO);
         }
         let tasks = actors
             .into_iter()
             .enumerate()
             .map(|(i, actor)| {
-                // Decorrelate per-actor streams from one shared seed —
-                // identical to the per-thread engine's seeding, so runs
-                // stay comparable across pool sizes.
+                // Decorrelate per-actor streams from one shared seed, so
+                // runs stay comparable across pool sizes.
                 let rng = StdRng::seed_from_u64(
                     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
                         .wrapping_add(i as u64),
@@ -591,24 +476,20 @@ impl ThreadRuntime {
                 (actor, rng)
             })
             .collect();
-        let sched = Arc::new(Scheduler::new(tasks, workers));
-        if let Some(f) = &fabric {
-            f.start_io(
-                Arc::clone(&sched),
-                Arc::clone(&links),
-                Arc::clone(&stats),
-                clock,
-            );
+        let hub = Arc::new(Hub {
+            sched: Scheduler::new(tasks, workers),
+            fabric: Mutex::new(fabric),
+            clock,
+        });
+        if let Some(t) = &tcp {
+            t.start_io(Arc::clone(&hub));
         }
         let handles = (0..workers)
             .map(|idx| {
                 let worker = Worker {
                     idx,
-                    sched: Arc::clone(&sched),
-                    links: Arc::clone(&links),
-                    stats: Arc::clone(&stats),
-                    fabric: fabric.clone(),
-                    clock,
+                    hub: Arc::clone(&hub),
+                    tcp: tcp.clone(),
                     wheel: TimerWheel::new(),
                     router: ShardRouter::new(),
                 };
@@ -620,68 +501,58 @@ impl ThreadRuntime {
             .collect();
         let (fault_stop, stop_rx) = channel();
         let fault_handle = {
-            let links = Arc::clone(&links);
-            let stats = Arc::clone(&stats);
-            let sched = Arc::clone(&sched);
+            let hub = Arc::clone(&hub);
             Some(
                 std::thread::Builder::new()
                     .name("dpc-faults".into())
-                    .spawn(move || fault_controller(script, clock, links, stats, sched, stop_rx))
+                    .spawn(move || fault_controller(script, hub, stop_rx))
                     .expect("spawn fault controller"),
             )
         };
         ThreadRuntime {
-            sched,
+            hub,
             workers: handles,
             fault_handle,
             fault_stop: Some(fault_stop),
-            clock,
-            links,
-            stats,
         }
     }
 
     /// Time since the runtime started (the actors' clock).
     pub fn now(&self) -> Time {
-        self.clock.now()
+        self.hub.clock.now()
     }
 
-    /// The shared link table (for ad-hoc fault injection in tests; scripted
-    /// runs should use the layout's fault script).
-    pub fn links(&self) -> &LinkTable {
-        &self.links
+    /// The shared link fabric, locked (for ad-hoc inspection and fault
+    /// injection in tests; scripted runs should use the layout's fault
+    /// script).
+    pub fn fabric(&self) -> MutexGuard<'_, Fabric<NetMsg>> {
+        self.hub.fabric()
     }
 
     /// Number of pool workers.
     pub fn workers(&self) -> usize {
-        self.sched.workers()
+        self.hub.sched.workers()
     }
 
     /// Stops one task (used by the socket deployment to retire the inert
     /// stubs standing in for remote actors).
     pub(crate) fn stop_task(&self, id: NodeId) {
-        self.sched.push(id, Envelope::Stop, None);
+        self.hub.sched.push(id, Envelope::Stop, None);
     }
 
     /// OS threads this runtime spawned: the pool plus the fault
     /// controller — `workers() + 1`, independent of how many actors run.
     pub fn spawned_threads(&self) -> usize {
-        self.sched.workers() + 1
+        self.hub.sched.workers() + 1
     }
 
-    /// Point-in-time scheduler gauges (steals, queue depths, activation
-    /// run-time histogram).
-    pub fn sched_gauges(&self) -> SchedGauges {
-        self.sched.gauges()
-    }
-
-    /// Message-loss statistics so far, including the transport's
-    /// flow-control gauges and the pool's scheduler gauges.
+    /// Message-loss statistics so far, including the fabric's flow-control
+    /// gauges and the pool's scheduler gauges.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        snap.flow = self.links.flow_gauges();
-        snap.sched = self.sched.gauges();
-        snap
+        StatsSnapshot {
+            sched: self.hub.sched.gauges(),
+            ..self.hub.fabric().stats()
+        }
     }
 
     /// Lets the system run for `wall` — the actors make progress on the
@@ -704,10 +575,7 @@ impl ThreadRuntime {
             crashed.is_empty(),
             "actor thread(s) panicked during the run: {crashed:?}"
         );
-        let mut snap = self.stats.snapshot();
-        snap.flow = self.links.flow_gauges();
-        snap.sched = self.sched.gauges();
-        snap
+        self.stats()
     }
 
     /// Stops and joins everything; returns the names of actors that
@@ -719,19 +587,20 @@ impl ThreadRuntime {
         if let Some(h) = self.fault_handle.take() {
             let _ = h.join();
         }
-        for task in &self.sched.tasks {
-            self.sched.push(task.id, Envelope::Stop, None);
+        let sched = &self.hub.sched;
+        for task in &sched.tasks {
+            sched.push(task.id, Envelope::Stop, None);
         }
-        self.sched.wait_all_stopped();
-        self.sched.begin_exit();
+        sched.wait_all_stopped();
+        sched.begin_exit();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
         // Workers joined: nothing pushes concurrently, so the depth
         // gauges must now equal the actual queue lengths exactly.
         #[cfg(debug_assertions)]
-        self.sched.debug_verify_depths();
-        self.sched.crashed()
+        sched.debug_verify_depths();
+        sched.crashed()
     }
 }
 
@@ -759,8 +628,8 @@ mod tests {
         peer: Option<NodeId>,
     }
 
-    impl DpcActor for Recorder {
-        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx) {
+    impl DpcActor<NetMsg> for Recorder {
+        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
             if let Some(peer) = self.peer {
                 ctx.send(peer, NetMsg::HeartbeatReq);
                 ctx.set_timer(ctx.now() + Duration::from_millis(20), 7);
@@ -774,14 +643,14 @@ mod tests {
                 );
             }
         }
-        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, from: NodeId, msg: NetMsg) {
+        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, msg: NetMsg) {
             self.log.lock().unwrap().push((from, msg.kind_name()));
         }
-        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, kind: u64) {
+        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
             assert_eq!(kind, 7);
             self.log.lock().unwrap().push((NodeId(u32::MAX), "timer"));
         }
-        fn on_fault(&mut self, _ctx: &mut dyn RuntimeCtx, fault: &FaultEvent) {
+        fn on_fault(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, fault: &FaultEvent) {
             let tag = match fault {
                 FaultEvent::LinkDown { .. } => "link-down",
                 FaultEvent::LinkUp { .. } => "link-up",
@@ -791,6 +660,23 @@ mod tests {
             };
             self.log.lock().unwrap().push((NodeId(u32::MAX), tag));
         }
+    }
+
+    /// Two recorders on a two-worker pool, no sharding, no flow control.
+    fn spawn_pair(
+        a: Box<Recorder>,
+        b: Box<Recorder>,
+        script: Vec<(Time, FaultEvent)>,
+    ) -> ThreadRuntime {
+        ThreadRuntime::spawn(
+            vec![a, b],
+            script,
+            1,
+            Vec::new(),
+            CreditPolicy::Unbounded,
+            2,
+            None,
+        )
     }
 
     fn wait_until(pred: impl Fn() -> bool, ms: u64) -> bool {
@@ -815,13 +701,7 @@ mod tests {
             log: Arc::clone(&log),
             peer: None,
         });
-        let rt = ThreadRuntime::spawn(
-            vec![a, b],
-            Vec::new(),
-            1,
-            Vec::new(),
-            CreditPolicy::Unbounded,
-        );
+        let rt = spawn_pair(a, b, Vec::new());
         assert!(
             wait_until(
                 || {
@@ -873,7 +753,7 @@ mod tests {
             log: Arc::clone(&log),
             peer: None,
         });
-        let rt = ThreadRuntime::spawn(vec![a, b], script, 1, Vec::new(), CreditPolicy::Unbounded);
+        let rt = spawn_pair(a, b, script);
         assert!(
             wait_until(
                 || {
@@ -911,7 +791,7 @@ mod tests {
             log: Arc::clone(&log),
             peer: None,
         });
-        let rt = ThreadRuntime::spawn(vec![a, b], script, 1, Vec::new(), CreditPolicy::Unbounded);
+        let rt = spawn_pair(a, b, script);
         assert!(
             wait_until(
                 || log
@@ -941,22 +821,23 @@ mod tests {
         // OS threads (pool + fault controller), and the batch budget keeps
         // every mailbox moving.
         let log = Arc::new(Mutex::new(Vec::new()));
-        let actors: Vec<Box<dyn DpcActor>> = (0..200)
+        let actors: Vec<Box<dyn DpcActor<NetMsg>>> = (0..200)
             .map(|i| {
                 Box::new(Recorder {
                     log: Arc::clone(&log),
                     // A ring: each actor heartbeats its successor.
                     peer: Some(NodeId(((i + 1) % 200) as u32)),
-                }) as Box<dyn DpcActor>
+                }) as Box<dyn DpcActor<NetMsg>>
             })
             .collect();
-        let rt = ThreadRuntime::spawn_pooled(
+        let rt = ThreadRuntime::spawn(
             actors,
             Vec::new(),
             3,
             Vec::new(),
             CreditPolicy::Unbounded,
             3,
+            None,
         );
         assert_eq!(rt.workers(), 3);
         assert_eq!(rt.spawned_threads(), 4, "workers + fault controller");
@@ -987,25 +868,32 @@ mod tests {
     #[test]
     fn actor_panic_is_contained_and_reported_at_shutdown() {
         struct Bomb;
-        impl DpcActor for Bomb {
-            fn on_start(&mut self, _ctx: &mut dyn RuntimeCtx) {
+        impl DpcActor<NetMsg> for Bomb {
+            fn on_start(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>) {
                 panic!("boom");
             }
-            fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, _from: NodeId, _msg: NetMsg) {}
-            fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, _kind: u64) {}
+            fn on_message(
+                &mut self,
+                _ctx: &mut dyn RuntimeCtx<NetMsg>,
+                _from: NodeId,
+                _msg: NetMsg,
+            ) {
+            }
+            fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
         }
         let log = Arc::new(Mutex::new(Vec::new()));
         let survivor = Box::new(Recorder {
             log: Arc::clone(&log),
             peer: None,
         });
-        let rt = ThreadRuntime::spawn_pooled(
+        let rt = ThreadRuntime::spawn(
             vec![Box::new(Bomb), survivor],
             Vec::new(),
             1,
             Vec::new(),
             CreditPolicy::Unbounded,
             2,
+            None,
         );
         // The panic takes down only actor 0; the pool keeps running and
         // shutdown reports the casualty.

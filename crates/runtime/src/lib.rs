@@ -1,9 +1,9 @@
 //! # borealis-runtime
 //!
-//! The real-time execution engine for the DPC protocol: the same
+//! The wall-clock drivers of the DPC protocol: the same
 //! `ProcessingNode` / `DataSource` / `ClientProxy` actors that run under
-//! the deterministic simulator, driven against the monotonic wall clock on
-//! a **fixed pool of worker threads**.
+//! the deterministic simulator, driven against the monotonic clock on a
+//! **fixed pool of worker threads**, in one process or several.
 //!
 //! * every actor is a schedulable task: per-worker run queues with work
 //!   stealing, a global injector for cross-worker wakeups, and an
@@ -15,14 +15,16 @@
 //! * a per-worker [`TimerWheel`] drives protocol timers and the CPU cost
 //!   model's delayed departures; its earliest deadline bounds the worker's
 //!   park, so idle workers burn no CPU;
-//! * a shared [`LinkTable`] (the simulator's fault model behind a lock)
-//!   plus a fault-controller thread replay scripted partitions, crashes,
-//!   and heals in wall-clock time;
+//! * one [`SharedFabric`] — the very `borealis_sim::Fabric` the simulator
+//!   kernel owns, behind a mutex — decides what every send, arrival, credit
+//!   return and fault means; the pool's workers, its fault-controller
+//!   thread and the socket mesh's reader threads all ask it, so the fault
+//!   model and the credit protocol exist once for all three runtimes;
 //! * [`deploy_threads`] launches a runtime-independent
 //!   [`SystemLayout`](borealis_dpc::SystemLayout) — the very object
-//!   `deploy_sim` consumes — so one deployment description serves both
-//!   runtimes; the layout's `workers` field (or `BOREALIS_WORKERS`) sizes
-//!   the pool.
+//!   `deploy_sim` consumes — and [`deploy_tcp`] launches one process's
+//!   share of it over a [`TcpFabric`] socket mesh; the layout's `workers`
+//!   field sizes the pool.
 //!
 //! The protocol code itself lives in `borealis-dpc` and is runtime-unaware
 //! (see `borealis_dpc::runtime`); this crate only supplies the
@@ -34,11 +36,9 @@
 pub mod clock;
 #[cfg(not(borealis_model))]
 pub mod engine;
-// In model builds the engine is compiled out, so the scheduler and the
-// stats half of links are reachable only from the model tests — the
-// non-test model build would flag them dead.
-#[cfg_attr(borealis_model, allow(dead_code))]
-pub mod links;
+// In model builds the engine is compiled out, so the scheduler is
+// reachable only from the model tests — the non-test model build would
+// flag it dead.
 #[cfg_attr(borealis_model, allow(dead_code))]
 pub(crate) mod scheduler;
 pub mod sync;
@@ -48,19 +48,28 @@ pub mod wheel;
 
 // Model builds (`--cfg borealis_model`) swap the sync facade for the
 // virtual primitives of `borealis-check` and compile only the protocol
-// cores the model tests exercise (scheduler, links, wheel); the real
-// OS-thread engine and TCP fabric need wall clocks and sockets, which
+// cores the model tests exercise (scheduler, shared fabric, wheel); the
+// real OS-thread engine and TCP mesh need wall clocks and sockets, which
 // have no meaning under the interleaving explorer.
 #[cfg(all(test, borealis_model))]
 mod model_tests;
 
+pub use borealis_sim::StatsSnapshot;
 pub use clock::MonotonicClock;
 #[cfg(not(borealis_model))]
 pub use engine::ThreadRuntime;
-pub use links::{LinkTable, RuntimeStats, StatsSnapshot};
 #[cfg(not(borealis_model))]
 pub use tcp::{deploy_tcp, plan_processes, RunningTcp, TcpFabric};
 pub use wheel::{Due, TimerWheel};
+
+/// The one link fabric of a wall-clock runtime: the simulator's
+/// single-threaded `borealis_sim::Fabric`, shared by the pool's workers,
+/// the fault controller and the socket mesh's reader threads behind one
+/// lock. One lock, because the fabric is cold (a few thousand crossings a
+/// second against microseconds of per-tuple work) and every rule — the
+/// send-time window check, the crash purge and its drop count — is then
+/// trivially atomic; the model checker verifies exactly this type.
+pub type SharedFabric = sync::Mutex<borealis_sim::Fabric<borealis_dpc::NetMsg>>;
 
 #[cfg(not(borealis_model))]
 use borealis_dpc::{MetricsHub, SystemLayout};
@@ -92,30 +101,25 @@ pub struct RunningThreads {
 #[cfg(not(borealis_model))]
 impl RunningThreads {
     /// Lets the system run for `wall` (blocks the caller; the actors run on
-    /// the worker pool), then refreshes the metrics hub's transport and
-    /// scheduler gauges.
+    /// the worker pool).
     pub fn run_for(&self, wall: std::time::Duration) {
         self.runtime.run_for(wall);
-        self.metrics.record_flow(self.runtime.links().flow_gauges());
-        self.metrics.record_sched(self.runtime.sched_gauges());
     }
 
-    /// Queue-depth and stall-time gauges of the transport's credit ledger.
+    /// Queue-depth and stall-time gauges of the fabric's credit ledger.
     pub fn flow_gauges(&self) -> borealis_types::FlowGauges {
-        self.runtime.links().flow_gauges()
+        self.runtime.stats().flow
     }
 
     /// Worker-pool scheduler gauges (steals, run-queue depths, activation
     /// run-time histogram).
     pub fn sched_gauges(&self) -> borealis_types::SchedGauges {
-        self.runtime.sched_gauges()
+        self.runtime.stats().sched
     }
 
     /// Stops every thread in order and returns message-loss statistics
-    /// (including the final transport and scheduler gauges).
+    /// (including the final flow-control and scheduler gauges).
     pub fn shutdown(self) -> StatsSnapshot {
-        self.metrics.record_flow(self.runtime.links().flow_gauges());
-        self.metrics.record_sched(self.runtime.sched_gauges());
         self.runtime.shutdown()
     }
 }
@@ -125,8 +129,7 @@ impl RunningThreads {
 ///
 /// The scripted faults lowered by the layout replay at their scripted
 /// offsets from runtime start. The pool size is the layout's `workers`
-/// field if set (`SystemBuilder::workers`), else the `BOREALIS_WORKERS`
-/// environment variable, else a machine-derived default
+/// field if set (`SystemBuilder::workers`), else a machine-derived default
 /// ([`ThreadRuntime::default_workers`]).
 #[cfg(not(borealis_model))]
 pub fn deploy_threads(layout: SystemLayout) -> RunningThreads {
@@ -134,18 +137,19 @@ pub fn deploy_threads(layout: SystemLayout) -> RunningThreads {
     let actors = layout
         .actors
         .into_iter()
-        .map(|spec| spec.into_dpc_actor(&metrics))
+        .map(|spec| spec.into_actor(&metrics))
         .collect();
     let workers = layout
         .workers
         .unwrap_or_else(ThreadRuntime::default_workers);
-    let runtime = ThreadRuntime::spawn_pooled(
+    let runtime = ThreadRuntime::spawn(
         actors,
         layout.script,
         layout.seed,
         layout.partitions,
         layout.flow_policy,
         workers,
+        None,
     );
     RunningThreads {
         runtime,

@@ -8,41 +8,41 @@
 //!
 //! 1. the mailbox queued-exactly-once state machine ([`Scheduler::push`]);
 //! 2. [`IdleLot`] token parking (no lost wakeup, token bank capped);
-//! 3. [`FlowControl`] window accounting behind [`LinkTable`]'s ledger lock;
-//! 4. crash purge vs in-flight sends (every purged send counted exactly
-//!    once as a delivery drop).
+//! 3. credit-window accounting on the [`SharedFabric`] — the one
+//!    `Mutex<Fabric<NetMsg>>` the pool's workers, the fault controller and
+//!    the TCP readers share;
+//! 4. crash purge vs in-flight sends on that same shared fabric (every
+//!    purged send counted exactly once as a delivery drop).
 //!
 //! Each protocol also has a **seeded-bug twin**: a compact
 //! reimplementation with one critical line mutated the way a plausible
 //! refactor would, checked with [`explore_expect_violation`] — proving
 //! the explorer *detects* the class of bug the real code avoids, and
 //! printing the replayable trace a real regression would produce.
-//!
-//! [`FlowControl`]: borealis_sim::FlowControl
 
-use crate::links::{LinkTable, RuntimeStats};
 use crate::scheduler::{Envelope, IdleLot, Scheduler};
 use crate::sync::{relock, Arc, AtomicU64, Condvar, Mutex, Ordering};
+use crate::SharedFabric;
 use borealis_check::sync::thread;
 use borealis_check::{explore, explore_expect_violation, Opts, Report};
 use borealis_dpc::{DpcActor, NetMsg, RuntimeCtx};
-use borealis_sim::FaultEvent;
-use borealis_types::{CreditPolicy, NodeId, Time};
+use borealis_sim::{Fabric, FaultEvent};
+use borealis_types::{CreditPolicy, NodeId, ShardRouter, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 
 struct Inert;
-impl DpcActor for Inert {
-    fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, _from: NodeId, _msg: NetMsg) {}
-    fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, _kind: u64) {}
+impl DpcActor<NetMsg> for Inert {
+    fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, _msg: NetMsg) {}
+    fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
 }
 
 fn sched(n_actors: usize, workers: usize) -> Scheduler {
     let actors = (0..n_actors)
         .map(|i| {
             (
-                Box::new(Inert) as Box<dyn DpcActor>,
+                Box::new(Inert) as Box<dyn DpcActor<NetMsg>>,
                 StdRng::seed_from_u64(i as u64),
             )
         })
@@ -58,6 +58,18 @@ fn drain_initial(s: &Scheduler) {
             while t.pop_envelope().is_some() {}
         }
     }
+}
+
+/// The pool's shared fabric under a one-credit window.
+fn shared_fabric() -> Arc<SharedFabric> {
+    Arc::new(Mutex::new(Fabric::new(Vec::new(), CreditPolicy::Window(1))))
+}
+
+/// One worker-side send of a data message on `a → b`, as `Worker::send`
+/// issues it: the whole reachability → partition → admission rule inside
+/// one critical section.
+fn send_data(t: &SharedFabric, a: NodeId, b: NodeId) {
+    relock(t).send(&mut ShardRouter::new(), a, b, data_msg(), Time::ZERO);
 }
 
 fn data_msg() -> NetMsg {
@@ -233,31 +245,31 @@ fn model_idlelot_tokenless_twin_loses_wakeup() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 3: FlowControl window accounting behind the ledger lock
+// Protocol 3: credit-window accounting on the shared fabric
 // ---------------------------------------------------------------------------
 
-/// A sender and a consumer race on one Window(1) link: the in-flight
-/// count never exceeds the window, no credit is double-replenished, and
-/// the queue-depth gauges equal the actual ledger totals
-/// (`FlowControl::check_invariants` runs inside every [`LinkTable`] op in
-/// debug builds — which every model interleaving is).
+/// A sender and a consumer race on one Window(1) link of the shared
+/// fabric: the in-flight count never exceeds the window, no credit is
+/// double-replenished, and the queue-depth gauges equal the actual ledger
+/// totals (`FlowControl::check_invariants` runs inside every mutating
+/// `Fabric` verb in debug builds — which every model interleaving is).
 #[test]
 fn model_flow_window_accounting() {
     let r = explore(Opts::default(), || {
-        let t = Arc::new(LinkTable::with_config(Vec::new(), CreditPolicy::Window(1)));
+        let t = shared_fabric();
         let (a, b) = (NodeId(0), NodeId(1));
         let t1 = Arc::clone(&t);
         let sender = thread::spawn(move || {
-            t1.admit(a, b, data_msg(), Time::ZERO);
-            t1.admit(a, b, data_msg(), Time::ZERO);
+            send_data(&t1, a, b);
+            send_data(&t1, a, b);
         });
         let t2 = Arc::clone(&t);
         let consumer = thread::spawn(move || {
-            t2.consumed_release(a, b, Time::ZERO);
+            relock(&t2).consumed(a, b, Time::ZERO);
         });
         sender.join();
         consumer.join();
-        let g = t.flow_gauges();
+        let g = relock(&t).stats().flow;
         assert!(g.inflight_peak <= 1, "credit window exceeded: {g:?}");
         assert_eq!(
             g.delivered + g.queued,
@@ -274,10 +286,10 @@ fn model_flow_window_accounting() {
 }
 
 /// Seeded-bug twin of the ledger's window check: `FlowControl::admit`'s
-/// `link.inflight < w` test is safe only because [`LinkTable::admit`]
-/// holds the ledger mutex across check *and* increment — split into two
-/// atomic ops (as lock-free "optimization" would), two senders both pass
-/// the check and the window is exceeded.
+/// `link.inflight < w` test is safe only because the pool calls
+/// `Fabric::send` with the [`SharedFabric`] lock held across check *and*
+/// increment — split into two atomic ops (as lock-free "optimization"
+/// would), two senders both pass the check and the window is exceeded.
 #[test]
 fn model_flow_check_then_act_twin_exceeds_window() {
     struct BuggyLedger {
@@ -286,7 +298,7 @@ fn model_flow_check_then_act_twin_exceeds_window() {
     impl BuggyLedger {
         fn buggy_admit(&self) {
             // BUG: check-then-act across two atomics instead of one
-            // critical section (links.rs `admit` wraps both in the lock).
+            // critical section (the shared fabric's lock covers both).
             if self.inflight.load(Ordering::SeqCst) < 1 {
                 self.inflight.fetch_add(1, Ordering::SeqCst);
             }
@@ -318,55 +330,55 @@ fn model_flow_check_then_act_twin_exceeds_window() {
 // Protocol 4: crash purge vs in-flight sends
 // ---------------------------------------------------------------------------
 
-/// A sender races a node crash on its link: however the purge interleaves
-/// with the admits, every send ends up in exactly one bucket — delivered,
-/// purged (counted as a delivery drop, as the engine's fault controller
-/// does), or still queued. Nothing is dropped twice and nothing vanishes.
+/// A sender races a node crash on its link of the shared fabric: however
+/// the crash interleaves with the sends, every send ends up in exactly one
+/// bucket — admitted, queued then purged (counted as a delivery drop), or
+/// refused at send time because the crash already landed (counted as a
+/// send drop). Nothing is dropped twice and nothing vanishes.
 #[test]
 fn model_crash_purge_counts_each_send_once() {
     let r = explore(Opts::default(), || {
-        let t = Arc::new(LinkTable::with_config(Vec::new(), CreditPolicy::Window(1)));
-        let stats = Arc::new(RuntimeStats::default());
+        let t = shared_fabric();
         let (a, b) = (NodeId(0), NodeId(1));
         let t1 = Arc::clone(&t);
         let sender = thread::spawn(move || {
             for _ in 0..3 {
-                t1.admit(a, b, data_msg(), Time::ZERO);
+                send_data(&t1, a, b);
             }
         });
         let t2 = Arc::clone(&t);
-        let st = Arc::clone(&stats);
         let crasher = thread::spawn(move || {
-            // The engine's fault-controller line: purge count becomes
-            // delivery drops in one motion (engine.rs `fault_loop`).
-            st.count_delivery_drops(t2.apply(&FaultEvent::NodeDown(b), Time::ZERO));
+            // The engine's fault-controller line (engine.rs
+            // `fault_controller`): link state, purge and drop count change
+            // in one critical section.
+            relock(&t2).apply(&FaultEvent::NodeDown(b), Time::ZERO);
         });
         sender.join();
         crasher.join();
-        let g = t.flow_gauges();
+        let stats = relock(&t).stats();
+        let g = stats.flow;
         assert_eq!(
-            g.delivered + g.queued,
+            g.delivered + g.queued + stats.send_unreachable_drops,
             3,
-            "every send admitted or queued exactly once: {g:?}"
+            "every send admitted, queued or refused exactly once: {stats:?}"
         );
         assert_eq!(
-            g.queued,
-            g.released + g.purged + g.queued_now,
-            "every queued send released, purged, or still pending: {g:?}"
+            g.queued, g.purged,
+            "nothing consumes, so every queued send is purged by the crash: {g:?}"
         );
+        assert_eq!(g.queued_now, 0, "the crash leaves no pending send: {g:?}");
         assert_eq!(
-            stats.snapshot().delivery_drops,
-            g.purged,
+            stats.delivery_drops, g.purged,
             "every purged send counted exactly once as a delivery drop"
         );
     });
     report("crash_purge_counts_each_send_once", r);
 }
 
-/// Seeded-bug twin of [`LinkTable::apply`]'s NodeDown arm: the purge
-/// count read in one critical section, the purge done in another (the
-/// real code computes the count *inside* the ledger lock — links.rs,
-/// `apply`). A send landing in the gap is purged but never counted.
+/// Seeded-bug twin of `Fabric::apply`'s NodeDown arm as the pool runs it:
+/// the purge count read in one critical section, the purge done in
+/// another (the real code purges and counts inside one [`SharedFabric`]
+/// lock hold). A send landing in the gap is purged but never counted.
 #[test]
 fn model_crash_purge_outside_lock_twin_drops_counts() {
     struct TwinLedger {

@@ -79,7 +79,7 @@ struct MailboxInner {
 /// The run-state machine makes the lock uncontended: a task is Running on
 /// at most one worker, and nothing else touches the actor.
 pub(crate) struct ActorCell {
-    pub(crate) actor: Box<dyn DpcActor>,
+    pub(crate) actor: Box<dyn DpcActor<NetMsg>>,
     pub(crate) rng: StdRng,
     pub(crate) started: bool,
 }
@@ -92,7 +92,7 @@ pub(crate) struct Task {
 }
 
 impl Task {
-    fn new(id: NodeId, actor: Box<dyn DpcActor>, rng: StdRng) -> Task {
+    fn new(id: NodeId, actor: Box<dyn DpcActor<NetMsg>>, rng: StdRng) -> Task {
         Task {
             id,
             mailbox: Mutex::new(MailboxInner {
@@ -238,7 +238,7 @@ impl IdleLot {
 }
 
 /// Cumulative scheduler counters (atomics; relaxed — totals are exact
-/// only after shutdown, like [`RuntimeStats`](crate::links::RuntimeStats)).
+/// only after shutdown).
 #[derive(Default)]
 struct SchedCounters {
     local_polls: AtomicU64,
@@ -277,7 +277,10 @@ impl Scheduler {
     /// Builds the fabric and seeds every task onto the run queues
     /// round-robin (state Queued), so each actor's `on_start` runs as soon
     /// as a worker picks it up.
-    pub(crate) fn new(actors: Vec<(Box<dyn DpcActor>, StdRng)>, workers: usize) -> Scheduler {
+    pub(crate) fn new(
+        actors: Vec<(Box<dyn DpcActor<NetMsg>>, StdRng)>,
+        workers: usize,
+    ) -> Scheduler {
         let tasks: Vec<Arc<Task>> = actors
             .into_iter()
             .enumerate()
@@ -518,16 +521,16 @@ mod tests {
     use rand::SeedableRng;
 
     struct Inert;
-    impl DpcActor for Inert {
-        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, _from: NodeId, _msg: NetMsg) {}
-        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, _kind: u64) {}
+    impl DpcActor<NetMsg> for Inert {
+        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, _msg: NetMsg) {}
+        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
     }
 
     fn sched(n_actors: usize, workers: usize) -> Scheduler {
         let actors = (0..n_actors)
             .map(|i| {
                 (
-                    Box::new(Inert) as Box<dyn DpcActor>,
+                    Box::new(Inert) as Box<dyn DpcActor<NetMsg>>,
                     StdRng::seed_from_u64(i as u64),
                 )
             })

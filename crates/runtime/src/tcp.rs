@@ -13,8 +13,9 @@
 //! allows, so heartbeats, acks, and grants amortize into one syscall
 //! (see [`WireGauges::frames_per_flush`]).
 //!
-//! **Credits cross the wire.** The sending process's [`LinkTable`] credit
-//! ledger *is* the wire window: a `Data` frame debits it at `admit` time
+//! **Credits cross the wire.** The sending process's link
+//! [`Fabric`](borealis_sim::Fabric) holds the credit ledger, and that ledger
+//! *is* the wire window: a `Data` frame debits it in `Fabric::send`
 //! exactly as an in-process send would, and the receiving process returns
 //! the credit with an explicit `CreditGrant` frame (replacing the
 //! in-process `Replenish` wheel entry) whose header names the data link
@@ -28,13 +29,13 @@
 //!
 //! **Connection reset = crash.** A torn connection (read error, EOF
 //! without a `Goodbye` frame, or a corrupt frame) marks every actor of the
-//! dead peer process `NodeDown` in the local link table: queued
+//! dead peer process `NodeDown` in the local fabric — the same
+//! `Fabric::apply` the scripted fault controller calls: queued
 //! credit-stalled sends purge as counted delivery drops and later sends
-//! count as send drops — the same `FlowGauges`/`StatsSnapshot` surface the
-//! scripted fault controller feeds, so the chaos semantics of the two
-//! transports are identical. The scripted fault script itself replays in
-//! *every* process against its own link table, which keeps reachability
-//! decisions consistent without any cross-process coordination.
+//! count as send drops, so the chaos semantics of the two transports are
+//! identical. The scripted fault script itself replays in *every* process
+//! against its own fabric, which keeps reachability decisions consistent
+//! without any cross-process coordination.
 //!
 //! **Crashed processes may come back.** Every process keeps its listener
 //! open on a persistent acceptor thread; a respawned worker re-dials the
@@ -44,16 +45,14 @@
 //! (checkpoint + input-log replay from its durable store, then
 //! re-subscription) — the fabric only restores connectivity.
 
-use crate::clock::MonotonicClock;
-use crate::engine::ThreadRuntime;
-use crate::links::{LinkTable, RuntimeStats, StatsSnapshot};
-use crate::scheduler::{Envelope, Scheduler};
+use crate::engine::{Hub, ThreadRuntime};
+use crate::scheduler::Envelope;
 use crate::sync::{cv_wait, read, relock, write};
 use crate::sync::{Arc, AtomicBool, AtomicU64, Condvar, Mutex, Ordering, RwLock};
 use borealis_dpc::{
     decode_frame, encode_frame, DpcActor, MetricsHub, NetMsg, RuntimeCtx, SystemLayout, WireMsg,
 };
-use borealis_sim::FaultEvent;
+use borealis_sim::{FaultEvent, StatsSnapshot};
 use borealis_types::{Duration, NodeId, StreamId, Time, WireGauges};
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
@@ -61,8 +60,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Per-connection wire counters (relaxed atomics; exact after shutdown,
-/// like [`RuntimeStats`]).
+/// Per-connection wire counters (relaxed atomics; exact after shutdown).
 #[derive(Default)]
 struct ConnGauges {
     bytes_sent: AtomicU64,
@@ -202,24 +200,16 @@ fn writer_loop(conn: Arc<Conn>) {
 /// deployment.
 struct RemoteStub;
 
-impl DpcActor for RemoteStub {
-    fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, _from: NodeId, _msg: NetMsg) {}
-    fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, _kind: u64) {}
+impl DpcActor<NetMsg> for RemoteStub {
+    fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, _msg: NetMsg) {}
+    fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
 }
 
-/// What the acceptor thread needs to wire a rejoining peer's connection
-/// into the running engine: handed to the fabric by
-/// [`TcpFabric::start_io`].
-#[derive(Clone)]
-struct IoCtx {
-    sched: Arc<Scheduler>,
-    links: Arc<LinkTable>,
-    stats: Arc<RuntimeStats>,
-    clock: MonotonicClock,
-}
-
-/// The per-process socket fabric: one connection per peer process, the
-/// process plan, and the cross-process stall bookkeeping.
+/// The per-process socket mesh: one connection per peer process, the
+/// process plan, and the cross-process stall bookkeeping. (The *link*
+/// fabric — reachability, credits, loss accounting — is
+/// `borealis_sim::Fabric`, shared with the worker pool through the
+/// engine's hub; this type only moves frames.)
 pub struct TcpFabric {
     my_proc: u32,
     /// `plan[actor index] = process id` — identical in every process.
@@ -233,8 +223,9 @@ pub struct TcpFabric {
     /// The listener, parked here between `establish` and `start_io`
     /// (which moves it into the acceptor thread).
     listener: Mutex<Option<TcpListener>>,
-    /// Engine hooks for mid-run connection installs; set by `start_io`.
-    ioctx: Mutex<Option<IoCtx>>,
+    /// The running engine's mailboxes, link fabric and clock; set by
+    /// `start_io`.
+    hub: Mutex<Option<Arc<Hub>>>,
     /// Orderly shutdown: stops the acceptor and refuses late installs.
     closing: AtomicBool,
     /// Sender side: links `from → to` whose stall we have reported to the
@@ -321,7 +312,7 @@ impl TcpFabric {
             conns: conns.into_iter().map(RwLock::new).collect(),
             retired: Mutex::new(Vec::new()),
             listener: Mutex::new(Some(listener)),
-            ioctx: Mutex::new(None),
+            hub: Mutex::new(None),
             closing: AtomicBool::new(false),
             reported_stalls: Mutex::new(HashSet::new()),
             remote_stalls: Mutex::new(HashMap::new()),
@@ -343,6 +334,13 @@ impl TcpFabric {
     /// wire; its local task is an inert stub).
     pub fn is_remote(&self, id: NodeId) -> bool {
         self.proc_of(id) != self.my_proc
+    }
+
+    /// Every actor the plan places in process `proc`.
+    fn actors_of(&self, proc: u32) -> impl Iterator<Item = NodeId> + '_ {
+        let ids = self.plan.iter().enumerate();
+        ids.filter(move |(_, p)| **p == proc)
+            .map(|(i, _)| NodeId(i as u32))
     }
 
     fn conn_to(&self, id: NodeId) -> Option<Arc<Conn>> {
@@ -394,8 +392,8 @@ impl TcpFabric {
 
     /// Sender side, on grant receipt: if the link's stall episode ended
     /// (queue drained), retract the report with a `StallReport{0}`.
-    fn clear_stall_if_drained(&self, links: &LinkTable, from: NodeId, to: NodeId, now: Time) {
-        if links.stalled_for(from, to, now) != Duration::ZERO {
+    fn clear_stall_if_drained(&self, hub: &Hub, from: NodeId, to: NodeId, now: Time) {
+        if hub.fabric().stalled_for(from, to, now) != Duration::ZERO {
             return;
         }
         if !relock(&self.reported_stalls).remove(&(from.0, to.0)) {
@@ -421,7 +419,7 @@ impl TcpFabric {
 
     /// Continuous inbound credit-stall of the remote link `from → to`, as
     /// last reported by the sender and extrapolated since receipt — the
-    /// cross-process analogue of [`LinkTable::stalled_for`].
+    /// cross-process analogue of `Fabric::stalled_for`.
     pub fn remote_stalled_for(&self, from: NodeId, to: NodeId) -> Duration {
         match relock(&self.remote_stalls).get(&(from.0, to.0)) {
             Some((micros, at)) => Duration::from_micros(micros + at.elapsed().as_micros() as u64),
@@ -430,7 +428,7 @@ impl TcpFabric {
     }
 
     /// Crash accounting for a torn connection: every actor of the dead
-    /// peer process goes `NodeDown` in the local link table (queued
+    /// peer process goes `NodeDown` in the local fabric (queued
     /// credit-stalled sends purge as counted delivery drops; later sends
     /// become send drops), and every live local actor is notified so it
     /// drops the subscription state the dead process held for it. Without
@@ -438,32 +436,29 @@ impl TcpFabric {
     /// staleness window leaves its consumers subscribed to a node that no
     /// longer knows them — a dangling subscription that silences the
     /// stream forever.
-    fn reset_conn(&self, conn: &Conn, links: &LinkTable, stats: &RuntimeStats, now: Time) {
+    fn reset_conn(&self, conn: &Conn, hub: &Hub) {
         if !conn.mark_dead() {
             return;
         }
         conn.g.resets.fetch_add(1, Ordering::Relaxed);
-        let mut purged = 0u64;
-        let mut dead: Vec<NodeId> = Vec::new();
-        for (i, proc) in self.plan.iter().enumerate() {
-            if *proc == conn.peer_proc {
-                let id = NodeId(i as u32);
-                purged += links.apply(&FaultEvent::NodeDown(id), now);
-                dead.push(id);
+        let now = hub.clock.now();
+        let dead: Vec<NodeId> = self.actors_of(conn.peer_proc).collect();
+        let live: Vec<NodeId> = {
+            let mut fabric = hub.fabric();
+            let purged_before = fabric.stats().flow.purged;
+            for &d in &dead {
+                fabric.apply(&FaultEvent::NodeDown(d), now);
             }
-        }
-        conn.g.purged.fetch_add(purged, Ordering::Relaxed);
-        stats.count_delivery_drops(purged);
-        if let Some(ctx) = relock(&self.ioctx).clone() {
-            for (l, proc) in self.plan.iter().enumerate() {
-                let local = NodeId(l as u32);
-                if *proc != self.my_proc || !ctx.links.node_up(local) {
-                    continue;
-                }
-                for &d in &dead {
-                    ctx.sched
-                        .push(local, Envelope::Fault(FaultEvent::NodeDown(d)), None);
-                }
+            let purged = fabric.stats().flow.purged - purged_before;
+            conn.g.purged.fetch_add(purged, Ordering::Relaxed);
+            self.actors_of(self.my_proc)
+                .filter(|l| fabric.node_up(*l))
+                .collect()
+        };
+        for local in live {
+            for &d in &dead {
+                hub.sched
+                    .push(local, Envelope::Fault(FaultEvent::NodeDown(d)), None);
             }
         }
     }
@@ -472,38 +467,26 @@ impl TcpFabric {
     /// persistent acceptor (which admits rejoining peers mid-run). Called
     /// by the engine once the scheduler exists; incoming frames push
     /// straight into the destination task's mailbox.
-    pub(crate) fn start_io(
-        self: &Arc<Self>,
-        sched: Arc<Scheduler>,
-        links: Arc<LinkTable>,
-        stats: Arc<RuntimeStats>,
-        clock: MonotonicClock,
-    ) {
-        let ctx = IoCtx {
-            sched,
-            links,
-            stats,
-            clock,
-        };
-        *relock(&self.ioctx) = Some(ctx.clone());
+    pub(crate) fn start_io(self: &Arc<Self>, hub: Arc<Hub>) {
+        *relock(&self.hub) = Some(Arc::clone(&hub));
         for slot in &self.conns {
             if let Some(conn) = read(slot).clone() {
-                self.spawn_conn_io(&conn, &ctx);
+                self.spawn_conn_io(&conn, &hub);
             }
         }
         if let Some(listener) = relock(&self.listener).take() {
-            let fabric = Arc::clone(self);
+            let mesh = Arc::clone(self);
             relock(&self.io).push(
                 std::thread::Builder::new()
                     .name("tcp-acceptor".into())
-                    .spawn(move || acceptor_loop(fabric, listener))
+                    .spawn(move || acceptor_loop(mesh, listener))
                     .expect("spawn tcp acceptor"),
             );
         }
     }
 
     /// Spawns the writer and reader threads of one connection.
-    fn spawn_conn_io(self: &Arc<Self>, conn: &Arc<Conn>, ctx: &IoCtx) {
+    fn spawn_conn_io(self: &Arc<Self>, conn: &Arc<Conn>, hub: &Arc<Hub>) {
         let mut io = relock(&self.io);
         let w = Arc::clone(conn);
         io.push(
@@ -512,30 +495,27 @@ impl TcpFabric {
                 .spawn(move || writer_loop(w))
                 .expect("spawn tcp writer"),
         );
-        let fabric = Arc::clone(self);
+        let mesh = Arc::clone(self);
         let conn = Arc::clone(conn);
-        let ctx = ctx.clone();
+        let hub = Arc::clone(hub);
         io.push(
             std::thread::Builder::new()
                 .name(format!("tcp-reader-{}", conn.peer_proc))
-                .spawn(move || {
-                    reader_loop(fabric, conn, ctx.sched, ctx.links, ctx.stats, ctx.clock)
-                })
+                .spawn(move || reader_loop(mesh, conn, hub))
                 .expect("spawn tcp reader"),
         );
     }
 
     /// Installs a rejoining peer's fresh connection: retires whatever
     /// occupied the slot (running its crash accounting if the reader had
-    /// not already), marks the peer's actors back up in the link table,
+    /// not already), marks the peer's actors back up in the link fabric,
     /// and spawns the new connection's I/O threads. The peer's *protocol*
     /// recovery — reloading its checkpoint, replaying its input log,
     /// re-subscribing — happens in the rejoined process itself; survivors
     /// only need delivery re-enabled, after which heartbeats resume.
     fn install_conn(self: &Arc<Self>, peer: u32, stream: TcpStream, carry: Vec<u8>) {
-        let ctx = match relock(&self.ioctx).clone() {
-            Some(ctx) => ctx,
-            None => return,
+        let Some(hub) = relock(&self.hub).clone() else {
+            return;
         };
         if peer == self.my_proc
             || peer as usize >= self.conns.len()
@@ -553,16 +533,14 @@ impl TcpFabric {
             // Usually already dead (the reader saw the torn socket when
             // the peer was killed); if the kill and the rejoin raced, the
             // crash accounting runs now, before the NodeUp below.
-            self.reset_conn(&old, &ctx.links, &ctx.stats, ctx.clock.now());
+            self.reset_conn(&old, &hub);
             relock(&self.retired).push(old);
         }
-        let now = ctx.clock.now();
-        for (i, proc) in self.plan.iter().enumerate() {
-            if *proc == peer {
-                ctx.links.apply(&FaultEvent::NodeUp(NodeId(i as u32)), now);
-            }
+        let now = hub.clock.now();
+        for id in self.actors_of(peer) {
+            hub.fabric().apply(&FaultEvent::NodeUp(id), now);
         }
-        self.spawn_conn_io(&conn, &ctx);
+        self.spawn_conn_io(&conn, &hub);
     }
 
     /// Aggregated wire gauges across every connection, including retired
@@ -732,14 +710,7 @@ fn read_hello(mut stream: &TcpStream) -> std::io::Result<(u32, Vec<u8>)> {
 /// The reader thread: grows a decode buffer from large reads, dispatches
 /// every complete frame, and translates the connection's end into either
 /// a clean close or a crash.
-fn reader_loop(
-    fabric: Arc<TcpFabric>,
-    conn: Arc<Conn>,
-    sched: Arc<Scheduler>,
-    links: Arc<LinkTable>,
-    stats: Arc<RuntimeStats>,
-    clock: MonotonicClock,
-) {
+fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
     let mut buf: Vec<u8> = std::mem::take(&mut relock(&conn.carry));
     let mut scratch = vec![0u8; 64 * 1024];
     loop {
@@ -753,26 +724,28 @@ fn reader_loop(
                     match msg {
                         WireMsg::Net(m) => {
                             // Straight into the destination mailbox: the
-                            // delivery-time checks run in process_msg, the
-                            // same as an in-process send.
-                            sched.push(to, Envelope::Msg { from, msg: m }, None);
+                            // fabric's delivery-time checks run when the
+                            // worker processes it, the same as an
+                            // in-process send.
+                            hub.sched.push(to, Envelope::Msg { from, msg: m }, None);
                         }
                         WireMsg::CreditGrant => {
                             conn.g.grants_recv.fetch_add(1, Ordering::Relaxed);
-                            let now = clock.now();
+                            let now = hub.clock.now();
                             // The grant names the data link from → to; our
                             // ledger holds its window. Release the next
                             // queued message onto the wire.
-                            if let Some(m) = links.consumed_release(from, to, now) {
-                                if !fabric.send_net(from, to, m) {
-                                    stats.count_delivery_drop();
+                            let released = hub.fabric().consumed(from, to, now);
+                            if let Some(m) = released {
+                                if !mesh.send_net(from, to, m) {
+                                    hub.fabric().count_lost(true);
                                 }
                             }
-                            fabric.clear_stall_if_drained(&links, from, to, now);
+                            mesh.clear_stall_if_drained(&hub, from, to, now);
                         }
                         WireMsg::StallReport { micros } => {
                             conn.g.stall_reports.fetch_add(1, Ordering::Relaxed);
-                            fabric.note_remote_stall(from, to, micros);
+                            mesh.note_remote_stall(from, to, micros);
                         }
                         WireMsg::Goodbye => {
                             conn.peer_goodbye.store(true, Ordering::Release);
@@ -780,7 +753,7 @@ fn reader_loop(
                         // Only valid during the handshake; mid-stream it
                         // means the framing is corrupt.
                         WireMsg::Hello { .. } => {
-                            fabric.reset_conn(&conn, &links, &stats, clock.now());
+                            mesh.reset_conn(&conn, &hub);
                             return;
                         }
                     }
@@ -789,7 +762,7 @@ fn reader_loop(
                 Err(_) => {
                     // Corrupt frame: indistinguishable from a torn
                     // connection — crash semantics.
-                    fabric.reset_conn(&conn, &links, &stats, clock.now());
+                    mesh.reset_conn(&conn, &hub);
                     return;
                 }
             }
@@ -802,7 +775,7 @@ fn reader_loop(
                 if conn.peer_goodbye.load(Ordering::Acquire) {
                     conn.mark_dead();
                 } else {
-                    fabric.reset_conn(&conn, &links, &stats, clock.now());
+                    mesh.reset_conn(&conn, &hub);
                 }
                 return;
             }
@@ -812,7 +785,7 @@ fn reader_loop(
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => {
-                fabric.reset_conn(&conn, &links, &stats, clock.now());
+                mesh.reset_conn(&conn, &hub);
                 return;
             }
         }
@@ -861,13 +834,10 @@ pub struct RunningTcp {
 }
 
 impl RunningTcp {
-    /// Lets the system run for `wall`, then refreshes the metrics hub's
-    /// transport, scheduler, and wire gauges.
+    /// Lets the system run for `wall` (blocks the caller; the actors run on
+    /// the worker pool).
     pub fn run_for(&self, wall: std::time::Duration) {
         self.runtime.run_for(wall);
-        self.metrics.record_flow(self.runtime.links().flow_gauges());
-        self.metrics.record_sched(self.runtime.sched_gauges());
-        self.metrics.record_wire(self.fabric.wire_gauges());
     }
 
     /// Aggregated wire gauges across this process's connections.
@@ -877,22 +847,22 @@ impl RunningTcp {
 
     /// Message-loss statistics so far, including the wire gauges.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.runtime.stats();
-        snap.wire = self.fabric.wire_gauges();
-        snap
+        StatsSnapshot {
+            wire: self.fabric.wire_gauges(),
+            ..self.runtime.stats()
+        }
     }
 
-    /// Stops the local engine, then tears the fabric down cleanly
+    /// Stops the local engine, then tears the socket mesh down cleanly
     /// (`Goodbye` + flush on every connection). Returns final statistics
     /// with the wire gauges filled in.
     pub fn shutdown(self) -> StatsSnapshot {
-        self.metrics.record_flow(self.runtime.links().flow_gauges());
-        self.metrics.record_sched(self.runtime.sched_gauges());
-        let mut snap = self.runtime.shutdown();
+        let snap = self.runtime.shutdown();
         self.fabric.shutdown();
-        snap.wire = self.fabric.wire_gauges();
-        self.metrics.record_wire(snap.wire);
-        snap
+        StatsSnapshot {
+            wire: self.fabric.wire_gauges(),
+            ..snap
+        }
     }
 }
 
@@ -900,7 +870,7 @@ impl RunningTcp {
 /// established [`TcpFabric`]: actors planned here run for real, actors
 /// planned elsewhere become inert stubs that are stopped immediately (a
 /// send to one travels the wire instead). The scripted fault script
-/// replays in every process, keeping link-table decisions consistent.
+/// replays in every process, keeping the fabrics' decisions consistent.
 pub fn deploy_tcp(layout: SystemLayout, fabric: Arc<TcpFabric>) -> RunningTcp {
     assert_eq!(
         fabric.plan.len(),
@@ -909,7 +879,7 @@ pub fn deploy_tcp(layout: SystemLayout, fabric: Arc<TcpFabric>) -> RunningTcp {
     );
     let metrics = layout.metrics.clone();
     let mut remote = Vec::new();
-    let actors: Vec<Box<dyn DpcActor>> = layout
+    let actors: Vec<Box<dyn DpcActor<NetMsg>>> = layout
         .actors
         .into_iter()
         .enumerate()
@@ -917,16 +887,16 @@ pub fn deploy_tcp(layout: SystemLayout, fabric: Arc<TcpFabric>) -> RunningTcp {
             let id = NodeId(i as u32);
             if fabric.is_remote(id) {
                 remote.push(id);
-                Box::new(RemoteStub) as Box<dyn DpcActor>
+                Box::new(RemoteStub) as Box<dyn DpcActor<NetMsg>>
             } else {
-                spec.into_dpc_actor(&metrics)
+                spec.into_actor(&metrics)
             }
         })
         .collect();
     let workers = layout
         .workers
         .unwrap_or_else(ThreadRuntime::default_workers);
-    let runtime = ThreadRuntime::spawn_with_fabric(
+    let runtime = ThreadRuntime::spawn(
         actors,
         layout.script,
         layout.seed,
@@ -985,14 +955,14 @@ mod tests {
         to: NodeId,
         n: usize,
     }
-    impl DpcActor for Burst {
-        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx) {
+    impl DpcActor<NetMsg> for Burst {
+        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
             for _ in 0..self.n {
                 ctx.send(self.to, data_msg());
             }
         }
-        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, _from: NodeId, _msg: NetMsg) {}
-        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, _kind: u64) {}
+        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, _msg: NetMsg) {}
+        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
     }
 
     /// Counts data deliveries (consumption is immediate: credit returns
@@ -1000,11 +970,11 @@ mod tests {
     struct Counter {
         seen: Arc<AtomicUsize>,
     }
-    impl DpcActor for Counter {
-        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, _from: NodeId, _msg: NetMsg) {
+    impl DpcActor<NetMsg> for Counter {
+        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, _msg: NetMsg) {
             self.seen.fetch_add(1, Ordering::SeqCst);
         }
-        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, _kind: u64) {}
+        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
     }
 
     fn wait_until(pred: impl Fn() -> bool, ms: u64) -> bool {
@@ -1020,10 +990,10 @@ mod tests {
 
     fn spawn_proc(
         fabric: &Arc<TcpFabric>,
-        actors: Vec<Box<dyn DpcActor>>,
+        actors: Vec<Box<dyn DpcActor<NetMsg>>>,
         policy: CreditPolicy,
     ) -> ThreadRuntime {
-        let rt = ThreadRuntime::spawn_with_fabric(
+        let rt = ThreadRuntime::spawn(
             actors,
             Vec::new(),
             1,
@@ -1139,8 +1109,8 @@ mod tests {
             f0.wire_gauges(),
             f1.wire_gauges()
         );
-        assert!(!rt0.links().node_up(NodeId(1)), "peer actor marked down");
-        assert!(!rt1.links().node_up(NodeId(0)), "peer actor marked down");
+        assert!(!rt0.fabric().node_up(NodeId(1)), "peer actor marked down");
+        assert!(!rt1.fabric().node_up(NodeId(0)), "peer actor marked down");
         rt0.shutdown();
         f0.shutdown();
         rt1.shutdown();
@@ -1188,7 +1158,7 @@ mod tests {
         // Kill proc 1 the hard way: no Goodbye, proc 0 sees a crash.
         f1.kill(0);
         assert!(
-            wait_until(|| !rt0.links().node_up(NodeId(0)), 5000),
+            wait_until(|| !rt0.fabric().node_up(NodeId(0)), 5000),
             "torn socket marks the peer's actor down"
         );
         rt1.shutdown();
@@ -1210,7 +1180,7 @@ mod tests {
             CreditPolicy::Window(1),
         );
         assert!(
-            wait_until(|| rt0.links().node_up(NodeId(0)), 5000),
+            wait_until(|| rt0.fabric().node_up(NodeId(0)), 5000),
             "rejoin marks the peer's actors back up"
         );
         assert!(

@@ -2,12 +2,13 @@
 //!
 //! DPC handles crash failures of processing nodes and network failures that
 //! "cause message losses and delays, preventing any subset of nodes from
-//! communicating with one another, possibly partitioning the system". The
-//! simulator scripts those as timed [`FaultEvent`]s.
+//! communicating with one another, possibly partitioning the system". Every
+//! runtime scripts those as timed [`FaultEvent`]s; what a fault does to the
+//! links, and who hears about it, is [`Fabric::apply`](crate::Fabric::apply).
 
 use borealis_types::NodeId;
 
-/// A scripted fault (or heal) applied to the simulated system.
+/// A scripted fault (or heal) applied to a running deployment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultEvent {
     /// The link between two endpoints stops delivering messages (both
@@ -40,15 +41,4 @@ pub enum FaultEvent {
         /// Application-defined discriminator.
         tag: u64,
     },
-}
-
-impl FaultEvent {
-    /// Actors that must be notified of this fault.
-    pub fn notifies(&self) -> Vec<NodeId> {
-        match self {
-            FaultEvent::LinkDown { a, b } | FaultEvent::LinkUp { a, b } => vec![*a, *b],
-            FaultEvent::NodeDown(n) | FaultEvent::NodeUp(n) => vec![*n],
-            FaultEvent::Custom { target, .. } => vec![*target],
-        }
-    }
 }

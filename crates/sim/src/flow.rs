@@ -1,11 +1,9 @@
-//! The shared credit ledger: per-link credit windows, sender-side pending
-//! queues, and the queue-depth / stall-time gauges.
+//! The credit ledger: per-link credit windows, sender-side pending queues,
+//! and the queue-depth / stall-time gauges.
 //!
-//! Both runtimes implement credit-based flow control through this one
-//! structure — the deterministic kernel owns a `FlowControl` directly and
-//! drives it from its event loop; the thread engine keeps one behind the
-//! link table's lock and drives it from the actor threads. The semantics
-//! are therefore identical by construction:
+//! Every runtime implements credit-based flow control through this one
+//! structure, owned by the link [`Fabric`](crate::Fabric) (which decides
+//! *when* each verb applies — see its module docs):
 //!
 //! * **admit** — a data message bound for a directed link either consumes a
 //!   credit (delivered) or joins the link's FIFO pending queue (stalled);
@@ -16,10 +14,6 @@
 //! * **reset** — a crashed endpoint purges its links' state (pending
 //!   messages are lost like in-flight segments of a broken connection, and
 //!   credits return to the full window for the restart).
-//!
-//! Only data messages are flow-controlled (see `ShardMsg::credit_controlled`);
-//! control traffic always passes, so a stalled link still heartbeats and a
-//! backpressured peer is never mistaken for a dead one.
 
 use borealis_types::{CreditPolicy, Duration, FlowGauges, NodeId, Time};
 use std::collections::{HashMap, VecDeque};
@@ -53,12 +47,6 @@ pub struct FlowControl<M> {
     gauges: FlowGauges,
 }
 
-impl<M> Default for FlowControl<M> {
-    fn default() -> Self {
-        FlowControl::new(CreditPolicy::Unbounded)
-    }
-}
-
 impl<M> FlowControl<M> {
     /// A ledger under the given policy.
     pub fn new(policy: CreditPolicy) -> FlowControl<M> {
@@ -74,24 +62,17 @@ impl<M> FlowControl<M> {
         self.policy
     }
 
-    /// Replaces the policy (deployment wiring; call before traffic flows).
-    pub fn set_policy(&mut self, policy: CreditPolicy) {
-        self.policy = policy;
-    }
-
     /// Current gauges snapshot.
     pub fn gauges(&self) -> FlowGauges {
         self.gauges
     }
 
     /// True when `msg` must pass through this ledger — THE tracking rule
-    /// of the flow-control layer (a credit-controlled message under a
-    /// tracking policy), shared by the kernel's event paths and the core
-    /// `Transport` impl. The thread engine's `LinkTable::tracks` mirrors
-    /// it against a lock-free policy copy.
+    /// of the flow-control layer: a credit-controlled message under a
+    /// tracking policy.
     pub fn tracks(&self, msg: &M) -> bool
     where
-        M: crate::kernel::ShardMsg,
+        M: crate::fabric::ShardMsg,
     {
         self.policy.is_tracking() && msg.credit_controlled()
     }
@@ -208,8 +189,8 @@ impl<M> FlowControl<M> {
     /// and `inflight_now` gauges must equal the actual totals across
     /// links, no link's in-flight count may exceed the policy window, and
     /// a non-empty pending queue must have an open stall episode. Called
-    /// by the thread engine's `LinkTable` after every ledger operation in
-    /// debug builds, and by the model tests as the checked invariant.
+    /// by the `Fabric` after every ledger operation in debug builds — the
+    /// invariant the model checker's interleaving tests check.
     pub fn check_invariants(&self) {
         let queued: u64 = self.links.values().map(|l| l.queue.len() as u64).sum();
         assert_eq!(

@@ -1,266 +1,25 @@
 //! The deterministic discrete-event kernel.
 //!
-//! All distributed-protocol logic in this repository runs as [`Actor`]s
-//! inside a [`Sim`]: a virtual clock, a totally ordered event queue
-//! (time, then insertion sequence), a seeded RNG, and the simulated
-//! [`Network`]. Two runs with the same seed and script produce identical
-//! event interleavings — which is what lets the test suite assert exact
-//! protocol behaviour and lets the benchmark harness reproduce the paper's
-//! experiments without a physical cluster.
+//! A [`Sim`] is one of the three drivers of the link [`Fabric`]: it adds a
+//! virtual clock, a totally ordered event queue (time, then insertion
+//! sequence), constant link latency and a seeded RNG, and asks the fabric
+//! what every send, arrival, credit return and fault means. Two runs with
+//! the same seed and script produce identical event interleavings — which
+//! is what lets the test suite assert exact protocol behaviour and lets the
+//! benchmark harness reproduce the paper's experiments without a physical
+//! cluster.
 
+use crate::actor::{Actor, Ctx};
+use crate::fabric::{Fabric, Sent, ShardMsg, StatsSnapshot};
 use crate::fault::FaultEvent;
-use crate::flow::FlowControl;
-use crate::net::Network;
-use borealis_types::{
-    CreditPolicy, Duration, FlowGauges, NodeId, PartitionSpec, SendOutcome, ShardRouter, Time,
-};
+use borealis_types::{Duration, NodeId, SendOutcome, ShardRouter, Time};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Messages routable over key-partitioned, credit-controlled links. A
-/// runtime consults the receiving node's [`PartitionSpec`] (if any) on
-/// every send and keeps only the message content belonging to that shard;
-/// returning `None` suppresses the delivery entirely (nothing of the
-/// message belongs to the shard).
-///
-/// The default implementation passes every message through unchanged, so
-/// protocol-free message types opt in with an empty `impl`.
-pub trait ShardMsg: Sized {
-    /// This shard's view of the message, or `None` if nothing remains.
-    ///
-    /// `router` is the delivery layer's one-pass partition memo: the first
-    /// receiver of a batch computes every shard's selection view, the
-    /// remaining K·R−1 receivers clone theirs out of the shared result —
-    /// the shard key is evaluated and hashed once per tuple per producing
-    /// link regardless of fan-out.
-    fn partition(self, _spec: &PartitionSpec, _router: &mut ShardRouter) -> Option<Self> {
-        Some(self)
-    }
-
-    /// True if this message consumes link credits under a tracking
-    /// [`CreditPolicy`] (data payloads). Control traffic returns `false`
-    /// (the default) so backpressure never blocks heartbeats,
-    /// subscriptions, acks, or the stagger protocol.
-    fn credit_controlled(&self) -> bool {
-        false
-    }
-}
-
-impl ShardMsg for String {}
-
-/// A simulated participant: processing node, data source, or client proxy.
-pub trait Actor<M> {
-    /// Called once when the simulation starts.
-    fn on_start(&mut self, _ctx: &mut Ctx<M>) {}
-
-    /// Handles a message delivered from another actor.
-    fn on_message(&mut self, ctx: &mut Ctx<M>, from: NodeId, msg: M);
-
-    /// Handles a timer previously set with [`Ctx::set_timer`].
-    fn on_timer(&mut self, ctx: &mut Ctx<M>, kind: u64);
-
-    /// Notified of faults involving this actor (link/node failures, custom
-    /// scripted faults).
-    fn on_fault(&mut self, _ctx: &mut Ctx<M>, _fault: &FaultEvent) {}
-}
-
-/// Deferred actions an actor requests while handling an event.
-enum Action<M> {
-    /// A scheduled arrival; `routed` marks messages already
-    /// partition-filtered on the send path (credit admission), so the
-    /// shard filter runs exactly once per message.
-    Send {
-        to: NodeId,
-        msg: M,
-        at: Time,
-        routed: bool,
-    },
-    Depart {
-        to: NodeId,
-        msg: M,
-        at: Time,
-    },
-    Timer {
-        at: Time,
-        kind: u64,
-    },
-}
-
-/// Message-loss accounting for the whole simulation.
-///
-/// Faults silently eat messages in two places — at send time (the sender's
-/// link or endpoint is already down) and at delivery time (the link broke
-/// while the message was in flight). Both are counted here so tests can
-/// assert exact lost-message counts instead of inferring them from absent
-/// side effects.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SimStats {
-    /// Messages dropped because the destination was unreachable when the
-    /// actor sent them.
-    pub send_unreachable_drops: u64,
-    /// Messages dropped in flight: sent while reachable, undeliverable at
-    /// arrival time (broken TCP connection semantics).
-    pub delivery_drops: u64,
-}
-
-impl SimStats {
-    /// Total messages lost to faults.
-    pub fn total_drops(&self) -> u64 {
-        self.send_unreachable_drops + self.delivery_drops
-    }
-}
-
-/// The handler-side view of the simulation.
-pub struct Ctx<'a, M> {
-    now: Time,
-    self_id: NodeId,
-    net: &'a Network,
-    flow: &'a mut FlowControl<M>,
-    router: &'a mut ShardRouter,
-    rng: &'a mut StdRng,
-    stats: &'a mut SimStats,
-    actions: Vec<Action<M>>,
-    consumed_at: Option<Time>,
-}
-
-impl<'a, M> Ctx<'a, M> {
-    /// Current virtual time.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// This actor's id.
-    pub fn id(&self) -> NodeId {
-        self.self_id
-    }
-
-    /// Seeded RNG shared by the whole simulation (deterministic).
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-
-    /// True if `to` is currently reachable from this actor.
-    pub fn reachable(&self, to: NodeId) -> bool {
-        self.net.reachable(self.self_id, to)
-    }
-
-    /// Marks the delivery currently being handled as consumed (by the
-    /// receiver's modeled CPU) at `at`: its link credit returns then, not
-    /// at arrival. Without this call credits return as soon as the handler
-    /// finishes — an infinitely fast consumer.
-    pub fn data_consumed_at(&mut self, at: Time) {
-        self.consumed_at = Some(at.max(self.now));
-    }
-
-    /// Continuous credit-stall duration of the inbound link `from → self`
-    /// ([`Duration::ZERO`] when credit is flowing or flow control is off).
-    pub fn inbound_stall(&self, from: NodeId) -> Duration {
-        self.flow.stalled_for(from, self.self_id, self.now)
-    }
-
-    /// Schedules `on_timer(kind)` at virtual time `at` (clamped to now).
-    pub fn set_timer(&mut self, at: Time, kind: u64) {
-        self.actions.push(Action::Timer {
-            at: at.max(self.now),
-            kind,
-        });
-    }
-}
-
-impl<'a, M: ShardMsg> Ctx<'a, M> {
-    /// Sends `msg` to `to`, arriving one link latency from now. Lost if the
-    /// link or either endpoint is down at send or delivery time; a
-    /// credit-controlled message may instead be queued awaiting credit
-    /// (returned outcome).
-    pub fn send(&mut self, to: NodeId, msg: M) -> SendOutcome {
-        let at = self.now + self.net.latency(self.self_id, to);
-        self.send_at_raw(to, msg, at)
-    }
-
-    /// Sends `msg` so that it arrives one link latency after `depart` —
-    /// used by nodes whose CPU model finishes processing at a future
-    /// instant (outputs leave when the work completes). A future departure
-    /// reports [`SendOutcome::Deferred`] (matching the thread engine's
-    /// wheel); under a tracking credit policy the admission decision is
-    /// additionally made at the departure instant.
-    pub fn send_after(&mut self, to: NodeId, msg: M, depart: Time) -> SendOutcome {
-        let depart = depart.max(self.now);
-        if depart > self.now {
-            // Send-time reachability mirrors the immediate path; credits
-            // (for tracked messages) are consumed when the departure comes
-            // due.
-            if !self.net.reachable(self.self_id, to) {
-                self.stats.send_unreachable_drops += 1;
-                return SendOutcome::DroppedFault;
-            }
-            if self.flow.tracks(&msg) {
-                self.actions.push(Action::Depart {
-                    to,
-                    msg,
-                    at: depart,
-                });
-            } else {
-                // Untracked messages need no departure-time admission: the
-                // arrival event carries the full schedule directly.
-                let at = depart + self.net.latency(self.self_id, to);
-                self.actions.push(Action::Send {
-                    to,
-                    msg,
-                    at,
-                    routed: false,
-                });
-            }
-            return SendOutcome::Deferred;
-        }
-        let at = depart + self.net.latency(self.self_id, to);
-        self.send_at_raw(to, msg, at)
-    }
-
-    fn send_at_raw(&mut self, to: NodeId, msg: M, at: Time) -> SendOutcome {
-        // Send-time reachability check; delivery is checked again when the
-        // event fires. Unreachable destinations drop the message — counted,
-        // never silent, so tests can assert on lost-message totals.
-        if !self.net.reachable(self.self_id, to) {
-            self.stats.send_unreachable_drops += 1;
-            return SendOutcome::DroppedFault;
-        }
-        if self.flow.tracks(&msg) {
-            // Partition routing happens before admission so a suppressed
-            // delivery (nothing for the shard) never consumes a credit;
-            // the action is marked routed so it is not filtered twice.
-            let msg = match self.net.partition_of(to) {
-                Some(spec) => match msg.partition(spec.as_ref(), self.router) {
-                    Some(m) => m,
-                    None => return SendOutcome::Delivered,
-                },
-                None => msg,
-            };
-            return match self.flow.admit(self.self_id, to, msg, self.now) {
-                Some(m) => {
-                    self.actions.push(Action::Send {
-                        to,
-                        msg: m,
-                        at,
-                        routed: true,
-                    });
-                    SendOutcome::Delivered
-                }
-                None => SendOutcome::Queued,
-            };
-        }
-        self.actions.push(Action::Send {
-            to,
-            msg,
-            at,
-            routed: false,
-        });
-        SendOutcome::Delivered
-    }
-}
-
 enum EventKind<M> {
+    /// A message reaching the far end of its link.
     Message {
         from: NodeId,
         to: NodeId,
@@ -311,61 +70,138 @@ impl<M> Ord for Event<M> {
     }
 }
 
+/// Pending events in (time, insertion sequence) order.
+struct EventQueue<M> {
+    heap: BinaryHeap<Event<M>>,
+    seq: u64,
+}
+
+impl<M> EventQueue<M> {
+    fn push(&mut self, at: Time, kind: EventKind<M>) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Event { at, seq, kind });
+    }
+}
+
+/// The [`Ctx`] handed to handlers: sends go through the fabric and become
+/// arrival events one link latency later.
+struct SimCtx<'a, M> {
+    now: Time,
+    id: NodeId,
+    latency: Duration,
+    fabric: &'a mut Fabric<M>,
+    router: &'a mut ShardRouter,
+    rng: &'a mut StdRng,
+    queue: &'a mut EventQueue<M>,
+    consumed_at: Option<Time>,
+}
+
+impl<M: ShardMsg> Ctx<M> for SimCtx<'_, M> {
+    fn now(&self) -> Time {
+        self.now
+    }
+
+    fn id(&self) -> NodeId {
+        self.id
+    }
+
+    fn send(&mut self, to: NodeId, msg: M) -> SendOutcome {
+        self.send_after(to, msg, self.now)
+    }
+
+    fn send_after(&mut self, to: NodeId, msg: M, depart: Time) -> SendOutcome {
+        let depart = depart.max(self.now);
+        let deferred = depart > self.now;
+        if deferred && self.fabric.tracks(&msg) {
+            // Credits are consumed when the departure comes due, so the
+            // message waits in the event queue until then.
+            if !self.fabric.defer(self.id, to) {
+                return SendOutcome::DroppedFault;
+            }
+            let from = self.id;
+            self.queue.push(depart, EventKind::Depart { from, to, msg });
+            return SendOutcome::Deferred;
+        }
+        // Untracked messages need no departure-time admission: the arrival
+        // event carries the full schedule directly.
+        let on_link = if deferred {
+            SendOutcome::Deferred
+        } else {
+            SendOutcome::Delivered
+        };
+        match self.fabric.send(self.router, self.id, to, msg, self.now) {
+            Sent::Go(msg) => {
+                let from = self.id;
+                self.queue
+                    .push(depart + self.latency, EventKind::Message { from, to, msg });
+                on_link
+            }
+            Sent::NotForShard => on_link,
+            Sent::Queued => SendOutcome::Queued,
+            Sent::Dropped => SendOutcome::DroppedFault,
+        }
+    }
+
+    fn data_consumed_at(&mut self, at: Time) {
+        self.consumed_at = Some(at.max(self.now));
+    }
+
+    fn inbound_stall(&self, from: NodeId) -> Duration {
+        self.fabric.stalled_for(from, self.id, self.now)
+    }
+
+    fn set_timer(&mut self, at: Time, kind: u64) {
+        let actor = self.id;
+        self.queue
+            .push(at.max(self.now), EventKind::Timer { actor, kind });
+    }
+
+    fn reachable(&self, to: NodeId) -> bool {
+        self.fabric.reachable(self.id, to)
+    }
+
+    fn rand_range(&mut self, n: u64) -> u64 {
+        self.rng.gen_range(0..n)
+    }
+}
+
 /// The discrete-event simulation.
 pub struct Sim<M> {
     actors: Vec<Box<dyn Actor<M>>>,
     started: Vec<bool>,
-    net: Network,
-    flow: FlowControl<M>,
-    queue: BinaryHeap<Event<M>>,
+    fabric: Fabric<M>,
+    /// One-way latency of every link (FIFO order falls out of the
+    /// deterministic event queue).
+    latency: Duration,
+    queue: EventQueue<M>,
     now: Time,
-    seq: u64,
     rng: StdRng,
     events_dispatched: u64,
-    stats: SimStats,
-    /// One-pass partition memo shared by every routed send in the
-    /// simulation (single-threaded, so one router covers all senders).
+    /// One-pass partition memo shared by every send in the simulation
+    /// (single-threaded, so one router covers all senders).
     router: ShardRouter,
 }
 
 impl<M: ShardMsg> Sim<M> {
-    /// Creates a simulation with the given RNG seed and network.
-    pub fn new(seed: u64, net: Network) -> Sim<M> {
+    /// Creates a simulation with the given RNG seed and one-way link
+    /// latency over `fabric` (link state, partitioned receivers, credit
+    /// policy).
+    pub fn new(seed: u64, latency: Duration, fabric: Fabric<M>) -> Sim<M> {
         Sim {
             actors: Vec::new(),
             started: Vec::new(),
-            net,
-            flow: FlowControl::new(CreditPolicy::Unbounded),
-            queue: BinaryHeap::new(),
+            fabric,
+            latency,
+            queue: EventQueue {
+                heap: BinaryHeap::new(),
+                seq: 0,
+            },
             now: Time::ZERO,
-            seq: 0,
             rng: StdRng::seed_from_u64(seed),
             events_dispatched: 0,
-            stats: SimStats::default(),
             router: ShardRouter::new(),
         }
-    }
-
-    /// Sets the credit-based flow-control policy (call before the run; the
-    /// default [`CreditPolicy::Unbounded`] is the pre-credit behavior with
-    /// zero overhead).
-    pub fn set_flow_policy(&mut self, policy: CreditPolicy) {
-        self.flow.set_policy(policy);
-    }
-
-    /// The credit ledger's governing policy.
-    pub fn flow_policy(&self) -> CreditPolicy {
-        self.flow.policy()
-    }
-
-    /// Queue-depth and stall-time gauges of the credit ledger.
-    pub fn flow_gauges(&self) -> FlowGauges {
-        self.flow.gauges()
-    }
-
-    /// Continuous credit-stall duration of the directed link `from → to`.
-    pub fn flow_stalled_for(&self, from: NodeId, to: NodeId) -> Duration {
-        self.flow.stalled_for(from, to, self.now)
     }
 
     /// Registers an actor; its `on_start` fires at time zero (or at the
@@ -374,29 +210,18 @@ impl<M: ShardMsg> Sim<M> {
         let id = NodeId(self.actors.len() as u32);
         self.actors.push(actor);
         self.started.push(false);
-        self.push_event(self.now, EventKind::Start(id));
+        self.queue.push(self.now, EventKind::Start(id));
         id
     }
 
-    /// Network configuration access (latencies, manual link state).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
-    /// Read-only network access.
-    pub fn network(&self) -> &Network {
-        &self.net
+    /// The link fabric (reachability, credit policy, per-link stalls).
+    pub fn fabric(&self) -> &Fabric<M> {
+        &self.fabric
     }
 
     /// Schedules a fault (or heal) at `at`.
     pub fn schedule_fault(&mut self, at: Time, fault: FaultEvent) {
-        self.push_event(at, EventKind::Fault(fault));
-    }
-
-    /// Schedules a timer on behalf of an actor (used to bootstrap periodic
-    /// work from outside).
-    pub fn schedule_timer(&mut self, at: Time, actor: NodeId, kind: u64) {
-        self.push_event(at, EventKind::Timer { actor, kind });
+        self.queue.push(at, EventKind::Fault(fault));
     }
 
     /// Current virtual time.
@@ -409,28 +234,20 @@ impl<M: ShardMsg> Sim<M> {
         self.events_dispatched
     }
 
-    /// Message-loss statistics (send-time and delivery-time drops).
-    pub fn stats(&self) -> SimStats {
-        self.stats
-    }
-
-    fn push_event(&mut self, at: Time, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Event { at, seq, kind });
+    /// Message-loss and delivery statistics, with the credit ledger's
+    /// gauges.
+    pub fn stats(&self) -> StatsSnapshot {
+        self.fabric.stats()
     }
 
     /// Runs until the queue is empty or virtual time would exceed `until`.
     /// Returns the number of events dispatched.
     pub fn run_until(&mut self, until: Time) -> u64 {
         let mut dispatched = 0;
-        while let Some(ev) = self.queue.peek() {
-            if ev.at > until {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked event exists");
+        while self.queue.heap.peek().is_some_and(|ev| ev.at <= until) {
+            let ev = self.queue.heap.pop().expect("peeked event exists");
             self.now = self.now.max(ev.at);
-            self.dispatch(ev);
+            self.dispatch(ev.kind);
             dispatched += 1;
         }
         self.now = self.now.max(until);
@@ -438,82 +255,45 @@ impl<M: ShardMsg> Sim<M> {
         dispatched
     }
 
-    fn dispatch(&mut self, ev: Event<M>) {
-        match ev.kind {
+    fn dispatch(&mut self, kind: EventKind<M>) {
+        match kind {
             EventKind::Message { from, to, msg } => {
-                let tracked = self.flow.tracks(&msg);
-                // Delivery-time reachability: a link that broke mid-flight
-                // loses the message (broken TCP connection). A tracked loss
-                // still returns its credit — a broken link must not shrink
-                // the window forever.
-                if !self.net.reachable(from, to) {
-                    self.stats.delivery_drops += 1;
-                    if tracked {
-                        self.push_event(self.now, EventKind::Replenish { from, to });
-                    }
-                    return;
-                }
-                let consumed = self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, msg));
-                if tracked {
+                let arrival = self.fabric.arrive(from, to, &msg);
+                let mark = if arrival.deliver {
+                    self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, msg))
+                } else {
+                    None
+                };
+                if arrival.owes_credit {
                     // Credit returns when the receiver's modeled CPU has
                     // consumed the batch (the handler's data_consumed_at
-                    // mark), or immediately for infinitely fast consumers.
-                    let at = consumed.unwrap_or(self.now).max(self.now);
-                    self.push_event(at, EventKind::Replenish { from, to });
+                    // mark), or right away for infinitely fast consumers
+                    // and in-flight losses.
+                    let at = mark.unwrap_or(self.now);
+                    self.queue.push(at, EventKind::Replenish { from, to });
                 }
             }
             EventKind::Depart { from, to, msg } => {
-                // A delayed send reaching its departure: the link may have
-                // broken since the send-time check (in-flight loss), and
-                // admission happens now — as the thread engine's wheel does.
-                if !self.net.reachable(from, to) {
-                    self.stats.delivery_drops += 1;
-                    return;
-                }
-                let msg = match self.net.partition_of(to) {
-                    Some(spec) => match msg.partition(spec.as_ref(), &mut self.router) {
-                        Some(m) => m,
-                        None => return,
-                    },
-                    None => msg,
-                };
-                if let Some(m) = self.flow.admit(from, to, msg, self.now) {
-                    let at = self.now + self.net.latency(from, to);
-                    self.push_event(at, EventKind::Message { from, to, msg: m });
+                let sent = self
+                    .fabric
+                    .depart(&mut self.router, from, to, msg, self.now);
+                if let Sent::Go(msg) = sent {
+                    self.put_on_link(from, to, msg);
                 }
             }
             EventKind::Replenish { from, to } => {
-                if let Some(m) = self.flow.replenish(from, to, self.now) {
-                    let at = self.now + self.net.latency(from, to);
-                    self.push_event(at, EventKind::Message { from, to, msg: m });
+                if let Some(msg) = self.fabric.consumed(from, to, self.now) {
+                    self.put_on_link(from, to, msg);
                 }
             }
             EventKind::Timer { actor, kind } => {
-                if !self.net.node_up(actor) {
-                    return; // crashed nodes fire no timers
+                if self.fabric.timer_fires(actor) {
+                    self.with_actor(actor, |a, ctx| a.on_timer(ctx, kind));
                 }
-                self.with_actor(actor, |a, ctx| a.on_timer(ctx, kind));
             }
             EventKind::Fault(fault) => {
-                match &fault {
-                    FaultEvent::LinkDown { a, b } => self.net.link_down(*a, *b),
-                    FaultEvent::LinkUp { a, b } => self.net.link_up(*a, *b),
-                    FaultEvent::NodeDown(n) => {
-                        self.net.node_down(*n);
-                        // Pending credits and queued sends die with the
-                        // node: purged messages are in-flight losses, and
-                        // the link restarts with a full window.
-                        self.stats.delivery_drops += self.flow.reset_node(*n, self.now);
-                    }
-                    FaultEvent::NodeUp(n) => self.net.node_up_again(*n),
-                    FaultEvent::Custom { .. } => {}
-                }
-                for id in fault.notifies() {
-                    if !self.net.node_up(id) && !matches!(fault, FaultEvent::NodeDown(_)) {
-                        continue;
-                    }
-                    let f = fault.clone();
-                    self.with_actor(id, |a, ctx| a.on_fault(ctx, &f));
+                for id in self.fabric.apply(&fault, self.now) {
+                    self.with_actor(id, |a, ctx| a.on_fault(ctx, &fault));
                 }
             }
             EventKind::Start(id) => {
@@ -525,70 +305,45 @@ impl<M: ShardMsg> Sim<M> {
         }
     }
 
-    /// Runs one actor handler with a fresh [`Ctx`], then applies the actions
-    /// it queued. Returns the handler's consumption mark, if it set one.
-    fn with_actor<F>(&mut self, id: NodeId, f: F) -> Option<Time>
-    where
-        F: FnOnce(&mut dyn Actor<M>, &mut Ctx<M>),
-    {
+    /// Schedules the arrival of a message the fabric cleared for
+    /// `from → to` now.
+    fn put_on_link(&mut self, from: NodeId, to: NodeId, msg: M) {
+        let at = self.now + self.latency;
+        self.queue.push(at, EventKind::Message { from, to, msg });
+    }
+
+    /// Runs one actor handler with a fresh context. Returns the handler's
+    /// consumption mark, if it set one.
+    fn with_actor(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(&mut dyn Actor<M>, &mut dyn Ctx<M>),
+    ) -> Option<Time> {
         let actor = self.actors.get_mut(id.index())?;
-        let mut ctx = Ctx {
+        let mut ctx = SimCtx {
             now: self.now,
-            self_id: id,
-            net: &self.net,
-            flow: &mut self.flow,
+            id,
+            latency: self.latency,
+            fabric: &mut self.fabric,
             router: &mut self.router,
             rng: &mut self.rng,
-            stats: &mut self.stats,
-            actions: Vec::new(),
+            queue: &mut self.queue,
             consumed_at: None,
         };
         f(actor.as_mut(), &mut ctx);
-        let consumed = ctx.consumed_at;
-        let actions = ctx.actions;
-        for action in actions {
-            match action {
-                Action::Send {
-                    to,
-                    msg,
-                    at,
-                    routed,
-                } => {
-                    // Partitioned send path: a key-sharded receiver gets only
-                    // its shard of the message (routing, not loss — nothing
-                    // is counted as dropped). Credit-admitted messages were
-                    // already filtered.
-                    let msg = match self.net.partition_of(to) {
-                        Some(spec) if !routed => {
-                            match msg.partition(spec.as_ref(), &mut self.router) {
-                                Some(m) => m,
-                                None => continue,
-                            }
-                        }
-                        _ => msg,
-                    };
-                    self.push_event(at, EventKind::Message { from: id, to, msg })
-                }
-                Action::Depart { to, msg, at } => {
-                    self.push_event(at, EventKind::Depart { from: id, to, msg })
-                }
-                Action::Timer { at, kind } => {
-                    self.push_event(at, EventKind::Timer { actor: id, kind })
-                }
-            }
-        }
-        consumed
+        ctx.consumed_at
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borealis_types::Duration;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use borealis_types::CreditPolicy;
+    use std::sync::{Arc, Mutex};
 
-    type Log = Rc<RefCell<Vec<(u64, NodeId, String)>>>;
+    impl ShardMsg for String {}
+
+    type Log = Arc<Mutex<Vec<(u64, NodeId, String)>>>;
 
     /// Echoes every message back and logs receipt times (ms).
     struct Echo {
@@ -597,16 +352,17 @@ mod tests {
     }
 
     impl Actor<String> for Echo {
-        fn on_message(&mut self, ctx: &mut Ctx<String>, from: NodeId, msg: String) {
+        fn on_message(&mut self, ctx: &mut dyn Ctx<String>, from: NodeId, msg: String) {
             self.log
-                .borrow_mut()
+                .lock()
+                .unwrap()
                 .push((ctx.now().as_millis(), ctx.id(), msg.clone()));
             if self.replies > 0 {
                 self.replies -= 1;
                 ctx.send(from, format!("re:{msg}"));
             }
         }
-        fn on_timer(&mut self, _ctx: &mut Ctx<String>, _kind: u64) {}
+        fn on_timer(&mut self, _ctx: &mut dyn Ctx<String>, _kind: u64) {}
     }
 
     /// Sends one message at start and logs timer firings.
@@ -616,29 +372,32 @@ mod tests {
     }
 
     impl Actor<String> for Starter {
-        fn on_start(&mut self, ctx: &mut Ctx<String>) {
+        fn on_start(&mut self, ctx: &mut dyn Ctx<String>) {
             ctx.send(self.to, "hello".into());
             ctx.set_timer(Time::from_millis(50), 7);
         }
-        fn on_message(&mut self, ctx: &mut Ctx<String>, _from: NodeId, msg: String) {
+        fn on_message(&mut self, ctx: &mut dyn Ctx<String>, _from: NodeId, msg: String) {
             self.log
-                .borrow_mut()
+                .lock()
+                .unwrap()
                 .push((ctx.now().as_millis(), ctx.id(), msg));
         }
-        fn on_timer(&mut self, ctx: &mut Ctx<String>, kind: u64) {
-            self.log
-                .borrow_mut()
-                .push((ctx.now().as_millis(), ctx.id(), format!("timer{kind}")));
+        fn on_timer(&mut self, ctx: &mut dyn Ctx<String>, kind: u64) {
+            self.log.lock().unwrap().push((
+                ctx.now().as_millis(),
+                ctx.id(),
+                format!("timer{kind}"),
+            ));
         }
     }
 
     fn new_sim() -> Sim<String> {
-        Sim::new(42, Network::new(Duration::from_millis(1)))
+        Sim::new(42, Duration::from_millis(1), Fabric::default())
     }
 
     #[test]
     fn messages_arrive_after_latency_in_order() {
-        let log: Log = Rc::new(RefCell::new(Vec::new()));
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = new_sim();
         let echo = sim.add_actor(Box::new(Echo {
             log: log.clone(),
@@ -649,7 +408,7 @@ mod tests {
             log: log.clone(),
         }));
         sim.run_until(Time::from_secs(1));
-        let entries = log.borrow();
+        let entries = log.lock().unwrap();
         // hello arrives at 1 ms, reply at 2 ms, timer at 50 ms.
         assert_eq!(entries[0], (1, NodeId(0), "hello".into()));
         assert_eq!(entries[1], (2, NodeId(1), "re:hello".into()));
@@ -658,7 +417,7 @@ mod tests {
 
     #[test]
     fn link_failure_drops_messages() {
-        let log: Log = Rc::new(RefCell::new(Vec::new()));
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = new_sim();
         let echo = sim.add_actor(Box::new(Echo {
             log: log.clone(),
@@ -676,7 +435,7 @@ mod tests {
             },
         );
         sim.run_until(Time::from_secs(1));
-        let entries = log.borrow();
+        let entries = log.lock().unwrap();
         // Only the timer fires; the hello was dropped.
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].2, "timer7");
@@ -684,7 +443,7 @@ mod tests {
 
     #[test]
     fn send_time_unreachable_drops_are_counted() {
-        let log: Log = Rc::new(RefCell::new(Vec::new()));
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = new_sim();
         // Fault scheduled before the actors start: the link is already
         // down when Starter's on_start sends, so the drop happens at send
@@ -717,7 +476,7 @@ mod tests {
 
     #[test]
     fn in_flight_delivery_drops_are_counted_separately() {
-        let log: Log = Rc::new(RefCell::new(Vec::new()));
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = new_sim();
         let echo = sim.add_actor(Box::new(Echo {
             log: log.clone(),
@@ -743,7 +502,7 @@ mod tests {
 
     #[test]
     fn healthy_runs_report_zero_drops() {
-        let log: Log = Rc::new(RefCell::new(Vec::new()));
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = new_sim();
         let echo = sim.add_actor(Box::new(Echo {
             log: log.clone(),
@@ -754,12 +513,12 @@ mod tests {
             log: log.clone(),
         }));
         sim.run_until(Time::from_secs(1));
-        assert_eq!(sim.stats(), SimStats::default());
+        assert_eq!(sim.stats().total_drops(), 0);
     }
 
     #[test]
     fn crashed_node_receives_nothing_and_fires_no_timers() {
-        let log: Log = Rc::new(RefCell::new(Vec::new()));
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = new_sim();
         let echo = sim.add_actor(Box::new(Echo {
             log: log.clone(),
@@ -771,14 +530,14 @@ mod tests {
         }));
         sim.schedule_fault(Time::ZERO, FaultEvent::NodeDown(starter));
         sim.run_until(Time::from_secs(1));
-        assert!(log.borrow().is_empty(), "{:?}", log.borrow());
+        assert!(log.lock().unwrap().is_empty(), "{:?}", log.lock().unwrap());
         let _ = echo;
     }
 
     #[test]
     fn identical_seeds_give_identical_runs() {
         let run = || {
-            let log: Log = Rc::new(RefCell::new(Vec::new()));
+            let log: Log = Arc::new(Mutex::new(Vec::new()));
             let mut sim = new_sim();
             let echo = sim.add_actor(Box::new(Echo {
                 log: log.clone(),
@@ -789,7 +548,7 @@ mod tests {
                 log: log.clone(),
             }));
             sim.run_until(Time::from_secs(2));
-            let v = log.borrow().clone();
+            let v = log.lock().unwrap().clone();
             v
         };
         assert_eq!(run(), run());
@@ -797,7 +556,7 @@ mod tests {
 
     #[test]
     fn run_until_respects_horizon() {
-        let log: Log = Rc::new(RefCell::new(Vec::new()));
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = new_sim();
         let echo = sim.add_actor(Box::new(Echo {
             log: log.clone(),
@@ -808,10 +567,10 @@ mod tests {
             log: log.clone(),
         }));
         sim.run_until(Time::from_millis(10));
-        assert_eq!(log.borrow().len(), 1, "timer at 50 ms not yet fired");
+        assert_eq!(log.lock().unwrap().len(), 1, "timer at 50 ms not yet fired");
         assert_eq!(sim.now(), Time::from_millis(10));
         sim.run_until(Time::from_millis(100));
-        assert_eq!(log.borrow().len(), 2);
+        assert_eq!(log.lock().unwrap().len(), 2);
     }
 
     /// A data-plane message for flow-control tests.
@@ -829,34 +588,34 @@ mod tests {
         n: u32,
     }
     impl Actor<Payload> for Flood {
-        fn on_start(&mut self, ctx: &mut Ctx<Payload>) {
+        fn on_start(&mut self, ctx: &mut dyn Ctx<Payload>) {
             for i in 0..self.n {
                 ctx.send(self.to, Payload(i));
             }
         }
-        fn on_message(&mut self, _ctx: &mut Ctx<Payload>, _from: NodeId, _msg: Payload) {}
-        fn on_timer(&mut self, _ctx: &mut Ctx<Payload>, _kind: u64) {}
+        fn on_message(&mut self, _ctx: &mut dyn Ctx<Payload>, _from: NodeId, _msg: Payload) {}
+        fn on_timer(&mut self, _ctx: &mut dyn Ctx<Payload>, _kind: u64) {}
     }
 
     /// Consumes each payload `per_msg` of modeled CPU after the previous.
     struct SlowSink {
-        seen: Rc<RefCell<Vec<u32>>>,
+        seen: Arc<Mutex<Vec<u32>>>,
         per_msg: Duration,
         busy: Time,
     }
     impl Actor<Payload> for SlowSink {
-        fn on_message(&mut self, ctx: &mut Ctx<Payload>, _from: NodeId, msg: Payload) {
-            self.seen.borrow_mut().push(msg.0);
+        fn on_message(&mut self, ctx: &mut dyn Ctx<Payload>, _from: NodeId, msg: Payload) {
+            self.seen.lock().unwrap().push(msg.0);
             self.busy = self.busy.max(ctx.now()) + self.per_msg;
             ctx.data_consumed_at(self.busy);
         }
-        fn on_timer(&mut self, _ctx: &mut Ctx<Payload>, _kind: u64) {}
+        fn on_timer(&mut self, _ctx: &mut dyn Ctx<Payload>, _kind: u64) {}
     }
 
-    fn flood_sim(policy: CreditPolicy, n: u32) -> (Sim<Payload>, Rc<RefCell<Vec<u32>>>) {
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let mut sim: Sim<Payload> = Sim::new(3, Network::new(Duration::from_millis(1)));
-        sim.set_flow_policy(policy);
+    fn flood_sim(policy: CreditPolicy, n: u32) -> (Sim<Payload>, Arc<Mutex<Vec<u32>>>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let fabric = Fabric::new(Vec::new(), policy);
+        let mut sim: Sim<Payload> = Sim::new(3, Duration::from_millis(1), fabric);
         let sink = sim.add_actor(Box::new(SlowSink {
             seen: seen.clone(),
             per_msg: Duration::from_millis(10),
@@ -871,11 +630,11 @@ mod tests {
         let (mut sim, seen) = flood_sim(CreditPolicy::Window(3), 20);
         sim.run_until(Time::from_secs(5));
         assert_eq!(
-            *seen.borrow(),
+            *seen.lock().unwrap(),
             (0..20).collect::<Vec<_>>(),
             "backpressure may delay, never reorder or drop"
         );
-        let g = sim.flow_gauges();
+        let g = sim.stats().flow;
         assert_eq!(g.inflight_peak, 3, "in-flight bounded by the window");
         assert_eq!(g.queued, 17, "the burst past the window queued");
         assert_eq!(g.released, 17);
@@ -889,8 +648,8 @@ mod tests {
     fn metered_baseline_shows_unbounded_inflight() {
         let (mut sim, seen) = flood_sim(CreditPolicy::Metered, 20);
         sim.run_until(Time::from_secs(5));
-        assert_eq!(seen.borrow().len(), 20);
-        let g = sim.flow_gauges();
+        assert_eq!(seen.lock().unwrap().len(), 20);
+        let g = sim.stats().flow;
         assert_eq!(g.inflight_peak, 20, "the whole burst floods the receiver");
         assert_eq!(g.queued, 0, "metered never stalls");
     }
@@ -899,8 +658,8 @@ mod tests {
     fn unbounded_policy_keeps_the_ledger_silent() {
         let (mut sim, seen) = flood_sim(CreditPolicy::Unbounded, 20);
         sim.run_until(Time::from_secs(5));
-        assert_eq!(seen.borrow().len(), 20);
-        assert_eq!(sim.flow_gauges(), borealis_types::FlowGauges::default());
+        assert_eq!(seen.lock().unwrap().len(), 20);
+        assert_eq!(sim.stats().flow, borealis_types::FlowGauges::default());
     }
 
     #[test]
@@ -910,13 +669,13 @@ mod tests {
         // queued messages are purged (counted) and never delivered.
         sim.schedule_fault(Time::from_millis(15), FaultEvent::NodeDown(NodeId(0)));
         sim.run_until(Time::from_secs(5));
-        assert!(seen.borrow().len() < 10, "crash cut the stream");
+        assert!(seen.lock().unwrap().len() < 10, "crash cut the stream");
         assert!(
             sim.stats().delivery_drops > 0,
             "purged queue counted: {:?}",
             sim.stats()
         );
-        assert_eq!(sim.flow_gauges().queued_now, 0);
+        assert_eq!(sim.stats().flow.queued_now, 0);
     }
 
     #[test]
@@ -924,12 +683,12 @@ mod tests {
         let (mut sim, _seen) = flood_sim(CreditPolicy::Window(1), 50);
         sim.run_until(Time::from_millis(100));
         assert!(
-            sim.flow_stalled_for(NodeId(1), NodeId(0)) > Duration::ZERO,
+            sim.fabric().stalled_for(NodeId(1), NodeId(0), sim.now()) > Duration::ZERO,
             "mid-burst the sender is stalled"
         );
         sim.run_until(Time::from_secs(10));
         assert_eq!(
-            sim.flow_stalled_for(NodeId(1), NodeId(0)),
+            sim.fabric().stalled_for(NodeId(1), NodeId(0), sim.now()),
             Duration::ZERO,
             "drained"
         );
@@ -937,7 +696,7 @@ mod tests {
 
     #[test]
     fn healed_link_delivers_again() {
-        let log: Log = Rc::new(RefCell::new(Vec::new()));
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = new_sim();
         let echo = sim.add_actor(Box::new(Echo {
             log: log.clone(),
@@ -963,6 +722,6 @@ mod tests {
             },
         );
         sim.run_until(Time::from_secs(1));
-        assert_eq!(log.borrow().len(), 1, "only the timer");
+        assert_eq!(log.lock().unwrap().len(), 1, "only the timer");
     }
 }

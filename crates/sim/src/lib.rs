@@ -1,22 +1,30 @@
 //! # borealis-sim
 //!
-//! A deterministic discrete-event simulator: virtual clock, totally ordered
-//! event queue, seeded RNG, and a simulated network with reliable in-order
-//! links, per-pair latencies, and scripted link/node/custom faults — the
-//! §2.2 system model of the paper, reproducible on one machine.
+//! The §2.2 system model of the paper — reliable in-order links, crash
+//! failures, link failures and partitions — and a deterministic way to run
+//! it on one machine.
 //!
-//! The DPC protocol itself (`borealis-dpc`) is written against this crate's
-//! [`Actor`] interface; experiments script [`FaultEvent`]s to recreate every
-//! failure scenario of the paper's evaluation.
+//! * [`Fabric`] is the model itself: link state, key-partitioned receivers,
+//!   the credit ledger ([`FlowControl`]) and loss accounting
+//!   ([`StatsSnapshot`]), with the send / arrive / consumed / apply-fault
+//!   rules written once. Every runtime drives one.
+//! * [`Actor`] and [`Ctx`] are the interface protocol code is written
+//!   against; scripted [`FaultEvent`]s recreate every failure scenario of
+//!   the paper's evaluation.
+//! * [`Sim`] is the discrete-event driver: virtual clock, totally ordered
+//!   event queue, seeded RNG, constant link latency. (The wall-clock
+//!   drivers — worker pool and TCP mesh — live in `borealis-runtime`.)
 
 #![warn(missing_docs)]
 
+pub mod actor;
+pub mod fabric;
 pub mod fault;
 pub mod flow;
 pub mod kernel;
-pub mod net;
 
+pub use actor::{Actor, Ctx};
+pub use fabric::{Arrival, Fabric, Sent, ShardMsg, StatsSnapshot};
 pub use fault::FaultEvent;
 pub use flow::FlowControl;
-pub use kernel::{Actor, Ctx, ShardMsg, Sim, SimStats};
-pub use net::Network;
+pub use kernel::Sim;

@@ -7,8 +7,8 @@
 //! policy half of that contract:
 //!
 //! * [`CreditPolicy`] — how many unconsumed data messages a directed link
-//!   may hold in flight (the credit window). Both runtimes implement it
-//!   through the shared credit ledger (`borealis_sim::FlowControl`).
+//!   may hold in flight (the credit window). Every runtime implements it
+//!   through the link fabric's credit ledger (`borealis_sim::FlowControl`).
 //! * [`SendOutcome`] — what the transport did with a send: handed it to the
 //!   link, queued it awaiting credit, deferred it to a future departure, or
 //!   dropped it because of a fault.

@@ -61,12 +61,15 @@
 //!
 //! | Crate | Role |
 //! |---|---|
-//! | `borealis-types` | Tuple model (stable/tentative/boundary/undo/rec-done), time, expressions, and the shared-ownership [`TupleBatch`](borealis_types::TupleBatch) data plane |
+//! | `borealis-types` | Tuple model (stable/tentative/boundary/undo/rec-done), time, expressions, shard routing, and the shared-ownership [`TupleBatch`](borealis_types::TupleBatch) data plane |
 //! | `borealis-ops` | Operators: Filter, Map, Union, Aggregate, SJoin, SUnion, SOutput — per-tuple and batch execution paths |
 //! | `borealis-diagram` | Query diagrams, validation, DPC planning, delay assignment |
 //! | `borealis-engine` | Per-node fragment executor (batch-wise) with checkpoint/redo reconciliation |
-//! | `borealis-sim` | Deterministic discrete-event simulator + network fault injection + message-loss stats |
-//! | `borealis-dpc` | The DPC protocol: nodes, sources, clients, replica management |
+//! | `borealis-store` | Durability: checkpoint objects behind an atomic `HEAD`, append-only checksummed input log |
+//! | `borealis-sim` | The §2.2 system model written once — the link `Fabric` (link state, shard routing, credit ledger, loss stats, fault application) and the `Actor`/`Ctx` traits — plus its deterministic discrete-event driver |
+//! | `borealis-dpc` | The DPC protocol: nodes, sources, clients, replica management — runtime-agnostic |
+//! | `borealis-runtime` | The wall-clock drivers of the same fabric: a work-stealing worker pool and a TCP mesh across OS processes |
+//! | `borealis-check` | Bounded exhaustive interleaving explorer for the runtime's concurrency protocols, plus the sync-facade lint |
 //! | `borealis-workloads` | Paper-experiment setups and runners |
 //! | `borealis-bench` | One `cargo bench` target per paper table/figure |
 //!
@@ -101,7 +104,7 @@ pub mod prelude {
     };
     pub use borealis_dpc::{
         BufferPolicy, ClientTuning, FaultSpec, MetricsHub, NodeState, NodeTuning, RunningSystem,
-        SourceConfig, SystemBuilder, SystemLayout, Transport, ValueGen,
+        SourceConfig, SystemBuilder, SystemLayout, ValueGen,
     };
     pub use borealis_ops::{AggFn, AggregateSpec, DelayMode, SJoinSpec, SUnionConfig};
     pub use borealis_runtime::{

@@ -677,12 +677,12 @@ fn pooled_scheduler_preserves_per_sender_fifo() {
         consumer: NodeId,
         next: u64,
     }
-    impl DpcActor for Producer {
-        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx) {
+    impl DpcActor<NetMsg> for Producer {
+        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
             ctx.set_timer(ctx.now(), 1);
         }
-        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, _from: NodeId, _msg: NetMsg) {}
-        fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx, _kind: u64) {
+        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, _msg: NetMsg) {}
+        fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {
             let burst = 1 + ctx.rand_range(4);
             for _ in 0..burst {
                 if self.next == PER_PRODUCER {
@@ -707,30 +707,31 @@ fn pooled_scheduler_preserves_per_sender_fifo() {
     struct Consumer {
         seen: Arc<Mutex<Vec<(NodeId, u64)>>>,
     }
-    impl DpcActor for Consumer {
-        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx, from: NodeId, msg: NetMsg) {
+    impl DpcActor<NetMsg> for Consumer {
+        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, msg: NetMsg) {
             if let NetMsg::Ack { through, .. } = msg {
                 self.seen.lock().unwrap().push((from, through.0));
             }
         }
-        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx, _kind: u64) {}
+        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
     }
 
     for workers in [1usize, 2, 8] {
         for seed in [0xF1F0u64, 0xF1F1, 0xF1F2] {
             let seen = Arc::new(Mutex::new(Vec::new()));
             let consumer = NodeId(PRODUCERS as u32);
-            let mut actors: Vec<Box<dyn DpcActor>> = (0..PRODUCERS)
-                .map(|_| Box::new(Producer { consumer, next: 0 }) as Box<dyn DpcActor>)
+            let mut actors: Vec<Box<dyn DpcActor<NetMsg>>> = (0..PRODUCERS)
+                .map(|_| Box::new(Producer { consumer, next: 0 }) as Box<dyn DpcActor<NetMsg>>)
                 .collect();
             actors.push(Box::new(Consumer { seen: seen.clone() }));
-            let rt = ThreadRuntime::spawn_pooled(
+            let rt = ThreadRuntime::spawn(
                 actors,
                 vec![],
                 seed,
                 vec![],
                 CreditPolicy::Unbounded,
                 workers,
+                None,
             );
             let expected = PRODUCERS as u64 * PER_PRODUCER;
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);

@@ -542,7 +542,7 @@ mod tests {
             "ack truncation must not mutate shared replay views"
         );
         assert!(slow_view[0].shares_backing(&emitted));
-        assert_eq!(slow_view[0][0].values, vec![Value::Int(1)]);
+        assert_eq!(*slow_view[0][0].values, [Value::Int(1)]);
 
         // And the buffer's own retained suffix still shares that backing
         // (narrowed view, not a copy).

@@ -314,7 +314,7 @@ mod tests {
         match rng.gen_range(0..5u32) {
             0 | 1 => {
                 let n = rng.gen_range(0..5usize);
-                let values = (0..n).map(|_| random_value(rng)).collect();
+                let values: Vec<Value> = (0..n).map(|_| random_value(rng)).collect();
                 let mut t = if rng.next_u64() & 1 == 0 {
                     Tuple::insertion(id, stime, values)
                 } else {

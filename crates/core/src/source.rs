@@ -21,6 +21,7 @@ use borealis_types::{
     BatchLog, Duration, NodeId, StreamId, Time, Tuple, TupleBatch, TupleId, Value,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Deterministic tuple-payload generators.
 #[derive(Debug, Clone)]
@@ -43,18 +44,20 @@ pub enum ValueGen {
 }
 
 impl ValueGen {
-    fn gen(&self, seq: u64) -> Vec<Value> {
+    /// The payload of tuple `seq`, built in its one shared allocation (an
+    /// array converts in place; a `Vec` would be allocated and then copied).
+    fn gen(&self, seq: u64) -> Arc<[Value]> {
         match self {
-            ValueGen::Seq => vec![Value::Int(seq as i64)],
+            ValueGen::Seq => Arc::from([Value::Int(seq as i64)]),
             ValueGen::Keyed { keys } => {
-                vec![Value::Int(seq as i64 % keys), Value::Int(seq as i64)]
+                Arc::from([Value::Int(seq as i64 % keys), Value::Int(seq as i64)])
             }
             ValueGen::Reading { keys, amplitude } => {
                 let phase = (seq % 97) as f64 / 97.0;
-                vec![
+                Arc::from([
                     Value::Int(seq as i64 % keys),
                     Value::Float(amplitude * (2.0 * std::f64::consts::PI * phase).sin()),
-                ]
+                ])
             }
         }
     }

@@ -30,7 +30,7 @@ use crate::msg::NetMsg;
 use crate::node::{NodeConfig, NodeTuning, ProcessingNode, UpstreamSpec};
 use crate::runtime::DpcActor;
 use crate::source::{DataSource, SourceConfig};
-use borealis_diagram::{PhysicalPlan, StreamOrigin};
+use borealis_diagram::{FragmentPlan, PhysicalPlan, StreamOrigin};
 use borealis_sim::{Fabric, FaultEvent, Sim};
 use borealis_types::{CreditPolicy, Duration, FlowGauges, NodeId, PartitionSpec, StreamId, Time};
 use std::collections::HashMap;
@@ -496,6 +496,18 @@ impl SystemLayout {
     /// Panics if the indexes are out of range (an experiment-script bug).
     pub fn shard_replicas(&self, frag: usize, shard: usize) -> &[NodeId] {
         &self.fragment_replicas[self.groups[frag][shard]]
+    }
+    /// The physical plan every replica of shard `shard` of logical
+    /// fragment `frag` runs (fragment-level benches and tests drive it
+    /// through `Fragment::from_plan` without deploying).
+    ///
+    /// # Panics
+    /// Panics if the indexes are out of range (an experiment-script bug).
+    pub fn shard_plan(&self, frag: usize, shard: usize) -> &FragmentPlan {
+        match &self.actors[self.shard_replicas(frag, shard)[0].index()] {
+            ActorSpec::Node(cfg) => &cfg.plan,
+            _ => unreachable!("fragment replicas are node actors"),
+        }
     }
     /// The actor id of the source producing `stream`.
     ///

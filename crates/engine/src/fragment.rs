@@ -23,9 +23,11 @@
 //! [`TupleBatch`] views, operators run their
 //! [`Operator::process_batch`](borealis_ops::Operator::process_batch) path,
 //! and intra-fragment routing and the produced [`Batch::outputs`] move
-//! reference-counted views — a pass-through operator chain forwards one
-//! allocation end to end. Only the failure path (divergence relabelling)
-//! copies tuples.
+//! reference-counted views. Per tuple, a crossing allocates only the
+//! payloads an operator computes (`Map`, `Aggregate`, `SJoin`); SUnion
+//! emission and the failure path's divergence relabelling build one new
+//! batch of tuple headers over shared payloads, and SOutput forwards the
+//! batch it was given (`tests/alloc_budget.rs` holds the exact counts).
 
 use borealis_diagram::FragmentPlan;
 use borealis_ops::sunion::Phase;
@@ -430,7 +432,8 @@ impl Fragment {
     /// operators, feeds intra-fragment consumers, and collects output-stream
     /// batches and control signals. On the healthy path every destination
     /// receives a shared view (reference-count bump); only a diverged
-    /// operator's stable emissions are copied (to relabel them tentative).
+    /// operator's stable emissions are rebuilt (relabelled tentative, over
+    /// the same payloads).
     fn route(&mut self, from: usize, mut em: BatchEmitter, batch: &mut Batch) {
         let (chunks, signals) = em.take();
         batch.signals.extend(signals);

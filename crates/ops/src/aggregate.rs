@@ -286,8 +286,12 @@ impl Aggregate {
             let st = Arc::make_mut(&mut self.state);
             let win = st.windows.remove(&key).expect("window key just listed");
             let (start, group) = key;
-            let mut values = group;
-            values.extend(win.accums.iter().map(Accum::finish));
+            // Exact-size chain: collected straight into the one payload
+            // allocation.
+            let values: Arc<[Value]> = group
+                .into_iter()
+                .chain(win.accums.iter().map(Accum::finish))
+                .collect();
             let end = Time(start + size);
             let id = TupleId(st.next_id);
             st.next_id += 1;
@@ -487,7 +491,7 @@ mod tests {
         let agg = &out.tuples()[0];
         assert_eq!(agg.kind, TupleKind::Insertion);
         assert_eq!(agg.stime, Time::from_millis(100));
-        assert_eq!(agg.values, vec![Value::Int(2), Value::Int(12)]);
+        assert_eq!(*agg.values, [Value::Int(2), Value::Int(12)]);
         assert_eq!(out.tuples()[1].kind, TupleKind::Boundary);
     }
 
@@ -530,7 +534,7 @@ mod tests {
             .tuples()
             .iter()
             .filter(|t| t.is_data())
-            .map(|t| t.values.clone())
+            .map(|t| t.values.to_vec())
             .collect();
         // Deterministic group order: key 1 before key 2.
         assert_eq!(
@@ -552,7 +556,7 @@ mod tests {
         a.process(0, &t, Time::ZERO, &mut out);
         assert_eq!(out.tuples().len(), 1);
         assert_eq!(out.tuples()[0].kind, TupleKind::Tentative);
-        assert_eq!(out.tuples()[0].values, vec![Value::Int(1), Value::Int(5)]);
+        assert_eq!(*out.tuples()[0].values, [Value::Int(1), Value::Int(5)]);
     }
 
     #[test]
@@ -586,8 +590,8 @@ mod tests {
         a.process(0, &boundary(100), Time::ZERO, &mut out);
         let agg = &out.tuples()[0];
         assert_eq!(
-            agg.values,
-            vec![Value::Float(6.0), Value::Int(4), Value::Int(8)]
+            *agg.values,
+            [Value::Float(6.0), Value::Int(4), Value::Int(8)]
         );
     }
 

@@ -1,7 +1,7 @@
 //! Filter: tests each input tuple against a predicate (§2.1).
 
 use crate::{BatchEmitter, OpSnapshot, Operator};
-use borealis_types::{Expr, Time, Tuple, TupleBatch, TupleKind};
+use borealis_types::{Expr, Time, Tuple, TupleBatch};
 
 /// A stateless predicate filter.
 ///
@@ -20,6 +20,12 @@ impl Filter {
     pub fn new(predicate: Expr) -> Filter {
         Filter { predicate }
     }
+
+    /// Data passes if the predicate holds (an evaluation error drops it);
+    /// punctuation and recovery markers always propagate.
+    fn keeps(&self, t: &Tuple) -> bool {
+        !t.is_data() || self.predicate.eval_bool(t).unwrap_or(false)
+    }
 }
 
 impl Operator for Filter {
@@ -28,16 +34,8 @@ impl Operator for Filter {
     }
 
     fn process(&mut self, _port: usize, tuple: &Tuple, _now: Time, out: &mut BatchEmitter) {
-        match tuple.kind {
-            TupleKind::Insertion | TupleKind::Tentative => {
-                if self.predicate.eval_bool(tuple).unwrap_or(false) {
-                    out.push(tuple.clone());
-                }
-            }
-            // Punctuation and recovery markers always propagate.
-            TupleKind::Boundary | TupleKind::Undo | TupleKind::RecDone => {
-                out.push(tuple.clone());
-            }
+        if self.keeps(tuple) {
+            out.push(tuple.clone());
         }
     }
 
@@ -55,13 +53,7 @@ impl Operator for Filter {
         let tuples = batch.as_slice();
         let mut run_start = 0;
         for (i, t) in tuples.iter().enumerate() {
-            let keep = match t.kind {
-                TupleKind::Insertion | TupleKind::Tentative => {
-                    self.predicate.eval_bool(t).unwrap_or(false)
-                }
-                TupleKind::Boundary | TupleKind::Undo | TupleKind::RecDone => true,
-            };
-            if !keep {
+            if !self.keeps(t) {
                 if i > run_start {
                     out.push_batch(batch.slice(run_start..i));
                 }
@@ -84,7 +76,7 @@ impl Operator for Filter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borealis_types::{TupleId, Value};
+    use borealis_types::{TupleId, TupleKind, Value};
 
     fn data(id: u64, v: i64) -> Tuple {
         Tuple::insertion(TupleId(id), Time::from_millis(id), vec![Value::Int(v)])

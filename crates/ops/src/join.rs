@@ -131,9 +131,9 @@ impl SJoin {
             } else {
                 (other, tuple)
             };
-            let mut values = Vec::with_capacity(l.values.len() + r.values.len());
-            values.extend_from_slice(&l.values);
-            values.extend_from_slice(&r.values);
+            // Exact-size chain: collected straight into the one payload
+            // allocation.
+            let values: Arc<[Value]> = l.values.iter().chain(r.values.iter()).cloned().collect();
             let stime = l.stime.max(r.stime);
             let tentative = l.is_tentative() || r.is_tentative();
             let id = TupleId(next_id);
@@ -255,8 +255,8 @@ mod tests {
         assert_eq!(out.tuples().len(), 1);
         let m = &out.tuples()[0];
         assert_eq!(
-            m.values,
-            vec![
+            *m.values,
+            [
                 Value::Int(7),
                 Value::Int(11), // left
                 Value::Int(7),

@@ -1,7 +1,7 @@
 //! Map: transforms each input tuple into a single output tuple (§2.1).
 
 use crate::{BatchEmitter, OpSnapshot, Operator};
-use borealis_types::{Expr, Time, Tuple, TupleBatch, TupleKind};
+use borealis_types::{Expr, Time, Tuple, TupleBatch};
 
 /// A stateless projection/transformation.
 ///
@@ -17,6 +17,17 @@ impl Map {
     pub fn new(outputs: Vec<Expr>) -> Map {
         Map { outputs }
     }
+
+    /// The output for one input tuple; `None` is the deterministic drop on
+    /// an evaluation error (as Filter). The computed payload is the only
+    /// allocation; punctuation and recovery markers pass as they are.
+    fn apply(&self, tuple: &Tuple) -> Option<Tuple> {
+        if !tuple.is_data() {
+            return Some(tuple.clone());
+        }
+        let values = Tuple::try_values(self.outputs.len(), |i| self.outputs[i].eval(tuple)).ok()?;
+        Some(Tuple { values, ..*tuple })
+    }
 }
 
 impl Operator for Map {
@@ -25,23 +36,8 @@ impl Operator for Map {
     }
 
     fn process(&mut self, _port: usize, tuple: &Tuple, _now: Time, out: &mut BatchEmitter) {
-        match tuple.kind {
-            TupleKind::Insertion | TupleKind::Tentative => {
-                let mut values = Vec::with_capacity(self.outputs.len());
-                for e in &self.outputs {
-                    match e.eval(tuple) {
-                        Ok(v) => values.push(v),
-                        // Deterministic drop on evaluation error, as Filter.
-                        Err(_) => return,
-                    }
-                }
-                let mut t = tuple.clone();
-                t.values = values;
-                out.push(t);
-            }
-            TupleKind::Boundary | TupleKind::Undo | TupleKind::RecDone => {
-                out.push(tuple.clone());
-            }
+        if let Some(t) = self.apply(tuple) {
+            out.push(t);
         }
     }
 
@@ -56,25 +52,7 @@ impl Operator for Map {
         out: &mut BatchEmitter,
     ) {
         let mut result: Vec<Tuple> = Vec::with_capacity(batch.len());
-        'tuples: for tuple in batch.as_slice() {
-            match tuple.kind {
-                TupleKind::Insertion | TupleKind::Tentative => {
-                    let mut values = Vec::with_capacity(self.outputs.len());
-                    for e in &self.outputs {
-                        match e.eval(tuple) {
-                            Ok(v) => values.push(v),
-                            Err(_) => continue 'tuples,
-                        }
-                    }
-                    let mut t = tuple.clone();
-                    t.values = values;
-                    result.push(t);
-                }
-                TupleKind::Boundary | TupleKind::Undo | TupleKind::RecDone => {
-                    result.push(tuple.clone());
-                }
-            }
-        }
+        result.extend(batch.iter().filter_map(|t| self.apply(t)));
         out.push_batch(TupleBatch::from_vec(result));
     }
 
@@ -88,7 +66,7 @@ impl Operator for Map {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borealis_types::{TupleId, Value};
+    use borealis_types::{TupleId, TupleKind, Value};
 
     #[test]
     fn transforms_values_and_keeps_identity() {
@@ -104,7 +82,7 @@ mod tests {
         let mut out = BatchEmitter::new();
         m.process(0, &t, Time::ZERO, &mut out);
         let r = &out.tuples()[0];
-        assert_eq!(r.values, vec![Value::Int(101), Value::str("k")]);
+        assert_eq!(*r.values, [Value::Int(101), Value::str("k")]);
         assert_eq!(r.id, TupleId(7));
         assert_eq!(r.stime, Time::from_millis(3));
     }

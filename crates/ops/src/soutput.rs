@@ -2,7 +2,9 @@
 //!
 //! An SOutput sits on every stream that crosses a node boundary. At runtime
 //! it is a pass-through filter that remembers the last *stable* tuple it
-//! forwarded. During state reconciliation it:
+//! forwarded — batch-natively: [`Operator::process_batch`] forwards the
+//! batch it was given and allocates nothing. During state reconciliation
+//! it:
 //!
 //! 1. drops the duplicate stable tuples regenerated by the replay (outputs
 //!    the node had already sent before checkpointing),
@@ -18,7 +20,7 @@
 use crate::snapshot::{put_bool, read_bool, SnapshotCodec};
 use crate::{BatchEmitter, OpSnapshot, Operator};
 use borealis_types::wire;
-use borealis_types::{ControlSignal, Time, Tuple, TupleId, TupleKind};
+use borealis_types::{ControlSignal, Time, Tuple, TupleBatch, TupleId, TupleKind};
 use std::sync::Arc;
 
 /// Runtime memory of an SOutput.
@@ -146,6 +148,47 @@ impl Operator for SOutput {
             }
             TupleKind::Undo => out.push(tuple.clone()),
         }
+    }
+
+    /// The failure-free path (§4.4.2: "a pass-through filter that remembers
+    /// the last stable tuple"): outside stabilization every tuple is
+    /// forwarded as it is and only REC_DONE does more than update the two
+    /// remembered facts, so one scan folds them over the batch and the
+    /// *same* batch goes downstream — no tuple is touched, nothing is
+    /// allocated. Stabilization and REC_DONE take the per-tuple path above,
+    /// which stays the only copy of the protocol.
+    fn process_batch(
+        &mut self,
+        port: usize,
+        batch: &TupleBatch,
+        now: Time,
+        out: &mut BatchEmitter,
+    ) {
+        let st = &self.state;
+        let folded = if st.stabilizing {
+            None
+        } else {
+            batch.iter().try_fold(
+                (st.last_stable, st.tentative_since_stable),
+                |(last_stable, tentative), t| match t.kind {
+                    TupleKind::Insertion => Some((t.id, false)),
+                    TupleKind::Tentative => Some((last_stable, true)),
+                    TupleKind::Boundary | TupleKind::Undo => Some((last_stable, tentative)),
+                    TupleKind::RecDone => None,
+                },
+            )
+        };
+        let Some(memory) = folded else {
+            for t in batch.as_slice() {
+                self.process(port, t, now, out);
+            }
+            return;
+        };
+        if memory != (st.last_stable, st.tentative_since_stable) {
+            let st = Arc::make_mut(&mut self.state);
+            (st.last_stable, st.tentative_since_stable) = memory;
+        }
+        out.push_batch(batch.clone());
     }
 
     fn checkpoint(&self) -> OpSnapshot {

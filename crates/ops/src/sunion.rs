@@ -38,9 +38,10 @@
 //! buffered as an O(1) shared *view* of the arrival batch (a bucket
 //! segment); the port tag lives on the segment, not on copied tuples. The
 //! replay log likewise records shared batch ranges, not per-tuple clones.
-//! The only copy happens at emission, where the protocol *requires* new
-//! tuples (the canonical renumbering that makes replicas identical): one
-//! sealed output batch per stabilization, not one clone per tuple per hop.
+//! Emission is where the protocol *requires* new tuples (the canonical
+//! renumbering that makes replicas identical): one sealed output batch of
+//! renumbered tuple headers per stabilization — the attribute payloads are
+//! shared with the arrival batches, so nothing is allocated per tuple.
 //! Buckets track a `sorted` flag so the common in-order case skips the
 //! stabilization sort entirely.
 //!
@@ -479,11 +480,16 @@ impl SUnion {
         now: Time,
     ) {
         let slice = batch.as_slice();
+        let bucket_us = self.cfg.bucket.as_micros();
         let mut i = start;
         while i < end {
+            // One division per run, not per tuple: the run extends while
+            // stimes stay inside the first tuple's bucket interval.
             let idx = self.bucket_index(slice[i].stime);
+            let from = idx * bucket_us;
+            let bucket = from..from.saturating_add(bucket_us);
             let mut j = i + 1;
-            while j < end && self.bucket_index(slice[j].stime) == idx {
+            while j < end && bucket.contains(&slice[j].stime.as_micros()) {
                 j += 1;
             }
             if self.state.emitted_through.is_none_or(|et| idx > et) {
@@ -590,10 +596,10 @@ impl SUnion {
     }
 
     /// Serializes one bucket into `outv` in the canonical deterministic
-    /// order. This is the single copy on the data path: the protocol
-    /// requires fresh tuples here (renumbered ids, the port as `origin`),
-    /// so the bucket's shared views are materialized once into the output
-    /// batch. The common in-order case skips the sort.
+    /// order. The protocol requires fresh tuples here (renumbered ids, the
+    /// port as `origin`), so the bucket's shared views are materialized
+    /// once into the output batch; each tuple's payload is shared, not
+    /// copied. The common in-order case skips the sort.
     fn emit_bucket_into(
         next_id: &mut u64,
         bucket: Bucket,

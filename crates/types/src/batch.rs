@@ -2,14 +2,16 @@
 //!
 //! DPC's protocol machinery multiplies every emitted tuple: it is buffered
 //! for replay (§8.1), fanned out to every replica of every downstream
-//! neighbor, and re-sent on subscription. With owned `Vec<Tuple>` payloads
-//! each of those hops deep-clones heap-allocated tuples, so per-tuple cost
-//! grows with replication degree — exactly where the paper's availability
-//! bound needs headroom. A [`TupleBatch`] is an immutable, `Arc`-backed
-//! slice view: `clone` is a reference-count bump, [`TupleBatch::slice`] is
-//! O(1) range arithmetic, and one batch built by an operator can back the
-//! emission log, every subscriber's in-flight message, and every replay
-//! simultaneously.
+//! neighbor, and re-sent on subscription. With owned `Vec<Tuple>` messages
+//! each of those hops copies every tuple, so per-tuple cost grows with
+//! replication degree — exactly where the paper's availability bound needs
+//! headroom. A [`TupleBatch`] is an immutable, `Arc`-backed slice view:
+//! `clone` is a reference-count bump, [`TupleBatch::slice`] is O(1) range
+//! arithmetic, and one batch built by an operator can back the emission
+//! log, every subscriber's in-flight message, and every replay
+//! simultaneously. Where the protocol needs *new* tuples (SUnion's
+//! renumbering, a divergence relabel) it builds one new batch of tuple
+//! headers; the attribute payloads stay shared ([`Tuple::values`]).
 //!
 //! [`BatchLog`] is the append-only companion: an ordered sequence of sealed
 //! batches plus a mutable tail, with logical (all-time) positions, used by

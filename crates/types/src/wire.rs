@@ -182,7 +182,7 @@ pub fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
     put_u64(buf, t.stime.as_micros());
     put_u16(buf, t.origin);
     put_u32(buf, t.values.len() as u32);
-    for v in &t.values {
+    for v in t.values.iter() {
         put_value(buf, v);
     }
 }
@@ -298,7 +298,9 @@ impl<'a> Reader<'a> {
 
     /// Reads one tuple.
     pub fn tuple(&mut self) -> Result<Tuple, WireError> {
-        let kind = match self.u8()? {
+        // The fixed 23-byte header in one bounds check.
+        let h: &[u8; 23] = self.take(23)?.try_into().expect("23 bytes");
+        let kind = match h[0] {
             0 => TupleKind::Insertion,
             1 => TupleKind::Tentative,
             2 => TupleKind::Boundary,
@@ -311,20 +313,17 @@ impl<'a> Reader<'a> {
                 })
             }
         };
-        let id = TupleId(self.u64()?);
-        let stime = Time(self.u64()?);
-        let origin = self.u16()?;
-        let nvalues = self.u32()? as usize;
+        let id = TupleId(u64::from_le_bytes(h[1..9].try_into().expect("8 bytes")));
+        let stime = Time(u64::from_le_bytes(h[9..17].try_into().expect("8 bytes")));
+        let origin = u16::from_le_bytes(h[17..19].try_into().expect("2 bytes"));
+        let nvalues = u32::from_le_bytes(h[19..23].try_into().expect("4 bytes")) as usize;
         // A tuple value is at least 2 bytes on the wire; cap the
         // pre-allocation by what the buffer could actually hold so a
         // corrupted count cannot force a huge reservation.
         if nvalues > self.remaining() / 2 + 1 {
             return Err(WireError::Truncated);
         }
-        let mut values = Vec::with_capacity(nvalues);
-        for _ in 0..nvalues {
-            values.push(self.value()?);
-        }
+        let values = Tuple::try_values(nvalues, |_| self.value())?;
         Ok(Tuple {
             kind,
             id,

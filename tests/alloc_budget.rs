@@ -1,0 +1,124 @@
+//! Allocation budget of one steady-state fragment crossing.
+//!
+//! A counting `#[global_allocator]` (this test binary only) drives the
+//! chain job's `ingest` (SUnion → SOutput) and `work` (SUnion → Map →
+//! SOutput) fragments with warm batches and asserts how often the
+//! allocator is entered: a per-batch constant everywhere, plus exactly the
+//! payloads an operator computes — none in `ingest`, one per tuple in
+//! `work`. Tuple payloads are shared (`Arc<[Value]>`), so SUnion's
+//! renumbering and SOutput's pass-through must not copy them.
+
+use borealis::diagram::FragmentPlan;
+use borealis::engine::{Batch, Fragment};
+use borealis::prelude::*;
+use borealis_workloads::{sharded_chain_builder, ShardedChainOptions};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator entries made by this thread (tests run on threads of
+    /// their own, so concurrent tests do not disturb each other's count).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local counter that
+// neither allocates nor unwinds (`try_with` tolerates thread teardown).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const WARM_STEPS: u64 = 20;
+const STEPS: u64 = 50;
+
+/// One 100 ms bucket of `per_batch` data tuples closed by its boundary —
+/// what a source (or an upstream fragment) delivers per step.
+fn step_batch(step: u64, per_batch: u64) -> TupleBatch {
+    let bucket_us = 100_000;
+    let mut tuples: Vec<Tuple> = (0..per_batch)
+        .map(|i| {
+            let id = step * per_batch + i + 1;
+            Tuple::insertion(
+                TupleId(id),
+                Time(step * bucket_us + i * bucket_us / per_batch),
+                vec![Value::Int(id as i64)],
+            )
+        })
+        .collect();
+    tuples.push(Tuple::boundary(TupleId::NONE, Time((step + 1) * bucket_us)));
+    TupleBatch::from_vec(tuples)
+}
+
+/// Allocator entries per step of a warm fragment fed `per_batch`-tuple
+/// batches on every input stream, and the data tuples it emitted per step.
+fn allocs_per_step(plan: &FragmentPlan, per_batch: u64) -> (u64, u64) {
+    let streams: Vec<StreamId> = plan.inputs.iter().map(|i| i.stream).collect();
+    let mut fragment = Fragment::from_plan(plan);
+    // Inputs are built up front: the budget is the fragment's, not the
+    // test's.
+    let inputs: Vec<TupleBatch> = (0..WARM_STEPS + STEPS)
+        .map(|step| step_batch(step, per_batch))
+        .collect();
+    let (mut allocs, mut emitted) = (0, 0);
+    for (step, batch) in inputs.iter().enumerate() {
+        let now = Time((step as u64 + 1) * 100_000);
+        let before = ALLOCS.with(Cell::get);
+        let mut out = Batch::default();
+        for stream in &streams {
+            out.merge(fragment.push_batch(*stream, batch, now));
+        }
+        let after = ALLOCS.with(Cell::get);
+        if step as u64 >= WARM_STEPS {
+            allocs += after - before;
+            emitted += out.outputs.iter().map(|(_, b)| b.data_count()).sum::<u64>();
+        }
+    }
+    assert_eq!(emitted % STEPS, 0, "every measured step emits one bucket");
+    (allocs / STEPS, emitted / STEPS)
+}
+
+#[test]
+fn steady_state_crossing_allocates_only_computed_payloads() {
+    let layout = sharded_chain_builder(&ShardedChainOptions::default())
+        .0
+        .layout();
+    for (name, plan, per_tuple_budget) in [
+        ("ingest", layout.shard_plan(0, 0), 0),
+        ("work", layout.shard_plan(1, 0), 1),
+    ] {
+        let (small, small_out) = allocs_per_step(plan, 300);
+        let (large, large_out) = allocs_per_step(plan, 600);
+        assert_eq!(small_out, 300 * plan.inputs.len() as u64);
+        assert_eq!(large_out, 600 * plan.inputs.len() as u64);
+        println!(
+            "alloc budget: {name}: {small} allocations per {small_out}-tuple step, \
+             {large} per {large_out}-tuple step"
+        );
+        // Doubling the batch isolates the per-tuple share from the
+        // per-step constant (output batch, queue and emitter vectors).
+        assert_eq!(
+            large - small,
+            per_tuple_budget * (large_out - small_out),
+            "{name}: allocations per tuple"
+        );
+        let per_step = small - per_tuple_budget * small_out;
+        assert!(per_step <= 16, "{name}: {per_step} allocations per step");
+    }
+}

@@ -832,13 +832,13 @@ fn tcp_killed_worker_respawns_and_recovers_from_disk() {
     let tcp_stable = stable_stream(report.trace.as_ref().expect("trace enabled"));
 
     assert_eq!(report.dup, 0, "restart must not re-deliver stable tuples");
-    assert!(
-        report.drops > 0,
-        "the kill must sever traffic somewhere: {report:?}"
-    );
+    // Evidence of the kill that cannot race: recovery markers are written
+    // only by nodes that restarted from their (fresh, per-run) stores. A
+    // drop count cannot serve — an immediate respawn can reconnect before
+    // any peer sends into the dead connection, and then nothing is lost.
     assert!(
         !report.recoveries.is_empty(),
-        "the respawned worker's nodes must recover from disk"
+        "the respawned worker's nodes must recover from disk: {report:?}"
     );
     for marker in &report.recoveries {
         assert!(

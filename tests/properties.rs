@@ -261,6 +261,101 @@ fn sunion_batch_and_per_tuple_paths_are_equivalent() {
     }
 }
 
+/// SOutput's batch-native pass-through is an optimization, never a
+/// semantic: for random mixed-kind batches — stable, tentative, boundary,
+/// UNDO, REC_DONE mid-batch — delivered before, during and after
+/// stabilizations, with checkpoints holding the state `Arc` shared,
+/// `process_batch` emits exactly what tuple-at-a-time `process` emits and
+/// remembers the same facts. Outside stabilization a REC_DONE-free batch
+/// must be forwarded as the *same* allocation, and a held checkpoint must
+/// never observe later batches.
+#[test]
+fn soutput_batch_path_matches_per_tuple_path() {
+    use borealis::ops::{BatchEmitter, Operator, SOutput};
+
+    let mut rng = StdRng::seed_from_u64(0x50_07);
+    let (mut fast, mut slow) = (0, 0);
+    for case in 0..200 {
+        let mut per_tuple = SOutput::new();
+        let mut batched = SOutput::new();
+        let mut held = Vec::new();
+        let mut next_id = 1u64;
+        for chunk_no in 0..rng.gen_range(1usize..12) {
+            match rng.gen_range(0u32..10) {
+                0 => {
+                    // A reconciliation replay regenerates earlier ids.
+                    per_tuple.begin_stabilization();
+                    batched.begin_stabilization();
+                    next_id = next_id.saturating_sub(rng.gen_range(0u64..20)).max(1);
+                }
+                1 | 2 => held.push((
+                    batched.checkpoint(),
+                    batched.last_stable(),
+                    batched.tentative_since_stable(),
+                )),
+                _ => {}
+            }
+            let tuples: Vec<Tuple> = (0..rng.gen_range(1usize..40))
+                .map(|_| {
+                    let stime = Time::from_millis(next_id);
+                    match rng.gen_range(0u32..100) {
+                        0..60 => {
+                            next_id += 1;
+                            Tuple::insertion(TupleId(next_id), stime, vec![Value::Int(1)])
+                        }
+                        60..85 => {
+                            next_id += 1;
+                            Tuple::tentative(TupleId(next_id), stime, vec![Value::Int(2)])
+                        }
+                        85..94 => Tuple::boundary(TupleId::NONE, stime),
+                        94..97 => Tuple::undo(TupleId::NONE, TupleId(next_id / 2)),
+                        _ => Tuple::rec_done(TupleId::NONE, stime),
+                    }
+                })
+                .collect();
+            let chunk = TupleBatch::from_vec(tuples);
+            let pass_through =
+                !batched.is_stabilizing() && chunk.iter().all(|t| t.kind != TupleKind::RecDone);
+
+            let mut want = BatchEmitter::new();
+            for t in chunk.as_slice() {
+                per_tuple.process(0, t, Time::ZERO, &mut want);
+            }
+            let mut got = BatchEmitter::new();
+            batched.process_batch(0, &chunk, Time::ZERO, &mut got);
+
+            let at = format!("case {case} chunk {chunk_no}");
+            let (got_chunks, got_signals) = got.take();
+            if pass_through {
+                fast += 1;
+                assert_eq!(got_chunks.len(), 1, "{at}: one forwarded batch");
+                assert!(got_chunks[0].shares_backing(&chunk), "{at}: zero-copy");
+            } else {
+                slow += 1;
+            }
+            let got_tuples: Vec<Tuple> = got_chunks.iter().flat_map(|c| c.to_vec()).collect();
+            assert_eq!((got_tuples, got_signals), want.take_tuples(), "{at}");
+            assert_eq!(batched.last_stable(), per_tuple.last_stable(), "{at}");
+            assert_eq!(
+                batched.tentative_since_stable(),
+                per_tuple.tentative_since_stable(),
+                "{at}"
+            );
+            assert_eq!(batched.is_stabilizing(), per_tuple.is_stabilizing(), "{at}");
+        }
+        for (snap, last_stable, tentative) in &held {
+            let mut restored = SOutput::new();
+            restored.restore(snap);
+            assert_eq!(restored.last_stable(), *last_stable, "case {case}");
+            assert_eq!(restored.tentative_since_stable(), *tentative, "case {case}");
+        }
+    }
+    assert!(
+        fast > 200 && slow > 200,
+        "both paths exercised: {fast}/{slow}"
+    );
+}
+
 /// Copy-on-write snapshot soundness: for random inputs and a random
 /// checkpoint position, mutating an operator after its checkpoint (forcing
 /// the CoW divergence) and then restoring must reproduce exactly the

@@ -69,8 +69,8 @@ impl Default for Opts {
     }
 }
 
-/// What an [`explore`] call did: recorded in `BENCH_PR8.json` so future
-/// PRs can see protocol state spaces grow.
+/// What an [`explore`] call did: the model tests print it, so a protocol
+/// whose state space grows is visible.
 #[derive(Debug, Clone, Copy)]
 pub struct Report {
     /// Number of complete executions (interleavings) explored.

@@ -56,8 +56,6 @@ pub struct StreamMetrics {
     pub lat_min: Option<Duration>,
     /// Sum of per-tuple latencies (micros) over new data tuples.
     lat_sum: u128,
-    /// Sum of squared per-tuple latencies (micros^2).
-    lat_sq_sum: u128,
     /// Count of new data tuples with latency samples.
     lat_count: u64,
     /// Stable id frontier.
@@ -88,7 +86,6 @@ impl StreamMetrics {
                     self.procnew = self.procnew.max(lat);
                     self.lat_min = Some(self.lat_min.map_or(lat, |m| m.min(lat)));
                     self.lat_sum += lat.as_micros() as u128;
-                    self.lat_sq_sum += (lat.as_micros() as u128).pow(2);
                     self.lat_count += 1;
                     if let Some(prev) = self.last_new_arrival {
                         self.max_gap = self.max_gap.max(now.since(prev));
@@ -132,17 +129,6 @@ impl StreamMetrics {
             return Duration::ZERO;
         }
         Duration::from_micros((self.lat_sum / self.lat_count as u128) as u64)
-    }
-
-    /// Standard deviation of per-tuple latency over new data tuples.
-    pub fn lat_std(&self) -> Duration {
-        if self.lat_count == 0 {
-            return Duration::ZERO;
-        }
-        let n = self.lat_count as f64;
-        let mean = self.lat_sum as f64 / n;
-        let var = (self.lat_sq_sum as f64 / n - mean * mean).max(0.0);
-        Duration::from_micros(var.sqrt() as u64)
     }
 
     /// Number of latency samples.

@@ -111,12 +111,6 @@ impl RunningThreads {
         self.runtime.stats().flow
     }
 
-    /// Worker-pool scheduler gauges (steals, run-queue depths, activation
-    /// run-time histogram).
-    pub fn sched_gauges(&self) -> borealis_types::SchedGauges {
-        self.runtime.stats().sched
-    }
-
     /// Stops every thread in order and returns message-loss statistics
     /// (including the final flow-control and scheduler gauges).
     pub fn shutdown(self) -> StatsSnapshot {

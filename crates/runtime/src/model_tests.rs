@@ -83,8 +83,7 @@ fn data_msg() -> NetMsg {
     }
 }
 
-/// State-space sizes land in `BENCH_PR8.json`; collect them with
-/// `-- --nocapture`.
+/// Prints the explored state-space size (shown with `-- --nocapture`).
 fn report(name: &str, r: Report) {
     println!(
         "model-state-space {name}: executions={} bound={} depth={}",

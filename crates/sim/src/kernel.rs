@@ -645,13 +645,13 @@ mod tests {
     }
 
     #[test]
-    fn metered_baseline_shows_unbounded_inflight() {
-        let (mut sim, seen) = flood_sim(CreditPolicy::Metered, 20);
+    fn max_window_baseline_shows_unbounded_inflight() {
+        let (mut sim, seen) = flood_sim(CreditPolicy::Window(u32::MAX), 20);
         sim.run_until(Time::from_secs(5));
         assert_eq!(seen.lock().unwrap().len(), 20);
         let g = sim.stats().flow;
         assert_eq!(g.inflight_peak, 20, "the whole burst floods the receiver");
-        assert_eq!(g.queued, 0, "metered never stalls");
+        assert_eq!(g.queued, 0, "the maximal window never stalls");
     }
 
     #[test]

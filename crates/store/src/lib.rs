@@ -188,7 +188,6 @@ impl NodeStore {
             fs::rename(self.head_path(), self.prev_path())?;
         }
         write_atomic(&self.head_path(), &head)?;
-        sync_dir(&self.root)?;
         Ok(hash)
     }
 

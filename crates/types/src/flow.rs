@@ -34,27 +34,24 @@ pub enum CreditPolicy {
     /// buffering, invisible to the gauges.
     #[default]
     Unbounded,
-    /// No gating, full accounting: every data message is metered through
-    /// the credit ledger (in-flight depth, peaks) but never stalled. The
-    /// measurable "unbounded baseline" the benchmarks compare against.
-    Metered,
     /// At most this many unconsumed data messages in flight per directed
     /// link; further sends queue at the sender until the receiver's
-    /// consumption returns credits.
+    /// consumption returns credits. `Window(u32::MAX)` never stalls and is
+    /// the accounted "unbounded baseline" the overload tests compare against.
     Window(u32),
 }
 
 impl CreditPolicy {
-    /// True when the ledger must account sends (Metered or Window).
+    /// True when the ledger must account sends.
     pub fn is_tracking(&self) -> bool {
         !matches!(self, CreditPolicy::Unbounded)
     }
 
-    /// The credit window, if sends can actually stall.
+    /// The credit window, if sends are accounted.
     pub fn window(&self) -> Option<u32> {
         match self {
             CreditPolicy::Window(w) => Some(*w),
-            _ => None,
+            CreditPolicy::Unbounded => None,
         }
     }
 }
@@ -94,8 +91,7 @@ pub struct FlowGauges {
     /// Current in-flight (admitted, unconsumed) messages, summed over links.
     pub inflight_now: u64,
     /// Peak in-flight depth of any single link — bounded by the credit
-    /// window under [`CreditPolicy::Window`]; grows without bound past
-    /// saturation under [`CreditPolicy::Metered`].
+    /// window under [`CreditPolicy::Window`].
     pub inflight_peak: u64,
     /// Number of stall episodes (a link's queue going empty → non-empty).
     pub stalls: u64,
@@ -126,10 +122,8 @@ mod tests {
     #[test]
     fn policy_tracking_and_window() {
         assert!(!CreditPolicy::Unbounded.is_tracking());
-        assert!(CreditPolicy::Metered.is_tracking());
         assert!(CreditPolicy::Window(4).is_tracking());
         assert_eq!(CreditPolicy::Unbounded.window(), None);
-        assert_eq!(CreditPolicy::Metered.window(), None);
         assert_eq!(CreditPolicy::Window(4).window(), Some(4));
         assert_eq!(CreditPolicy::default(), CreditPolicy::Unbounded);
     }

@@ -1,25 +1,21 @@
 //! Experiment runners: one function per table/figure of the paper's
 //! evaluation (§5–§7). Each runner scripts the paper's failure scenario
 //! against a deployment from [`crate::setups`] and returns structured rows;
-//! `crates/bench` renders them in the paper's format.
+//! `tests/reproduce.rs` asserts the paper's claims on them.
 
 use crate::setups::{
     chain_system, overhead_system, single_node_system, ChainOptions, OverheadOptions,
     PolicyVariant, SingleNodeOptions, DISTRIBUTED_VARIANTS, SINGLE_NODE_OUT, VARIANTS,
 };
 use borealis_diagram::DelayAssignment;
-use borealis_dpc::TraceEntry;
 use borealis_types::{Duration, StreamId, Time};
 
 /// When failures start in every scenario (after warm-up).
 const FAILURE_START: Time = Time::from_secs(15);
 
-/// Result of one Fig. 11 run: the full client arrival trace plus summary
-/// counters.
+/// Result of one Fig. 11 run: the client's summary counters.
 #[derive(Debug)]
 pub struct Fig11Result {
-    /// Complete arrival trace at the client (sequence numbers over time).
-    pub trace: Vec<TraceEntry>,
     /// Tentative tuples received.
     pub n_tentative: u64,
     /// Stable tuples received.
@@ -42,7 +38,6 @@ pub fn run_fig11(failure_during_recovery: bool) -> Fig11Result {
         replication: 1,
         total_rate: 300.0,
         delay: Duration::from_secs(2),
-        trace: true,
         ..Default::default()
     };
     let mut sys = single_node_system(&o);
@@ -60,7 +55,6 @@ pub fn run_fig11(failure_during_recovery: bool) -> Fig11Result {
     }
     sys.run_until(Time::from_secs(45));
     sys.metrics.with(SINGLE_NODE_OUT, |m| Fig11Result {
-        trace: m.trace.clone().unwrap_or_default(),
         n_tentative: m.n_tentative,
         n_stable: m.n_stable,
         n_undo: m.n_undo,
@@ -249,8 +243,6 @@ pub struct OverheadRow {
     pub max: Duration,
     /// Mean per-tuple latency.
     pub avg: Duration,
-    /// Standard deviation of per-tuple latency.
-    pub std: Duration,
     /// Number of tuples measured.
     pub count: u64,
 }
@@ -265,7 +257,6 @@ fn run_overhead(o: &OverheadOptions, param_ms: u64) -> OverheadRow {
             min: m.lat_min.unwrap_or(Duration::ZERO),
             max: m.procnew,
             avg: m.lat_avg(),
-            std: m.lat_std(),
             count: m.lat_count(),
         })
 }
@@ -327,54 +318,4 @@ pub fn run_switchover() -> SwitchoverResult {
         n_stable: m.n_stable,
         dup_stable: m.dup_stable,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig11_overlapping_failures_end_consistent() {
-        let r = run_fig11(false);
-        assert!(r.n_tentative > 0);
-        assert!(r.n_undo >= 1);
-        assert!(r.n_rec_done >= 1);
-        assert_eq!(r.dup_stable, 0);
-        assert!(!r.trace.is_empty());
-    }
-
-    #[test]
-    fn fig11_failure_during_recovery_reconciles_twice() {
-        let r = run_fig11(true);
-        assert!(r.n_rec_done >= 2, "two correction waves: {}", r.n_rec_done);
-        assert_eq!(r.dup_stable, 0);
-    }
-
-    #[test]
-    fn table3_meets_bound_for_short_and_long_failures() {
-        let rows = run_table3(&[2.0, 10.0]);
-        for row in &rows {
-            assert!(
-                row.procnew < Duration::from_secs_f64(3.2),
-                "{}s failure: procnew {}",
-                row.failure_secs,
-                row.procnew
-            );
-            assert_eq!(row.dup_stable, 0);
-        }
-    }
-
-    #[test]
-    fn switchover_gap_is_bounded() {
-        let r = run_switchover();
-        assert_eq!(r.dup_stable, 0);
-        assert!(r.max_gap < Duration::from_millis(1000), "gap {}", r.max_gap);
-    }
-
-    #[test]
-    fn overhead_grows_with_bucket_size() {
-        let rows = run_table4(&[0, 10, 100]);
-        assert!(rows[0].avg < rows[1].avg);
-        assert!(rows[1].avg < rows[2].avg);
-    }
 }

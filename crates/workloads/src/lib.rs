@@ -2,14 +2,12 @@
 //!
 //! Workload generators, deployment setups, and experiment runners
 //! reproducing every table and figure of the paper's evaluation (§5–§7).
-//! The `borealis-bench` crate wraps these runners in `cargo bench` targets;
-//! the examples and integration tests reuse the same setups.
+//! `tests/reproduce.rs` asserts the paper's claims over these runners; the
+//! examples and integration tests reuse the same setups.
 
 #![warn(missing_docs)]
 
-pub mod benchjson;
 pub mod experiments;
-pub mod report;
 pub mod setups;
 pub mod tcp;
 
@@ -17,13 +15,10 @@ pub use experiments::{
     run_chain, run_delay_assignment, run_fig11, run_fig13, run_switchover, run_table3, run_table4,
     run_table5, AvailabilityRow, ChainRow, Fig11Result, OverheadRow, SwitchoverResult,
 };
-pub use report::{render_availability, render_chain, render_fig11, render_overhead, TextTable};
 pub use setups::{
     chain_builder, chain_system, overhead_system, scale_grid_actors, scale_grid_builder,
-    scale_grid_fragments, scale_grid_offered, sharded_chain_builder, sharded_chain_system,
-    single_node_system, ChainOptions, OverheadOptions, PolicyVariant, ScaleOptions,
-    ShardedChainOptions, SingleNodeOptions, DISTRIBUTED_VARIANTS, SINGLE_NODE_OUT, VARIANTS,
+    scale_grid_fragments, sharded_chain_builder, sharded_chain_system, single_node_system,
+    ChainOptions, OverheadOptions, PolicyVariant, ScaleOptions, ShardedChainOptions,
+    SingleNodeOptions, DISTRIBUTED_VARIANTS, SINGLE_NODE_OUT, VARIANTS,
 };
-pub use tcp::{
-    run_tcp_child, run_tcp_child_args, run_tcp_parent, ChildCommand, TcpChainSpec, TcpReport,
-};
+pub use tcp::{run_tcp_child, run_tcp_child_args, run_tcp_parent, TcpChainSpec, TcpReport};

@@ -91,8 +91,6 @@ pub struct SingleNodeOptions {
     pub per_tuple_cost: Duration,
     /// Determinism seed.
     pub seed: u64,
-    /// Record the full client arrival trace.
-    pub trace: bool,
 }
 
 impl Default for SingleNodeOptions {
@@ -105,7 +103,6 @@ impl Default for SingleNodeOptions {
             with_join: false,
             per_tuple_cost: Duration::from_micros(40),
             seed: 42,
-            trace: false,
         }
     }
 }
@@ -160,14 +157,10 @@ pub fn single_node_system(o: &SingleNodeOptions) -> RunningSystem {
         .expect("single-node plan is valid");
 
     let rate = o.total_rate / 3.0;
-    let metrics = MetricsHub::new();
-    if o.trace {
-        metrics.enable_trace(SINGLE_NODE_OUT);
-    }
     let mut builder = SystemBuilder::new(o.seed, Duration::from_millis(1))
         .plan(p)
         .client_streams(vec![SINGLE_NODE_OUT])
-        .metrics(metrics)
+        .metrics(MetricsHub::new())
         .node_tuning(NodeTuning {
             per_tuple_cost: o.per_tuple_cost,
             ..NodeTuning::default()
@@ -444,11 +437,7 @@ pub struct ScaleOptions {
     pub shards: u32,
     /// Replicas per fragment (per shard for the work stages).
     pub replication: usize,
-    /// Input rate per chain (tuples/second). The grid's **total** offered
-    /// load is `chains × rate_per_chain` ([`scale_grid_offered`]) — when
-    /// comparing grid points, hold that product constant, or the larger
-    /// grid reports lower absolute throughput simply because it was
-    /// offered less input, not because the scheduler got slower.
+    /// Input rate per chain (tuples/second).
     pub rate_per_chain: f64,
     /// Per-SUnion delay under uniform assignment (each chain has two
     /// SUnion hops: work, deliver).
@@ -491,13 +480,6 @@ pub fn scale_grid_fragments(o: &ScaleOptions) -> u32 {
 /// one client.
 pub fn scale_grid_actors(o: &ScaleOptions) -> u32 {
     scale_grid_fragments(o) * o.replication as u32 + o.chains + 1
-}
-
-/// Total offered load of the grid (tuples/second): `chains ×
-/// rate_per_chain`. Grid points are throughput-comparable only at equal
-/// offered load.
-pub fn scale_grid_offered(o: &ScaleOptions) -> f64 {
-    o.chains as f64 * o.rate_per_chain
 }
 
 /// Builds the scale grid deployment description; the returned streams are

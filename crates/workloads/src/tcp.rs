@@ -21,7 +21,7 @@
 use crate::setups::{sharded_chain_builder, ShardedChainOptions};
 use borealis_dpc::{FaultSpec, MetricsHub, SystemLayout, TraceEntry};
 use borealis_runtime::{deploy_tcp, plan_processes, TcpFabric};
-use borealis_types::{CreditPolicy, Duration, StreamId, Time, WireGauges};
+use borealis_types::{Duration, StreamId, Time, WireGauges};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -39,8 +39,6 @@ pub struct TcpChainSpec {
     /// Script the mid-run crash of work-stage shard 1's replica 0 at
     /// t=1.5 s (the reference failover scenario).
     pub crash: bool,
-    /// Credit window per link (`None` = unbounded).
-    pub window: Option<u32>,
     /// Total process count (process 0 = sources + client).
     pub procs: u32,
     /// Worker-pool threads per process.
@@ -75,7 +73,6 @@ impl Default for TcpChainSpec {
             per_source_rate: 100.0,
             wall_ms: 4000,
             crash: false,
-            window: None,
             procs: 3,
             workers: 2,
             seed: 7,
@@ -111,9 +108,6 @@ impl TcpChainSpec {
             metrics.enable_trace(out);
         }
         builder = builder.metrics(metrics).workers(self.workers);
-        if let Some(w) = self.window {
-            builder = builder.credit_policy(CreditPolicy::Window(w));
-        }
         if let Some(dir) = &self.durable_dir {
             // Background flusher: capture stays off the data path; the
             // snapshot objects are written by a dedicated thread.
@@ -139,7 +133,6 @@ impl TcpChainSpec {
             format!("rate={}", self.per_source_rate),
             format!("wall_ms={}", self.wall_ms),
             format!("crash={}", self.crash),
-            format!("window={}", self.window.unwrap_or(0)),
             format!("procs={}", self.procs),
             format!("workers={}", self.workers),
             format!("seed={}", self.seed),
@@ -171,12 +164,6 @@ impl TcpChainSpec {
                 "rate" => spec.per_source_rate = val.parse().unwrap_or(spec.per_source_rate),
                 "wall_ms" => spec.wall_ms = val.parse().unwrap_or(spec.wall_ms),
                 "crash" => spec.crash = val == "true",
-                "window" => {
-                    spec.window = match val.parse::<u32>() {
-                        Ok(0) | Err(_) => None,
-                        Ok(w) => Some(w),
-                    }
-                }
                 "procs" => spec.procs = val.parse().unwrap_or(spec.procs),
                 "workers" => spec.workers = val.parse().unwrap_or(spec.workers),
                 "seed" => spec.seed = val.parse().unwrap_or(spec.seed),
@@ -209,34 +196,15 @@ impl TcpChainSpec {
     }
 }
 
-/// How the parent launches one worker process: `program prefix... proc=<i>
-/// key=value...`. The example uses its own binary with a sentinel prefix;
-/// the integration test uses the dedicated `tcp_node` binary.
-#[derive(Debug, Clone)]
-pub struct ChildCommand {
-    /// Executable to spawn.
-    pub program: String,
-    /// Arguments placed before the `proc=` and spec tokens.
-    pub prefix: Vec<String>,
-}
-
 /// What process 0 observed: the client's metrics, the loss accounting,
 /// and the wire gauges of its own connections.
 #[derive(Debug)]
 pub struct TcpReport {
-    /// Stable tuples delivered to the client.
-    pub n_stable: u64,
-    /// Tentative tuples delivered to the client.
-    pub n_tentative: u64,
     /// Duplicate stable tuples (must be zero).
     pub dup: u64,
     /// Total messages lost to faults, summed across **all** processes
     /// (process 0's stats plus each child's reported `STATS` line).
     pub drops: u64,
-    /// Wall-clock seconds measured around the run.
-    pub elapsed: f64,
-    /// Stable tuples per second.
-    pub throughput: f64,
     /// Wire gauges of process 0's connections.
     pub wire: WireGauges,
     /// The client arrival trace, if requested.
@@ -267,13 +235,14 @@ fn read_recovery_markers(root: &str) -> Vec<String> {
 }
 
 /// Runs the multi-process deployment as process 0: allocates the address
-/// map (unless the spec carries one), forks `procs - 1` children with the
-/// full map on their argv, establishes the mesh, hosts the sources and
-/// the client for `spec.wall_ms`, and reaps the children. With
-/// [`TcpChainSpec::restart`] set, the named worker is killed hard
-/// mid-run and respawned with `rejoin=true` — it re-dials the survivors
-/// and (with [`TcpChainSpec::durable_dir`]) restarts its nodes from disk.
-pub fn run_tcp_parent(spec: &TcpChainSpec, child: &ChildCommand) -> std::io::Result<TcpReport> {
+/// map (unless the spec carries one), forks `procs - 1` children
+/// (`worker_exe proc=<i> key=value...`) with the full map on their argv,
+/// establishes the mesh, hosts the sources and the client for
+/// `spec.wall_ms`, and reaps the children. With [`TcpChainSpec::restart`]
+/// set, the named worker is killed hard mid-run and respawned with
+/// `rejoin=true` — it re-dials the survivors and (with
+/// [`TcpChainSpec::durable_dir`]) restarts its nodes from disk.
+pub fn run_tcp_parent(spec: &TcpChainSpec, worker_exe: &str) -> std::io::Result<TcpReport> {
     let mut spec = spec.clone();
     let (layout, out) = spec.layout(true);
     let plan = plan_processes(&layout, spec.procs);
@@ -303,8 +272,8 @@ pub fn run_tcp_parent(spec: &TcpChainSpec, child: &ChildCommand) -> std::io::Res
         |p: u32, wall_ms: u64, rejoin: bool| -> std::io::Result<(BufReader<ChildStdout>, Child)> {
             let mut s = spec.clone();
             s.wall_ms = wall_ms;
-            let mut cmd = Command::new(&child.program);
-            cmd.args(&child.prefix).arg(format!("proc={p}"));
+            let mut cmd = Command::new(worker_exe);
+            cmd.arg(format!("proc={p}"));
             if rejoin {
                 cmd.arg("rejoin=true");
             }
@@ -322,7 +291,6 @@ pub fn run_tcp_parent(spec: &TcpChainSpec, child: &ChildCommand) -> std::io::Res
 
     let fabric = TcpFabric::establish(0, listener, &spec.addrs, plan)?;
     let sys = deploy_tcp(layout, fabric);
-    let started = std::time::Instant::now();
     match spec.restart {
         Some((victim, at_ms)) if victim >= 1 && victim < spec.procs => {
             let at_ms = at_ms.min(spec.wall_ms);
@@ -338,10 +306,7 @@ pub fn run_tcp_parent(spec: &TcpChainSpec, child: &ChildCommand) -> std::io::Res
         }
         _ => sys.run_for(std::time::Duration::from_millis(spec.wall_ms)),
     }
-    let elapsed = started.elapsed().as_secs_f64();
-    let (n_stable, n_tentative, dup, trace) = sys.metrics.with(out, |m| {
-        (m.n_stable, m.n_tentative, m.dup_stable, m.trace.clone())
-    });
+    let (dup, trace) = sys.metrics.with(out, |m| (m.dup_stable, m.trace.clone()));
     // Wire gauges before teardown, while the connections still count as
     // alive (the post-shutdown snapshot would report `conns == 0`).
     let wire = sys.wire_gauges();
@@ -379,12 +344,8 @@ pub fn run_tcp_parent(spec: &TcpChainSpec, child: &ChildCommand) -> std::io::Res
         .map(read_recovery_markers)
         .unwrap_or_default();
     Ok(TcpReport {
-        n_stable,
-        n_tentative,
         dup,
         drops,
-        elapsed,
-        throughput: n_stable as f64 / elapsed,
         wire,
         trace,
         recoveries,
@@ -427,8 +388,7 @@ pub fn run_tcp_child(my_proc: u32, spec: &TcpChainSpec, rejoin: bool) -> std::io
     Ok(())
 }
 
-/// Entry point shared by the `tcp_node` binary and the example's
-/// self-exec child mode: parses `proc=<i>` (plus the optional
+/// Entry point of the `tcp_node` binary: parses `proc=<i>` (plus the optional
 /// `rejoin=true` respawn flag) and the spec tokens from `args`, then runs
 /// the worker process.
 pub fn run_tcp_child_args<'a>(args: impl Iterator<Item = &'a str> + Clone) -> std::io::Result<()> {
@@ -452,7 +412,6 @@ mod tests {
             per_source_rate: 2500.0,
             wall_ms: 8000,
             crash: true,
-            window: Some(64),
             procs: 4,
             workers: 3,
             seed: 99,

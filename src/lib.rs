@@ -70,8 +70,7 @@
 //! | `borealis-dpc` | The DPC protocol: nodes, sources, clients, replica management — runtime-agnostic |
 //! | `borealis-runtime` | The wall-clock drivers of the same fabric: a work-stealing worker pool and a TCP mesh across OS processes |
 //! | `borealis-check` | Bounded exhaustive interleaving explorer for the runtime's concurrency protocols, plus the sync-facade lint |
-//! | `borealis-workloads` | Paper-experiment setups and runners |
-//! | `borealis-bench` | One `cargo bench` target per paper table/figure |
+//! | `borealis-workloads` | Paper-experiment setups and runners; `tests/reproduce.rs` asserts the paper's claims on them |
 //!
 //! ## The batch data plane
 //!

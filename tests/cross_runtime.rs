@@ -13,8 +13,8 @@
 
 use borealis::prelude::*;
 use borealis_workloads::{
-    chain_builder, run_tcp_parent, sharded_chain_builder, ChainOptions, ChildCommand,
-    ShardedChainOptions, TcpChainSpec, DISTRIBUTED_VARIANTS,
+    chain_builder, run_tcp_parent, sharded_chain_builder, ChainOptions, ShardedChainOptions,
+    TcpChainSpec, DISTRIBUTED_VARIANTS,
 };
 
 /// Reconstructs the stable output stream from a client arrival trace:
@@ -265,8 +265,8 @@ fn overload_chain(
 }
 
 /// Bounded credit window under sustained overload (simulator): the
-/// receiver-side in-flight depth stays at the window while the unbounded
-/// (metered) baseline grows monotonically with the horizon — the
+/// receiver-side in-flight depth stays at the window while the accounted
+/// never-stalling baseline grows monotonically with the horizon — the
 /// ROADMAP's "delayed, not unboundedly buffered" contract, measured.
 #[test]
 fn overload_bounded_window_caps_inflight_where_baseline_grows() {
@@ -297,9 +297,9 @@ fn overload_bounded_window_caps_inflight_where_baseline_grows() {
     assert!(n_stable >= 100, "pre-stall stable prefix: {n_stable}");
     assert_eq!(dup, 0);
 
-    // --- Unbounded baseline (metered): buffering grows with the horizon --
+    // --- Never-stalling baseline: buffering grows with the horizon -------
     let peak_at = |secs: u64| {
-        let (builder, _) = overload_chain(CreditPolicy::Metered, 77, None);
+        let (builder, _) = overload_chain(CreditPolicy::Window(u32::MAX), 77, None);
         let mut sys = builder.build();
         sys.run_until(Time::from_secs(secs));
         sys.flow_gauges().inflight_peak
@@ -510,7 +510,6 @@ fn stable_stream_identical_across_sim_threads_and_sockets() {
         per_source_rate: 100.0,
         wall_ms: 4500,
         crash: true,
-        window: None,
         procs: 3,
         workers: 2,
         seed: 33,
@@ -545,11 +544,8 @@ fn stable_stream_identical_across_sim_threads_and_sockets() {
     // (c) Three OS processes over loopback sockets: this process hosts the
     // sources and the client; two forked `tcp_node` children host the
     // fragment replicas (same-fragment replicas in different processes).
-    let child = ChildCommand {
-        program: env!("CARGO_BIN_EXE_tcp_node").to_string(),
-        prefix: Vec::new(),
-    };
-    let report = run_tcp_parent(&spec, &child).expect("tcp deployment runs");
+    let report =
+        run_tcp_parent(&spec, env!("CARGO_BIN_EXE_tcp_node")).expect("tcp deployment runs");
     let tcp_stable = stable_stream(report.trace.as_ref().expect("trace enabled"));
 
     assert_eq!(sim_dups, 0, "simulator run violated stable-id monotonicity");
@@ -795,7 +791,6 @@ fn tcp_killed_worker_respawns_and_recovers_from_disk() {
         per_source_rate: 100.0,
         wall_ms: 5000,
         crash: false,
-        window: None,
         procs: 3,
         workers: 2,
         seed: 33,
@@ -824,11 +819,7 @@ fn tcp_killed_worker_respawns_and_recovers_from_disk() {
         .metrics
         .with(out, |m| stable_stream(m.trace.as_ref().expect("trace")));
 
-    let child = ChildCommand {
-        program: env!("CARGO_BIN_EXE_tcp_node").to_string(),
-        prefix: Vec::new(),
-    };
-    let report = run_tcp_parent(&spec, &child).expect("tcp restart run");
+    let report = run_tcp_parent(&spec, env!("CARGO_BIN_EXE_tcp_node")).expect("tcp restart run");
     let tcp_stable = stable_stream(report.trace.as_ref().expect("trace enabled"));
 
     assert_eq!(report.dup, 0, "restart must not re-deliver stable tuples");

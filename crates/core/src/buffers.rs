@@ -37,6 +37,10 @@ pub use borealis_types::BufferPolicy;
 /// One retained emission batch plus segment-local liveness flags.
 #[derive(Debug)]
 struct Segment {
+    /// Logical position of the segment's first entry. Strictly increasing
+    /// along the log, so suffix lookups binary-search instead of walking
+    /// every retained segment (a source's log is never truncated).
+    start: usize,
     batch: TupleBatch,
     /// Aligned with `batch`; empty means every entry is live. Allocated
     /// lazily — only reconciliations (UNDO appends) ever populate it.
@@ -62,6 +66,7 @@ impl Segment {
     /// Narrows the segment to `[k, len)` — range arithmetic on the view;
     /// the shared backing is untouched.
     fn drop_front(&mut self, k: usize) {
+        self.start += k;
         self.batch = self.batch.slice(k..self.batch.len());
         if !self.dead.is_empty() {
             self.dead.drain(..k);
@@ -102,13 +107,16 @@ pub struct OutputBuffer {
     segs: VecDeque<Segment>,
     /// Retained entries (sum of segment lengths).
     retained: usize,
-    last_stable_id: TupleId,
     /// Highest stable id ever dropped from the front (ack truncation or
     /// bounded eviction): a subscriber is "missed" only when it resumes
     /// behind this horizon.
     dropped_stable_id: TupleId,
     policy: BufferPolicy,
     truncation_misses: u64,
+    /// Segments examined by position and suffix lookups so far: lets tests
+    /// assert that a lookup near the end of a long log does not walk it.
+    #[cfg(test)]
+    pub(crate) walked: std::cell::Cell<usize>,
 }
 
 impl OutputBuffer {
@@ -118,10 +126,11 @@ impl OutputBuffer {
             base: 0,
             segs: VecDeque::new(),
             retained: 0,
-            last_stable_id: TupleId::NONE,
             dropped_stable_id: TupleId::NONE,
             policy,
             truncation_misses: 0,
+            #[cfg(test)]
+            walked: Default::default(),
         }
     }
 
@@ -144,14 +153,13 @@ impl OutputBuffer {
         let seg_start = self.end();
         let mut undos: Vec<(usize, TupleId)> = Vec::new();
         for (i, t) in batch.as_slice().iter().enumerate() {
-            if t.is_stable_data() {
-                self.last_stable_id = self.last_stable_id.max(t.id);
-            } else if t.kind == TupleKind::Undo {
+            if t.kind == TupleKind::Undo {
                 undos.push((i, t.undo_target().unwrap_or(TupleId::NONE)));
             }
         }
         self.retained += batch.len();
         self.segs.push_back(Segment {
+            start: seg_start,
             batch,
             dead: Vec::new(),
         });
@@ -169,26 +177,16 @@ impl OutputBuffer {
     /// tentative entries dead until the first stable entry with
     /// `id <= target`.
     fn mark_dead_before(&mut self, upto: usize, target: TupleId) {
-        let mut seg_end = self.end();
-        for si in (0..self.segs.len()).rev() {
-            let seg_len = self.segs[si].len();
-            let seg_start = seg_end - seg_len;
-            let hi = upto.min(seg_end);
-            if hi > seg_start {
-                for li in (0..hi - seg_start).rev() {
-                    let (kind, id) = {
-                        let t = &self.segs[si].batch[li];
-                        (t.kind, t.id)
-                    };
-                    if kind == TupleKind::Insertion && id <= target {
-                        return;
-                    }
-                    if kind == TupleKind::Tentative {
-                        self.segs[si].mark_dead(li);
-                    }
+        for seg in self.segs.iter_mut().rev() {
+            for li in (0..upto.saturating_sub(seg.start).min(seg.len())).rev() {
+                let t = &seg.batch[li];
+                if t.kind == TupleKind::Insertion && t.id <= target {
+                    return;
+                }
+                if t.kind == TupleKind::Tentative {
+                    seg.mark_dead(li);
                 }
             }
-            seg_end = seg_start;
         }
     }
 
@@ -234,11 +232,6 @@ impl OutputBuffer {
         self.retained == 0
     }
 
-    /// Id of the most recent stable data tuple appended.
-    pub fn last_stable_id(&self) -> TupleId {
-        self.last_stable_id
-    }
-
     /// Number of subscriptions that requested data older than the buffer
     /// holds (possible only with bounded buffers).
     pub fn truncation_misses(&self) -> u64 {
@@ -261,17 +254,21 @@ impl OutputBuffer {
     /// — the zero-copy replay path. Every returned batch shares its backing
     /// allocation with the buffer (and with every other replay cursor),
     /// so serving N subscribers costs N reference-count bumps, not N deep
-    /// copies.
+    /// copies. The first segment is found by binary search over the segment
+    /// starts: the cost is O(log segments + suffix segments), independent
+    /// of how much log precedes `pos`.
     pub fn batches_from(&self, pos: usize) -> Vec<TupleBatch> {
-        let mut skip = pos.saturating_sub(self.base);
+        // Last segment starting at or before `pos` (the first retained one
+        // when `pos` precedes the truncation horizon).
+        let first = self
+            .segs
+            .partition_point(|s| s.start <= pos)
+            .saturating_sub(1);
         let mut out = Vec::new();
-        for seg in &self.segs {
-            if skip >= seg.len() {
-                skip -= seg.len();
-                continue;
-            }
-            seg.push_live_runs(skip, &mut out);
-            skip = 0;
+        for seg in self.segs.range(first..) {
+            #[cfg(test)]
+            self.walked.set(self.walked.get() + 1);
+            seg.push_live_runs(pos.saturating_sub(seg.start), &mut out);
         }
         out
     }
@@ -280,43 +277,36 @@ impl OutputBuffer {
     /// subscriber that already has the stable prefix through `id` should
     /// start replaying. If the buffer was truncated past `id`, replay
     /// starts at the earliest retained entry (and the miss is counted).
+    ///
+    /// Stable ids increase along the log, so the scan runs backward from
+    /// the end and stops at the first stable entry at or before `id`: its
+    /// cost is the suffix the subscriber is about to be sent, not the
+    /// length of the log.
     pub fn position_after_stable(&mut self, id: TupleId) -> usize {
-        if id == TupleId::NONE {
-            if self.dropped_stable_id > TupleId::NONE {
+        if id <= self.dropped_stable_id {
+            // Nothing at or before `id` is retained: the subscriber has no
+            // prefix, is exactly at the truncation horizon, or misses what
+            // was dropped beyond its prefix. Replay from what we hold.
+            if id < self.dropped_stable_id {
                 self.truncation_misses += 1;
             }
             return self.base;
         }
-        // Scan for the first stable data entry beyond `id`; everything
-        // before it (including interleaved boundaries and undone
-        // tentatives) was already covered by the subscriber's prefix.
-        let mut pos_after = None;
-        let mut idx = self.base;
-        'scan: for seg in &self.segs {
-            for t in seg.batch.as_slice() {
-                if t.is_stable_data() {
-                    if t.id <= id {
-                        pos_after = Some(idx + 1);
-                    } else {
-                        break 'scan;
-                    }
-                }
-                idx += 1;
+        // Everything before the found entry (interleaved boundaries and
+        // undone tentatives included) was covered by the subscriber's prefix.
+        for seg in self.segs.iter().rev() {
+            #[cfg(test)]
+            self.walked.set(self.walked.get() + 1);
+            let hit = seg
+                .batch
+                .as_slice()
+                .iter()
+                .rposition(|t| t.is_stable_data() && t.id <= id);
+            if let Some(li) = hit {
+                return seg.start + li + 1;
             }
         }
-        match pos_after {
-            Some(p) => p,
-            None => {
-                // Either the prefix was truncated away (subscriber misses
-                // data dropped beyond its prefix) or the subscriber is
-                // exactly at / ahead of the truncation horizon: replay
-                // from the start of what we hold.
-                if self.dropped_stable_id > id {
-                    self.truncation_misses += 1;
-                }
-                self.base
-            }
-        }
+        self.base
     }
 
     /// Drops every entry up to and including the last stable tuple with

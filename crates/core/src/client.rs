@@ -1,20 +1,22 @@
 //! The client proxy (§2.2): applications "communicate with the system
 //! through proxies … that implement the required functionality".
 //!
-//! The proxy runs the consumer half of DPC for each output stream it
-//! watches: subscription with exact resume positions, keep-alive monitoring
-//! of the producing replicas, Table II switching (preferring stable
-//! replicas — Property 3), UNDO/correction application, and cumulative acks
-//! for upstream buffer truncation. Every arriving tuple is recorded into a
+//! The proxy is the consumer half of DPC ([`Inputs`], the same one a
+//! processing node runs) with a recorder behind it instead of a fragment:
+//! subscription with exact resume positions, keep-alive monitoring of the
+//! producing replicas, Table II switching (preferring stable replicas —
+//! Property 3), duplicate filtering, and cumulative acks for upstream
+//! buffer truncation. Every accepted tuple is recorded into a
 //! [`MetricsHub`] so experiments can read `Procnew` and `Ntentative`
-//! afterwards.
+//! afterwards. It produces no stream, so it has no producer half; what it
+//! sends is control traffic through the runtime's single send verb.
 
 use crate::metrics::{MetricsHub, StreamRecorder};
 use crate::msg::NetMsg;
 use crate::runtime::{DpcActor, RuntimeCtx};
-use crate::upstream::{UpstreamAction, UpstreamManager};
+use crate::upstream::{Inputs, UpstreamSpec};
 use borealis_sim::FaultEvent;
-use borealis_types::{Duration, NodeId, StreamId, Tuple};
+use borealis_types::{Duration, NodeId};
 
 /// Tuning knobs for a client proxy.
 #[derive(Debug, Clone)]
@@ -37,70 +39,30 @@ impl Default for ClientTuning {
     }
 }
 
-/// One watched stream: the stream and the replicas producing it.
-#[derive(Debug, Clone)]
-pub struct ClientStream {
-    /// Output stream to consume.
-    pub stream: StreamId,
-    /// Producing replicas (monitored and switched between).
-    pub candidates: Vec<NodeId>,
-}
-
 const TIMER_HEARTBEAT: u64 = 1;
 const TIMER_ACK: u64 = 2;
 
 /// The client-proxy actor.
 pub struct ClientProxy {
-    streams: Vec<ClientStream>,
+    streams: Vec<UpstreamSpec>,
     tuning: ClientTuning,
     metrics: MetricsHub,
-    ums: Vec<UpstreamManager>,
-    /// Per-watched-stream metric shards, parallel to `ums` — resolved once
-    /// at startup so the delivery hot path locks only its own stream's
+    inputs: Inputs,
+    /// Per-watched-stream metric shards, parallel to the inputs — resolved
+    /// once at startup so the delivery hot path locks only its own stream's
     /// recorder (once per batch), never the hub registry.
     recorders: Vec<StreamRecorder>,
 }
 
 impl ClientProxy {
     /// Creates a proxy consuming `streams`, recording into `metrics`.
-    pub fn new(streams: Vec<ClientStream>, tuning: ClientTuning, metrics: MetricsHub) -> Self {
+    pub fn new(streams: Vec<UpstreamSpec>, tuning: ClientTuning, metrics: MetricsHub) -> Self {
         ClientProxy {
             streams,
             tuning,
             metrics,
-            ums: Vec::new(),
+            inputs: Inputs::default(),
             recorders: Vec::new(),
-        }
-    }
-
-    fn apply_actions(
-        &self,
-        ctx: &mut dyn RuntimeCtx<NetMsg>,
-        stream: StreamId,
-        actions: Vec<UpstreamAction>,
-    ) {
-        for a in actions {
-            match a {
-                UpstreamAction::Subscribe {
-                    to,
-                    last_stable,
-                    saw_tentative,
-                    fresh_only,
-                } => {
-                    ctx.send(
-                        to,
-                        NetMsg::Subscribe {
-                            stream,
-                            last_stable,
-                            saw_tentative,
-                            fresh_only,
-                        },
-                    );
-                }
-                UpstreamAction::Unsubscribe { from } => {
-                    ctx.send(from, NetMsg::Unsubscribe { stream });
-                }
-            }
         }
     }
 }
@@ -111,14 +73,10 @@ impl DpcActor<NetMsg> for ClientProxy {
     /// Startup: subscribe to every watched stream, arm the timers.
     fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
         let now = ctx.now();
-        for cs in self.streams.clone() {
-            let monitor = cs.candidates.len() > 1;
-            let mut um = UpstreamManager::new(cs.stream, cs.candidates, monitor, now);
-            let actions = um.initial_subscribe();
-            self.ums.push(um);
-            self.recorders.push(self.metrics.recorder(cs.stream));
-            self.apply_actions(ctx, cs.stream, actions);
-        }
+        self.inputs = Inputs::new(&self.streams, false, now);
+        let watched = self.streams.iter();
+        self.recorders = watched.map(|cs| self.metrics.recorder(cs.stream)).collect();
+        self.inputs.subscribe_all(ctx);
         ctx.set_timer(now + self.tuning.heartbeat_period, TIMER_HEARTBEAT);
         ctx.set_timer(now + self.tuning.ack_period, TIMER_ACK);
     }
@@ -127,42 +85,24 @@ impl DpcActor<NetMsg> for ClientProxy {
     fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, msg: NetMsg) {
         match msg {
             NetMsg::Data { stream, tuples } => {
-                let now = ctx.now();
-                let Some(i) = self.ums.iter().position(|u| u.stream() == stream) else {
+                let Some((i, fresh, actions)) = self.inputs.intake(from, stream, tuples) else {
                     return;
                 };
-                if !self.ums[i].accepts_from(from) {
-                    return;
-                }
-                let mut actions = Vec::new();
-                let mut accepted: Vec<&Tuple> = Vec::with_capacity(tuples.len());
-                for t in tuples.iter() {
-                    if self.ums[i].is_duplicate(t) {
-                        continue; // retransmission after a link heal
-                    }
-                    actions.extend(self.ums[i].observe_tuple(from, t));
-                    accepted.push(t);
-                }
                 // One lock acquisition per delivered batch, on this
                 // stream's own shard (none when everything was a
                 // duplicate, e.g. a post-heal retransmission storm).
-                if !accepted.is_empty() {
-                    self.recorders[i].record_all(now, accepted);
+                if !fresh.is_empty() {
+                    self.recorders[i].record_all(ctx.now(), fresh.iter());
                 }
-                self.apply_actions(ctx, stream, actions);
+                Inputs::send(ctx, actions);
             }
             NetMsg::HeartbeatResp {
                 node_state,
                 stream_states,
             } => {
-                let now = ctx.now();
                 let stale = self.tuning.stale_timeout;
-                for i in 0..self.ums.len() {
-                    self.ums[i].heartbeat_response(from, node_state, &stream_states, now);
-                    let actions = self.ums[i].evaluate(now, stale);
-                    let stream = self.ums[i].stream();
-                    self.apply_actions(ctx, stream, actions);
-                }
+                self.inputs
+                    .heartbeat_response(ctx, from, node_state, &stream_states, stale);
             }
             _ => {}
         }
@@ -173,30 +113,11 @@ impl DpcActor<NetMsg> for ClientProxy {
         let now = ctx.now();
         match kind {
             TIMER_HEARTBEAT => {
-                let stale = self.tuning.stale_timeout;
-                for i in 0..self.ums.len() {
-                    let actions = self.ums[i].evaluate(now, stale);
-                    let stream = self.ums[i].stream();
-                    self.apply_actions(ctx, stream, actions);
-                    for target in self.ums[i].heartbeat_targets() {
-                        ctx.send(target, NetMsg::HeartbeatReq);
-                    }
-                }
+                self.inputs.heartbeat_round(ctx, self.tuning.stale_timeout);
                 ctx.set_timer(now + self.tuning.heartbeat_period, TIMER_HEARTBEAT);
             }
             TIMER_ACK => {
-                for um in &self.ums {
-                    let through = um.last_stable();
-                    for &cand in um.candidates() {
-                        ctx.send(
-                            cand,
-                            NetMsg::Ack {
-                                stream: um.stream(),
-                                through,
-                            },
-                        );
-                    }
-                }
+                self.inputs.send_acks(ctx);
                 ctx.set_timer(now + self.tuning.ack_period, TIMER_ACK);
             }
             _ => {}
@@ -208,14 +129,11 @@ impl DpcActor<NetMsg> for ClientProxy {
     /// held for us — the next evaluation switches to a live replica or
     /// re-subscribes when the producer recovers from disk.
     fn on_fault(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, fault: &FaultEvent) {
-        if let FaultEvent::NodeDown(n) = fault {
-            if *n == ctx.id() {
-                return;
+        match fault {
+            FaultEvent::NodeDown(n) if *n != ctx.id() => {
+                self.inputs.connection_lost(*n, ctx.now());
             }
-            let now = ctx.now();
-            for um in &mut self.ums {
-                um.connection_lost(*n, now);
-            }
+            _ => {}
         }
     }
 }

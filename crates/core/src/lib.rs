@@ -19,14 +19,18 @@
 //! `borealis-engine` fragment executor and the `borealis-sim` deterministic
 //! simulator:
 //!
-//! * [`node::ProcessingNode`] — the node actor: Data Path (subscriptions,
-//!   replay, ack-driven truncation), Consistency Manager (state machine,
-//!   keep-alives, Table II switching, the Fig. 9 stagger protocol), and the
-//!   CPU cost model;
-//! * [`source::DataSource`] — rate-controlled sources with persistent logs,
-//!   boundary emission, and fault hooks;
-//! * [`client::ClientProxy`] — the consumer-side library, recording the
-//!   paper's metrics (`Procnew`, `Ntentative`) into a [`metrics::MetricsHub`];
+//! * the two halves of the Data Path, each written once:
+//!   [`publisher::Publisher`] (producer: emission logs, subscriptions and
+//!   replay, ack-driven truncation, paced departures) and
+//!   [`upstream::Inputs`] (consumer: resume positions, duplicate filtering,
+//!   keep-alives, Table II switching, acks);
+//! * [`node::ProcessingNode`] — the node actor: a fragment between the two
+//!   halves, plus the Consistency Manager (state machine, the Fig. 9
+//!   stagger protocol) and the CPU cost model;
+//! * [`source::DataSource`] — a rate-controlled generator in front of a
+//!   producer half (persistent log, boundary emission, fault hooks);
+//! * [`client::ClientProxy`] — a consumer half recording the paper's
+//!   metrics (`Procnew`, `Ntentative`) into a [`metrics::MetricsHub`];
 //! * [`system::SystemBuilder`] — deployment wiring (Fig. 2).
 
 #![warn(missing_docs)]
@@ -38,22 +42,24 @@ pub mod durable;
 pub mod metrics;
 pub mod msg;
 pub mod node;
+pub mod publisher;
 pub mod runtime;
 pub mod source;
 pub mod system;
 pub mod upstream;
 
 pub use buffers::{BufferPolicy, OutputBuffer};
-pub use client::{ClientProxy, ClientStream, ClientTuning};
+pub use client::{ClientProxy, ClientTuning};
 pub use codec::{decode_frame, decode_payload, encode_frame, WireMsg};
 pub use durable::{DurabilityConfig, NodeDisk, RecoveredImage};
 pub use metrics::{MetricsHub, StreamMetrics, StreamRecorder, TraceEntry};
 pub use msg::{NetMsg, NodeState};
-pub use node::{NodeConfig, NodeTuning, ProcessingNode, UpstreamSpec};
+pub use node::{NodeConfig, NodeTuning, ProcessingNode};
+pub use publisher::Publisher;
 pub use runtime::{DpcActor, RuntimeCtx};
 pub use source::{DataSource, SourceConfig, ValueGen};
 pub use system::{ActorSpec, FaultSpec, RunningSystem, SystemBuilder, SystemLayout, RESTART_DELAY};
-pub use upstream::{UpstreamAction, UpstreamManager};
+pub use upstream::{Inputs, Requests, UpstreamManager, UpstreamSpec};
 
 #[cfg(test)]
 mod tests {

@@ -24,7 +24,7 @@ pub enum NodeState {
 }
 
 /// A message between two participants of the deployed system.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NetMsg {
     /// Tuples on a stream, in order.
     ///

@@ -1,45 +1,37 @@
 //! The DPC processing node: fragment execution + Data Path + Consistency
 //! Manager (§3, Fig. 4(b)).
 //!
-//! Each node actor runs one replica of one query-diagram fragment and
-//! implements, around it:
+//! Each node actor runs one replica of one query-diagram fragment between
+//! the two halves of the Data Path, each written once and shared:
 //!
-//! * the **Data Path**: per-output-stream emission logs with
-//!   subscription/replay (Fig. 8) and ack-driven truncation (§8.1), and
-//!   per-input-stream upstream managers;
-//! * the **Consistency Manager**: the node state machine (Fig. 5),
-//!   keep-alive monitoring of upstream replicas with the Table II switching
-//!   rules, per-stream state advertisement (§8.2), and the inter-replica
-//!   stagger protocol that keeps one replica live while the other
-//!   stabilizes (§4.4.3, Fig. 9);
-//! * a **CPU cost model**: each processed tuple charges a configurable
-//!   service time; outputs leave the node when the work completes. This is
-//!   what makes reconciliation of a long failure take proportionally long
-//!   (the effect behind the paper's §6.1 trade-off study) and creates the
-//!   queueing delays §6.3 subtracts from the delay budget.
+//! * the **consumer half** ([`Inputs`], also the client proxy's): per input
+//!   stream, subscription with exact resume positions, duplicate filtering,
+//!   keep-alive monitoring with the Table II switching rules, acks;
+//! * the **producer half** ([`Publisher`], also the data source's): per
+//!   output stream, the emission log with subscription/replay (Fig. 8),
+//!   ack-driven truncation (§8.1), and the paced departure of outputs.
+//!
+//! The node's own are the **Consistency Manager** — the state machine
+//! (Fig. 5), per-stream state advertisement (§8.2), and the inter-replica
+//! stagger protocol that keeps one replica live while the other stabilizes
+//! (§4.4.3, Fig. 9) — and the **CPU cost model**: each processed tuple
+//! charges a configurable service time and outputs leave as the work
+//! completes, which makes reconciliation of a long failure take
+//! proportionally long (§6.1) and creates the queueing delays §6.3
+//! subtracts from the delay budget. The node only computes the busy
+//! window; *when* a message leaves is the publisher's state, and it leaves
+//! through the runtime's single send verb from one of this actor's handlers.
 
-use crate::buffers::{BufferPolicy, OutputBuffer};
+use crate::buffers::BufferPolicy;
 use crate::durable::{DurabilityConfig, NodeDisk};
 use crate::msg::{NetMsg, NodeState};
+use crate::publisher::Publisher;
 use crate::runtime::{DpcActor, RuntimeCtx};
-use crate::upstream::{UpstreamAction, UpstreamManager};
+use crate::upstream::{Inputs, UpstreamSpec};
 use borealis_diagram::FragmentPlan;
 use borealis_engine::{Batch, Fragment};
 use borealis_sim::FaultEvent;
-use borealis_types::{BatchView, Duration, NodeId, StreamId, Time, Tuple, TupleBatch, TupleId};
-use std::collections::HashMap;
-
-/// Upstream binding of one input stream.
-#[derive(Debug, Clone)]
-pub struct UpstreamSpec {
-    /// The input stream.
-    pub stream: StreamId,
-    /// Nodes able to produce it (a source, or the replicas of the upstream
-    /// fragment).
-    pub candidates: Vec<NodeId>,
-    /// Whether to monitor and switch between candidates.
-    pub monitor: bool,
-}
+use borealis_types::{Duration, NodeId, StreamId, Time, TupleId};
 
 /// Performance/protocol tuning knobs shared by all nodes of a deployment.
 #[derive(Debug, Clone)]
@@ -108,12 +100,10 @@ const TIMER_CHECKPOINT: u64 = 8;
 pub struct ProcessingNode {
     cfg: NodeConfig,
     fragment: Fragment,
-    ums: Vec<UpstreamManager>,
-    out: HashMap<StreamId, OutputBuffer>,
-    /// Per-output-stream subscriber positions into the emission log.
-    subscribers: HashMap<StreamId, HashMap<NodeId, usize>>,
-    /// Per-output-stream cumulative acks.
-    acks: HashMap<StreamId, HashMap<NodeId, TupleId>>,
+    /// The consumer half: one upstream manager per input stream.
+    inputs: Inputs,
+    /// The producer half: emission logs, subscribers, paced departures.
+    out: Publisher,
     busy_until: Time,
     state: NodeState,
     /// Outstanding stabilization request target.
@@ -135,18 +125,12 @@ impl ProcessingNode {
     /// Creates the node from its configuration.
     pub fn new(cfg: NodeConfig) -> ProcessingNode {
         let fragment = Fragment::from_plan(&cfg.plan);
-        let out = fragment
-            .output_streams()
-            .into_iter()
-            .map(|s| (s, OutputBuffer::new(cfg.tuning.buffer_policy)))
-            .collect();
+        let out = Self::publisher(&cfg, &fragment);
         ProcessingNode {
             cfg,
             fragment,
-            ums: Vec::new(),
+            inputs: Inputs::default(),
             out,
-            subscribers: HashMap::new(),
-            acks: HashMap::new(),
             busy_until: Time::ZERO,
             state: NodeState::Stable,
             pending_request: None,
@@ -159,49 +143,18 @@ impl ProcessingNode {
         }
     }
 
-    /// Current node state (tests/diagnostics).
-    pub fn state(&self) -> NodeState {
-        self.state
+    /// An empty producer half for `fragment`'s output streams. A stream
+    /// with no configured consumer count is never truncated.
+    fn publisher(cfg: &NodeConfig, fragment: &Fragment) -> Publisher {
+        let streams = fragment.output_streams().into_iter().map(|s| {
+            let expected = cfg.downstream_counts.iter().find(|(d, _)| *d == s);
+            (s, expected.map_or(usize::MAX, |(_, n)| *n))
+        });
+        Publisher::new(streams, cfg.tuning.buffer_policy, cfg.tuning.dispatch_chunk)
     }
 
-    /// Fragment access (tests/diagnostics).
-    pub fn fragment(&self) -> &Fragment {
-        &self.fragment
-    }
-
-    fn apply_actions(
-        &mut self,
-        ctx: &mut dyn RuntimeCtx<NetMsg>,
-        stream: StreamId,
-        actions: Vec<UpstreamAction>,
-    ) {
-        for a in actions {
-            match a {
-                UpstreamAction::Subscribe {
-                    to,
-                    last_stable,
-                    saw_tentative,
-                    fresh_only,
-                } => {
-                    ctx.send(
-                        to,
-                        NetMsg::Subscribe {
-                            stream,
-                            last_stable,
-                            saw_tentative,
-                            fresh_only,
-                        },
-                    );
-                }
-                UpstreamAction::Unsubscribe { from } => {
-                    ctx.send(from, NetMsg::Unsubscribe { stream });
-                }
-            }
-        }
-    }
-
-    /// Charges CPU time for a batch and retains its output batches by
-    /// shared view, then dispatches across the busy window.
+    /// Charges CPU time for a batch, retains its output batches by shared
+    /// view, and lets them depart across the busy window.
     fn handle_batch(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, batch: Batch, event_time: Time) {
         let start = self.busy_until.max(event_time);
         let cost = Duration::from_micros(
@@ -213,60 +166,14 @@ impl ProcessingNode {
         );
         self.busy_until = start + cost;
         for (stream, tuples) in batch.outputs {
-            if let Some(buf) = self.out.get_mut(&stream) {
-                buf.append_batch(tuples);
-            }
+            self.out.publish(stream, tuples);
         }
-        self.flush_subscribers(ctx, start, self.busy_until);
-    }
-
-    /// Sends every subscriber its pending emission-log suffix, spreading
-    /// departures across `[w_start, w_end]` (outputs stream out as the CPU
-    /// produces them, rather than in one burst at the end).
-    ///
-    /// The suffix is taken as shared batch views and re-chunked by range
-    /// split, so N subscribers behind the same position cost N
-    /// reference-count bumps per batch — fan-out is independent of
-    /// replication degree.
-    fn flush_subscribers(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, w_start: Time, w_end: Time) {
-        let chunk = self.cfg.tuning.dispatch_chunk.max(1);
-        for (&stream, subs) in &mut self.subscribers {
-            let Some(buf) = self.out.get(&stream) else {
-                continue;
-            };
-            let end = buf.end();
-            for (&sub, pos) in subs.iter_mut() {
-                if *pos >= end {
-                    continue;
-                }
-                let pieces: Vec<_> = buf
-                    .batches_from(*pos)
-                    .iter()
-                    .flat_map(|b| b.chunks_shared(chunk))
-                    .collect();
-                *pos = end;
-                let n_chunks = pieces.len();
-                let window = w_end.since(w_start);
-                for (j, piece) in pieces.into_iter().enumerate() {
-                    let frac = (j + 1) as u64;
-                    let depart = w_start
-                        + Duration::from_micros(window.as_micros() * frac / n_chunks.max(1) as u64);
-                    ctx.send_after(
-                        sub,
-                        NetMsg::Data {
-                            stream,
-                            tuples: piece.into(),
-                        },
-                        depart,
-                    );
-                }
-            }
-        }
+        self.out.flush(ctx, start, self.busy_until);
     }
 
     fn refresh_state(&mut self) {
         if self.state != NodeState::Stabilization {
-            let input_dead = self.ums.iter().any(|u| !u.has_live_producer());
+            let input_dead = self.inputs.ums.iter().any(|u| !u.has_live_producer());
             self.state = if self.fragment.is_tainted() || input_dead {
                 NodeState::UpFailure
             } else {
@@ -331,7 +238,7 @@ impl ProcessingNode {
         // With an input stream whose every producer is unreachable, all
         // outputs are suspect (coarse §8.2 fallback: we do not track which
         // branch each input feeds).
-        let input_dead = self.ums.iter().any(|u| !u.has_live_producer());
+        let input_dead = self.inputs.ums.iter().any(|u| !u.has_live_producer());
         self.fragment
             .output_health()
             .into_iter()
@@ -379,13 +286,13 @@ impl ProcessingNode {
         }
         let now = ctx.now();
         for &(stream, last_stable, saw_tentative) in &image.positions {
-            if let Some(um) = self.ums.iter_mut().find(|u| u.stream() == stream) {
+            if let Some(um) = self.inputs.ums.iter_mut().find(|u| u.stream() == stream) {
                 um.seed_recovered(last_stable, saw_tentative);
             }
         }
         let n_replay = image.replay.len();
         for (stream, tuples) in image.replay {
-            if let Some(um) = self.ums.iter_mut().find(|u| u.stream() == stream) {
+            if let Some(um) = self.inputs.ums.iter_mut().find(|u| u.stream() == stream) {
                 for t in tuples.as_slice() {
                     um.observe_replay(t);
                 }
@@ -411,141 +318,49 @@ impl DpcActor<NetMsg> for ProcessingNode {
     /// the suffix the disk image does not cover.
     fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
         let now = ctx.now();
-        let specs = self.cfg.upstreams.clone();
-        for spec in specs {
-            self.ums.push(UpstreamManager::new(
-                spec.stream,
-                spec.candidates,
-                spec.monitor,
-                now,
-            ));
-        }
+        // Fragment streams are monitored for Table II switching; source
+        // streams are monitored so that a node cut off from its sources
+        // detects the silence via missed keep-alives (Fig. 5) even with no
+        // data in flight.
+        self.inputs = Inputs::new(&self.cfg.upstreams, true, now);
         if let Some(dcfg) = self.cfg.durability.clone() {
             self.recover_from_disk(ctx, &dcfg);
             ctx.set_timer(now + dcfg.interval, TIMER_CHECKPOINT);
         }
-        for i in 0..self.ums.len() {
-            let actions = self.ums[i].initial_subscribe();
-            let stream = self.ums[i].stream();
-            self.apply_actions(ctx, stream, actions);
-        }
+        self.inputs.subscribe_all(ctx);
         ctx.set_timer(now + self.cfg.tuning.heartbeat_period, TIMER_HEARTBEAT);
         ctx.set_timer(now + self.cfg.tuning.ack_period, TIMER_ACK);
     }
 
     /// Handles one protocol message.
     fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, msg: NetMsg) {
+        self.out.release_due(ctx);
         match msg {
             NetMsg::Data { stream, tuples } => {
                 let now = ctx.now();
-                let Some(i) = self.ums.iter().position(|u| u.stream() == stream) else {
+                let Some((_, fresh, actions)) = self.inputs.intake(from, stream, tuples) else {
                     return;
                 };
-                if !self.ums[i].accepts_from(from) {
-                    return; // stale sender (already unsubscribed)
+                // Only deduplicated input reaches the log, so a replay
+                // feeds the fragment the exact accepted stream.
+                if let Some(disk) = self.disk.as_mut() {
+                    disk.append_input(stream, &fresh);
                 }
-                let mut actions = Vec::new();
-                // Duplicate detection (retransmissions after a link heal)
-                // interleaves with prefix bookkeeping, as tuple-at-a-time
-                // processing would.
-                let mut dup_idx: Vec<usize> = Vec::new();
-                for (k, t) in tuples.iter().enumerate() {
-                    if self.ums[i].is_duplicate(t) {
-                        dup_idx.push(k);
-                        continue;
-                    }
-                    actions.extend(self.ums[i].observe_tuple(from, t));
-                }
-                let batch = if dup_idx.is_empty() {
-                    // Common case: the received view enters the fragment
-                    // run by run as shared slices, no tuple copies.
-                    if let Some(disk) = self.disk.as_mut() {
-                        disk.append_input(stream, &tuples);
-                    }
-                    self.fragment.push_view(stream, &tuples, now)
-                } else {
-                    let mut fresh: Vec<Tuple> = Vec::with_capacity(tuples.len() - dup_idx.len());
-                    let mut d = 0;
-                    for (k, t) in tuples.iter().enumerate() {
-                        if d < dup_idx.len() && dup_idx[d] == k {
-                            d += 1;
-                            continue;
-                        }
-                        fresh.push(t.clone());
-                    }
-                    let fresh: BatchView = TupleBatch::from_vec(fresh).into();
-                    // Only deduplicated input reaches the log, so a replay
-                    // feeds the fragment the exact accepted stream.
-                    if let Some(disk) = self.disk.as_mut() {
-                        disk.append_input(stream, &fresh);
-                    }
-                    self.fragment.push_view(stream, &fresh, now)
-                };
+                let batch = self.fragment.push_view(stream, &fresh, now);
                 self.handle_batch(ctx, batch, now);
                 // Credit accounting: this delivery is consumed when the
                 // modeled CPU has processed it — a saturated node returns
                 // credits late, which is what makes its upstream links
                 // stall instead of flooding its mailbox.
                 ctx.data_consumed_at(self.busy_until);
-                self.apply_actions(ctx, stream, actions);
+                Inputs::send(ctx, actions);
                 self.post_event(ctx);
             }
-            NetMsg::Subscribe {
-                stream,
-                last_stable,
-                saw_tentative,
-                fresh_only,
-            } => {
-                if self.recovering {
-                    return;
-                }
-                let Some(buf) = self.out.get_mut(&stream) else {
-                    return;
-                };
-                let pos = if fresh_only {
-                    buf.end()
-                } else {
-                    buf.position_after_stable(last_stable)
-                };
-                if saw_tentative && !fresh_only {
-                    ctx.send(
-                        from,
-                        NetMsg::Data {
-                            stream,
-                            tuples: TupleBatch::single(Tuple::undo(TupleId::NONE, last_stable))
-                                .into(),
-                        },
-                    );
-                }
-                self.subscribers
-                    .entry(stream)
-                    .or_default()
-                    .insert(from, pos);
-                let start = self.busy_until.max(ctx.now());
-                self.flush_subscribers(ctx, start, start);
-            }
-            NetMsg::Unsubscribe { stream } => {
-                if let Some(subs) = self.subscribers.get_mut(&stream) {
-                    subs.remove(&from);
-                }
-            }
-            NetMsg::Ack { stream, through } => {
-                let acks = self.acks.entry(stream).or_default();
-                let e = acks.entry(from).or_insert(TupleId::NONE);
-                *e = (*e).max(through);
-                let expected = self
-                    .cfg
-                    .downstream_counts
-                    .iter()
-                    .find(|(s, _)| *s == stream)
-                    .map(|(_, n)| *n)
-                    .unwrap_or(usize::MAX);
-                if acks.len() >= expected {
-                    let min = acks.values().copied().min().unwrap_or(TupleId::NONE);
-                    if let Some(buf) = self.out.get_mut(&stream) {
-                        buf.truncate_through(min);
-                    }
-                }
+            // §4.5: a recovering node serves no subscriptions.
+            NetMsg::Subscribe { .. } if self.recovering => {}
+            NetMsg::Subscribe { .. } | NetMsg::Unsubscribe { .. } | NetMsg::Ack { .. } => {
+                let ready = self.busy_until.max(ctx.now()); // when the modelled CPU is free
+                self.out.on_message(ctx, from, msg, ready);
             }
             NetMsg::HeartbeatReq => {
                 if self.recovering {
@@ -561,14 +376,9 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 node_state,
                 stream_states,
             } => {
-                let now = ctx.now();
                 let stale = self.cfg.tuning.stale_timeout;
-                for i in 0..self.ums.len() {
-                    self.ums[i].heartbeat_response(from, node_state, &stream_states, now);
-                    let actions = self.ums[i].evaluate(now, stale);
-                    let stream = self.ums[i].stream();
-                    self.apply_actions(ctx, stream, actions);
-                }
+                self.inputs
+                    .heartbeat_response(ctx, from, node_state, &stream_states, stale);
             }
             NetMsg::ReconcileRequest => {
                 let must_reject = self.state == NodeState::Stabilization
@@ -612,6 +422,7 @@ impl DpcActor<NetMsg> for ProcessingNode {
 
     /// Handles one timer callback.
     fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
+        self.out.release_due(ctx);
         let now = ctx.now();
         match kind {
             TIMER_TICK => {
@@ -621,15 +432,8 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 self.post_event(ctx);
             }
             TIMER_HEARTBEAT => {
-                let stale = self.cfg.tuning.stale_timeout;
-                for i in 0..self.ums.len() {
-                    let actions = self.ums[i].evaluate(now, stale);
-                    let stream = self.ums[i].stream();
-                    self.apply_actions(ctx, stream, actions);
-                    for target in self.ums[i].heartbeat_targets() {
-                        ctx.send(target, NetMsg::HeartbeatReq);
-                    }
-                }
+                self.inputs
+                    .heartbeat_round(ctx, self.cfg.tuning.stale_timeout);
                 // A stabilization grant held for a peer that is no longer
                 // reachable (crashed or partitioned away) staggers nothing
                 // — the partner cannot be mid-stabilization relying on us
@@ -647,11 +451,11 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 // outlasts the detection delay becomes an explicit
                 // UP_FAILURE — overload turns into delayed buckets under
                 // the DelayMode budget, not silent unbounded buffering.
-                for i in 0..self.ums.len() {
-                    let from = self.ums[i].current();
+                for i in 0..self.inputs.ums.len() {
+                    let um = &self.inputs.ums[i];
+                    let (stream, from) = (um.stream(), um.current());
                     let stalled = ctx.inbound_stall(from);
                     if stalled > Duration::ZERO {
-                        let stream = self.ums[i].stream();
                         let batch = self.fragment.note_input_stall(stream, stalled, now);
                         self.handle_batch(ctx, batch, now);
                         self.post_event(ctx);
@@ -661,18 +465,7 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 ctx.set_timer(now + self.cfg.tuning.heartbeat_period, TIMER_HEARTBEAT);
             }
             TIMER_ACK => {
-                for um in &self.ums {
-                    let through = um.last_stable();
-                    for &cand in um.candidates() {
-                        ctx.send(
-                            cand,
-                            NetMsg::Ack {
-                                stream: um.stream(),
-                                through,
-                            },
-                        );
-                    }
-                }
+                self.inputs.send_acks(ctx);
                 ctx.set_timer(now + self.cfg.tuning.ack_period, TIMER_ACK);
             }
             TIMER_RETRY => {
@@ -713,6 +506,7 @@ impl DpcActor<NetMsg> for ProcessingNode {
                     // are recovered via upstream replay, not from disk).
                     if let Some(parts) = self.fragment.capture_durable() {
                         let positions: Vec<(StreamId, TupleId, bool)> = self
+                            .inputs
                             .ums
                             .iter()
                             .map(|u| (u.stream(), u.last_stable(), u.saw_tentative()))
@@ -749,44 +543,16 @@ impl DpcActor<NetMsg> for ProcessingNode {
 
     /// Reacts to a fault notification (link heals, own crash/restart).
     fn on_fault(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, fault: &FaultEvent) {
+        self.out.release_due(ctx);
         match fault {
-            FaultEvent::LinkUp { a, b } => {
-                // In-flight output tuples may have been lost: rewind healed
-                // subscribers to their acknowledged positions and resend
-                // (consumers deduplicate the overlap).
-                let peer = if *a == ctx.id() { *b } else { *a };
-                for (&stream, subs) in &mut self.subscribers {
-                    let Some(pos) = subs.get_mut(&peer) else {
-                        continue;
-                    };
-                    let acked = self
-                        .acks
-                        .get(&stream)
-                        .and_then(|m| m.get(&peer))
-                        .copied()
-                        .unwrap_or(TupleId::NONE);
-                    if let Some(buf) = self.out.get_mut(&stream) {
-                        *pos = (*pos).min(buf.position_after_stable(acked));
-                    }
-                }
-                let start = self.busy_until.max(ctx.now());
-                self.flush_subscribers(ctx, start, start);
-            }
             FaultEvent::NodeUp(n) if *n == ctx.id() => {
                 // Crash recovery: restart from an empty state (§4.5) —
                 // unless a durable store is configured, in which case
                 // `start` reloads the newest snapshot and replays the
-                // logged input suffix before resubscribing.
+                // logged input suffix before resubscribing. Logs,
+                // subscribers and queued departures are volatile state.
                 self.fragment = Fragment::from_plan(&self.cfg.plan);
-                self.out = self
-                    .fragment
-                    .output_streams()
-                    .into_iter()
-                    .map(|s| (s, OutputBuffer::new(self.cfg.tuning.buffer_policy)))
-                    .collect();
-                self.subscribers.clear();
-                self.acks.clear();
-                self.ums.clear();
+                self.out = Self::publisher(&self.cfg, &self.fragment);
                 self.busy_until = ctx.now();
                 self.state = NodeState::Stable;
                 self.pending_request = None;
@@ -795,27 +561,18 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 self.recovering = true;
                 self.on_start(ctx);
                 ctx.set_timer(ctx.now() + Duration::from_millis(500), TIMER_RECOVERY_DONE);
+                return;
             }
             FaultEvent::NodeDown(n) if *n != ctx.id() => {
-                // The transport saw the connection to `n`'s process torn (a
-                // crash, not a scripted fault — those only notify the
-                // victim). Everything `n` knew about us died with it:
-                // upstream subscriptions we held there are gone even if it
-                // restarts before a keep-alive goes stale, and a
-                // subscription *it* held here will be re-requested from
-                // scratch once it recovers.
-                let now = ctx.now();
-                for um in &mut self.ums {
-                    um.connection_lost(*n, now);
-                }
-                for subs in self.subscribers.values_mut() {
-                    subs.remove(n);
-                }
-                for acks in self.acks.values_mut() {
-                    acks.remove(n);
-                }
+                // A torn connection to `n`'s process: upstream subscriptions
+                // we held there are gone even if it restarts before a
+                // keep-alive goes stale (what it held *here* is the
+                // publisher's to forget, below).
+                self.inputs.connection_lost(*n, ctx.now());
             }
             _ => {}
         }
+        let ready = self.busy_until.max(ctx.now()); // when the modelled CPU is free
+        self.out.on_fault(ctx, fault, ready);
     }
 }

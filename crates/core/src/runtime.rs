@@ -10,7 +10,9 @@
 //!   of a runtime (clock, messaging, timers, reachability, randomness). The
 //!   deterministic simulator's kernel implements it (virtual time, seeded
 //!   RNG), and so does the worker pool's context in `borealis-runtime`
-//!   (monotonic wall clock, mailboxes, sockets).
+//!   (monotonic wall clock, mailboxes, sockets). It has one send verb,
+//!   and it means "now": a runtime delivers and wakes, it never sends for
+//!   an actor — pacing is the actor's own state ([`crate::Publisher`]).
 //! * [`DpcActor`]`<NetMsg>` (`borealis_sim::Actor`): the actor interface.
 //!   It takes `&mut dyn RuntimeCtx`, so every runtime drives the same boxed
 //!   protocol actors without knowing their concrete types.
@@ -23,6 +25,52 @@
 
 pub use borealis_sim::{Actor as DpcActor, Ctx as RuntimeCtx};
 
+/// A scripted [`RuntimeCtx`] for unit tests of protocol code: the test sets
+/// the clock and plays the runtime (delivering messages, firing timers — or
+/// not, or late, or in any order); everything the code under test sends or
+/// arms is recorded.
+#[cfg(test)]
+pub(crate) mod fake {
+    use super::RuntimeCtx;
+    use crate::msg::NetMsg;
+    use borealis_types::{Duration, NodeId, Time};
+
+    #[derive(Default)]
+    pub(crate) struct FakeCtx {
+        pub now: Time,
+        pub id: NodeId,
+        /// Every send so far: (instant, destination, message).
+        pub sent: Vec<(Time, NodeId, NetMsg)>,
+        /// Every timer armed so far: (due instant, kind).
+        pub timers: Vec<(Time, u64)>,
+    }
+
+    impl RuntimeCtx<NetMsg> for FakeCtx {
+        fn now(&self) -> Time {
+            self.now
+        }
+        fn id(&self) -> NodeId {
+            self.id
+        }
+        fn send(&mut self, to: NodeId, msg: NetMsg) {
+            self.sent.push((self.now, to, msg));
+        }
+        fn data_consumed_at(&mut self, _at: Time) {}
+        fn inbound_stall(&self, _from: NodeId) -> Duration {
+            Duration::ZERO
+        }
+        fn set_timer(&mut self, at: Time, kind: u64) {
+            self.timers.push((at.max(self.now), kind));
+        }
+        fn reachable(&self, _to: NodeId) -> bool {
+            true
+        }
+        fn rand_range(&mut self, _n: u64) -> u64 {
+            0
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -32,7 +80,7 @@ mod tests {
 
     /// An actor written purely against RuntimeCtx, driven by the simulator:
     /// exercises the full surface
-    /// (now/id/send/send_after/set_timer/reachable/rand_range).
+    /// (now/id/send/set_timer/reachable/rand_range).
     struct Probe {
         peer: NodeId,
         got: Vec<(u64, String)>,
@@ -58,12 +106,7 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
             self.got
                 .push((ctx.now().as_millis(), format!("timer{kind}")));
-            // Departure in the future: arrival = depart + latency.
-            ctx.send_after(
-                self.peer,
-                NetMsg::HeartbeatReq,
-                ctx.now() + Duration::from_millis(10),
-            );
+            ctx.send(self.peer, NetMsg::HeartbeatReq);
         }
     }
 

@@ -3,24 +3,27 @@
 //! Sources stamp tuples with the (virtual) clock, emit periodic boundary
 //! tuples as punctuation + heartbeat (§4.2.1), and "log input tuples
 //! persistently before transmitting them to all replicas that process the
-//! corresponding streams" — here, an in-memory log per source with
-//! per-subscriber delivery positions. A subscriber that was unreachable
-//! (link failure) simply stops advancing; when the link heals, the next
-//! delivery flushes the whole backlog — the paper's "the data source
-//! replays all missing tuples while continuing to produce new tuples".
+//! corresponding streams". The paper lets sources take part in DPC through
+//! a proxy running the same functionality as a node, and that is what this
+//! actor is: a generator in front of the producer half every producing
+//! actor shares ([`Publisher`]) — one stream, a log never truncated, whole
+//! batches per message, no modelled CPU (everything leaves at once). A
+//! subscriber cut off by a link failure is sent to regardless (the fabric
+//! counts the drops); when the link heals it is rewound to its acknowledged
+//! position — the paper's "the data source replays all missing tuples while
+//! continuing to produce new tuples".
 //!
 //! Scripted faults: [`DataSource::MUTE_BOUNDARIES`] suppresses boundary
 //! production only (the §6.2 failure mode used by the chain experiments,
 //! where the output rate must stay unchanged), and link failures are
 //! injected at the network layer.
 
+use crate::buffers::BufferPolicy;
 use crate::msg::{NetMsg, NodeState};
+use crate::publisher::Publisher;
 use crate::runtime::{DpcActor, RuntimeCtx};
 use borealis_sim::FaultEvent;
-use borealis_types::{
-    BatchLog, Duration, NodeId, StreamId, Time, Tuple, TupleBatch, TupleId, Value,
-};
-use std::collections::HashMap;
+use borealis_types::{Duration, NodeId, StreamId, Time, Tuple, TupleBatch, TupleId, Value};
 use std::sync::Arc;
 
 /// Deterministic tuple-payload generators.
@@ -104,14 +107,10 @@ const TIMER_BOUNDARY: u64 = 2;
 /// The data-source actor.
 pub struct DataSource {
     cfg: SourceConfig,
-    /// The persistent input log, stored as shared batches: replaying a
-    /// backlog to N subscribers shares one allocation N ways.
-    log: BatchLog,
+    /// The persistent input log and its subscribers: the producer half,
+    /// never truncating.
+    out: Publisher,
     next_id: u64,
-    subscribers: HashMap<NodeId, usize>,
-    /// Last stable tuple each subscriber acknowledged (rewind point after
-    /// a link failure: in-flight tuples may have been lost).
-    acked: HashMap<NodeId, TupleId>,
     boundaries_muted: bool,
 }
 
@@ -123,40 +122,19 @@ impl DataSource {
 
     /// Creates a source from its configuration.
     pub fn new(cfg: SourceConfig) -> DataSource {
+        // One stream, no ack count that would ever allow truncation (the
+        // log is persistent, §2.2; acks still mark the rewind point after a
+        // link failure), and every generated batch as one message.
+        let out = Publisher::new(
+            [(cfg.stream, usize::MAX)],
+            BufferPolicy::Unbounded,
+            usize::MAX,
+        );
         DataSource {
             cfg,
-            log: BatchLog::new(),
+            out,
             next_id: 1,
-            subscribers: HashMap::new(),
-            acked: HashMap::new(),
             boundaries_muted: false,
-        }
-    }
-
-    /// Size of the persistent log (tests, buffer accounting).
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
-    fn flush(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
-        let stream = self.cfg.stream;
-        for (&sub, pos) in &mut self.subscribers {
-            if *pos >= self.log.len() || !ctx.reachable(sub) {
-                continue;
-            }
-            // Shared views of the log suffix: every subscriber behind the
-            // same position receives reference-counted clones of the same
-            // sealed batches.
-            for tuples in self.log.batches_from(*pos) {
-                ctx.send(
-                    sub,
-                    NetMsg::Data {
-                        stream,
-                        tuples: tuples.into(),
-                    },
-                );
-            }
-            *pos = self.log.len();
         }
     }
 
@@ -179,17 +157,27 @@ impl DataSource {
     /// engine feed byte-identical input into the diagram, which is what
     /// makes cross-runtime output equivalence testable. Timer jitter only
     /// affects *when* a tuple is released, never its content.
-    fn generate(&mut self, now: Time) {
+    ///
+    /// The generated tuples — followed by a boundary at `now`, if asked for
+    /// — are logged as one batch and sent to every subscriber at once.
+    fn emit(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, boundary: bool) {
+        let now = ctx.now();
+        let mut batch = Vec::new();
         while self.cfg.limit.is_none_or(|l| self.next_id <= l) && self.stime_of(self.next_id) <= now
         {
-            let t = Tuple::insertion(
+            batch.push(Tuple::insertion(
                 TupleId(self.next_id),
                 self.stime_of(self.next_id),
                 self.cfg.values.gen(self.next_id),
-            );
+            ));
             self.next_id += 1;
-            self.log.push(t);
         }
+        if boundary {
+            batch.push(Tuple::boundary(TupleId::NONE, now));
+        }
+        self.out
+            .publish(self.cfg.stream, TupleBatch::from_vec(batch));
+        self.out.flush(ctx, now, now);
     }
 }
 
@@ -207,38 +195,9 @@ impl DpcActor<NetMsg> for DataSource {
     /// Handles one protocol message.
     fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, msg: NetMsg) {
         match msg {
-            NetMsg::Subscribe {
-                stream,
-                last_stable,
-                saw_tentative,
-                fresh_only,
-            } => {
-                if stream != self.cfg.stream {
-                    return;
-                }
-                // Find the position after the subscriber's stable prefix.
-                let pos = if fresh_only {
-                    self.log.len()
-                } else {
-                    self.log.position_after_stable(last_stable)
-                };
-                self.subscribers.insert(from, pos);
-                if saw_tentative {
-                    // Sources never produce tentative data, but a recovering
-                    // subscriber may hold junk from a dead upstream: clear it.
-                    ctx.send(
-                        from,
-                        NetMsg::Data {
-                            stream,
-                            tuples: TupleBatch::single(Tuple::undo(TupleId::NONE, last_stable))
-                                .into(),
-                        },
-                    );
-                }
-                self.flush(ctx);
-            }
-            NetMsg::Unsubscribe { stream } if stream == self.cfg.stream => {
-                self.subscribers.remove(&from);
+            NetMsg::Subscribe { .. } | NetMsg::Unsubscribe { .. } | NetMsg::Ack { .. } => {
+                let now = ctx.now();
+                self.out.on_message(ctx, from, msg, now);
             }
             NetMsg::HeartbeatReq => {
                 ctx.send(
@@ -249,12 +208,6 @@ impl DpcActor<NetMsg> for DataSource {
                     },
                 );
             }
-            NetMsg::Ack { stream, through } if stream == self.cfg.stream => {
-                // The persistent log is never truncated (§2.2), but acks
-                // mark the safe rewind point after link failures.
-                let e = self.acked.entry(from).or_insert(TupleId::NONE);
-                *e = (*e).max(through);
-            }
             _ => {}
         }
     }
@@ -263,16 +216,13 @@ impl DpcActor<NetMsg> for DataSource {
     fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
         match kind {
             TIMER_GEN => {
-                self.generate(ctx.now());
-                self.flush(ctx);
+                self.emit(ctx, false);
                 ctx.set_timer(ctx.now() + self.cfg.batch_period, TIMER_GEN);
             }
             TIMER_BOUNDARY => {
                 if !self.boundaries_muted {
                     // Data with stime <= now must precede the boundary.
-                    self.generate(ctx.now());
-                    self.log.push(Tuple::boundary(TupleId::NONE, ctx.now()));
-                    self.flush(ctx);
+                    self.emit(ctx, true);
                 }
                 ctx.set_timer(ctx.now() + self.cfg.boundary_interval, TIMER_BOUNDARY);
             }
@@ -280,7 +230,8 @@ impl DpcActor<NetMsg> for DataSource {
         }
     }
 
-    /// Reacts to a fault notification (boundary muting, link heals).
+    /// Reacts to a fault notification (boundary muting; link heals and torn
+    /// subscriber connections are the producer half's).
     fn on_fault(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, fault: &FaultEvent) {
         match fault {
             FaultEvent::Custom { tag, .. } if *tag == Self::MUTE_BOUNDARIES => {
@@ -289,27 +240,10 @@ impl DpcActor<NetMsg> for DataSource {
             FaultEvent::Custom { tag, .. } if *tag == Self::UNMUTE_BOUNDARIES => {
                 self.boundaries_muted = false;
             }
-            FaultEvent::LinkUp { a, b } => {
-                // Tuples in flight when the link broke were lost; rewind the
-                // healed subscriber to its last acknowledged tuple (the
-                // consumer deduplicates any overlap) and resend the backlog.
-                for peer in [*a, *b] {
-                    if let Some(pos) = self.subscribers.get_mut(&peer) {
-                        let acked = self.acked.get(&peer).copied().unwrap_or(TupleId::NONE);
-                        let rewind = self.log.position_after_stable(acked);
-                        *pos = (*pos).min(rewind);
-                    }
-                }
-                self.flush(ctx);
+            _ => {
+                let now = ctx.now();
+                self.out.on_fault(ctx, fault, now);
             }
-            FaultEvent::NodeDown(n) if *n != ctx.id() => {
-                // A crashed subscriber process lost its subscription state;
-                // it re-subscribes from scratch (with its recovered
-                // position) when it comes back.
-                self.subscribers.remove(n);
-                self.acked.remove(n);
-            }
-            _ => {}
         }
     }
 }

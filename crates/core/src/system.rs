@@ -23,14 +23,15 @@
 //!    *same* actor objects over the same link `Fabric` — the protocol code
 //!    never knows which runtime drives it.
 
-use crate::client::{ClientProxy, ClientStream, ClientTuning};
+use crate::client::{ClientProxy, ClientTuning};
 use crate::durable::DurabilityConfig;
 use crate::metrics::MetricsHub;
 use crate::msg::NetMsg;
-use crate::node::{NodeConfig, NodeTuning, ProcessingNode, UpstreamSpec};
+use crate::node::{NodeConfig, NodeTuning, ProcessingNode};
 use crate::runtime::DpcActor;
 use crate::source::{DataSource, SourceConfig};
-use borealis_diagram::{FragmentPlan, PhysicalPlan, StreamOrigin};
+use crate::upstream::UpstreamSpec;
+use borealis_diagram::{FragmentPlan, PhysicalPlan};
 use borealis_sim::{Fabric, FaultEvent, Sim};
 use borealis_types::{CreditPolicy, Duration, FlowGauges, NodeId, PartitionSpec, StreamId, Time};
 use std::collections::HashMap;
@@ -327,15 +328,9 @@ impl SystemBuilder {
                         .get(&input.stream)
                         .unwrap_or_else(|| panic!("no producer for {}", input.stream))
                         .clone();
-                    // Fragment streams are monitored for Table II switching;
-                    // source streams are monitored so that a node cut off
-                    // from its sources detects the silence via missed
-                    // keep-alives (Fig. 5) even with no data in flight.
-                    let _ = matches!(input.origin, StreamOrigin::Fragment(_));
                     upstreams.push(UpstreamSpec {
                         stream: input.stream,
                         candidates,
-                        monitor: true,
                     });
                 }
                 let downstream_counts = fp
@@ -376,7 +371,7 @@ impl SystemBuilder {
             let streams = self
                 .client_streams
                 .iter()
-                .map(|&s| ClientStream {
+                .map(|&s| UpstreamSpec {
                     stream: s,
                     candidates: producers
                         .get(&s)
@@ -432,7 +427,7 @@ pub enum ActorSpec {
     /// The client proxy.
     Client {
         /// Watched output streams with their producing replicas.
-        streams: Vec<ClientStream>,
+        streams: Vec<UpstreamSpec>,
         /// Client tuning knobs.
         tuning: ClientTuning,
     },

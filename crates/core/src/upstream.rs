@@ -1,6 +1,9 @@
-//! Per-input-stream upstream management: the downstream half of the Data
-//! Path plus the Consistency Manager's monitoring and switching logic
-//! (§4.2.3, §4.3, Table II).
+//! The consumer half of the Data Path plus the Consistency Manager's
+//! monitoring and switching logic (§4.2.3, §4.3, Table II): an
+//! [`UpstreamManager`] per input stream, and [`Inputs`] — the set of them
+//! with everything a consumer does across it (intake and duplicate
+//! filtering of `Data`, keep-alive rounds, acks, torn connections) —
+//! shared by the processing node and the client proxy.
 //!
 //! For each input stream a node (or client proxy) tracks the set of
 //! upstream replicas able to produce it, their advertised consistency
@@ -19,32 +22,16 @@
 //!   arrives, at which point the stabilized upstream becomes the sole
 //!   provider.
 
-use crate::msg::NodeState;
-use borealis_types::{Duration, NodeId, StreamId, Time, Tuple, TupleId, TupleKind};
+use crate::msg::{NetMsg, NodeState};
+use crate::runtime::RuntimeCtx;
+use borealis_types::{
+    BatchView, Duration, NodeId, StreamId, Time, Tuple, TupleBatch, TupleId, TupleKind,
+};
 use std::collections::BTreeSet;
 
-/// Subscription changes requested by the manager; the owning actor turns
-/// them into `Subscribe`/`Unsubscribe` messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UpstreamAction {
-    /// Subscribe to `to`, resuming after `last_stable` (with `saw_tentative`
-    /// signalling that an UNDO + corrections are needed first).
-    Subscribe {
-        /// Replica to subscribe to.
-        to: NodeId,
-        /// Stable prefix already held.
-        last_stable: TupleId,
-        /// True if an uncorrected tentative suffix follows the prefix.
-        saw_tentative: bool,
-        /// Skip history: deliver only new emissions (dual subscription).
-        fresh_only: bool,
-    },
-    /// Drop the subscription to `from`.
-    Unsubscribe {
-        /// Replica to leave.
-        from: NodeId,
-    },
-}
+/// Subscription changes a manager asks for: `Subscribe`/`Unsubscribe`
+/// messages with their destinations, for the owning actor to send.
+pub type Requests = Vec<(NodeId, NetMsg)>;
 
 #[derive(Debug, Clone, Copy)]
 struct PeerInfo {
@@ -209,14 +196,31 @@ impl UpstreamManager {
     }
 
     /// The initial subscription at startup.
-    pub fn initial_subscribe(&mut self) -> Vec<UpstreamAction> {
-        self.subscribed.insert(self.curr);
-        vec![UpstreamAction::Subscribe {
-            to: self.curr,
+    pub fn initial_subscribe(&mut self) -> Requests {
+        vec![self.subscribe(self.curr, false)]
+    }
+
+    /// Subscribes to `to`, resuming after the stable prefix held (with
+    /// `saw_tentative` signalling that an UNDO + corrections are needed
+    /// first; `fresh_only` skips history — the dual subscription).
+    fn subscribe(&mut self, to: NodeId, fresh_only: bool) -> (NodeId, NetMsg) {
+        self.subscribed.insert(to);
+        let msg = NetMsg::Subscribe {
+            stream: self.stream,
             last_stable: self.last_stable,
             saw_tentative: self.saw_tentative,
-            fresh_only: false,
-        }]
+            fresh_only,
+        };
+        (to, msg)
+    }
+
+    /// Drops every subscription except the one to `keep`.
+    fn leave_all_but(&mut self, keep: Option<NodeId>) -> Requests {
+        let stream = self.stream;
+        let left = self.subscribed.iter().filter(|&&n| Some(n) != keep);
+        let out = left.map(|&n| (n, NetMsg::Unsubscribe { stream })).collect();
+        self.subscribed.retain(|&n| Some(n) == keep);
+        out
     }
 
     /// Records a keep-alive response.
@@ -245,7 +249,7 @@ impl UpstreamManager {
 
     /// Updates received-prefix bookkeeping and handles the REC_DONE
     /// switchback. Returns subscription changes to apply.
-    pub fn observe_tuple(&mut self, from: NodeId, t: &Tuple) -> Vec<UpstreamAction> {
+    pub fn observe_tuple(&mut self, from: NodeId, t: &Tuple) -> Requests {
         match t.kind {
             TupleKind::Insertion => {
                 self.last_stable = self.last_stable.max(t.id);
@@ -269,15 +273,8 @@ impl UpstreamManager {
                     eprintln!("[um {}] RecDone from {} -> collapse", self.stream, from);
                 }
                 if self.subscribed.contains(&from) {
-                    let mut actions = Vec::new();
-                    for other in self.subscribed.clone() {
-                        if other != from {
-                            actions.push(UpstreamAction::Unsubscribe { from: other });
-                            self.subscribed.remove(&other);
-                        }
-                    }
                     self.curr = from;
-                    return actions;
+                    return self.leave_all_but(Some(from));
                 }
             }
             TupleKind::Boundary => {}
@@ -295,7 +292,7 @@ impl UpstreamManager {
 
     /// Applies staleness (missed keep-alives => Failed) and the Table II
     /// condition-action rules. Returns subscription changes.
-    pub fn evaluate(&mut self, now: Time, stale_after: Duration) -> Vec<UpstreamAction> {
+    pub fn evaluate(&mut self, now: Time, stale_after: Duration) -> Requests {
         if !self.monitor {
             return Vec::new();
         }
@@ -325,94 +322,183 @@ impl UpstreamManager {
         match curr_state {
             NodeState::Stable => {
                 // Shed any extra (dual) subscriptions left over.
-                for other in self.subscribed.clone() {
-                    if other != self.curr {
-                        actions.push(UpstreamAction::Unsubscribe { from: other });
-                        self.subscribed.remove(&other);
-                    }
-                }
+                actions = self.leave_all_but(Some(self.curr));
                 // Re-establish a connection broken while the peer was
                 // unreachable (e.g. it crashed and recovered, §4.5).
                 if !self.subscribed.contains(&self.curr) {
-                    self.subscribed.insert(self.curr);
-                    actions.push(UpstreamAction::Subscribe {
-                        to: self.curr,
-                        last_stable: self.last_stable,
-                        saw_tentative: self.saw_tentative,
-                        fresh_only: false,
-                    });
+                    actions.push(self.subscribe(self.curr, false));
                 }
             }
             _ => {
-                let find = |state: NodeState, except: NodeId| {
-                    self.candidates
-                        .iter()
-                        .copied()
-                        .find(|&c| c != except && self.state_of(c) == state)
+                let find = |state: NodeState| {
+                    let mut others = self.candidates.iter().copied();
+                    others.find(|&c| c != self.curr && self.state_of(c) == state)
                 };
-                if let Some(stable) = find(NodeState::Stable, self.curr) {
-                    // Rule 2: a STABLE replica exists — switch to it.
-                    for other in self.subscribed.clone() {
-                        actions.push(UpstreamAction::Unsubscribe { from: other });
-                        self.subscribed.remove(&other);
+                // Rule 2: a STABLE replica exists — switch to it. With the
+                // current upstream FAILED, else prefer UP_FAILURE, else a
+                // stabilizing replica (at least corrections flow), else
+                // nothing. Rule 3: stay with an UP_FAILURE upstream.
+                let next = find(NodeState::Stable).or_else(|| match curr_state {
+                    NodeState::Failed => {
+                        find(NodeState::UpFailure).or_else(|| find(NodeState::Stabilization))
                     }
-                    self.curr = stable;
-                    self.subscribed.insert(stable);
-                    actions.push(UpstreamAction::Subscribe {
-                        to: stable,
-                        last_stable: self.last_stable,
-                        saw_tentative: self.saw_tentative,
-                        fresh_only: false,
-                    });
-                } else {
-                    match curr_state {
-                        NodeState::UpFailure => {
-                            // Rule 3: stay with the UP_FAILURE upstream.
+                    _ => None,
+                });
+                if let Some(next) = next {
+                    actions = self.leave_all_but(None);
+                    self.curr = next;
+                    actions.push(self.subscribe(next, false));
+                } else if curr_state == NodeState::Stabilization {
+                    // §4.4.3 dual subscription: keep the corrections
+                    // flowing and add an UP_FAILURE replica for fresh
+                    // tentative data (the consumer already holds the
+                    // tentative era: only new data, please).
+                    if let Some(fresh) = find(NodeState::UpFailure) {
+                        if !self.subscribed.contains(&fresh) {
+                            actions.push(self.subscribe(fresh, true));
                         }
-                        NodeState::Stabilization => {
-                            // §4.4.3 dual subscription: keep the corrections
-                            // flowing and add an UP_FAILURE replica for
-                            // fresh tentative data.
-                            if let Some(fresh) = find(NodeState::UpFailure, self.curr) {
-                                if !self.subscribed.contains(&fresh) {
-                                    self.subscribed.insert(fresh);
-                                    // The consumer already holds the
-                                    // tentative era: only new data, please.
-                                    actions.push(UpstreamAction::Subscribe {
-                                        to: fresh,
-                                        last_stable: self.last_stable,
-                                        saw_tentative: self.saw_tentative,
-                                        fresh_only: true,
-                                    });
-                                }
-                            }
-                        }
-                        NodeState::Failed => {
-                            // Prefer UP_FAILURE, else a stabilizing replica
-                            // (at least corrections flow), else nothing.
-                            let next = find(NodeState::UpFailure, self.curr)
-                                .or_else(|| find(NodeState::Stabilization, self.curr));
-                            if let Some(next) = next {
-                                for other in self.subscribed.clone() {
-                                    actions.push(UpstreamAction::Unsubscribe { from: other });
-                                    self.subscribed.remove(&other);
-                                }
-                                self.curr = next;
-                                self.subscribed.insert(next);
-                                actions.push(UpstreamAction::Subscribe {
-                                    to: next,
-                                    last_stable: self.last_stable,
-                                    saw_tentative: self.saw_tentative,
-                                    fresh_only: false,
-                                });
-                            }
-                        }
-                        NodeState::Stable => unreachable!("handled above"),
                     }
                 }
             }
         }
         actions
+    }
+}
+
+/// Upstream binding of one input stream of a node or a client.
+#[derive(Debug, Clone)]
+pub struct UpstreamSpec {
+    /// The input stream.
+    pub stream: StreamId,
+    /// Nodes able to produce it (a source, or the replicas of the producing
+    /// fragment), monitored by keep-alives and switched between.
+    pub candidates: Vec<NodeId>,
+}
+
+/// The consumer half of DPC's Data Path, written once: one
+/// [`UpstreamManager`] per input stream plus everything a consumer does
+/// with them as a set — intake of `Data` (subscription check, duplicate
+/// filter, prefix bookkeeping), keep-alive rounds and responses, cumulative
+/// acks, torn connections. [`ProcessingNode`](crate::ProcessingNode) and
+/// [`ClientProxy`](crate::ClientProxy) each hold one.
+#[derive(Debug, Default)]
+pub struct Inputs {
+    /// The managers, in binding order.
+    pub(crate) ums: Vec<UpstreamManager>,
+}
+
+impl Inputs {
+    /// One manager per binding, in order (the index [`Inputs::intake`]
+    /// reports is the position here). A stream with a single producer has
+    /// nothing to switch to and is monitored only if `monitor_all`.
+    pub fn new(specs: &[UpstreamSpec], monitor_all: bool, now: Time) -> Self {
+        let manager = |s: &UpstreamSpec| {
+            let monitor = monitor_all || s.candidates.len() > 1;
+            UpstreamManager::new(s.stream, s.candidates.clone(), monitor, now)
+        };
+        Inputs {
+            ums: specs.iter().map(manager).collect(),
+        }
+    }
+
+    /// Sends what a manager asked for.
+    pub fn send(ctx: &mut dyn RuntimeCtx<NetMsg>, requests: Requests) {
+        for (to, msg) in requests {
+            ctx.send(to, msg);
+        }
+    }
+
+    /// Sends every input's initial subscription (startup, after any
+    /// [`UpstreamManager::seed_recovered`]).
+    pub fn subscribe_all(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
+        for um in &mut self.ums {
+            Self::send(ctx, um.initial_subscribe());
+        }
+    }
+
+    /// Takes in one `Data` message. `None`: not an input stream, or a stale
+    /// sender (already unsubscribed). Otherwise the input's index, the
+    /// *fresh* tuples — the received view itself when nothing was a
+    /// duplicate: the common case copies no tuple — and the subscription
+    /// changes they caused, for the caller to [`send`](Inputs::send) once
+    /// it has processed the tuples. Duplicate detection (retransmissions
+    /// after a link heal) interleaves with prefix bookkeeping, as
+    /// tuple-at-a-time processing would.
+    pub fn intake(
+        &mut self,
+        from: NodeId,
+        stream: StreamId,
+        tuples: BatchView,
+    ) -> Option<(usize, BatchView, Requests)> {
+        let i = self.ums.iter().position(|u| u.stream() == stream)?;
+        let um = &mut self.ums[i];
+        if !um.accepts_from(from) {
+            return None;
+        }
+        let mut actions = Vec::new();
+        // Allocated at the first duplicate: the tuples kept so far.
+        let mut fresh: Option<Vec<Tuple>> = None;
+        for (k, t) in tuples.iter().enumerate() {
+            if um.is_duplicate(t) {
+                fresh.get_or_insert_with(|| tuples.iter().take(k).cloned().collect());
+            } else {
+                actions.extend(um.observe_tuple(from, t));
+                if let Some(kept) = &mut fresh {
+                    kept.push(t.clone());
+                }
+            }
+        }
+        let fresh = fresh.map_or(tuples, |kept| TupleBatch::from_vec(kept).into());
+        Some((i, fresh, actions))
+    }
+
+    /// Records a keep-alive response and re-evaluates every input against
+    /// it (Table II).
+    pub fn heartbeat_response(
+        &mut self,
+        ctx: &mut dyn RuntimeCtx<NetMsg>,
+        from: NodeId,
+        node_state: NodeState,
+        stream_states: &[(StreamId, NodeState)],
+        stale_after: Duration,
+    ) {
+        let now = ctx.now();
+        for um in &mut self.ums {
+            um.heartbeat_response(from, node_state, stream_states, now);
+            Self::send(ctx, um.evaluate(now, stale_after));
+        }
+    }
+
+    /// One keep-alive round: re-evaluates every input (staleness, Table
+    /// II), then requests a heartbeat from each monitored producer.
+    pub fn heartbeat_round(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, stale_after: Duration) {
+        let now = ctx.now();
+        for um in &mut self.ums {
+            Self::send(ctx, um.evaluate(now, stale_after));
+            for target in um.heartbeat_targets() {
+                ctx.send(target, NetMsg::HeartbeatReq);
+            }
+        }
+    }
+
+    /// Acknowledges each input's stable prefix to every producer able to
+    /// serve it (§8.1: any of them may be asked to replay later).
+    pub fn send_acks(&self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
+        for um in &self.ums {
+            let (stream, through) = (um.stream(), um.last_stable());
+            for &cand in um.candidates() {
+                ctx.send(cand, NetMsg::Ack { stream, through });
+            }
+        }
+    }
+
+    /// The transport reported the connection to `peer` torn: every
+    /// subscription held there is gone (see
+    /// [`UpstreamManager::connection_lost`]).
+    pub fn connection_lost(&mut self, peer: NodeId, now: Time) {
+        for um in &mut self.ums {
+            um.connection_lost(peer, now);
+        }
     }
 }
 
@@ -430,19 +516,27 @@ mod tests {
 
     const STALE: Duration = Duration::from_millis(250);
 
+    /// The `Subscribe` request a manager of stream 0 sends to `to`.
+    fn sub(to: u32, last_stable: u64, saw_tentative: bool, fresh_only: bool) -> (NodeId, NetMsg) {
+        let msg = NetMsg::Subscribe {
+            stream: StreamId(0),
+            last_stable: TupleId(last_stable),
+            saw_tentative,
+            fresh_only,
+        };
+        (NodeId(to), msg)
+    }
+
+    fn unsub(from: u32) -> (NodeId, NetMsg) {
+        let stream = StreamId(0);
+        (NodeId(from), NetMsg::Unsubscribe { stream })
+    }
+
     #[test]
     fn initial_subscribe_targets_first_candidate() {
         let mut u = um();
         let actions = u.initial_subscribe();
-        assert_eq!(
-            actions,
-            vec![UpstreamAction::Subscribe {
-                to: NodeId(10),
-                last_stable: TupleId::NONE,
-                saw_tentative: false,
-                fresh_only: false
-            }]
-        );
+        assert_eq!(actions, [sub(10, 0, false, false)]);
         assert!(u.accepts_from(NodeId(10)));
         assert!(!u.accepts_from(NodeId(11)));
     }
@@ -465,11 +559,7 @@ mod tests {
         hb(&mut u, NodeId(11), NodeState::Stable, 100);
         let actions = u.evaluate(Time::from_millis(150), STALE);
         assert_eq!(u.current(), NodeId(11));
-        assert!(actions.contains(&UpstreamAction::Unsubscribe { from: NodeId(10) }));
-        assert!(matches!(
-            actions.last(),
-            Some(UpstreamAction::Subscribe { to: NodeId(11), .. })
-        ));
+        assert_eq!(actions, [unsub(10), sub(11, 0, false, false)]);
     }
 
     #[test]
@@ -504,15 +594,7 @@ mod tests {
         assert_eq!(u.current(), NodeId(10));
         assert!(u.accepts_from(NodeId(10)));
         assert!(u.accepts_from(NodeId(11)));
-        assert_eq!(
-            actions,
-            vec![UpstreamAction::Subscribe {
-                to: NodeId(11),
-                last_stable: TupleId::NONE,
-                saw_tentative: false,
-                fresh_only: true
-            }]
-        );
+        assert_eq!(actions, [sub(11, 0, false, true)]);
         // Idempotent: a second evaluation adds nothing.
         assert!(u.evaluate(Time::from_millis(200), STALE).is_empty());
     }
@@ -526,10 +608,7 @@ mod tests {
         u.evaluate(Time::from_millis(150), STALE);
         let rd = Tuple::rec_done(TupleId::NONE, Time::from_millis(200));
         let actions = u.observe_tuple(NodeId(10), &rd);
-        assert_eq!(
-            actions,
-            vec![UpstreamAction::Unsubscribe { from: NodeId(11) }]
-        );
+        assert_eq!(actions, [unsub(11)]);
         assert_eq!(u.current(), NodeId(10));
         assert!(!u.accepts_from(NodeId(11)));
     }
@@ -547,12 +626,7 @@ mod tests {
         hb(&mut u, NodeId(10), NodeState::Failed, 100);
         hb(&mut u, NodeId(11), NodeState::Stable, 100);
         let actions = u.evaluate(Time::from_millis(150), STALE);
-        assert!(actions.contains(&UpstreamAction::Subscribe {
-            to: NodeId(11),
-            last_stable: TupleId(4),
-            saw_tentative: true,
-            fresh_only: false
-        }));
+        assert!(actions.contains(&sub(11, 4, true, false)));
         // The UNDO from the new upstream clears the tentative flag.
         let undo = Tuple::undo(TupleId::NONE, TupleId(4));
         u.observe_tuple(NodeId(11), &undo);
@@ -566,6 +640,39 @@ mod tests {
         assert!(u.heartbeat_targets().is_empty());
         assert!(u.evaluate(Time::from_secs(100), STALE).is_empty());
         assert_eq!(u.current(), NodeId(5));
+    }
+
+    #[test]
+    fn intake_shares_a_clean_view_and_filters_retransmissions() {
+        let spec = UpstreamSpec {
+            stream: StreamId(0),
+            candidates: vec![NodeId(10), NodeId(11)],
+        };
+        let mut inputs = Inputs::new(&[spec], false, Time::ZERO);
+        inputs.ums[0].initial_subscribe();
+        let stable = |id| Tuple::insertion(TupleId(id), Time::ZERO, vec![]);
+        let view = |ids: &[u64]| -> BatchView {
+            TupleBatch::from_vec(ids.iter().map(|&id| stable(id)).collect()).into()
+        };
+        assert!(inputs.intake(NodeId(10), StreamId(9), view(&[1])).is_none());
+        assert!(
+            inputs.intake(NodeId(11), StreamId(0), view(&[1])).is_none(),
+            "not subscribed to that replica"
+        );
+        // Nothing seen before: the fresh tuples are the received view.
+        let sent = view(&[1, 2, 3]);
+        let (i, fresh, actions) = inputs
+            .intake(NodeId(10), StreamId(0), sent.clone())
+            .unwrap();
+        assert!(i == 0 && actions.is_empty() && fresh.same_view(&sent));
+        // A post-heal retransmission overlapping the prefix: only the new
+        // tuples come through, and the prefix advances over them.
+        let (_, fresh, _) = inputs
+            .intake(NodeId(10), StreamId(0), view(&[2, 3, 4, 5]))
+            .unwrap();
+        let ids: Vec<u64> = fresh.iter().map(|t| t.id.0).collect();
+        assert_eq!(ids, [4, 5]);
+        assert_eq!(inputs.ums[0].last_stable(), TupleId(5));
     }
 
     #[test]

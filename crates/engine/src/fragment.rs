@@ -118,14 +118,6 @@ impl Fragment {
         f
     }
 
-    /// External input streams this fragment consumes.
-    pub fn input_streams(&self) -> Vec<StreamId> {
-        let mut v: Vec<StreamId> = self.input_bindings.iter().map(|(s, _, _)| *s).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
     /// Output streams this fragment produces.
     pub fn output_streams(&self) -> Vec<StreamId> {
         self.external_output.iter().flatten().copied().collect()
@@ -172,12 +164,6 @@ impl Fragment {
     /// over the batch path).
     pub fn push(&mut self, stream: StreamId, tuple: &Tuple, now: Time) -> Batch {
         self.push_batch(stream, &TupleBatch::single(tuple.clone()), now)
-    }
-
-    /// Delivers a slice of external tuples (all on one stream), sealing
-    /// them into one shared batch first.
-    pub fn push_many(&mut self, stream: StreamId, tuples: &[Tuple], now: Time) -> Batch {
-        self.push_batch(stream, &TupleBatch::from_vec(tuples.to_vec()), now)
     }
 
     /// Delivers a shared batch of external tuples (all on one stream) —
@@ -607,11 +593,6 @@ impl Fragment {
     /// Direct access to an operator (tests and diagnostics).
     pub fn op(&self, index: usize) -> &dyn Operator {
         self.ops[index].as_ref()
-    }
-
-    /// Number of operators.
-    pub fn n_ops(&self) -> usize {
-        self.ops.len()
     }
 }
 

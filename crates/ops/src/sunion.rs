@@ -270,12 +270,6 @@ impl SUnion {
         &self.cfg
     }
 
-    /// Mutable configuration access (the Consistency Manager adjusts delay
-    /// policies at deployment time).
-    pub fn config_mut(&mut self) -> &mut SUnionConfig {
-        &mut self.cfg
-    }
-
     /// Number of buffered (unemitted) tuples, for buffer accounting.
     pub fn buffered_tuples(&self) -> usize {
         self.state.buckets.values().map(|b| b.len).sum()
@@ -294,11 +288,6 @@ impl SUnion {
         if !on {
             self.replay_log.clear();
         }
-    }
-
-    /// True if recording arrivals for replay.
-    pub fn is_recording(&self) -> bool {
-        self.recording
     }
 
     /// Takes the replay log for reconciliation, leaving recording off. The

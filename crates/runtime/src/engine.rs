@@ -11,14 +11,22 @@
 //! behaves identically under both runtimes by construction:
 //!
 //! * sends check reachability at **send time** (counted drops) and again
-//!   at **departure and delivery time** (in-flight losses on a link that
-//!   broke);
+//!   at **delivery time** (in-flight losses on a link that broke);
 //! * timers due while an actor is crashed are consumed and suppressed —
 //!   checked both when the wheel entry fires and again when the
 //!   re-enqueued timer envelope is processed, so a crash landing between
 //!   the two instants still suppresses the callback;
 //! * fault notifications reach an actor unless it is down (except its own
 //!   `NodeDown`, which it observes so crash semantics stay scripted).
+//!
+//! The engine delivers and wakes; it never sends on an actor's behalf. A
+//! [`RuntimeCtx::send`] reaches the destination's mailbox (or socket) from
+//! inside the sender's activation, and an actor is Running on at most one
+//! worker at a time — so whichever workers run it, and however late or out
+//! of order its timers fire, each link carries its messages in the order
+//! its handlers sent them. (The one message the engine moves on its own, a
+//! queued send released by a returning credit, is pushed under the fabric
+//! lock that released it: `Scheduler::release_credit`.)
 //!
 //! Messages carry [`NetMsg`] values whose `Data` payloads are `Arc`-backed
 //! [`TupleBatch`](borealis_types::TupleBatch) views: moving a batch across
@@ -37,9 +45,7 @@ use crate::wheel::{Due, TimerWheel};
 use crate::SharedFabric;
 use borealis_dpc::{DpcActor, NetMsg, RuntimeCtx};
 use borealis_sim::{Fabric, FaultEvent, Sent, StatsSnapshot};
-use borealis_types::{
-    CreditPolicy, Duration, NodeId, PartitionSpec, SendOutcome, ShardRouter, Time,
-};
+use borealis_types::{CreditPolicy, Duration, NodeId, PartitionSpec, ShardRouter, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::thread::JoinHandle;
@@ -87,24 +93,8 @@ impl RuntimeCtx<NetMsg> for ThreadCtx<'_> {
         self.id
     }
 
-    fn send(&mut self, to: NodeId, msg: NetMsg) -> SendOutcome {
-        self.worker.send(self.id, to, msg, self.now, false)
-    }
-
-    fn send_after(&mut self, to: NodeId, msg: NetMsg, depart: Time) -> SendOutcome {
-        if depart <= self.now {
-            return self.send(to, msg);
-        }
-        // Send-time reachability is checked NOW, as the simulator does for
-        // its deferred sends; faults striking between here and the
-        // departure are in-flight losses. Credit admission happens at the
-        // departure instant.
-        if self.worker.hub.fabric().defer(self.id, to) {
-            self.worker.wheel.push_send(depart, self.id, to, msg);
-            SendOutcome::Deferred
-        } else {
-            SendOutcome::DroppedFault
-        }
+    fn send(&mut self, to: NodeId, msg: NetMsg) {
+        self.worker.send(self.id, to, msg, self.now);
     }
 
     fn data_consumed_at(&mut self, at: Time) {
@@ -180,60 +170,37 @@ impl Worker {
         }
     }
 
-    /// One send (`departed`: the due departure of a deferred one) of
-    /// `from`, an actor running on this worker: the fabric decides, the
-    /// worker carries the message to its last hop — the destination's
-    /// mailbox, or its process's connection. A send to a stopped mailbox
-    /// (shutdown in progress) is dropped silently, like a connection reset
-    /// during teardown.
+    /// One send of `from`, an actor running on this worker: the fabric
+    /// decides, the worker carries the message to its last hop — the
+    /// destination's mailbox, or its process's connection. A send to a
+    /// stopped mailbox (shutdown in progress) is dropped silently, like a
+    /// connection reset during teardown.
     ///
     /// With a socket mesh, a remote destination changes only that last
     /// hop: admission still debits the **local** ledger (it is the wire
     /// credit window — see [`crate::tcp`]) and a queued outcome
     /// additionally reports the stall to the remote receiver.
-    fn send(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: NetMsg,
-        now: Time,
-        departed: bool,
-    ) -> SendOutcome {
-        let sent = {
-            let mut fabric = self.hub.fabric();
-            if departed {
-                fabric.depart(&mut self.router, from, to, msg, now)
-            } else {
-                fabric.send(&mut self.router, from, to, msg, now)
-            }
-        };
+    fn send(&mut self, from: NodeId, to: NodeId, msg: NetMsg, now: Time) {
+        let sent = self.hub.fabric().send(&mut self.router, from, to, msg, now);
         let remote = self.tcp.as_deref().filter(|t| t.is_remote(to));
         match (sent, remote) {
             (Sent::Go(msg), None) => {
                 self.hub
                     .sched
                     .push(to, Envelope::Msg { from, msg }, Some(self.idx));
-                SendOutcome::Delivered
             }
             (Sent::Go(msg), Some(tcp)) => {
-                if tcp.send_net(from, to, msg) {
-                    SendOutcome::Delivered
-                } else {
+                if !tcp.send_net(from, to, msg) {
                     // The connection died between the reachability check
                     // and the enqueue: the frame is lost.
-                    self.hub.fabric().count_lost(departed);
-                    SendOutcome::DroppedFault
+                    self.hub.fabric().count_lost();
                 }
             }
-            (Sent::Queued, remote) => {
-                if let Some(tcp) = remote {
-                    let stalled = self.hub.fabric().stalled_for(from, to, now);
-                    tcp.note_queued(from, to, stalled);
-                }
-                SendOutcome::Queued
+            (Sent::Queued, Some(tcp)) => {
+                let stalled = self.hub.fabric().stalled_for(from, to, now);
+                tcp.note_queued(from, to, stalled);
             }
-            (Sent::NotForShard, _) => SendOutcome::Delivered,
-            (Sent::Dropped, _) => SendOutcome::DroppedFault,
+            (Sent::Queued | Sent::NotForShard | Sent::Dropped, _) => {}
         }
     }
 
@@ -251,10 +218,6 @@ impl Worker {
                             .push(owner, Envelope::Timer(kind), Some(self.idx));
                     }
                 }
-                Due::Send { owner, to, msg } => {
-                    let now = self.hub.clock.now();
-                    self.send(owner, to, msg, now, true);
-                }
                 Due::Replenish { owner, from } => {
                     // The owner's modeled CPU finished a delivery: its
                     // credit returns now.
@@ -264,21 +227,19 @@ impl Worker {
         }
     }
 
-    /// Returns the credit of one consumed delivery on `from → to` and
-    /// hands the released queued message (if any) to `to`'s own mailbox —
-    /// the delivery-time checks still apply there. A *remote* sender's
-    /// ledger lives in its process: the credit travels back as a
-    /// `CreditGrant` frame instead.
+    /// Returns the credit of one consumed delivery on `from → to`; a
+    /// queued message it releases goes to `to`'s own mailbox — the
+    /// delivery-time checks still apply there. A *remote* sender's ledger
+    /// lives in its process: the credit travels back as a `CreditGrant`
+    /// frame instead.
     fn return_credit(&mut self, from: NodeId, to: NodeId) {
         match &self.tcp {
             Some(t) if t.is_remote(from) => t.send_grant(from, to),
             _ => {
-                let released = self.hub.fabric().consumed(from, to, self.hub.clock.now());
-                if let Some(msg) = released {
-                    self.hub
-                        .sched
-                        .push(to, Envelope::Msg { from, msg }, Some(self.idx));
-                }
+                let now = self.hub.clock.now();
+                let hub = &self.hub;
+                hub.sched
+                    .release_credit(&hub.fabric, from, to, now, Some(self.idx));
             }
         }
     }
@@ -633,22 +594,20 @@ mod tests {
             if let Some(peer) = self.peer {
                 ctx.send(peer, NetMsg::HeartbeatReq);
                 ctx.set_timer(ctx.now() + Duration::from_millis(20), 7);
-                // Delayed send: departs 40 ms in.
-                ctx.send_after(
-                    peer,
-                    NetMsg::Unsubscribe {
-                        stream: StreamId(0),
-                    },
-                    ctx.now() + Duration::from_millis(40),
-                );
             }
         }
         fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, msg: NetMsg) {
             self.log.lock().unwrap().push((from, msg.kind_name()));
         }
-        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
+        fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
             assert_eq!(kind, 7);
             self.log.lock().unwrap().push((NodeId(u32::MAX), "timer"));
+            // A delayed send, the only way there is: from the handler of
+            // the timer that waited for it.
+            if let Some(peer) = self.peer {
+                let stream = StreamId(0);
+                ctx.send(peer, NetMsg::Unsubscribe { stream });
+            }
         }
         fn on_fault(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, fault: &FaultEvent) {
             let tag = match fault {
@@ -765,8 +724,8 @@ mod tests {
             "both endpoints must hear the heal: {:?}",
             log.lock().unwrap()
         );
-        // The delayed unsubscribe departs at 40 ms (link down): dropped at
-        // send or delivery depending on the race with on_start's send.
+        // The initial heartbeat and the unsubscribe sent from the 20 ms
+        // timer both meet the dead link.
         let stats = rt.shutdown();
         assert!(
             stats.total_drops() >= 1,

@@ -12,9 +12,11 @@
 //!   multiplex onto a handful of OS threads;
 //! * `NetMsg::Data` payloads are `Arc`-backed `TupleBatch` views, so
 //!   cross-thread fan-out moves reference counts, not tuples;
-//! * a per-worker [`TimerWheel`] drives protocol timers and the CPU cost
-//!   model's delayed departures; its earliest deadline bounds the worker's
-//!   park, so idle workers burn no CPU;
+//! * a per-worker [`TimerWheel`] drives protocol timers and modelled-CPU
+//!   credit returns; its earliest deadline bounds the worker's park, so
+//!   idle workers burn no CPU. It holds no messages: actors send, from
+//!   inside their own serial activations, and the runtime only delivers and
+//!   wakes — which is why every link is FIFO by construction;
 //! * one [`SharedFabric`] — the very `borealis_sim::Fabric` the simulator
 //!   kernel owns, behind a mutex — decides what every send, arrival, credit
 //!   return and fault means; the pool's workers, its fault-controller

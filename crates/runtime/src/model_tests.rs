@@ -4,7 +4,7 @@
 //!
 //! Every test explores *all* thread interleavings up to the preemption
 //! bound (2 — the CHESS observation: almost all real concurrency bugs
-//! need at most two preemptive switches). Four protocols are covered:
+//! need at most two preemptive switches). Five protocols are covered:
 //!
 //! 1. the mailbox queued-exactly-once state machine ([`Scheduler::push`]);
 //! 2. [`IdleLot`] token parking (no lost wakeup, token bank capped);
@@ -12,7 +12,10 @@
 //!    `Mutex<Fabric<NetMsg>>` the pool's workers, the fault controller and
 //!    the TCP readers share;
 //! 4. crash purge vs in-flight sends on that same shared fabric (every
-//!    purged send counted exactly once as a delivery drop).
+//!    purged send counted exactly once as a delivery drop);
+//! 5. credit release vs link order ([`Scheduler::release_credit`]: two
+//!    threads returning credits of one link deliver the released messages
+//!    in ledger order).
 //!
 //! Each protocol also has a **seeded-bug twin**: a compact
 //! reimplementation with one critical line mutated the way a plausible
@@ -69,12 +72,13 @@ fn shared_fabric() -> Arc<SharedFabric> {
 /// issues it: the whole reachability → partition → admission rule inside
 /// one critical section.
 fn send_data(t: &SharedFabric, a: NodeId, b: NodeId) {
-    relock(t).send(&mut ShardRouter::new(), a, b, data_msg(), Time::ZERO);
+    relock(t).send(&mut ShardRouter::new(), a, b, data_msg(0), Time::ZERO);
 }
 
-fn data_msg() -> NetMsg {
+/// A data message, numbered through its stream id.
+fn data_msg(n: u32) -> NetMsg {
     NetMsg::Data {
-        stream: borealis_types::StreamId(0),
+        stream: borealis_types::StreamId(n),
         tuples: borealis_types::TupleBatch::single(borealis_types::Tuple::boundary(
             borealis_types::TupleId::NONE,
             Time::ZERO,
@@ -415,6 +419,82 @@ fn model_crash_purge_outside_lock_twin_drops_counts() {
         "violation trace is replayable: {msg}"
     );
     println!("seeded purge-undercount trace:\n{msg}");
+}
+
+// ---------------------------------------------------------------------------
+// Protocol 5: credit release vs link order
+// ---------------------------------------------------------------------------
+
+/// One Window(2) link `0 → 1` with messages 1 and 2 in flight and 3 and 4
+/// queued, an idle sink, and two threads returning one credit each through
+/// `release` — the receiver's activation and a `Replenish` entry on another
+/// worker's wheel. Returns the numbers of the messages in the sink's
+/// mailbox, in order.
+fn credit_release_race(release: fn(&Scheduler, &SharedFabric)) -> Vec<u32> {
+    let s = Arc::new(sched(2, 1));
+    drain_initial(&s);
+    let t = Arc::new(Mutex::new(Fabric::new(Vec::new(), CreditPolicy::Window(2))));
+    for n in 1..=4 {
+        let (mut router, msg) = (ShardRouter::new(), data_msg(n));
+        relock(&t).send(&mut router, NodeId(0), NodeId(1), msg, Time::ZERO);
+    }
+    let spawn = || {
+        let (s, t) = (Arc::clone(&s), Arc::clone(&t));
+        thread::spawn(move || release(&s, &t))
+    };
+    let (r1, r2) = (spawn(), spawn());
+    r1.join();
+    r2.join();
+    let task = s.pop(0).expect("the releases queued the sink");
+    task.begin();
+    std::iter::from_fn(|| task.pop_envelope())
+        .map(|env| match env {
+            Envelope::Msg {
+                msg: NetMsg::Data { stream, .. },
+                ..
+            } => stream.0,
+            _ => unreachable!("only data released"),
+        })
+        .collect()
+}
+
+/// Two threads return credits of one link concurrently: the ledger releases
+/// the queued messages in send order, and because
+/// [`Scheduler::release_credit`] pushes each one before it lets go of the
+/// fabric lock, the sink's mailbox holds them in that order in every
+/// interleaving.
+#[test]
+fn model_credit_release_keeps_link_order() {
+    let r = explore(Opts::default(), || {
+        let got =
+            credit_release_race(|s, t| s.release_credit(t, NodeId(0), NodeId(1), Time::ZERO, None));
+        assert_eq!(got, [3, 4], "released out of ledger order");
+    });
+    report("credit_release_keeps_link_order", r);
+}
+
+/// Seeded-bug twin of [`Scheduler::release_credit`], as `Worker::
+/// return_credit` used to be written: the fabric guard is a temporary,
+/// dropped before the released message is pushed. A second returner
+/// interleaving in the gap releases *and pushes* the next message first.
+#[test]
+fn model_credit_release_outside_lock_twin_reorders() {
+    let msg = explore_expect_violation(Opts::default(), || {
+        let got = credit_release_race(|s, t| {
+            let (from, to) = (NodeId(0), NodeId(1));
+            // BUG: the lock is gone by the end of this statement.
+            let released = relock(t).consumed(from, to, Time::ZERO);
+            if let Some(msg) = released {
+                s.push(to, Envelope::Msg { from, msg }, None);
+            }
+        });
+        assert_eq!(got, [3, 4], "released out of ledger order");
+    });
+    assert!(
+        msg.contains("BOREALIS_MODEL_REPLAY"),
+        "violation trace is replayable: {msg}"
+    );
+    println!("seeded credit-reorder trace:\n{msg}");
 }
 
 // ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@ use crate::sync::{
     cv_wait, cv_wait_timeout, relock, Arc, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex,
     Ordering,
 };
+use crate::SharedFabric;
 use borealis_dpc::{DpcActor, NetMsg};
 use borealis_sim::FaultEvent;
-use borealis_types::{NodeId, SchedGauges};
+use borealis_types::{NodeId, SchedGauges, Time};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 
@@ -345,6 +346,27 @@ impl Scheduler {
         if newly_queued {
             self.enqueue(Arc::clone(task), from_worker);
             self.idle.unpark_one();
+        }
+    }
+
+    /// Returns one credit of the local link `from → to` and delivers the
+    /// queued message it releases, if any, into `to`'s mailbox **before
+    /// letting go of the fabric lock**: a link's credits come back from
+    /// several threads (the receiver's activation, `Replenish` entries on
+    /// other workers' wheels), and pushing after the unlock would let two of
+    /// them swap consecutive messages. Lock order is fabric → mailbox → run
+    /// queue everywhere; nothing takes the fabric under a scheduler lock.
+    pub(crate) fn release_credit(
+        &self,
+        fabric: &SharedFabric,
+        from: NodeId,
+        to: NodeId,
+        now: Time,
+        from_worker: Option<usize>,
+    ) {
+        let mut fabric = relock(fabric);
+        if let Some(msg) = fabric.consumed(from, to, now) {
+            self.push(to, Envelope::Msg { from, msg }, from_worker);
         }
     }
 

@@ -738,7 +738,7 @@ fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
                             let released = hub.fabric().consumed(from, to, now);
                             if let Some(m) = released {
                                 if !mesh.send_net(from, to, m) {
-                                    hub.fabric().count_lost(true);
+                                    hub.fabric().count_lost();
                                 }
                             }
                             mesh.clear_stall_if_drained(&hub, from, to, now);

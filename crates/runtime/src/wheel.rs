@@ -3,22 +3,25 @@
 //!
 //! Under the pooled engine each **worker** (not each actor) owns one wheel
 //! holding owner-tagged entries for every actor it has recently run: their
-//! pending [`RuntimeCtx`] timers, their delayed sends (`send_after`, the
-//! CPU cost model's "outputs leave when the work completes"), and their
-//! credit replenishments. The worker fires due entries between actor
-//! activations and parks at most until its earliest deadline, so timer
-//! precision is bounded by scheduling granularity, not by a polling
-//! period — and an idle worker with an empty wheel parks indefinitely.
+//! pending [`RuntimeCtx`] timers and their credit replenishments. The
+//! worker fires due entries between actor activations and parks at most
+//! until its earliest deadline, so timer precision is bounded by
+//! scheduling granularity, not by a polling period — and an idle worker
+//! with an empty wheel parks indefinitely.
+//!
+//! A wheel never holds a message: what an actor wants to leave later stays
+//! in its own state behind a timer (`borealis_dpc::Publisher`), so two
+//! wheels firing one actor's entries in either order can delay a send but
+//! cannot reorder a link.
 //!
 //! An entry stays on the wheel of the worker that was running its owner
 //! when it was scheduled; if the owner migrates to another worker in the
 //! meantime the entry still fires on time (a due `Timer` is re-enqueued
-//! into the owner's mailbox; `Send`/`Replenish` are executed directly by
-//! the wheel-owning worker on the owner's behalf).
+//! into the owner's mailbox; a `Replenish` is executed directly by the
+//! wheel-owning worker on the owner's behalf).
 //!
 //! [`RuntimeCtx`]: borealis_dpc::RuntimeCtx
 
-use borealis_dpc::NetMsg;
 use borealis_types::{NodeId, Time};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -34,15 +37,6 @@ pub enum Due {
         owner: NodeId,
         /// Timer kind.
         kind: u64,
-    },
-    /// Release a delayed send from `owner` (departure instant reached).
-    Send {
-        /// The sending actor.
-        owner: NodeId,
-        /// Destination actor.
-        to: NodeId,
-        /// The message.
-        msg: NetMsg,
     },
     /// `owner`'s modeled CPU finished consuming a delivery from `from`:
     /// return the link credit (releasing the sender's next queued
@@ -104,11 +98,6 @@ impl TimerWheel {
         self.push(at, Due::Timer { owner, kind });
     }
 
-    /// Schedules a delayed send from `owner` departing at `at`.
-    pub fn push_send(&mut self, at: Time, owner: NodeId, to: NodeId, msg: NetMsg) {
-        self.push(at, Due::Send { owner, to, msg });
-    }
-
     /// Schedules a credit return for `owner`'s delivery from `from`, due
     /// when `owner`'s modeled CPU finishes consuming it.
     pub fn push_replenish(&mut self, at: Time, owner: NodeId, from: NodeId) {
@@ -168,46 +157,23 @@ mod tests {
         let mut w = TimerWheel::new();
         let me = NodeId(0);
         w.push_timer(Time::from_millis(20), me, 2);
+        w.push_replenish(Time::from_millis(15), me, NodeId(9));
         w.push_timer(Time::from_millis(10), me, 1);
         w.push_timer(Time::from_millis(10), NodeId(7), 3);
+        assert_eq!(w.len(), 4);
         assert_eq!(w.next_due(), Some(Time::from_millis(10)));
         assert!(w.pop_due(Time::from_millis(5)).is_none(), "nothing due yet");
         let fired: Vec<(u32, u64)> = std::iter::from_fn(|| w.pop_due(Time::from_millis(30)))
             .map(|(_, d)| match d {
                 Due::Timer { owner, kind } => (owner.0, kind),
-                Due::Send { .. } | Due::Replenish { .. } => unreachable!(),
+                Due::Replenish { owner, from } => (owner.0, from.0 as u64),
             })
             .collect();
         assert_eq!(
             fired,
-            vec![(0, 1), (7, 3), (0, 2)],
-            "deadline order across owners, ties by insertion"
+            vec![(0, 1), (7, 3), (0, 9), (0, 2)],
+            "deadline order across owners and kinds, ties by insertion"
         );
         assert!(w.is_empty());
-    }
-
-    #[test]
-    fn sends_and_timers_interleave() {
-        let mut w = TimerWheel::new();
-        w.push_send(
-            Time::from_millis(5),
-            NodeId(0),
-            NodeId(1),
-            NetMsg::HeartbeatReq,
-        );
-        w.push_timer(Time::from_millis(3), NodeId(0), 9);
-        assert_eq!(w.len(), 2);
-        let (at, first) = w.pop_due(Time::from_millis(10)).unwrap();
-        assert_eq!(at, Time::from_millis(3));
-        assert!(matches!(first, Due::Timer { kind: 9, .. }));
-        let (_, second) = w.pop_due(Time::from_millis(10)).unwrap();
-        assert!(matches!(
-            second,
-            Due::Send {
-                owner: NodeId(0),
-                to: NodeId(1),
-                ..
-            }
-        ));
     }
 }

@@ -8,9 +8,18 @@
 //! kernel's own tests can substitute toy messages; deployments instantiate
 //! them at `borealis_dpc::NetMsg` (where they are re-exported as `DpcActor`
 //! and `RuntimeCtx`).
+//!
+//! *Actors send, runtimes deliver and wake.* There is one send verb,
+//! [`Ctx::send`], and it means "now": an actor that wants a message to
+//! leave later keeps it in its own state behind a timer and sends it from
+//! the handler the timer wakes (`borealis_dpc::Publisher` does exactly that
+//! for the CPU cost model). Every send thus happens inside one of the
+//! actor's own handlers, which a runtime runs one at a time — so each link
+//! carries an actor's messages in program order on every runtime, and the
+//! §2.2 "reliable, in-order" link needs no sequence numbers to hold.
 
 use crate::fault::FaultEvent;
-use borealis_types::{Duration, NodeId, SendOutcome, Time};
+use borealis_types::{Duration, NodeId, Time};
 
 /// The handler-side view of a runtime: what an actor may do while reacting
 /// to an event.
@@ -26,19 +35,14 @@ pub trait Ctx<M> {
     /// This actor's id.
     fn id(&self) -> NodeId;
 
-    /// Sends `msg` to `to` through the runtime's link
-    /// [`Fabric`](crate::Fabric). Lost if the link or either endpoint is
-    /// down ([`SendOutcome::DroppedFault`]); under a bounded credit policy
-    /// a data message may instead be queued at the sender awaiting credit
-    /// ([`SendOutcome::Queued`] — released in FIFO order once the receiver
-    /// consumes earlier deliveries).
-    fn send(&mut self, to: NodeId, msg: M) -> SendOutcome;
-
-    /// Sends `msg` so it departs at `depart` (clamped to now) — used by the
-    /// CPU cost model: outputs leave the node when the work completes. A
-    /// future departure reports [`SendOutcome::Deferred`]; credit
-    /// admission happens at the departure instant.
-    fn send_after(&mut self, to: NodeId, msg: M, depart: Time) -> SendOutcome;
+    /// Sends `msg` to `to`, now, through the runtime's link
+    /// [`Fabric`](crate::Fabric) — the only way a message leaves an actor.
+    /// Lost (and counted) if the link or either endpoint is down; under a
+    /// bounded credit policy a data message may instead wait at the sender
+    /// for credit, released in FIFO order once the receiver consumes
+    /// earlier deliveries. Either way the sender learns nothing: DPC
+    /// recovers losses end to end (acks, replay), never per send.
+    fn send(&mut self, to: NodeId, msg: M);
 
     /// Marks the data message currently being handled as consumed at `at`
     /// (the receiver's modeled CPU completion): its link credit returns

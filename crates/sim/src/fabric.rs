@@ -16,9 +16,8 @@
 //! The rules are four `&mut self` verbs, and a driver may not re-derive any
 //! of them:
 //!
-//! * [`Fabric::send`] (and [`Fabric::depart`], its deferred-departure twin)
-//!   — send-time reachability, then shard partition through the caller's
-//!   [`ShardRouter`], then credit admission;
+//! * [`Fabric::send`] — send-time reachability, then shard partition
+//!   through the caller's [`ShardRouter`], then credit admission;
 //! * [`Fabric::arrive`] — delivery-time reachability, delivered/drop
 //!   accounting, and "a tracked loss still returns its credit";
 //! * [`Fabric::consumed`] — a credit returns and releases the next queued
@@ -86,8 +85,8 @@ pub struct StatsSnapshot {
     /// time.
     pub send_unreachable_drops: u64,
     /// Messages dropped in flight: sent while reachable, undeliverable at
-    /// departure or arrival time (broken TCP connection semantics), or
-    /// purged from a crashed node's pending queues.
+    /// arrival time (broken TCP connection semantics), or purged from a
+    /// crashed node's pending queues.
     pub delivery_drops: u64,
     /// Timer callbacks suppressed because the actor was crashed when they
     /// came due.
@@ -212,27 +211,12 @@ impl<M> Fabric<M> {
         }
     }
 
-    /// Send-time check of a *deferred* send (one that departs later, via
-    /// [`Fabric::depart`]): `false` means the destination is unreachable
-    /// now and the message is a counted send drop.
-    pub fn defer(&mut self, from: NodeId, to: NodeId) -> bool {
-        let ok = self.reachable(from, to);
-        if !ok {
-            self.count_lost(false);
-        }
-        ok
-    }
-
     /// Records a message the driver's last hop lost *after* the fabric
     /// cleared it (a socket that died between the reachability check and
-    /// the enqueue): a send drop if `in_flight` is false, else a delivery
-    /// drop.
-    pub fn count_lost(&mut self, in_flight: bool) {
-        if in_flight {
-            self.counts.delivery_drops += 1;
-        } else {
-            self.counts.send_unreachable_drops += 1;
-        }
+    /// the enqueue): sent while reachable and never delivered, so a
+    /// delivery drop.
+    pub fn count_lost(&mut self) {
+        self.counts.delivery_drops += 1;
     }
 
     /// A timer of `actor` came due: `true` if it may fire. A crashed
@@ -299,15 +283,11 @@ impl<M> Fabric<M> {
 }
 
 impl<M: ShardMsg> Fabric<M> {
-    /// True when `msg` must pass through the credit ledger.
-    pub fn tracks(&self, msg: &M) -> bool {
-        self.flow.tracks(msg)
-    }
-
-    /// Sends `msg` on `from → to` at `now`: unreachable destinations are
-    /// counted send drops; otherwise the message is filtered to the
-    /// receiver's shard through the caller's `router` and admitted against
-    /// the link's credit window.
+    /// Sends `msg` on `from → to` at `now` — THE send rule: reachability
+    /// (an unreachable destination is a counted send drop) → shard
+    /// partition through the caller's `router` → credit admission.
+    /// Partitioning precedes admission so a suppressed delivery never
+    /// consumes a credit.
     pub fn send(
         &mut self,
         router: &mut ShardRouter,
@@ -316,37 +296,8 @@ impl<M: ShardMsg> Fabric<M> {
         msg: M,
         now: Time,
     ) -> Sent<M> {
-        self.route(router, from, to, msg, now, false)
-    }
-
-    /// The departure of a deferred send that passed [`Fabric::defer`]
-    /// earlier: identical to [`Fabric::send`], except that a link that
-    /// broke in between loses the message *in flight* (a delivery drop).
-    pub fn depart(
-        &mut self,
-        router: &mut ShardRouter,
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        now: Time,
-    ) -> Sent<M> {
-        self.route(router, from, to, msg, now, true)
-    }
-
-    /// THE send rule: reachability → shard partition → credit admission.
-    /// Partitioning precedes admission so a suppressed delivery never
-    /// consumes a credit.
-    fn route(
-        &mut self,
-        router: &mut ShardRouter,
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        now: Time,
-        in_flight: bool,
-    ) -> Sent<M> {
         if !self.reachable(from, to) {
-            self.count_lost(in_flight);
+            self.counts.send_unreachable_drops += 1;
             return Sent::Dropped;
         }
         let msg = match self.partitions.get(&to) {
@@ -434,10 +385,6 @@ mod tests {
     enum Step {
         /// `send(from, to, msg)` → outcome.
         Send(NodeId, NodeId, Msg, Out),
-        /// `defer(from, to)` → allowed?
-        Defer(NodeId, NodeId, bool),
-        /// `depart(from, to, msg)` → outcome.
-        Depart(NodeId, NodeId, Msg, Out),
         /// `arrive(from, to, msg)` → (deliver, owes_credit).
         Arrive(NodeId, NodeId, Msg, bool, bool),
         /// `consumed(from, to)` → released payload id.
@@ -616,20 +563,6 @@ mod tests {
                 ],
             },
             Case {
-                name: "a deferred send is checked at send time and again at departure",
-                policy: Window(1),
-                steps: vec![
-                    Defer(N0, N1, true),
-                    Fault(link_down(N0, N1), &[N0, N1]),
-                    Depart(N0, N1, data(1), Out::Dropped),
-                    Defer(N0, N1, false),
-                    Counts(1, 1, 0, 0),
-                    Fault(link_up(N0, N1), &[N0, N1]),
-                    Depart(N0, N1, data(2), Out::Go(2)),
-                    Depart(N0, N1, data(3), Out::Queued),
-                ],
-            },
-            Case {
                 name: "shard routing suppresses without a drop or a credit",
                 policy: Window(1),
                 steps: vec![
@@ -702,14 +635,6 @@ mod tests {
                     Send(from, to, msg, want) => {
                         assert_eq!(
                             out_of(f.send(&mut router, from, to, msg, now)),
-                            want,
-                            "{at}"
-                        )
-                    }
-                    Defer(from, to, want) => assert_eq!(f.defer(from, to), want, "{at}"),
-                    Depart(from, to, msg, want) => {
-                        assert_eq!(
-                            out_of(f.depart(&mut router, from, to, msg, now)),
                             want,
                             "{at}"
                         )

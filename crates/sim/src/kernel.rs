@@ -12,7 +12,7 @@
 use crate::actor::{Actor, Ctx};
 use crate::fabric::{Fabric, Sent, ShardMsg, StatsSnapshot};
 use crate::fault::FaultEvent;
-use borealis_types::{Duration, NodeId, SendOutcome, ShardRouter, Time};
+use borealis_types::{Duration, NodeId, ShardRouter, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -21,13 +21,6 @@ use std::collections::BinaryHeap;
 enum EventKind<M> {
     /// A message reaching the far end of its link.
     Message {
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-    },
-    /// A credit-controlled delayed send reaching its departure instant:
-    /// admission (credit consumption or queueing) happens now.
-    Depart {
         from: NodeId,
         to: NodeId,
         msg: M,
@@ -106,40 +99,11 @@ impl<M: ShardMsg> Ctx<M> for SimCtx<'_, M> {
         self.id
     }
 
-    fn send(&mut self, to: NodeId, msg: M) -> SendOutcome {
-        self.send_after(to, msg, self.now)
-    }
-
-    fn send_after(&mut self, to: NodeId, msg: M, depart: Time) -> SendOutcome {
-        let depart = depart.max(self.now);
-        let deferred = depart > self.now;
-        if deferred && self.fabric.tracks(&msg) {
-            // Credits are consumed when the departure comes due, so the
-            // message waits in the event queue until then.
-            if !self.fabric.defer(self.id, to) {
-                return SendOutcome::DroppedFault;
-            }
-            let from = self.id;
-            self.queue.push(depart, EventKind::Depart { from, to, msg });
-            return SendOutcome::Deferred;
-        }
-        // Untracked messages need no departure-time admission: the arrival
-        // event carries the full schedule directly.
-        let on_link = if deferred {
-            SendOutcome::Deferred
-        } else {
-            SendOutcome::Delivered
-        };
-        match self.fabric.send(self.router, self.id, to, msg, self.now) {
-            Sent::Go(msg) => {
-                let from = self.id;
-                self.queue
-                    .push(depart + self.latency, EventKind::Message { from, to, msg });
-                on_link
-            }
-            Sent::NotForShard => on_link,
-            Sent::Queued => SendOutcome::Queued,
-            Sent::Dropped => SendOutcome::DroppedFault,
+    fn send(&mut self, to: NodeId, msg: M) {
+        let from = self.id;
+        if let Sent::Go(msg) = self.fabric.send(self.router, from, to, msg, self.now) {
+            let at = self.now + self.latency;
+            self.queue.push(at, EventKind::Message { from, to, msg });
         }
     }
 
@@ -273,17 +237,10 @@ impl<M: ShardMsg> Sim<M> {
                     self.queue.push(at, EventKind::Replenish { from, to });
                 }
             }
-            EventKind::Depart { from, to, msg } => {
-                let sent = self
-                    .fabric
-                    .depart(&mut self.router, from, to, msg, self.now);
-                if let Sent::Go(msg) = sent {
-                    self.put_on_link(from, to, msg);
-                }
-            }
             EventKind::Replenish { from, to } => {
                 if let Some(msg) = self.fabric.consumed(from, to, self.now) {
-                    self.put_on_link(from, to, msg);
+                    let at = self.now + self.latency;
+                    self.queue.push(at, EventKind::Message { from, to, msg });
                 }
             }
             EventKind::Timer { actor, kind } => {
@@ -303,13 +260,6 @@ impl<M: ShardMsg> Sim<M> {
                 }
             }
         }
-    }
-
-    /// Schedules the arrival of a message the fabric cleared for
-    /// `from → to` now.
-    fn put_on_link(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let at = self.now + self.latency;
-        self.queue.push(at, EventKind::Message { from, to, msg });
     }
 
     /// Runs one actor handler with a fresh context. Returns the handler's

@@ -12,14 +12,8 @@
 //! simultaneously. Where the protocol needs *new* tuples (SUnion's
 //! renumbering, a divergence relabel) it builds one new batch of tuple
 //! headers; the attribute payloads stay shared ([`Tuple::values`]).
-//!
-//! [`BatchLog`] is the append-only companion: an ordered sequence of sealed
-//! batches plus a mutable tail, with logical (all-time) positions, used by
-//! data sources (the paper's persistent input log) and anything else that
-//! replays suffixes to late subscribers without copying.
 
-use crate::time::Time;
-use crate::tuple::{Tuple, TupleId};
+use crate::tuple::Tuple;
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
@@ -361,126 +355,6 @@ impl fmt::Debug for BatchView {
     }
 }
 
-/// An append-only log of tuples stored as shared batches, addressed by
-/// logical (all-time) position.
-///
-/// Appends go to a mutable tail; reads for replay seal the tail and hand
-/// out O(1) views. The log itself never drops entries (sources keep their
-/// input "logged persistently", §2.2) — consumers track positions.
-#[derive(Debug, Default)]
-pub struct BatchLog {
-    sealed: Vec<TupleBatch>,
-    /// Logical start position of each sealed segment (parallel to
-    /// `sealed`, strictly increasing) — lets suffix lookups binary-search
-    /// instead of rescanning the whole log.
-    starts: Vec<usize>,
-    sealed_len: usize,
-    tail: Vec<Tuple>,
-}
-
-impl BatchLog {
-    /// An empty log.
-    pub fn new() -> BatchLog {
-        BatchLog::default()
-    }
-
-    /// Total tuples ever appended.
-    pub fn len(&self) -> usize {
-        self.sealed_len + self.tail.len()
-    }
-
-    /// True if nothing was ever appended.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Appends one tuple to the mutable tail.
-    pub fn push(&mut self, t: Tuple) {
-        self.tail.push(t);
-    }
-
-    /// Appends an already-sealed batch, sharing its backing storage.
-    pub fn push_batch(&mut self, batch: TupleBatch) {
-        if batch.is_empty() {
-            return;
-        }
-        self.seal();
-        self.starts.push(self.sealed_len);
-        self.sealed_len += batch.len();
-        self.sealed.push(batch);
-    }
-
-    /// Seals the mutable tail into a shared batch (no-op when empty).
-    pub fn seal(&mut self) {
-        if !self.tail.is_empty() {
-            let batch = TupleBatch::from_vec(std::mem::take(&mut self.tail));
-            self.starts.push(self.sealed_len);
-            self.sealed_len += batch.len();
-            self.sealed.push(batch);
-        }
-    }
-
-    /// Shared views over everything from logical position `pos` on, in
-    /// order. Binary-searches the segment offsets, so the cost is
-    /// O(log segments + suffix segments), independent of log length; seals
-    /// the tail first.
-    pub fn batches_from(&mut self, pos: usize) -> Vec<TupleBatch> {
-        self.seal();
-        if pos >= self.sealed_len {
-            return Vec::new();
-        }
-        // Last segment whose start is <= pos.
-        let si = self.starts.partition_point(|&s| s <= pos) - 1;
-        let mut out = Vec::with_capacity(self.sealed.len() - si);
-        let local = pos - self.starts[si];
-        let first = &self.sealed[si];
-        out.push(if local == 0 {
-            first.clone()
-        } else {
-            first.slice(local..first.len())
-        });
-        out.extend(self.sealed[si + 1..].iter().cloned());
-        out
-    }
-
-    /// Iterates every tuple in the log, oldest first.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &Tuple> {
-        self.sealed
-            .iter()
-            .flat_map(|b| b.as_slice().iter())
-            .chain(self.tail.iter())
-    }
-
-    /// Logical position just after the last stable tuple with `id <=
-    /// through` — the resume/rewind point for a subscriber holding that
-    /// stable prefix (0 when no such tuple exists).
-    ///
-    /// Scans backward and stops at the first qualifying tuple (stable ids
-    /// are monotone), so the cost is proportional to the suffix beyond
-    /// the subscriber's prefix, not the whole log.
-    pub fn position_after_stable(&self, through: TupleId) -> usize {
-        for (i, t) in self.tail.iter().enumerate().rev() {
-            if t.is_stable_data() && t.id <= through {
-                return self.sealed_len + i + 1;
-            }
-        }
-        for si in (0..self.sealed.len()).rev() {
-            let seg = &self.sealed[si];
-            for (li, t) in seg.as_slice().iter().enumerate().rev() {
-                if t.is_stable_data() && t.id <= through {
-                    return self.starts[si] + li + 1;
-                }
-            }
-        }
-        0
-    }
-
-    /// The stime of the last appended tuple, if any (diagnostics).
-    pub fn last_stime(&self) -> Option<Time> {
-        self.iter().next_back().map(|t| t.stime)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,64 +494,5 @@ mod tests {
         }
         assert_eq!(view.len(), 2);
         assert_eq!(view[1].id, TupleId(3));
-    }
-
-    #[test]
-    fn log_positions_and_replay_views() {
-        let mut log = BatchLog::new();
-        for i in 1..=3 {
-            log.push(stable(i));
-        }
-        log.push_batch(TupleBatch::from_vec(vec![stable(4), stable(5)]));
-        log.push(stable(6));
-        assert_eq!(log.len(), 6);
-
-        let all = log.batches_from(0);
-        let ids: Vec<u64> = all.iter().flat_map(|b| b.iter().map(|t| t.id.0)).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4, 5, 6]);
-
-        // Mid-segment position slices, later segments pass through whole.
-        let suffix = log.batches_from(1);
-        let ids: Vec<u64> = suffix
-            .iter()
-            .flat_map(|b| b.iter().map(|t| t.id.0))
-            .collect();
-        assert_eq!(ids, vec![2, 3, 4, 5, 6]);
-
-        assert_eq!(log.position_after_stable(TupleId(4)), 4);
-        assert_eq!(log.position_after_stable(TupleId::NONE), 0);
-        assert_eq!(log.batches_from(6), Vec::<TupleBatch>::new());
-
-        // The backward scan sees the unsealed tail too, and boundaries
-        // interleaved with data do not confuse the resume position.
-        log.push(Tuple::boundary(TupleId::NONE, Time::from_secs(1)));
-        log.push(stable(7));
-        assert_eq!(log.position_after_stable(TupleId(7)), 8, "tail tuple found");
-        assert_eq!(
-            log.position_after_stable(TupleId(6)),
-            6,
-            "sealed tuple found"
-        );
-        assert_eq!(
-            log.position_after_stable(TupleId(100)),
-            8,
-            "clamps to last stable"
-        );
-    }
-
-    #[test]
-    fn log_replay_shares_storage_with_the_log() {
-        let mut log = BatchLog::new();
-        for i in 1..=4 {
-            log.push(stable(i));
-        }
-        let a = log.batches_from(0);
-        let b = log.batches_from(2);
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        assert!(
-            a[0].shares_backing(&b[0]),
-            "two replay cursors share one allocation"
-        );
     }
 }

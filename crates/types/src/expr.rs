@@ -99,10 +99,6 @@ impl Expr {
         Expr::bin(BinOp::Lt, lhs, rhs)
     }
     #[allow(missing_docs)]
-    pub fn le(lhs: Expr, rhs: Expr) -> Expr {
-        Expr::bin(BinOp::Le, lhs, rhs)
-    }
-    #[allow(missing_docs)]
     pub fn gt(lhs: Expr, rhs: Expr) -> Expr {
         Expr::bin(BinOp::Gt, lhs, rhs)
     }

@@ -9,9 +9,6 @@
 //! * [`CreditPolicy`] — how many unconsumed data messages a directed link
 //!   may hold in flight (the credit window). Every runtime implements it
 //!   through the link fabric's credit ledger (`borealis_sim::FlowControl`).
-//! * [`SendOutcome`] — what the transport did with a send: handed it to the
-//!   link, queued it awaiting credit, deferred it to a future departure, or
-//!   dropped it because of a fault.
 //! * [`FlowGauges`] — queue-depth and stall-time gauges the transport
 //!   maintains so overload is measurable, never silent.
 //! * [`BufferPolicy`] — the §8.1 *output-buffer* bound (orthogonal to
@@ -54,20 +51,6 @@ impl CreditPolicy {
             CreditPolicy::Unbounded => None,
         }
     }
-}
-
-/// What the transport did with one send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendOutcome {
-    /// Admitted to the link (credit available, or flow control off).
-    Delivered,
-    /// No credit on the link: queued at the sender, awaiting replenishment.
-    Queued,
-    /// Scheduled for a future departure (the CPU cost model's delayed
-    /// sends); flow control applies when the departure comes due.
-    Deferred,
-    /// Dropped by a fault: the link or an endpoint is down.
-    DroppedFault,
 }
 
 /// Queue-depth and stall-time gauges of a transport's credit ledger.

@@ -24,9 +24,9 @@ pub mod tuple;
 pub mod value;
 pub mod wire;
 
-pub use batch::{BatchLog, BatchView, TupleBatch};
+pub use batch::{BatchView, TupleBatch};
 pub use expr::{BinOp, EvalError, Expr};
-pub use flow::{BufferPolicy, CreditPolicy, FlowGauges, SendOutcome};
+pub use flow::{BufferPolicy, CreditPolicy, FlowGauges};
 pub use ids::{FragmentId, NodeId, OpId, StreamId};
 pub use sched::SchedGauges;
 pub use shard::{route_key_evals, PartitionSpec, ShardRouter};

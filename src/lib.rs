@@ -112,7 +112,7 @@ pub mod prelude {
     };
     pub use borealis_types::{
         CreditPolicy, Duration, Expr, FlowGauges, FragmentId, NodeId, PartitionSpec, SchedGauges,
-        SendOutcome, StreamId, Time, Tuple, TupleBatch, TupleId, TupleKind, Value, WireGauges,
+        StreamId, Time, Tuple, TupleBatch, TupleId, TupleKind, Value, WireGauges,
     };
 }
 

@@ -14,30 +14,9 @@
 use crate::metrics::{MetricsHub, StreamRecorder};
 use crate::msg::NetMsg;
 use crate::runtime::{DpcActor, RuntimeCtx};
-use crate::upstream::{Inputs, UpstreamSpec};
+use crate::upstream::{Inputs, UpstreamSpec, ACK_PERIOD};
 use borealis_sim::FaultEvent;
 use borealis_types::{Duration, NodeId};
-
-/// Tuning knobs for a client proxy.
-#[derive(Debug, Clone)]
-pub struct ClientTuning {
-    /// Keep-alive period.
-    pub heartbeat_period: Duration,
-    /// Silence after which a producing replica is considered Failed.
-    pub stale_timeout: Duration,
-    /// Cumulative-ack period.
-    pub ack_period: Duration,
-}
-
-impl Default for ClientTuning {
-    fn default() -> Self {
-        ClientTuning {
-            heartbeat_period: Duration::from_millis(100),
-            stale_timeout: Duration::from_millis(250),
-            ack_period: Duration::from_secs(1),
-        }
-    }
-}
 
 const TIMER_HEARTBEAT: u64 = 1;
 const TIMER_ACK: u64 = 2;
@@ -45,7 +24,8 @@ const TIMER_ACK: u64 = 2;
 /// The client-proxy actor.
 pub struct ClientProxy {
     streams: Vec<UpstreamSpec>,
-    tuning: ClientTuning,
+    /// Keep-alive period — the deployment's, the same its nodes run with.
+    heartbeat_period: Duration,
     metrics: MetricsHub,
     inputs: Inputs,
     /// Per-watched-stream metric shards, parallel to the inputs — resolved
@@ -55,11 +35,16 @@ pub struct ClientProxy {
 }
 
 impl ClientProxy {
-    /// Creates a proxy consuming `streams`, recording into `metrics`.
-    pub fn new(streams: Vec<UpstreamSpec>, tuning: ClientTuning, metrics: MetricsHub) -> Self {
+    /// Creates a proxy consuming `streams`, monitoring their producers
+    /// every `heartbeat_period` and recording into `metrics`.
+    pub fn new(
+        streams: Vec<UpstreamSpec>,
+        heartbeat_period: Duration,
+        metrics: MetricsHub,
+    ) -> Self {
         ClientProxy {
             streams,
-            tuning,
+            heartbeat_period,
             metrics,
             inputs: Inputs::default(),
             recorders: Vec::new(),
@@ -77,8 +62,8 @@ impl DpcActor<NetMsg> for ClientProxy {
         let watched = self.streams.iter();
         self.recorders = watched.map(|cs| self.metrics.recorder(cs.stream)).collect();
         self.inputs.subscribe_all(ctx);
-        ctx.set_timer(now + self.tuning.heartbeat_period, TIMER_HEARTBEAT);
-        ctx.set_timer(now + self.tuning.ack_period, TIMER_ACK);
+        ctx.set_timer(now + self.heartbeat_period, TIMER_HEARTBEAT);
+        ctx.set_timer(now + ACK_PERIOD, TIMER_ACK);
     }
 
     /// Handles one protocol message.
@@ -100,9 +85,9 @@ impl DpcActor<NetMsg> for ClientProxy {
                 node_state,
                 stream_states,
             } => {
-                let stale = self.tuning.stale_timeout;
+                let period = self.heartbeat_period;
                 self.inputs
-                    .heartbeat_response(ctx, from, node_state, &stream_states, stale);
+                    .heartbeat_response(ctx, from, node_state, &stream_states, period);
             }
             _ => {}
         }
@@ -113,12 +98,12 @@ impl DpcActor<NetMsg> for ClientProxy {
         let now = ctx.now();
         match kind {
             TIMER_HEARTBEAT => {
-                self.inputs.heartbeat_round(ctx, self.tuning.stale_timeout);
-                ctx.set_timer(now + self.tuning.heartbeat_period, TIMER_HEARTBEAT);
+                self.inputs.heartbeat_round(ctx, self.heartbeat_period);
+                ctx.set_timer(now + self.heartbeat_period, TIMER_HEARTBEAT);
             }
             TIMER_ACK => {
                 self.inputs.send_acks(ctx);
-                ctx.set_timer(now + self.tuning.ack_period, TIMER_ACK);
+                ctx.set_timer(now + ACK_PERIOD, TIMER_ACK);
             }
             _ => {}
         }

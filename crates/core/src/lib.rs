@@ -49,10 +49,10 @@ pub mod system;
 pub mod upstream;
 
 pub use buffers::{BufferPolicy, OutputBuffer};
-pub use client::{ClientProxy, ClientTuning};
+pub use client::ClientProxy;
 pub use codec::{decode_frame, decode_payload, encode_frame, WireMsg};
 pub use durable::{DurabilityConfig, NodeDisk, RecoveredImage};
-pub use metrics::{MetricsHub, StreamMetrics, StreamRecorder, TraceEntry};
+pub use metrics::{final_stream, MetricsHub, StreamMetrics, StreamRecorder, TraceEntry};
 pub use msg::{NetMsg, NodeState};
 pub use node::{NodeConfig, NodeTuning, ProcessingNode};
 pub use publisher::Publisher;
@@ -68,7 +68,7 @@ mod tests {
     use borealis_types::{Duration, StreamId, Time};
 
     /// Three sources → Union → output, replicated; client watching.
-    fn merge3_system(replication: usize, detect_secs: f64) -> (RunningSystem, StreamId) {
+    fn merge3_system(faults: Vec<FaultSpec>) -> (RunningSystem, StreamId) {
         let mut q = QueryBuilder::new();
         let s1 = q.source("s1");
         let s2 = q.source("s2");
@@ -77,24 +77,24 @@ mod tests {
         q.output(u);
         let d = q.build().unwrap();
         let cfg = DpcConfig {
-            total_delay: Duration::from_secs_f64(detect_secs),
-            safety: 0.9,
+            total_delay: Duration::from_secs(2),
             ..DpcConfig::default()
         };
-        let p = plan_deployment(&d, &DeploymentSpec::single(replication), &cfg).unwrap();
+        let p = plan_deployment(&d, &DeploymentSpec::single(2), &cfg).unwrap();
         let sys = SystemBuilder::new(7, Duration::from_millis(1))
             .source(SourceConfig::seq(s1.id(), 100.0))
             .source(SourceConfig::seq(s2.id(), 100.0))
             .source(SourceConfig::seq(s3.id(), 100.0))
             .plan(p)
             .client_streams(vec![u.id()])
+            .faults(faults)
             .build();
         (sys, u.id())
     }
 
     #[test]
     fn healthy_system_delivers_stable_data_with_low_latency() {
-        let (mut sys, out) = merge3_system(2, 2.0);
+        let (mut sys, out) = merge3_system(Vec::new());
         sys.run_until(Time::from_secs(10));
         let m = &sys.metrics;
         m.with(out, |m| {
@@ -112,10 +112,13 @@ mod tests {
 
     #[test]
     fn source_failure_produces_tentative_then_corrections() {
-        let (mut sys, out) = merge3_system(2, 2.0);
-        let s3 = StreamId(2);
         // Disconnect source 3 from both replicas from t=5s to t=10s.
-        sys.disconnect_source(s3, 0, Time::from_secs(5), Time::from_secs(10));
+        let (mut sys, out) = merge3_system(vec![FaultSpec::DisconnectSource {
+            stream: StreamId(2),
+            frag: 0,
+            from: Time::from_secs(5),
+            to: Time::from_secs(10),
+        }]);
         sys.run_until(Time::from_secs(25));
         let m = &sys.metrics;
         m.with(out, |m| {
@@ -139,12 +142,16 @@ mod tests {
         // stabilization, both deliver the same number of *stable* tuples
         // (all tentative data was corrected).
         let horizon = Time::from_secs(30);
-        let (mut clean, out) = merge3_system(2, 2.0);
+        let (mut clean, out) = merge3_system(Vec::new());
         clean.run_until(horizon);
         let clean_stable = clean.metrics.with(out, |m| m.n_stable);
 
-        let (mut faulty, out2) = merge3_system(2, 2.0);
-        faulty.disconnect_source(StreamId(2), 0, Time::from_secs(5), Time::from_secs(12));
+        let (mut faulty, out2) = merge3_system(vec![FaultSpec::DisconnectSource {
+            stream: StreamId(2),
+            frag: 0,
+            from: Time::from_secs(5),
+            to: Time::from_secs(12),
+        }]);
         faulty.run_until(horizon);
         let faulty_stable = faulty.metrics.with(out2, |m| m.n_stable);
         let diff = clean_stable.abs_diff(faulty_stable);
@@ -158,9 +165,14 @@ mod tests {
 
     #[test]
     fn replica_crash_switches_client_within_keepalive_bound() {
-        let (mut sys, out) = merge3_system(2, 2.0);
         // Crash replica 0 permanently at t=5s.
-        sys.crash_node(0, 0, Time::from_secs(5), None);
+        let (mut sys, out) = merge3_system(vec![FaultSpec::CrashReplica {
+            frag: 0,
+            shard: 0,
+            replica: 0,
+            from: Time::from_secs(5),
+            to: None,
+        }]);
         sys.run_until(Time::from_secs(15));
         sys.metrics.with(out, |m| {
             assert_eq!(m.dup_stable, 0);

@@ -30,6 +30,31 @@ pub struct TraceEntry {
     pub undo_target: Option<TupleId>,
 }
 
+/// Applies the DPC stream semantics to a client arrival trace and returns
+/// the stream the application retains, as `(id, stime µs, kind)`: data
+/// tuples append, an UNDO rolls back everything after the last stable tuple
+/// at or before its target, and the corrections that follow take its
+/// place. A tentative tuple still in the result was never corrected.
+pub fn final_stream(trace: &[TraceEntry]) -> Vec<(u64, u64, TupleKind)> {
+    let mut kept: Vec<(u64, u64, TupleKind)> = Vec::new();
+    for e in trace {
+        match e.kind {
+            TupleKind::Insertion | TupleKind::Tentative => {
+                kept.push((e.id.0, e.stime.as_micros(), e.kind));
+            }
+            TupleKind::Undo => {
+                let target = e.undo_target.unwrap_or_default().0;
+                let last_kept = kept
+                    .iter()
+                    .rposition(|&(id, _, kind)| kind == TupleKind::Insertion && id <= target);
+                kept.truncate(last_kept.map_or(0, |i| i + 1));
+            }
+            TupleKind::RecDone | TupleKind::Boundary => {}
+        }
+    }
+    kept
+}
+
 /// Metrics for one output stream.
 #[derive(Debug, Default)]
 pub struct StreamMetrics {

@@ -27,31 +27,22 @@ use crate::durable::{DurabilityConfig, NodeDisk};
 use crate::msg::{NetMsg, NodeState};
 use crate::publisher::Publisher;
 use crate::runtime::{DpcActor, RuntimeCtx};
-use crate::upstream::{Inputs, UpstreamSpec};
+use crate::upstream::{Inputs, UpstreamSpec, ACK_PERIOD};
 use borealis_diagram::FragmentPlan;
 use borealis_engine::{Batch, Fragment};
 use borealis_sim::FaultEvent;
 use borealis_types::{Duration, NodeId, StreamId, Time, TupleId};
 
-/// Performance/protocol tuning knobs shared by all nodes of a deployment.
+/// The two tuning knobs of a deployment.
 #[derive(Debug, Clone)]
 pub struct NodeTuning {
-    /// CPU service time per processed data tuple.
+    /// CPU service time per processed data tuple (a fragment's
+    /// `work_cost` takes precedence for its replicas).
     pub per_tuple_cost: Duration,
-    /// Keep-alive period (100 ms in the paper's §5.1).
+    /// Keep-alive period of every node and of the client proxy (100 ms in
+    /// the paper's §5.1); a peer silent for 2.5 periods is considered
+    /// Failed.
     pub heartbeat_period: Duration,
-    /// Silence after which an upstream replica is considered Failed.
-    pub stale_timeout: Duration,
-    /// Cumulative-ack period for buffer truncation.
-    pub ack_period: Duration,
-    /// Output buffer policy (§8.1).
-    pub buffer_policy: BufferPolicy,
-    /// Tuples per Data message when draining large output windows.
-    pub dispatch_chunk: usize,
-    /// How long a stabilization grant to a replica remains binding.
-    pub grant_timeout: Duration,
-    /// Wait before retrying a rejected stabilization request.
-    pub retry_wait: Duration,
 }
 
 impl Default for NodeTuning {
@@ -59,15 +50,17 @@ impl Default for NodeTuning {
         NodeTuning {
             per_tuple_cost: Duration::from_micros(60),
             heartbeat_period: Duration::from_millis(100),
-            stale_timeout: Duration::from_millis(250),
-            ack_period: Duration::from_secs(1),
-            buffer_policy: BufferPolicy::Unbounded,
-            dispatch_chunk: 500,
-            grant_timeout: Duration::from_secs(120),
-            retry_wait: Duration::from_millis(100),
         }
     }
 }
+
+/// Tuples per `Data` message when draining large output windows.
+const DISPATCH_CHUNK: usize = 500;
+/// How long a stabilization grant to a replica remains binding.
+const GRANT_TIMEOUT: Duration = Duration::from_secs(120);
+/// Wait before retrying a rejected stabilization request; an unanswered
+/// one is abandoned after five times as long.
+const RETRY_WAIT: Duration = Duration::from_millis(100);
 
 /// Full configuration of one node replica.
 pub struct NodeConfig {
@@ -82,6 +75,8 @@ pub struct NodeConfig {
     pub downstream_counts: Vec<(StreamId, usize)>,
     /// Tuning knobs.
     pub tuning: NodeTuning,
+    /// Output buffer policy (§8.1; `FragmentSpec::buffer`).
+    pub buffer: BufferPolicy,
     /// Durable checkpoints + input log (None: volatile node, crash
     /// recovery rebuilds from an empty state as in §4.5).
     pub durability: Option<DurabilityConfig>,
@@ -150,7 +145,7 @@ impl ProcessingNode {
             let expected = cfg.downstream_counts.iter().find(|(d, _)| *d == s);
             (s, expected.map_or(usize::MAX, |(_, n)| *n))
         });
-        Publisher::new(streams, cfg.tuning.buffer_policy, cfg.tuning.dispatch_chunk)
+        Publisher::new(streams, cfg.buffer, DISPATCH_CHUNK)
     }
 
     /// Charges CPU time for a batch, retains its output batches by shared
@@ -219,10 +214,7 @@ impl ProcessingNode {
         let target = reachable[ctx.rand_range(reachable.len() as u64) as usize];
         self.pending_request = Some(target);
         ctx.send(target, NetMsg::ReconcileRequest);
-        ctx.set_timer(
-            ctx.now() + self.cfg.tuning.retry_wait.saturating_mul(5),
-            TIMER_RETRY,
-        );
+        ctx.set_timer(ctx.now() + RETRY_WAIT.saturating_mul(5), TIMER_RETRY);
     }
 
     fn do_reconcile(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
@@ -329,7 +321,7 @@ impl DpcActor<NetMsg> for ProcessingNode {
         }
         self.inputs.subscribe_all(ctx);
         ctx.set_timer(now + self.cfg.tuning.heartbeat_period, TIMER_HEARTBEAT);
-        ctx.set_timer(now + self.cfg.tuning.ack_period, TIMER_ACK);
+        ctx.set_timer(now + ACK_PERIOD, TIMER_ACK);
     }
 
     /// Handles one protocol message.
@@ -376,9 +368,9 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 node_state,
                 stream_states,
             } => {
-                let stale = self.cfg.tuning.stale_timeout;
+                let period = self.cfg.tuning.heartbeat_period;
                 self.inputs
-                    .heartbeat_response(ctx, from, node_state, &stream_states, stale);
+                    .heartbeat_response(ctx, from, node_state, &stream_states, period);
             }
             NetMsg::ReconcileRequest => {
                 let must_reject = self.state == NodeState::Stabilization
@@ -388,10 +380,7 @@ impl DpcActor<NetMsg> for ProcessingNode {
                     ctx.send(from, NetMsg::ReconcileReject);
                 } else {
                     self.granted_to.push((from, ctx.now()));
-                    ctx.set_timer(
-                        ctx.now() + self.cfg.tuning.grant_timeout,
-                        TIMER_GRANT_TIMEOUT,
-                    );
+                    ctx.set_timer(ctx.now() + GRANT_TIMEOUT, TIMER_GRANT_TIMEOUT);
                     ctx.send(from, NetMsg::ReconcileGrant);
                 }
             }
@@ -410,7 +399,7 @@ impl DpcActor<NetMsg> for ProcessingNode {
             NetMsg::ReconcileReject => {
                 if self.pending_request == Some(from) {
                     self.pending_request = None;
-                    ctx.set_timer(ctx.now() + self.cfg.tuning.retry_wait, TIMER_RETRY);
+                    ctx.set_timer(ctx.now() + RETRY_WAIT, TIMER_RETRY);
                 }
             }
             NetMsg::ReconcileDone => {
@@ -433,13 +422,13 @@ impl DpcActor<NetMsg> for ProcessingNode {
             }
             TIMER_HEARTBEAT => {
                 self.inputs
-                    .heartbeat_round(ctx, self.cfg.tuning.stale_timeout);
+                    .heartbeat_round(ctx, self.cfg.tuning.heartbeat_period);
                 // A stabilization grant held for a peer that is no longer
                 // reachable (crashed or partitioned away) staggers nothing
                 // — the partner cannot be mid-stabilization relying on us
                 // if it cannot even talk to us. Drop such grants so this
                 // replica stays free to reconcile its own state; the
-                // grant_timeout remains the backstop for in-flight races.
+                // GRANT_TIMEOUT remains the backstop for in-flight races.
                 let before = self.granted_to.len();
                 self.granted_to.retain(|(n, _)| ctx.reachable(*n));
                 if self.granted_to.len() < before {
@@ -466,7 +455,7 @@ impl DpcActor<NetMsg> for ProcessingNode {
             }
             TIMER_ACK => {
                 self.inputs.send_acks(ctx);
-                ctx.set_timer(now + self.cfg.tuning.ack_period, TIMER_ACK);
+                ctx.set_timer(now + ACK_PERIOD, TIMER_ACK);
             }
             TIMER_RETRY => {
                 self.pending_request = None;
@@ -523,8 +512,8 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 }
             }
             TIMER_GRANT_TIMEOUT => {
-                let timeout = self.cfg.tuning.grant_timeout;
-                self.granted_to.retain(|(_, t)| now.since(*t) < timeout);
+                self.granted_to
+                    .retain(|(_, t)| now.since(*t) < GRANT_TIMEOUT);
                 self.check_reconcile(ctx);
             }
             TIMER_RECOVERY_DONE => {
@@ -550,7 +539,10 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 // unless a durable store is configured, in which case
                 // `start` reloads the newest snapshot and replays the
                 // logged input suffix before resubscribing. Logs,
-                // subscribers and queued departures are volatile state.
+                // subscribers and queued departures are volatile state —
+                // and so is what the crashed incarnation's timers stood
+                // for: no driver purges them, and one that comes due after
+                // the restart must find nothing of its own to finish.
                 self.fragment = Fragment::from_plan(&self.cfg.plan);
                 self.out = Self::publisher(&self.cfg, &self.fragment);
                 self.busy_until = ctx.now();
@@ -558,6 +550,8 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 self.pending_request = None;
                 self.granted_to.clear();
                 self.authorized_by = None;
+                self.stab_done_at = None;
+                self.scheduled_tick = None;
                 self.recovering = true;
                 self.on_start(ctx);
                 ctx.set_timer(ctx.now() + Duration::from_millis(500), TIMER_RECOVERY_DONE);
@@ -574,5 +568,77 @@ impl DpcActor<NetMsg> for ProcessingNode {
         }
         let ready = self.busy_until.max(ctx.now()); // when the modelled CPU is free
         self.out.on_fault(ctx, fault, ready);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::fake::FakeCtx;
+    use borealis_diagram::{plan_deployment, DeploymentSpec, DpcConfig, QueryBuilder};
+
+    const SOURCE: NodeId = NodeId(1);
+    const CLIENT: NodeId = NodeId(2);
+
+    /// An unreplicated relay node (`FakeCtx::default()`'s id 0) between a
+    /// source and a client, and its output stream.
+    fn relay_node() -> (ProcessingNode, StreamId) {
+        let mut q = QueryBuilder::new();
+        let s = q.source("in");
+        let out = q.relay("out", s);
+        q.output(out);
+        let d = q.build().unwrap();
+        let p = plan_deployment(&d, &DeploymentSpec::single(1), &DpcConfig::default()).unwrap();
+        let node = ProcessingNode::new(NodeConfig {
+            plan: p.fragments[0].clone(),
+            replicas: Vec::new(),
+            upstreams: vec![UpstreamSpec {
+                stream: s.id(),
+                candidates: vec![SOURCE],
+            }],
+            downstream_counts: vec![(out.id(), 1)],
+            tuning: NodeTuning::default(),
+            buffer: BufferPolicy::Unbounded,
+            durability: None,
+        });
+        (node, out.id())
+    }
+
+    /// No driver purges a crashed actor's timers, so a `TIMER_STAB_DONE`
+    /// armed before a crash can come due in the restarted incarnation. It
+    /// must find no stabilization to finish: a `REC_DONE` sent then would
+    /// announce a correction that never ran.
+    #[test]
+    fn stab_done_timer_of_a_crashed_incarnation_is_stale_after_restart() {
+        let (mut node, out) = relay_node();
+        let mut ctx = FakeCtx::default();
+        let me = ctx.id;
+        node.on_start(&mut ctx);
+        // Mid-stabilization, busy until t = 2 s, when the node crashes.
+        node.stab_done_at = Some(Time::from_secs(2));
+        ctx.now = Time::from_secs(1);
+        node.on_fault(&mut ctx, &FaultEvent::NodeDown(me));
+        ctx.now = Time::from_secs(1) + crate::system::RESTART_DELAY;
+        node.on_fault(&mut ctx, &FaultEvent::NodeUp(me));
+        ctx.now += Duration::from_millis(500);
+        node.on_timer(&mut ctx, TIMER_RECOVERY_DONE);
+        assert!(!node.recovering, "the restarted node serves again");
+        let subscribe = NetMsg::Subscribe {
+            stream: out,
+            last_stable: TupleId::NONE,
+            saw_tentative: false,
+            fresh_only: false,
+        };
+        node.on_message(&mut ctx, CLIENT, subscribe);
+
+        ctx.sent.clear();
+        ctx.now = Time::from_secs(2);
+        node.on_timer(&mut ctx, TIMER_STAB_DONE);
+        assert!(
+            ctx.sent.is_empty(),
+            "the old incarnation's timer sent {:?}",
+            ctx.sent
+        );
+        assert_eq!(node.state, NodeState::Stable);
     }
 }

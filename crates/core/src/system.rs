@@ -2,28 +2,35 @@
 //! nodes, and a client proxy into one runnable system (the Fig. 2
 //! replicated query diagram).
 //!
-//! The pipeline is split into a **runtime-independent** half and
-//! **per-runtime launchers**:
+//! This is the last step of the one path from a description to a running
+//! deployment — `QueryBuilder` → `DeploymentSpec` → `plan_deployment` →
+//! [`SystemBuilder`] (+ [`FaultSpec`]s) → [`SystemLayout`] → `deploy_*` —
+//! and each step has one entry point:
 //!
 //! 1. [`SystemBuilder`] accumulates the description: sources, plan,
-//!    replication, tuning, watched streams, and a fault script expressed
-//!    against the *topology* (stream ids, fragment indexes, replica
-//!    indexes — never raw actor ids).
+//!    tuning, watched streams, and the fault schedule — a `Vec<FaultSpec>`
+//!    expressed against the *topology* (stream ids, fragment, shard and
+//!    replica indexes — never raw actor ids). It is the only way to say a
+//!    fault, so every schedule is a printable value that runs unchanged on
+//!    every runtime.
 //! 2. [`SystemBuilder::layout`] resolves it into a [`SystemLayout`]: a
 //!    deterministic actor-id assignment (sources, then each fragment's
 //!    replicas in order, then the client), per-actor configurations with
 //!    upstream candidate sets and downstream consumer counts (for §8.1
-//!    truncation), and the fault script lowered to concrete
-//!    [`FaultEvent`]s.
+//!    truncation), the topology lookup tables, and the schedule lowered to
+//!    concrete [`FaultEvent`]s by the one lowering function,
+//!    `SystemLayout::lower_fault`.
 //! 3. A launcher turns the layout into a running system:
 //!    [`SystemLayout::deploy_sim`] (or the [`SystemBuilder::build`]
 //!    shorthand) under the deterministic simulator,
 //!    `borealis_runtime::deploy_threads` on the real-time worker pool, and
 //!    `borealis_runtime::deploy_tcp` across OS processes. All deploy the
 //!    *same* actor objects over the same link `Fabric` — the protocol code
-//!    never knows which runtime drives it.
+//!    never knows which runtime drives it. The running handles carry the
+//!    driver and the metrics only; the layout is the topology lookup.
 
-use crate::client::{ClientProxy, ClientTuning};
+use crate::buffers::BufferPolicy;
+use crate::client::ClientProxy;
 use crate::durable::DurabilityConfig;
 use crate::metrics::MetricsHub;
 use crate::msg::NetMsg;
@@ -49,6 +56,24 @@ pub enum FaultSpec {
         stream: StreamId,
         /// Fragment whose replicas lose the source.
         frag: usize,
+        /// Disconnection instant.
+        from: Time,
+        /// Heal instant.
+        to: Time,
+    },
+    /// Cut `stream`'s source off from one replica of one shard of fragment
+    /// `frag` between `from` and `to` — a §2.2 partition separating that
+    /// replica from the source while its peers keep receiving.
+    /// [`FaultSpec::DisconnectSource`] is this, for every shard and replica.
+    CutSourceLink {
+        /// The source's stream.
+        stream: StreamId,
+        /// Logical fragment index (deployment-spec order).
+        frag: usize,
+        /// Shard index within the fragment (0 for unsharded fragments).
+        shard: usize,
+        /// Replica index within the shard.
+        replica: usize,
         /// Disconnection instant.
         from: Time,
         /// Heal instant.
@@ -111,7 +136,6 @@ pub struct SystemBuilder {
     sources: Vec<SourceConfig>,
     plan: Option<PhysicalPlan>,
     node_tuning: NodeTuning,
-    client_tuning: ClientTuning,
     client_streams: Vec<StreamId>,
     metrics: MetricsHub,
     faults: Vec<FaultSpec>,
@@ -131,7 +155,6 @@ impl SystemBuilder {
             sources: Vec::new(),
             plan: None,
             node_tuning: NodeTuning::default(),
-            client_tuning: ClientTuning::default(),
             client_streams: Vec::new(),
             metrics: MetricsHub::new(),
             faults: Vec::new(),
@@ -184,16 +207,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Node tuning knobs (deployment-wide defaults; a fragment's
-    /// `work_cost` override takes precedence for its replicas).
+    /// The deployment's tuning knobs: the per-tuple CPU cost (a fragment's
+    /// `work_cost` takes precedence for its replicas) and the keep-alive
+    /// period of every node and of the client.
     pub fn node_tuning(mut self, t: NodeTuning) -> Self {
         self.node_tuning = t;
-        self
-    }
-
-    /// Client tuning knobs.
-    pub fn client_tuning(mut self, t: ClientTuning) -> Self {
-        self.client_tuning = t;
         self
     }
 
@@ -232,20 +250,16 @@ impl SystemBuilder {
         let n_sources = self.sources.len();
         let n_fragments = plan.fragments.len();
 
-        // Per-physical-fragment settings from the plan's groups.
-        let mut replication = vec![2usize; n_fragments];
-        let mut cost_override: Vec<Option<Duration>> = vec![None; n_fragments];
-        let mut buffer_override: Vec<Option<crate::buffers::BufferPolicy>> =
-            vec![None; n_fragments];
-        let mut groups: Vec<Vec<usize>> = Vec::with_capacity(plan.groups.len());
-        for g in &plan.groups {
-            for &fi in &g.fragments {
-                replication[fi] = g.replication;
-                cost_override[fi] = g.per_tuple_cost;
-                buffer_override[fi] = g.buffer_policy;
-            }
-            groups.push(g.fragments.clone());
-        }
+        // A physical fragment's replication, cost and buffer settings are
+        // those of the group (logical fragment) the planner put it in.
+        let group_of = |fi: usize| {
+            let group = plan.groups.iter().find(|g| g.fragments.contains(&fi));
+            group.expect("every planned fragment belongs to a group")
+        };
+        let replication: Vec<usize> = (0..n_fragments)
+            .map(|fi| group_of(fi).replication)
+            .collect();
+        let groups = plan.groups.iter().map(|g| g.fragments.clone()).collect();
 
         // Deterministic id layout: sources, then each physical fragment's
         // replicas in order (cumulative — replication varies per fragment),
@@ -309,13 +323,13 @@ impl SystemBuilder {
                     ));
                 }
             }
-            let mut tuning = self.node_tuning.clone();
-            if let Some(cost) = cost_override[fi] {
-                tuning.per_tuple_cost = cost;
-            }
-            if let Some(policy) = buffer_override[fi] {
-                tuning.buffer_policy = policy;
-            }
+            let group = group_of(fi);
+            let tuning = NodeTuning {
+                per_tuple_cost: group
+                    .per_tuple_cost
+                    .unwrap_or(self.node_tuning.per_tuple_cost),
+                ..self.node_tuning
+            };
             for &my_id in &ids {
                 let replicas = ids.iter().copied().filter(|&r| r != my_id).collect();
                 // One upstream spec per distinct input stream.
@@ -359,6 +373,7 @@ impl SystemBuilder {
                     upstreams,
                     downstream_counts,
                     tuning: tuning.clone(),
+                    buffer: group.buffer_policy.unwrap_or(BufferPolicy::Unbounded),
                     durability,
                 })));
             }
@@ -382,7 +397,7 @@ impl SystemBuilder {
             debug_assert_eq!(actors.len(), client_id.index(), "id layout mismatch");
             actors.push(ActorSpec::Client {
                 streams,
-                tuning: self.client_tuning.clone(),
+                heartbeat_period: self.node_tuning.heartbeat_period,
             });
             Some(client_id)
         };
@@ -428,8 +443,8 @@ pub enum ActorSpec {
     Client {
         /// Watched output streams with their producing replicas.
         streams: Vec<UpstreamSpec>,
-        /// Client tuning knobs.
-        tuning: ClientTuning,
+        /// Keep-alive period (the nodes').
+        heartbeat_period: Duration,
     },
 }
 
@@ -440,9 +455,10 @@ impl ActorSpec {
         match self {
             ActorSpec::Source(cfg) => Box::new(DataSource::new(cfg)),
             ActorSpec::Node(cfg) => Box::new(ProcessingNode::new(*cfg)),
-            ActorSpec::Client { streams, tuning } => {
-                Box::new(ClientProxy::new(streams, tuning, metrics.clone()))
-            }
+            ActorSpec::Client {
+                streams,
+                heartbeat_period,
+            } => Box::new(ClientProxy::new(streams, heartbeat_period, metrics.clone())),
         }
     }
 }
@@ -516,7 +532,8 @@ impl SystemLayout {
             .unwrap_or_else(|| panic!("no source for {stream}"))
     }
 
-    /// Lowers one topology-level fault into concrete events.
+    /// Lowers one topology-level fault into concrete events — the one
+    /// place a [`FaultSpec`] acquires actor ids.
     fn lower_fault(&mut self, f: &FaultSpec) {
         match *f {
             FaultSpec::DisconnectSource {
@@ -525,32 +542,41 @@ impl SystemLayout {
                 from,
                 to,
             } => {
-                let src = self.source_of(stream);
-                for &fi in &self.groups[frag] {
-                    for &node in &self.fragment_replicas[fi] {
-                        self.script
-                            .push((from, FaultEvent::LinkDown { a: src, b: node }));
-                        self.script
-                            .push((to, FaultEvent::LinkUp { a: src, b: node }));
+                for shard in 0..self.groups[frag].len() {
+                    for replica in 0..self.shard_replicas(frag, shard).len() {
+                        self.lower_fault(&FaultSpec::CutSourceLink {
+                            stream,
+                            frag,
+                            shard,
+                            replica,
+                            from,
+                            to,
+                        });
                     }
                 }
             }
+            FaultSpec::CutSourceLink {
+                stream,
+                frag,
+                shard,
+                replica,
+                from,
+                to,
+            } => {
+                let a = self.source_of(stream);
+                let b = self.shard_replicas(frag, shard)[replica];
+                self.script.push((from, FaultEvent::LinkDown { a, b }));
+                self.script.push((to, FaultEvent::LinkUp { a, b }));
+            }
             FaultSpec::MuteBoundaries { stream, from, to } => {
-                let src = self.source_of(stream);
-                self.script.push((
-                    from,
-                    FaultEvent::Custom {
-                        target: src,
-                        tag: DataSource::MUTE_BOUNDARIES,
-                    },
-                ));
-                self.script.push((
-                    to,
-                    FaultEvent::Custom {
-                        target: src,
-                        tag: DataSource::UNMUTE_BOUNDARIES,
-                    },
-                ));
+                let target = self.source_of(stream);
+                let tags = [
+                    (from, DataSource::MUTE_BOUNDARIES),
+                    (to, DataSource::UNMUTE_BOUNDARIES),
+                ];
+                for (at, tag) in tags {
+                    self.script.push((at, FaultEvent::Custom { target, tag }));
+                }
             }
             FaultSpec::CrashReplica {
                 frag,
@@ -570,12 +596,13 @@ impl SystemLayout {
                 shard,
                 replica,
                 after,
-            } => {
-                let node = self.shard_replicas(frag, shard)[replica];
-                self.script.push((after, FaultEvent::NodeDown(node)));
-                self.script
-                    .push((after + RESTART_DELAY, FaultEvent::NodeUp(node)));
-            }
+            } => self.lower_fault(&FaultSpec::CrashReplica {
+                frag,
+                shard,
+                replica,
+                from: after,
+                to: Some(after + RESTART_DELAY),
+            }),
         }
     }
 
@@ -593,105 +620,19 @@ impl SystemLayout {
         RunningSystem {
             sim,
             metrics: self.metrics,
-            source_ids: self.source_ids,
-            fragment_replicas: self.fragment_replicas,
-            groups: self.groups,
-            client: self.client,
         }
     }
 }
 
-/// A deployment running under the simulator, ready to run and script
-/// (further) faults against.
+/// A deployment running under the simulator.
 pub struct RunningSystem {
     /// The simulation.
     pub sim: Sim<NetMsg>,
     /// Metrics collected by the client proxy.
     pub metrics: MetricsHub,
-    /// Source actor ids, per stream.
-    pub source_ids: Vec<(StreamId, NodeId)>,
-    /// Node ids per physical fragment (outer index = physical fragment
-    /// index; a sharded group contributes one entry per shard).
-    pub fragment_replicas: Vec<Vec<NodeId>>,
-    /// Physical fragment indexes per logical fragment, in shard order.
-    pub groups: Vec<Vec<usize>>,
-    /// The client proxy, if any.
-    pub client: Option<NodeId>,
 }
 
 impl RunningSystem {
-    /// The actor id of the source producing `stream`.
-    ///
-    /// # Panics
-    /// Panics if no source produces `stream` (an experiment-script bug).
-    pub fn source_of(&self, stream: StreamId) -> NodeId {
-        self.source_ids
-            .iter()
-            .find(|(s, _)| *s == stream)
-            .map(|(_, id)| *id)
-            .unwrap_or_else(|| panic!("no source for {stream}"))
-    }
-
-    /// Disconnects `stream`'s source from every replica of every shard of
-    /// logical fragment `frag` between `from` and `to` — the §5/§6.1
-    /// failure: "temporarily disconnecting one of the input streams
-    /// without stopping the data source".
-    pub fn disconnect_source(&mut self, stream: StreamId, frag: usize, from: Time, to: Time) {
-        let src = self.source_of(stream);
-        for fi in self.groups[frag].clone() {
-            for &node in self.fragment_replicas[fi].clone().iter() {
-                self.sim
-                    .schedule_fault(from, FaultEvent::LinkDown { a: src, b: node });
-                self.sim
-                    .schedule_fault(to, FaultEvent::LinkUp { a: src, b: node });
-            }
-        }
-    }
-
-    /// Mutes only the boundary tuples of `stream`'s source between `from`
-    /// and `to` — the §6.2 failure used in the chain experiments (data keeps
-    /// flowing, so the output rate is unchanged).
-    pub fn mute_boundaries(&mut self, stream: StreamId, from: Time, to: Time) {
-        let src = self.source_of(stream);
-        self.sim.schedule_fault(
-            from,
-            FaultEvent::Custom {
-                target: src,
-                tag: DataSource::MUTE_BOUNDARIES,
-            },
-        );
-        self.sim.schedule_fault(
-            to,
-            FaultEvent::Custom {
-                target: src,
-                tag: DataSource::UNMUTE_BOUNDARIES,
-            },
-        );
-    }
-
-    /// Crashes one replica of (shard 0 of) logical fragment `frag` between
-    /// `from` and `to`; use [`RunningSystem::crash_shard_node`] to target a
-    /// specific shard.
-    pub fn crash_node(&mut self, frag: usize, replica: usize, from: Time, to: Option<Time>) {
-        self.crash_shard_node(frag, 0, replica, from, to);
-    }
-
-    /// Crashes one replica of shard `shard` of logical fragment `frag`.
-    pub fn crash_shard_node(
-        &mut self,
-        frag: usize,
-        shard: usize,
-        replica: usize,
-        from: Time,
-        to: Option<Time>,
-    ) {
-        let node = self.fragment_replicas[self.groups[frag][shard]][replica];
-        self.sim.schedule_fault(from, FaultEvent::NodeDown(node));
-        if let Some(to) = to {
-            self.sim.schedule_fault(to, FaultEvent::NodeUp(node));
-        }
-    }
-
     /// Runs the simulation to `until`.
     pub fn run_until(&mut self, until: Time) {
         self.sim.run_until(until);
@@ -746,39 +687,7 @@ mod tests {
         assert_eq!(l.source_of(StreamId(1)), NodeId(1));
     }
 
-    #[test]
-    fn topology_faults_lower_to_concrete_events_on_both_replicas() {
-        let l = tiny_layout(vec![
-            FaultSpec::DisconnectSource {
-                stream: StreamId(0),
-                frag: 0,
-                from: Time::from_secs(1),
-                to: Time::from_secs(2),
-            },
-            FaultSpec::CrashReplica {
-                frag: 0,
-                shard: 0,
-                replica: 1,
-                from: Time::from_secs(3),
-                to: None,
-            },
-        ]);
-        // 2 link-downs + 2 link-ups + 1 node-down, sorted by time.
-        assert_eq!(l.script.len(), 5);
-        assert!(l.script.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert!(l
-            .script
-            .iter()
-            .any(|(at, f)| *at == Time::from_secs(3) && *f == FaultEvent::NodeDown(NodeId(3))));
-        let downs = l
-            .script
-            .iter()
-            .filter(|(_, f)| matches!(f, FaultEvent::LinkDown { .. }))
-            .count();
-        assert_eq!(downs, 2, "one link-down per replica");
-    }
-
-    fn sharded_layout(k: u32, work_replication: usize) -> SystemLayout {
+    fn sharded_layout(k: u32, work_replication: usize, faults: Vec<FaultSpec>) -> SystemLayout {
         let mut q = QueryBuilder::new();
         let s1 = q.source("s1");
         let s2 = q.source("s2");
@@ -807,6 +716,7 @@ mod tests {
             .source(SourceConfig::seq(s2.id(), 150.0))
             .plan(p)
             .client_streams(vec![out.id()])
+            .faults(faults)
             .layout()
     }
 
@@ -815,7 +725,7 @@ mod tests {
     /// logical→physical fragment groups.
     #[test]
     fn sharded_layout_assigns_ids_partitions_and_groups() {
-        let l = sharded_layout(2, 2);
+        let l = sharded_layout(2, 2, Vec::new());
         // 2 sources + ingest 2 + work 2 shards × 2 + deliver 2 + client.
         assert_eq!(l.actors.len(), 2 + 2 + 4 + 2 + 1);
         assert_eq!(l.groups, vec![vec![0], vec![1, 2], vec![3]]);
@@ -838,34 +748,119 @@ mod tests {
         assert_ne!(cost_of(2), Duration::from_micros(80));
     }
 
-    /// A scripted shard-replica crash lowers to the right physical node,
-    /// and a source disconnect hits every shard's replicas.
+    /// Every [`FaultSpec`] variant, lowered on the sharded layout (sources
+    /// 0-1, ingest 2-3, work shard 0 = 4-5 and shard 1 = 6-7, deliver 8-9):
+    /// the exact events, in script order.
     #[test]
-    fn shard_faults_lower_to_physical_nodes() {
-        let mut l = sharded_layout(2, 2);
-        l.lower_fault(&FaultSpec::CrashReplica {
+    fn topology_faults_lower_to_concrete_events_on_both_replicas() {
+        use FaultEvent::{Custom, LinkDown, LinkUp, NodeDown, NodeUp};
+        let script = |faults: &[FaultSpec]| sharded_layout(2, 2, faults.to_vec()).script;
+        let (t1, t2) = (Time::from_secs(1), Time::from_secs(2));
+        let s1 = StreamId(0);
+        let cut = |shard, replica| FaultSpec::CutSourceLink {
+            stream: s1,
+            frag: 1,
+            shard,
+            replica,
+            from: t1,
+            to: t2,
+        };
+        let disconnect = |frag, from, to| FaultSpec::DisconnectSource {
+            stream: s1,
+            frag,
+            from,
+            to,
+        };
+        let mute = FaultSpec::MuteBoundaries {
+            stream: StreamId(1),
+            from: t1,
+            to: t2,
+        };
+        let crash = |to| FaultSpec::CrashReplica {
             frag: 1,
             shard: 1,
             replica: 0,
-            from: Time::from_secs(1),
-            to: None,
-        });
-        assert!(l
-            .script
-            .iter()
-            .any(|(_, f)| *f == FaultEvent::NodeDown(NodeId(6))));
-        l.lower_fault(&FaultSpec::DisconnectSource {
-            stream: StreamId(0),
+            from: t1,
+            to,
+        };
+        let restart = |after| FaultSpec::RestartReplica {
             frag: 1,
-            from: Time::from_secs(2),
-            to: Time::from_secs(3),
-        });
-        let downs = l
-            .script
-            .iter()
-            .filter(|(_, f)| matches!(f, FaultEvent::LinkDown { .. }))
-            .count();
-        assert_eq!(downs, 4, "all four work replicas lose the source");
+            shard: 1,
+            replica: 0,
+            after,
+        };
+        let down = |at, b| (at, LinkDown { a: NodeId(0), b });
+        let up = |at, b| (at, LinkUp { a: NodeId(0), b });
+        let custom = |at, tag| {
+            let target = NodeId(1);
+            (at, Custom { target, tag })
+        };
+        let work = [NodeId(4), NodeId(5), NodeId(6), NodeId(7)];
+        let victim = NodeId(6);
+        let t1_up = t1 + RESTART_DELAY;
+
+        let cases: Vec<(FaultSpec, Vec<(Time, FaultEvent)>)> = vec![
+            (cut(1, 0), vec![down(t1, victim), up(t2, victim)]),
+            (
+                disconnect(1, t1, t2),
+                work.iter()
+                    .map(|&n| down(t1, n))
+                    .chain(work.iter().map(|&n| up(t2, n)))
+                    .collect(),
+            ),
+            (
+                mute,
+                vec![
+                    custom(t1, DataSource::MUTE_BOUNDARIES),
+                    custom(t2, DataSource::UNMUTE_BOUNDARIES),
+                ],
+            ),
+            (crash(None), vec![(t1, NodeDown(victim))]),
+            (
+                crash(Some(t2)),
+                vec![(t1, NodeDown(victim)), (t2, NodeUp(victim))],
+            ),
+            (
+                restart(t1),
+                vec![(t1, NodeDown(victim)), (t1_up, NodeUp(victim))],
+            ),
+        ];
+        for (fault, want) in cases {
+            assert_eq!(script(std::slice::from_ref(&fault)), want, "{fault:?}");
+        }
+        assert_eq!(
+            script(&[disconnect(1, t1, t2)]),
+            script(&[cut(0, 0), cut(0, 1), cut(1, 0), cut(1, 1)]),
+            "DisconnectSource is CutSourceLink on every shard and replica"
+        );
+        assert_eq!(script(&[restart(t1)]), script(&[crash(Some(t1_up))]));
+
+        // The benchmark's `chain_faults` schedule: a source outage on the
+        // ingest stage, then a work replica restarted from disk. Same-time
+        // events keep the order the faults were given in, across faults
+        // too (the sort by time is stable).
+        let (t5, t8) = (Time::from_secs(5), Time::from_secs(8));
+        let (i0, i1) = (NodeId(2), NodeId(3));
+        assert_eq!(
+            script(&[disconnect(0, t2, t5), restart(t8)]),
+            vec![
+                down(t2, i0),
+                down(t2, i1),
+                up(t5, i0),
+                up(t5, i1),
+                (t8, NodeDown(victim)),
+                (t8 + RESTART_DELAY, NodeUp(victim)),
+            ]
+        );
+        assert_eq!(
+            script(&[crash(Some(t2)), cut(1, 0)]),
+            vec![
+                (t1, NodeDown(victim)),
+                down(t1, victim),
+                (t2, NodeUp(victim)),
+                up(t2, victim),
+            ]
+        );
     }
 
     /// End to end under the simulator: a sharded middle stage produces the
@@ -874,7 +869,7 @@ mod tests {
     #[test]
     fn sharded_system_runs_clean_under_sim() {
         let out = StreamId(4);
-        let mut sys = sharded_layout(2, 2).deploy_sim();
+        let mut sys = sharded_layout(2, 2, Vec::new()).deploy_sim();
         sys.run_until(Time::from_secs(10));
         sys.metrics.with(out, |m| {
             assert!(m.n_stable > 1500, "stable = {}", m.n_stable);
@@ -883,12 +878,10 @@ mod tests {
         });
     }
 
-    /// A per-fragment buffer override from the deployment spec replaces the
-    /// deployment-wide `NodeTuning` default on exactly that fragment's
-    /// replicas.
+    /// A fragment's buffer policy from the deployment spec reaches exactly
+    /// that fragment's replicas; the others keep everything.
     #[test]
-    fn buffer_policy_override_reaches_node_tuning() {
-        use crate::buffers::BufferPolicy;
+    fn fragment_buffer_policy_reaches_its_replicas() {
         let mut q = QueryBuilder::new();
         let s1 = q.source("s1");
         let f = q.map("front", s1, vec![borealis_types::Expr::field(0)]);
@@ -909,13 +902,13 @@ mod tests {
             .client_streams(vec![b.id()])
             .layout();
         let policy_of = |id: usize| match &l.actors[id] {
-            ActorSpec::Node(cfg) => cfg.tuning.buffer_policy,
+            ActorSpec::Node(cfg) => cfg.buffer,
             _ => panic!("not a node"),
         };
         // ids: source 0, front replicas 1-2, back replicas 3-4, client 5.
         assert_eq!(policy_of(1), BufferPolicy::DropOldest(256));
         assert_eq!(policy_of(2), BufferPolicy::DropOldest(256));
-        assert_eq!(policy_of(3), BufferPolicy::Unbounded, "tuning default");
+        assert_eq!(policy_of(3), BufferPolicy::Unbounded, "the default");
     }
 
     /// The builder's credit policy reaches the simulator's fabric, and

@@ -290,12 +290,14 @@ impl UpstreamManager {
             .unwrap_or(NodeState::Failed)
     }
 
-    /// Applies staleness (missed keep-alives => Failed) and the Table II
+    /// Applies staleness (a peer silent for two and a half keep-alive
+    /// periods — the paper's 100 ms / 250 ms — is Failed) and the Table II
     /// condition-action rules. Returns subscription changes.
-    pub fn evaluate(&mut self, now: Time, stale_after: Duration) -> Requests {
+    pub fn evaluate(&mut self, now: Time, heartbeat_period: Duration) -> Requests {
         if !self.monitor {
             return Vec::new();
         }
+        let stale_after = Duration::from_micros(heartbeat_period.as_micros() * 5 / 2);
         for (i, p) in self.peers.iter_mut().enumerate() {
             if now.since(p.last_heard) > stale_after && p.state != NodeState::Failed {
                 p.state = NodeState::Failed;
@@ -387,6 +389,10 @@ pub struct Inputs {
     pub(crate) ums: Vec<UpstreamManager>,
 }
 
+/// Cumulative-ack period of every consumer (§8.1 buffer truncation): its
+/// owner calls [`Inputs::send_acks`] this often.
+pub(crate) const ACK_PERIOD: Duration = Duration::from_secs(1);
+
 impl Inputs {
     /// One manager per binding, in order (the index [`Inputs::intake`]
     /// reports is the position here). A stream with a single producer has
@@ -460,21 +466,22 @@ impl Inputs {
         from: NodeId,
         node_state: NodeState,
         stream_states: &[(StreamId, NodeState)],
-        stale_after: Duration,
+        period: Duration,
     ) {
         let now = ctx.now();
         for um in &mut self.ums {
             um.heartbeat_response(from, node_state, stream_states, now);
-            Self::send(ctx, um.evaluate(now, stale_after));
+            Self::send(ctx, um.evaluate(now, period));
         }
     }
 
-    /// One keep-alive round: re-evaluates every input (staleness, Table
-    /// II), then requests a heartbeat from each monitored producer.
-    pub fn heartbeat_round(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, stale_after: Duration) {
+    /// One keep-alive round (there is one every `period`): re-evaluates
+    /// every input (staleness, Table II), then requests a heartbeat from
+    /// each monitored producer.
+    pub fn heartbeat_round(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, period: Duration) {
         let now = ctx.now();
         for um in &mut self.ums {
-            Self::send(ctx, um.evaluate(now, stale_after));
+            Self::send(ctx, um.evaluate(now, period));
             for target in um.heartbeat_targets() {
                 ctx.send(target, NetMsg::HeartbeatReq);
             }
@@ -514,7 +521,8 @@ mod tests {
         u.heartbeat_response(from, state, &[], Time::from_millis(ms));
     }
 
-    const STALE: Duration = Duration::from_millis(250);
+    /// The keep-alive period: a peer goes stale after 250 ms.
+    const HEARTBEAT: Duration = Duration::from_millis(100);
 
     /// The `Subscribe` request a manager of stream 0 sends to `to`.
     fn sub(to: u32, last_stable: u64, saw_tentative: bool, fresh_only: bool) -> (NodeId, NetMsg) {
@@ -547,7 +555,7 @@ mod tests {
         u.initial_subscribe();
         hb(&mut u, NodeId(10), NodeState::Stable, 100);
         hb(&mut u, NodeId(11), NodeState::Stable, 100);
-        assert!(u.evaluate(Time::from_millis(150), STALE).is_empty());
+        assert!(u.evaluate(Time::from_millis(150), HEARTBEAT).is_empty());
         assert_eq!(u.current(), NodeId(10));
     }
 
@@ -557,7 +565,7 @@ mod tests {
         u.initial_subscribe();
         hb(&mut u, NodeId(10), NodeState::UpFailure, 100);
         hb(&mut u, NodeId(11), NodeState::Stable, 100);
-        let actions = u.evaluate(Time::from_millis(150), STALE);
+        let actions = u.evaluate(Time::from_millis(150), HEARTBEAT);
         assert_eq!(u.current(), NodeId(11));
         assert_eq!(actions, [unsub(10), sub(11, 0, false, false)]);
     }
@@ -568,7 +576,7 @@ mod tests {
         u.initial_subscribe();
         hb(&mut u, NodeId(10), NodeState::UpFailure, 100);
         hb(&mut u, NodeId(11), NodeState::UpFailure, 100);
-        assert!(u.evaluate(Time::from_millis(150), STALE).is_empty());
+        assert!(u.evaluate(Time::from_millis(150), HEARTBEAT).is_empty());
         assert_eq!(u.current(), NodeId(10));
     }
 
@@ -578,7 +586,7 @@ mod tests {
         u.initial_subscribe();
         hb(&mut u, NodeId(11), NodeState::UpFailure, 900);
         // Node 10 last heard at t=0; at t=1000 it is stale.
-        let actions = u.evaluate(Time::from_millis(1000), STALE);
+        let actions = u.evaluate(Time::from_millis(1000), HEARTBEAT);
         assert_eq!(u.current(), NodeId(11));
         assert!(!actions.is_empty());
     }
@@ -589,14 +597,14 @@ mod tests {
         u.initial_subscribe();
         hb(&mut u, NodeId(10), NodeState::Stabilization, 100);
         hb(&mut u, NodeId(11), NodeState::UpFailure, 100);
-        let actions = u.evaluate(Time::from_millis(150), STALE);
+        let actions = u.evaluate(Time::from_millis(150), HEARTBEAT);
         // Keeps node 10 (corrections) and adds node 11 (fresh data).
         assert_eq!(u.current(), NodeId(10));
         assert!(u.accepts_from(NodeId(10)));
         assert!(u.accepts_from(NodeId(11)));
         assert_eq!(actions, [sub(11, 0, false, true)]);
         // Idempotent: a second evaluation adds nothing.
-        assert!(u.evaluate(Time::from_millis(200), STALE).is_empty());
+        assert!(u.evaluate(Time::from_millis(200), HEARTBEAT).is_empty());
     }
 
     #[test]
@@ -605,7 +613,7 @@ mod tests {
         u.initial_subscribe();
         hb(&mut u, NodeId(10), NodeState::Stabilization, 100);
         hb(&mut u, NodeId(11), NodeState::UpFailure, 100);
-        u.evaluate(Time::from_millis(150), STALE);
+        u.evaluate(Time::from_millis(150), HEARTBEAT);
         let rd = Tuple::rec_done(TupleId::NONE, Time::from_millis(200));
         let actions = u.observe_tuple(NodeId(10), &rd);
         assert_eq!(actions, [unsub(11)]);
@@ -625,7 +633,7 @@ mod tests {
         // A switch now must request correction of the tentative suffix.
         hb(&mut u, NodeId(10), NodeState::Failed, 100);
         hb(&mut u, NodeId(11), NodeState::Stable, 100);
-        let actions = u.evaluate(Time::from_millis(150), STALE);
+        let actions = u.evaluate(Time::from_millis(150), HEARTBEAT);
         assert!(actions.contains(&sub(11, 4, true, false)));
         // The UNDO from the new upstream clears the tentative flag.
         let undo = Tuple::undo(TupleId::NONE, TupleId(4));
@@ -638,7 +646,7 @@ mod tests {
         let mut u = UpstreamManager::new(StreamId(0), vec![NodeId(5)], false, Time::ZERO);
         u.initial_subscribe();
         assert!(u.heartbeat_targets().is_empty());
-        assert!(u.evaluate(Time::from_secs(100), STALE).is_empty());
+        assert!(u.evaluate(Time::from_secs(100), HEARTBEAT).is_empty());
         assert_eq!(u.current(), NodeId(5));
     }
 
@@ -687,12 +695,12 @@ mod tests {
         hb(&mut u, NodeId(1), NodeState::Failed, 100);
         hb(&mut u, NodeId(2), NodeState::Stabilization, 100);
         hb(&mut u, NodeId(3), NodeState::UpFailure, 100);
-        u.evaluate(Time::from_millis(150), STALE);
+        u.evaluate(Time::from_millis(150), HEARTBEAT);
         assert_eq!(u.current(), NodeId(3), "UP_FAILURE preferred");
 
         // If only a stabilizing replica remains, use it.
         hb(&mut u, NodeId(3), NodeState::Failed, 200);
-        u.evaluate(Time::from_millis(250), STALE);
+        u.evaluate(Time::from_millis(250), HEARTBEAT);
         assert_eq!(u.current(), NodeId(2));
     }
 }

@@ -4,7 +4,7 @@
 //! the stream a failure-free run delivers — no duplicates, no gaps.
 
 use borealis_diagram::{plan_deployment, DeploymentSpec, DpcConfig, QueryBuilder};
-use borealis_dpc::{FaultSpec, MetricsHub, SourceConfig, SystemBuilder, TraceEntry};
+use borealis_dpc::{final_stream, FaultSpec, MetricsHub, SourceConfig, SystemBuilder, TraceEntry};
 use borealis_types::{Duration, StreamId, Time, TupleKind};
 use std::path::{Path, PathBuf};
 
@@ -17,23 +17,11 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Stable stream a durable consumer retains: insertions append, UNDOs roll
-/// back past their target.
+/// The stable tuples of the stream a durable consumer retains.
 fn stable_stream(trace: &[TraceEntry]) -> Vec<(u64, u64)> {
-    let mut v: Vec<(u64, u64)> = Vec::new();
-    for e in trace {
-        match e.kind {
-            TupleKind::Insertion => v.push((e.id.0, e.stime.as_micros())),
-            TupleKind::Undo => {
-                let target = e.undo_target.map(|t| t.0).unwrap_or(0);
-                while v.last().is_some_and(|&(id, _)| id > target) {
-                    v.pop();
-                }
-            }
-            _ => {}
-        }
-    }
-    v
+    let stable = |&(_, _, kind): &(u64, u64, TupleKind)| kind == TupleKind::Insertion;
+    let retained = final_stream(trace).into_iter().filter(stable);
+    retained.map(|(id, stime, _)| (id, stime)).collect()
 }
 
 /// Two sources → union fragment (replication 2) → client.

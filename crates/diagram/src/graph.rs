@@ -64,9 +64,10 @@ impl LogicalOp {
         }
     }
 
-    fn expected_inputs(&self) -> Option<usize> {
+    /// The exact input count the kind requires (`None`: any number ≥ 2).
+    pub(crate) fn expected_inputs(&self) -> Option<usize> {
         match self {
-            LogicalOp::Union | LogicalOp::Join(_) => None, // any number >= 2
+            LogicalOp::Union | LogicalOp::Join(_) => None,
             _ => Some(1),
         }
     }
@@ -90,8 +91,6 @@ pub struct OpNode {
 pub enum DiagramError {
     /// A stream name was declared twice.
     DuplicateStream(String),
-    /// An operator consumes a stream that nothing produces.
-    UnknownStream(StreamId),
     /// An operator has the wrong number of inputs for its kind.
     ArityMismatch {
         /// The offending operator.
@@ -105,18 +104,8 @@ pub enum DiagramError {
     UnionTooNarrow(OpId),
     /// The graph contains a cycle (query diagrams are loop-free, §2.1).
     Cyclic,
-    /// An output stream was declared that no operator or source produces.
-    UnknownOutput(StreamId),
     /// An operator was assigned to no fragment during deployment.
     Unassigned(OpId),
-    /// A deployment assignment whose length does not match the diagram's
-    /// operator count (longer vectors used to be silently truncated).
-    AssignmentMismatch {
-        /// The diagram's operator count.
-        expected: usize,
-        /// The assignment's length.
-        actual: usize,
-    },
     /// Operators in the same fragment must form a connected sub-diagram
     /// deployable on one node; this edge crosses fragments backwards.
     BackwardsEdge {
@@ -153,9 +142,6 @@ impl fmt::Display for DiagramError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DiagramError::DuplicateStream(n) => write!(f, "stream {n:?} declared twice"),
-            DiagramError::UnknownStream(s) => {
-                write!(f, "stream {s} is consumed but never produced")
-            }
             DiagramError::ArityMismatch {
                 op,
                 expected,
@@ -165,14 +151,7 @@ impl fmt::Display for DiagramError {
             }
             DiagramError::UnionTooNarrow(op) => write!(f, "union {op} needs >= 2 inputs"),
             DiagramError::Cyclic => write!(f, "query diagram contains a cycle"),
-            DiagramError::UnknownOutput(s) => write!(f, "declared output {s} is never produced"),
             DiagramError::Unassigned(op) => write!(f, "operator {op} not assigned to a fragment"),
-            DiagramError::AssignmentMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "deployment assigns {actual} operators but the diagram has {expected}"
-                )
-            }
             DiagramError::BackwardsEdge { from, to } => {
                 write!(
                     f,
@@ -223,6 +202,25 @@ pub struct Diagram {
 }
 
 impl Diagram {
+    /// Freezes what a [`QueryBuilder`](crate::query::QueryBuilder)
+    /// collected — every operator consumes declared streams only, its
+    /// handles see to that — ordering the operators topologically.
+    pub(crate) fn new(
+        ops: Vec<OpNode>,
+        source_streams: Vec<StreamId>,
+        output_streams: Vec<StreamId>,
+        stream_names: Vec<String>,
+    ) -> Result<Diagram, DiagramError> {
+        let topo = topo_sort(&ops)?;
+        Ok(Diagram {
+            ops,
+            source_streams,
+            output_streams,
+            stream_names,
+            topo,
+        })
+    }
+
     /// The operators, indexable by [`OpId::index`].
     pub fn ops(&self) -> &[OpNode] {
         &self.ops
@@ -283,257 +281,37 @@ impl Diagram {
     }
 }
 
-/// Incrementally builds a [`Diagram`].
-#[derive(Debug, Default)]
-pub struct DiagramBuilder {
-    ops: Vec<OpNode>,
-    stream_names: Vec<String>,
-    stream_index: HashMap<String, StreamId>,
-    source_streams: Vec<StreamId>,
-    output_streams: Vec<StreamId>,
-    errors: Vec<DiagramError>,
-}
-
-impl DiagramBuilder {
-    /// Starts an empty diagram.
-    pub fn new() -> DiagramBuilder {
-        DiagramBuilder::default()
+/// Kahn's algorithm over operator nodes; detects cycles.
+fn topo_sort(ops: &[OpNode]) -> Result<Vec<OpId>, DiagramError> {
+    let n = ops.len();
+    // producer_of[stream] = op index
+    let mut producer_of: HashMap<StreamId, usize> = HashMap::new();
+    for (i, op) in ops.iter().enumerate() {
+        producer_of.insert(op.output, i);
     }
-
-    fn intern(&mut self, name: &str) -> StreamId {
-        if let Some(&s) = self.stream_index.get(name) {
-            return s;
-        }
-        let s = StreamId(self.stream_names.len() as u32);
-        self.stream_names.push(name.to_string());
-        self.stream_index.insert(name.to_string(), s);
-        s
-    }
-
-    /// Declares a source stream (produced outside the diagram).
-    pub fn source(&mut self, name: &str) -> StreamId {
-        if self.stream_index.contains_key(name) {
-            self.errors
-                .push(DiagramError::DuplicateStream(name.to_string()));
-        }
-        let s = self.intern(name);
-        self.source_streams.push(s);
-        s
-    }
-
-    /// Adds an operator producing stream `output_name` from `inputs`.
-    pub fn add(&mut self, output_name: &str, op: LogicalOp, inputs: &[StreamId]) -> StreamId {
-        if self.stream_index.contains_key(output_name) {
-            self.errors
-                .push(DiagramError::DuplicateStream(output_name.to_string()));
-        }
-        let output = self.intern(output_name);
-        let id = OpId(self.ops.len() as u32);
-        match op.expected_inputs() {
-            Some(n) if n != inputs.len() => {
-                self.errors.push(DiagramError::ArityMismatch {
-                    op: id,
-                    expected: n,
-                    actual: inputs.len(),
-                });
-            }
-            None if inputs.len() < 2 => self.errors.push(match op {
-                LogicalOp::Join(_) => DiagramError::ArityMismatch {
-                    op: id,
-                    expected: 2,
-                    actual: inputs.len(),
-                },
-                _ => DiagramError::UnionTooNarrow(id),
-            }),
-            _ => {}
-        }
-        self.ops.push(OpNode {
-            id,
-            op,
-            inputs: inputs.to_vec(),
-            output,
-        });
-        output
-    }
-
-    /// Marks a stream as a client-visible output.
-    pub fn output(&mut self, stream: StreamId) {
-        self.output_streams.push(stream);
-    }
-
-    /// Validates and freezes the diagram.
-    pub fn build(self) -> Result<Diagram, DiagramError> {
-        if let Some(e) = self.errors.first() {
-            return Err(e.clone());
-        }
-        // Every consumed stream must be produced by a source or an operator.
-        let mut produced = vec![false; self.stream_names.len()];
-        for &s in &self.source_streams {
-            produced[s.index()] = true;
-        }
-        for op in &self.ops {
-            produced[op.output.index()] = true;
-        }
-        for op in &self.ops {
-            for &s in &op.inputs {
-                if !produced.get(s.index()).copied().unwrap_or(false) {
-                    return Err(DiagramError::UnknownStream(s));
-                }
+    let mut indegree = vec![0usize; n];
+    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, op) in ops.iter().enumerate() {
+        for s in &op.inputs {
+            if let Some(&p) = producer_of.get(s) {
+                indegree[i] += 1;
+                consumers[p].push(i);
             }
         }
-        for &s in &self.output_streams {
-            if !produced.get(s.index()).copied().unwrap_or(false) {
-                return Err(DiagramError::UnknownOutput(s));
+    }
+    let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(i) = queue.pop() {
+        order.push(OpId(i as u32));
+        for &c in &consumers[i] {
+            indegree[c] -= 1;
+            if indegree[c] == 0 {
+                queue.push(c);
             }
         }
-        let topo = self.topo_sort()?;
-        Ok(Diagram {
-            ops: self.ops,
-            source_streams: self.source_streams,
-            output_streams: self.output_streams,
-            stream_names: self.stream_names,
-            topo,
-        })
     }
-
-    /// Kahn's algorithm over operator nodes; detects cycles.
-    fn topo_sort(&self) -> Result<Vec<OpId>, DiagramError> {
-        let n = self.ops.len();
-        // producer_of[stream] = op index
-        let mut producer_of: HashMap<StreamId, usize> = HashMap::new();
-        for (i, op) in self.ops.iter().enumerate() {
-            producer_of.insert(op.output, i);
-        }
-        let mut indegree = vec![0usize; n];
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, op) in self.ops.iter().enumerate() {
-            for s in &op.inputs {
-                if let Some(&p) = producer_of.get(s) {
-                    indegree[i] += 1;
-                    consumers[p].push(i);
-                }
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(i) = queue.pop() {
-            order.push(OpId(i as u32));
-            for &c in &consumers[i] {
-                indegree[c] -= 1;
-                if indegree[c] == 0 {
-                    queue.push(c);
-                }
-            }
-        }
-        if order.len() != n {
-            return Err(DiagramError::Cyclic);
-        }
-        // Deterministic order: sort stable by position in a BFS layering.
-        Ok(order)
+    if order.len() != n {
+        return Err(DiagramError::Cyclic);
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use borealis_types::Expr;
-
-    fn filter() -> LogicalOp {
-        LogicalOp::Filter {
-            predicate: Expr::Const(borealis_types::Value::Bool(true)),
-        }
-    }
-
-    #[test]
-    fn simple_chain_builds() {
-        let mut b = DiagramBuilder::new();
-        let s = b.source("in");
-        let f = b.add("filtered", filter(), &[s]);
-        b.output(f);
-        let d = b.build().unwrap();
-        assert_eq!(d.ops().len(), 1);
-        assert_eq!(d.source_streams(), &[StreamId(0)]);
-        assert_eq!(d.output_streams(), &[f]);
-        assert_eq!(d.stream_name(s), "in");
-        assert!(d.producer(f).is_some());
-        assert!(d.producer(s).is_none());
-        assert_eq!(d.consumers(s).len(), 1);
-    }
-
-    #[test]
-    fn duplicate_stream_rejected() {
-        let mut b = DiagramBuilder::new();
-        b.source("x");
-        b.source("x");
-        assert!(matches!(b.build(), Err(DiagramError::DuplicateStream(_))));
-    }
-
-    #[test]
-    fn unknown_input_rejected() {
-        let mut b = DiagramBuilder::new();
-        b.source("a");
-        // Stream id 5 was never declared.
-        b.add("out", filter(), &[StreamId(0)]);
-        let mut b2 = DiagramBuilder::new();
-        let s = b2.source("a");
-        let _ = s;
-        b2.add("out", filter(), &[StreamId(7)]);
-        assert!(b.build().is_ok());
-        // Building with a dangling id fails.
-        assert!(b2.build().is_err());
-    }
-
-    #[test]
-    fn arity_checked() {
-        let mut b = DiagramBuilder::new();
-        let a = b.source("a");
-        let c = b.source("b");
-        b.add(
-            "j",
-            LogicalOp::Join(JoinSpec {
-                window: Duration::from_millis(10),
-                left_key: Expr::field(0),
-                right_key: Expr::field(0),
-                max_state: None,
-            }),
-            &[a],
-        );
-        let _ = c;
-        assert!(matches!(b.build(), Err(DiagramError::ArityMismatch { .. })));
-    }
-
-    #[test]
-    fn union_needs_two_inputs() {
-        let mut b = DiagramBuilder::new();
-        let a = b.source("a");
-        b.add("u", LogicalOp::Union, &[a]);
-        assert!(matches!(b.build(), Err(DiagramError::UnionTooNarrow(_))));
-    }
-
-    #[test]
-    fn topo_order_covers_all_ops() {
-        let mut b = DiagramBuilder::new();
-        let a = b.source("a");
-        let c = b.source("b");
-        let u = b.add("u", LogicalOp::Union, &[a, c]);
-        let f = b.add("f", filter(), &[u]);
-        b.output(f);
-        let d = b.build().unwrap();
-        assert_eq!(d.topo_order().len(), 2);
-        // Union must precede filter.
-        let pos = |id: OpId| d.topo_order().iter().position(|&o| o == id).unwrap();
-        assert!(pos(OpId(0)) < pos(OpId(1)));
-    }
-
-    #[test]
-    fn fan_out_is_allowed() {
-        let mut b = DiagramBuilder::new();
-        let a = b.source("a");
-        let f1 = b.add("f1", filter(), &[a]);
-        let f2 = b.add("f2", filter(), &[a]);
-        b.output(f1);
-        b.output(f2);
-        let d = b.build().unwrap();
-        assert_eq!(d.consumers(a).len(), 2);
-    }
+    Ok(order)
 }

@@ -15,10 +15,10 @@ pub mod plan;
 pub mod query;
 pub mod spec;
 
-pub use graph::{Diagram, DiagramBuilder, DiagramError, JoinSpec, LogicalOp, OpNode};
+pub use graph::{Diagram, DiagramError, JoinSpec, LogicalOp, OpNode};
 pub use plan::{
-    plan, plan_deployment, DelayAssignment, Deployment, DpcConfig, FragmentInput, FragmentOutput,
-    FragmentPlan, PhysOp, PhysicalPlan, PlanGroup, Protection, ShardAssignment, StreamOrigin,
+    plan_deployment, DelayAssignment, DpcConfig, FragmentInput, FragmentOutput, FragmentPlan,
+    PhysOp, PhysicalPlan, PlanGroup, Protection, ShardAssignment, StreamOrigin,
 };
 pub use query::{QueryBuilder, StreamHandle};
 pub use spec::{DeploymentSpec, FragmentSpec};

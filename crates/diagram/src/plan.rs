@@ -1,7 +1,8 @@
 //! DPC physical planning (§3, §6.3).
 //!
-//! Turns a validated logical [`Diagram`] plus a fragment assignment into the
-//! per-fragment *physical* diagrams that nodes execute:
+//! [`plan_deployment`] — the one entry point — turns a validated logical
+//! [`Diagram`] plus a [`DeploymentSpec`] into the per-fragment *physical*
+//! diagrams that nodes execute:
 //!
 //! * every stream entering a fragment passes through an **input SUnion**
 //!   (failure detection, delay management, replay logging — §4.2.3);
@@ -66,9 +67,6 @@ pub struct DpcConfig {
     pub failure_mode: DelayMode,
     /// Policy during STABILIZATION (§6.1).
     pub stabilization_mode: DelayMode,
-    /// Minimum wait before releasing a tentative bucket in Process mode
-    /// (300 ms in the paper, footnote 5).
-    pub tentative_wait: Duration,
     /// DPC machinery on ([`Protection::Dpc`]) or the non-fault-tolerant
     /// baseline ([`Protection::Baseline`]).
     pub protection: Protection,
@@ -83,7 +81,6 @@ impl Default for DpcConfig {
             assignment: DelayAssignment::Uniform,
             failure_mode: DelayMode::Process,
             stabilization_mode: DelayMode::Process,
-            tentative_wait: Duration::from_millis(300),
             protection: Protection::Dpc,
         }
     }
@@ -176,8 +173,7 @@ impl FragmentPlan {
 /// belonging to it (one per shard).
 #[derive(Debug, Clone)]
 pub struct PlanGroup {
-    /// Fragment name (from the deployment spec; synthesized for raw
-    /// [`Deployment`]s).
+    /// Fragment name (from the deployment spec).
     pub name: String,
     /// Replicas per physical fragment (the paper requires two for
     /// availability during stabilization; one is allowed for single-node
@@ -189,8 +185,7 @@ pub struct PlanGroup {
     pub fragments: Vec<usize>,
     /// Optional per-fragment CPU cost override (heterogeneous stages).
     pub per_tuple_cost: Option<Duration>,
-    /// Optional per-fragment §8.1 output-buffer policy override (the
-    /// deployment-wide `NodeTuning` supplies the default).
+    /// Optional per-fragment §8.1 output-buffer policy (unset: unbounded).
     pub buffer_policy: Option<BufferPolicy>,
 }
 
@@ -208,78 +203,24 @@ pub struct PhysicalPlan {
     pub per_sunion_delay: Duration,
 }
 
-impl PhysicalPlan {
-    /// Sets every group's replication degree (convenience for plans built
-    /// from a raw [`Deployment`], which carries no replication settings).
-    pub fn with_replication(mut self, n: usize) -> PhysicalPlan {
-        assert!(n >= 1, "at least one replica per fragment");
-        for g in &mut self.groups {
-            g.replication = n;
-        }
-        self
-    }
-
-    /// The physical fragment index of shard `shard` of logical fragment
-    /// `group` (identity for unsharded plans).
-    ///
-    /// # Panics
-    /// Panics if the group or shard index is out of range.
-    pub fn fragment_of(&self, group: usize, shard: usize) -> usize {
-        self.groups[group].fragments[shard]
-    }
+/// The logical fragments' physical diagrams, before the sharding pass.
+struct LogicalPlan {
+    fragments: Vec<FragmentPlan>,
+    max_sunion_depth: usize,
+    per_sunion_delay: Duration,
 }
 
-/// Assignment of logical operators to fragments.
-#[derive(Debug, Clone)]
-pub struct Deployment {
-    /// `assignment[op.index()] = fragment`.
-    pub assignment: Vec<FragmentId>,
-    /// Number of fragments.
-    pub n_fragments: usize,
-}
-
-impl Deployment {
-    /// Puts every operator in a single fragment.
-    pub fn single(diagram: &Diagram) -> Deployment {
-        Deployment {
-            assignment: vec![FragmentId(0); diagram.ops().len()],
-            n_fragments: 1,
-        }
-    }
-
-    /// Explicit assignment.
-    pub fn explicit(assignment: Vec<FragmentId>) -> Deployment {
-        let n = assignment.iter().map(|f| f.index() + 1).max().unwrap_or(0);
-        Deployment {
-            assignment,
-            n_fragments: n,
-        }
-    }
-
-    fn of(&self, op: OpId) -> FragmentId {
-        self.assignment[op.index()]
-    }
-}
-
-/// Plans the physical per-fragment diagrams.
-pub fn plan(
+/// Plans the per-fragment physical diagrams of a resolved fragment cut:
+/// `assignment[op.index()]` is the (logical) fragment of each operator.
+fn plan_fragments(
     diagram: &Diagram,
-    deployment: &Deployment,
+    assignment: &[FragmentId],
+    n_fragments: usize,
     cfg: &DpcConfig,
-) -> Result<PhysicalPlan, DiagramError> {
-    if deployment.assignment.len() > diagram.ops().len() {
-        // A longer vector used to be silently truncated — every extra entry
-        // is a deployment bug (an operator the author thinks exists).
-        return Err(DiagramError::AssignmentMismatch {
-            expected: diagram.ops().len(),
-            actual: deployment.assignment.len(),
-        });
-    }
-    if let Some(op) = diagram.ops().get(deployment.assignment.len()) {
-        return Err(DiagramError::Unassigned(op.id));
-    }
+) -> Result<LogicalPlan, DiagramError> {
+    let frag_of = |op: OpId| assignment[op.index()];
     let dpc = cfg.protection == Protection::Dpc;
-    let mut fragments: Vec<FragmentPlan> = (0..deployment.n_fragments)
+    let mut fragments: Vec<FragmentPlan> = (0..n_fragments)
         .map(|i| FragmentPlan {
             id: FragmentId(i as u32),
             ops: Vec::new(),
@@ -292,7 +233,7 @@ pub fn plan(
     // Which fragment produces each stream (None = source).
     let mut produced_in: HashMap<StreamId, FragmentId> = HashMap::new();
     for op in diagram.ops() {
-        produced_in.insert(op.output, deployment.of(op.id));
+        produced_in.insert(op.output, frag_of(op.id));
     }
 
     // Streams that must leave their producing fragment: consumed by another
@@ -301,7 +242,7 @@ pub fn plan(
     for op in diagram.ops() {
         for &s in &op.inputs {
             match produced_in.get(&s) {
-                Some(&pf) if pf != deployment.of(op.id) => crosses.push(s),
+                Some(&pf) if pf != frag_of(op.id) => crosses.push(s),
                 _ => {}
             }
         }
@@ -313,23 +254,21 @@ pub fn plan(
     // Build each fragment.
     // Per fragment: map from global stream -> (op index, is origin-tagging needed)
     // local_producer[frag][stream] = op index producing it inside the fragment.
-    let mut local_producer: Vec<HashMap<StreamId, usize>> =
-        vec![HashMap::new(); deployment.n_fragments];
+    let mut local_producer: Vec<HashMap<StreamId, usize>> = vec![HashMap::new(); n_fragments];
     // Entry SUnions created per (frag, external stream).
-    let mut entry_sunion: Vec<HashMap<StreamId, usize>> =
-        vec![HashMap::new(); deployment.n_fragments];
+    let mut entry_sunion: Vec<HashMap<StreamId, usize>> = vec![HashMap::new(); n_fragments];
 
     let base_sunion = |n: usize, is_input: bool| -> SUnionConfig {
         SUnionConfig {
-            n_inputs: n,
             bucket: cfg.bucket,
             // Delays are assigned after planning; placeholder here.
             detect_delay: cfg.total_delay,
             delay_budget: cfg.total_delay,
-            tentative_wait: cfg.tentative_wait,
             failure_mode: cfg.failure_mode,
             stabilization_mode: cfg.stabilization_mode,
             is_input,
+            // The paper's 300 ms minimum tentative wait (footnote 5).
+            ..SUnionConfig::new(n)
         }
     };
 
@@ -339,14 +278,14 @@ pub fn plan(
         diagram
             .ops()
             .iter()
-            .filter(|o| deployment.of(o.id) == f)
+            .filter(|o| frag_of(o.id) == f)
             .map(|o| o.inputs.iter().filter(|&&i| i == s).count())
             .sum()
     };
 
     for &opid in diagram.topo_order() {
         let node = &diagram.ops()[opid.index()];
-        let f = deployment.of(node.id);
+        let f = frag_of(node.id);
         let fp = &mut fragments[f.index()];
         let external = |s: StreamId| produced_in.get(&s).copied() != Some(f);
         let origin_of = |s: StreamId| {
@@ -615,24 +554,8 @@ pub fn plan(
         }
     }
 
-    // Raw deployments carry no replication/shard settings: one unsharded
-    // group per fragment at the paper's default replication of two
-    // (override with [`PhysicalPlan::with_replication`], or plan through
-    // a [`crate::spec::DeploymentSpec`]).
-    let groups = (0..fragments.len())
-        .map(|i| PlanGroup {
-            name: format!("frag{i}"),
-            replication: 2,
-            shards: 1,
-            fragments: vec![i],
-            per_tuple_cost: None,
-            buffer_policy: None,
-        })
-        .collect();
-
-    Ok(PhysicalPlan {
+    Ok(LogicalPlan {
         fragments,
-        groups,
         max_sunion_depth: max_depth,
         per_sunion_delay: per_delay,
     })
@@ -661,7 +584,7 @@ pub fn plan_deployment(
     spec: &DeploymentSpec,
     cfg: &DpcConfig,
 ) -> Result<PhysicalPlan, DiagramError> {
-    let (deployment, metas) = spec.resolve(diagram)?;
+    let (assignment, metas) = spec.resolve(diagram)?;
     for m in &metas {
         if m.shards > 1 && cfg.protection != Protection::Dpc {
             return Err(DiagramError::ShardsRequireDpc(m.name.clone()));
@@ -670,7 +593,7 @@ pub fn plan_deployment(
             return Err(DiagramError::ZeroCapacityBuffer(m.name.clone()));
         }
     }
-    let base = plan(diagram, &deployment, cfg)?;
+    let base = plan_fragments(diagram, &assignment, metas.len(), cfg)?;
     shard_pass(diagram, base, &metas)
 }
 
@@ -678,7 +601,7 @@ pub fn plan_deployment(
 /// sharded fragments and rewiring streams (see [`plan_deployment`]).
 fn shard_pass(
     diagram: &Diagram,
-    base: PhysicalPlan,
+    base: LogicalPlan,
     metas: &[FragmentSpec],
 ) -> Result<PhysicalPlan, DiagramError> {
     debug_assert_eq!(base.fragments.len(), metas.len());
@@ -903,8 +826,21 @@ fn max_sunion_depth(fragments: &[FragmentPlan]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{DiagramBuilder, JoinSpec};
+    use crate::graph::JoinSpec;
+    use crate::query::QueryBuilder;
     use borealis_types::Expr;
+
+    /// Plans `d` as one fragment.
+    fn plan_single(d: &Diagram, cfg: &DpcConfig) -> Result<PhysicalPlan, DiagramError> {
+        plan_deployment(d, &DeploymentSpec::single(2), cfg)
+    }
+
+    /// The `f0` → `f1` chain cut into one fragment per operator.
+    fn two_fragments() -> DeploymentSpec {
+        DeploymentSpec::new()
+            .fragment(FragmentSpec::named("a").op("f0"))
+            .fragment(FragmentSpec::named("b").op("f1"))
+    }
 
     fn filter() -> LogicalOp {
         LogicalOp::Filter {
@@ -916,14 +852,14 @@ mod tests {
     /// inputs (one SUnion, is_input = true), plus an SOutput.
     #[test]
     fn union_absorbs_external_inputs() {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let s1 = b.source("s1");
         let s2 = b.source("s2");
         let s3 = b.source("s3");
         let u = b.add("merged", LogicalOp::Union, &[s1, s2, s3]);
         b.output(u);
         let d = b.build().unwrap();
-        let p = plan(&d, &Deployment::single(&d), &DpcConfig::default()).unwrap();
+        let p = plan_single(&d, &DpcConfig::default()).unwrap();
         assert_eq!(p.fragments.len(), 1);
         let fp = &p.fragments[0];
         assert_eq!(fp.ops.len(), 2, "SUnion + SOutput");
@@ -939,12 +875,12 @@ mod tests {
     /// Single-input op on an external stream gets an entry SUnion.
     #[test]
     fn single_input_gets_entry_sunion() {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let s = b.source("s");
         let f = b.add("f", filter(), &[s]);
         b.output(f);
         let d = b.build().unwrap();
-        let p = plan(&d, &Deployment::single(&d), &DpcConfig::default()).unwrap();
+        let p = plan_single(&d, &DpcConfig::default()).unwrap();
         let fp = &p.fragments[0];
         let kinds: Vec<&str> = fp.ops.iter().map(|o| o.spec.kind_name()).collect();
         assert_eq!(kinds, vec!["sunion", "filter", "soutput"]);
@@ -955,19 +891,18 @@ mod tests {
     /// through its own entry SUnion; uniform assignment splits X.
     #[test]
     fn chain_divides_delay_uniformly() {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let s = b.source("s");
         let f0 = b.add("f0", filter(), &[s]);
         let f1 = b.add("f1", filter(), &[f0]);
         b.output(f1);
         let d = b.build().unwrap();
-        let dep = Deployment::explicit(vec![FragmentId(0), FragmentId(1)]);
         let cfg = DpcConfig {
             total_delay: Duration::from_secs(4),
             safety: 1.0,
             ..DpcConfig::default()
         };
-        let p = plan(&d, &dep, &cfg).unwrap();
+        let p = plan_deployment(&d, &two_fragments(), &cfg).unwrap();
         assert_eq!(p.max_sunion_depth, 2);
         assert_eq!(p.per_sunion_delay, Duration::from_secs(2));
         // Fragment 1's input comes from fragment 0.
@@ -981,13 +916,12 @@ mod tests {
     /// Full assignment gives every SUnion the same large delay.
     #[test]
     fn full_assignment_sets_effective_everywhere() {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let s = b.source("s");
         let f0 = b.add("f0", filter(), &[s]);
         let f1 = b.add("f1", filter(), &[f0]);
         b.output(f1);
         let d = b.build().unwrap();
-        let dep = Deployment::explicit(vec![FragmentId(0), FragmentId(1)]);
         let cfg = DpcConfig {
             total_delay: Duration::from_secs(8),
             assignment: DelayAssignment::Full {
@@ -995,7 +929,7 @@ mod tests {
             },
             ..DpcConfig::default()
         };
-        let p = plan(&d, &dep, &cfg).unwrap();
+        let p = plan_deployment(&d, &two_fragments(), &cfg).unwrap();
         for fp in &p.fragments {
             for i in fp.sunion_indexes() {
                 if let OperatorSpec::SUnion(su) = &fp.ops[i].spec {
@@ -1008,7 +942,7 @@ mod tests {
     /// Join becomes SUnion + SJoin.
     #[test]
     fn join_lowered_to_sunion_sjoin() {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let l = b.source("l");
         let r = b.source("r");
         let j = b.add(
@@ -1023,7 +957,7 @@ mod tests {
         );
         b.output(j);
         let d = b.build().unwrap();
-        let p = plan(&d, &Deployment::single(&d), &DpcConfig::default()).unwrap();
+        let p = plan_single(&d, &DpcConfig::default()).unwrap();
         let kinds: Vec<&str> = p.fragments[0]
             .ops
             .iter()
@@ -1036,79 +970,47 @@ mod tests {
     /// SUnion, fanned out.
     #[test]
     fn shared_external_stream_single_entry() {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let s = b.source("s");
         let a = b.add("a", filter(), &[s]);
         let c = b.add("c", filter(), &[s]);
         b.output(a);
         b.output(c);
         let d = b.build().unwrap();
-        let p = plan(&d, &Deployment::single(&d), &DpcConfig::default()).unwrap();
+        let p = plan_single(&d, &DpcConfig::default()).unwrap();
         let fp = &p.fragments[0];
         let n_sunions = fp.sunion_indexes().len();
         assert_eq!(n_sunions, 1, "one shared entry SUnion");
         assert_eq!(fp.ops[fp.sunion_indexes()[0]].fanout.len(), 2);
     }
 
-    /// Satellite fix: an assignment longer than the diagram's operator list
-    /// is a hard error, not silent truncation.
-    #[test]
-    fn overlong_assignment_rejected() {
-        let mut b = DiagramBuilder::new();
-        let s = b.source("s");
-        let f = b.add("f", filter(), &[s]);
-        b.output(f);
-        let d = b.build().unwrap();
-        let dep = Deployment::explicit(vec![FragmentId(0), FragmentId(1)]);
-        assert!(matches!(
-            plan(&d, &dep, &DpcConfig::default()),
-            Err(DiagramError::AssignmentMismatch {
-                expected: 1,
-                actual: 2
-            })
-        ));
-        // A short assignment still reports the first unassigned operator.
-        let d2 = {
-            let mut b = DiagramBuilder::new();
-            let s = b.source("s");
-            let f0 = b.add("f0", filter(), &[s]);
-            let f1 = b.add("f1", filter(), &[f0]);
-            b.output(f1);
-            b.build().unwrap()
-        };
-        assert!(matches!(
-            plan(
-                &d2,
-                &Deployment::explicit(vec![FragmentId(0)]),
-                &DpcConfig::default()
-            ),
-            Err(DiagramError::Unassigned(OpId(1)))
-        ));
-    }
-
     /// A passthrough lowers to entry SUnion + SOutput and nothing else —
     /// the §7 serialization-overhead probe.
     #[test]
     fn passthrough_is_sunion_plus_soutput() {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let s = b.source("in");
         let t = b.add("tapped", LogicalOp::Passthrough, &[s]);
         b.output(t);
         let d = b.build().unwrap();
-        let p = plan(&d, &Deployment::single(&d), &DpcConfig::default()).unwrap();
+        let p = plan_single(&d, &DpcConfig::default()).unwrap();
         let fp = &p.fragments[0];
         let kinds: Vec<&str> = fp.ops.iter().map(|o| o.spec.kind_name()).collect();
         assert_eq!(kinds, vec!["sunion", "soutput"]);
         assert_eq!(fp.outputs.len(), 1);
-        assert_eq!(fp.outputs[0].stream, t, "output carries the tap's name");
-        assert_eq!(fp.inputs[0].stream, s, "input is the tapped source");
+        assert_eq!(
+            fp.outputs[0].stream,
+            t.id(),
+            "output carries the tap's name"
+        );
+        assert_eq!(fp.inputs[0].stream, s.id(), "input is the tapped source");
     }
 
     /// Baseline protection: no entry SUnions, no SOutputs; the output
     /// leaves from the producing operator directly.
     #[test]
     fn baseline_strips_dpc_machinery() {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let s1 = b.source("s1");
         let s2 = b.source("s2");
         let u = b.add("u", LogicalOp::Union, &[s1, s2]);
@@ -1119,20 +1021,20 @@ mod tests {
             protection: Protection::Baseline,
             ..DpcConfig::default()
         };
-        let p = plan(&d, &Deployment::single(&d), &cfg).unwrap();
+        let p = plan_single(&d, &cfg).unwrap();
         let fp = &p.fragments[0];
         let kinds: Vec<&str> = fp.ops.iter().map(|o| o.spec.kind_name()).collect();
         assert_eq!(kinds, vec!["union", "filter"]);
         assert_eq!(fp.inputs.len(), 2, "sources bind directly to the union");
-        assert_eq!(fp.ops[1].external_output, Some(f));
+        assert_eq!(fp.ops[1].external_output, Some(f.id()));
         // Passthrough has no op to carry its output in baseline mode.
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let s = b.source("in");
         let t = b.add("t", LogicalOp::Passthrough, &[s]);
         b.output(t);
         let d = b.build().unwrap();
         assert!(matches!(
-            plan(&d, &Deployment::single(&d), &cfg),
+            plan_single(&d, &cfg),
             Err(DiagramError::UnprotectedPassthrough(_))
         ));
     }
@@ -1144,7 +1046,7 @@ mod tests {
     /// feeder).
     #[test]
     fn baseline_mixed_ports_survive_shard_pass() {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let s1 = b.source("s1");
         let s2 = b.source("s2");
         let up = b.add(
@@ -1166,8 +1068,8 @@ mod tests {
         b.output(u);
         let d = b.build().unwrap();
         let spec = DeploymentSpec::new()
-            .fragment(crate::spec::FragmentSpec::named("a").op("up"))
-            .fragment(crate::spec::FragmentSpec::named("b").ops(["loc", "u"]));
+            .fragment(FragmentSpec::named("a").op("up"))
+            .fragment(FragmentSpec::named("b").ops(["loc", "u"]));
         let cfg = DpcConfig {
             protection: Protection::Baseline,
             ..DpcConfig::default()
@@ -1204,7 +1106,7 @@ mod tests {
     }
 
     fn sharded_chain_spec(k: u32) -> (Diagram, DeploymentSpec) {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let s1 = b.source("s1");
         let s2 = b.source("s2");
         let u = b.add("ingest", LogicalOp::Union, &[s1, s2]);
@@ -1225,13 +1127,13 @@ mod tests {
         b.output(out);
         let d = b.build().unwrap();
         let spec = DeploymentSpec::new()
-            .fragment(crate::spec::FragmentSpec::named("ingest").op("ingest"))
+            .fragment(FragmentSpec::named("ingest").op("ingest"))
             .fragment(
-                crate::spec::FragmentSpec::named("work")
+                FragmentSpec::named("work")
                     .op("work")
                     .shards(k, Expr::field(0)),
             )
-            .fragment(crate::spec::FragmentSpec::named("deliver").op("deliver"));
+            .fragment(FragmentSpec::named("deliver").op("deliver"));
         (d, spec)
     }
 
@@ -1245,7 +1147,6 @@ mod tests {
         assert_eq!(p.fragments.len(), 5, "1 ingest + 3 work shards + 1 deliver");
         assert_eq!(p.groups.len(), 3);
         assert_eq!(p.groups[1].fragments, vec![1, 2, 3]);
-        assert_eq!(p.fragment_of(1, 2), 3);
 
         // Each work shard: same ops, unique output stream, shard filter.
         let mut out_streams = Vec::new();
@@ -1305,7 +1206,7 @@ mod tests {
     /// must merge in a downstream fragment first.
     #[test]
     fn sharded_client_output_rejected() {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let s = b.source("s");
         let w = b.add(
             "work",
@@ -1317,7 +1218,7 @@ mod tests {
         b.output(w);
         let d = b.build().unwrap();
         let spec = DeploymentSpec::new().fragment(
-            crate::spec::FragmentSpec::named("work")
+            FragmentSpec::named("work")
                 .op("work")
                 .shards(2, Expr::field(0)),
         );
@@ -1377,7 +1278,7 @@ mod tests {
     /// left/right split aligned with the widened SUnion port set.
     #[test]
     fn join_split_follows_shard_expansion() {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let l = b.source("l");
         let r = b.source("r");
         let lw = b.add(
@@ -1401,11 +1302,11 @@ mod tests {
         let d = b.build().unwrap();
         let spec = DeploymentSpec::new()
             .fragment(
-                crate::spec::FragmentSpec::named("lwork")
+                FragmentSpec::named("lwork")
                     .op("lwork")
                     .shards(2, Expr::field(0)),
             )
-            .fragment(crate::spec::FragmentSpec::named("join").op("j"));
+            .fragment(FragmentSpec::named("join").op("j"));
         let p = plan_deployment(&d, &spec, &DpcConfig::default()).unwrap();
         let join_frag = &p.fragments[2];
         // SUnion over [lwork#0, lwork#1, r] followed by SJoin split at 2.
@@ -1427,14 +1328,14 @@ mod tests {
     /// entry SUnion, the union itself is a non-input SUnion.
     #[test]
     fn mixed_union_uses_entry_sunions() {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let s1 = b.source("s1");
         let s2 = b.source("s2");
         let f = b.add("f", filter(), &[s1]);
         let u = b.add("u", LogicalOp::Union, &[f, s2]);
         b.output(u);
         let d = b.build().unwrap();
-        let p = plan(&d, &Deployment::single(&d), &DpcConfig::default()).unwrap();
+        let p = plan_single(&d, &DpcConfig::default()).unwrap();
         let fp = &p.fragments[0];
         let sunions = fp.sunion_indexes();
         // entry for s1, entry for s2, plus the union's serializer.

@@ -1,16 +1,17 @@
-//! The fluent query-construction API: typed stream handles and per-kind
-//! combinators over the raw [`DiagramBuilder`](crate::graph::DiagramBuilder).
+//! The query-construction API — the one way to describe a diagram: typed
+//! stream handles and per-kind combinators.
 //!
-//! A [`QueryBuilder`] produces the same validated
-//! [`Diagram`](crate::graph::Diagram) the planner consumes, but callers
+//! A [`QueryBuilder`] produces the validated
+//! [`Diagram`](crate::graph::Diagram) the planner consumes, and callers
 //! never touch raw `StreamId`s: every combinator takes and returns a
 //! [`StreamHandle`] bound to its builder, so wiring mistakes (a handle from
 //! another query, a join with one input) are caught at `build()` with a
 //! typed [`DiagramError`](crate::graph::DiagramError).
 
-use crate::graph::{Diagram, DiagramBuilder, DiagramError, JoinSpec, LogicalOp};
+use crate::graph::{Diagram, DiagramError, JoinSpec, LogicalOp, OpNode};
 use borealis_ops::AggregateSpec;
-use borealis_types::{Expr, StreamId};
+use borealis_types::{Expr, OpId, StreamId};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 static NEXT_TAG: AtomicU32 = AtomicU32::new(1);
@@ -66,50 +67,106 @@ impl From<StreamHandle> for StreamId {
 /// ```
 #[derive(Debug, Default)]
 pub struct QueryBuilder {
-    b: DiagramBuilder,
+    ops: Vec<OpNode>,
+    stream_names: Vec<String>,
+    stream_index: HashMap<String, StreamId>,
+    source_streams: Vec<StreamId>,
+    output_streams: Vec<StreamId>,
+    /// Mistakes so far; `build()` reports the first.
+    errors: Vec<DiagramError>,
     tag: u32,
-    foreign: bool,
 }
 
 impl QueryBuilder {
     /// Starts an empty query.
     pub fn new() -> QueryBuilder {
         QueryBuilder {
-            b: DiagramBuilder::new(),
             tag: NEXT_TAG.fetch_add(1, Ordering::Relaxed),
-            foreign: false,
+            ..QueryBuilder::default()
         }
     }
 
-    fn wrap(&mut self, id: StreamId) -> StreamHandle {
+    /// Declares the stream `name` (a second declaration is an error and
+    /// resolves to the first).
+    fn declare(&mut self, name: &str) -> StreamHandle {
+        let id = match self.stream_index.get(name) {
+            Some(&id) => {
+                self.errors
+                    .push(DiagramError::DuplicateStream(name.to_string()));
+                id
+            }
+            None => {
+                let id = StreamId(self.stream_names.len() as u32);
+                self.stream_names.push(name.to_string());
+                self.stream_index.insert(name.to_string(), id);
+                id
+            }
+        };
         StreamHandle { id, tag: self.tag }
     }
 
-    fn unwrap_handle(&mut self, h: StreamHandle) -> StreamId {
+    /// A handle's stream id. Every handle of this builder names a declared
+    /// stream, so an operator can only consume what something produces.
+    fn stream_of(&mut self, h: StreamHandle) -> StreamId {
         if h.tag != self.tag {
-            self.foreign = true;
+            self.errors.push(DiagramError::ForeignHandle);
         }
         h.id
     }
 
     /// Declares a source stream (produced outside the diagram).
     pub fn source(&mut self, name: &str) -> StreamHandle {
-        let id = self.b.source(name);
-        self.wrap(id)
+        let s = self.declare(name);
+        self.source_streams.push(s.id);
+        s
+    }
+
+    /// Adds an operator producing stream `name` from `inputs` (the
+    /// per-kind combinators below are the public face of this).
+    pub(crate) fn add(
+        &mut self,
+        name: &str,
+        op: LogicalOp,
+        inputs: &[StreamHandle],
+    ) -> StreamHandle {
+        let inputs: Vec<StreamId> = inputs.iter().map(|&h| self.stream_of(h)).collect();
+        let output = self.declare(name);
+        let id = OpId(self.ops.len() as u32);
+        match op.expected_inputs() {
+            Some(n) if n != inputs.len() => {
+                self.errors.push(DiagramError::ArityMismatch {
+                    op: id,
+                    expected: n,
+                    actual: inputs.len(),
+                });
+            }
+            None if inputs.len() < 2 => self.errors.push(match op {
+                LogicalOp::Join(_) => DiagramError::ArityMismatch {
+                    op: id,
+                    expected: 2,
+                    actual: inputs.len(),
+                },
+                _ => DiagramError::UnionTooNarrow(id),
+            }),
+            _ => {}
+        }
+        self.ops.push(OpNode {
+            id,
+            op,
+            inputs,
+            output: output.id,
+        });
+        output
     }
 
     /// Predicate filter: keeps tuples satisfying `predicate`.
     pub fn filter(&mut self, name: &str, input: StreamHandle, predicate: Expr) -> StreamHandle {
-        let input = self.unwrap_handle(input);
-        let id = self.b.add(name, LogicalOp::Filter { predicate }, &[input]);
-        self.wrap(id)
+        self.add(name, LogicalOp::Filter { predicate }, &[input])
     }
 
     /// Per-tuple projection: one expression per output attribute.
     pub fn map(&mut self, name: &str, input: StreamHandle, outputs: Vec<Expr>) -> StreamHandle {
-        let input = self.unwrap_handle(input);
-        let id = self.b.add(name, LogicalOp::Map { outputs }, &[input]);
-        self.wrap(id)
+        self.add(name, LogicalOp::Map { outputs }, &[input])
     }
 
     /// Windowed, grouped aggregate.
@@ -119,16 +176,12 @@ impl QueryBuilder {
         input: StreamHandle,
         spec: AggregateSpec,
     ) -> StreamHandle {
-        let input = self.unwrap_handle(input);
-        let id = self.b.add(name, LogicalOp::Aggregate(spec), &[input]);
-        self.wrap(id)
+        self.add(name, LogicalOp::Aggregate(spec), &[input])
     }
 
     /// Merge of two or more streams (lowered to a serializing SUnion).
     pub fn union(&mut self, name: &str, inputs: &[StreamHandle]) -> StreamHandle {
-        let inputs: Vec<StreamId> = inputs.iter().map(|&h| self.unwrap_handle(h)).collect();
-        let id = self.b.add(name, LogicalOp::Union, &inputs);
-        self.wrap(id)
+        self.add(name, LogicalOp::Union, inputs)
     }
 
     /// Windowed equi-join of `left` against `right` (lowered to an SUnion
@@ -153,10 +206,10 @@ impl QueryBuilder {
         rights: &[StreamHandle],
         spec: JoinSpec,
     ) -> StreamHandle {
-        let mut inputs = vec![self.unwrap_handle(left)];
-        inputs.extend(rights.iter().map(|&h| self.unwrap_handle(h)));
-        let id = self.b.add(name, LogicalOp::Join(spec), &inputs);
-        self.wrap(id)
+        let inputs: Vec<StreamHandle> = std::iter::once(left)
+            .chain(rights.iter().copied())
+            .collect();
+        self.add(name, LogicalOp::Join(spec), &inputs)
     }
 
     /// Identity tap: renames `input` so it can cross a fragment boundary or
@@ -164,33 +217,118 @@ impl QueryBuilder {
     /// (lowered to no physical operator — the stream leaves through the
     /// fragment's entry SUnion and an SOutput).
     pub fn relay(&mut self, name: &str, input: StreamHandle) -> StreamHandle {
-        let input = self.unwrap_handle(input);
-        let id = self.b.add(name, LogicalOp::Passthrough, &[input]);
-        self.wrap(id)
+        self.add(name, LogicalOp::Passthrough, &[input])
     }
 
     /// Marks a stream as a client-visible output.
     pub fn output(&mut self, stream: StreamHandle) {
-        let id = self.unwrap_handle(stream);
-        self.b.output(id);
+        let id = self.stream_of(stream);
+        self.output_streams.push(id);
     }
 
     /// Validates and freezes the diagram.
     pub fn build(self) -> Result<Diagram, DiagramError> {
-        if self.foreign {
-            return Err(DiagramError::ForeignHandle);
+        if let Some(first) = self.errors.into_iter().next() {
+            return Err(first);
         }
-        self.b.build()
+        Diagram::new(
+            self.ops,
+            self.source_streams,
+            self.output_streams,
+            self.stream_names,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borealis_types::Value;
+    use borealis_types::{Duration, Value};
+
+    fn filter() -> LogicalOp {
+        LogicalOp::Filter {
+            predicate: Expr::Const(Value::Bool(true)),
+        }
+    }
+
+    fn join_spec() -> JoinSpec {
+        JoinSpec {
+            window: Duration::from_millis(50),
+            left_key: Expr::field(0),
+            right_key: Expr::field(0),
+            max_state: None,
+        }
+    }
 
     #[test]
-    fn builds_the_same_diagram_as_the_raw_builder() {
+    fn simple_chain_builds() {
+        let mut b = QueryBuilder::new();
+        let s = b.source("in");
+        let f = b.add("filtered", filter(), &[s]);
+        b.output(f);
+        let d = b.build().unwrap();
+        assert_eq!(d.ops().len(), 1);
+        assert_eq!(d.source_streams(), &[StreamId(0)]);
+        assert_eq!(d.output_streams(), &[f.id()]);
+        assert_eq!(d.stream_name(s.id()), "in");
+        assert!(d.producer(f.id()).is_some());
+        assert!(d.producer(s.id()).is_none());
+        assert_eq!(d.consumers(s.id()).len(), 1);
+    }
+
+    #[test]
+    fn duplicate_stream_rejected() {
+        let mut b = QueryBuilder::new();
+        b.source("x");
+        b.source("x");
+        assert!(matches!(b.build(), Err(DiagramError::DuplicateStream(_))));
+    }
+
+    #[test]
+    fn arity_checked() {
+        let mut b = QueryBuilder::new();
+        let a = b.source("a");
+        b.add("j", LogicalOp::Join(join_spec()), &[a]);
+        assert!(matches!(b.build(), Err(DiagramError::ArityMismatch { .. })));
+    }
+
+    #[test]
+    fn union_needs_two_inputs() {
+        let mut b = QueryBuilder::new();
+        let a = b.source("a");
+        b.union("u", &[a]);
+        assert!(matches!(b.build(), Err(DiagramError::UnionTooNarrow(_))));
+    }
+
+    #[test]
+    fn topo_order_covers_all_ops() {
+        let mut b = QueryBuilder::new();
+        let a = b.source("a");
+        let c = b.source("b");
+        let u = b.union("u", &[a, c]);
+        let f = b.add("f", filter(), &[u]);
+        b.output(f);
+        let d = b.build().unwrap();
+        assert_eq!(d.topo_order().len(), 2);
+        // Union must precede filter.
+        let pos = |id: OpId| d.topo_order().iter().position(|&o| o == id).unwrap();
+        assert!(pos(OpId(0)) < pos(OpId(1)));
+    }
+
+    #[test]
+    fn fan_out_is_allowed() {
+        let mut b = QueryBuilder::new();
+        let a = b.source("a");
+        let f1 = b.add("f1", filter(), &[a]);
+        let f2 = b.add("f2", filter(), &[a]);
+        b.output(f1);
+        b.output(f2);
+        let d = b.build().unwrap();
+        assert_eq!(d.consumers(a.id()).len(), 2);
+    }
+
+    #[test]
+    fn builds_a_validated_diagram() {
         let mut q = QueryBuilder::new();
         let a = q.source("a");
         let b = q.source("b");
@@ -222,17 +360,7 @@ mod tests {
         let l = q.source("l");
         let r1 = q.source("r1");
         let r2 = q.source("r2");
-        let j = q.join_many(
-            "j",
-            l,
-            &[r1, r2],
-            JoinSpec {
-                window: borealis_types::Duration::from_millis(50),
-                left_key: Expr::field(0),
-                right_key: Expr::field(0),
-                max_state: None,
-            },
-        );
+        let j = q.join_many("j", l, &[r1, r2], join_spec());
         let t = q.relay("tapped", j);
         q.output(t);
         let d = q.build().unwrap();

@@ -5,10 +5,9 @@
 //! [`Diagram`](crate::graph::Diagram) runs: which operators form each
 //! fragment (the unit of replication, §2.1), how many replicas each
 //! fragment gets, and — for fragments under heavy load — how many
-//! key-partitioned shards to fan it out over. It replaces hand-assembled
-//! [`Deployment`](crate::plan::Deployment) vectors and hand-built
-//! `FragmentPlan` wiring; [`plan_deployment`](crate::plan::plan_deployment)
-//! resolves it against a diagram into a [`PhysicalPlan`](crate::plan::PhysicalPlan).
+//! key-partitioned shards to fan it out over.
+//! [`plan_deployment`](crate::plan::plan_deployment) resolves it against a
+//! diagram into a [`PhysicalPlan`](crate::plan::PhysicalPlan).
 //!
 //! ```
 //! use borealis_diagram::{DeploymentSpec, FragmentSpec};
@@ -27,7 +26,6 @@
 //! ```
 
 use crate::graph::{Diagram, DiagramError};
-use crate::plan::Deployment;
 use borealis_types::{BufferPolicy, Duration, Expr, FragmentId};
 
 /// One fragment of a [`DeploymentSpec`]: a named set of operators with its
@@ -105,9 +103,8 @@ impl FragmentSpec {
         self
     }
 
-    /// Overrides the §8.1 output-buffer policy for this fragment's
-    /// replicas (the deployment-wide `NodeTuning` supplies the default,
-    /// historically always `BufferPolicy::Unbounded`). A bounded buffer
+    /// Sets the §8.1 output-buffer policy of this fragment's replicas
+    /// (default `BufferPolicy::Unbounded`). A bounded buffer
     /// caps the emission log retained for downstream replay — the paper's
     /// convergent-capable mode, where only a window of recent results is
     /// corrected after a failure heals.
@@ -155,16 +152,16 @@ impl DeploymentSpec {
         &self.fragments
     }
 
-    /// Resolves operator names against `diagram` into a raw [`Deployment`]
-    /// plus the per-fragment settings, checking that every operator is
-    /// assigned exactly once.
+    /// Resolves operator names against `diagram` into the fragment of each
+    /// operator (indexed by `OpId::index`) plus the per-fragment settings,
+    /// checking that every operator is assigned exactly once.
     ///
     /// The single-fragment shorthand (one fragment with no listed ops)
     /// absorbs every operator.
     pub(crate) fn resolve(
         &self,
         diagram: &Diagram,
-    ) -> Result<(Deployment, Vec<FragmentSpec>), DiagramError> {
+    ) -> Result<(Vec<FragmentId>, Vec<FragmentSpec>), DiagramError> {
         let mut metas = self.fragments.clone();
         if metas.is_empty() {
             metas.push(FragmentSpec::named("all"));
@@ -200,24 +197,19 @@ impl DeploymentSpec {
                 None => return Err(DiagramError::Unassigned(borealis_types::OpId(i as u32))),
             }
         }
-        Ok((
-            Deployment {
-                assignment: resolved,
-                n_fragments: metas.len(),
-            },
-            metas,
-        ))
+        Ok((resolved, metas))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{DiagramBuilder, LogicalOp};
+    use crate::graph::LogicalOp;
+    use crate::query::QueryBuilder;
     use borealis_types::{Expr, Value};
 
     fn two_stage() -> Diagram {
-        let mut b = DiagramBuilder::new();
+        let mut b = QueryBuilder::new();
         let s = b.source("s");
         let f = b.add(
             "hot",
@@ -243,9 +235,9 @@ mod tests {
         let spec = DeploymentSpec::new()
             .fragment(FragmentSpec::named("a").op("hot").replication(3))
             .fragment(FragmentSpec::named("b").op("scaled"));
-        let (dep, metas) = spec.resolve(&d).unwrap();
-        assert_eq!(dep.assignment, vec![FragmentId(0), FragmentId(1)]);
-        assert_eq!(dep.n_fragments, 2);
+        let (assignment, metas) = spec.resolve(&d).unwrap();
+        assert_eq!(assignment, vec![FragmentId(0), FragmentId(1)]);
+        assert_eq!(metas.len(), 2);
         assert_eq!(metas[0].replication, 3);
         assert_eq!(metas[1].replication, 2, "default replication");
     }
@@ -253,8 +245,8 @@ mod tests {
     #[test]
     fn single_shorthand_absorbs_all_ops() {
         let d = two_stage();
-        let (dep, metas) = DeploymentSpec::single(1).resolve(&d).unwrap();
-        assert_eq!(dep.assignment, vec![FragmentId(0); 2]);
+        let (assignment, metas) = DeploymentSpec::single(1).resolve(&d).unwrap();
+        assert_eq!(assignment, vec![FragmentId(0); 2]);
         assert_eq!(metas.len(), 1);
         assert_eq!(metas[0].replication, 1);
     }
@@ -262,10 +254,9 @@ mod tests {
     #[test]
     fn empty_spec_defaults_to_single_fragment() {
         let d = two_stage();
-        let (dep, metas) = DeploymentSpec::new().resolve(&d).unwrap();
-        assert_eq!(dep.n_fragments, 1);
+        let (_, metas) = DeploymentSpec::new().resolve(&d).unwrap();
+        assert_eq!(metas.len(), 1);
         assert_eq!(metas[0].replication, 2);
-        let _ = dep;
     }
 
     #[test]
@@ -281,7 +272,7 @@ mod tests {
             .fragment(FragmentSpec::named("b").op("scaled"));
         let (_, metas) = spec.resolve(&d).unwrap();
         assert_eq!(metas[0].buffer_policy, Some(BufferPolicy::DropOldest(512)));
-        assert_eq!(metas[1].buffer_policy, None, "default: deployment tuning");
+        assert_eq!(metas[1].buffer_policy, None, "default: unbounded");
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub use fragment::{encode_durable_capture, Batch, Fragment};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borealis_diagram::{plan, Deployment, DiagramBuilder, DpcConfig, LogicalOp};
+    use borealis_diagram::{plan_deployment, DeploymentSpec, DpcConfig, QueryBuilder};
     use borealis_types::{
         ControlSignal, Duration, Expr, StreamId, Time, Tuple, TupleId, TupleKind, Value,
     };
@@ -24,21 +24,21 @@ mod tests {
     /// A fragment merging three source streams through one SUnion into an
     /// SOutput — the Fig. 10 shape the paper's §5.1 experiments use.
     fn merge3_fragment(detect_secs: u64) -> (Fragment, Vec<StreamId>, StreamId) {
-        let mut b = DiagramBuilder::new();
-        let s1 = b.source("s1");
-        let s2 = b.source("s2");
-        let s3 = b.source("s3");
-        let u = b.add("merged", LogicalOp::Union, &[s1, s2, s3]);
-        b.output(u);
-        let d = b.build().unwrap();
+        let mut q = QueryBuilder::new();
+        let s1 = q.source("s1");
+        let s2 = q.source("s2");
+        let s3 = q.source("s3");
+        let u = q.union("merged", &[s1, s2, s3]);
+        q.output(u);
+        let d = q.build().unwrap();
         let cfg = DpcConfig {
             total_delay: Duration::from_secs(detect_secs),
             safety: 1.0,
             ..DpcConfig::default()
         };
-        let p = plan(&d, &Deployment::single(&d), &cfg).unwrap();
+        let p = plan_deployment(&d, &DeploymentSpec::single(1), &cfg).unwrap();
         let f = Fragment::from_plan(&p.fragments[0]);
-        (f, vec![s1, s2, s3], u)
+        (f, vec![s1.id(), s2.id(), s3.id()], u.id())
     }
 
     fn data(id: u64, ms: u64) -> Tuple {
@@ -236,19 +236,15 @@ mod tests {
     fn filter_chain_fragment_preserves_dpc_flow() {
         // source -> filter(keep odd values) -> output, with auto-inserted
         // SUnion/SOutput.
-        let mut b = DiagramBuilder::new();
-        let s = b.source("in");
-        let fz = b.add(
-            "odd",
-            LogicalOp::Filter {
-                predicate: Expr::eq(Expr::modulo(Expr::field(0), Expr::int(2)), Expr::int(1)),
-            },
-            &[s],
-        );
-        b.output(fz);
-        let d = b.build().unwrap();
-        let p = plan(&d, &Deployment::single(&d), &DpcConfig::default()).unwrap();
+        let mut q = QueryBuilder::new();
+        let s = q.source("in");
+        let odd = Expr::eq(Expr::modulo(Expr::field(0), Expr::int(2)), Expr::int(1));
+        let fz = q.filter("odd", s, odd);
+        q.output(fz);
+        let d = q.build().unwrap();
+        let p = plan_deployment(&d, &DeploymentSpec::single(1), &DpcConfig::default()).unwrap();
         let mut f = Fragment::from_plan(&p.fragments[0]);
+        let s = s.id();
 
         let mut out = Vec::new();
         for i in 1..=6u64 {

@@ -5,8 +5,8 @@ use std::time::Instant;
 
 /// Maps `std::time::Instant` onto the protocol's [`Time`] axis: zero at
 /// runtime start, microsecond resolution — the same axis the simulator
-/// uses for virtual time, so tuning knobs (`heartbeat_period`,
-/// `stale_timeout`, …) mean the same thing under both runtimes.
+/// uses for virtual time, so every period (`heartbeat_period`, a
+/// checkpoint interval, …) means the same thing under both runtimes.
 #[derive(Debug, Clone, Copy)]
 pub struct MonotonicClock {
     start: Instant,

@@ -24,9 +24,12 @@
 //!   model and the credit protocol exist once for all three runtimes;
 //! * [`deploy_threads`] launches a runtime-independent
 //!   [`SystemLayout`](borealis_dpc::SystemLayout) — the very object
-//!   `deploy_sim` consumes — and [`deploy_tcp`] launches one process's
-//!   share of it over a [`TcpFabric`] socket mesh; the layout's `workers`
-//!   field sizes the pool.
+//!   `deploy_sim` consumes, its `FaultSpec` schedule already lowered to
+//!   events — and [`deploy_tcp`] launches one process's share of it over a
+//!   [`TcpFabric`] socket mesh; the layout's `workers` field sizes the
+//!   pool. These two and `deploy_sim` are the only launchers, and the
+//!   layout stays the topology lookup: the running handles carry the
+//!   driver and the metrics only.
 //!
 //! The protocol code itself lives in `borealis-dpc` and is runtime-unaware
 //! (see `borealis_dpc::runtime`); this crate only supplies the
@@ -75,13 +78,12 @@ pub type SharedFabric = sync::Mutex<borealis_sim::Fabric<borealis_dpc::NetMsg>>;
 
 #[cfg(not(borealis_model))]
 use borealis_dpc::{MetricsHub, SystemLayout};
-#[cfg(not(borealis_model))]
-use borealis_types::{NodeId, StreamId};
 
 /// A deployment running under the thread engine.
 ///
-/// The mirror of `borealis_dpc::RunningSystem`: same topology lookup
-/// fields, but progress happens in wall-clock time on background threads —
+/// The mirror of `borealis_dpc::RunningSystem` — the driver and the
+/// metrics; the [`SystemLayout`] is the topology lookup — but progress
+/// happens in wall-clock time on background threads:
 /// [`RunningThreads::run_for`] simply lets it.
 #[cfg(not(borealis_model))]
 pub struct RunningThreads {
@@ -89,15 +91,6 @@ pub struct RunningThreads {
     pub runtime: ThreadRuntime,
     /// Metrics collected by the client proxy (readable live).
     pub metrics: MetricsHub,
-    /// Source actor ids, per stream.
-    pub source_ids: Vec<(StreamId, NodeId)>,
-    /// Node ids per physical fragment (outer index = physical fragment
-    /// index; a sharded group contributes one entry per shard).
-    pub fragment_replicas: Vec<Vec<NodeId>>,
-    /// Physical fragment indexes per logical fragment, in shard order.
-    pub groups: Vec<Vec<usize>>,
-    /// The client proxy, if any.
-    pub client: Option<NodeId>,
 }
 
 #[cfg(not(borealis_model))]
@@ -147,14 +140,7 @@ pub fn deploy_threads(layout: SystemLayout) -> RunningThreads {
         workers,
         None,
     );
-    RunningThreads {
-        runtime,
-        metrics,
-        source_ids: layout.source_ids,
-        fragment_replicas: layout.fragment_replicas,
-        groups: layout.groups,
-        client: layout.client,
-    }
+    RunningThreads { runtime, metrics }
 }
 
 #[cfg(all(test, not(borealis_model)))]

@@ -53,7 +53,7 @@ use borealis_dpc::{
     decode_frame, encode_frame, DpcActor, MetricsHub, NetMsg, RuntimeCtx, SystemLayout, WireMsg,
 };
 use borealis_sim::{FaultEvent, StatsSnapshot};
-use borealis_types::{Duration, NodeId, StreamId, Time, WireGauges};
+use borealis_types::{Duration, NodeId, Time, WireGauges};
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -823,14 +823,6 @@ pub struct RunningTcp {
     /// Metrics collected by the client proxy (populated only in the
     /// process hosting the client).
     pub metrics: MetricsHub,
-    /// Source actor ids, per stream.
-    pub source_ids: Vec<(StreamId, NodeId)>,
-    /// Node ids per physical fragment.
-    pub fragment_replicas: Vec<Vec<NodeId>>,
-    /// Physical fragment indexes per logical fragment, in shard order.
-    pub groups: Vec<Vec<usize>>,
-    /// The client proxy, if hosted here.
-    pub client: Option<NodeId>,
 }
 
 impl RunningTcp {
@@ -915,10 +907,6 @@ pub fn deploy_tcp(layout: SystemLayout, fabric: Arc<TcpFabric>) -> RunningTcp {
         runtime,
         fabric,
         metrics,
-        source_ids: layout.source_ids,
-        fragment_replicas: layout.fragment_replicas,
-        groups: layout.groups,
-        client: layout.client,
     }
 }
 
@@ -926,7 +914,7 @@ pub fn deploy_tcp(layout: SystemLayout, fabric: Arc<TcpFabric>) -> RunningTcp {
 mod tests {
     use super::*;
     use crate::sync::AtomicUsize;
-    use borealis_types::{CreditPolicy, Tuple, TupleBatch, TupleId};
+    use borealis_types::{CreditPolicy, StreamId, Tuple, TupleBatch, TupleId};
 
     fn data_msg() -> NetMsg {
         NetMsg::Data {

@@ -1,17 +1,30 @@
 //! Experiment runners: one function per table/figure of the paper's
-//! evaluation (§5–§7). Each runner scripts the paper's failure scenario
-//! against a deployment from [`crate::setups`] and returns structured rows;
-//! `tests/reproduce.rs` asserts the paper's claims on them.
+//! evaluation (§5–§7). Each runner adds the paper's failure scenario, as
+//! [`FaultSpec`]s, to a deployment from [`crate::setups`], runs it under the
+//! simulator and returns structured rows; `tests/reproduce.rs` asserts the
+//! paper's claims on them.
 
 use crate::setups::{
-    chain_system, overhead_system, single_node_system, ChainOptions, OverheadOptions,
+    chain_builder, overhead_builder, single_node_builder, ChainOptions, OverheadOptions,
     PolicyVariant, SingleNodeOptions, DISTRIBUTED_VARIANTS, SINGLE_NODE_OUT, VARIANTS,
 };
 use borealis_diagram::DelayAssignment;
+use borealis_dpc::FaultSpec;
 use borealis_types::{Duration, StreamId, Time};
 
 /// When failures start in every scenario (after warm-up).
 const FAILURE_START: Time = Time::from_secs(15);
+
+/// The §5/§6.1 failure: `stream`'s source unreachable from the (single)
+/// fragment's replicas for `lasting`, without stopping the source.
+fn disconnect(stream: StreamId, from: Time, lasting: Duration) -> FaultSpec {
+    FaultSpec::DisconnectSource {
+        stream,
+        frag: 0,
+        from,
+        to: from + lasting,
+    }
+}
 
 /// Result of one Fig. 11 run: the client's summary counters.
 #[derive(Debug)]
@@ -40,19 +53,19 @@ pub fn run_fig11(failure_during_recovery: bool) -> Fig11Result {
         delay: Duration::from_secs(2),
         ..Default::default()
     };
-    let mut sys = single_node_system(&o);
-    let s1 = StreamId(0);
-    let s3 = StreamId(2);
-    let f1_heal = FAILURE_START + Duration::from_secs(8);
-    sys.disconnect_source(s1, 0, FAILURE_START, f1_heal);
-    if failure_during_recovery {
+    let (s1, s3) = (StreamId(0), StreamId(2));
+    let lasting = Duration::from_secs(8);
+    let f2_start = if failure_during_recovery {
         // Failure 2 begins exactly as failure 1 heals (Fig. 11(b)).
-        sys.disconnect_source(s3, 0, f1_heal, f1_heal + Duration::from_secs(8));
+        FAILURE_START + lasting
     } else {
         // Overlapping failures (Fig. 11(a)).
-        let f2_start = FAILURE_START + Duration::from_secs(4);
-        sys.disconnect_source(s3, 0, f2_start, f2_start + Duration::from_secs(8));
-    }
+        FAILURE_START + Duration::from_secs(4)
+    };
+    let mut sys = single_node_builder(&o)
+        .fault(disconnect(s1, FAILURE_START, lasting))
+        .fault(disconnect(s3, f2_start, lasting))
+        .build();
     sys.run_until(Time::from_secs(45));
     sys.metrics.with(SINGLE_NODE_OUT, |m| Fig11Result {
         n_tentative: m.n_tentative,
@@ -80,8 +93,9 @@ pub struct AvailabilityRow {
 }
 
 fn run_single_node_failure(o: &SingleNodeOptions, failure: Duration) -> AvailabilityRow {
-    let mut sys = single_node_system(o);
-    sys.disconnect_source(StreamId(2), 0, FAILURE_START, FAILURE_START + failure);
+    let mut sys = single_node_builder(o)
+        .fault(disconnect(StreamId(2), FAILURE_START, failure))
+        .build();
     // Warm-up + failure + generous recovery/settle time.
     sys.run_until(FAILURE_START + failure + Duration::from_secs(25));
     sys.metrics.with(SINGLE_NODE_OUT, |m| AvailabilityRow {
@@ -150,10 +164,16 @@ pub struct ChainRow {
 }
 
 fn run_chain_failure(o: &ChainOptions, failure: Duration, label: String) -> ChainRow {
-    let (mut sys, out) = chain_system(o);
+    let (builder, out) = chain_builder(o);
     // §6.2 failure: mute only the boundary tuples of one input stream so
     // the output rate stays unchanged.
-    sys.mute_boundaries(StreamId(2), FAILURE_START, FAILURE_START + failure);
+    let mut sys = builder
+        .fault(FaultSpec::MuteBoundaries {
+            stream: StreamId(2),
+            from: FAILURE_START,
+            to: FAILURE_START + failure,
+        })
+        .build();
     sys.run_until(FAILURE_START + failure + Duration::from_secs(25));
     sys.metrics.with(out, |m| ChainRow {
         label,
@@ -248,7 +268,7 @@ pub struct OverheadRow {
 }
 
 fn run_overhead(o: &OverheadOptions, param_ms: u64) -> OverheadRow {
-    let mut sys = overhead_system(o);
+    let mut sys = overhead_builder(o).build();
     // §7: five-minute runs, ~25,000 tuples.
     sys.run_until(Time::from_secs(300));
     sys.metrics
@@ -309,9 +329,15 @@ pub struct SwitchoverResult {
 /// gap until the other replica takes over (the paper: ≤ keep-alive period +
 /// ~40 ms switch ≈ 140 ms).
 pub fn run_switchover() -> SwitchoverResult {
-    let o = SingleNodeOptions::default();
-    let mut sys = single_node_system(&o);
-    sys.crash_node(0, 0, FAILURE_START, None);
+    let mut sys = single_node_builder(&SingleNodeOptions::default())
+        .fault(FaultSpec::CrashReplica {
+            frag: 0,
+            shard: 0,
+            replica: 0,
+            from: FAILURE_START,
+            to: None,
+        })
+        .build();
     sys.run_until(Time::from_secs(30));
     sys.metrics.with(SINGLE_NODE_OUT, |m| SwitchoverResult {
         max_gap: m.max_gap,

@@ -16,9 +16,9 @@ pub use experiments::{
     run_table5, AvailabilityRow, ChainRow, Fig11Result, OverheadRow, SwitchoverResult,
 };
 pub use setups::{
-    chain_builder, chain_system, overhead_system, scale_grid_actors, scale_grid_builder,
-    scale_grid_fragments, sharded_chain_builder, sharded_chain_system, single_node_system,
-    ChainOptions, OverheadOptions, PolicyVariant, ScaleOptions, ShardedChainOptions,
-    SingleNodeOptions, DISTRIBUTED_VARIANTS, SINGLE_NODE_OUT, VARIANTS,
+    chain_builder, overhead_builder, scale_grid_actors, scale_grid_builder, scale_grid_fragments,
+    sharded_chain_builder, single_node_builder, ChainOptions, OverheadOptions, PolicyVariant,
+    ScaleOptions, ShardedChainOptions, SingleNodeOptions, DISTRIBUTED_VARIANTS, SINGLE_NODE_OUT,
+    VARIANTS,
 };
 pub use tcp::{run_tcp_child, run_tcp_child_args, run_tcp_parent, TcpChainSpec, TcpReport};

@@ -5,11 +5,9 @@
 
 use borealis_diagram::{
     plan_deployment, DelayAssignment, DeploymentSpec, DpcConfig, FragmentSpec, JoinSpec,
-    Protection, QueryBuilder,
+    PhysicalPlan, Protection, QueryBuilder,
 };
-use borealis_dpc::{
-    ClientTuning, MetricsHub, NodeTuning, RunningSystem, SourceConfig, SystemBuilder, ValueGen,
-};
+use borealis_dpc::{NodeTuning, SourceConfig, SystemBuilder, ValueGen};
 use borealis_ops::DelayMode;
 use borealis_types::{Duration, Expr, StreamId};
 
@@ -58,19 +56,37 @@ pub const VARIANTS: [PolicyVariant; 6] = [
     },
 ];
 
-/// The two variants §6.2 compares in distributed settings.
-pub const DISTRIBUTED_VARIANTS: [PolicyVariant; 2] = [
-    PolicyVariant {
-        name: "Delay & Delay",
-        failure: DelayMode::Delay,
-        stabilization: DelayMode::Delay,
-    },
-    PolicyVariant {
-        name: "Process & Process",
-        failure: DelayMode::Process,
-        stabilization: DelayMode::Process,
-    },
-];
+/// The two variants §6.2 compares in distributed settings: Delay & Delay,
+/// then Process & Process.
+pub const DISTRIBUTED_VARIANTS: [PolicyVariant; 2] = [VARIANTS[3], VARIANTS[0]];
+
+/// Planning parameters of a setup: `variant`'s policies within a budget of
+/// `total_delay`, everything else the paper's defaults (100 ms buckets, the
+/// 0.9 safety factor, uniform assignment, full DPC).
+fn dpc_config(variant: PolicyVariant, total_delay: Duration) -> DpcConfig {
+    DpcConfig {
+        total_delay,
+        failure_mode: variant.failure,
+        stabilization_mode: variant.stabilization,
+        ..DpcConfig::default()
+    }
+}
+
+/// The description every setup ends in: `plan` on 1 ms links, the client
+/// watching `outs`, the deployment's tuning and its sources.
+fn system(
+    seed: u64,
+    plan: PhysicalPlan,
+    outs: Vec<StreamId>,
+    tuning: NodeTuning,
+    sources: impl IntoIterator<Item = SourceConfig>,
+) -> SystemBuilder {
+    let builder = SystemBuilder::new(seed, Duration::from_millis(1))
+        .plan(plan)
+        .client_streams(outs)
+        .node_tuning(tuning);
+    sources.into_iter().fold(builder, SystemBuilder::source)
+}
 
 /// Options for the single-node setups (Figs. 10 and 12).
 #[derive(Debug, Clone)]
@@ -107,19 +123,14 @@ impl Default for SingleNodeOptions {
     }
 }
 
-/// The three source streams of the single-node setups.
-pub fn single_node_sources() -> [StreamId; 3] {
-    [StreamId(0), StreamId(1), StreamId(2)]
-}
-
 /// Output stream of the single-node setups.
 pub const SINGLE_NODE_OUT: StreamId = StreamId(3);
 
-/// Builds the single-node system (Figs. 10/12): three sources feeding a
-/// (possibly replicated) node, client watching the output. The Fig. 12
-/// variant joins stream 1 against streams 2 and 3 through a single
+/// Describes the single-node system (Figs. 10/12): three sources feeding a
+/// (possibly replicated) node, client watching [`SINGLE_NODE_OUT`]. The
+/// Fig. 12 variant joins stream 1 against streams 2 and 3 through a single
 /// three-input SUnion (an SJoin with a 100-tuple state).
-pub fn single_node_system(o: &SingleNodeOptions) -> RunningSystem {
+pub fn single_node_builder(o: &SingleNodeOptions) -> SystemBuilder {
     let mut q = QueryBuilder::new();
     let s1 = q.source("s1");
     let s2 = q.source("s2");
@@ -143,44 +154,23 @@ pub fn single_node_system(o: &SingleNodeOptions) -> RunningSystem {
     let d = q.build().expect("single-node diagram is valid");
     debug_assert_eq!(out.id(), SINGLE_NODE_OUT);
 
-    let cfg = DpcConfig {
-        bucket: Duration::from_millis(100),
-        total_delay: o.delay,
-        safety: 0.9,
-        assignment: DelayAssignment::Uniform,
-        failure_mode: o.variant.failure,
-        stabilization_mode: o.variant.stabilization,
-        tentative_wait: Duration::from_millis(300),
-        protection: Protection::Dpc,
-    };
+    let cfg = dpc_config(o.variant, o.delay);
     let p = plan_deployment(&d, &DeploymentSpec::single(o.replication), &cfg)
         .expect("single-node plan is valid");
-
-    let rate = o.total_rate / 3.0;
-    let mut builder = SystemBuilder::new(o.seed, Duration::from_millis(1))
-        .plan(p)
-        .client_streams(vec![SINGLE_NODE_OUT])
-        .metrics(MetricsHub::new())
-        .node_tuning(NodeTuning {
-            per_tuple_cost: o.per_tuple_cost,
-            ..NodeTuning::default()
-        })
-        .client_tuning(ClientTuning::default());
-    for s in single_node_sources() {
-        builder = builder.source(SourceConfig {
-            stream: s,
-            rate,
-            boundary_interval: Duration::from_millis(100),
-            batch_period: Duration::from_millis(10),
-            values: if o.with_join {
-                ValueGen::Keyed { keys: 25 }
-            } else {
-                ValueGen::Seq
-            },
-            limit: None,
-        });
-    }
-    builder.build()
+    let tuning = NodeTuning {
+        per_tuple_cost: o.per_tuple_cost,
+        ..NodeTuning::default()
+    };
+    let source = |stream| SourceConfig {
+        values: if o.with_join {
+            ValueGen::Keyed { keys: 25 }
+        } else {
+            ValueGen::Seq
+        },
+        ..SourceConfig::seq(stream, o.total_rate / 3.0)
+    };
+    let sources = [s1, s2, s3].map(|s| source(s.id()));
+    system(o.seed, p, vec![SINGLE_NODE_OUT], tuning, sources)
 }
 
 /// Options for the chain setups (Fig. 14).
@@ -199,8 +189,8 @@ pub struct ChainOptions {
     pub variant: PolicyVariant,
     /// Per-tuple CPU cost of the nodes.
     pub per_tuple_cost: Duration,
-    /// Keep-alive period for nodes and the client (stale timeout follows
-    /// at 2.5×, preserving the paper's 100 ms/250 ms ratio). Wall-clock
+    /// Keep-alive period for nodes and the client (a peer is stale after
+    /// 2.5 periods, the paper's 100 ms/250 ms ratio). Wall-clock
     /// equivalence tests stretch it so a scheduling hiccup on a starved
     /// host cannot trip spurious staleness.
     pub heartbeat_period: Duration,
@@ -228,8 +218,7 @@ impl Default for ChainOptions {
 /// replicated.
 ///
 /// Returns the configured builder (script faults / pick a runtime on it)
-/// and the client-visible output stream; [`chain_system`] is the
-/// simulator-deployed shorthand.
+/// and the client-visible output stream.
 pub fn chain_builder(o: &ChainOptions) -> (SystemBuilder, StreamId) {
     assert!(o.depth >= 1);
     let mut q = QueryBuilder::new();
@@ -248,50 +237,17 @@ pub fn chain_builder(o: &ChainOptions) -> (SystemBuilder, StreamId) {
     // Under Uniform, `total_delay` is per-node-delay × depth so each SUnion
     // receives `0.9 × per_node_delay` (the paper's 0.9 D safety margin).
     let cfg = DpcConfig {
-        bucket: Duration::from_millis(100),
-        total_delay: Duration::from_micros(o.per_node_delay.as_micros() * o.depth as u64),
-        safety: 0.9,
         assignment: o.assignment,
-        failure_mode: o.variant.failure,
-        stabilization_mode: o.variant.stabilization,
-        tentative_wait: Duration::from_millis(300),
-        protection: Protection::Dpc,
+        ..dpc_config(o.variant, o.per_node_delay.saturating_mul(o.depth as u64))
     };
     let p = plan_deployment(&d, &spec, &cfg).expect("chain plan is valid");
-    let metrics = MetricsHub::new();
-    let stale = Duration::from_micros(o.heartbeat_period.as_micros() * 5 / 2);
-    let mut builder = SystemBuilder::new(o.seed, Duration::from_millis(1))
-        .plan(p)
-        .client_streams(vec![last.id()])
-        .metrics(metrics)
-        .node_tuning(NodeTuning {
-            per_tuple_cost: o.per_tuple_cost,
-            heartbeat_period: o.heartbeat_period,
-            stale_timeout: stale,
-            ..NodeTuning::default()
-        })
-        .client_tuning(ClientTuning {
-            heartbeat_period: o.heartbeat_period,
-            stale_timeout: stale,
-            ..ClientTuning::default()
-        });
-    for s in [s1, s2, s3] {
-        builder = builder.source(SourceConfig {
-            stream: s.id(),
-            rate: o.total_rate / 3.0,
-            boundary_interval: Duration::from_millis(100),
-            batch_period: Duration::from_millis(10),
-            values: ValueGen::Seq,
-            limit: None,
-        });
-    }
+    let tuning = NodeTuning {
+        per_tuple_cost: o.per_tuple_cost,
+        heartbeat_period: o.heartbeat_period,
+    };
+    let sources = [s1, s2, s3].map(|s| SourceConfig::seq(s.id(), o.total_rate / 3.0));
+    let builder = system(o.seed, p, vec![last.id()], tuning, sources);
     (builder, last.id())
-}
-
-/// Builds the Fig. 14 chain and deploys it under the simulator.
-pub fn chain_system(o: &ChainOptions) -> (RunningSystem, StreamId) {
-    let (builder, out) = chain_builder(o);
-    (builder.build(), out)
 }
 
 /// Options for the key-partitioned sharded chain: three sources → ingest
@@ -319,8 +275,8 @@ pub struct ShardedChainOptions {
     /// finite load episode: the overload scenarios burst past saturation,
     /// then drain and stabilize.
     pub source_limit: Option<u64>,
-    /// Keep-alive period for nodes and the client (stale timeout follows
-    /// at 2.5×, preserving the paper's 100 ms/250 ms ratio). Wall-clock
+    /// Keep-alive period for nodes and the client (a peer is stale after
+    /// 2.5 periods, the paper's 100 ms/250 ms ratio). Wall-clock
     /// equivalence tests stretch it so a scheduling hiccup on a starved
     /// host cannot trip spurious staleness.
     pub heartbeat_period: Duration,
@@ -377,50 +333,18 @@ pub fn sharded_chain_builder(o: &ShardedChainOptions) -> (SystemBuilder, StreamI
                 .op("deliver")
                 .replication(o.replication),
         );
-    let cfg = DpcConfig {
-        bucket: Duration::from_millis(100),
-        total_delay: Duration::from_micros(o.per_node_delay.as_micros() * 3),
-        safety: 0.9,
-        assignment: DelayAssignment::Uniform,
-        failure_mode: o.variant.failure,
-        stabilization_mode: o.variant.stabilization,
-        tentative_wait: Duration::from_millis(300),
-        protection: Protection::Dpc,
-    };
+    let cfg = dpc_config(o.variant, o.per_node_delay.saturating_mul(3));
     let p = plan_deployment(&d, &spec, &cfg).expect("sharded chain plan is valid");
-    let stale = Duration::from_micros(o.heartbeat_period.as_micros() * 5 / 2);
-    let mut builder = SystemBuilder::new(o.seed, Duration::from_millis(1))
-        .plan(p)
-        .client_streams(vec![deliver.id()])
-        .metrics(MetricsHub::new())
-        .node_tuning(NodeTuning {
-            per_tuple_cost: o.light_cost,
-            heartbeat_period: o.heartbeat_period,
-            stale_timeout: stale,
-            ..NodeTuning::default()
-        })
-        .client_tuning(ClientTuning {
-            heartbeat_period: o.heartbeat_period,
-            stale_timeout: stale,
-            ..ClientTuning::default()
-        });
-    for s in [s1, s2, s3] {
-        builder = builder.source(SourceConfig {
-            stream: s.id(),
-            rate: o.total_rate / 3.0,
-            boundary_interval: Duration::from_millis(100),
-            batch_period: Duration::from_millis(10),
-            values: ValueGen::Seq,
-            limit: o.source_limit,
-        });
-    }
+    let tuning = NodeTuning {
+        per_tuple_cost: o.light_cost,
+        heartbeat_period: o.heartbeat_period,
+    };
+    let sources = [s1, s2, s3].map(|s| SourceConfig {
+        limit: o.source_limit,
+        ..SourceConfig::seq(s.id(), o.total_rate / 3.0)
+    });
+    let builder = system(o.seed, p, vec![deliver.id()], tuning, sources);
     (builder, deliver.id())
-}
-
-/// Builds the sharded chain and deploys it under the simulator.
-pub fn sharded_chain_system(o: &ShardedChainOptions) -> (RunningSystem, StreamId) {
-    let (builder, out) = sharded_chain_builder(o);
-    (builder.build(), out)
 }
 
 /// Options for the many-chain scale grid: `chains` independent
@@ -448,8 +372,8 @@ pub struct ScaleOptions {
     pub work_cost: Duration,
     /// Keep-alive period for nodes *and* the client. At thousands of
     /// actors the paper's 100 ms default makes the control plane itself
-    /// the dominant load; scale runs stretch it (stale timeout follows at
-    /// 2.5×, preserving the default 100 ms/250 ms ratio).
+    /// the dominant load; scale runs stretch it (a peer is stale after 2.5
+    /// periods, the default 100 ms/250 ms ratio).
     pub heartbeat_period: Duration,
     /// Determinism seed.
     pub seed: u64,
@@ -518,41 +442,19 @@ pub fn scale_grid_builder(o: &ScaleOptions) -> (SystemBuilder, Vec<StreamId>) {
     let d = q.build().expect("scale grid diagram is valid");
     let cfg = DpcConfig {
         bucket: Duration::from_millis(250),
-        total_delay: Duration::from_micros(o.per_node_delay.as_micros() * 2),
-        safety: 0.9,
-        assignment: DelayAssignment::Uniform,
-        failure_mode: DISTRIBUTED_VARIANTS[1].failure,
-        stabilization_mode: DISTRIBUTED_VARIANTS[1].stabilization,
-        tentative_wait: Duration::from_millis(300),
-        protection: Protection::Dpc,
+        ..dpc_config(DISTRIBUTED_VARIANTS[1], o.per_node_delay.saturating_mul(2))
     };
     let p = plan_deployment(&d, &spec, &cfg).expect("scale grid plan is valid");
-    let stale = Duration::from_micros(o.heartbeat_period.as_micros() * 5 / 2);
-    let mut builder = SystemBuilder::new(o.seed, Duration::from_millis(1))
-        .plan(p)
-        .client_streams(outs.clone())
-        .metrics(MetricsHub::new())
-        .node_tuning(NodeTuning {
-            per_tuple_cost: o.light_cost,
-            heartbeat_period: o.heartbeat_period,
-            stale_timeout: stale,
-            ..NodeTuning::default()
-        })
-        .client_tuning(ClientTuning {
-            heartbeat_period: o.heartbeat_period,
-            stale_timeout: stale,
-            ..ClientTuning::default()
-        });
-    for s in &sources {
-        builder = builder.source(SourceConfig {
-            stream: s.id(),
-            rate: o.rate_per_chain,
-            boundary_interval: Duration::from_millis(250),
-            batch_period: Duration::from_millis(50),
-            values: ValueGen::Seq,
-            limit: None,
-        });
-    }
+    let tuning = NodeTuning {
+        per_tuple_cost: o.light_cost,
+        heartbeat_period: o.heartbeat_period,
+    };
+    let sources = sources.iter().map(|s| SourceConfig {
+        boundary_interval: Duration::from_millis(250),
+        batch_period: Duration::from_millis(50),
+        ..SourceConfig::seq(s.id(), o.rate_per_chain)
+    });
+    let builder = system(o.seed, p, outs.clone(), tuning, sources);
     (builder, outs)
 }
 
@@ -584,9 +486,9 @@ impl Default for OverheadOptions {
 /// Output stream of the overhead setup.
 pub const OVERHEAD_OUT: StreamId = StreamId(1);
 
-/// Builds the Fig. 22 setup: one source → (SUnion + SOutput tap | plain
-/// pass-through Map without fault tolerance) → client.
-pub fn overhead_system(o: &OverheadOptions) -> RunningSystem {
+/// Describes the Fig. 22 setup: one source → (SUnion + SOutput tap | plain
+/// pass-through Map without fault tolerance) → client on [`OVERHEAD_OUT`].
+pub fn overhead_builder(o: &OverheadOptions) -> SystemBuilder {
     let mut q = QueryBuilder::new();
     let input = q.source("overhead-in");
     let out = match o.bucket {
@@ -602,45 +504,53 @@ pub fn overhead_system(o: &OverheadOptions) -> RunningSystem {
 
     let cfg = DpcConfig {
         bucket: o.bucket.unwrap_or(Duration::from_millis(10)),
-        total_delay: Duration::from_secs(3600), // never fail here
         safety: 1.0,
-        assignment: DelayAssignment::Uniform,
-        failure_mode: DelayMode::Process,
-        stabilization_mode: DelayMode::Process,
-        tentative_wait: Duration::from_millis(300),
         protection: if o.bucket.is_some() {
             Protection::Dpc
         } else {
             Protection::Baseline
         },
+        // An hour's budget: nothing fails here.
+        ..dpc_config(VARIANTS[0], Duration::from_secs(3600))
     };
     let p = plan_deployment(&d, &DeploymentSpec::single(1), &cfg).expect("overhead plan is valid");
-    SystemBuilder::new(o.seed, Duration::from_millis(1))
-        .source(SourceConfig {
-            stream: input.id(),
-            rate: o.rate,
-            boundary_interval: if o.bucket.is_some() {
-                o.boundary_interval
-            } else {
-                Duration::ZERO
-            },
-            batch_period: Duration::from_millis(10),
-            values: ValueGen::Seq,
-            limit: None,
-        })
-        .plan(p)
-        .client_streams(vec![OVERHEAD_OUT])
-        .build()
+    let source = SourceConfig {
+        boundary_interval: if o.bucket.is_some() {
+            o.boundary_interval
+        } else {
+            Duration::ZERO
+        },
+        ..SourceConfig::seq(input.id(), o.rate)
+    };
+    system(
+        o.seed,
+        p,
+        vec![OVERHEAD_OUT],
+        NodeTuning::default(),
+        [source],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use borealis_dpc::FaultSpec;
     use borealis_types::Time;
+
+    /// A permanent crash, two seconds in, of replica 0 of shard 1 of `frag`.
+    fn crash_shard_one(frag: usize) -> FaultSpec {
+        FaultSpec::CrashReplica {
+            frag,
+            shard: 1,
+            replica: 0,
+            from: Time::from_secs(2),
+            to: None,
+        }
+    }
 
     #[test]
     fn single_node_system_runs_clean() {
-        let mut sys = single_node_system(&SingleNodeOptions::default());
+        let mut sys = single_node_builder(&SingleNodeOptions::default()).build();
         sys.run_until(Time::from_secs(5));
         sys.metrics.with(SINGLE_NODE_OUT, |m| {
             assert!(m.n_stable > 1000);
@@ -654,7 +564,7 @@ mod tests {
             with_join: true,
             ..Default::default()
         };
-        let mut sys = single_node_system(&o);
+        let mut sys = single_node_builder(&o).build();
         sys.run_until(Time::from_secs(5));
         sys.metrics.with(SINGLE_NODE_OUT, |m| {
             assert!(m.n_stable > 0, "join must produce matches");
@@ -664,10 +574,11 @@ mod tests {
 
     #[test]
     fn chain_depth_three_runs_clean() {
-        let (mut sys, out) = chain_system(&ChainOptions {
+        let (builder, out) = chain_builder(&ChainOptions {
             depth: 3,
             ..Default::default()
         });
+        let mut sys = builder.build();
         sys.run_until(Time::from_secs(6));
         sys.metrics.with(out, |m| {
             assert!(m.n_stable > 1500, "stable = {}", m.n_stable);
@@ -678,13 +589,15 @@ mod tests {
 
     #[test]
     fn sharded_chain_runs_clean_and_spreads_work() {
-        let (mut sys, out) = sharded_chain_system(&ShardedChainOptions {
+        let (builder, out) = sharded_chain_builder(&ShardedChainOptions {
             shards: 3,
             ..Default::default()
         });
+        let layout = builder.layout();
         // 3 sources + ingest 2 + work 3×2 + deliver 2 + client.
-        assert_eq!(sys.fragment_replicas.len(), 5);
-        assert_eq!(sys.groups, vec![vec![0], vec![1, 2, 3], vec![4]]);
+        assert_eq!(layout.fragment_replicas.len(), 5);
+        assert_eq!(layout.groups, vec![vec![0], vec![1, 2, 3], vec![4]]);
+        let mut sys = layout.deploy_sim();
         sys.run_until(Time::from_secs(6));
         sys.metrics.with(out, |m| {
             assert!(m.n_stable > 1500, "stable = {}", m.n_stable);
@@ -696,8 +609,7 @@ mod tests {
     #[test]
     fn sharded_chain_recovers_from_shard_replica_crash() {
         let (builder, out) = sharded_chain_builder(&ShardedChainOptions::default());
-        let mut sys = builder.build();
-        sys.crash_shard_node(1, 1, 0, Time::from_secs(2), None);
+        let mut sys = builder.fault(crash_shard_one(1)).build();
         sys.run_until(Time::from_secs(8));
         sys.metrics.with(out, |m| {
             assert!(m.n_stable > 2000, "stable = {}", m.n_stable);
@@ -713,11 +625,12 @@ mod tests {
             ..Default::default()
         };
         let (builder, outs) = scale_grid_builder(&o);
-        let mut sys = builder.build();
+        let layout = builder.layout();
         assert_eq!(
-            sys.fragment_replicas.len(),
+            layout.fragment_replicas.len(),
             scale_grid_fragments(&o) as usize
         );
+        let mut sys = layout.deploy_sim();
         sys.run_until(Time::from_secs(6));
         for out in outs {
             sys.metrics.with(out, |m| {
@@ -736,10 +649,9 @@ mod tests {
             ..Default::default()
         };
         let (builder, outs) = scale_grid_builder(&o);
-        let mut sys = builder.build();
         // Chain 1's work stage is logical fragment 2; kill shard 1's
         // replica 0 permanently mid-run.
-        sys.crash_shard_node(2, 1, 0, Time::from_secs(2), None);
+        let mut sys = builder.fault(crash_shard_one(2)).build();
         sys.run_until(Time::from_secs(8));
         sys.metrics.with(outs[1], |m| {
             assert!(m.n_stable > 500, "failover keeps chain 1 flowing");
@@ -754,10 +666,11 @@ mod tests {
 
     #[test]
     fn overhead_baseline_has_tiny_latency() {
-        let mut sys = overhead_system(&OverheadOptions {
+        let mut sys = overhead_builder(&OverheadOptions {
             bucket: None,
             ..Default::default()
-        });
+        })
+        .build();
         sys.run_until(Time::from_secs(5));
         sys.metrics.with(OVERHEAD_OUT, |m| {
             assert!(m.n_stable > 400);

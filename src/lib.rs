@@ -94,16 +94,18 @@ pub use borealis_sim as sim;
 pub use borealis_types as types;
 pub use borealis_workloads as workloads;
 
-/// Everything needed to build and run a fault-tolerant stream deployment.
+/// Everything needed to describe, run and observe a fault-tolerant stream
+/// deployment — the names of the one path `QueryBuilder` → `DeploymentSpec`
+/// → `plan_deployment` → `SystemBuilder` (+ `FaultSpec`s) → `SystemLayout` →
+/// `deploy_sim` / `deploy_threads` / `deploy_tcp`.
 pub mod prelude {
     pub use borealis_diagram::{
-        plan, plan_deployment, DelayAssignment, Deployment, DeploymentSpec, Diagram,
-        DiagramBuilder, DpcConfig, FragmentSpec, JoinSpec, LogicalOp, PhysicalPlan, Protection,
-        QueryBuilder, StreamHandle,
+        plan_deployment, DelayAssignment, DeploymentSpec, Diagram, DpcConfig, FragmentSpec,
+        JoinSpec, PhysicalPlan, Protection, QueryBuilder, StreamHandle,
     };
     pub use borealis_dpc::{
-        BufferPolicy, ClientTuning, FaultSpec, MetricsHub, NodeState, NodeTuning, RunningSystem,
-        SourceConfig, SystemBuilder, SystemLayout, ValueGen,
+        final_stream, BufferPolicy, FaultSpec, MetricsHub, NodeState, NodeTuning, RunningSystem,
+        SourceConfig, SystemBuilder, SystemLayout, TraceEntry, ValueGen,
     };
     pub use borealis_ops::{AggFn, AggregateSpec, DelayMode, SJoinSpec, SUnionConfig};
     pub use borealis_runtime::{
@@ -121,16 +123,10 @@ mod tests {
     #[test]
     fn prelude_exposes_builder_api() {
         use crate::prelude::*;
-        let mut b = DiagramBuilder::new();
-        let s = b.source("s");
-        let f = b.add(
-            "f",
-            LogicalOp::Filter {
-                predicate: Expr::Const(Value::Bool(true)),
-            },
-            &[s],
-        );
-        b.output(f);
-        assert!(b.build().is_ok());
+        let mut q = QueryBuilder::new();
+        let s = q.source("s");
+        let f = q.filter("f", s, Expr::Const(Value::Bool(true)));
+        q.output(f);
+        assert!(q.build().is_ok());
     }
 }

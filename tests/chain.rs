@@ -2,19 +2,34 @@
 //! paper's chain dynamics (§6.2, Fig. 17) as assertions.
 
 use borealis::prelude::*;
-use borealis_workloads::{chain_system, ChainOptions, DISTRIBUTED_VARIANTS};
+use borealis_workloads::{chain_builder, ChainOptions, DISTRIBUTED_VARIANTS};
+
+mod common;
+use common::{disconnect, secs};
+
+/// The Fig. 14 chain under the simulator with the §6.2 failure: stream 3's
+/// boundaries muted from t = 10 s until `heal`.
+fn muted_chain(o: &ChainOptions, heal: Time) -> (RunningSystem, StreamId) {
+    let (builder, out) = chain_builder(o);
+    let mute = FaultSpec::MuteBoundaries {
+        stream: StreamId(2),
+        from: secs(10),
+        to: heal,
+    };
+    (builder.fault(mute).build(), out)
+}
 
 /// A chain of three replicated node pairs survives a boundary-mute failure:
 /// tentative data flows end-to-end and is corrected through the whole chain
 /// (each stage reconciles, Fig. 17's parallel stabilization).
 #[test]
 fn chain_corrects_through_all_stages() {
-    let (mut sys, out) = chain_system(&ChainOptions {
+    let o = ChainOptions {
         depth: 3,
         variant: DISTRIBUTED_VARIANTS[1], // Process & Process
         ..Default::default()
-    });
-    sys.mute_boundaries(StreamId(2), Time::from_secs(10), Time::from_secs(18));
+    };
+    let (mut sys, out) = muted_chain(&o, secs(18));
     sys.run_until(Time::from_secs(50));
     sys.metrics.with(out, |m| {
         assert!(m.n_tentative > 0, "failure must propagate down the chain");
@@ -30,12 +45,12 @@ fn chain_corrects_through_all_stages() {
 #[test]
 fn chain_suspends_simultaneously_under_process_mode() {
     let run = |depth| {
-        let (mut sys, out) = chain_system(&ChainOptions {
+        let o = ChainOptions {
             depth,
             variant: DISTRIBUTED_VARIANTS[1],
             ..Default::default()
-        });
-        sys.mute_boundaries(StreamId(2), Time::from_secs(10), Time::from_secs(25));
+        };
+        let (mut sys, out) = muted_chain(&o, secs(25));
         sys.run_until(Time::from_secs(55));
         sys.metrics.with(out, |m| m.procnew)
     };
@@ -55,12 +70,12 @@ fn chain_suspends_simultaneously_under_process_mode() {
 #[test]
 fn delaying_reduces_tentative_count_with_depth() {
     let run = |depth| {
-        let (mut sys, out) = chain_system(&ChainOptions {
+        let o = ChainOptions {
             depth,
             variant: DISTRIBUTED_VARIANTS[0], // Delay & Delay
             ..Default::default()
-        });
-        sys.mute_boundaries(StreamId(2), Time::from_secs(10), Time::from_secs(15));
+        };
+        let (mut sys, out) = muted_chain(&o, secs(15));
         sys.run_until(Time::from_secs(45));
         sys.metrics.with(out, |m| m.n_tentative)
     };
@@ -76,15 +91,15 @@ fn delaying_reduces_tentative_count_with_depth() {
 /// masks failures shorter than the budget entirely.
 #[test]
 fn full_delay_assignment_masks_short_failures() {
-    let (mut sys, out) = chain_system(&ChainOptions {
+    let o = ChainOptions {
         depth: 4,
         assignment: DelayAssignment::Full {
             effective: Duration::from_secs_f64(6.5),
         },
         variant: DISTRIBUTED_VARIANTS[1],
         ..Default::default()
-    });
-    sys.mute_boundaries(StreamId(2), Time::from_secs(10), Time::from_secs(15));
+    };
+    let (mut sys, out) = muted_chain(&o, secs(15));
     sys.run_until(Time::from_secs(45));
     sys.metrics.with(out, |m| {
         assert_eq!(m.n_tentative, 0, "a 5 s failure must be fully masked");
@@ -111,14 +126,14 @@ fn unaffected_streams_stay_stable() {
         ..DpcConfig::default()
     };
     let p = plan_deployment(&d, &DeploymentSpec::single(2), &cfg).unwrap();
-    let (s2, f1, f2) = (s2.id(), f1.id(), f2.id());
+    let (f1, f2) = (f1.id(), f2.id());
     let mut sys = SystemBuilder::new(3, Duration::from_millis(1))
         .source(SourceConfig::seq(s1.id(), 100.0))
-        .source(SourceConfig::seq(s2, 100.0))
+        .source(SourceConfig::seq(s2.id(), 100.0))
         .plan(p)
         .client_streams(vec![f1, f2])
+        .fault(disconnect(1, secs(8), secs(14)))
         .build();
-    sys.disconnect_source(s2, 0, Time::from_secs(8), Time::from_secs(14));
     sys.run_until(Time::from_secs(30));
     sys.metrics.with(f1, |m| {
         assert_eq!(m.n_tentative, 0, "branch 1 must be unaffected");

@@ -17,25 +17,8 @@ use borealis_workloads::{
     TcpChainSpec, DISTRIBUTED_VARIANTS,
 };
 
-/// Reconstructs the stable output stream from a client arrival trace:
-/// stable insertions append, UNDOs roll the suffix back to their target.
-/// The result is the stream a durable consumer would have retained.
-fn stable_stream(trace: &[borealis::dpc::TraceEntry]) -> Vec<(u64, u64)> {
-    let mut v: Vec<(u64, u64)> = Vec::new();
-    for e in trace {
-        match e.kind {
-            TupleKind::Insertion => v.push((e.id.0, e.stime.as_micros())),
-            TupleKind::Undo => {
-                let target = e.undo_target.map(|t| t.0).unwrap_or(0);
-                while v.last().is_some_and(|&(id, _)| id > target) {
-                    v.pop();
-                }
-            }
-            _ => {}
-        }
-    }
-    v
-}
+mod common;
+use common::stable_stream;
 
 /// Serializes the tests in this binary. Every test here deploys on the
 /// wall-clock thread engine (some additionally fork OS processes) and

@@ -2,65 +2,20 @@
 //! guarantees checked on full simulated deployments.
 
 use borealis::prelude::*;
-use borealis_dpc::TraceEntry;
 
-/// Builds the standard three-source → union → output system.
+mod common;
+use common::{disconnect, secs, stable_stream};
+
+/// The three-source merge at 100 tuples/s a source, with the test's fault
+/// schedule, under the simulator.
 fn merge3(
     seed: u64,
     replication: usize,
-    delay_secs: f64,
     trace: bool,
+    faults: impl IntoIterator<Item = FaultSpec>,
 ) -> (RunningSystem, StreamId) {
-    let mut q = QueryBuilder::new();
-    let s1 = q.source("s1");
-    let s2 = q.source("s2");
-    let s3 = q.source("s3");
-    let u = q.union("merged", &[s1, s2, s3]);
-    q.output(u);
-    let d = q.build().unwrap();
-    let cfg = DpcConfig {
-        total_delay: Duration::from_secs_f64(delay_secs),
-        ..DpcConfig::default()
-    };
-    let p = plan_deployment(&d, &DeploymentSpec::single(replication), &cfg).unwrap();
-    let hub = MetricsHub::new();
-    if trace {
-        hub.enable_trace(u.id());
-    }
-    let mut builder = SystemBuilder::new(seed, Duration::from_millis(1))
-        .plan(p)
-        .client_streams(vec![u.id()])
-        .metrics(hub);
-    for s in [s1, s2, s3] {
-        builder = builder.source(SourceConfig::seq(s.id(), 100.0));
-    }
-    (builder.build(), u.id())
-}
-
-/// Applies the DPC stream semantics to a client trace: UNDO rolls back the
-/// tentative suffix, corrections replace it. Returns the final stream the
-/// application retains, as (id, stime, kind) triples.
-fn final_stream(trace: &[TraceEntry]) -> Vec<(u64, u64, TupleKind)> {
-    let mut result: Vec<(u64, u64, TupleKind)> = Vec::new();
-    for e in trace {
-        match e.kind {
-            TupleKind::Insertion | TupleKind::Tentative => {
-                result.push((e.id.0, e.stime.as_micros(), e.kind));
-            }
-            TupleKind::Undo => {
-                let target = e.undo_target.unwrap_or_default().0;
-                // Drop everything after the last stable tuple <= target.
-                let keep = result
-                    .iter()
-                    .rposition(|&(id, _, k)| k == TupleKind::Insertion && id <= target)
-                    .map(|i| i + 1)
-                    .unwrap_or(0);
-                result.truncate(keep);
-            }
-            TupleKind::RecDone | TupleKind::Boundary => {}
-        }
-    }
-    result
+    let (builder, out) = common::merge3(seed, replication, 100.0, trace);
+    (builder.faults(faults).build(), out)
 }
 
 /// Definition 1 (eventual consistency), checked literally: after failures
@@ -68,24 +23,17 @@ fn final_stream(trace: &[TraceEntry]) -> Vec<(u64, u64, TupleKind)> {
 #[test]
 fn eventual_consistency_exact_stream_equivalence() {
     let horizon = Time::from_secs(40);
-    let (mut clean, out) = merge3(5, 2, 2.0, true);
+    let (mut clean, out) = merge3(5, 2, true, []);
     clean.run_until(horizon);
-    let clean_stream: Vec<_> = clean.metrics.with(out, |m| {
-        final_stream(m.trace.as_ref().unwrap())
-            .into_iter()
-            .filter(|&(_, _, k)| k == TupleKind::Insertion)
-            .collect()
-    });
+    let clean_stream = clean
+        .metrics
+        .with(out, |m| stable_stream(m.trace.as_ref().unwrap()));
 
-    let (mut faulty, out2) = merge3(5, 2, 2.0, true);
-    faulty.disconnect_source(StreamId(2), 0, Time::from_secs(8), Time::from_secs(16));
+    let (mut faulty, out2) = merge3(5, 2, true, [disconnect(2, secs(8), secs(16))]);
     faulty.run_until(horizon);
-    let faulty_stream: Vec<_> = faulty.metrics.with(out2, |m| {
-        final_stream(m.trace.as_ref().unwrap())
-            .into_iter()
-            .filter(|&(_, _, k)| k == TupleKind::Insertion)
-            .collect()
-    });
+    let faulty_stream = faulty
+        .metrics
+        .with(out2, |m| stable_stream(m.trace.as_ref().unwrap()));
 
     // The shorter run is a prefix of the longer one (the tail may still be
     // in flight at the horizon); everything delivered stably must agree
@@ -102,8 +50,7 @@ fn eventual_consistency_exact_stream_equivalence() {
 /// times — even while one replica reconciles a long failure.
 #[test]
 fn availability_bound_through_long_failure() {
-    let (mut sys, out) = merge3(9, 2, 2.0, false);
-    sys.disconnect_source(StreamId(2), 0, Time::from_secs(8), Time::from_secs(38));
+    let (mut sys, out) = merge3(9, 2, false, [disconnect(2, secs(8), secs(38))]);
     sys.run_until(Time::from_secs(70));
     sys.metrics.with(out, |m| {
         // 1.8 s effective suspend + serialization/dispatch slack.
@@ -122,9 +69,14 @@ fn availability_bound_through_long_failure() {
 /// inconsistencies appear.
 #[test]
 fn crash_during_failure_and_recovery() {
-    let (mut sys, out) = merge3(13, 2, 2.0, false);
-    sys.disconnect_source(StreamId(2), 0, Time::from_secs(8), Time::from_secs(14));
-    sys.crash_node(0, 0, Time::from_secs(10), Some(Time::from_secs(20)));
+    let crash = FaultSpec::CrashReplica {
+        frag: 0,
+        shard: 0,
+        replica: 0,
+        from: secs(10),
+        to: Some(secs(20)),
+    };
+    let (mut sys, out) = merge3(13, 2, false, [disconnect(2, secs(8), secs(14)), crash]);
     sys.run_until(Time::from_secs(45));
     sys.metrics.with(out, |m| {
         assert_eq!(m.dup_stable, 0);
@@ -138,8 +90,7 @@ fn crash_during_failure_and_recovery() {
 /// corrected and nothing is duplicated.
 #[test]
 fn single_replica_eventual_consistency() {
-    let (mut sys, out) = merge3(17, 1, 2.0, true);
-    sys.disconnect_source(StreamId(0), 0, Time::from_secs(8), Time::from_secs(20));
+    let (mut sys, out) = merge3(17, 1, true, [disconnect(0, secs(8), secs(20))]);
     sys.run_until(Time::from_secs(45));
     sys.metrics.with(out, |m| {
         assert!(m.n_tentative > 0);
@@ -166,9 +117,11 @@ fn single_replica_eventual_consistency() {
 /// single correction wave after the second failure heals; no duplicates.
 #[test]
 fn overlapping_failures_single_correction_wave() {
-    let (mut sys, out) = merge3(21, 1, 2.0, true);
-    sys.disconnect_source(StreamId(0), 0, Time::from_secs(8), Time::from_secs(16));
-    sys.disconnect_source(StreamId(2), 0, Time::from_secs(12), Time::from_secs(20));
+    let faults = [
+        disconnect(0, secs(8), secs(16)),
+        disconnect(2, secs(12), secs(20)),
+    ];
+    let (mut sys, out) = merge3(21, 1, true, faults);
     sys.run_until(Time::from_secs(45));
     sys.metrics.with(out, |m| {
         assert_eq!(m.dup_stable, 0);
@@ -183,7 +136,7 @@ fn overlapping_failures_single_correction_wave() {
 /// output buffers stay bounded during failure-free operation.
 #[test]
 fn buffers_truncate_under_acks() {
-    let (mut sys, out) = merge3(29, 2, 2.0, false);
+    let (mut sys, out) = merge3(29, 2, false, []);
     sys.run_until(Time::from_secs(30));
     // Indirect check: the run completes with full delivery and no protocol
     // violations. (Buffer sizes are node-internal; the truncation path is
@@ -199,8 +152,7 @@ fn buffers_truncate_under_acks() {
 #[test]
 fn runs_are_deterministic() {
     let run = || {
-        let (mut sys, out) = merge3(31, 2, 2.0, false);
-        sys.disconnect_source(StreamId(1), 0, Time::from_secs(5), Time::from_secs(9));
+        let (mut sys, out) = merge3(31, 2, false, [disconnect(1, secs(5), secs(9))]);
         sys.run_until(Time::from_secs(20));
         sys.metrics.with(out, |m| {
             (m.n_stable, m.n_tentative, m.n_undo, m.n_rec_done, m.procnew)

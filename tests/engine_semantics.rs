@@ -3,41 +3,36 @@
 //! under failures, and window semantics across reconciliation.
 
 use borealis::prelude::*;
-use borealis_diagram::plan as plan_fn;
 use borealis_engine::Fragment;
 
 /// Builds a fragment: two sources → filter(value odd) on s1 → union →
 /// tumbling count aggregate → output.
 fn pipeline_fragment() -> (Fragment, StreamId, StreamId, StreamId) {
-    let mut b = DiagramBuilder::new();
-    let s1 = b.source("s1");
-    let s2 = b.source("s2");
-    let odd = b.add(
-        "odd",
-        LogicalOp::Filter {
-            predicate: Expr::eq(Expr::modulo(Expr::field(0), Expr::int(2)), Expr::int(1)),
-        },
-        &[s1],
-    );
-    let merged = b.add("merged", LogicalOp::Union, &[odd, s2]);
-    let counted = b.add(
+    let mut q = QueryBuilder::new();
+    let s1 = q.source("s1");
+    let s2 = q.source("s2");
+    let is_odd = Expr::eq(Expr::modulo(Expr::field(0), Expr::int(2)), Expr::int(1));
+    let odd = q.filter("odd", s1, is_odd);
+    let merged = q.union("merged", &[odd, s2]);
+    let counted = q.aggregate(
         "counted",
-        LogicalOp::Aggregate(AggregateSpec {
+        merged,
+        AggregateSpec {
             window: Duration::from_millis(200),
             slide: Duration::from_millis(200),
             group_by: vec![],
             aggs: vec![AggFn::count(), AggFn::sum(Expr::field(0))],
-        }),
-        &[merged],
+        },
     );
-    b.output(counted);
-    let d = b.build().unwrap();
+    q.output(counted);
+    let d = q.build().unwrap();
     let cfg = DpcConfig {
         total_delay: Duration::from_secs(1),
         ..DpcConfig::default()
     };
-    let p = plan_fn(&d, &Deployment::single(&d), &cfg).unwrap();
-    (Fragment::from_plan(&p.fragments[0]), s1, s2, counted)
+    let p = plan_deployment(&d, &DeploymentSpec::single(1), &cfg).unwrap();
+    let f = Fragment::from_plan(&p.fragments[0]);
+    (f, s1.id(), s2.id(), counted.id())
 }
 
 fn feed(f: &mut Fragment, stream: StreamId, id: u64, ms: u64, v: i64) -> Vec<(StreamId, Tuple)> {

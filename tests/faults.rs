@@ -3,36 +3,26 @@
 
 use borealis::prelude::*;
 
-fn merge3(seed: u64, replication: usize) -> (RunningSystem, StreamId) {
-    let mut q = QueryBuilder::new();
-    let s1 = q.source("s1");
-    let s2 = q.source("s2");
-    let s3 = q.source("s3");
-    let u = q.union("merged", &[s1, s2, s3]);
-    q.output(u);
-    let d = q.build().unwrap();
-    let cfg = DpcConfig {
-        total_delay: Duration::from_secs(2),
-        ..DpcConfig::default()
-    };
-    let p = plan_deployment(&d, &DeploymentSpec::single(replication), &cfg).unwrap();
-    let mut builder = SystemBuilder::new(seed, Duration::from_millis(1))
-        .plan(p)
-        .client_streams(vec![u.id()]);
-    for s in [s1, s2, s3] {
-        builder = builder.source(SourceConfig::seq(s.id(), 100.0));
-    }
-    (builder.build(), u.id())
+mod common;
+use common::{disconnect, secs};
+
+/// The replicated three-source merge at 100 tuples/s a source, with the
+/// test's fault schedule, under the simulator.
+fn merge3(seed: u64, faults: impl IntoIterator<Item = FaultSpec>) -> (RunningSystem, StreamId) {
+    let (builder, out) = common::merge3(seed, 2, 100.0, false);
+    (builder.faults(faults).build(), out)
 }
 
 /// Back-to-back failures with a short gap: the second failure begins while
 /// the system may still be stabilizing the first (Fig. 11(b) generalized).
 #[test]
 fn back_to_back_failures_converge() {
-    let (mut sys, out) = merge3(41, 2);
-    sys.disconnect_source(StreamId(2), 0, Time::from_secs(6), Time::from_secs(10));
-    sys.disconnect_source(StreamId(2), 0, Time::from_secs(11), Time::from_secs(15));
-    sys.disconnect_source(StreamId(1), 0, Time::from_secs(12), Time::from_secs(16));
+    let faults = [
+        disconnect(2, secs(6), secs(10)),
+        disconnect(2, secs(11), secs(15)),
+        disconnect(1, secs(12), secs(16)),
+    ];
+    let (mut sys, out) = merge3(41, faults);
     sys.run_until(Time::from_secs(45));
     sys.metrics.with(out, |m| {
         assert_eq!(m.dup_stable, 0);
@@ -49,9 +39,12 @@ fn back_to_back_failures_converge() {
 /// Boundary-mute and full disconnection combined on different streams.
 #[test]
 fn mixed_fault_types_converge() {
-    let (mut sys, out) = merge3(43, 2);
-    sys.mute_boundaries(StreamId(0), Time::from_secs(6), Time::from_secs(12));
-    sys.disconnect_source(StreamId(2), 0, Time::from_secs(8), Time::from_secs(14));
+    let mute = FaultSpec::MuteBoundaries {
+        stream: StreamId(0),
+        from: secs(6),
+        to: secs(12),
+    };
+    let (mut sys, out) = merge3(43, [mute, disconnect(2, secs(8), secs(14))]);
     sys.run_until(Time::from_secs(40));
     sys.metrics.with(out, |m| {
         assert_eq!(m.dup_stable, 0);
@@ -66,9 +59,14 @@ fn mixed_fault_types_converge() {
 /// rebuild from the source logs and the stream resumes without duplicates.
 #[test]
 fn total_crash_recovers_from_source_logs() {
-    let (mut sys, out) = merge3(47, 2);
-    sys.crash_node(0, 0, Time::from_secs(8), Some(Time::from_secs(12)));
-    sys.crash_node(0, 1, Time::from_secs(8), Some(Time::from_secs(12)));
+    let crash = |replica| FaultSpec::CrashReplica {
+        frag: 0,
+        shard: 0,
+        replica,
+        from: secs(8),
+        to: Some(secs(12)),
+    };
+    let (mut sys, out) = merge3(47, [crash(0), crash(1)]);
     sys.run_until(Time::from_secs(40));
     sys.metrics.with(out, |m| {
         assert_eq!(m.dup_stable, 0, "deterministic rebuild reuses the same ids");
@@ -86,20 +84,15 @@ fn total_crash_recovers_from_source_logs() {
 /// switches to the healthy replica within the keep-alive bound.
 #[test]
 fn partitioned_replica_client_switches_fast() {
-    use borealis::sim::FaultEvent;
-    let (mut sys, out) = merge3(53, 2);
-    let victim = sys.fragment_replicas[0][0];
-    for stream in [StreamId(0), StreamId(1), StreamId(2)] {
-        let src = sys.source_of(stream);
-        sys.sim.schedule_fault(
-            Time::from_secs(8),
-            FaultEvent::LinkDown { a: src, b: victim },
-        );
-        sys.sim.schedule_fault(
-            Time::from_secs(14),
-            FaultEvent::LinkUp { a: src, b: victim },
-        );
-    }
+    let partition = (0..3).map(|s| FaultSpec::CutSourceLink {
+        stream: StreamId(s),
+        frag: 0,
+        shard: 0,
+        replica: 0,
+        from: secs(8),
+        to: secs(14),
+    });
+    let (mut sys, out) = merge3(53, partition);
     sys.run_until(Time::from_secs(40));
     sys.metrics.with(out, |m| {
         assert_eq!(m.dup_stable, 0);
@@ -117,10 +110,8 @@ fn partitioned_replica_client_switches_fast() {
 /// (nothing was processed from partial inputs).
 #[test]
 fn total_blackout_recovers_completely() {
-    let (mut sys, out) = merge3(57, 2);
-    for stream in [StreamId(0), StreamId(1), StreamId(2)] {
-        sys.disconnect_source(stream, 0, Time::from_secs(8), Time::from_secs(14));
-    }
+    let blackout = (0..3).map(|s| disconnect(s, secs(8), secs(14)));
+    let (mut sys, out) = merge3(57, blackout);
     sys.run_until(Time::from_secs(40));
     sys.metrics.with(out, |m| {
         assert_eq!(m.dup_stable, 0);
@@ -145,19 +136,17 @@ fn bounded_buffers_keep_live_stream_consistent() {
         total_delay: Duration::from_secs(2),
         ..DpcConfig::default()
     };
-    let p = plan_deployment(&d, &DeploymentSpec::single(2), &cfg).unwrap();
-    let (s2, u) = (s2.id(), u.id());
+    let spec = DeploymentSpec::new()
+        .fragment(FragmentSpec::named("all").buffer(BufferPolicy::DropOldest(2_000)));
+    let p = plan_deployment(&d, &spec, &cfg).unwrap();
+    let u = u.id();
     let mut sys = SystemBuilder::new(59, Duration::from_millis(1))
         .source(SourceConfig::seq(s1.id(), 100.0))
-        .source(SourceConfig::seq(s2, 100.0))
+        .source(SourceConfig::seq(s2.id(), 100.0))
         .plan(p)
         .client_streams(vec![u])
-        .node_tuning(NodeTuning {
-            buffer_policy: BufferPolicy::DropOldest(2_000),
-            ..NodeTuning::default()
-        })
+        .fault(disconnect(1, secs(6), secs(10)))
         .build();
-    sys.disconnect_source(s2, 0, Time::from_secs(6), Time::from_secs(10));
     sys.run_until(Time::from_secs(30));
     sys.metrics.with(u, |m| {
         assert_eq!(m.dup_stable, 0);
@@ -170,11 +159,11 @@ fn bounded_buffers_keep_live_stream_consistent() {
 /// protocol or leak inconsistency.
 #[test]
 fn flapping_link_does_not_wedge() {
-    let (mut sys, out) = merge3(61, 2);
-    for k in 0..5u64 {
-        let start = Time::from_secs(6 + 4 * k);
-        sys.disconnect_source(StreamId(2), 0, start, start + Duration::from_millis(1500));
-    }
+    let flaps = (0..5u64).map(|k| {
+        let start = secs(6 + 4 * k);
+        disconnect(2, start, start + Duration::from_millis(1500))
+    });
+    let (mut sys, out) = merge3(61, flaps);
     sys.run_until(Time::from_secs(50));
     sys.metrics.with(out, |m| {
         assert_eq!(m.dup_stable, 0);

@@ -3,86 +3,44 @@
 //!
 //! The registry-free build has no `proptest`, so cases are generated with
 //! the workspace's deterministic seeded RNG: every run explores the same
-//! randomized schedules, and a failing case is reproducible from its case
-//! index alone.
+//! randomized schedules, and a failing case prints its seed and its
+//! schedule — a `Vec<FaultSpec>`, ready to paste into a regression test.
 
 use borealis::prelude::*;
-use borealis_dpc::TraceEntry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A randomly generated failure episode.
-#[derive(Debug, Clone)]
-struct Episode {
-    stream: u32,
-    start_ms: u64,
-    duration_ms: u64,
-    boundary_only: bool,
-}
+mod common;
+use common::stable_stream;
 
-fn random_episode(rng: &mut StdRng) -> Episode {
-    Episode {
-        stream: rng.gen_range(0u32..3),
-        start_ms: rng.gen_range(5_000u64..15_000),
-        duration_ms: rng.gen_range(500u64..8_000),
-        boundary_only: rng.gen_range(0u32..2) == 1,
-    }
-}
-
-fn build_system(seed: u64, trace: bool) -> (RunningSystem, StreamId) {
-    let mut q = QueryBuilder::new();
-    let s1 = q.source("s1");
-    let s2 = q.source("s2");
-    let s3 = q.source("s3");
-    let u = q.union("merged", &[s1, s2, s3]);
-    q.output(u);
-    let d = q.build().unwrap();
-    let cfg = DpcConfig {
-        total_delay: Duration::from_secs(2),
-        ..DpcConfig::default()
-    };
-    let p = plan_deployment(&d, &DeploymentSpec::single(2), &cfg).unwrap();
-    let hub = MetricsHub::new();
-    if trace {
-        hub.enable_trace(u.id());
-    }
-    let mut builder = SystemBuilder::new(seed, Duration::from_millis(1))
-        .plan(p)
-        .client_streams(vec![u.id()])
-        .metrics(hub);
-    for s in [s1, s2, s3] {
-        builder = builder.source(SourceConfig::seq(s.id(), 60.0));
-    }
-    (builder.build(), u.id())
-}
-
-/// Extracts the stable stream the client retains after undo application.
-fn retained_stable(trace: &[TraceEntry]) -> Vec<(u64, u64)> {
-    let mut result: Vec<(u64, u64, bool)> = Vec::new();
-    for e in trace {
-        match e.kind {
-            TupleKind::Insertion => result.push((e.id.0, e.stime.as_micros(), true)),
-            TupleKind::Tentative => result.push((e.id.0, e.stime.as_micros(), false)),
-            TupleKind::Undo => {
-                let target = e.undo_target.unwrap_or_default().0;
-                let keep = result
-                    .iter()
-                    .rposition(|&(id, _, stable)| stable && id <= target)
-                    .map(|i| i + 1)
-                    .unwrap_or(0);
-                result.truncate(keep);
-            }
-            _ => {}
+/// A randomly generated failure of one of the three input streams:
+/// starting 5–15 s in, lasting 0.5–8 s, cutting either the whole stream or
+/// only its boundaries.
+fn random_fault(rng: &mut StdRng) -> FaultSpec {
+    let stream = StreamId(rng.gen_range(0u32..3));
+    let from = Time::from_millis(rng.gen_range(5_000u64..15_000));
+    let to = from + Duration::from_millis(rng.gen_range(500u64..8_000));
+    if rng.gen_range(0u32..2) == 1 {
+        FaultSpec::MuteBoundaries { stream, from, to }
+    } else {
+        FaultSpec::DisconnectSource {
+            stream,
+            frag: 0,
+            from,
+            to,
         }
     }
-    result
-        .into_iter()
-        .filter(|&(_, _, stable)| stable)
-        .map(|(id, st, _)| (id, st))
-        .collect()
 }
 
-/// For any schedule of 1-3 failure episodes:
+/// The replicated three-source merge at 60 tuples/s a source, running
+/// `schedule` under the simulator.
+fn build_system(seed: u64, trace: bool, schedule: &[FaultSpec]) -> (RunningSystem, StreamId) {
+    let (builder, out) = common::merge3(seed, 2, 60.0, trace);
+    (builder.faults(schedule.to_vec()).build(), out)
+}
+
+/// For any schedule of 1-3 failures (a failing case prints its schedule:
+/// paste it into a regression test):
 /// (a) no duplicate stable tuples ever reach the client,
 /// (b) the retained stable stream is a prefix of the failure-free run's
 ///     stream (Definition 1: same tuples, same order), and
@@ -91,42 +49,40 @@ fn retained_stable(trace: &[TraceEntry]) -> Vec<(u64, u64)> {
 fn dpc_invariants_hold_under_random_failures() {
     let mut rng = StdRng::seed_from_u64(0xD1C);
     for case in 0..12 {
-        let n_episodes = rng.gen_range(1usize..4);
-        let episodes: Vec<Episode> = (0..n_episodes).map(|_| random_episode(&mut rng)).collect();
+        let n_faults = rng.gen_range(1usize..4);
+        let schedule: Vec<FaultSpec> = (0..n_faults).map(|_| random_fault(&mut rng)).collect();
         let seed = rng.gen_range(0u64..1000);
 
         let horizon = Time::from_secs(45);
-        let (mut clean, out) = build_system(seed, true);
+        let (mut clean, out) = build_system(seed, true, &[]);
         clean.run_until(horizon);
         let reference = clean
             .metrics
-            .with(out, |m| retained_stable(m.trace.as_ref().unwrap()));
+            .with(out, |m| stable_stream(m.trace.as_ref().unwrap()));
 
-        let (mut sys, out2) = build_system(seed, true);
-        for ep in &episodes {
-            let start = Time(ep.start_ms * 1000);
-            let end = start + Duration::from_millis(ep.duration_ms);
-            if ep.boundary_only {
-                sys.mute_boundaries(StreamId(ep.stream), start, end);
-            } else {
-                sys.disconnect_source(StreamId(ep.stream), 0, start, end);
-            }
-        }
+        let (mut sys, out2) = build_system(seed, true, &schedule);
         sys.run_until(horizon);
 
         sys.metrics.with(out2, |m| {
             // (a) No duplicates.
-            assert_eq!(m.dup_stable, 0, "case {case} {episodes:?}");
-            let retained = retained_stable(m.trace.as_ref().unwrap());
+            assert_eq!(m.dup_stable, 0, "case {case} seed {seed} {schedule:?}");
+            let retained = stable_stream(m.trace.as_ref().unwrap());
             // (c) Strictly increasing stable ids.
             assert!(
                 retained.windows(2).all(|w| w[0].0 < w[1].0),
-                "case {case}: stable ids not increasing"
+                "case {case} seed {seed} {schedule:?}: stable ids not increasing"
             );
             // (b) Prefix equivalence with the failure-free run.
             let n = retained.len().min(reference.len());
-            assert!(n > 0, "case {case}: no stable output at all");
-            assert_eq!(&retained[..n], &reference[..n], "case {case} {episodes:?}");
+            assert!(
+                n > 0,
+                "case {case} seed {seed} {schedule:?}: no stable output"
+            );
+            assert_eq!(
+                &retained[..n],
+                &reference[..n],
+                "case {case} seed {seed} {schedule:?}"
+            );
         });
     }
 }
@@ -138,23 +94,15 @@ fn dpc_invariants_hold_under_random_failures() {
 fn availability_holds_for_any_single_failure() {
     let mut rng = StdRng::seed_from_u64(0xA11);
     for case in 0..12 {
-        let ep = random_episode(&mut rng);
+        let schedule = [random_fault(&mut rng)];
         let seed = rng.gen_range(0u64..1000);
-        let (mut sys, out) = build_system(seed, false);
-        let start = Time(ep.start_ms * 1000);
-        let end = start + Duration::from_millis(ep.duration_ms);
-        if ep.boundary_only {
-            sys.mute_boundaries(StreamId(ep.stream), start, end);
-        } else {
-            sys.disconnect_source(StreamId(ep.stream), 0, start, end);
-        }
+        let (mut sys, out) = build_system(seed, false, &schedule);
         sys.run_until(Time::from_secs(45));
         sys.metrics.with(out, |m| {
             assert!(
                 m.max_gap < Duration::from_millis(2900),
-                "case {case}: gap {} exceeds bound for {:?}",
-                m.max_gap,
-                ep
+                "case {case} seed {seed} {schedule:?}: gap {} exceeds bound",
+                m.max_gap
             );
         });
     }

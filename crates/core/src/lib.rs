@@ -65,10 +65,17 @@ pub use upstream::{Inputs, Requests, UpstreamManager, UpstreamSpec};
 mod tests {
     use super::*;
     use borealis_diagram::{plan_deployment, DeploymentSpec, DpcConfig, QueryBuilder};
-    use borealis_types::{Duration, StreamId, Time};
+    use borealis_sim::{Fabric, FaultEvent, Sim};
+    use borealis_types::{Duration, NodeId, StreamId, Time};
+    use std::sync::{Arc, Mutex};
 
     /// Three sources → Union → output, replicated; client watching.
     fn merge3_system(faults: Vec<FaultSpec>) -> (RunningSystem, StreamId) {
+        let (layout, out) = merge3_layout(faults);
+        (layout.deploy_sim(), out)
+    }
+
+    fn merge3_layout(faults: Vec<FaultSpec>) -> (SystemLayout, StreamId) {
         let mut q = QueryBuilder::new();
         let s1 = q.source("s1");
         let s2 = q.source("s2");
@@ -81,15 +88,15 @@ mod tests {
             ..DpcConfig::default()
         };
         let p = plan_deployment(&d, &DeploymentSpec::single(2), &cfg).unwrap();
-        let sys = SystemBuilder::new(7, Duration::from_millis(1))
+        let layout = SystemBuilder::new(7, Duration::from_millis(1))
             .source(SourceConfig::seq(s1.id(), 100.0))
             .source(SourceConfig::seq(s2.id(), 100.0))
             .source(SourceConfig::seq(s3.id(), 100.0))
             .plan(p)
             .client_streams(vec![u.id()])
             .faults(faults)
-            .build();
-        (sys, u.id())
+            .layout();
+        (layout, u.id())
     }
 
     #[test]
@@ -181,5 +188,72 @@ mod tests {
             // plus replay; far below the 2 s failure bound.
             assert!(m.max_gap < Duration::from_millis(1000), "gap {}", m.max_gap);
         });
+    }
+
+    /// Stands in front of an actor and logs when an `Ack` from `watched`
+    /// reaches it.
+    struct AckSpy {
+        inner: Box<dyn DpcActor<NetMsg>>,
+        watched: NodeId,
+        acks: Arc<Mutex<Vec<Time>>>,
+    }
+
+    impl DpcActor<NetMsg> for AckSpy {
+        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
+            self.inner.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, msg: NetMsg) {
+            if from == self.watched && matches!(msg, NetMsg::Ack { .. }) {
+                self.acks.lock().unwrap().push(ctx.now());
+            }
+            self.inner.on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
+            self.inner.on_timer(ctx, kind);
+        }
+        fn on_fault(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, fault: &FaultEvent) {
+            self.inner.on_fault(ctx, fault);
+        }
+    }
+
+    /// A restart between two ticks of the 1 s ack chain (down 4.5–4.8 s;
+    /// the crashed incarnation's next `TIMER_ACK` is due at 5 s) must leave
+    /// ONE chain: a source hears as many acks per second from the restarted
+    /// replica as it did before.
+    #[test]
+    fn restarted_replica_acks_its_upstream_at_the_rate_it_did_before() {
+        let (layout, _) = merge3_layout(vec![FaultSpec::RestartReplica {
+            frag: 0,
+            shard: 0,
+            replica: 0,
+            after: Time::from_millis(4500),
+        }]);
+        let (source, replica) = (layout.source_ids[0].1, layout.fragment_replicas[0][0]);
+        let acks = Arc::new(Mutex::new(Vec::new()));
+        let mut sim: Sim<NetMsg> = Sim::new(layout.seed, layout.latency, Fabric::default());
+        for (i, spec) in layout.actors.into_iter().enumerate() {
+            let inner = spec.into_actor(&layout.metrics);
+            sim.add_actor(if NodeId(i as u32) == source {
+                let (watched, acks) = (replica, acks.clone());
+                Box::new(AckSpy {
+                    inner,
+                    watched,
+                    acks,
+                })
+            } else {
+                inner
+            });
+        }
+        for (at, fault) in layout.script {
+            sim.schedule_fault(at, fault);
+        }
+        sim.run_until(Time::from_secs(11));
+        let acks = acks.lock().unwrap();
+        let in_4s_from = |ms: u64| {
+            let window = Time::from_millis(ms)..Time::from_millis(ms + 4000);
+            acks.iter().filter(|at| window.contains(at)).count()
+        };
+        assert_eq!(in_4s_from(500), 4, "one ack a second: {acks:?}");
+        assert_eq!(in_4s_from(7000), 4, "as after the restart: {acks:?}");
     }
 }

@@ -541,8 +541,9 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 // logged input suffix before resubscribing. Logs,
                 // subscribers and queued departures are volatile state —
                 // and so is what the crashed incarnation's timers stood
-                // for: no driver purges them, and one that comes due after
-                // the restart must find nothing of its own to finish.
+                // for: every driver drops those when they come due (they
+                // carry the incarnation that armed them), and the fields
+                // they would have read are cleared all the same.
                 self.fragment = Fragment::from_plan(&self.cfg.plan);
                 self.out = Self::publisher(&self.cfg, &self.fragment);
                 self.busy_until = ctx.now();

@@ -40,7 +40,7 @@ use crate::source::{DataSource, SourceConfig};
 use crate::upstream::UpstreamSpec;
 use borealis_diagram::{FragmentPlan, PhysicalPlan};
 use borealis_sim::{Fabric, FaultEvent, Sim};
-use borealis_types::{CreditPolicy, Duration, FlowGauges, NodeId, PartitionSpec, StreamId, Time};
+use borealis_types::{CreditPolicy, Duration, NodeId, PartitionSpec, StreamId, Time};
 use std::collections::HashMap;
 
 /// A scripted fault expressed against the runtime-independent topology:
@@ -637,11 +637,6 @@ impl RunningSystem {
     pub fn run_until(&mut self, until: Time) {
         self.sim.run_until(until);
     }
-
-    /// Queue-depth and stall-time gauges of the fabric's credit ledger.
-    pub fn flow_gauges(&self) -> FlowGauges {
-        self.sim.stats().flow
-    }
 }
 
 #[cfg(test)]
@@ -944,7 +939,7 @@ mod tests {
             assert_eq!(m.n_tentative, 0, "no stall below saturation");
             assert_eq!(m.dup_stable, 0);
         });
-        let g = sys.flow_gauges();
+        let g = sys.sim.stats().flow;
         assert!(g.delivered > 0, "data messages were metered: {g:?}");
     }
 

@@ -22,7 +22,7 @@ use crate::snapshot::{
 };
 use crate::{BatchEmitter, OpSnapshot, Operator};
 use borealis_types::wire::{self, Reader, WireError};
-use borealis_types::{Duration, Expr, Time, Tuple, TupleId, TupleKind, Value};
+use borealis_types::{Duration, Expr, Time, Tuple, TupleBatch, TupleId, TupleKind, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -303,14 +303,10 @@ impl Aggregate {
             out.push(t);
         }
     }
-}
 
-impl Operator for Aggregate {
-    fn name(&self) -> &'static str {
-        "aggregate"
-    }
-
-    fn process(&mut self, _port: usize, tuple: &Tuple, _now: Time, out: &mut BatchEmitter) {
+    /// One tuple, in stream order: data joins its windows, a boundary (or
+    /// tentative data, once boundaries have stopped) closes overdue ones.
+    fn step(&mut self, tuple: &Tuple, out: &mut BatchEmitter) {
         match tuple.kind {
             TupleKind::Insertion => self.add_tuple(tuple),
             TupleKind::Tentative => {
@@ -328,6 +324,18 @@ impl Operator for Aggregate {
                 }
             }
             TupleKind::Undo | TupleKind::RecDone => out.push(tuple.clone()),
+        }
+    }
+}
+
+impl Operator for Aggregate {
+    fn name(&self) -> &'static str {
+        "aggregate"
+    }
+
+    fn process_batch(&mut self, _: usize, batch: &TupleBatch, _: Time, out: &mut BatchEmitter) {
+        for t in batch.as_slice() {
+            self.step(t, out);
         }
     }
 

@@ -14,7 +14,7 @@
 use crate::snapshot::SnapshotCodec;
 use crate::{BatchEmitter, OpSnapshot, Operator};
 use borealis_types::wire::{self, Reader, WireError};
-use borealis_types::{Duration, Expr, Time, Tuple, TupleId, TupleKind, Value};
+use borealis_types::{Duration, Expr, Time, Tuple, TupleBatch, TupleId, TupleKind, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -157,14 +157,9 @@ impl SJoin {
             }
         }
     }
-}
 
-impl Operator for SJoin {
-    fn name(&self) -> &'static str {
-        "sjoin"
-    }
-
-    fn process(&mut self, _port: usize, tuple: &Tuple, _now: Time, out: &mut BatchEmitter) {
+    /// One tuple, in the serialized order the upstream SUnion fixed.
+    fn step(&mut self, tuple: &Tuple, out: &mut BatchEmitter) {
         match tuple.kind {
             TupleKind::Insertion | TupleKind::Tentative => self.handle_data(tuple, out),
             TupleKind::Boundary => {
@@ -172,6 +167,18 @@ impl Operator for SJoin {
                 out.push(tuple.clone());
             }
             TupleKind::Undo | TupleKind::RecDone => out.push(tuple.clone()),
+        }
+    }
+}
+
+impl Operator for SJoin {
+    fn name(&self) -> &'static str {
+        "sjoin"
+    }
+
+    fn process_batch(&mut self, _: usize, batch: &TupleBatch, _: Time, out: &mut BatchEmitter) {
+        for t in batch.as_slice() {
+            self.step(t, out);
         }
     }
 

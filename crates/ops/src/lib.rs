@@ -45,9 +45,9 @@ use borealis_types::{ControlSignal, Time, Tuple, TupleBatch};
 ///
 /// Two producer styles share this collector:
 ///
-/// * **per-tuple pushes** ([`BatchEmitter::push`]) — the compat shim for
-///   operator internals that emit tuple by tuple (aggregations, window
-///   closes, markers); contiguous runs are sealed into one shared batch;
+/// * **owned pushes** ([`BatchEmitter::push`]) — for output an operator
+///   has to build tuple by tuple (window closes, join matches, renumbered
+///   merges, markers); contiguous runs are sealed into one shared batch;
 /// * **shared-batch pushes** ([`BatchEmitter::push_batch`]) — pass-through
 ///   operators emit O(1) views of their input batch instead of cloning
 ///   tuples (the zero-copy fan-out path).
@@ -140,10 +140,13 @@ impl BatchEmitter {
 
 /// A deterministic stream operator.
 ///
-/// Operators process one tuple at a time and may also react to the passage
-/// of virtual time through [`Operator::tick`]; SUnion uses ticks to enforce
-/// the availability deadline (`Delaynew < X`, Property 1) by emitting
-/// overdue buckets tentatively.
+/// The unit of work is the batch — the paper's unit of serialization is
+/// the bucket, not the tuple (§4.2) — so [`Operator::process_batch`] is the
+/// one data entry point and the only one the engine calls; an operator
+/// that thinks per tuple loops over a private helper. Operators may also
+/// react to the passage of virtual time through [`Operator::tick`]; SUnion
+/// uses ticks to enforce the availability deadline (`Delaynew < X`,
+/// Property 1) by emitting overdue buckets tentatively.
 pub trait Operator: Send {
     /// Human-readable operator kind, for diagnostics.
     fn name(&self) -> &'static str;
@@ -153,26 +156,17 @@ pub trait Operator: Send {
         1
     }
 
-    /// Processes one input tuple arriving on `port` at virtual time `now`.
-    fn process(&mut self, port: usize, tuple: &Tuple, now: Time, out: &mut BatchEmitter);
+    /// Processes a shared batch arriving on `port` at virtual time `now`.
+    /// How a stream is cut into batches must never show in what is
+    /// emitted. Pass-through operators emit O(1) views of `batch` instead
+    /// of cloning tuples (the zero-copy fan-out path).
+    fn process_batch(&mut self, port: usize, batch: &TupleBatch, now: Time, out: &mut BatchEmitter);
 
-    /// Processes a whole shared batch arriving on `port`.
-    ///
-    /// The default forwards tuple-by-tuple through [`Operator::process`]
-    /// into the same emitter. Pass-through operators override this to emit
-    /// O(1) views of the input batch instead of cloning tuples (the
-    /// zero-copy fan-out path); stateful operators usually keep the
-    /// default.
-    fn process_batch(
-        &mut self,
-        port: usize,
-        batch: &TupleBatch,
-        now: Time,
-        out: &mut BatchEmitter,
-    ) {
-        for t in batch.as_slice() {
-            self.process(port, t, now, out);
-        }
+    /// One tuple as a singleton batch: the convenience unit tests feed
+    /// operators through. It has this one body for every operator — no
+    /// implementor defines it (CI greps for a second `fn process`).
+    fn process(&mut self, port: usize, tuple: &Tuple, now: Time, out: &mut BatchEmitter) {
+        self.process_batch(port, &TupleBatch::single(tuple.clone()), now, out);
     }
 
     /// Reacts to the passage of time. `tentative_permitted` is set by the
@@ -280,34 +274,6 @@ mod tests {
             .collect();
         assert_eq!(ids, vec![1, 2, 3, 4, 5]);
         assert!(e.is_empty());
-    }
-
-    #[test]
-    fn default_process_batch_routes_through_process() {
-        struct Echo;
-        impl Operator for Echo {
-            fn name(&self) -> &'static str {
-                "echo"
-            }
-            fn process(&mut self, _port: usize, t: &Tuple, _now: Time, out: &mut BatchEmitter) {
-                out.push(t.clone());
-                out.signal(ControlSignal::UpFailure);
-            }
-            fn checkpoint(&self) -> OpSnapshot {
-                OpSnapshot::new(())
-            }
-            fn restore(&mut self, _snap: &OpSnapshot) {}
-        }
-        let batch = TupleBatch::from_vec(vec![
-            Tuple::insertion(TupleId(1), Time::ZERO, vec![]),
-            Tuple::insertion(TupleId(2), Time::ZERO, vec![]),
-        ]);
-        let mut out = BatchEmitter::new();
-        Echo.process_batch(0, &batch, Time::ZERO, &mut out);
-        let (chunks, signals) = out.take();
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0], batch);
-        assert_eq!(signals.len(), 2);
     }
 
     #[test]

@@ -35,22 +35,10 @@ impl Operator for Map {
         "map"
     }
 
-    fn process(&mut self, _port: usize, tuple: &Tuple, _now: Time, out: &mut BatchEmitter) {
-        if let Some(t) = self.apply(tuple) {
-            out.push(t);
-        }
-    }
-
-    /// Batch path: the transformation must materialize fresh tuples, but
-    /// it builds the output batch exactly once (right capacity, one sealed
-    /// chunk) — every downstream consumer then shares that allocation.
-    fn process_batch(
-        &mut self,
-        _port: usize,
-        batch: &TupleBatch,
-        _now: Time,
-        out: &mut BatchEmitter,
-    ) {
+    /// The transformation must materialize fresh tuples, but it builds the
+    /// output batch exactly once (right capacity, one sealed chunk) —
+    /// every downstream consumer then shares that allocation.
+    fn process_batch(&mut self, _: usize, batch: &TupleBatch, _: Time, out: &mut BatchEmitter) {
         let mut result: Vec<Tuple> = Vec::with_capacity(batch.len());
         result.extend(batch.iter().filter_map(|t| self.apply(t)));
         out.push_batch(TupleBatch::from_vec(result));
@@ -106,31 +94,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_path_matches_per_tuple_path() {
-        let exprs = || vec![Expr::add(Expr::field(0), Expr::int(1))];
-        let tuples = vec![
+    fn batch_path_seals_one_output_batch() {
+        let mut m = Map::new(vec![Expr::add(Expr::field(0), Expr::int(1))]);
+        let batch = TupleBatch::from_vec(vec![
             Tuple::insertion(TupleId(1), Time::ZERO, vec![Value::Int(10)]),
             Tuple::boundary(TupleId::NONE, Time::from_secs(1)),
-            Tuple::tentative(TupleId(2), Time::from_secs(1), vec![Value::Int(20)]),
-            // Evaluation error (missing field): dropped on both paths.
+            // Evaluation error (missing field): dropped.
             Tuple::insertion(TupleId(3), Time::from_secs(2), vec![]),
-        ];
-        let mut batch_out = BatchEmitter::new();
-        Map::new(exprs()).process_batch(
-            0,
-            &TupleBatch::from_vec(tuples.clone()),
-            Time::ZERO,
-            &mut batch_out,
-        );
-        let (chunks, _) = batch_out.take();
-        let got: Vec<Tuple> = chunks.iter().flat_map(|c| c.to_vec()).collect();
-
-        let mut reference = BatchEmitter::new();
-        let mut m = Map::new(exprs());
-        for t in &tuples {
-            m.process(0, t, Time::ZERO, &mut reference);
-        }
-        assert_eq!(got, reference.tuples());
+        ]);
+        let mut out = BatchEmitter::new();
+        m.process_batch(0, &batch, Time::ZERO, &mut out);
+        let (chunks, _) = out.take();
         assert_eq!(chunks.len(), 1, "one sealed output batch");
+        assert_eq!(chunks[0].len(), 2);
     }
 }

@@ -93,14 +93,12 @@ impl SOutput {
             st.tentative_since_stable = false;
         }
     }
-}
 
-impl Operator for SOutput {
-    fn name(&self) -> &'static str {
-        "soutput"
-    }
-
-    fn process(&mut self, _port: usize, tuple: &Tuple, _now: Time, out: &mut BatchEmitter) {
+    /// The §4.4.2 protocol for one tuple — the only copy of it: duplicate
+    /// suppression and the single UNDO while stabilizing, REC_DONE ending
+    /// the stabilization. `process_batch` falls back to it whenever a batch
+    /// is not a pure pass-through.
+    fn step(&mut self, tuple: &Tuple, out: &mut BatchEmitter) {
         match tuple.kind {
             TupleKind::Insertion => {
                 if self.state.stabilizing {
@@ -149,21 +147,21 @@ impl Operator for SOutput {
             TupleKind::Undo => out.push(tuple.clone()),
         }
     }
+}
+
+impl Operator for SOutput {
+    fn name(&self) -> &'static str {
+        "soutput"
+    }
 
     /// The failure-free path (§4.4.2: "a pass-through filter that remembers
     /// the last stable tuple"): outside stabilization every tuple is
     /// forwarded as it is and only REC_DONE does more than update the two
     /// remembered facts, so one scan folds them over the batch and the
     /// *same* batch goes downstream — no tuple is touched, nothing is
-    /// allocated. Stabilization and REC_DONE take the per-tuple path above,
-    /// which stays the only copy of the protocol.
-    fn process_batch(
-        &mut self,
-        port: usize,
-        batch: &TupleBatch,
-        now: Time,
-        out: &mut BatchEmitter,
-    ) {
+    /// allocated. Stabilization and REC_DONE take the per-tuple
+    /// `step` above, which stays the only copy of the protocol.
+    fn process_batch(&mut self, _: usize, batch: &TupleBatch, _: Time, out: &mut BatchEmitter) {
         let st = &self.state;
         let folded = if st.stabilizing {
             None
@@ -180,7 +178,7 @@ impl Operator for SOutput {
         };
         let Some(memory) = folded else {
             for t in batch.as_slice() {
-                self.process(port, t, now, out);
+                self.step(t, out);
             }
             return;
         };
@@ -368,5 +366,40 @@ mod tests {
         assert!(run(&mut s, &b).0.is_empty(), "pre-undo boundary dropped");
         run(&mut s, &stable(2)); // triggers undo
         assert_eq!(run(&mut s, &b).0.len(), 1, "post-undo boundary passes");
+    }
+
+    /// The pass-through fold of `process_batch` against `step`, the
+    /// reference it abbreviates: whatever state stepping through a prefix
+    /// of a mixed run leaves, the window that follows goes downstream as
+    /// the same allocation and leaves the two remembered facts as stepping
+    /// through it does.
+    #[test]
+    fn batch_fold_agrees_with_the_per_tuple_step() {
+        let mixed = TupleBatch::from_vec(vec![
+            tentative(1),
+            stable(2),
+            tentative(3),
+            Tuple::boundary(TupleId::NONE, Time::from_millis(3)),
+            Tuple::undo(TupleId::NONE, TupleId(2)),
+            stable(4),
+            stable(5),
+            Tuple::boundary(TupleId::NONE, Time::from_millis(5)),
+        ]);
+        for (from, to) in (0..8).flat_map(|i| (i + 1..=8).map(move |j| (i, j))) {
+            let (mut folded, mut stepped) = (SOutput::new(), SOutput::new());
+            for t in &mixed.as_slice()[..from] {
+                folded.step(t, &mut BatchEmitter::new());
+                stepped.step(t, &mut BatchEmitter::new());
+            }
+            let window = mixed.slice(from..to);
+            let (mut got, mut want) = (BatchEmitter::new(), BatchEmitter::new());
+            folded.process_batch(0, &window, Time::ZERO, &mut got);
+            window.iter().for_each(|t| stepped.step(t, &mut want));
+            let (chunks, signals) = got.take();
+            assert!(chunks.len() == 1 && chunks[0].shares_backing(&mixed));
+            assert_eq!((chunks[0].to_vec(), signals), want.take_tuples());
+            let facts = |s: &SOutput| (s.last_stable(), s.tentative_since_stable());
+            assert_eq!(facts(&folded), facts(&stepped), "window {from}..{to}");
+        }
     }
 }

@@ -86,9 +86,6 @@ pub struct SUnionConfig {
     pub detect_delay: Duration,
     /// Per-bucket delay used by [`DelayMode::Delay`] after detection.
     pub delay_budget: Duration,
-    /// Minimum wait before releasing a tentative bucket in
-    /// [`DelayMode::Process`].
-    pub tentative_wait: Duration,
     /// Policy while an upstream failure is in progress (UP_FAILURE).
     pub failure_mode: DelayMode,
     /// Policy after the failure healed but before this node reconciled
@@ -108,7 +105,6 @@ impl SUnionConfig {
             bucket: Duration::from_millis(100),
             detect_delay: Duration::from_secs(3),
             delay_budget: Duration::from_secs(3),
-            tentative_wait: Duration::from_millis(300),
             failure_mode: DelayMode::Process,
             stabilization_mode: DelayMode::Process,
             is_input: false,
@@ -354,13 +350,17 @@ impl SUnion {
         Some(min)
     }
 
+    /// Minimum wait before a tentative bucket is released in
+    /// [`DelayMode::Process`] (the paper's footnote 5).
+    const TENTATIVE_WAIT: Duration = Duration::from_millis(300);
+
     /// The delay a given [`DelayMode`] grants an unstable bucket; `None`
     /// means hold indefinitely.
     fn mode_delay(&self, mode: DelayMode) -> Option<Duration> {
         match mode {
             DelayMode::Suspend => None,
             DelayMode::Delay => Some(self.cfg.delay_budget),
-            DelayMode::Process => Some(self.cfg.tentative_wait),
+            DelayMode::Process => Some(Self::TENTATIVE_WAIT),
         }
     }
 
@@ -488,8 +488,7 @@ impl SUnion {
         }
     }
 
-    /// Handles one non-data tuple (boundary / undo / rec-done) — shared by
-    /// the batch and per-tuple paths.
+    /// Handles one non-data tuple (boundary / undo / rec-done).
     fn process_control(&mut self, port: usize, tuple: &Tuple, out: &mut BatchEmitter) {
         match tuple.kind {
             TupleKind::Boundary => {
@@ -760,15 +759,10 @@ impl Operator for SUnion {
         self.cfg.n_inputs
     }
 
-    fn process(&mut self, port: usize, tuple: &Tuple, now: Time, out: &mut BatchEmitter) {
-        // Compat shim for per-tuple producers: the batch path is canonical.
-        self.process_batch(port, &TupleBatch::single(tuple.clone()), now, out);
-    }
-
     /// Batch-native ingestion — the serialization hot path. Data runs are
     /// buffered (and recorded for replay) as O(1) shared views of `batch`;
-    /// control tuples are handled in place. Semantically identical to
-    /// tuple-at-a-time delivery.
+    /// control tuples are handled in place. How the arrivals were cut into
+    /// batches never shows in the output.
     fn process_batch(
         &mut self,
         port: usize,
@@ -984,7 +978,6 @@ mod tests {
             bucket: Duration::from_millis(100),
             detect_delay: Duration::from_secs(2),
             delay_budget: Duration::from_secs(2),
-            tentative_wait: Duration::from_millis(300),
             failure_mode: DelayMode::Process,
             stabilization_mode: DelayMode::Process,
             is_input: true,
@@ -1099,7 +1092,7 @@ mod tests {
         s.tick(Time::from_millis(2100), true, &mut out); // detection
         out.take();
         // Next bucket arrives at t=2200; in Process mode it is released
-        // after tentative_wait (300 ms), not after detect_delay.
+        // after TENTATIVE_WAIT (300 ms), not after detect_delay.
         s.process(0, &data(2, 2150), Time::from_millis(2200), &mut out);
         assert!(!s.wants_tentative(Time::from_millis(2499)));
         assert!(s.wants_tentative(Time::from_millis(2500)));
@@ -1369,42 +1362,6 @@ mod tests {
         s.process(0, &data(2, 70), Time::from_millis(80), &mut out);
         s.restore(&snap);
         assert_eq!(s.buffered_tuples(), 1, "capture restorable repeatedly");
-    }
-
-    #[test]
-    fn batch_ingestion_matches_per_tuple_ingestion() {
-        // The batch path buffers shared views; the per-tuple path wraps
-        // singles. Output sequences (data, boundaries, signals) must be
-        // byte-identical.
-        let mixed = vec![
-            data(1, 20),
-            data(2, 80),
-            data(3, 150),
-            boundary(100),
-            data(4, 170),
-            data(5, 60), // late for bucket 0 once emitted: dropped
-            boundary(200),
-        ];
-        let per_tuple = {
-            let mut s = SUnion::new(cfg(1));
-            let mut out = BatchEmitter::new();
-            for t in &mixed {
-                s.process(0, t, Time::from_millis(1), &mut out);
-            }
-            out.take_tuples()
-        };
-        let batched = {
-            let mut s = SUnion::new(cfg(1));
-            let mut out = BatchEmitter::new();
-            s.process_batch(
-                0,
-                &TupleBatch::from_vec(mixed.clone()),
-                Time::from_millis(1),
-                &mut out,
-            );
-            out.take_tuples()
-        };
-        assert_eq!(per_tuple, batched);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::snapshot::{put_opt_u64, read_opt_u64, SnapshotCodec};
 use crate::{BatchEmitter, OpSnapshot, Operator};
 use borealis_types::wire;
-use borealis_types::{Time, Tuple, TupleId, TupleKind};
+use borealis_types::{Time, Tuple, TupleBatch, TupleId, TupleKind};
 use std::sync::Arc;
 
 /// Non-serializing merge of `n` input streams.
@@ -55,18 +55,10 @@ impl Union {
         }
         Some(min)
     }
-}
 
-impl Operator for Union {
-    fn name(&self) -> &'static str {
-        "union"
-    }
-
-    fn n_inputs(&self) -> usize {
-        self.n_inputs
-    }
-
-    fn process(&mut self, port: usize, tuple: &Tuple, _now: Time, out: &mut BatchEmitter) {
+    /// One tuple: data is renumbered and forwarded in arrival order,
+    /// boundaries merge to the minimum watermark.
+    fn step(&mut self, port: usize, tuple: &Tuple, out: &mut BatchEmitter) {
         match tuple.kind {
             TupleKind::Insertion | TupleKind::Tentative => {
                 let st = Arc::make_mut(&mut self.state);
@@ -93,6 +85,22 @@ impl Operator for Union {
             // DPC diagrams never contain plain Unions (they are replaced by
             // SUnion, §3), so these arise only in baseline runs.
             TupleKind::Undo | TupleKind::RecDone => out.push(tuple.clone()),
+        }
+    }
+}
+
+impl Operator for Union {
+    fn name(&self) -> &'static str {
+        "union"
+    }
+
+    fn n_inputs(&self) -> usize {
+        self.n_inputs
+    }
+
+    fn process_batch(&mut self, port: usize, batch: &TupleBatch, _: Time, out: &mut BatchEmitter) {
+        for t in batch.as_slice() {
+            self.step(port, t, out);
         }
     }
 

@@ -123,7 +123,6 @@ fn sunion_codec_round_trips_with_buffered_buckets() {
         bucket: Duration::from_millis(100),
         detect_delay: Duration::from_millis(300),
         delay_budget: Duration::from_millis(100),
-        tentative_wait: Duration::from_millis(100),
         failure_mode: borealis_ops::DelayMode::Delay,
         stabilization_mode: borealis_ops::DelayMode::Delay,
         is_input: true,

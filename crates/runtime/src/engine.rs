@@ -13,9 +13,10 @@
 //! * sends check reachability at **send time** (counted drops) and again
 //!   at **delivery time** (in-flight losses on a link that broke);
 //! * timers due while an actor is crashed are consumed and suppressed —
-//!   checked both when the wheel entry fires and again when the
-//!   re-enqueued timer envelope is processed, so a crash landing between
-//!   the two instants still suppresses the callback;
+//!   checked when the re-enqueued timer envelope is processed, so a crash
+//!   landing after the wheel entry fired still counts — and so are those
+//!   of an incarnation that has crashed since: every timer carries the
+//!   incarnation that armed it, kept in the actor's own cell;
 //! * fault notifications reach an actor unless it is down (except its own
 //!   `NodeDown`, which it observes so crash semantics stay scripted).
 //!
@@ -76,6 +77,7 @@ impl Hub {
 /// actor's identity and RNG.
 struct ThreadCtx<'a> {
     id: NodeId,
+    incarnation: u32,
     now: Time,
     worker: &'a mut Worker,
     rng: &'a mut StdRng,
@@ -117,7 +119,7 @@ impl RuntimeCtx<NetMsg> for ThreadCtx<'_> {
     fn set_timer(&mut self, at: Time, kind: u64) {
         self.worker
             .wheel
-            .push_timer(at.max(self.now), self.id, kind);
+            .push_timer(at.max(self.now), self.id, kind, self.incarnation);
     }
 
     fn reachable(&self, to: NodeId) -> bool {
@@ -208,15 +210,16 @@ impl Worker {
     fn fire_due(&mut self) {
         while let Some((_, due)) = self.wheel.pop_due(self.hub.clock.now()) {
             match due {
-                Due::Timer { owner, kind } => {
-                    // Crashed actors fire no timers (the entry is consumed,
-                    // as in the simulator); live ones get the timer
-                    // re-enqueued behind their pending mailbox work.
-                    if self.hub.fabric().timer_fires(owner) {
-                        self.hub
-                            .sched
-                            .push(owner, Envelope::Timer(kind), Some(self.idx));
-                    }
+                Due::Timer {
+                    owner,
+                    kind,
+                    incarnation,
+                } => {
+                    // Re-enqueued behind the owner's pending mailbox work;
+                    // whether it fires is decided there, under the owner's
+                    // cell: is it up, and the incarnation that armed this?
+                    let timer = Envelope::Timer(kind, incarnation);
+                    self.hub.sched.push(owner, timer, Some(self.idx));
                 }
                 Due::Replenish { owner, from } => {
                     // The owner's modeled CPU finished a delivery: its
@@ -292,12 +295,17 @@ impl Worker {
                 }
                 Some(Envelope::Fault(fault)) => {
                     self.dispatch(task.id, &mut cell, |a, ctx| a.on_fault(ctx, &fault));
+                    // As in the simulator: the crash ends an incarnation.
+                    if fault == FaultEvent::NodeDown(task.id) {
+                        cell.incarnation += 1;
+                    }
                 }
-                Some(Envelope::Timer(kind)) => {
-                    // Re-check liveness: a crash landing after the wheel
-                    // fired but before this envelope ran still suppresses
-                    // the callback.
-                    if self.hub.fabric().timer_fires(task.id) {
+                Some(Envelope::Timer(kind, incarnation)) => {
+                    // A crashed actor fires no timers (the entry is
+                    // consumed, as in the simulator), and neither does one
+                    // that has come back since the timer was armed.
+                    let stale = incarnation != cell.incarnation;
+                    if self.hub.fabric().timer_fires(task.id, stale) {
                         self.dispatch(task.id, &mut cell, |a, ctx| a.on_timer(ctx, kind));
                     }
                 }
@@ -336,6 +344,7 @@ impl Worker {
     ) -> Option<Time> {
         let mut ctx = ThreadCtx {
             id,
+            incarnation: cell.incarnation,
             now: self.hub.clock.now(),
             worker: self,
             rng: &mut cell.rng,
@@ -772,6 +781,33 @@ mod tests {
             stats.timers_suppressed >= 1 || stats.total_drops() >= 1,
             "the suppressed timer or dropped sends must be accounted: {stats:?}"
         );
+    }
+
+    #[test]
+    fn timer_of_a_crashed_incarnation_stays_silent_after_the_restart() {
+        // Actor 0 arms its 20 ms timer in `on_start`, crashes at once and
+        // is back at 5 ms: the timer comes due with the actor up again.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let script = vec![
+            (Time::ZERO, FaultEvent::NodeDown(NodeId(0))),
+            (Time::from_millis(5), FaultEvent::NodeUp(NodeId(0))),
+        ];
+        let a = Box::new(Recorder {
+            log: Arc::clone(&log),
+            peer: Some(NodeId(1)),
+        });
+        let b = Box::new(Recorder {
+            log: Arc::clone(&log),
+            peer: None,
+        });
+        let rt = spawn_pair(a, b, script);
+        let restarted = || log.lock().unwrap().contains(&(NodeId(u32::MAX), "node-up"));
+        assert!(wait_until(restarted, 2000), "the actor hears its NodeUp");
+        rt.run_for(std::time::Duration::from_millis(100));
+        let stats = rt.shutdown();
+        let l = log.lock().unwrap();
+        assert!(!l.contains(&(NodeId(u32::MAX), "timer")), "stale: {l:?}");
+        assert_eq!(stats.timers_suppressed, 1, "dropped and counted");
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl RunningThreads {
         self.runtime.run_for(wall);
     }
 
-    /// Queue-depth and stall-time gauges of the fabric's credit ledger.
-    pub fn flow_gauges(&self) -> borealis_types::FlowGauges {
-        self.runtime.stats().flow
-    }
-
     /// Stops every thread in order and returns message-loss statistics
     /// (including the final flow-control and scheduler gauges).
     pub fn shutdown(self) -> StatsSnapshot {

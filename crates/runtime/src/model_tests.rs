@@ -110,9 +110,9 @@ fn model_mailbox_queued_exactly_once() {
         let s = Arc::new(sched(1, 1));
         drain_initial(&s);
         let s1 = Arc::clone(&s);
-        let p1 = thread::spawn(move || s1.push(NodeId(0), Envelope::Timer(1), None));
+        let p1 = thread::spawn(move || s1.push(NodeId(0), Envelope::Timer(1, 0), None));
         let s2 = Arc::clone(&s);
-        let p2 = thread::spawn(move || s2.push(NodeId(0), Envelope::Timer(2), None));
+        let p2 = thread::spawn(move || s2.push(NodeId(0), Envelope::Timer(2, 0), None));
         // The worker loop: drain, then park on the IdleLot like the real
         // engine — a lost wakeup shows up as a deadlock violation.
         let mut seen: Vec<u64> = Vec::new();
@@ -122,7 +122,7 @@ fn model_mailbox_queued_exactly_once() {
                     t.begin();
                     while let Some(env) = t.pop_envelope() {
                         match env {
-                            Envelope::Timer(k) => seen.push(k),
+                            Envelope::Timer(k, _) => seen.push(k),
                             _ => unreachable!("only timers pushed"),
                         }
                     }
@@ -510,11 +510,11 @@ fn model_panic_containment_stops_mailbox_not_worker() {
     let r = explore(Opts::default(), || {
         let s = Arc::new(sched(2, 1));
         drain_initial(&s);
-        s.push(NodeId(0), Envelope::Timer(1), None);
+        s.push(NodeId(0), Envelope::Timer(1, 0), None);
         let t = s.pop(0).expect("queued");
         t.begin();
         let s2 = Arc::clone(&s);
-        let racer = thread::spawn(move || s2.push(NodeId(0), Envelope::Timer(9), None));
+        let racer = thread::spawn(move || s2.push(NodeId(0), Envelope::Timer(9, 0), None));
         let _ = t.pop_envelope();
         // The panic path runs while the task is still Running, exactly as
         // engine.rs does after catch_unwind — the racer's push lands in a
@@ -523,14 +523,17 @@ fn model_panic_containment_stops_mailbox_not_worker() {
         assert!(t.mark_stopped());
         racer.join();
         assert!(s.pop(0).is_none(), "dead task never re-queued");
-        s.push(NodeId(0), Envelope::Timer(3), None);
+        s.push(NodeId(0), Envelope::Timer(3, 0), None);
         assert!(s.pop(0).is_none(), "pushes to the stopped task dropped");
         // The pool keeps scheduling the healthy sibling.
-        s.push(NodeId(1), Envelope::Timer(2), None);
+        s.push(NodeId(1), Envelope::Timer(2, 0), None);
         let healthy = s.pop(0).expect("healthy task still schedulable");
         assert_eq!(healthy.id, NodeId(1));
         healthy.begin();
-        assert!(matches!(healthy.pop_envelope(), Some(Envelope::Timer(2))));
+        assert!(matches!(
+            healthy.pop_envelope(),
+            Some(Envelope::Timer(2, 0))
+        ));
         assert!(healthy.pop_envelope().is_none());
     });
     report("panic_containment_stops_mailbox_not_worker", r);

@@ -51,8 +51,9 @@ pub(crate) enum Envelope {
     /// A fault notification from the controller.
     Fault(FaultEvent),
     /// A timer that came due on a worker wheel (re-enqueued so it runs
-    /// with the task's other work, in mailbox order).
-    Timer(u64),
+    /// with the task's other work, in mailbox order): its kind, and the
+    /// incarnation of the task that armed it.
+    Timer(u64, u32),
     /// Orderly shutdown: process everything queued before this, then stop.
     Stop,
 }
@@ -83,6 +84,9 @@ pub(crate) struct ActorCell {
     pub(crate) actor: Box<dyn DpcActor<NetMsg>>,
     pub(crate) rng: StdRng,
     pub(crate) started: bool,
+    /// Crashes this actor has been through (bumped when it handles its own
+    /// `NodeDown`): a timer fires only in the incarnation that armed it.
+    pub(crate) incarnation: u32,
 }
 
 /// One schedulable actor.
@@ -105,6 +109,7 @@ impl Task {
                 actor,
                 rng,
                 started: false,
+                incarnation: 0,
             }),
         }
     }
@@ -574,21 +579,21 @@ mod tests {
     fn push_queues_idle_task_exactly_once() {
         let s = sched(2, 2);
         drain_initial(&s);
-        s.push(NodeId(0), Envelope::Timer(1), None);
-        s.push(NodeId(0), Envelope::Timer(2), None);
+        s.push(NodeId(0), Envelope::Timer(1, 0), None);
+        s.push(NodeId(0), Envelope::Timer(2, 0), None);
         // Two pushes, one enqueue: the second saw Queued.
         let t = s.pop(0).expect("task queued");
         assert!(s.pop(0).is_none(), "queued exactly once");
         t.begin();
-        assert!(matches!(t.pop_envelope(), Some(Envelope::Timer(1))));
+        assert!(matches!(t.pop_envelope(), Some(Envelope::Timer(1, 0))));
         // Pushes while Running only append.
-        s.push(NodeId(0), Envelope::Timer(3), None);
+        s.push(NodeId(0), Envelope::Timer(3, 0), None);
         assert!(s.pop(0).is_none(), "running task is not re-queued");
-        assert!(matches!(t.pop_envelope(), Some(Envelope::Timer(2))));
-        assert!(matches!(t.pop_envelope(), Some(Envelope::Timer(3))));
+        assert!(matches!(t.pop_envelope(), Some(Envelope::Timer(2, 0))));
+        assert!(matches!(t.pop_envelope(), Some(Envelope::Timer(3, 0))));
         assert!(t.pop_envelope().is_none(), "drained back to Idle");
         // Idle again: next push re-queues.
-        s.push(NodeId(0), Envelope::Timer(4), None);
+        s.push(NodeId(0), Envelope::Timer(4, 0), None);
         assert!(s.pop(1).is_some(), "any worker can pick it up");
     }
 
@@ -613,7 +618,7 @@ mod tests {
         let t = Arc::clone(s.task(NodeId(0)).unwrap());
         assert!(t.mark_stopped());
         assert!(!t.mark_stopped(), "idempotent");
-        s.push(NodeId(0), Envelope::Timer(1), None);
+        s.push(NodeId(0), Envelope::Timer(1, 0), None);
         assert!(s.pop(0).is_none(), "push to stopped task dropped");
     }
 
@@ -621,20 +626,20 @@ mod tests {
     fn yield_back_requeues_only_with_work_left() {
         let s = sched(1, 1);
         drain_initial(&s);
-        s.push(NodeId(0), Envelope::Timer(1), Some(0));
+        s.push(NodeId(0), Envelope::Timer(1, 0), Some(0));
         let t = s.pop(0).unwrap();
         t.begin();
         // Arrives while Running: appends, no second enqueue.
-        s.push(NodeId(0), Envelope::Timer(2), Some(0));
+        s.push(NodeId(0), Envelope::Timer(2, 0), Some(0));
         assert!(s.pop(0).is_none(), "running task is not re-queued");
-        assert!(matches!(t.pop_envelope(), Some(Envelope::Timer(1))));
+        assert!(matches!(t.pop_envelope(), Some(Envelope::Timer(1, 0))));
         // Budget hit with work left: yield re-queues.
         assert!(t.yield_back(), "work left: requeue");
         s.enqueue(Arc::clone(&t), Some(0));
         let t2 = s.pop(0).unwrap();
         assert_eq!(t2.id, t.id);
         t2.begin();
-        assert!(matches!(t2.pop_envelope(), Some(Envelope::Timer(2))));
+        assert!(matches!(t2.pop_envelope(), Some(Envelope::Timer(2, 0))));
         assert!(!t2.yield_back(), "drained: idle");
     }
 

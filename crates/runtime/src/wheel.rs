@@ -31,12 +31,14 @@ use std::collections::BinaryHeap;
 #[derive(Debug)]
 pub enum Due {
     /// Re-enqueue `on_timer(kind)` into `owner`'s mailbox (suppressed if
-    /// the owner is crashed, as in the simulator).
+    /// the owner is crashed, or has crashed since, as in the simulator).
     Timer {
         /// The actor whose timer fires.
         owner: NodeId,
         /// Timer kind.
         kind: u64,
+        /// The incarnation of `owner` that armed it.
+        incarnation: u32,
     },
     /// `owner`'s modeled CPU finished consuming a delivery from `from`:
     /// return the link credit (releasing the sender's next queued
@@ -93,9 +95,14 @@ impl TimerWheel {
         TimerWheel::default()
     }
 
-    /// Schedules `owner`'s `on_timer(kind)` at `at`.
-    pub fn push_timer(&mut self, at: Time, owner: NodeId, kind: u64) {
-        self.push(at, Due::Timer { owner, kind });
+    /// Schedules `on_timer(kind)` at `at` for this `incarnation` of `owner`.
+    pub fn push_timer(&mut self, at: Time, owner: NodeId, kind: u64, incarnation: u32) {
+        let due = Due::Timer {
+            owner,
+            kind,
+            incarnation,
+        };
+        self.push(at, due);
     }
 
     /// Schedules a credit return for `owner`'s delivery from `from`, due
@@ -156,16 +163,16 @@ mod tests {
     fn pops_in_deadline_then_insertion_order() {
         let mut w = TimerWheel::new();
         let me = NodeId(0);
-        w.push_timer(Time::from_millis(20), me, 2);
+        w.push_timer(Time::from_millis(20), me, 2, 0);
         w.push_replenish(Time::from_millis(15), me, NodeId(9));
-        w.push_timer(Time::from_millis(10), me, 1);
-        w.push_timer(Time::from_millis(10), NodeId(7), 3);
+        w.push_timer(Time::from_millis(10), me, 1, 0);
+        w.push_timer(Time::from_millis(10), NodeId(7), 3, 0);
         assert_eq!(w.len(), 4);
         assert_eq!(w.next_due(), Some(Time::from_millis(10)));
         assert!(w.pop_due(Time::from_millis(5)).is_none(), "nothing due yet");
         let fired: Vec<(u32, u64)> = std::iter::from_fn(|| w.pop_due(Time::from_millis(30)))
             .map(|(_, d)| match d {
-                Due::Timer { owner, kind } => (owner.0, kind),
+                Due::Timer { owner, kind, .. } => (owner.0, kind),
                 Due::Replenish { owner, from } => (owner.0, from.0 as u64),
             })
             .collect();

@@ -89,7 +89,7 @@ pub struct StatsSnapshot {
     /// crashed node's pending queues.
     pub delivery_drops: u64,
     /// Timer callbacks suppressed because the actor was crashed when they
-    /// came due.
+    /// came due, or had crashed since it armed them.
     pub timers_suppressed: u64,
     /// Messages successfully delivered to handlers.
     pub messages_delivered: u64,
@@ -220,13 +220,14 @@ impl<M> Fabric<M> {
     }
 
     /// A timer of `actor` came due: `true` if it may fire. A crashed
-    /// actor's timer is consumed and counted as suppressed.
-    pub fn timer_fires(&mut self, actor: NodeId) -> bool {
-        let up = self.node_up(actor);
-        if !up {
+    /// actor's timer is consumed and counted as suppressed, and so is a
+    /// `stale` one: armed by an incarnation the driver saw crash since.
+    pub fn timer_fires(&mut self, actor: NodeId, stale: bool) -> bool {
+        let fires = !stale && self.node_up(actor);
+        if !fires {
             self.counts.timers_suppressed += 1;
         }
-        up
+        fires
     }
 
     /// One delivery on `from → to` was consumed by the receiver (at its
@@ -393,8 +394,8 @@ mod tests {
         Fault(FaultEvent, &'static [NodeId]),
         /// `reachable(a, b)` in both directions.
         Reach(NodeId, NodeId, bool),
-        /// `timer_fires(actor)`.
-        Timer(NodeId, bool),
+        /// `timer_fires(actor, stale)`.
+        Timer(NodeId, bool, bool),
         /// `stalled_for(from, to)` in ms (a step takes 1 ms).
         Stalled(NodeId, NodeId, u64),
         /// Counters so far: (send drops, delivery drops, delivered,
@@ -446,12 +447,14 @@ mod tests {
                     Reach(N0, N2, false),
                     Reach(N2, N1, false),
                     Reach(N0, N1, true),
-                    Timer(N2, false),
-                    Timer(N0, true),
+                    Timer(N2, false, false),
+                    Timer(N0, false, true),
                     Fault(FaultEvent::NodeUp(N2), &[N2]),
                     Reach(N0, N2, true),
-                    Timer(N2, true),
-                    Counts(0, 0, 0, 1),
+                    Timer(N2, false, true),
+                    // One the crashed incarnation armed, due after the restart.
+                    Timer(N2, true, false),
+                    Counts(0, 0, 0, 2),
                 ],
             },
             Case {
@@ -659,7 +662,9 @@ mod tests {
                         assert_eq!(f.reachable(a, b), want, "{at}");
                         assert_eq!(f.reachable(b, a), want, "{at} (reverse)");
                     }
-                    Timer(actor, want) => assert_eq!(f.timer_fires(actor), want, "{at}"),
+                    Timer(actor, stale, want) => {
+                        assert_eq!(f.timer_fires(actor, stale), want, "{at}")
+                    }
                     Stalled(from, to, ms) => assert_eq!(
                         f.stalled_for(from, to, now),
                         Duration::from_millis(ms),

@@ -31,9 +31,11 @@ enum EventKind<M> {
         from: NodeId,
         to: NodeId,
     },
+    /// A timer, stamped with the incarnation of `actor` that armed it.
     Timer {
         actor: NodeId,
         kind: u64,
+        incarnation: u32,
     },
     Fault(FaultEvent),
     Start(NodeId),
@@ -82,6 +84,7 @@ impl<M> EventQueue<M> {
 struct SimCtx<'a, M> {
     now: Time,
     id: NodeId,
+    incarnation: u32,
     latency: Duration,
     fabric: &'a mut Fabric<M>,
     router: &'a mut ShardRouter,
@@ -116,9 +119,13 @@ impl<M: ShardMsg> Ctx<M> for SimCtx<'_, M> {
     }
 
     fn set_timer(&mut self, at: Time, kind: u64) {
-        let actor = self.id;
-        self.queue
-            .push(at.max(self.now), EventKind::Timer { actor, kind });
+        let (actor, incarnation) = (self.id, self.incarnation);
+        let timer = EventKind::Timer {
+            actor,
+            kind,
+            incarnation,
+        };
+        self.queue.push(at.max(self.now), timer);
     }
 
     fn reachable(&self, to: NodeId) -> bool {
@@ -134,6 +141,9 @@ impl<M: ShardMsg> Ctx<M> for SimCtx<'_, M> {
 pub struct Sim<M> {
     actors: Vec<Box<dyn Actor<M>>>,
     started: Vec<bool>,
+    /// Crashes each actor has been through: a timer fires only in the
+    /// incarnation that armed it.
+    incarnations: Vec<u32>,
     fabric: Fabric<M>,
     /// One-way latency of every link (FIFO order falls out of the
     /// deterministic event queue).
@@ -155,6 +165,7 @@ impl<M: ShardMsg> Sim<M> {
         Sim {
             actors: Vec::new(),
             started: Vec::new(),
+            incarnations: Vec::new(),
             fabric,
             latency,
             queue: EventQueue {
@@ -174,6 +185,7 @@ impl<M: ShardMsg> Sim<M> {
         let id = NodeId(self.actors.len() as u32);
         self.actors.push(actor);
         self.started.push(false);
+        self.incarnations.push(0);
         self.queue.push(self.now, EventKind::Start(id));
         id
     }
@@ -243,14 +255,26 @@ impl<M: ShardMsg> Sim<M> {
                     self.queue.push(at, EventKind::Message { from, to, msg });
                 }
             }
-            EventKind::Timer { actor, kind } => {
-                if self.fabric.timer_fires(actor) {
+            EventKind::Timer {
+                actor,
+                kind,
+                incarnation,
+            } => {
+                let stale = self.incarnations[actor.index()] != incarnation;
+                if self.fabric.timer_fires(actor, stale) {
                     self.with_actor(actor, |a, ctx| a.on_timer(ctx, kind));
                 }
             }
             EventKind::Fault(fault) => {
                 for id in self.fabric.apply(&fault, self.now) {
                     self.with_actor(id, |a, ctx| a.on_fault(ctx, &fault));
+                }
+                // The crash ends an incarnation: whatever it armed, its
+                // own NodeDown handler included, never fires.
+                if let FaultEvent::NodeDown(n) = fault {
+                    if let Some(i) = self.incarnations.get_mut(n.index()) {
+                        *i += 1;
+                    }
                 }
             }
             EventKind::Start(id) => {
@@ -273,6 +297,7 @@ impl<M: ShardMsg> Sim<M> {
         let mut ctx = SimCtx {
             now: self.now,
             id,
+            incarnation: self.incarnations[id.index()],
             latency: self.latency,
             fabric: &mut self.fabric,
             router: &mut self.router,
@@ -482,6 +507,44 @@ mod tests {
         sim.run_until(Time::from_secs(1));
         assert!(log.lock().unwrap().is_empty(), "{:?}", log.lock().unwrap());
         let _ = echo;
+    }
+
+    /// Re-arms a 1 s periodic timer from `on_start` and — like a protocol
+    /// node restarting — from its own `NodeUp`; logs every callback.
+    struct Periodic(Log);
+
+    impl Actor<String> for Periodic {
+        fn on_start(&mut self, ctx: &mut dyn Ctx<String>) {
+            ctx.set_timer(ctx.now() + Duration::from_secs(1), 1);
+        }
+        fn on_message(&mut self, _ctx: &mut dyn Ctx<String>, _from: NodeId, _msg: String) {}
+        fn on_timer(&mut self, ctx: &mut dyn Ctx<String>, _kind: u64) {
+            let entry = (ctx.now().as_millis(), ctx.id(), "tick".to_string());
+            self.0.lock().unwrap().push(entry);
+            self.on_start(ctx);
+        }
+        fn on_fault(&mut self, ctx: &mut dyn Ctx<String>, fault: &FaultEvent) {
+            if *fault == FaultEvent::NodeUp(ctx.id()) {
+                self.on_start(ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn restart_leaves_one_periodic_timer_chain() {
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = new_sim();
+        let a = sim.add_actor(Box::new(Periodic(log.clone())));
+        // A 300 ms outage between two ticks: the crashed incarnation's next
+        // timer (t = 4 s) comes due with the actor up again.
+        sim.schedule_fault(Time::from_millis(3500), FaultEvent::NodeDown(a));
+        sim.schedule_fault(Time::from_millis(3800), FaultEvent::NodeUp(a));
+        sim.run_until(Time::from_millis(13_800));
+        let ticks: Vec<u64> = log.lock().unwrap().iter().map(|e| e.0).collect();
+        let after: Vec<u64> = ticks.iter().copied().filter(|&t| t > 3800).collect();
+        let expect: Vec<u64> = (0..10).map(|i| 4800 + 1000 * i).collect();
+        assert_eq!(after, expect, "one chain, re-armed at the restart");
+        assert_eq!(sim.stats().timers_suppressed, 1, "the t = 4 s timer");
     }
 
     #[test]

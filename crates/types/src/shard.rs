@@ -15,7 +15,7 @@
 //! routes to the same shard on every replica, every runtime, and every
 //! replay — a requirement for DPC's replica determinism (§2.1).
 
-use crate::batch::{BatchView, TupleBatch};
+use crate::batch::BatchView;
 use crate::expr::Expr;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -97,28 +97,6 @@ impl PartitionSpec {
     /// tuples of its partition.
     pub fn keeps(&self, t: &Tuple) -> bool {
         !t.is_data() || self.shard_of(t) == self.index
-    }
-
-    /// This shard's view of a batch, in a single eval+hash pass. Scans
-    /// optimistically: as long as every tuple is kept nothing is copied,
-    /// and an all-kept batch is returned as a zero-copy clone; the first
-    /// rejected tuple triggers one prefix copy, after which kept tuples
-    /// are appended.
-    pub fn filter_batch(&self, batch: &TupleBatch) -> TupleBatch {
-        let all = batch.as_slice();
-        let mut kept: Option<Vec<Tuple>> = None;
-        for (i, t) in all.iter().enumerate() {
-            match (self.keeps(t), &mut kept) {
-                (true, Some(v)) => v.push(t.clone()),
-                (true, None) => {}
-                (false, Some(_)) => {}
-                (false, None) => kept = Some(all[..i].to_vec()),
-            }
-        }
-        match kept {
-            None => batch.clone(),
-            Some(v) => TupleBatch::from_vec(v),
-        }
     }
 
     /// One-pass K-way partition: evaluates the key expression and
@@ -227,6 +205,7 @@ impl ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::TupleBatch;
     use crate::time::Time;
     use crate::tuple::TupleId;
 
@@ -274,22 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_batch_zero_copy_when_everything_kept() {
-        let b = TupleBatch::from_vec(vec![
-            Tuple::boundary(TupleId::NONE, Time::from_secs(1)),
-            Tuple::boundary(TupleId::NONE, Time::from_secs(2)),
-        ]);
-        let f = spec(2, 1).filter_batch(&b);
-        assert!(f.shares_backing(&b), "all-control batch passes by view");
-
-        let data = TupleBatch::from_vec((0..10).map(|i| keyed(i, i as i64)).collect());
-        let f0 = spec(2, 0).filter_batch(&data);
-        let f1 = spec(2, 1).filter_batch(&data);
-        assert_eq!(f0.len() + f1.len(), data.len(), "disjoint cover");
-        assert!(!f0.is_empty() && !f1.is_empty());
-    }
-
-    #[test]
     fn bad_key_routes_to_shard_zero() {
         let t = Tuple::insertion(TupleId(1), Time::ZERO, vec![]);
         let s = PartitionSpec {
@@ -303,27 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn filter_batch_single_pass_and_correct() {
-        let data = TupleBatch::from_vec((0..64).map(|i| keyed(i, i as i64)).collect());
-        let expected: Vec<Tuple> = data
-            .iter()
-            .filter(|t| spec(4, 2).keeps(t))
-            .cloned()
-            .collect();
-        let evals_before = route_key_evals();
-        let got = spec(4, 2).filter_batch(&data);
-        if cfg!(debug_assertions) {
-            assert_eq!(
-                route_key_evals() - evals_before,
-                64,
-                "one eval+hash per tuple, not two"
-            );
-        }
-        assert_eq!(got.as_slice(), &expected[..]);
-    }
-
-    #[test]
-    fn split_views_matches_per_link_filter_batch() {
+    fn split_views_matches_per_link_keeps() {
         for k in [1u32, 2, 4, 8] {
             let mut tuples: Vec<Tuple> = (0..40).map(|i| keyed(i, (i * 7) as i64)).collect();
             tuples.insert(10, Tuple::boundary(TupleId::NONE, Time::from_secs(1)));
@@ -332,9 +275,10 @@ mod tests {
             let views = spec(k, 0).split_views(&b.clone().into());
             assert_eq!(views.len(), k as usize);
             for (i, v) in views.iter().enumerate() {
-                let expect = spec(k, i as u32).filter_batch(&b);
+                let shard = spec(k, i as u32);
+                let expect: Vec<Tuple> = b.iter().filter(|t| shard.keeps(t)).cloned().collect();
                 let got: Vec<Tuple> = v.iter().cloned().collect();
-                assert_eq!(got, expect.to_vec(), "K={k} shard {i}");
+                assert_eq!(got, expect, "K={k} shard {i}");
             }
         }
     }
@@ -422,7 +366,7 @@ mod tests {
         let v3 = router.route(&spec(3, 0), &b1);
         assert_eq!(
             v3.len(),
-            spec(3, 0).filter_batch(&b1.to_batch()).len(),
+            b1.iter().filter(|t| spec(3, 0).keeps(t)).count(),
             "group (key, K) is part of the cache identity"
         );
         // Unsharded links pass through untouched.

@@ -19,7 +19,7 @@
 //! toward placing processes on different machines.
 
 use crate::setups::{sharded_chain_builder, ShardedChainOptions};
-use borealis_dpc::{FaultSpec, MetricsHub, SystemLayout, TraceEntry};
+use borealis_dpc::{FaultSpec, MetricsHub, SystemBuilder, TraceEntry};
 use borealis_runtime::{deploy_tcp, plan_processes, TcpFabric};
 use borealis_types::{Duration, StreamId, Time, WireGauges};
 use std::io::{BufRead, BufReader, Write};
@@ -86,10 +86,9 @@ impl Default for TcpChainSpec {
 }
 
 impl TcpChainSpec {
-    /// Builds the full deployment description (identical in every
-    /// process). `trace` enables the client arrival trace — only useful
-    /// in process 0, where the client lives.
-    pub fn layout(&self, trace: bool) -> (SystemLayout, StreamId) {
+    /// The deployment description, identical in every process (a caller
+    /// may still add to it before resolving the layout).
+    pub fn builder(&self) -> (SystemBuilder, StreamId) {
         let o = ShardedChainOptions {
             shards: self.shards,
             replication: 2,
@@ -103,11 +102,7 @@ impl TcpChainSpec {
             ..Default::default()
         };
         let (mut builder, out) = sharded_chain_builder(&o);
-        let metrics = MetricsHub::new();
-        if trace {
-            metrics.enable_trace(out);
-        }
-        builder = builder.metrics(metrics).workers(self.workers);
+        builder = builder.workers(self.workers);
         if let Some(dir) = &self.durable_dir {
             // Background flusher: capture stays off the data path; the
             // snapshot objects are written by a dedicated thread.
@@ -122,7 +117,7 @@ impl TcpChainSpec {
                 to: None,
             });
         }
-        (builder.layout(), out)
+        (builder, out)
     }
 
     /// Serializes the spec as `key=value` argv tokens for the child
@@ -244,7 +239,11 @@ fn read_recovery_markers(root: &str) -> Vec<String> {
 /// [`TcpChainSpec::durable_dir`]) restarts its nodes from disk.
 pub fn run_tcp_parent(spec: &TcpChainSpec, worker_exe: &str) -> std::io::Result<TcpReport> {
     let mut spec = spec.clone();
-    let (layout, out) = spec.layout(true);
+    let (builder, out) = spec.builder();
+    // The client lives here, in process 0: keep its arrival trace.
+    let metrics = MetricsHub::new();
+    metrics.enable_trace(out);
+    let layout = builder.metrics(metrics).layout();
     let plan = plan_processes(&layout, spec.procs);
     // Explicit address map: bind an ephemeral loopback listener per
     // process to allocate the ports, keep our own, free the children's
@@ -363,7 +362,7 @@ pub fn run_tcp_child(my_proc: u32, spec: &TcpChainSpec, rejoin: bool) -> std::io
             spec.addrs
         )));
     }
-    let (layout, _) = spec.layout(false);
+    let layout = spec.builder().0.layout();
     let plan = plan_processes(&layout, spec.procs);
     let listener = TcpListener::bind(spec.addrs[my_proc as usize].as_str())?;
     let fabric = if rejoin {
@@ -433,8 +432,8 @@ mod tests {
     fn layout_is_identical_across_rebuilds() {
         // Parent and children must derive the same id space and plan.
         let spec = TcpChainSpec::default();
-        let (a, out_a) = spec.layout(false);
-        let (b, out_b) = spec.layout(true);
+        let ((a, out_a), (b, out_b)) = (spec.builder(), spec.builder());
+        let (a, b) = (a.layout(), b.layout());
         assert_eq!(out_a, out_b);
         assert_eq!(a.actors.len(), b.actors.len());
         assert_eq!(a.source_ids, b.source_ids);

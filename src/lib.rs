@@ -62,7 +62,7 @@
 //! | Crate | Role |
 //! |---|---|
 //! | `borealis-types` | Tuple model (stable/tentative/boundary/undo/rec-done), time, expressions, shard routing, and the shared-ownership [`TupleBatch`](borealis_types::TupleBatch) data plane |
-//! | `borealis-ops` | Operators: Filter, Map, Union, Aggregate, SJoin, SUnion, SOutput — per-tuple and batch execution paths |
+//! | `borealis-ops` | Operators: Filter, Map, Union, Aggregate, SJoin, SUnion, SOutput — one batch execution path each (`Operator::process_batch`) |
 //! | `borealis-diagram` | Query diagrams, validation, DPC planning, delay assignment |
 //! | `borealis-engine` | Per-node fragment executor (batch-wise) with checkpoint/redo reconciliation |
 //! | `borealis-store` | Durability: checkpoint objects behind an atomic `HEAD`, append-only checksummed input log |

@@ -1,24 +1,30 @@
 //! Cross-runtime equivalence: the same deployment description produces the
-//! same *stable* output stream under the deterministic simulator and under
-//! the real-time thread engine.
+//! same *stable* output stream under the deterministic simulator, on the
+//! real-time worker pool, and across a socket mesh.
 //!
 //! This is the paper's eventual-consistency guarantee turned into a
 //! portability test. Source stimes and payloads are pure functions of the
 //! sequence number, SUnion serializes buckets deterministically by
 //! `(stime, origin, id)`, and reconciliation replays corrections into the
-//! identical stable prefix — so even though the thread engine's arrival
+//! identical stable prefix — so even though a wall-clock run's arrival
 //! timing jitters (and may force tentative data the simulator never
 //! produces), the corrected stable stream must be identical tuple for
-//! tuple, in order, on both runtimes.
+//! tuple, in order, on every runtime.
+//!
+//! Every test describes its deployment once, as a `scenario` closure, and
+//! hands it to `common::run_on` per runtime; what it spells out is what is
+//! particular to it — options, faults, runtimes, horizons, extra gauges.
+//! `common::assert_same_stable_prefix` also holds every compared run to
+//! `dup_stable == 0` (stable ids never repeat) and to the same stream id.
 
 use borealis::prelude::*;
 use borealis_workloads::{
     chain_builder, run_tcp_parent, sharded_chain_builder, ChainOptions, ShardedChainOptions,
-    TcpChainSpec, DISTRIBUTED_VARIANTS,
+    TcpChainSpec, TcpReport, DISTRIBUTED_VARIANTS,
 };
 
 mod common;
-use common::stable_stream;
+use common::{assert_same_stable_prefix, crash, ms, run_on, run_while, secs, Outcome, Runtime};
 
 /// Serializes the tests in this binary. Every test here deploys on the
 /// wall-clock thread engine (some additionally fork OS processes) and
@@ -29,6 +35,18 @@ use common::stable_stream;
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// What process 0 of a forked deployment reported, in the harness's terms.
+fn forked(report: &TcpReport, stream: StreamId) -> Outcome {
+    let mut outcome = Outcome {
+        stream,
+        final_stream: final_stream(report.trace.as_ref().expect("trace enabled")),
+        dup_stable: report.dup,
+        ..Outcome::default()
+    };
+    outcome.stats.wire = report.wire;
+    outcome
 }
 
 /// Chain options tuned so a wall-clock run finishes in a few seconds.
@@ -49,169 +67,66 @@ fn fast_chain() -> ChainOptions {
     }
 }
 
-/// The chain workload with replication 2 and one scripted replica crash:
-/// run under the simulator and under the thread runtime, the delivered
-/// stable streams must be identical (same tuples, same order) over their
-/// common prefix — the shorter run is a prefix of the longer one.
-#[test]
-fn chain_stable_stream_identical_across_runtimes() {
-    let _serial = serial();
-    let o = fast_chain();
-    let crash_frag = o.depth - 1; // the fragment the client watches
-    let horizon = Time::from_secs(6);
-
-    // --- Simulator run ---------------------------------------------------
-    let (builder, out) = chain_builder(&o);
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let mut sim_sys = builder
-        .metrics(metrics)
-        .fault(FaultSpec::CrashReplica {
-            frag: crash_frag,
-            shard: 0,
-            replica: 0,
-            from: Time::from_millis(1500),
-            to: None,
-        })
-        .build();
-    sim_sys.run_until(horizon);
-    let (sim_stable, sim_dups) = sim_sys.metrics.with(out, |m| {
-        (
-            stable_stream(m.trace.as_ref().expect("trace enabled")),
-            m.dup_stable,
-        )
-    });
-
-    // --- Thread-runtime run ----------------------------------------------
-    // The identical description — same topology, same scripted crash of the
-    // client's initial upstream replica — deployed on OS threads.
-    let (builder, out2) = chain_builder(&o);
-    assert_eq!(out, out2, "same diagram, same output stream");
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let layout = builder
-        .metrics(metrics)
-        .fault(FaultSpec::CrashReplica {
-            frag: crash_frag,
-            shard: 0,
-            replica: 0,
-            from: Time::from_millis(1500),
-            to: None,
-        })
-        .layout();
-    let threads = deploy_threads(layout);
-    threads.run_for(std::time::Duration::from_millis(4500));
-    let (thr_stable, thr_dups) = threads.metrics.with(out, |m| {
-        (
-            stable_stream(m.trace.as_ref().expect("trace enabled")),
-            m.dup_stable,
-        )
-    });
-    let drops = threads.shutdown();
-
-    // --- Equivalence ------------------------------------------------------
-    assert_eq!(sim_dups, 0, "simulator run violated stable-id monotonicity");
-    assert_eq!(thr_dups, 0, "thread run violated stable-id monotonicity");
-    assert!(
-        drops.send_unreachable_drops + drops.delivery_drops > 0,
-        "the scripted crash must actually sever traffic: {drops:?}"
-    );
-    // Thresholds leave >4x headroom below the ~1350 tuples a nominal run
-    // delivers, so a starved CI runner slows the stream without failing it.
-    let common = sim_stable.len().min(thr_stable.len());
-    assert!(
-        common >= 300,
-        "both runs must deliver a substantial stable stream: sim={} threads={}",
-        sim_stable.len(),
-        thr_stable.len()
-    );
-    assert_eq!(
-        sim_stable[..common],
-        thr_stable[..common],
-        "stable streams diverge within the common prefix"
-    );
-}
-
-/// Shard-merge determinism: the key-partitioned chain (ingest → work × K
-/// shards → deliver) produces an identical stable output stream under the
-/// simulator and the thread runtime, with one *shard replica* crashed
-/// mid-run. The downstream SUnion's bucket-serialized merge of the shard
-/// substreams — plus DPC's per-shard replica failover — must be
-/// deterministic across runtimes.
-#[test]
-fn sharded_chain_stable_stream_identical_across_runtimes() {
-    let _serial = serial();
-    let o = ShardedChainOptions {
+/// The key-partitioned chain (ingest → work × 2 shards → deliver) at the
+/// same pace, stretched keep-alives included.
+fn fast_sharded_chain(seed: u64) -> ShardedChainOptions {
+    ShardedChainOptions {
         shards: 2,
         total_rate: 300.0,
         per_node_delay: Duration::from_millis(500),
         work_cost: Duration::from_micros(10),
         light_cost: Duration::from_micros(5),
         heartbeat_period: Duration::from_millis(400),
-        seed: 33,
+        seed,
         ..Default::default()
+    }
+}
+
+/// The chain workload with replication 2 and one scripted crash of the
+/// replica the client watches, simulator vs thread runtime.
+#[test]
+fn chain_stable_stream_identical_across_runtimes() {
+    let _serial = serial();
+    let o = fast_chain();
+    let scenario = || {
+        let (builder, out) = chain_builder(&o);
+        (builder.fault(crash(o.depth - 1, 0, ms(1500))), out)
     };
-    // Crash replica 0 of shard 1 of the "work" stage (logical fragment 1)
-    // at t=1.5s, permanently: the shard's surviving replica must carry its
-    // partition while everything else flows undisturbed.
-    let crash = FaultSpec::CrashReplica {
-        frag: 1,
-        shard: 1,
-        replica: 0,
-        from: Time::from_millis(1500),
-        to: None,
+    let sim = run_on(Runtime::Sim, &scenario, secs(6));
+    let thr = run_on(Runtime::Threads, &scenario, ms(4500));
+
+    let lost = thr.stats.send_unreachable_drops + thr.stats.delivery_drops;
+    assert!(lost > 0, "the crash must sever traffic: {:?}", thr.stats);
+    // Thresholds leave >4x headroom below the ~1350 tuples a nominal run
+    // delivers, so a starved CI runner slows the stream without failing it.
+    assert_same_stable_prefix(&sim, &thr, 300);
+}
+
+/// Shard-merge determinism, on all three runtimes: replica 0 of shard 1 of
+/// the "work" stage (logical fragment 1) crashes at t=1.5 s, for good; the
+/// shard's surviving replica must carry its partition while everything else
+/// flows undisturbed. The downstream SUnion's bucket-serialized merge of
+/// the shard substreams and DPC's per-shard failover must be deterministic.
+#[test]
+fn sharded_chain_stable_stream_identical_across_runtimes() {
+    let _serial = serial();
+    let o = fast_sharded_chain(33);
+    let scenario = || {
+        let (builder, out) = sharded_chain_builder(&o);
+        (builder.fault(crash(1, 1, ms(1500))), out)
     };
-    let horizon = Time::from_secs(6);
+    let partitions = scenario().0.layout().partitions;
+    assert!(!partitions.is_empty(), "shard replicas carry filters");
+    let sim = run_on(Runtime::Sim, &scenario, secs(6));
+    let thr = run_on(Runtime::Threads, &scenario, ms(4500));
+    let tcp = run_on(Runtime::Tcp, &scenario, ms(4500));
 
-    let (builder, out) = sharded_chain_builder(&o);
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let mut sim_sys = builder.metrics(metrics).fault(crash.clone()).build();
-    sim_sys.run_until(horizon);
-    let (sim_stable, sim_dups) = sim_sys.metrics.with(out, |m| {
-        (
-            stable_stream(m.trace.as_ref().expect("trace enabled")),
-            m.dup_stable,
-        )
-    });
-
-    let (builder, out2) = sharded_chain_builder(&o);
-    assert_eq!(out, out2, "same diagram, same output stream");
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let layout = builder.metrics(metrics).fault(crash).layout();
-    assert!(
-        !layout.partitions.is_empty(),
-        "shard replicas carry partition filters"
-    );
-    let threads = deploy_threads(layout);
-    threads.run_for(std::time::Duration::from_millis(4500));
-    let (thr_stable, thr_dups) = threads.metrics.with(out, |m| {
-        (
-            stable_stream(m.trace.as_ref().expect("trace enabled")),
-            m.dup_stable,
-        )
-    });
-    let drops = threads.shutdown();
-
-    assert_eq!(sim_dups, 0, "simulator run violated stable-id monotonicity");
-    assert_eq!(thr_dups, 0, "thread run violated stable-id monotonicity");
-    assert!(
-        drops.send_unreachable_drops + drops.delivery_drops > 0,
-        "the scripted shard crash must actually sever traffic: {drops:?}"
-    );
-    let common = sim_stable.len().min(thr_stable.len());
-    assert!(
-        common >= 300,
-        "both runs must deliver a substantial stable stream: sim={} threads={}",
-        sim_stable.len(),
-        thr_stable.len()
-    );
-    assert_eq!(
-        sim_stable[..common],
-        thr_stable[..common],
-        "sharded stable streams diverge within the common prefix"
-    );
+    let lost = thr.stats.send_unreachable_drops + thr.stats.delivery_drops;
+    assert!(lost > 0, "the crash must sever traffic: {:?}", thr.stats);
+    let wire = tcp.stats.wire;
+    assert!(wire.frames_sent > 0, "data crosses the sockets: {wire:?}");
+    assert_same_stable_prefix(&sim, &thr, 300);
+    assert_same_stable_prefix(&sim, &tcp, 300);
 }
 
 /// The slow-consumer overload chain: three sources → light ingest → a
@@ -228,20 +143,15 @@ fn overload_chain(
     let o = ShardedChainOptions {
         shards: 1,
         replication: 2,
-        total_rate: 300.0,
-        per_node_delay: Duration::from_millis(500),
         // ~170 tuples/s of effective work-stage capacity (ingest + emission
         // both charge the CPU) — well under the offered 300/s.
         work_cost: Duration::from_millis(3),
-        light_cost: Duration::from_micros(5),
         // `Some(n)`: each source stops after n tuples — a finite overload
         // burst that later drains, so stabilization can complete. `None`:
         // sustained overload (the node never catches up, §4.4.2, so no
         // REC_DONE — used for the boundedness measurements).
         source_limit: episode,
-        heartbeat_period: Duration::from_millis(400),
-        seed,
-        ..Default::default()
+        ..fast_sharded_chain(seed)
     };
     let (builder, out) = sharded_chain_builder(&o);
     (builder.credit_policy(policy), out)
@@ -255,186 +165,81 @@ fn overload_chain(
 fn overload_bounded_window_caps_inflight_where_baseline_grows() {
     let _serial = serial();
     // --- Bounded: Window(4), sustained overload --------------------------
-    let (builder, out) = overload_chain(CreditPolicy::Window(4), 77, None);
-    let mut sys = builder.build();
-    sys.run_until(Time::from_secs(8));
-    let g = sys.flow_gauges();
+    let bounded = || overload_chain(CreditPolicy::Window(4), 77, None);
+    let run = run_on(Runtime::Sim, &bounded, secs(8));
+    let g = run.stats.flow;
     assert!(g.queued > 0, "overload must force credit stalls: {g:?}");
     assert!(g.stalls > 0);
     assert!(g.stall_time > Duration::ZERO);
-    assert!(
-        g.inflight_peak <= 4,
-        "in-flight depth bounded by the window: {g:?}"
-    );
-    let (n_stable, n_tentative, dup) = sys
-        .metrics
-        .with(out, |m| (m.n_stable, m.n_tentative, m.dup_stable));
-    assert!(
-        n_tentative > 0,
-        "the stall must surface as tentative (delayed) buckets, not silence"
-    );
+    assert!(g.inflight_peak <= 4, "bounded by the window: {g:?}");
+    // The stall must surface as tentative (delayed) buckets, not silence.
+    assert!(run.n_tentative > 0);
     // Under *sustained* overload the node never catches up with normal
     // execution, so stabilization cannot complete (§4.4.2) — the episode
     // tests below cover the corrected path. Stable output still covers the
     // pre-detection era.
-    assert!(n_stable >= 100, "pre-stall stable prefix: {n_stable}");
-    assert_eq!(dup, 0);
+    assert!(run.n_stable >= 100, "pre-stall prefix: {}", run.n_stable);
+    assert_eq!(run.dup_stable, 0);
 
     // --- Never-stalling baseline: buffering grows with the horizon -------
-    let peak_at = |secs: u64| {
-        let (builder, _) = overload_chain(CreditPolicy::Window(u32::MAX), 77, None);
-        let mut sys = builder.build();
-        sys.run_until(Time::from_secs(secs));
-        sys.flow_gauges().inflight_peak
-    };
-    let (peak4, peak8) = (peak_at(4), peak_at(8));
-    assert!(
-        peak8 > peak4,
-        "unbounded baseline must keep growing: {peak4} → {peak8}"
-    );
-    assert!(
-        peak8 > 4 * 4,
-        "baseline buffering dwarfs the bounded window: {peak8}"
-    );
+    let baseline = || overload_chain(CreditPolicy::Window(u32::MAX), 77, None);
+    let flow_at = |s: u64| run_on(Runtime::Sim, &baseline, secs(s)).stats.flow;
+    let (peak4, peak8) = (flow_at(4).inflight_peak, flow_at(8).inflight_peak);
+    assert!(peak8 > peak4, "must keep growing: {peak4} → {peak8}");
+    assert!(peak8 > 4 * 4, "dwarfs the bounded window: {peak8}");
 }
 
-/// Cross-runtime equivalence under credit-stall overload: the same
-/// bounded-window slow-consumer deployment produces identical stable
-/// output streams under the simulator and the thread engine — credit
-/// backpressure may delay buckets, never reorder or drop stable data.
+/// Credit-stall overload, simulator vs thread engine: backpressure may
+/// delay buckets, never reorder or drop stable data.
 #[test]
 fn overload_stable_stream_identical_across_runtimes() {
     let _serial = serial();
-    let horizon = Time::from_secs(10);
+    let scenario = || overload_chain(CreditPolicy::Window(4), 78, Some(150));
+    let sim = run_on(Runtime::Sim, &scenario, secs(10));
+    let thr = run_on(Runtime::Threads, &scenario, ms(8500));
 
-    let (builder, out) = overload_chain(CreditPolicy::Window(4), 78, Some(150));
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let mut sim_sys = builder.metrics(metrics).build();
-    sim_sys.run_until(horizon);
-    let sim_gauges = sim_sys.flow_gauges();
-    let (sim_stable, sim_dups) = sim_sys.metrics.with(out, |m| {
-        // Availability through the stall (§6, Fig. 11's criterion): the
-        // maximum gap between *new* tuples stays under the chain's total
-        // delay budget (3 SUnion hops × 500 ms) — the overload manifests
-        // as delayed buckets inside the budget, not as silence.
-        assert!(
-            m.max_gap <= Duration::from_millis(1500),
-            "per-bucket added delay exceeded the delay budget: {}",
-            m.max_gap
-        );
-        (
-            stable_stream(m.trace.as_ref().expect("trace enabled")),
-            m.dup_stable,
-        )
-    });
-
-    let (builder, out2) = overload_chain(CreditPolicy::Window(4), 78, Some(150));
-    assert_eq!(out, out2);
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let threads = deploy_threads(builder.metrics(metrics).layout());
-    threads.run_for(std::time::Duration::from_millis(8500));
-    let thr_gauges = threads.flow_gauges();
-    let (thr_stable, thr_dups) = threads.metrics.with(out, |m| {
-        (
-            stable_stream(m.trace.as_ref().expect("trace enabled")),
-            m.dup_stable,
-        )
-    });
-    threads.shutdown();
-
-    assert!(sim_gauges.queued > 0, "sim run must stall: {sim_gauges:?}");
-    assert!(
-        thr_gauges.queued > 0,
-        "thread run must stall: {thr_gauges:?}"
-    );
-    assert!(sim_gauges.inflight_peak <= 4);
-    assert!(thr_gauges.inflight_peak <= 4);
-    assert_eq!(sim_dups, 0);
-    assert_eq!(thr_dups, 0);
+    // Availability through the stall (§6, Fig. 11's criterion): the
+    // maximum gap between *new* tuples stays under the chain's total
+    // delay budget (3 SUnion hops × 500 ms) — the overload manifests
+    // as delayed buckets inside the budget, not as silence.
+    let budget = Duration::from_millis(1500);
+    assert!(sim.max_gap <= budget, "added delay {}", sim.max_gap);
+    let (sim_flow, thr_flow) = (sim.stats.flow, thr.stats.flow);
+    assert!(sim_flow.queued > 0, "sim run must stall: {sim_flow:?}");
+    assert!(thr_flow.queued > 0, "thread run must stall: {thr_flow:?}");
+    assert!(sim_flow.inflight_peak <= 4);
+    assert!(thr_flow.inflight_peak <= 4);
     // The episode is 450 data tuples; the simulator run converges to all
     // of them stable (eventual consistency through the stall), and the
     // wall-clock run must match over the common prefix.
-    assert_eq!(sim_stable.len(), 450, "sim run fully stabilized");
-    let common = sim_stable.len().min(thr_stable.len());
-    assert!(
-        common >= 300,
-        "both runs must deliver a substantial stable stream: sim={} threads={}",
-        sim_stable.len(),
-        thr_stable.len()
-    );
-    assert_eq!(
-        sim_stable[..common],
-        thr_stable[..common],
-        "stable streams diverge under credit stalls"
-    );
+    assert_eq!(sim.stable().len(), 450, "sim run fully stabilized");
+    assert_same_stable_prefix(&sim, &thr, 300);
 }
 
-/// The overload scenario composed with a mid-run replica crash: one work
-/// replica dies while its input links are credit-stalled. The crash purges
-/// that replica's queued sends, failover moves the client stream to the
-/// survivor, and the stable streams still match across runtimes.
+/// Overload composed with a mid-run replica crash: one work replica dies
+/// while its input links are credit-stalled. The crash purges its queued
+/// sends and failover moves the client stream to the survivor.
 #[test]
 fn overload_with_replica_crash_identical_across_runtimes() {
     let _serial = serial();
-    let crash = FaultSpec::CrashReplica {
-        frag: 1, // the overloaded work stage
-        shard: 0,
-        replica: 0,
-        from: Time::from_millis(2500),
-        to: None,
+    let scenario = || {
+        let (builder, out) = overload_chain(CreditPolicy::Window(4), 79, Some(150));
+        (builder.fault(crash(1, 0, ms(2500))), out) // the overloaded work stage
     };
-    let horizon = Time::from_secs(12);
+    let sim = run_on(Runtime::Sim, &scenario, secs(12));
+    let thr = run_on(Runtime::Threads, &scenario, ms(9000));
 
-    let (builder, out) = overload_chain(CreditPolicy::Window(4), 79, Some(150));
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let mut sim_sys = builder.metrics(metrics).fault(crash.clone()).build();
-    sim_sys.run_until(horizon);
-    let (sim_stable, sim_dups) = sim_sys.metrics.with(out, |m| {
-        (
-            stable_stream(m.trace.as_ref().expect("trace enabled")),
-            m.dup_stable,
-        )
-    });
-
-    let (builder, _) = overload_chain(CreditPolicy::Window(4), 79, Some(150));
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let threads = deploy_threads(builder.metrics(metrics).fault(crash).layout());
-    threads.run_for(std::time::Duration::from_millis(9000));
-    let (thr_stable, thr_dups) = threads.metrics.with(out, |m| {
-        (
-            stable_stream(m.trace.as_ref().expect("trace enabled")),
-            m.dup_stable,
-        )
-    });
-    let drops = threads.shutdown();
-
-    assert_eq!(sim_dups, 0);
-    assert_eq!(thr_dups, 0);
-    assert!(
-        drops.total_drops() > 0,
-        "the crash must sever traffic (stalled sends purged or in-flight lost): {drops:?}"
-    );
-    let common = sim_stable.len().min(thr_stable.len());
-    assert!(
-        common >= 250,
-        "sim={} threads={}",
-        sim_stable.len(),
-        thr_stable.len()
-    );
-    assert_eq!(
-        sim_stable[..common],
-        thr_stable[..common],
-        "stable streams diverge under overload + crash"
-    );
+    // Stalled sends purged or in-flight messages lost.
+    let lost = thr.stats.total_drops();
+    assert!(lost > 0, "the crash must sever traffic: {:?}", thr.stats);
+    assert_same_stable_prefix(&sim, &thr, 250);
 }
 
 /// Healthy-path equivalence at higher rate and no faults: sanity-checks
 /// that wall-clock jitter alone (no failure handling involved) cannot
-/// reorder or drop stable output.
+/// reorder or drop stable output — in one pool, and across the socket mesh
+/// under a 64-message credit window, where every consumed delivery returns
+/// its credit as a `CreditGrant` frame.
 #[test]
 fn healthy_chain_stable_stream_identical_across_runtimes() {
     let _serial = serial();
@@ -442,35 +247,21 @@ fn healthy_chain_stable_stream_identical_across_runtimes() {
         seed: 9,
         ..fast_chain()
     };
+    let scenario = || chain_builder(&o);
+    let windowed = || {
+        let (builder, out) = chain_builder(&o);
+        (builder.credit_policy(CreditPolicy::Window(64)), out)
+    };
+    let sim = run_on(Runtime::Sim, &scenario, secs(4));
+    let thr = run_on(Runtime::Threads, &scenario, ms(3000));
+    let tcp = run_on(Runtime::Tcp, &windowed, ms(3000));
 
-    let (builder, out) = chain_builder(&o);
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let mut sim_sys = builder.metrics(metrics).build();
-    sim_sys.run_until(Time::from_secs(4));
-    let sim_stable = sim_sys
-        .metrics
-        .with(out, |m| stable_stream(m.trace.as_ref().unwrap()));
-
-    let (builder, _) = chain_builder(&o);
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let threads = deploy_threads(builder.metrics(metrics).layout());
-    threads.run_for(std::time::Duration::from_millis(3000));
-    let thr_stable = threads
-        .metrics
-        .with(out, |m| stable_stream(m.trace.as_ref().unwrap()));
-    let drops = threads.shutdown();
-
-    assert_eq!(drops.total_drops(), 0, "healthy run loses nothing");
-    let common = sim_stable.len().min(thr_stable.len());
-    assert!(
-        common >= 250,
-        "sim={} threads={}",
-        sim_stable.len(),
-        thr_stable.len()
-    );
-    assert_eq!(sim_stable[..common], thr_stable[..common]);
+    assert_eq!(thr.stats.total_drops(), 0, "healthy run loses nothing");
+    let wire = tcp.stats.wire;
+    assert!(wire.frames_sent > 0, "data crosses the sockets: {wire:?}");
+    assert!(wire.grants_sent > 0, "and so does credit: {wire:?}");
+    assert_same_stable_prefix(&sim, &thr, 250);
+    assert_same_stable_prefix(&sim, &tcp, 250);
 }
 
 /// Fresh wall-clock deployments the paced test below compares with one
@@ -489,346 +280,158 @@ const PACED_EPISODES: usize = 4;
 #[test]
 fn paced_sharded_chain_whole_stream_identical_on_the_wall_clock() {
     let _serial = serial();
-    const PER_SOURCE: u64 = 30_000; // one second of input
+    const EXPECTED: u64 = 3 * 30_000; // one second of input from each source
     let o = ShardedChainOptions {
         shards: 4,
         replication: 2,
-        total_rate: 90_000.0,
+        total_rate: EXPECTED as f64,
         per_node_delay: Duration::from_secs(2),
         work_cost: Duration::from_micros(1),
         light_cost: Duration::from_micros(1),
-        source_limit: Some(PER_SOURCE),
-        heartbeat_period: Duration::from_millis(400),
-        seed: 91,
-        ..Default::default()
+        source_limit: Some(EXPECTED / 3),
+        ..fast_sharded_chain(91)
     };
-    let expected = 3 * PER_SOURCE as usize;
-
-    let (builder, out) = sharded_chain_builder(&o);
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let mut sim_sys = builder.metrics(metrics).build();
-    sim_sys.run_until(Time::from_secs(4));
-    let sim_stable = sim_sys
-        .metrics
-        .with(out, |m| stable_stream(m.trace.as_ref().expect("trace")));
-    assert_eq!(sim_stable.len(), expected, "the reference is complete");
+    let scenario = || {
+        let (builder, out) = sharded_chain_builder(&o);
+        (builder.workers(2), out)
+    };
+    let sim_stable = run_on(Runtime::Sim, &scenario, secs(4)).stable();
+    assert_eq!(sim_stable.len() as u64, EXPECTED, "complete reference");
 
     let mut failed = Vec::new();
     for episode in 0..PACED_EPISODES {
-        let (builder, _) = sharded_chain_builder(&o);
-        let metrics = MetricsHub::new();
-        metrics.enable_trace(out);
-        let threads = deploy_threads(builder.metrics(metrics).workers(2).layout());
         // Input ends after one second; wait (bounded: a lost tuple never
         // arrives) for the output to drain.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while threads.metrics.with(out, |m| m.n_stable) < expected as u64
-            && std::time::Instant::now() < deadline
-        {
-            threads.run_for(std::time::Duration::from_millis(20));
-        }
-        let (thr_stable, dups, tentative) = threads.metrics.with(out, |m| {
-            let stream = stable_stream(m.trace.as_ref().expect("trace"));
-            (stream, m.dup_stable, m.n_tentative)
-        });
-        let drops = threads.shutdown().total_drops();
-        if thr_stable != sim_stable || dups + tentative + drops > 0 {
+        let draining = |m: &borealis::dpc::StreamMetrics| m.n_stable < EXPECTED;
+        let thr = run_while(Runtime::Threads, &scenario, secs(20), draining);
+        let (dups, tentative) = (thr.dup_stable, thr.n_tentative);
+        let drops = thr.stats.total_drops();
+        if thr.stable() != sim_stable || dups + tentative + drops > 0 {
             failed.push(format!(
-                "episode {episode}: {} of {expected} stable tuples; \
+                "episode {episode}: {} of {EXPECTED} stable tuples; \
                  dup_stable {dups}, tentative {tentative}, drops {drops}",
-                thr_stable.len(),
+                thr.stable().len(),
             ));
         }
     }
-    println!(
-        "paced wall-clock chain: {PACED_EPISODES} episodes run, {} failed",
-        failed.len()
-    );
+    let n_failed = failed.len();
+    println!("paced wall-clock chain: {PACED_EPISODES} episodes run, {n_failed} failed");
     assert!(failed.is_empty(), "{failed:#?}");
 }
 
 /// The full portability ladder: the same [`TcpChainSpec`] deployment —
-/// sharded chain, replication 2, one work-shard replica crashed mid-run —
-/// executed (a) under the deterministic simulator, (b) on one in-process
-/// worker pool, and (c) across **three OS processes** over loopback TCP,
-/// must deliver byte-identical stable output over the common prefix.
+/// sharded chain (K = 2), replication 2, one work-shard replica crashed
+/// mid-run — under the simulator, on one worker pool, and across **three
+/// OS processes** over loopback TCP (this one hosts the sources and the
+/// client; two forked `tcp_node` children host the fragment replicas,
+/// same-fragment replicas in different processes).
 ///
 /// This is the transport-independence guarantee the socket layer must not
 /// break: credit windows ride the wire as explicit `CreditGrant` frames, a
 /// torn connection is handled through the same NodeDown/purge path as an
-/// in-process crash, and SUnion's deterministic bucket serialization makes
-/// the corrected stable stream a function of the deployment description
-/// alone — not of which transport carried it.
+/// in-process crash, and the corrected stable stream is a function of the
+/// deployment description alone — not of which transport carried it.
 #[test]
 fn stable_stream_identical_across_sim_threads_and_sockets() {
     let _serial = serial();
     let spec = TcpChainSpec {
-        shards: 2,
-        per_source_rate: 100.0,
         wall_ms: 4500,
         crash: true,
-        procs: 3,
-        workers: 2,
         seed: 33,
-        source_limit: None,
         heartbeat_ms: 400,
         ..TcpChainSpec::default()
     };
+    let sim = run_on(Runtime::Sim, &|| spec.builder(), secs(6));
+    let thr = run_on(Runtime::Threads, &|| spec.builder(), ms(spec.wall_ms));
+    let report = run_tcp_parent(&spec, env!("CARGO_BIN_EXE_tcp_node")).expect("tcp run");
+    let tcp = forked(&report, sim.stream);
 
-    // (a) Deterministic simulator, virtual time.
-    let (layout, out) = spec.layout(true);
-    let mut sim_sys = layout.deploy_sim();
-    sim_sys.run_until(Time::from_secs(6));
-    let (sim_stable, sim_dups) = sim_sys.metrics.with(out, |m| {
-        (
-            stable_stream(m.trace.as_ref().expect("trace enabled")),
-            m.dup_stable,
-        )
-    });
-
-    // (b) One process, worker-pool threads.
-    let (layout, _) = spec.layout(true);
-    let threads = deploy_threads(layout);
-    threads.run_for(std::time::Duration::from_millis(spec.wall_ms));
-    let (thr_stable, thr_dups) = threads.metrics.with(out, |m| {
-        (
-            stable_stream(m.trace.as_ref().expect("trace enabled")),
-            m.dup_stable,
-        )
-    });
-    threads.shutdown();
-
-    // (c) Three OS processes over loopback sockets: this process hosts the
-    // sources and the client; two forked `tcp_node` children host the
-    // fragment replicas (same-fragment replicas in different processes).
-    let report =
-        run_tcp_parent(&spec, env!("CARGO_BIN_EXE_tcp_node")).expect("tcp deployment runs");
-    let tcp_stable = stable_stream(report.trace.as_ref().expect("trace enabled"));
-
-    assert_eq!(sim_dups, 0, "simulator run violated stable-id monotonicity");
-    assert_eq!(thr_dups, 0, "thread run violated stable-id monotonicity");
-    assert_eq!(report.dup, 0, "socket run violated stable-id monotonicity");
-    assert!(
-        report.drops > 0,
-        "the scripted crash must sever traffic somewhere in the cluster: {report:?}"
-    );
-    assert!(
-        report.wire.frames_sent > 0 && report.wire.frames_recv > 0,
-        "data must actually cross the wire: {:?}",
-        report.wire
-    );
-    assert!(
-        report.wire.frames_per_flush() >= 1.0,
-        "the writer coalesces at least one frame per syscall: {:?}",
-        report.wire
-    );
-
-    let common = sim_stable.len().min(thr_stable.len()).min(tcp_stable.len());
-    assert!(
-        common >= 300,
-        "all three runs must deliver a substantial stable stream: sim={} threads={} tcp={}",
-        sim_stable.len(),
-        thr_stable.len(),
-        tcp_stable.len()
-    );
-    assert_eq!(
-        sim_stable[..common],
-        thr_stable[..common],
-        "thread run diverges from the simulator"
-    );
-    assert_eq!(
-        sim_stable[..common],
-        tcp_stable[..common],
-        "socket run diverges from the simulator within the common prefix"
-    );
+    // Drops are summed over the whole cluster.
+    assert!(report.drops > 0, "the crash must sever traffic: {report:?}");
+    let wire = tcp.stats.wire;
+    assert!(wire.frames_sent > 0, "data crosses the wire: {wire:?}");
+    assert!(wire.frames_recv > 0, "in both directions: {wire:?}");
+    // The writer coalesces at least one frame per syscall.
+    assert!(wire.frames_per_flush() >= 1.0, "{wire:?}");
+    assert_same_stable_prefix(&sim, &thr, 300);
+    assert_same_stable_prefix(&sim, &tcp, 300);
 }
 
 /// Worker-count invariance: the sharded chain with a mid-run shard-replica
-/// crash, deployed on pools of 1, 2, and 8 workers, must deliver the same
-/// stable output stream as the single-threaded deterministic simulator —
-/// over the common prefix, tuple for tuple. Pool sizing and steal
-/// interleavings are scheduling details; the stable stream is a function of
-/// the deployment description alone.
+/// crash delivers the simulator's stable stream on pools of 1, 2 and 8
+/// workers. Pool sizing and steal interleavings are scheduling details.
 #[test]
 fn stable_stream_invariant_across_worker_counts() {
     let _serial = serial();
-    let o = ShardedChainOptions {
-        shards: 2,
-        total_rate: 300.0,
-        per_node_delay: Duration::from_millis(500),
-        work_cost: Duration::from_micros(10),
-        light_cost: Duration::from_micros(5),
-        heartbeat_period: Duration::from_millis(400),
-        seed: 55,
-        ..Default::default()
+    let o = fast_sharded_chain(55);
+    let crashed = || {
+        let (builder, out) = sharded_chain_builder(&o);
+        (builder.fault(crash(1, 1, ms(1500))), out)
     };
-    let crash = FaultSpec::CrashReplica {
-        frag: 1,
-        shard: 1,
-        replica: 0,
-        from: Time::from_millis(1500),
-        to: None,
-    };
-
-    // Single-threaded simulator reference.
-    let (builder, out) = sharded_chain_builder(&o);
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let mut sim_sys = builder.metrics(metrics).fault(crash.clone()).build();
-    sim_sys.run_until(Time::from_secs(6));
-    let sim_stable = sim_sys
-        .metrics
-        .with(out, |m| stable_stream(m.trace.as_ref().expect("trace")));
-
+    let sim = run_on(Runtime::Sim, &crashed, secs(6));
     for workers in [1usize, 2, 8] {
-        let (builder, _) = sharded_chain_builder(&o);
-        let metrics = MetricsHub::new();
-        metrics.enable_trace(out);
-        let layout = builder
-            .metrics(metrics)
-            .fault(crash.clone())
-            .workers(workers)
-            .layout();
-        assert_eq!(layout.workers, Some(workers));
-        let threads = deploy_threads(layout);
-        threads.run_for(std::time::Duration::from_millis(4000));
-        let (thr_stable, thr_dups) = threads.metrics.with(out, |m| {
-            (
-                stable_stream(m.trace.as_ref().expect("trace")),
-                m.dup_stable,
-            )
-        });
-        threads.shutdown();
-
-        assert_eq!(thr_dups, 0, "workers={workers}: duplicate stable tuples");
-        let common = sim_stable.len().min(thr_stable.len());
-        assert!(
-            common >= 250,
-            "workers={workers}: sim={} threads={}",
-            sim_stable.len(),
-            thr_stable.len()
-        );
-        assert_eq!(
-            sim_stable[..common],
-            thr_stable[..common],
-            "workers={workers}: stable stream diverged from the simulator"
-        );
+        println!("workers = {workers}"); // shown with a failing assertion
+        let scenario = || {
+            let (builder, out) = crashed();
+            (builder.workers(workers), out)
+        };
+        assert_eq!(scenario().0.layout().workers, Some(workers));
+        let thr = run_on(Runtime::Threads, &scenario, ms(4000));
+        assert_same_stable_prefix(&sim, &thr, 250);
     }
 }
 
 /// Scratch directory for a durable-store test, clean at entry.
 fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "borealis-cross-durable-{}-{name}",
-        std::process::id()
-    ));
+    let name = format!("borealis-cross-durable-{}-{name}", std::process::id());
+    let dir = std::env::temp_dir().join(name);
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
 /// Reads every node store's `last_recovery.marker` under `root`.
 fn recovery_markers(root: &std::path::Path) -> Vec<String> {
-    let mut found = Vec::new();
-    let Ok(entries) = std::fs::read_dir(root) else {
-        return found;
+    let stores = std::fs::read_dir(root).into_iter().flatten().flatten();
+    let marker = |store: std::fs::DirEntry| {
+        std::fs::read_to_string(store.path().join("last_recovery.marker")).ok()
     };
-    for e in entries.flatten() {
-        if let Ok(s) = std::fs::read_to_string(e.path().join("last_recovery.marker")) {
-            found.push(s.trim().to_string());
-        }
-    }
-    found
+    stores.filter_map(marker).map(|s| s.trim().into()).collect()
 }
 
 /// Crash-then-restart with durable stores, sim vs threads: the replica the
 /// client watches is killed mid-run and respawned 300 ms later; under both
 /// runtimes it reloads its latest checkpoint from disk, replays the logged
-/// input suffix, rejoins — and the delivered stable stream stays
-/// byte-identical to the single-threaded simulator's, with zero duplicate
-/// stable tuples.
+/// input suffix and rejoins, without changing or repeating a stable tuple.
 #[test]
 fn durable_restart_stable_stream_identical_across_runtimes() {
     let _serial = serial();
     let o = fast_chain();
-    let frag = o.depth - 1; // the fragment the client watches
     let restart = FaultSpec::RestartReplica {
-        frag,
+        frag: o.depth - 1, // the fragment the client watches
         shard: 0,
         replica: 0,
-        after: Time::from_millis(1500),
+        after: ms(1500),
     };
+    // Durable stores on virtual time under the simulator, behind the
+    // background flusher on the pool.
+    let (sim_root, thr_root) = (scratch("sim"), scratch("threads"));
+    let stored = |root: &std::path::Path, background: bool| {
+        let (builder, out) = chain_builder(&o);
+        let every = Duration::from_millis(250);
+        let builder = builder.durability(root, every, background);
+        (builder.fault(restart.clone()), out)
+    };
+    let sim = run_on(Runtime::Sim, &|| stored(&sim_root, false), secs(6));
+    let thr = run_on(Runtime::Threads, &|| stored(&thr_root, true), ms(4500));
+    let (sim_markers, thr_markers) = (recovery_markers(&sim_root), recovery_markers(&thr_root));
 
-    // --- Simulator run, durable stores on virtual time -------------------
-    let sim_root = scratch("sim");
-    let (builder, out) = chain_builder(&o);
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let mut sim_sys = builder
-        .metrics(metrics)
-        .durability(&sim_root, Duration::from_millis(250), false)
-        .fault(restart.clone())
-        .build();
-    sim_sys.run_until(Time::from_secs(6));
-    let (sim_stable, sim_dups) = sim_sys.metrics.with(out, |m| {
-        (
-            stable_stream(m.trace.as_ref().expect("trace enabled")),
-            m.dup_stable,
-        )
-    });
-    let sim_markers = recovery_markers(&sim_root);
-
-    // --- Thread-runtime run, background flusher --------------------------
-    let thr_root = scratch("threads");
-    let (builder, out2) = chain_builder(&o);
-    assert_eq!(out, out2);
-    let metrics = MetricsHub::new();
-    metrics.enable_trace(out);
-    let layout = builder
-        .metrics(metrics)
-        .durability(&thr_root, Duration::from_millis(250), true)
-        .fault(restart)
-        .layout();
-    let threads = deploy_threads(layout);
-    threads.run_for(std::time::Duration::from_millis(4500));
-    let (thr_stable, thr_dups) = threads.metrics.with(out, |m| {
-        (
-            stable_stream(m.trace.as_ref().expect("trace enabled")),
-            m.dup_stable,
-        )
-    });
-    threads.shutdown();
-
-    assert_eq!(sim_dups, 0, "sim restart re-delivered stable tuples");
-    assert_eq!(thr_dups, 0, "thread restart re-delivered stable tuples");
-    assert_eq!(
-        sim_markers.len(),
-        1,
-        "exactly the respawned replica recovers from disk: {sim_markers:?}"
-    );
-    let thr_markers = recovery_markers(&thr_root);
-    assert_eq!(
-        thr_markers.len(),
-        1,
-        "thread runtime: exactly one disk recovery: {thr_markers:?}"
-    );
-    assert!(
-        thr_markers[0].starts_with("snapshot="),
-        "marker records the recovered snapshot: {}",
-        thr_markers[0]
-    );
-    let common = sim_stable.len().min(thr_stable.len());
-    assert!(
-        common >= 300,
-        "both runs must deliver a substantial stable stream: sim={} threads={}",
-        sim_stable.len(),
-        thr_stable.len()
-    );
-    assert_eq!(
-        sim_stable[..common],
-        thr_stable[..common],
-        "disk recovery changed the stable output"
-    );
+    // Exactly the respawned replica recovers from disk, and its marker
+    // records the snapshot it recovered.
+    assert_eq!(sim_markers.len(), 1, "simulator: {sim_markers:?}");
+    assert_eq!(thr_markers.len(), 1, "thread runtime: {thr_markers:?}");
+    assert!(thr_markers[0].starts_with("snapshot="), "{thr_markers:?}");
+    // Disk recovery re-delivers nothing and changes nothing.
+    assert_same_stable_prefix(&sim, &thr, 300);
     let _ = std::fs::remove_dir_all(&sim_root);
     let _ = std::fs::remove_dir_all(&thr_root);
 }
@@ -837,22 +440,15 @@ fn durable_restart_stable_stream_identical_across_runtimes() {
 /// replica of every fragment) is SIGKILLed at t=2 s and respawned with
 /// `rejoin=true`; its nodes reload their checkpoints from the durable
 /// stores, replay their input-log suffixes, and re-dial the mesh. The
-/// stable stream the client retains must match the failure-free
-/// deterministic simulator run of the same spec, tuple for tuple, with
-/// zero duplicates — the tentpole guarantee on the real transport.
+/// client's stable stream must match the failure-free simulator run of the
+/// same spec.
 #[test]
 fn tcp_killed_worker_respawns_and_recovers_from_disk() {
     let _serial = serial();
     let root = scratch("tcp");
     let spec = TcpChainSpec {
-        shards: 2,
-        per_source_rate: 100.0,
         wall_ms: 5000,
-        crash: false,
-        procs: 3,
-        workers: 2,
         seed: 33,
-        source_limit: None,
         durable_dir: Some(root.to_string_lossy().into_owned()),
         restart: Some((1, 2000)),
         // Subscription cleanup on the kill comes from the connection
@@ -861,7 +457,6 @@ fn tcp_killed_worker_respawns_and_recovers_from_disk() {
         heartbeat_ms: 400,
         ..TcpChainSpec::default()
     };
-
     // Failure-free simulator reference of the identical topology (no
     // durable stores — the sim must not seed the TCP run's directories;
     // durability does not change the layout's id space).
@@ -870,42 +465,20 @@ fn tcp_killed_worker_respawns_and_recovers_from_disk() {
         restart: None,
         ..spec.clone()
     };
-    let (layout, out) = sim_spec.layout(true);
-    let mut sim_sys = layout.deploy_sim();
-    sim_sys.run_until(Time::from_secs(6));
-    let sim_stable = sim_sys
-        .metrics
-        .with(out, |m| stable_stream(m.trace.as_ref().expect("trace")));
+    let sim = run_on(Runtime::Sim, &|| sim_spec.builder(), secs(6));
+    let report = run_tcp_parent(&spec, env!("CARGO_BIN_EXE_tcp_node")).expect("tcp run");
+    let tcp = forked(&report, sim.stream);
 
-    let report = run_tcp_parent(&spec, env!("CARGO_BIN_EXE_tcp_node")).expect("tcp restart run");
-    let tcp_stable = stable_stream(report.trace.as_ref().expect("trace enabled"));
-
-    assert_eq!(report.dup, 0, "restart must not re-deliver stable tuples");
     // Evidence of the kill that cannot race: recovery markers are written
     // only by nodes that restarted from their (fresh, per-run) stores. A
     // drop count cannot serve — an immediate respawn can reconnect before
     // any peer sends into the dead connection, and then nothing is lost.
-    assert!(
-        !report.recoveries.is_empty(),
-        "the respawned worker's nodes must recover from disk: {report:?}"
-    );
-    for marker in &report.recoveries {
-        assert!(
-            marker.starts_with("snapshot="),
-            "marker records the recovered snapshot: {marker}"
-        );
+    let recovered = &report.recoveries;
+    assert!(!recovered.is_empty(), "nodes recover from disk: {report:?}");
+    for marker in recovered {
+        assert!(marker.starts_with("snapshot="), "marker {marker}");
     }
-    let common = sim_stable.len().min(tcp_stable.len());
-    assert!(
-        common >= 300,
-        "both runs must deliver a substantial stable stream: sim={} tcp={}",
-        sim_stable.len(),
-        tcp_stable.len()
-    );
-    assert_eq!(
-        sim_stable[..common],
-        tcp_stable[..common],
-        "kill + disk recovery changed the stable output on the wire"
-    );
+    // Kill + disk recovery re-delivers nothing and changes nothing.
+    assert_same_stable_prefix(&sim, &tcp, 300);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -4,7 +4,7 @@
 use borealis::prelude::*;
 
 mod common;
-use common::{disconnect, secs, stable_stream};
+use common::{disconnect, run_on, secs, Runtime};
 
 /// The three-source merge at 100 tuples/s a source, with the test's fault
 /// schedule, under the simulator.
@@ -22,18 +22,15 @@ fn merge3(
 /// heal, the client's final stream equals the failure-free run's stream.
 #[test]
 fn eventual_consistency_exact_stream_equivalence() {
-    let horizon = Time::from_secs(40);
-    let (mut clean, out) = merge3(5, 2, true, []);
-    clean.run_until(horizon);
-    let clean_stream = clean
-        .metrics
-        .with(out, |m| stable_stream(m.trace.as_ref().unwrap()));
-
-    let (mut faulty, out2) = merge3(5, 2, true, [disconnect(2, secs(8), secs(16))]);
-    faulty.run_until(horizon);
-    let faulty_stream = faulty
-        .metrics
-        .with(out2, |m| stable_stream(m.trace.as_ref().unwrap()));
+    let run = |faults: &[FaultSpec]| {
+        let scenario = || {
+            let (builder, out) = common::merge3(5, 2, 100.0, false);
+            (builder.faults(faults.to_vec()), out)
+        };
+        run_on(Runtime::Sim, &scenario, secs(40)).stable()
+    };
+    let clean_stream = run(&[]);
+    let faulty_stream = run(&[disconnect(2, secs(8), secs(16))]);
 
     // The shorter run is a prefix of the longer one (the tail may still be
     // in flight at the horizon); everything delivered stably must agree

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::stable_stream;
+use common::{run_on, Outcome, Runtime};
 
 /// A randomly generated failure of one of the three input streams:
 /// starting 5–15 s in, lasting 0.5–8 s, cutting either the whole stream or
@@ -32,11 +32,14 @@ fn random_fault(rng: &mut StdRng) -> FaultSpec {
     }
 }
 
-/// The replicated three-source merge at 60 tuples/s a source, running
-/// `schedule` under the simulator.
-fn build_system(seed: u64, trace: bool, schedule: &[FaultSpec]) -> (RunningSystem, StreamId) {
-    let (builder, out) = common::merge3(seed, 2, 60.0, trace);
-    (builder.faults(schedule.to_vec()).build(), out)
+/// The replicated three-source merge at 60 tuples/s a source through
+/// `schedule`: 45 s under the simulator (`run_on` takes any runtime).
+fn run(seed: u64, schedule: &[FaultSpec]) -> Outcome {
+    let scenario = || {
+        let (builder, out) = common::merge3(seed, 2, 60.0, false);
+        (builder.faults(schedule.to_vec()), out)
+    };
+    run_on(Runtime::Sim, &scenario, Time::from_secs(45))
 }
 
 /// For any schedule of 1-3 failures (a failing case prints its schedule:
@@ -52,38 +55,20 @@ fn dpc_invariants_hold_under_random_failures() {
         let n_faults = rng.gen_range(1usize..4);
         let schedule: Vec<FaultSpec> = (0..n_faults).map(|_| random_fault(&mut rng)).collect();
         let seed = rng.gen_range(0u64..1000);
+        let at = format!("case {case} seed {seed} {schedule:?}");
 
-        let horizon = Time::from_secs(45);
-        let (mut clean, out) = build_system(seed, true, &[]);
-        clean.run_until(horizon);
-        let reference = clean
-            .metrics
-            .with(out, |m| stable_stream(m.trace.as_ref().unwrap()));
-
-        let (mut sys, out2) = build_system(seed, true, &schedule);
-        sys.run_until(horizon);
-
-        sys.metrics.with(out2, |m| {
-            // (a) No duplicates.
-            assert_eq!(m.dup_stable, 0, "case {case} seed {seed} {schedule:?}");
-            let retained = stable_stream(m.trace.as_ref().unwrap());
-            // (c) Strictly increasing stable ids.
-            assert!(
-                retained.windows(2).all(|w| w[0].0 < w[1].0),
-                "case {case} seed {seed} {schedule:?}: stable ids not increasing"
-            );
-            // (b) Prefix equivalence with the failure-free run.
-            let n = retained.len().min(reference.len());
-            assert!(
-                n > 0,
-                "case {case} seed {seed} {schedule:?}: no stable output"
-            );
-            assert_eq!(
-                &retained[..n],
-                &reference[..n],
-                "case {case} seed {seed} {schedule:?}"
-            );
-        });
+        let reference = run(seed, &[]).stable();
+        let faulty = run(seed, &schedule);
+        // (a) No duplicates.
+        assert_eq!(faulty.dup_stable, 0, "{at}");
+        let retained = faulty.stable();
+        // (c) Strictly increasing stable ids.
+        let increasing = retained.windows(2).all(|w| w[0].0 < w[1].0);
+        assert!(increasing, "{at}: stable ids not increasing");
+        // (b) Prefix equivalence with the failure-free run.
+        let n = retained.len().min(reference.len());
+        assert!(n > 0, "{at}: no stable output");
+        assert_eq!(&retained[..n], &reference[..n], "{at}");
     }
 }
 
@@ -96,212 +81,12 @@ fn availability_holds_for_any_single_failure() {
     for case in 0..12 {
         let schedule = [random_fault(&mut rng)];
         let seed = rng.gen_range(0u64..1000);
-        let (mut sys, out) = build_system(seed, false, &schedule);
-        sys.run_until(Time::from_secs(45));
-        sys.metrics.with(out, |m| {
-            assert!(
-                m.max_gap < Duration::from_millis(2900),
-                "case {case} seed {seed} {schedule:?}: gap {} exceeds bound",
-                m.max_gap
-            );
-        });
-    }
-}
-
-/// Batch-native equivalence: for arbitrary mixed streams (stable,
-/// tentative, boundaries, undo, rec-done) delivered in arbitrary batch
-/// sizes on arbitrary ports, the SUnion's batch ingestion path produces
-/// byte-identical output sequences, signals, and replay logs to
-/// tuple-at-a-time ingestion. This is the safety net under the zero-copy
-/// serialization hot path: batching is an optimization, never a semantic.
-#[test]
-fn sunion_batch_and_per_tuple_paths_are_equivalent() {
-    use borealis::ops::{BatchEmitter, Operator, SUnion};
-
-    let mut rng = StdRng::seed_from_u64(0xBA7C);
-    for case in 0..40 {
-        // A random mixed-kind stream, pre-split into random chunks, each
-        // chunk assigned an input port and an arrival time.
-        let n = rng.gen_range(1usize..120);
-        let mut next_id = 1u64;
-        let tuples: Vec<Tuple> = (0..n)
-            .map(|_| {
-                let roll = rng.gen_range(0u32..100);
-                let stime = Time::from_millis(rng.gen_range(0u64..1_000));
-                if roll < 70 {
-                    let t =
-                        Tuple::insertion(TupleId(next_id), stime, vec![Value::Int(next_id as i64)]);
-                    next_id += 1;
-                    t
-                } else if roll < 85 {
-                    let t =
-                        Tuple::tentative(TupleId(next_id), stime, vec![Value::Int(next_id as i64)]);
-                    next_id += 1;
-                    t
-                } else if roll < 95 {
-                    Tuple::boundary(TupleId::NONE, stime)
-                } else if roll < 98 {
-                    Tuple::undo(TupleId::NONE, TupleId::NONE)
-                } else {
-                    Tuple::rec_done(TupleId::NONE, stime)
-                }
-            })
-            .collect();
-        let mut chunks: Vec<(usize, Time, TupleBatch)> = Vec::new();
-        {
-            let whole = TupleBatch::from_vec(tuples);
-            let mut start = 0;
-            let mut arrival_ms = 1u64;
-            while start < whole.len() {
-                let len = 1 + rng.gen_range(0usize..(whole.len() - start).min(17));
-                chunks.push((
-                    rng.gen_range(0usize..2),
-                    Time::from_millis(arrival_ms),
-                    whole.slice(start..start + len),
-                ));
-                start += len;
-                arrival_ms += rng.gen_range(0u64..5);
-            }
-        }
-
-        let mut cfg = SUnionConfig::new(2);
-        cfg.bucket = Duration::from_millis(100);
-        cfg.is_input = true;
-        let run = |batched: bool| {
-            let mut s = SUnion::new(cfg.clone());
-            s.set_recording(true);
-            let mut out = BatchEmitter::new();
-            for (port, at, chunk) in &chunks {
-                if batched {
-                    s.process_batch(*port, chunk, *at, &mut out);
-                } else {
-                    for t in chunk.as_slice() {
-                        s.process(*port, t, *at, &mut out);
-                    }
-                }
-            }
-            // Flush whatever the availability path would still release.
-            s.tick(Time::from_secs(100), true, &mut out);
-            let log: Vec<(Time, usize, Tuple)> = s
-                .take_replay_log()
-                .into_iter()
-                .flat_map(|(t, p, b)| {
-                    b.as_slice()
-                        .iter()
-                        .cloned()
-                        .map(move |tu| (t, p, tu))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            (out.take_tuples(), log)
-        };
-
-        let per_tuple = run(false);
-        let batched = run(true);
-        assert_eq!(
-            per_tuple.0, batched.0,
-            "case {case}: emitted output/signals diverge between paths"
-        );
-        assert_eq!(
-            per_tuple.1, batched.1,
-            "case {case}: replay logs diverge between paths"
+        let gap = run(seed, &schedule).max_gap;
+        assert!(
+            gap < Duration::from_millis(2900),
+            "case {case} seed {seed} {schedule:?}: gap {gap} exceeds bound"
         );
     }
-}
-
-/// SOutput's batch-native pass-through is an optimization, never a
-/// semantic: for random mixed-kind batches — stable, tentative, boundary,
-/// UNDO, REC_DONE mid-batch — delivered before, during and after
-/// stabilizations, with checkpoints holding the state `Arc` shared,
-/// `process_batch` emits exactly what tuple-at-a-time `process` emits and
-/// remembers the same facts. Outside stabilization a REC_DONE-free batch
-/// must be forwarded as the *same* allocation, and a held checkpoint must
-/// never observe later batches.
-#[test]
-fn soutput_batch_path_matches_per_tuple_path() {
-    use borealis::ops::{BatchEmitter, Operator, SOutput};
-
-    let mut rng = StdRng::seed_from_u64(0x50_07);
-    let (mut fast, mut slow) = (0, 0);
-    for case in 0..200 {
-        let mut per_tuple = SOutput::new();
-        let mut batched = SOutput::new();
-        let mut held = Vec::new();
-        let mut next_id = 1u64;
-        for chunk_no in 0..rng.gen_range(1usize..12) {
-            match rng.gen_range(0u32..10) {
-                0 => {
-                    // A reconciliation replay regenerates earlier ids.
-                    per_tuple.begin_stabilization();
-                    batched.begin_stabilization();
-                    next_id = next_id.saturating_sub(rng.gen_range(0u64..20)).max(1);
-                }
-                1 | 2 => held.push((
-                    batched.checkpoint(),
-                    batched.last_stable(),
-                    batched.tentative_since_stable(),
-                )),
-                _ => {}
-            }
-            let tuples: Vec<Tuple> = (0..rng.gen_range(1usize..40))
-                .map(|_| {
-                    let stime = Time::from_millis(next_id);
-                    match rng.gen_range(0u32..100) {
-                        0..60 => {
-                            next_id += 1;
-                            Tuple::insertion(TupleId(next_id), stime, vec![Value::Int(1)])
-                        }
-                        60..85 => {
-                            next_id += 1;
-                            Tuple::tentative(TupleId(next_id), stime, vec![Value::Int(2)])
-                        }
-                        85..94 => Tuple::boundary(TupleId::NONE, stime),
-                        94..97 => Tuple::undo(TupleId::NONE, TupleId(next_id / 2)),
-                        _ => Tuple::rec_done(TupleId::NONE, stime),
-                    }
-                })
-                .collect();
-            let chunk = TupleBatch::from_vec(tuples);
-            let pass_through =
-                !batched.is_stabilizing() && chunk.iter().all(|t| t.kind != TupleKind::RecDone);
-
-            let mut want = BatchEmitter::new();
-            for t in chunk.as_slice() {
-                per_tuple.process(0, t, Time::ZERO, &mut want);
-            }
-            let mut got = BatchEmitter::new();
-            batched.process_batch(0, &chunk, Time::ZERO, &mut got);
-
-            let at = format!("case {case} chunk {chunk_no}");
-            let (got_chunks, got_signals) = got.take();
-            if pass_through {
-                fast += 1;
-                assert_eq!(got_chunks.len(), 1, "{at}: one forwarded batch");
-                assert!(got_chunks[0].shares_backing(&chunk), "{at}: zero-copy");
-            } else {
-                slow += 1;
-            }
-            let got_tuples: Vec<Tuple> = got_chunks.iter().flat_map(|c| c.to_vec()).collect();
-            assert_eq!((got_tuples, got_signals), want.take_tuples(), "{at}");
-            assert_eq!(batched.last_stable(), per_tuple.last_stable(), "{at}");
-            assert_eq!(
-                batched.tentative_since_stable(),
-                per_tuple.tentative_since_stable(),
-                "{at}"
-            );
-            assert_eq!(batched.is_stabilizing(), per_tuple.is_stabilizing(), "{at}");
-        }
-        for (snap, last_stable, tentative) in &held {
-            let mut restored = SOutput::new();
-            restored.restore(snap);
-            assert_eq!(restored.last_stable(), *last_stable, "case {case}");
-            assert_eq!(restored.tentative_since_stable(), *tentative, "case {case}");
-        }
-    }
-    assert!(
-        fast > 200 && slow > 200,
-        "both paths exercised: {fast}/{slow}"
-    );
 }
 
 /// Copy-on-write snapshot soundness: for random inputs and a random
@@ -614,12 +399,12 @@ fn credit_gated_sunion_output_identical_to_unbounded() {
 /// control tuples), random key expressions (including ones that fail to
 /// evaluate), and random shard counts, the shared selection views produced
 /// by a single `ShardRouter::route` pass are byte-identical to what each
-/// receiver link would have materialized with `PartitionSpec::filter_batch`.
+/// receiver link keeps under `PartitionSpec::keeps`.
 /// Data tuples land on exactly one shard (total and disjoint); control
 /// tuples reach every shard; and replica links (same spec routed again)
 /// observe the very same view.
 #[test]
-fn shard_views_match_per_link_filter_batch() {
+fn shard_views_match_per_link_keeps() {
     use borealis::types::{BatchView, ShardRouter};
 
     let mut rng = StdRng::seed_from_u64(0x5AAD);
@@ -675,11 +460,15 @@ fn shard_views_match_per_link_filter_batch() {
                 index: shard,
             };
             let view = router.route(&spec, &input);
-            let expect = spec.filter_batch(&reference);
+            let expect: Vec<Tuple> = reference
+                .iter()
+                .filter(|t| spec.keeps(t))
+                .cloned()
+                .collect();
             assert_eq!(
                 view.to_batch().as_slice(),
-                expect.as_slice(),
-                "case {case}: shard {shard}/{k} diverges from filter_batch"
+                &expect[..],
+                "case {case}: shard {shard}/{k} diverges from `keeps`"
             );
             // A replica link routing the same spec sees the same view.
             let replica = router.route(&spec, &input);

@@ -52,10 +52,6 @@ impl Segment {
         self.batch.len()
     }
 
-    fn is_dead(&self, i: usize) -> bool {
-        !self.dead.is_empty() && self.dead[i]
-    }
-
     fn mark_dead(&mut self, i: usize) {
         if self.dead.is_empty() {
             self.dead = vec![false; self.batch.len()];
@@ -238,18 +234,6 @@ impl OutputBuffer {
         self.truncation_misses
     }
 
-    /// Live entries from logical position `pos` (clamped to what remains;
-    /// undone tentative history is skipped).
-    pub fn entries_from(&self, pos: usize) -> impl Iterator<Item = &Tuple> {
-        let skip = pos.saturating_sub(self.base);
-        self.segs
-            .iter()
-            .flat_map(|s| (0..s.len()).map(move |i| (s, i)))
-            .skip(skip)
-            .filter(|(s, i)| !s.is_dead(*i))
-            .map(|(s, i)| &s.batch[i])
-    }
-
     /// Live entries from logical position `pos` as O(1) shared batch views
     /// — the zero-copy replay path. Every returned batch shares its backing
     /// allocation with the buffer (and with every other replay cursor),
@@ -358,6 +342,12 @@ mod tests {
         Tuple::boundary(TupleId::NONE, Time::from_millis(ms))
     }
 
+    /// What a subscriber resuming at `pos` is sent.
+    fn replay(b: &OutputBuffer, pos: usize) -> Vec<Tuple> {
+        let batches = b.batches_from(pos);
+        batches.iter().flat_map(|c| c.iter().cloned()).collect()
+    }
+
     #[test]
     fn append_and_replay_from_position() {
         let mut b = OutputBuffer::new(BufferPolicy::Unbounded);
@@ -365,7 +355,7 @@ mod tests {
         b.append(boundary(10));
         b.append(stable(2));
         let pos = b.position_after_stable(TupleId(1));
-        let rest: Vec<_> = b.entries_from(pos).cloned().collect();
+        let rest = replay(&b, pos);
         assert_eq!(rest, vec![boundary(10), stable(2)]);
     }
 
@@ -375,7 +365,7 @@ mod tests {
         b.append(stable(1));
         b.append(stable(2));
         let pos = b.position_after_stable(TupleId::NONE);
-        assert_eq!(b.entries_from(pos).count(), 2);
+        assert_eq!(replay(&b, pos).len(), 2);
     }
 
     #[test]
@@ -386,7 +376,7 @@ mod tests {
         b.append(Tuple::undo(TupleId::NONE, TupleId(1)));
         b.append(stable(2));
         let pos = b.position_after_stable(TupleId(1));
-        let rest: Vec<TupleKind> = b.entries_from(pos).map(|t| t.kind).collect();
+        let rest: Vec<TupleKind> = replay(&b, pos).iter().map(|t| t.kind).collect();
         // The rolled-back tentative tuple is dead history: a new subscriber
         // gets the undo (harmless) and the corrections only.
         assert_eq!(rest, vec![TupleKind::Undo, TupleKind::Insertion]);
@@ -403,7 +393,7 @@ mod tests {
             stable(2),
         ]));
         let pos = b.position_after_stable(TupleId(1));
-        let rest: Vec<TupleKind> = b.entries_from(pos).map(|t| t.kind).collect();
+        let rest: Vec<TupleKind> = replay(&b, pos).iter().map(|t| t.kind).collect();
         assert_eq!(rest, vec![TupleKind::Undo, TupleKind::Insertion]);
         let batches = b.batches_from(pos);
         let kinds: Vec<TupleKind> = batches
@@ -420,7 +410,7 @@ mod tests {
         b.append(tentative(2));
         b.append(tentative(3));
         let pos = b.position_after_stable(TupleId(1));
-        assert_eq!(b.entries_from(pos).count(), 2, "uncorrected suffix replays");
+        assert_eq!(replay(&b, pos).len(), 2, "uncorrected suffix replays");
     }
 
     #[test]
@@ -433,7 +423,7 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert_eq!(b.end(), 5);
         let pos = b.position_after_stable(TupleId(4));
-        let rest: Vec<_> = b.entries_from(pos).map(|t| t.id.0).collect();
+        let rest: Vec<_> = replay(&b, pos).iter().map(|t| t.id.0).collect();
         assert_eq!(rest, vec![5]);
     }
 
@@ -457,7 +447,7 @@ mod tests {
             b.append(stable(i));
         }
         assert_eq!(b.len(), 3);
-        let all: Vec<u64> = b.entries_from(0).map(|t| t.id.0).collect();
+        let all: Vec<u64> = replay(&b, 0).iter().map(|t| t.id.0).collect();
         assert_eq!(all, vec![8, 9, 10]);
     }
 
@@ -469,7 +459,10 @@ mod tests {
         b.append(stable(2));
         b.append(boundary(15));
         b.truncate_through(TupleId(1));
-        let rest: Vec<TupleKind> = b.entries_from(b.end() - b.len()).map(|t| t.kind).collect();
+        let rest: Vec<TupleKind> = replay(&b, b.end() - b.len())
+            .iter()
+            .map(|t| t.kind)
+            .collect();
         // The boundary directly after stable 1 is retained: a subscriber
         // resuming after stable 1 still needs that watermark.
         assert_eq!(

@@ -253,36 +253,18 @@ impl MetricsHub {
         f(&m)
     }
 
-    /// Snapshot-style fold over every stream's metrics. The registry lock
-    /// is released before the shards are visited, so recorders are never
-    /// blocked behind an aggregate reader.
-    fn fold<A>(&self, init: A, mut f: impl FnMut(A, &StreamMetrics) -> A) -> A {
+    /// Total protocol violations (must be zero in a correct run). The
+    /// registry lock is released before the shards are visited, so
+    /// recorders are never blocked behind an aggregate reader.
+    pub fn total_dup_stable(&self) -> u64 {
         let shards: Vec<Arc<Mutex<StreamMetrics>>> = {
             let map = self.streams.lock().expect("metrics registry lock");
             map.values().map(Arc::clone).collect()
         };
-        let mut acc = init;
-        for shard in shards {
-            let m = shard.lock().expect("stream metrics lock");
-            acc = f(acc, &m);
-        }
-        acc
-    }
-
-    /// Sum of `Ntentative` across all streams (Definition 2's diagram-level
-    /// inconsistency).
-    pub fn total_tentative(&self) -> u64 {
-        self.fold(0, |acc, m| acc + m.n_tentative)
-    }
-
-    /// Max `Procnew` across all streams.
-    pub fn max_procnew(&self) -> Duration {
-        self.fold(Duration::ZERO, |acc, m| acc.max(m.procnew))
-    }
-
-    /// Total protocol violations (must be zero in a correct run).
-    pub fn total_dup_stable(&self) -> u64 {
-        self.fold(0, |acc, m| acc + m.dup_stable)
+        let locked = shards
+            .iter()
+            .map(|s| s.lock().expect("stream metrics lock"));
+        locked.map(|m| m.dup_stable).sum()
     }
 }
 
@@ -358,9 +340,14 @@ mod tests {
         hub.record(s0, Time::from_millis(100), &tentative(1, 50));
         hub.record(s1, Time::from_millis(100), &tentative(1, 80));
         hub.record(s1, Time::from_millis(120), &stable(2, 110));
-        assert_eq!(hub.total_tentative(), 2);
-        assert_eq!(hub.max_procnew(), Duration::from_millis(50));
+        let of = |s| hub.with(s, |m| (m.n_tentative, m.procnew));
+        assert_eq!(of(s0), (1, Duration::from_millis(50)));
+        assert_eq!(of(s1), (1, Duration::from_millis(20)));
         assert_eq!(hub.total_dup_stable(), 0);
+        hub.record(s0, Time::from_millis(130), &stable(3, 120));
+        hub.record(s0, Time::from_millis(140), &stable(3, 120));
+        hub.record(s1, Time::from_millis(140), &stable(2, 110));
+        assert_eq!(hub.total_dup_stable(), 2, "summed over streams");
     }
 
     #[test]
@@ -379,7 +366,6 @@ mod tests {
             assert_eq!(m.n_stable, 1);
             assert_eq!(m.n_tentative, 1);
         });
-        assert_eq!(hub.total_tentative(), 1);
     }
 
     #[test]

@@ -286,7 +286,7 @@ impl ProcessingNode {
         for (stream, tuples) in image.replay {
             if let Some(um) = self.inputs.ums.iter_mut().find(|u| u.stream() == stream) {
                 for t in tuples.as_slice() {
-                    um.observe_replay(t);
+                    um.advance(t);
                 }
             }
             let batch = self.fragment.push_batch(stream, &tuples, now);

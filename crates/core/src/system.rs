@@ -38,7 +38,7 @@ use crate::node::{NodeConfig, NodeTuning, ProcessingNode};
 use crate::runtime::DpcActor;
 use crate::source::{DataSource, SourceConfig};
 use crate::upstream::UpstreamSpec;
-use borealis_diagram::{FragmentPlan, PhysicalPlan};
+use borealis_diagram::PhysicalPlan;
 use borealis_sim::{Fabric, FaultEvent, Sim};
 use borealis_types::{CreditPolicy, Duration, NodeId, PartitionSpec, StreamId, Time};
 use std::collections::HashMap;
@@ -507,18 +507,6 @@ impl SystemLayout {
     /// Panics if the indexes are out of range (an experiment-script bug).
     pub fn shard_replicas(&self, frag: usize, shard: usize) -> &[NodeId] {
         &self.fragment_replicas[self.groups[frag][shard]]
-    }
-    /// The physical plan every replica of shard `shard` of logical
-    /// fragment `frag` runs (fragment-level benches and tests drive it
-    /// through `Fragment::from_plan` without deploying).
-    ///
-    /// # Panics
-    /// Panics if the indexes are out of range (an experiment-script bug).
-    pub fn shard_plan(&self, frag: usize, shard: usize) -> &FragmentPlan {
-        match &self.actors[self.shard_replicas(frag, shard)[0].index()] {
-            ActorSpec::Node(cfg) => &cfg.plan,
-            _ => unreachable!("fragment replicas are node actors"),
-        }
     }
     /// The actor id of the source producing `stream`.
     ///

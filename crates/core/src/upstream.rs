@@ -121,11 +121,12 @@ impl UpstreamManager {
         self.saw_tentative = saw_tentative;
     }
 
-    /// Replays one logged input tuple's prefix bookkeeping during a
-    /// durable restart — the same transitions as live
-    /// [`UpstreamManager::observe_tuple`], minus the subscription actions
-    /// (there is no live peer yet).
-    pub fn observe_replay(&mut self, t: &Tuple) {
+    /// The received-prefix bookkeeping of one input tuple: the
+    /// `last_stable` / `saw_tentative` transitions, the same for live
+    /// intake ([`UpstreamManager::observe_tuple`]) and for a durable
+    /// restart replaying its input log (there is no live peer yet, so
+    /// nothing else applies).
+    pub(crate) fn advance(&mut self, t: &Tuple) {
         match t.kind {
             TupleKind::Insertion => self.last_stable = self.last_stable.max(t.id),
             TupleKind::Tentative => self.saw_tentative = true,
@@ -247,37 +248,22 @@ impl UpstreamManager {
         };
     }
 
-    /// Updates received-prefix bookkeeping and handles the REC_DONE
-    /// switchback. Returns subscription changes to apply.
+    /// Updates received-prefix bookkeeping (`advance`) and handles the
+    /// REC_DONE switchback. Returns subscription changes to apply.
     pub fn observe_tuple(&mut self, from: NodeId, t: &Tuple) -> Requests {
-        match t.kind {
-            TupleKind::Insertion => {
-                self.last_stable = self.last_stable.max(t.id);
+        self.advance(t);
+        if t.kind == TupleKind::RecDone {
+            // §4.4: "The downstream node stays connected to both upstream
+            // replicas until it receives a REC_DONE tuple on the corrected
+            // stream" — then the stabilized replica is up to date and
+            // becomes the sole provider.
+            if self.trace {
+                eprintln!("[um {}] RecDone from {} -> collapse", self.stream, from);
             }
-            TupleKind::Tentative => {
-                self.saw_tentative = true;
+            if self.subscribed.contains(&from) {
+                self.curr = from;
+                return self.leave_all_but(Some(from));
             }
-            TupleKind::Undo => {
-                if let Some(target) = t.undo_target() {
-                    self.last_stable = self.last_stable.min(target);
-                }
-                self.saw_tentative = false;
-            }
-            TupleKind::RecDone => {
-                // §4.4: "The downstream node stays connected to both
-                // upstream replicas until it receives a REC_DONE tuple on
-                // the corrected stream" — then the stabilized replica is
-                // up to date and becomes the sole provider.
-                self.saw_tentative = false;
-                if self.trace {
-                    eprintln!("[um {}] RecDone from {} -> collapse", self.stream, from);
-                }
-                if self.subscribed.contains(&from) {
-                    self.curr = from;
-                    return self.leave_all_but(Some(from));
-                }
-            }
-            TupleKind::Boundary => {}
         }
         Vec::new()
     }

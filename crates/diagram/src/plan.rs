@@ -156,18 +156,6 @@ pub struct FragmentPlan {
     pub shard: Option<ShardAssignment>,
 }
 
-impl FragmentPlan {
-    /// Indexes of the SUnion ops.
-    pub fn sunion_indexes(&self) -> Vec<usize> {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.spec.is_sunion())
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
 /// Deployment settings of one *logical* fragment in a physical plan: its
 /// replication degree, shard fan-out, and the physical fragment indexes
 /// belonging to it (one per shard).
@@ -848,6 +836,11 @@ mod tests {
         }
     }
 
+    /// The SUnion ops of `fp`.
+    fn sunions(fp: &FragmentPlan) -> Vec<&PhysOp> {
+        fp.ops.iter().filter(|o| o.spec.is_sunion()).collect()
+    }
+
     /// Union over three sources in one fragment: the SUnion absorbs the
     /// inputs (one SUnion, is_input = true), plus an SOutput.
     #[test]
@@ -931,8 +924,8 @@ mod tests {
         };
         let p = plan_deployment(&d, &two_fragments(), &cfg).unwrap();
         for fp in &p.fragments {
-            for i in fp.sunion_indexes() {
-                if let OperatorSpec::SUnion(su) = &fp.ops[i].spec {
+            for op in sunions(fp) {
+                if let OperatorSpec::SUnion(su) = &op.spec {
                     assert_eq!(su.detect_delay, Duration::from_secs_f64(6.5));
                 }
             }
@@ -979,9 +972,9 @@ mod tests {
         let d = b.build().unwrap();
         let p = plan_single(&d, &DpcConfig::default()).unwrap();
         let fp = &p.fragments[0];
-        let n_sunions = fp.sunion_indexes().len();
-        assert_eq!(n_sunions, 1, "one shared entry SUnion");
-        assert_eq!(fp.ops[fp.sunion_indexes()[0]].fanout.len(), 2);
+        let sunions = sunions(fp);
+        assert_eq!(sunions.len(), 1, "one shared entry SUnion");
+        assert_eq!(sunions[0].fanout.len(), 2);
     }
 
     /// A passthrough lowers to entry SUnion + SOutput and nothing else —
@@ -1337,12 +1330,12 @@ mod tests {
         let d = b.build().unwrap();
         let p = plan_single(&d, &DpcConfig::default()).unwrap();
         let fp = &p.fragments[0];
-        let sunions = fp.sunion_indexes();
+        let sunions = sunions(fp);
         // entry for s1, entry for s2, plus the union's serializer.
         assert_eq!(sunions.len(), 3);
         let input_count = sunions
             .iter()
-            .filter(|&&i| matches!(&fp.ops[i].spec, OperatorSpec::SUnion(c) if c.is_input))
+            .filter(|op| matches!(&op.spec, OperatorSpec::SUnion(c) if c.is_input))
             .count();
         assert_eq!(input_count, 2);
     }

@@ -202,22 +202,40 @@ impl Fragment {
         now: Time,
         batch: &mut Batch,
     ) {
-        if !self.tainted {
-            if let Some(k) = tuples.first_tentative() {
+        self.admit(tuples, now, batch, |f, piece| {
+            f.enqueue_external(stream, piece)
+        });
+    }
+
+    /// Checkpoint-before-tentative (§4.4.1), for live input and replay
+    /// alike: if `chunk` carries the first tentative tuple to reach a
+    /// consistent fragment, its stable prefix is enqueued and processed
+    /// first, the whole-fragment checkpoint is taken, and only then does
+    /// the tentative rest enter. `enqueue` puts one piece on the queues.
+    fn admit(
+        &mut self,
+        chunk: &TupleBatch,
+        at: Time,
+        batch: &mut Batch,
+        enqueue: impl Fn(&mut Self, &TupleBatch),
+    ) {
+        let split = if self.tainted {
+            None
+        } else {
+            chunk.first_tentative()
+        };
+        match split {
+            Some(k) => {
                 if k > 0 {
-                    let prefix = tuples.slice(0..k);
-                    self.enqueue_external(stream, &prefix);
-                    self.drain(now, batch);
+                    enqueue(self, &chunk.slice(0..k));
+                    self.drain(at, batch);
                 }
                 self.take_checkpoint();
-                let suffix = tuples.slice(k..tuples.len());
-                self.enqueue_external(stream, &suffix);
-                self.drain(now, batch);
-                return;
+                enqueue(self, &chunk.slice(k..chunk.len()));
             }
+            None => enqueue(self, chunk),
         }
-        self.enqueue_external(stream, tuples);
-        self.drain(now, batch);
+        self.drain(at, batch);
     }
 
     /// Queues one external batch view on every bound operator port.
@@ -296,27 +314,14 @@ impl Fragment {
 
         // 3. Replay in arrival order. A tentative entry (an uncorrected
         //    newer failure) re-triggers the checkpoint machinery exactly as
-        //    live input would: the stable prefix of its range replays under
-        //    the clean state, then the fragment checkpoints, then the rest
-        //    follows — identical semantics to tuple-at-a-time replay.
+        //    live input would.
         let mut batch = Batch::default();
         for (arrival, op, port, chunk) in log {
-            let mut rest = chunk;
-            if !self.tainted {
-                if let Some(k) = rest.first_tentative() {
-                    if k > 0 {
-                        let prefix = rest.slice(0..k);
-                        self.queues[op].push_back((port, prefix));
-                        self.drain(arrival, &mut batch);
-                    }
-                    self.take_checkpoint();
-                    rest = rest.slice(k..rest.len());
+            self.admit(&chunk, arrival, &mut batch, |f, piece| {
+                if !piece.is_empty() {
+                    f.queues[op].push_back((port, piece.clone()));
                 }
-            }
-            if !rest.is_empty() {
-                self.queues[op].push_back((port, rest));
-                self.drain(arrival, &mut batch);
-            }
+            });
         }
 
         batch
@@ -580,19 +585,6 @@ impl Fragment {
                 Some((stream, so.tentative_since_stable()))
             })
             .collect()
-    }
-
-    /// Phase of each input SUnion (diagnostics, node state computation).
-    pub fn input_phases(&self) -> Vec<Phase> {
-        self.input_sunions
-            .iter()
-            .map(|&i| self.ops[i].as_sunion().expect("sunion").phase())
-            .collect()
-    }
-
-    /// Direct access to an operator (tests and diagnostics).
-    pub fn op(&self, index: usize) -> &dyn Operator {
-        self.ops[index].as_ref()
     }
 }
 

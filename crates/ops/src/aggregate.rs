@@ -215,11 +215,6 @@ impl Aggregate {
         }
     }
 
-    /// Number of currently open windows (for tests and buffer accounting).
-    pub fn open_windows(&self) -> usize {
-        self.state.windows.len()
-    }
-
     /// Window starts (aligned to the slide grid) whose window contains `s`.
     fn window_starts(&self, s: Time) -> Vec<u64> {
         let slide = self.spec.slide.as_micros();
@@ -514,7 +509,7 @@ mod tests {
         let mut out = BatchEmitter::new();
         // stime 60 is covered by windows [0,100) and [50,150).
         a.process(0, &data(1, 60, 0), Time::ZERO, &mut out);
-        assert_eq!(a.open_windows(), 2);
+        assert_eq!(a.state.windows.len(), 2);
         a.process(0, &boundary(150), Time::ZERO, &mut out);
         let counts: Vec<_> = out
             .tuples()

@@ -66,11 +66,6 @@ impl SOutput {
         st.undo_emitted = false;
     }
 
-    /// True while deduplicating a replay.
-    pub fn is_stabilizing(&self) -> bool {
-        self.state.stabilizing
-    }
-
     /// Id of the last stable tuple forwarded (for tests and diagnostics).
     pub fn last_stable(&self) -> TupleId {
         self.state.last_stable
@@ -305,7 +300,7 @@ mod tests {
         let (out, signals) = run(&mut s, &rd);
         assert_eq!(out, vec![rd]);
         assert_eq!(signals, vec![ControlSignal::RecDone]);
-        assert!(!s.is_stabilizing());
+        assert!(!s.state.stabilizing);
     }
 
     #[test]

@@ -136,10 +136,13 @@ fn feed(
         signals.extend(s);
         chunks
     };
+    // SOutput deduplicates a replay from here until its REC_DONE.
+    let mut stabilizing = false;
     for d in script {
         if d.stabilize {
             if let Some(soutput) = op.as_soutput_mut() {
                 soutput.begin_stabilization();
+                stabilizing = true;
             }
         }
         if d.hold {
@@ -154,9 +157,9 @@ fn feed(
             start += len;
             // Outside stabilization a REC_DONE-free batch is a pure
             // pass-through: the *same* allocation goes downstream.
-            let passes_whole = op.as_soutput().map(|soutput| {
-                !soutput.is_stabilizing() && chunk.iter().all(|t| t.kind != TupleKind::RecDone)
-            });
+            let rec_done = chunk.iter().any(|t| t.kind == TupleKind::RecDone);
+            let passes_whole = op.as_soutput().map(|_| !stabilizing && !rec_done);
+            stabilizing &= !rec_done;
             let mut out = BatchEmitter::new();
             op.process_batch(d.port, &chunk, d.at, &mut out);
             let chunks = emit(out);

@@ -4,21 +4,12 @@
 //! per-worker timer wheel against the monotonic clock, and a
 //! fault-controller thread replaying scripted failures.
 //!
-//! The engine is a *driver* of the link [`Fabric`]: it owns mailboxes,
-//! wheels and threads, and asks the one shared fabric ([`SharedFabric`], a
-//! mutex around the same type the simulator kernel owns) what every send,
-//! arrival, credit return and fault means — so the same protocol code
-//! behaves identically under both runtimes by construction:
-//!
-//! * sends check reachability at **send time** (counted drops) and again
-//!   at **delivery time** (in-flight losses on a link that broke);
-//! * timers due while an actor is crashed are consumed and suppressed —
-//!   checked when the re-enqueued timer envelope is processed, so a crash
-//!   landing after the wheel entry fired still counts — and so are those
-//!   of an incarnation that has crashed since: every timer carries the
-//!   incarnation that armed it, kept in the actor's own cell;
-//! * fault notifications reach an actor unless it is down (except its own
-//!   `NodeDown`, which it observes so crash semantics stay scripted).
+//! The engine is a *driver* of the system model in `borealis_sim`, like the
+//! simulator kernel: what a send, a credit return or a fault means is the
+//! one shared [`Fabric`]'s call ([`SharedFabric`]), and what an arriving
+//! message, a due timer or the actor's own crash means is
+//! [`ActorCell::activate`]'s. What the engine owns is the clock, the
+//! mailboxes and wheels, the threads, and a message's last hop.
 //!
 //! The engine delivers and wakes; it never sends on an actor's behalf. A
 //! [`RuntimeCtx::send`] reaches the destination's mailbox (or socket) from
@@ -29,26 +20,25 @@
 //! queued send released by a returning credit, is pushed under the fabric
 //! lock that released it: `Scheduler::release_credit`.)
 //!
-//! Messages carry [`NetMsg`] values whose `Data` payloads are `Arc`-backed
-//! [`TupleBatch`](borealis_types::TupleBatch) views: moving a batch across
-//! a mailbox transfers a reference count, never copies tuples.
-//!
 //! Idle workers park on a condvar bounded by their wheel's earliest
 //! deadline — no polling backstop, no sleep loops: a fully idle pool
 //! burns zero CPU until a push or a deadline wakes it.
 
 use crate::clock::MonotonicClock;
-use crate::scheduler::{ActorCell, Envelope, Scheduler, Task};
+use crate::scheduler::{Envelope, Scheduler, Task};
 use crate::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use crate::sync::{relock, Arc, Mutex, MutexGuard};
 use crate::tcp::TcpFabric;
-use crate::wheel::{Due, TimerWheel};
+use crate::wheel::Due;
 use crate::SharedFabric;
 use borealis_dpc::{DpcActor, NetMsg, RuntimeCtx};
-use borealis_sim::{Fabric, FaultEvent, Sent, StatsSnapshot};
+use borealis_sim::{
+    ActorCell, DeadlineQueue, Fabric, FaultEvent, Host, Input, Sent, StatsSnapshot,
+};
 use borealis_types::{CreditPolicy, Duration, NodeId, PartitionSpec, ShardRouter, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::DerefMut;
 use std::thread::JoinHandle;
 
 /// Envelopes one activation may process before yielding the worker (the
@@ -117,9 +107,13 @@ impl RuntimeCtx<NetMsg> for ThreadCtx<'_> {
     }
 
     fn set_timer(&mut self, at: Time, kind: u64) {
-        self.worker
-            .wheel
-            .push_timer(at.max(self.now), self.id, kind, self.incarnation);
+        let (owner, incarnation) = (self.id, self.incarnation);
+        let timer = Due::Timer {
+            owner,
+            kind,
+            incarnation,
+        };
+        self.worker.wheel.push(at.max(self.now), timer);
     }
 
     fn reachable(&self, to: NodeId) -> bool {
@@ -128,6 +122,16 @@ impl RuntimeCtx<NetMsg> for ThreadCtx<'_> {
 
     fn rand_range(&mut self, n: u64) -> u64 {
         self.rng.gen_range(0..n)
+    }
+}
+
+impl Host<NetMsg> for ThreadCtx<'_> {
+    fn fabric(&mut self) -> impl DerefMut<Target = Fabric<NetMsg>> {
+        self.worker.hub.fabric()
+    }
+
+    fn consumed_at(&self) -> Option<Time> {
+        self.consumed_at
     }
 }
 
@@ -146,7 +150,7 @@ struct Worker {
     idx: usize,
     hub: Arc<Hub>,
     tcp: Option<Arc<TcpFabric>>,
-    wheel: TimerWheel,
+    wheel: DeadlineQueue<Due>,
     /// Worker-local one-pass partition memo: a sender's whole K·R fan-out
     /// runs back-to-back on its worker, so per-worker state needs no
     /// cross-thread sharing and the memo's few entries suffice.
@@ -216,8 +220,8 @@ impl Worker {
                     incarnation,
                 } => {
                     // Re-enqueued behind the owner's pending mailbox work;
-                    // whether it fires is decided there, under the owner's
-                    // cell: is it up, and the incarnation that armed this?
+                    // whether it fires is decided there, by the activation
+                    // step under the owner's cell.
                     let timer = Envelope::Timer(kind, incarnation);
                     self.hub.sched.push(owner, timer, Some(self.idx));
                 }
@@ -274,15 +278,14 @@ impl Worker {
         }
     }
 
-    /// Drains up to [`ACTIVATION_BATCH`] envelopes from `task`'s mailbox.
+    /// Drains up to [`ACTIVATION_BATCH`] envelopes from `task`'s mailbox,
+    /// each one input of the activation step.
     fn activate(&mut self, task: &Arc<Task>) -> Activation {
-        let mut cell = relock(&task.cell);
-        if !cell.started {
-            cell.started = true;
-            self.dispatch(task.id, &mut cell, |a, ctx| a.on_start(ctx));
-        }
+        let mut guard = relock(&task.cell);
+        let (cell, rng) = &mut *guard;
+        self.step(task.id, cell, rng, Input::Start);
         for _ in 0..ACTIVATION_BATCH {
-            match task.pop_envelope() {
+            let input = match task.pop_envelope() {
                 None => return Activation::Drained,
                 Some(Envelope::Stop) => {
                     if task.mark_stopped() {
@@ -290,68 +293,41 @@ impl Worker {
                     }
                     return Activation::Stopped;
                 }
-                Some(Envelope::Msg { from, msg }) => {
-                    self.process_msg(task.id, &mut cell, from, msg);
-                }
-                Some(Envelope::Fault(fault)) => {
-                    self.dispatch(task.id, &mut cell, |a, ctx| a.on_fault(ctx, &fault));
-                    // As in the simulator: the crash ends an incarnation.
-                    if fault == FaultEvent::NodeDown(task.id) {
-                        cell.incarnation += 1;
-                    }
-                }
-                Some(Envelope::Timer(kind, incarnation)) => {
-                    // A crashed actor fires no timers (the entry is
-                    // consumed, as in the simulator), and neither does one
-                    // that has come back since the timer was armed.
-                    let stale = incarnation != cell.incarnation;
-                    if self.hub.fabric().timer_fires(task.id, stale) {
-                        self.dispatch(task.id, &mut cell, |a, ctx| a.on_timer(ctx, kind));
-                    }
-                }
-            }
+                Some(Envelope::Msg { from, msg }) => Input::Message { from, msg },
+                Some(Envelope::Fault(fault)) => Input::Fault(fault),
+                Some(Envelope::Timer(kind, incarnation)) => Input::Timer { kind, incarnation },
+            };
+            self.step(task.id, cell, rng, input);
         }
         Activation::Budget
     }
 
-    /// One message arrival: the fabric's delivery-time verdict, the
-    /// handler, and the credit return.
-    fn process_msg(&mut self, id: NodeId, cell: &mut ActorCell, from: NodeId, msg: NetMsg) {
-        let arrival = self.hub.fabric().arrive(from, id, &msg);
-        let mark = if arrival.deliver {
-            self.dispatch(id, cell, |a, ctx| a.on_message(ctx, from, msg))
-        } else {
-            None
-        };
-        if arrival.owes_credit {
-            // Credit returns at the handler's consumption mark (the
-            // modeled CPU completion), or right away for infinitely fast
-            // consumers and in-flight losses.
-            match mark {
-                Some(at) if at > self.hub.clock.now() => self.wheel.push_replenish(at, id, from),
-                _ => self.return_credit(from, id),
-            }
-        }
-    }
-
-    /// Runs one handler with a fresh context at the current instant.
-    /// Returns the handler's consumption mark, if it set one.
-    fn dispatch(
+    /// One input of actor `id` with a fresh context at the current instant.
+    /// The credit the step reports returns at the handler's consumption
+    /// mark (the modeled CPU completion) through this worker's wheel, or
+    /// right away for infinitely fast consumers and in-flight losses.
+    fn step(
         &mut self,
         id: NodeId,
-        cell: &mut ActorCell,
-        f: impl FnOnce(&mut dyn DpcActor<NetMsg>, &mut dyn RuntimeCtx<NetMsg>),
-    ) -> Option<Time> {
+        cell: &mut ActorCell<NetMsg>,
+        rng: &mut StdRng,
+        input: Input<NetMsg>,
+    ) {
         let mut ctx = ThreadCtx {
             id,
-            incarnation: cell.incarnation,
+            incarnation: cell.incarnation(),
             now: self.hub.clock.now(),
             worker: self,
-            rng: &mut cell.rng,
+            rng,
             consumed_at: None,
         };
-        f(cell.actor.as_mut(), &mut ctx);
-        ctx.consumed_at
+        if let Some((from, at)) = cell.activate(&mut ctx, input) {
+            if at > self.hub.clock.now() {
+                self.wheel.push(at, Due::Replenish { owner: id, from });
+            } else {
+                self.return_credit(from, id);
+            }
+        }
     }
 }
 
@@ -460,7 +436,7 @@ impl ThreadRuntime {
                     idx,
                     hub: Arc::clone(&hub),
                     tcp: tcp.clone(),
-                    wheel: TimerWheel::new(),
+                    wheel: DeadlineQueue::default(),
                     router: ShardRouter::new(),
                 };
                 std::thread::Builder::new()
@@ -508,12 +484,6 @@ impl ThreadRuntime {
     /// stubs standing in for remote actors).
     pub(crate) fn stop_task(&self, id: NodeId) {
         self.hub.sched.push(id, Envelope::Stop, None);
-    }
-
-    /// OS threads this runtime spawned: the pool plus the fault
-    /// controller — `workers() + 1`, independent of how many actors run.
-    pub fn spawned_threads(&self) -> usize {
-        self.hub.sched.workers() + 1
     }
 
     /// Message-loss statistics so far, including the fabric's flow-control
@@ -748,42 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn crashed_node_fires_no_timers_and_hears_node_down() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let script = vec![(Time::ZERO, FaultEvent::NodeDown(NodeId(0)))];
-        let a = Box::new(Recorder {
-            log: Arc::clone(&log),
-            peer: Some(NodeId(1)),
-        });
-        let b = Box::new(Recorder {
-            log: Arc::clone(&log),
-            peer: None,
-        });
-        let rt = spawn_pair(a, b, script);
-        assert!(
-            wait_until(
-                || log
-                    .lock()
-                    .unwrap()
-                    .contains(&(NodeId(u32::MAX), "node-down")),
-                2000
-            ),
-            "the crashing node observes its own NodeDown"
-        );
-        rt.run_for(std::time::Duration::from_millis(100));
-        let stats = rt.shutdown();
-        let l = log.lock().unwrap();
-        assert!(
-            !l.contains(&(NodeId(u32::MAX), "timer")),
-            "crashed node must not fire timers: {l:?}"
-        );
-        assert!(
-            stats.timers_suppressed >= 1 || stats.total_drops() >= 1,
-            "the suppressed timer or dropped sends must be accounted: {stats:?}"
-        );
-    }
-
-    #[test]
     fn timer_of_a_crashed_incarnation_stays_silent_after_the_restart() {
         // Actor 0 arms its 20 ms timer in `on_start`, crashes at once and
         // is back at 5 ms: the timer comes due with the actor up again.
@@ -806,15 +740,16 @@ mod tests {
         rt.run_for(std::time::Duration::from_millis(100));
         let stats = rt.shutdown();
         let l = log.lock().unwrap();
+        let heard_crash = l.contains(&(NodeId(u32::MAX), "node-down"));
+        assert!(heard_crash, "the crashing node observes its own NodeDown");
         assert!(!l.contains(&(NodeId(u32::MAX), "timer")), "stale: {l:?}");
         assert_eq!(stats.timers_suppressed, 1, "dropped and counted");
     }
 
     #[test]
     fn pool_stays_fixed_size_regardless_of_actor_count() {
-        // 200 actors on 3 workers: the engine spawns exactly workers + 1
-        // OS threads (pool + fault controller), and the batch budget keeps
-        // every mailbox moving.
+        // 200 actors on 3 workers: the pool stays at three threads, and
+        // the batch budget keeps every mailbox moving.
         let log = Arc::new(Mutex::new(Vec::new()));
         let actors: Vec<Box<dyn DpcActor<NetMsg>>> = (0..200)
             .map(|i| {
@@ -835,7 +770,6 @@ mod tests {
             None,
         );
         assert_eq!(rt.workers(), 3);
-        assert_eq!(rt.spawned_threads(), 4, "workers + fault controller");
         assert!(
             wait_until(
                 || log

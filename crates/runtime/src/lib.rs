@@ -12,16 +12,17 @@
 //!   multiplex onto a handful of OS threads;
 //! * `NetMsg::Data` payloads are `Arc`-backed `TupleBatch` views, so
 //!   cross-thread fan-out moves reference counts, not tuples;
-//! * a per-worker [`TimerWheel`] drives protocol timers and modelled-CPU
-//!   credit returns; its earliest deadline bounds the worker's park, so
-//!   idle workers burn no CPU. It holds no messages: actors send, from
-//!   inside their own serial activations, and the runtime only delivers and
-//!   wakes — which is why every link is FIFO by construction;
-//! * one [`SharedFabric`] — the very `borealis_sim::Fabric` the simulator
-//!   kernel owns, behind a mutex — decides what every send, arrival, credit
-//!   return and fault means; the pool's workers, its fault-controller
-//!   thread and the socket mesh's reader threads all ask it, so the fault
-//!   model and the credit protocol exist once for all three runtimes;
+//! * a per-worker timer wheel (see [`wheel`]) drives protocol timers and
+//!   modelled-CPU credit returns; its earliest deadline bounds the worker's
+//!   park, so idle workers burn no CPU. It holds no messages: actors send,
+//!   from inside their own serial activations, and the runtime only
+//!   delivers and wakes — which is why every link is FIFO by construction;
+//! * the system model is `borealis_sim`'s, not this crate's: one
+//!   [`SharedFabric`] — the very `Fabric` the simulator kernel owns, behind
+//!   a mutex — decides what every send, credit return and fault means, and
+//!   every activation runs through the one `ActorCell::activate` step
+//!   (delivery, timer staleness, incarnations, the credit owed), so the
+//!   fault model and the node model exist once for all three runtimes;
 //! * [`deploy_threads`] launches a runtime-independent
 //!   [`SystemLayout`](borealis_dpc::SystemLayout) — the very object
 //!   `deploy_sim` consumes, its `FaultSpec` schedule already lowered to
@@ -65,7 +66,7 @@ pub use clock::MonotonicClock;
 pub use engine::ThreadRuntime;
 #[cfg(not(borealis_model))]
 pub use tcp::{deploy_tcp, plan_processes, RunningTcp, TcpFabric};
-pub use wheel::{Due, TimerWheel};
+pub use wheel::Due;
 
 /// The one link fabric of a wall-clock runtime: the simulator's
 /// single-threaded `borealis_sim::Fabric`, shared by the pool's workers,

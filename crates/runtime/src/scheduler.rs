@@ -34,7 +34,7 @@ use crate::sync::{
 };
 use crate::SharedFabric;
 use borealis_dpc::{DpcActor, NetMsg};
-use borealis_sim::FaultEvent;
+use borealis_sim::{ActorCell, FaultEvent};
 use borealis_types::{NodeId, SchedGauges, Time};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
@@ -77,23 +77,15 @@ struct MailboxInner {
     stopped: bool,
 }
 
-/// The mutable protocol half of a task, locked by the running worker.
-/// The run-state machine makes the lock uncontended: a task is Running on
-/// at most one worker, and nothing else touches the actor.
-pub(crate) struct ActorCell {
-    pub(crate) actor: Box<dyn DpcActor<NetMsg>>,
-    pub(crate) rng: StdRng,
-    pub(crate) started: bool,
-    /// Crashes this actor has been through (bumped when it handles its own
-    /// `NodeDown`): a timer fires only in the incarnation that armed it.
-    pub(crate) incarnation: u32,
-}
-
 /// One schedulable actor.
 pub(crate) struct Task {
     pub(crate) id: NodeId,
     mailbox: Mutex<MailboxInner>,
-    pub(crate) cell: Mutex<ActorCell>,
+    /// The mutable protocol half — the actor's cell and the pool's
+    /// per-actor RNG — locked by the running worker. The run-state machine
+    /// makes the lock uncontended: a task is Running on at most one worker,
+    /// and nothing else touches the actor.
+    pub(crate) cell: Mutex<(ActorCell<NetMsg>, StdRng)>,
 }
 
 impl Task {
@@ -105,12 +97,7 @@ impl Task {
                 state: RunState::Idle,
                 stopped: false,
             }),
-            cell: Mutex::new(ActorCell {
-                actor,
-                rng,
-                started: false,
-                incarnation: 0,
-            }),
+            cell: Mutex::new((ActorCell::new(actor), rng)),
         }
     }
 

@@ -4,10 +4,12 @@
 //! Protocol participants are written once against [`Actor`] and
 //! `&mut dyn` [`Ctx`]; the simulator kernel, the worker pool and the TCP
 //! deployment each provide a `Ctx` implementation and drive the *same*
-//! boxed actors. Both traits are generic over the message type `M` so the
-//! kernel's own tests can substitute toy messages; deployments instantiate
-//! them at `borealis_dpc::NetMsg` (where they are re-exported as `DpcActor`
-//! and `RuntimeCtx`).
+//! boxed actors — every one of them through the one activation step,
+//! [`ActorCell::activate`](crate::ActorCell::activate), which decides when
+//! each handler below runs. Both traits are generic over the message type
+//! `M` so the kernel's own tests can substitute toy messages; deployments
+//! instantiate them at `borealis_dpc::NetMsg` (where they are re-exported
+//! as `DpcActor` and `RuntimeCtx`).
 //!
 //! *Actors send, runtimes deliver and wake.* There is one send verb,
 //! [`Ctx::send`], and it means "now": an actor that wants a message to

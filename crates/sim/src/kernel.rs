@@ -1,86 +1,40 @@
 //! The deterministic discrete-event kernel.
 //!
-//! A [`Sim`] is one of the three drivers of the link [`Fabric`]: it adds a
-//! virtual clock, a totally ordered event queue (time, then insertion
-//! sequence), constant link latency and a seeded RNG, and asks the fabric
-//! what every send, arrival, credit return and fault means. Two runs with
-//! the same seed and script produce identical event interleavings — which
-//! is what lets the test suite assert exact protocol behaviour and lets the
-//! benchmark harness reproduce the paper's experiments without a physical
-//! cluster.
+//! A [`Sim`] is one of the drivers of the system model — the link
+//! [`Fabric`] and the node-side activation step ([`ActorCell::activate`]):
+//! it adds a virtual clock, one totally ordered event queue (a
+//! [`DeadlineQueue`]: time, then insertion sequence), constant link latency
+//! and a seeded RNG, and asks the model what every send, arrival, timer,
+//! credit return and fault means. Two runs with the same seed and script
+//! produce identical event interleavings — which is what lets the test
+//! suite assert exact protocol behaviour and lets the benchmark harness
+//! reproduce the paper's experiments without a physical cluster.
 
 use crate::actor::{Actor, Ctx};
 use crate::fabric::{Fabric, Sent, ShardMsg, StatsSnapshot};
 use crate::fault::FaultEvent;
+use crate::node::{ActorCell, DeadlineQueue, Host, Input};
 use borealis_types::{Duration, NodeId, ShardRouter, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::ops::DerefMut;
 
-enum EventKind<M> {
-    /// A message reaching the far end of its link.
-    Message {
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-    },
+enum Event<M> {
+    /// One activation of an actor: its start, a message reaching the far
+    /// end of its link, or a timer (stamped with the incarnation that
+    /// armed it).
+    Input(NodeId, Input<M>),
     /// A delivery on `from → to` was consumed: return its credit and
     /// release the next queued message, if any.
     Replenish {
         from: NodeId,
         to: NodeId,
     },
-    /// A timer, stamped with the incarnation of `actor` that armed it.
-    Timer {
-        actor: NodeId,
-        kind: u64,
-        incarnation: u32,
-    },
     Fault(FaultEvent),
-    Start(NodeId),
 }
 
-struct Event<M> {
-    at: Time,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse for earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// Pending events in (time, insertion sequence) order.
-struct EventQueue<M> {
-    heap: BinaryHeap<Event<M>>,
-    seq: u64,
-}
-
-impl<M> EventQueue<M> {
-    fn push(&mut self, at: Time, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Event { at, seq, kind });
-    }
-}
-
-/// The [`Ctx`] handed to handlers: sends go through the fabric and become
-/// arrival events one link latency later.
+/// The [`Host`] handed to the activation step: sends go through the fabric
+/// and become arrival events one link latency later.
 struct SimCtx<'a, M> {
     now: Time,
     id: NodeId,
@@ -89,7 +43,7 @@ struct SimCtx<'a, M> {
     fabric: &'a mut Fabric<M>,
     router: &'a mut ShardRouter,
     rng: &'a mut StdRng,
-    queue: &'a mut EventQueue<M>,
+    queue: &'a mut DeadlineQueue<Event<M>>,
     consumed_at: Option<Time>,
 }
 
@@ -105,8 +59,8 @@ impl<M: ShardMsg> Ctx<M> for SimCtx<'_, M> {
     fn send(&mut self, to: NodeId, msg: M) {
         let from = self.id;
         if let Sent::Go(msg) = self.fabric.send(self.router, from, to, msg, self.now) {
-            let at = self.now + self.latency;
-            self.queue.push(at, EventKind::Message { from, to, msg });
+            let arrival = Event::Input(to, Input::Message { from, msg });
+            self.queue.push(self.now + self.latency, arrival);
         }
     }
 
@@ -119,12 +73,8 @@ impl<M: ShardMsg> Ctx<M> for SimCtx<'_, M> {
     }
 
     fn set_timer(&mut self, at: Time, kind: u64) {
-        let (actor, incarnation) = (self.id, self.incarnation);
-        let timer = EventKind::Timer {
-            actor,
-            kind,
-            incarnation,
-        };
+        let incarnation = self.incarnation;
+        let timer = Event::Input(self.id, Input::Timer { kind, incarnation });
         self.queue.push(at.max(self.now), timer);
     }
 
@@ -137,18 +87,24 @@ impl<M: ShardMsg> Ctx<M> for SimCtx<'_, M> {
     }
 }
 
+impl<M: ShardMsg> Host<M> for SimCtx<'_, M> {
+    fn fabric(&mut self) -> impl DerefMut<Target = Fabric<M>> {
+        &mut *self.fabric
+    }
+
+    fn consumed_at(&self) -> Option<Time> {
+        self.consumed_at
+    }
+}
+
 /// The discrete-event simulation.
 pub struct Sim<M> {
-    actors: Vec<Box<dyn Actor<M>>>,
-    started: Vec<bool>,
-    /// Crashes each actor has been through: a timer fires only in the
-    /// incarnation that armed it.
-    incarnations: Vec<u32>,
+    cells: Vec<ActorCell<M>>,
     fabric: Fabric<M>,
     /// One-way latency of every link (FIFO order falls out of the
     /// deterministic event queue).
     latency: Duration,
-    queue: EventQueue<M>,
+    queue: DeadlineQueue<Event<M>>,
     now: Time,
     rng: StdRng,
     events_dispatched: u64,
@@ -163,15 +119,10 @@ impl<M: ShardMsg> Sim<M> {
     /// policy).
     pub fn new(seed: u64, latency: Duration, fabric: Fabric<M>) -> Sim<M> {
         Sim {
-            actors: Vec::new(),
-            started: Vec::new(),
-            incarnations: Vec::new(),
+            cells: Vec::new(),
             fabric,
             latency,
-            queue: EventQueue {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            },
+            queue: DeadlineQueue::default(),
             now: Time::ZERO,
             rng: StdRng::seed_from_u64(seed),
             events_dispatched: 0,
@@ -182,11 +133,9 @@ impl<M: ShardMsg> Sim<M> {
     /// Registers an actor; its `on_start` fires at time zero (or at the
     /// current time if the simulation is already running).
     pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> NodeId {
-        let id = NodeId(self.actors.len() as u32);
-        self.actors.push(actor);
-        self.started.push(false);
-        self.incarnations.push(0);
-        self.queue.push(self.now, EventKind::Start(id));
+        let id = NodeId(self.cells.len() as u32);
+        self.cells.push(ActorCell::new(actor));
+        self.queue.push(self.now, Event::Input(id, Input::Start));
         id
     }
 
@@ -197,7 +146,7 @@ impl<M: ShardMsg> Sim<M> {
 
     /// Schedules a fault (or heal) at `at`.
     pub fn schedule_fault(&mut self, at: Time, fault: FaultEvent) {
-        self.queue.push(at, EventKind::Fault(fault));
+        self.queue.push(at, Event::Fault(fault));
     }
 
     /// Current virtual time.
@@ -220,10 +169,9 @@ impl<M: ShardMsg> Sim<M> {
     /// Returns the number of events dispatched.
     pub fn run_until(&mut self, until: Time) -> u64 {
         let mut dispatched = 0;
-        while self.queue.heap.peek().is_some_and(|ev| ev.at <= until) {
-            let ev = self.queue.heap.pop().expect("peeked event exists");
-            self.now = self.now.max(ev.at);
-            self.dispatch(ev.kind);
+        while let Some((at, event)) = self.queue.pop_due(until) {
+            self.now = self.now.max(at);
+            self.dispatch(event);
             dispatched += 1;
         }
         self.now = self.now.max(until);
@@ -231,73 +179,33 @@ impl<M: ShardMsg> Sim<M> {
         dispatched
     }
 
-    fn dispatch(&mut self, kind: EventKind<M>) {
-        match kind {
-            EventKind::Message { from, to, msg } => {
-                let arrival = self.fabric.arrive(from, to, &msg);
-                let mark = if arrival.deliver {
-                    self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, msg))
-                } else {
-                    None
-                };
-                if arrival.owes_credit {
-                    // Credit returns when the receiver's modeled CPU has
-                    // consumed the batch (the handler's data_consumed_at
-                    // mark), or right away for infinitely fast consumers
-                    // and in-flight losses.
-                    let at = mark.unwrap_or(self.now);
-                    self.queue.push(at, EventKind::Replenish { from, to });
-                }
-            }
-            EventKind::Replenish { from, to } => {
+    fn dispatch(&mut self, event: Event<M>) {
+        match event {
+            Event::Input(to, input) => self.activate(to, input),
+            Event::Replenish { from, to } => {
                 if let Some(msg) = self.fabric.consumed(from, to, self.now) {
-                    let at = self.now + self.latency;
-                    self.queue.push(at, EventKind::Message { from, to, msg });
+                    let arrival = Event::Input(to, Input::Message { from, msg });
+                    self.queue.push(self.now + self.latency, arrival);
                 }
             }
-            EventKind::Timer {
-                actor,
-                kind,
-                incarnation,
-            } => {
-                let stale = self.incarnations[actor.index()] != incarnation;
-                if self.fabric.timer_fires(actor, stale) {
-                    self.with_actor(actor, |a, ctx| a.on_timer(ctx, kind));
-                }
-            }
-            EventKind::Fault(fault) => {
+            Event::Fault(fault) => {
                 for id in self.fabric.apply(&fault, self.now) {
-                    self.with_actor(id, |a, ctx| a.on_fault(ctx, &fault));
-                }
-                // The crash ends an incarnation: whatever it armed, its
-                // own NodeDown handler included, never fires.
-                if let FaultEvent::NodeDown(n) = fault {
-                    if let Some(i) = self.incarnations.get_mut(n.index()) {
-                        *i += 1;
-                    }
-                }
-            }
-            EventKind::Start(id) => {
-                if !self.started[id.index()] {
-                    self.started[id.index()] = true;
-                    self.with_actor(id, |a, ctx| a.on_start(ctx));
+                    self.activate(id, Input::Fault(fault.clone()));
                 }
             }
         }
     }
 
-    /// Runs one actor handler with a fresh context. Returns the handler's
-    /// consumption mark, if it set one.
-    fn with_actor(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut dyn Actor<M>, &mut dyn Ctx<M>),
-    ) -> Option<Time> {
-        let actor = self.actors.get_mut(id.index())?;
+    /// One activation of `id` with a fresh context at the current instant;
+    /// the credit it owes becomes a `Replenish` event.
+    fn activate(&mut self, id: NodeId, input: Input<M>) {
+        let Some(cell) = self.cells.get_mut(id.index()) else {
+            return;
+        };
         let mut ctx = SimCtx {
             now: self.now,
             id,
-            incarnation: self.incarnations[id.index()],
+            incarnation: cell.incarnation(),
             latency: self.latency,
             fabric: &mut self.fabric,
             router: &mut self.router,
@@ -305,8 +213,9 @@ impl<M: ShardMsg> Sim<M> {
             queue: &mut self.queue,
             consumed_at: None,
         };
-        f(actor.as_mut(), &mut ctx);
-        ctx.consumed_at
+        if let Some((from, at)) = cell.activate(&mut ctx, input) {
+            self.queue.push(at, Event::Replenish { from, to: id });
+        }
     }
 }
 
@@ -388,32 +297,7 @@ mod tests {
         assert_eq!(entries[0], (1, NodeId(0), "hello".into()));
         assert_eq!(entries[1], (2, NodeId(1), "re:hello".into()));
         assert_eq!(entries[2], (50, NodeId(1), "timer7".into()));
-    }
-
-    #[test]
-    fn link_failure_drops_messages() {
-        let log: Log = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = new_sim();
-        let echo = sim.add_actor(Box::new(Echo {
-            log: log.clone(),
-            replies: 0,
-        }));
-        let starter = sim.add_actor(Box::new(Starter {
-            to: echo,
-            log: log.clone(),
-        }));
-        sim.schedule_fault(
-            Time::ZERO,
-            FaultEvent::LinkDown {
-                a: echo,
-                b: starter,
-            },
-        );
-        sim.run_until(Time::from_secs(1));
-        let entries = log.lock().unwrap();
-        // Only the timer fires; the hello was dropped.
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].2, "timer7");
+        assert_eq!(sim.stats().total_drops(), 0, "a healthy run loses nothing");
     }
 
     #[test]
@@ -434,7 +318,7 @@ mod tests {
             log: log.clone(),
             replies: 0,
         }));
-        let starter = sim.add_actor(Box::new(Starter {
+        sim.add_actor(Box::new(Starter {
             to: echo,
             log: log.clone(),
         }));
@@ -446,7 +330,6 @@ mod tests {
         );
         assert_eq!(sim.stats().delivery_drops, 0);
         assert_eq!(sim.stats().total_drops(), 1);
-        let _ = (echo, starter);
     }
 
     #[test]
@@ -473,22 +356,10 @@ mod tests {
         sim.run_until(Time::from_secs(1));
         assert_eq!(sim.stats().send_unreachable_drops, 0);
         assert_eq!(sim.stats().delivery_drops, 1);
-    }
-
-    #[test]
-    fn healthy_runs_report_zero_drops() {
-        let log: Log = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = new_sim();
-        let echo = sim.add_actor(Box::new(Echo {
-            log: log.clone(),
-            replies: 1,
-        }));
-        sim.add_actor(Box::new(Starter {
-            to: echo,
-            log: log.clone(),
-        }));
-        sim.run_until(Time::from_secs(1));
-        assert_eq!(sim.stats().total_drops(), 0);
+        // Only the timer fires; the hello was dropped.
+        let entries = log.lock().unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].2, "timer7");
     }
 
     #[test]
@@ -506,7 +377,6 @@ mod tests {
         sim.schedule_fault(Time::ZERO, FaultEvent::NodeDown(starter));
         sim.run_until(Time::from_secs(1));
         assert!(log.lock().unwrap().is_empty(), "{:?}", log.lock().unwrap());
-        let _ = echo;
     }
 
     /// Re-arms a 1 s periodic timer from `on_start` and — like a protocol
@@ -705,36 +575,5 @@ mod tests {
             Duration::ZERO,
             "drained"
         );
-    }
-
-    #[test]
-    fn healed_link_delivers_again() {
-        let log: Log = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = new_sim();
-        let echo = sim.add_actor(Box::new(Echo {
-            log: log.clone(),
-            replies: 0,
-        }));
-        let starter = sim.add_actor(Box::new(Starter {
-            to: echo,
-            log: log.clone(),
-        }));
-        // Down at 0, up at 20 ms; the start message (sent at 0) is lost.
-        sim.schedule_fault(
-            Time::ZERO,
-            FaultEvent::LinkDown {
-                a: echo,
-                b: starter,
-            },
-        );
-        sim.schedule_fault(
-            Time::from_millis(20),
-            FaultEvent::LinkUp {
-                a: echo,
-                b: starter,
-            },
-        );
-        sim.run_until(Time::from_secs(1));
-        assert_eq!(log.lock().unwrap().len(), 1, "only the timer");
     }
 }

@@ -29,9 +29,10 @@
 //! `[len u32][fnv64 of body][body = seq u64 + payload]`; a torn tail is
 //! detected by length or checksum and the valid prefix survives. Whole
 //! segments are pruned once a published snapshot covers them
-//! (snapshot-id-scoped truncation). Warm-standby seeding ([`NodeStore::
-//! seed_from`]) is the same primitive sequence: copy missing objects, then
-//! flip `HEAD`.
+//! (snapshot-id-scoped truncation), and a checkpoint object is unlinked
+//! once neither pointer names it: `objects/` holds at most the two
+//! snapshots recovery can reach (plus one leaked by a crash between a flip
+//! and its unlink, which nothing needs to sweep).
 
 #![warn(missing_docs)]
 
@@ -167,8 +168,9 @@ impl NodeStore {
 
     /// Publishes `payload` as snapshot `snapshot_id`: writes the
     /// content-addressed object (temp + fsync + rename), then flips `HEAD`
-    /// atomically, demoting the previous pointer to `HEAD.prev`. Returns
-    /// the object's content address.
+    /// atomically, demoting the previous pointer to `HEAD.prev` — and
+    /// unlinks the object only the pointer that demotion overwrote named.
+    /// Returns the object's content address.
     pub fn publish(&self, snapshot_id: u64, payload: &[u8]) -> Result<u64, StoreError> {
         let hash = fnv64(payload);
         let obj = self.object_path(hash);
@@ -184,10 +186,25 @@ impl NodeStore {
         wire::put_u64(&mut head, check);
         // Demote the current pointer first: if we crash between the two
         // renames, recovery finds no HEAD and falls back to HEAD.prev.
-        if self.head_path().exists() {
+        let demoted = self.load_pointer(&self.head_path());
+        let mut retired = None;
+        if !matches!(demoted, Ok(None)) {
+            // The demotion overwrites HEAD.prev: the object it names is
+            // garbage once the flip lands, unless a surviving pointer
+            // names the same content. Unreadable pointers retire nothing.
+            if let (Ok(Some(demoted)), Ok(Some(old))) =
+                (demoted, self.load_pointer(&self.prev_path()))
+            {
+                retired = Some(old.object).filter(|&o| o != hash && o != demoted.object);
+            }
             fs::rename(self.head_path(), self.prev_path())?;
         }
         write_atomic(&self.head_path(), &head)?;
+        if let Some(old) = retired {
+            // Best effort: a failed (or crashed-over) unlink leaks one
+            // object, which recovery never reads.
+            let _ = fs::remove_file(self.object_path(old));
+        }
         Ok(hash)
     }
 
@@ -285,43 +302,9 @@ impl NodeStore {
         self.load_pointer(&self.head_path())
     }
 
-    /// Warm-standby seeding: copy every object `other` has that we lack,
-    /// then adopt its `HEAD` pointer (atomic flip). The axiograph
-    /// accepted-plane sync in miniature.
-    pub fn seed_from(&self, other: &NodeStore) -> Result<(), StoreError> {
-        for entry in fs::read_dir(other.root.join("objects"))? {
-            let entry = entry?;
-            let dst = self.root.join("objects").join(entry.file_name());
-            if !dst.exists() {
-                let bytes = fs::read(entry.path())?;
-                write_atomic(&dst, &bytes)?;
-            }
-        }
-        if let Some(ptr) = other.head()? {
-            // Validate the copied object before flipping our pointer.
-            self.load_via(ptr)?;
-            let head = fs::read(other.head_path())?;
-            if self.head_path().exists() {
-                fs::rename(self.head_path(), self.prev_path())?;
-            }
-            write_atomic(&self.head_path(), &head)?;
-            sync_dir(&self.root)?;
-        }
-        Ok(())
-    }
-
     /// Writes a small named marker file atomically (e.g. `last_recovery`).
     pub fn write_marker(&self, name: &str, contents: &[u8]) -> Result<(), StoreError> {
         write_atomic(&self.root.join(format!("{name}.marker")), contents)
-    }
-
-    /// Reads a marker written by [`NodeStore::write_marker`].
-    pub fn read_marker(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
-        match fs::read(self.root.join(format!("{name}.marker"))) {
-            Ok(b) => Ok(Some(b)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
     }
 
     /// Reads every log record with `seq > after`, in order. A torn or
@@ -407,11 +390,6 @@ impl LogWriter {
     /// Overrides the rotation threshold (tests use tiny segments).
     pub fn set_segment_bytes(&mut self, bytes: u64) {
         self.max_seg_bytes = bytes.max(1);
-    }
-
-    /// Sequence number the next append will receive.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     /// Sequence number of the last appended record (0 if none).
@@ -651,7 +629,7 @@ mod tests {
         assert_eq!(records[9], (10, vec![9u8; 3]));
         // Reopen resumes the sequence.
         let mut w2 = LogWriter::open(&store, true).unwrap();
-        assert_eq!(w2.next_seq(), 11);
+        assert_eq!(w2.last_seq(), 10);
         w2.append(b"more").unwrap();
         let (records, _) = store.read_log(10).unwrap();
         assert_eq!(records, vec![(11, b"more".to_vec())]);
@@ -723,30 +701,36 @@ mod tests {
     }
 
     #[test]
-    fn seed_from_copies_objects_and_flips_head() {
-        let primary = NodeStore::open(scratch("seed-src")).unwrap();
-        let standby = NodeStore::open(scratch("seed-dst")).unwrap();
-        primary.publish(1, b"gen-1").unwrap();
-        primary.publish(2, b"gen-2").unwrap();
-        standby.seed_from(&primary).unwrap();
-        let snap = standby.load_latest().unwrap().unwrap();
-        assert_eq!(snap.snapshot_id, 2);
-        assert_eq!(snap.payload, b"gen-2");
-        // Seeding again is idempotent (objects content-addressed).
-        standby.seed_from(&primary).unwrap();
-        assert_eq!(standby.load_latest().unwrap().unwrap().snapshot_id, 2);
+    fn publish_keeps_only_the_two_reachable_objects() {
+        let store = NodeStore::open(scratch("gc")).unwrap();
+        for id in 1..=20u64 {
+            store.publish(id, format!("state {id}").as_bytes()).unwrap();
+        }
+        let objects = fs::read_dir(store.root().join("objects")).unwrap().count();
+        assert_eq!(objects, 2, "HEAD's and HEAD.prev's, nothing else");
+        assert_eq!(store.load_latest().unwrap().unwrap().payload, b"state 20");
+        fs::remove_file(store.root().join("HEAD")).unwrap();
+        let snap = store.load_latest().unwrap().unwrap();
+        assert_eq!((snap.snapshot_id, snap.payload), (19, b"state 19".to_vec()));
+        // Identical content shares one object: re-publishing it must not
+        // unlink what the surviving pointers name.
+        let store = NodeStore::open(scratch("gc-same")).unwrap();
+        for (id, payload) in [(1, "a"), (2, "b"), (3, "b"), (4, "c"), (5, "b")] {
+            store.publish(id, payload.as_bytes()).unwrap();
+        }
+        assert_eq!(store.load_latest().unwrap().unwrap().payload, b"b");
+        fs::remove_file(store.root().join("HEAD")).unwrap();
+        assert_eq!(store.load_latest().unwrap().unwrap().payload, b"c");
     }
 
     #[test]
     fn markers_round_trip() {
         let store = NodeStore::open(scratch("markers")).unwrap();
-        assert!(store.read_marker("last_recovery").unwrap().is_none());
+        store.write_marker("last_recovery", b"snap=3").unwrap();
         store
-            .write_marker("last_recovery", b"snap=3 replayed=17")
+            .write_marker("last_recovery", b"snap=4 replayed=17")
             .unwrap();
-        assert_eq!(
-            store.read_marker("last_recovery").unwrap().unwrap(),
-            b"snap=3 replayed=17"
-        );
+        let on_disk = fs::read(store.root().join("last_recovery.marker")).unwrap();
+        assert_eq!(on_disk, b"snap=4 replayed=17", "replaced whole");
     }
 }

@@ -219,13 +219,6 @@ impl Tuple {
         t.kind = TupleKind::Tentative;
         t
     }
-
-    /// Returns a copy relabelled stable.
-    pub fn as_stable(&self) -> Tuple {
-        let mut t = self.clone();
-        t.kind = TupleKind::Insertion;
-        t
-    }
 }
 
 impl fmt::Display for Tuple {
@@ -289,8 +282,7 @@ mod tests {
         assert_eq!(tt.kind, TupleKind::Tentative);
         assert_eq!(tt.values, t.values);
         assert_eq!(tt.id, t.id);
-        let back = tt.as_stable();
-        assert_eq!(back, t);
+        assert_eq!(tt.stime, t.stime);
     }
 
     #[test]
@@ -298,7 +290,6 @@ mod tests {
         let t = Tuple::insertion(TupleId(4), Time::from_millis(10), vec![Value::str("k")]);
         assert!(Arc::ptr_eq(&t.values, &t.clone().values));
         assert!(Arc::ptr_eq(&t.values, &t.as_tentative().values));
-        assert!(Arc::ptr_eq(&t.values, &t.as_tentative().as_stable().values));
         // Attribute-free kinds share one process-wide empty payload.
         let b = Tuple::boundary(TupleId::NONE, Time::ZERO);
         let r = Tuple::rec_done(TupleId::NONE, Time::ZERO);

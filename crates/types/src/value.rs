@@ -49,14 +49,6 @@ impl Value {
         }
     }
 
-    /// Interprets the value as a boolean if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Interprets the value as a string if it is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -212,7 +204,7 @@ mod tests {
         assert_eq!(Value::Int(3).as_int(), Some(3));
         assert_eq!(Value::Int(3).as_f64(), Some(3.0));
         assert_eq!(Value::Float(2.5).as_f64(), Some(2.5));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
+        assert_eq!(Value::Bool(true).as_int(), None);
         assert_eq!(Value::str("x").as_str(), Some("x"));
         assert_eq!(Value::str("x").as_int(), None);
     }

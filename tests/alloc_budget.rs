@@ -9,6 +9,7 @@
 //! renumbering and SOutput's pass-through must not copy them.
 
 use borealis::diagram::FragmentPlan;
+use borealis::dpc::ActorSpec;
 use borealis::engine::{Batch, Fragment};
 use borealis::prelude::*;
 use borealis_workloads::{sharded_chain_builder, ShardedChainOptions};
@@ -99,10 +100,12 @@ fn steady_state_crossing_allocates_only_computed_payloads() {
     let layout = sharded_chain_builder(&ShardedChainOptions::default())
         .0
         .layout();
-    for (name, plan, per_tuple_budget) in [
-        ("ingest", layout.shard_plan(0, 0), 0),
-        ("work", layout.shard_plan(1, 0), 1),
-    ] {
+    // The plan every replica of shard 0 of logical fragment `frag` runs.
+    let plan_of = |frag| match &layout.actors[layout.shard_replicas(frag, 0)[0].index()] {
+        ActorSpec::Node(cfg) => &cfg.plan,
+        _ => unreachable!("fragment replicas are node actors"),
+    };
+    for (name, plan, per_tuple_budget) in [("ingest", plan_of(0), 0), ("work", plan_of(1), 1)] {
         let (small, small_out) = allocs_per_step(plan, 300);
         let (large, large_out) = allocs_per_step(plan, 600);
         assert_eq!(small_out, 300 * plan.inputs.len() as u64);

@@ -28,11 +28,9 @@
 //! [`WireError`](borealis_types::WireError); it never panics on foreign
 //! bytes.
 
-use crate::msg::{NetMsg, NodeState};
-use borealis_types::wire::{
-    begin_frame, end_frame, put_u32, put_u64, put_u8, put_view, split_frame, Reader,
-};
-use borealis_types::{NodeId, StreamId, TupleId, WireError};
+use crate::msg::NetMsg;
+use borealis_types::wire::{begin_frame, end_frame, split_frame, Reader, Wire};
+use borealis_types::{NodeId, WireError};
 
 /// Frame kind bytes (the `NetMsg` range).
 mod kind {
@@ -79,141 +77,88 @@ pub enum WireMsg {
     Goodbye,
 }
 
-fn state_tag(s: NodeState) -> u8 {
-    match s {
-        NodeState::Stable => 0,
-        NodeState::UpFailure => 1,
-        NodeState::Stabilization => 2,
-        NodeState::Failed => 3,
+impl WireMsg {
+    fn kind(&self) -> u8 {
+        match self {
+            WireMsg::Net(NetMsg::Data { .. }) => kind::DATA,
+            WireMsg::Net(NetMsg::Subscribe { .. }) => kind::SUBSCRIBE,
+            WireMsg::Net(NetMsg::Unsubscribe { .. }) => kind::UNSUBSCRIBE,
+            WireMsg::Net(NetMsg::Ack { .. }) => kind::ACK,
+            WireMsg::Net(NetMsg::HeartbeatReq) => kind::HEARTBEAT_REQ,
+            WireMsg::Net(NetMsg::HeartbeatResp { .. }) => kind::HEARTBEAT_RESP,
+            WireMsg::Net(NetMsg::ReconcileRequest) => kind::RECONCILE_REQUEST,
+            WireMsg::Net(NetMsg::ReconcileGrant) => kind::RECONCILE_GRANT,
+            WireMsg::Net(NetMsg::ReconcileReject) => kind::RECONCILE_REJECT,
+            WireMsg::Net(NetMsg::ReconcileDone) => kind::RECONCILE_DONE,
+            WireMsg::CreditGrant => kind::CREDIT_GRANT,
+            WireMsg::Hello { .. } => kind::HELLO,
+            WireMsg::StallReport { .. } => kind::STALL_REPORT,
+            WireMsg::Goodbye => kind::GOODBYE,
+        }
     }
-}
 
-fn state_from(tag: u8) -> Result<NodeState, WireError> {
-    match tag {
-        0 => Ok(NodeState::Stable),
-        1 => Ok(NodeState::UpFailure),
-        2 => Ok(NodeState::Stabilization),
-        3 => Ok(NodeState::Failed),
-        tag => Err(WireError::BadTag {
-            what: "node state",
-            tag,
-        }),
+    /// The payload: the variant's fields in declaration order, each in its
+    /// own [`Wire`] format (`decode_payload` reads them back the same way).
+    fn put_payload(&self, buf: &mut Vec<u8>) {
+        match self {
+            // `tuples` is encoded straight from the selection view into the
+            // write buffer: a sharded receiver's run list is walked in
+            // place, no intermediate batch is materialized on the send path.
+            WireMsg::Net(NetMsg::Data { stream, tuples }) => {
+                stream.put(buf);
+                tuples.put(buf);
+            }
+            WireMsg::Net(NetMsg::Subscribe {
+                stream,
+                last_stable,
+                saw_tentative,
+                fresh_only,
+            }) => {
+                stream.put(buf);
+                last_stable.put(buf);
+                buf.push((*saw_tentative as u8) | ((*fresh_only as u8) << 1));
+            }
+            WireMsg::Net(NetMsg::Unsubscribe { stream }) => stream.put(buf),
+            WireMsg::Net(NetMsg::Ack { stream, through }) => {
+                stream.put(buf);
+                through.put(buf);
+            }
+            WireMsg::Net(NetMsg::HeartbeatResp {
+                node_state,
+                stream_states,
+            }) => {
+                node_state.put(buf);
+                stream_states.put(buf);
+            }
+            WireMsg::Hello { proc } => proc.put(buf),
+            WireMsg::StallReport { micros } => micros.put(buf),
+            _ => {}
+        }
     }
 }
 
 /// Encodes one frame onto `buf` (the per-connection reusable write
 /// buffer) and returns the number of bytes appended.
 pub fn encode_frame(buf: &mut Vec<u8>, from: NodeId, to: NodeId, msg: &WireMsg) -> usize {
-    let start = buf.len();
-    match msg {
-        WireMsg::Net(net) => encode_net(buf, from, to, net),
-        WireMsg::CreditGrant => {
-            let mark = begin_frame(buf, from, to, kind::CREDIT_GRANT);
-            end_frame(buf, mark);
-        }
-        WireMsg::Hello { proc } => {
-            let mark = begin_frame(buf, from, to, kind::HELLO);
-            put_u32(buf, *proc);
-            end_frame(buf, mark);
-        }
-        WireMsg::StallReport { micros } => {
-            let mark = begin_frame(buf, from, to, kind::STALL_REPORT);
-            put_u64(buf, *micros);
-            end_frame(buf, mark);
-        }
-        WireMsg::Goodbye => {
-            let mark = begin_frame(buf, from, to, kind::GOODBYE);
-            end_frame(buf, mark);
-        }
-    }
-    buf.len() - start
-}
-
-fn encode_net(buf: &mut Vec<u8>, from: NodeId, to: NodeId, msg: &NetMsg) {
-    match msg {
-        NetMsg::Data { stream, tuples } => {
-            // Encoded straight from the selection view into the write
-            // buffer: a sharded receiver's run list is walked in place, no
-            // intermediate batch is materialized on the send path.
-            let mark = begin_frame(buf, from, to, kind::DATA);
-            put_u32(buf, stream.0);
-            put_view(buf, tuples);
-            end_frame(buf, mark);
-        }
-        NetMsg::Subscribe {
-            stream,
-            last_stable,
-            saw_tentative,
-            fresh_only,
-        } => {
-            let mark = begin_frame(buf, from, to, kind::SUBSCRIBE);
-            put_u32(buf, stream.0);
-            put_u64(buf, last_stable.0);
-            put_u8(buf, (*saw_tentative as u8) | ((*fresh_only as u8) << 1));
-            end_frame(buf, mark);
-        }
-        NetMsg::Unsubscribe { stream } => {
-            let mark = begin_frame(buf, from, to, kind::UNSUBSCRIBE);
-            put_u32(buf, stream.0);
-            end_frame(buf, mark);
-        }
-        NetMsg::Ack { stream, through } => {
-            let mark = begin_frame(buf, from, to, kind::ACK);
-            put_u32(buf, stream.0);
-            put_u64(buf, through.0);
-            end_frame(buf, mark);
-        }
-        NetMsg::HeartbeatReq => {
-            let mark = begin_frame(buf, from, to, kind::HEARTBEAT_REQ);
-            end_frame(buf, mark);
-        }
-        NetMsg::HeartbeatResp {
-            node_state,
-            stream_states,
-        } => {
-            let mark = begin_frame(buf, from, to, kind::HEARTBEAT_RESP);
-            put_u8(buf, state_tag(*node_state));
-            put_u32(buf, stream_states.len() as u32);
-            for (stream, state) in stream_states {
-                put_u32(buf, stream.0);
-                put_u8(buf, state_tag(*state));
-            }
-            end_frame(buf, mark);
-        }
-        NetMsg::ReconcileRequest => {
-            let mark = begin_frame(buf, from, to, kind::RECONCILE_REQUEST);
-            end_frame(buf, mark);
-        }
-        NetMsg::ReconcileGrant => {
-            let mark = begin_frame(buf, from, to, kind::RECONCILE_GRANT);
-            end_frame(buf, mark);
-        }
-        NetMsg::ReconcileReject => {
-            let mark = begin_frame(buf, from, to, kind::RECONCILE_REJECT);
-            end_frame(buf, mark);
-        }
-        NetMsg::ReconcileDone => {
-            let mark = begin_frame(buf, from, to, kind::RECONCILE_DONE);
-            end_frame(buf, mark);
-        }
-    }
+    let mark = begin_frame(buf, from, to, msg.kind());
+    msg.put_payload(buf);
+    end_frame(buf, mark);
+    buf.len() - mark
 }
 
 /// Decodes a frame payload given its header `kind` byte.
 pub fn decode_payload(kind_byte: u8, payload: &[u8]) -> Result<WireMsg, WireError> {
-    let mut r = Reader::new(payload);
+    let mut reader = Reader::new(payload);
+    let r = &mut reader;
     let msg = match kind_byte {
-        kind::DATA => {
-            let stream = StreamId(r.u32()?);
-            // The receiver sees one contiguous batch regardless of how
-            // fragmented the sender's selection was.
-            let tuples = r.batch()?.into();
-            WireMsg::Net(NetMsg::Data { stream, tuples })
-        }
+        // The receiver sees one contiguous batch regardless of how
+        // fragmented the sender's selection was.
+        kind::DATA => WireMsg::Net(NetMsg::Data {
+            stream: Wire::get(r)?,
+            tuples: Wire::get(r)?,
+        }),
         kind::SUBSCRIBE => {
-            let stream = StreamId(r.u32()?);
-            let last_stable = TupleId(r.u64()?);
-            let flags = r.u8()?;
+            let (stream, last_stable, flags) = <(_, _, u8)>::get(r)?;
             if flags & !0b11 != 0 {
                 return Err(WireError::BadTag {
                     what: "subscribe flags",
@@ -228,37 +173,28 @@ pub fn decode_payload(kind_byte: u8, payload: &[u8]) -> Result<WireMsg, WireErro
             })
         }
         kind::UNSUBSCRIBE => WireMsg::Net(NetMsg::Unsubscribe {
-            stream: StreamId(r.u32()?),
+            stream: Wire::get(r)?,
         }),
         kind::ACK => WireMsg::Net(NetMsg::Ack {
-            stream: StreamId(r.u32()?),
-            through: TupleId(r.u64()?),
+            stream: Wire::get(r)?,
+            through: Wire::get(r)?,
         }),
         kind::HEARTBEAT_REQ => WireMsg::Net(NetMsg::HeartbeatReq),
-        kind::HEARTBEAT_RESP => {
-            let node_state = state_from(r.u8()?)?;
-            let count = r.u32()? as usize;
-            if count > r.remaining() / 5 + 1 {
-                return Err(WireError::Truncated);
-            }
-            let mut stream_states = Vec::with_capacity(count);
-            for _ in 0..count {
-                let stream = StreamId(r.u32()?);
-                let state = state_from(r.u8()?)?;
-                stream_states.push((stream, state));
-            }
-            WireMsg::Net(NetMsg::HeartbeatResp {
-                node_state,
-                stream_states,
-            })
-        }
+        kind::HEARTBEAT_RESP => WireMsg::Net(NetMsg::HeartbeatResp {
+            node_state: Wire::get(r)?,
+            stream_states: Wire::get(r)?,
+        }),
         kind::RECONCILE_REQUEST => WireMsg::Net(NetMsg::ReconcileRequest),
         kind::RECONCILE_GRANT => WireMsg::Net(NetMsg::ReconcileGrant),
         kind::RECONCILE_REJECT => WireMsg::Net(NetMsg::ReconcileReject),
         kind::RECONCILE_DONE => WireMsg::Net(NetMsg::ReconcileDone),
         kind::CREDIT_GRANT => WireMsg::CreditGrant,
-        kind::HELLO => WireMsg::Hello { proc: r.u32()? },
-        kind::STALL_REPORT => WireMsg::StallReport { micros: r.u64()? },
+        kind::HELLO => WireMsg::Hello {
+            proc: Wire::get(r)?,
+        },
+        kind::STALL_REPORT => WireMsg::StallReport {
+            micros: Wire::get(r)?,
+        },
         kind::GOODBYE => WireMsg::Goodbye,
         tag => {
             return Err(WireError::BadTag {
@@ -267,7 +203,7 @@ pub fn decode_payload(kind_byte: u8, payload: &[u8]) -> Result<WireMsg, WireErro
             })
         }
     };
-    r.finish()?;
+    reader.finish()?;
     Ok(msg)
 }
 
@@ -290,7 +226,8 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Option<(NodeId, NodeId, WireMsg, usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borealis_types::{Time, Tuple, TupleBatch, Value};
+    use crate::msg::NodeState;
+    use borealis_types::{StreamId, Time, Tuple, TupleBatch, TupleId, Value};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_value(rng: &mut StdRng) -> Value {

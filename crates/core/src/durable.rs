@@ -22,8 +22,8 @@
 use borealis_engine::encode_durable_capture;
 use borealis_ops::{OpSnapshot, SnapshotCodec};
 use borealis_store::{LogWriter, NodeStore, StoreError};
-use borealis_types::wire::{self, Reader};
-use borealis_types::{BatchView, Duration, StreamId, TupleBatch, TupleId};
+use borealis_types::wire::{Reader, Wire};
+use borealis_types::{wire_struct, BatchView, Duration, StreamId, TupleBatch, TupleId};
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::thread;
@@ -60,11 +60,22 @@ impl DurabilityConfig {
     }
 }
 
+/// Leads every checkpoint object, so a layout change can be told apart
+/// before anything behind it is decoded.
 const SNAPSHOT_VERSION: u32 = 1;
 
-/// Parsed snapshot header: (snapshot id, covered log seq, per-stream
-/// `(stream, last stable, saw tentative)` positions).
-type SnapshotHeader = (u64, u64, Vec<(StreamId, TupleId, bool)>);
+wire_struct! {
+    /// What follows the version in a checkpoint object, ahead of the
+    /// operator states. Both durable formats — this and the input-log
+    /// record, `(stream, batch)` — store a stream id widened to 64 bits.
+    struct SnapshotHeader {
+        snapshot_id: u64,
+        /// The log prefix the snapshot covers.
+        covered_seq: u64,
+        /// Per input stream: `(stream, last stable, saw tentative)`.
+        positions: Vec<(u64, TupleId, bool)>,
+    }
+}
 
 /// Everything a restarting node recovers from its store.
 pub struct RecoveredImage {
@@ -82,13 +93,10 @@ pub struct RecoveredImage {
     pub fell_back: bool,
 }
 
-/// One durable checkpoint handed to the flusher: the header is already
-/// encoded; the operator states are still shared `Arc`s (serialized off
-/// the hot path).
+/// One durable checkpoint handed to the flusher: the operator states are
+/// still shared `Arc`s (serialized off the hot path).
 struct FlushJob {
-    snapshot_id: u64,
-    covered_seq: u64,
-    header: Vec<u8>,
+    header: SnapshotHeader,
     parts: Vec<(SnapshotCodec, OpSnapshot)>,
 }
 
@@ -107,12 +115,14 @@ pub struct NodeDisk {
 }
 
 fn publish_job(store: &NodeStore, job: FlushJob) {
-    let mut payload = job.header;
+    let mut payload = Vec::new();
+    SNAPSHOT_VERSION.put(&mut payload);
+    job.header.put(&mut payload);
     encode_durable_capture(&job.parts, &mut payload);
     // A full disk must not take the stream down: durability degrades, the
     // DPC replica protocol still covers the node.
-    if store.publish(job.snapshot_id, &payload).is_ok() {
-        let _ = store.prune_log(job.covered_seq);
+    if store.publish(job.header.snapshot_id, &payload).is_ok() {
+        let _ = store.prune_log(job.header.covered_seq);
     }
 }
 
@@ -158,8 +168,8 @@ impl NodeDisk {
     /// recovery still decodes contiguous batches).
     pub fn append_input(&mut self, stream: StreamId, tuples: &BatchView) {
         let mut buf = Vec::with_capacity(16 + tuples.len() * 24);
-        wire::put_u64(&mut buf, stream.0 as u64);
-        wire::put_view(&mut buf, tuples);
+        (stream.0 as u64).put(&mut buf);
+        tuples.put(&mut buf);
         let _ = self.log.append(&buf);
     }
 
@@ -177,22 +187,15 @@ impl NodeDisk {
         let _ = self.log.sync();
         let snapshot_id = self.next_snapshot_id;
         self.next_snapshot_id += 1;
-        let mut header = Vec::new();
-        wire::put_u32(&mut header, SNAPSHOT_VERSION);
-        wire::put_u64(&mut header, snapshot_id);
-        wire::put_u64(&mut header, covered_seq);
-        wire::put_u32(&mut header, positions.len() as u32);
-        for &(stream, last_stable, saw_tentative) in positions {
-            wire::put_u64(&mut header, stream.0 as u64);
-            wire::put_u64(&mut header, last_stable.0);
-            wire::put_u8(&mut header, saw_tentative as u8);
-        }
-        let job = FlushJob {
+        let widened = |&(stream, last_stable, saw_tentative): &(StreamId, TupleId, bool)| {
+            (stream.0 as u64, last_stable, saw_tentative)
+        };
+        let header = SnapshotHeader {
             snapshot_id,
             covered_seq,
-            header,
-            parts,
+            positions: positions.iter().map(widened).collect(),
         };
+        let job = FlushJob { header, parts };
         match self.flusher.as_ref().and_then(|f| f.tx.as_ref()) {
             Some(tx) => {
                 let _ = tx.send(job);
@@ -212,41 +215,30 @@ impl NodeDisk {
         };
         let fell_back = loaded.fell_back.is_some();
         let mut r = Reader::new(&loaded.payload);
-        let parse = |r: &mut Reader<'_>| -> Result<SnapshotHeader, StoreError> {
-            let version = r.u32()?;
-            if version != SNAPSHOT_VERSION {
-                return Err(StoreError::Corrupt {
-                    what: "snapshot version",
-                    detail: format!("unsupported version {version}"),
-                });
-            }
-            let snapshot_id = r.u64()?;
-            let covered_seq = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut positions = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let stream = StreamId(r.u64()? as u32);
-                let last_stable = TupleId(r.u64()?);
-                let saw_tentative = r.u8()? != 0;
-                positions.push((stream, last_stable, saw_tentative));
-            }
-            Ok((snapshot_id, covered_seq, positions))
-        };
-        let (snapshot_id, covered_seq, positions) = parse(&mut r)?;
+        let version = u32::get(&mut r)?;
+        if version != SNAPSHOT_VERSION {
+            return Err(StoreError::Corrupt {
+                what: "snapshot version",
+                detail: format!("unsupported version {version}"),
+            });
+        }
+        let header = SnapshotHeader::get(&mut r)?;
         let ops_bytes = r.bytes(r.remaining())?.to_vec();
 
-        let (records, _torn_tail) = self.store.read_log(covered_seq)?;
+        let (records, _torn_tail) = self.store.read_log(header.covered_seq)?;
         let mut replay = Vec::with_capacity(records.len());
         for (_seq, body) in records {
-            let mut rr = Reader::new(&body);
-            let stream = StreamId(rr.u64()? as u32);
-            let batch = rr.batch()?;
-            rr.finish()?;
-            replay.push((stream, batch));
+            let mut r = Reader::new(&body);
+            let (stream, batch) = <(u64, TupleBatch)>::get(&mut r)?;
+            r.finish()?;
+            replay.push((StreamId(stream as u32), batch));
         }
+        let narrowed = |(stream, last_stable, saw_tentative)| {
+            (StreamId(stream as u32), last_stable, saw_tentative)
+        };
         Ok(Some(RecoveredImage {
-            snapshot_id,
-            positions,
+            snapshot_id: header.snapshot_id,
+            positions: header.positions.into_iter().map(narrowed).collect(),
             ops_bytes,
             replay,
             fell_back,

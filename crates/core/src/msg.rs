@@ -23,6 +23,13 @@ pub enum NodeState {
     Failed,
 }
 
+borealis_types::wire_enum!(NodeState, "node state", {
+    Stable = 0,
+    UpFailure = 1,
+    Stabilization = 2,
+    Failed = 3,
+});
+
 /// A message between two participants of the deployed system.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetMsg {

@@ -104,6 +104,17 @@ impl SourceConfig {
 const TIMER_GEN: u64 = 1;
 const TIMER_BOUNDARY: u64 = 2;
 
+/// Where a periodic timer is armed: the first multiple of `period` after
+/// `now`. Boundaries close buckets `[kB, (k+1)B)`, so ticks on that grid
+/// release a bucket the instant it ends; ticks in whatever phase the actor
+/// happened to start (or a late tick re-armed at `now + period`) make every
+/// bucket wait out that phase on a wall-clock runtime. Under the simulator
+/// `now` is already on the grid and this is `now + period`.
+fn next_tick(now: Time, period: Duration) -> Time {
+    let period = period.as_micros().max(1);
+    Time((now.as_micros() / period + 1) * period)
+}
+
 /// The data-source actor.
 pub struct DataSource {
     cfg: SourceConfig,
@@ -186,9 +197,10 @@ impl DataSource {
 impl DpcActor<NetMsg> for DataSource {
     /// Startup: arm the generation and boundary timers.
     fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
-        ctx.set_timer(ctx.now() + self.cfg.batch_period, TIMER_GEN);
+        ctx.set_timer(next_tick(ctx.now(), self.cfg.batch_period), TIMER_GEN);
         if self.cfg.boundary_interval > Duration::ZERO {
-            ctx.set_timer(ctx.now() + self.cfg.boundary_interval, TIMER_BOUNDARY);
+            let at = next_tick(ctx.now(), self.cfg.boundary_interval);
+            ctx.set_timer(at, TIMER_BOUNDARY);
         }
     }
 
@@ -217,14 +229,15 @@ impl DpcActor<NetMsg> for DataSource {
         match kind {
             TIMER_GEN => {
                 self.emit(ctx, false);
-                ctx.set_timer(ctx.now() + self.cfg.batch_period, TIMER_GEN);
+                ctx.set_timer(next_tick(ctx.now(), self.cfg.batch_period), TIMER_GEN);
             }
             TIMER_BOUNDARY => {
                 if !self.boundaries_muted {
                     // Data with stime <= now must precede the boundary.
                     self.emit(ctx, true);
                 }
-                ctx.set_timer(ctx.now() + self.cfg.boundary_interval, TIMER_BOUNDARY);
+                let at = next_tick(ctx.now(), self.cfg.boundary_interval);
+                ctx.set_timer(at, TIMER_BOUNDARY);
             }
             _ => {}
         }
@@ -245,5 +258,37 @@ impl DpcActor<NetMsg> for DataSource {
                 self.out.on_fault(ctx, fault, now);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::fake::FakeCtx;
+
+    /// Both periodic timers sit on the grid of their period whatever phase
+    /// the actor starts in, and a tick that fires late does not drag the
+    /// chain off it.
+    #[test]
+    fn timers_are_armed_on_the_period_grid() {
+        let mut source = DataSource::new(SourceConfig::seq(StreamId(1), 100.0));
+        let mut ctx = FakeCtx {
+            now: Time::from_millis(37),
+            ..FakeCtx::default()
+        };
+        source.on_start(&mut ctx);
+        assert_eq!(
+            ctx.timers,
+            vec![
+                (Time::from_millis(40), TIMER_GEN),
+                (Time::from_millis(100), TIMER_BOUNDARY)
+            ]
+        );
+        ctx.now = Time(203_700);
+        source.on_timer(&mut ctx, TIMER_BOUNDARY);
+        assert_eq!(
+            ctx.timers.last(),
+            Some(&(Time::from_millis(300), TIMER_BOUNDARY))
+        );
     }
 }

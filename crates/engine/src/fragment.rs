@@ -548,13 +548,10 @@ impl Fragment {
         // Decode everything before mutating any operator: a torn payload
         // must not leave the fragment half-restored.
         let mut snaps = Vec::with_capacity(n);
-        for i in 0..n {
-            let len = r.u32()? as usize;
-            let op_bytes = r.bytes(len)?;
-            let mut or = Reader::new(op_bytes);
-            let snap = (self.ops[i].snapshot_codec().decode)(&mut or)?;
-            or.finish()?;
-            snaps.push(snap);
+        for op in &self.ops {
+            let mut record = r.nested()?;
+            snaps.push((op.snapshot_codec().decode)(&mut record)?);
+            record.finish()?;
         }
         r.finish()?;
         for (i, snap) in snaps.iter().enumerate() {
@@ -596,10 +593,6 @@ impl Fragment {
 pub fn encode_durable_capture(parts: &[(SnapshotCodec, OpSnapshot)], buf: &mut Vec<u8>) {
     wire::put_u32(buf, parts.len() as u32);
     for (codec, snap) in parts {
-        let mark = buf.len();
-        wire::put_u32(buf, 0); // patched with the record length below
-        (codec.encode)(snap, buf);
-        let len = (buf.len() - mark - 4) as u32;
-        buf[mark..mark + 4].copy_from_slice(&len.to_le_bytes());
+        wire::put_len_prefixed(buf, |buf| (codec.encode)(snap, buf));
     }
 }

@@ -17,11 +17,9 @@
 //!   sound because SUnion emits tuples in stime order; the results are
 //!   labelled tentative and corrected during reconciliation.
 
-use crate::snapshot::{
-    put_bool, put_f64, put_opt_u64, read_bool, read_f64, read_opt_u64, SnapshotCodec,
-};
+use crate::snapshot::SnapshotCodec;
 use crate::{BatchEmitter, OpSnapshot, Operator};
-use borealis_types::wire::{self, Reader, WireError};
+use borealis_types::{wire_enum, wire_struct};
 use borealis_types::{Duration, Expr, Time, Tuple, TupleBatch, TupleId, TupleKind, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -168,23 +166,36 @@ impl Accum {
     }
 }
 
-#[derive(Debug, Clone)]
-struct WindowState {
-    accums: Vec<Accum>,
-    saw_tentative: bool,
+wire_enum!(Accum, "accum", {
+    Count(n) = 0,
+    SumInt(sum) = 1,
+    SumFloat(sum) = 2,
+    Avg { sum, count } = 3,
+    Min(least) = 4,
+    Max(greatest) = 5,
+});
+
+wire_struct! {
+    #[derive(Debug, Clone)]
+    struct WindowState {
+        accums: Vec<Accum>,
+        saw_tentative: bool,
+    }
 }
 
 /// Key ordering `(window_start_micros, group_values)` makes stable emission
 /// order deterministic across replicas.
 type WindowKey = (u64, Vec<Value>);
 
-#[derive(Clone)]
-struct AggState {
-    windows: BTreeMap<WindowKey, WindowState>,
-    /// Highest boundary stime seen (stable close frontier).
-    stable_wm: Option<Time>,
-    /// Output id generator.
-    next_id: u64,
+wire_struct! {
+    #[derive(Clone)]
+    struct AggState {
+        windows: BTreeMap<WindowKey, WindowState>,
+        /// Highest boundary stime seen (stable close frontier).
+        stable_wm: Option<Time>,
+        /// Output id generator.
+        next_id: u64,
+    }
 }
 
 /// The windowed, grouped aggregate operator.
@@ -343,120 +354,7 @@ impl Operator for Aggregate {
     }
 
     fn snapshot_codec(&self) -> SnapshotCodec {
-        fn put_accum(buf: &mut Vec<u8>, a: &Accum) {
-            match a {
-                Accum::Count(n) => {
-                    wire::put_u8(buf, 0);
-                    wire::put_u64(buf, *n);
-                }
-                Accum::SumInt(v) => {
-                    wire::put_u8(buf, 1);
-                    wire::put_u64(buf, *v as u64);
-                }
-                Accum::SumFloat(v) => {
-                    wire::put_u8(buf, 2);
-                    put_f64(buf, *v);
-                }
-                Accum::Avg { sum, count } => {
-                    wire::put_u8(buf, 3);
-                    put_f64(buf, *sum);
-                    wire::put_u64(buf, *count);
-                }
-                Accum::Min(v) => {
-                    wire::put_u8(buf, 4);
-                    put_opt_value(buf, v);
-                }
-                Accum::Max(v) => {
-                    wire::put_u8(buf, 5);
-                    put_opt_value(buf, v);
-                }
-            }
-        }
-        fn put_opt_value(buf: &mut Vec<u8>, v: &Option<Value>) {
-            match v {
-                None => wire::put_u8(buf, 0),
-                Some(v) => {
-                    wire::put_u8(buf, 1);
-                    wire::put_value(buf, v);
-                }
-            }
-        }
-        fn read_opt_value(r: &mut Reader<'_>) -> Result<Option<Value>, WireError> {
-            match r.u8()? {
-                0 => Ok(None),
-                1 => Ok(Some(r.value()?)),
-                tag => Err(WireError::BadTag {
-                    what: "option",
-                    tag,
-                }),
-            }
-        }
-        fn read_accum(r: &mut Reader<'_>) -> Result<Accum, WireError> {
-            Ok(match r.u8()? {
-                0 => Accum::Count(r.u64()?),
-                1 => Accum::SumInt(r.u64()? as i64),
-                2 => Accum::SumFloat(read_f64(r)?),
-                3 => Accum::Avg {
-                    sum: read_f64(r)?,
-                    count: r.u64()?,
-                },
-                4 => Accum::Min(read_opt_value(r)?),
-                5 => Accum::Max(read_opt_value(r)?),
-                tag => return Err(WireError::BadTag { what: "accum", tag }),
-            })
-        }
-        SnapshotCodec {
-            encode: |snap, buf| {
-                let st = snap.get::<AggState>();
-                wire::put_u32(buf, st.windows.len() as u32);
-                for ((start, group), win) in &st.windows {
-                    wire::put_u64(buf, *start);
-                    wire::put_u32(buf, group.len() as u32);
-                    for v in group {
-                        wire::put_value(buf, v);
-                    }
-                    wire::put_u32(buf, win.accums.len() as u32);
-                    for a in &win.accums {
-                        put_accum(buf, a);
-                    }
-                    put_bool(buf, win.saw_tentative);
-                }
-                put_opt_u64(buf, st.stable_wm.map(|t| t.0));
-                wire::put_u64(buf, st.next_id);
-            },
-            decode: |r| {
-                let n_windows = r.u32()? as usize;
-                let mut windows = BTreeMap::new();
-                for _ in 0..n_windows {
-                    let start = r.u64()?;
-                    let n_group = r.u32()? as usize;
-                    let mut group = Vec::with_capacity(n_group.min(1024));
-                    for _ in 0..n_group {
-                        group.push(r.value()?);
-                    }
-                    let n_accums = r.u32()? as usize;
-                    let mut accums = Vec::with_capacity(n_accums.min(1024));
-                    for _ in 0..n_accums {
-                        accums.push(read_accum(r)?);
-                    }
-                    let saw_tentative = read_bool(r)?;
-                    windows.insert(
-                        (start, group),
-                        WindowState {
-                            accums,
-                            saw_tentative,
-                        },
-                    );
-                }
-                let stable_wm = read_opt_u64(r)?.map(Time);
-                let next_id = r.u64()?;
-                Ok(OpSnapshot::new(AggState {
-                    windows,
-                    stable_wm,
-                    next_id,
-                }))
-            },
-        }
+        SnapshotCodec::of::<AggState>()
     }
 }
 

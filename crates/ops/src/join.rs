@@ -13,7 +13,7 @@
 
 use crate::snapshot::SnapshotCodec;
 use crate::{BatchEmitter, OpSnapshot, Operator};
-use borealis_types::wire::{self, Reader, WireError};
+use borealis_types::wire_struct;
 use borealis_types::{Duration, Expr, Time, Tuple, TupleBatch, TupleId, TupleKind, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -38,11 +38,13 @@ pub struct SJoinSpec {
     pub left_split: u16,
 }
 
-#[derive(Clone)]
-struct SJoinState {
-    left: VecDeque<(Value, Tuple)>,
-    right: VecDeque<(Value, Tuple)>,
-    next_id: u64,
+wire_struct! {
+    #[derive(Clone)]
+    struct SJoinState {
+        left: VecDeque<(Value, Tuple)>,
+        right: VecDeque<(Value, Tuple)>,
+        next_id: u64,
+    }
 }
 
 /// The serialized, windowed equi-join.
@@ -191,41 +193,7 @@ impl Operator for SJoin {
     }
 
     fn snapshot_codec(&self) -> SnapshotCodec {
-        fn put_side(buf: &mut Vec<u8>, side: &VecDeque<(Value, Tuple)>) {
-            wire::put_u32(buf, side.len() as u32);
-            for (key, t) in side {
-                wire::put_value(buf, key);
-                wire::put_tuple(buf, t);
-            }
-        }
-        fn read_side(r: &mut Reader<'_>) -> Result<VecDeque<(Value, Tuple)>, WireError> {
-            let n = r.u32()? as usize;
-            let mut side = VecDeque::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let key = r.value()?;
-                let t = r.tuple()?;
-                side.push_back((key, t));
-            }
-            Ok(side)
-        }
-        SnapshotCodec {
-            encode: |snap, buf| {
-                let st = snap.get::<SJoinState>();
-                put_side(buf, &st.left);
-                put_side(buf, &st.right);
-                wire::put_u64(buf, st.next_id);
-            },
-            decode: |r| {
-                let left = read_side(r)?;
-                let right = read_side(r)?;
-                let next_id = r.u64()?;
-                Ok(OpSnapshot::new(SJoinState {
-                    left,
-                    right,
-                    next_id,
-                }))
-            },
-        }
+        SnapshotCodec::of::<SJoinState>()
     }
 }
 

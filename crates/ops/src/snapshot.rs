@@ -30,7 +30,7 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use borealis_types::wire::{Reader, WireError};
+use borealis_types::wire::{Reader, Wire, WireError};
 
 /// A type-erased, immutable, cheaply clonable snapshot of one operator's
 /// state.
@@ -98,8 +98,11 @@ impl std::fmt::Debug for OpSnapshot {
 /// background flusher, which walks the shared state and serializes it off
 /// the critical path.
 ///
-/// Byte format is the little-endian `borealis_types::wire` vocabulary;
-/// corrupted input decodes to a typed [`WireError`], never a panic.
+/// An operator writes neither function: its state type implements
+/// [`Wire`] next to its definition and `snapshot_codec` returns
+/// [`SnapshotCodec::of`] that type, so the bytes are the
+/// `borealis_types::wire` vocabulary and corrupted input decodes to a
+/// typed [`WireError`], never a panic.
 #[derive(Clone, Copy)]
 pub struct SnapshotCodec {
     /// Serializes the snapshot's state into `buf`.
@@ -113,6 +116,16 @@ pub struct SnapshotCodec {
 }
 
 impl SnapshotCodec {
+    /// The codec of an operator whose checkpoint holds an `S`: encode is
+    /// `S::put` on the shared state, decode is `S::get` into a fresh
+    /// snapshot.
+    pub fn of<S: Wire + Any + Send + Sync>() -> SnapshotCodec {
+        SnapshotCodec {
+            encode: |snap, buf| snap.get::<S>().put(buf),
+            decode: |r| S::get(r).map(OpSnapshot::new),
+        }
+    }
+
     /// Codec for stateless operators (`Filter`, `Map`): writes nothing and
     /// restores the unit snapshot.
     pub fn unit() -> SnapshotCodec {
@@ -127,49 +140,6 @@ impl std::fmt::Debug for SnapshotCodec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("SnapshotCodec(..)")
     }
-}
-
-// Shared wire helpers for the per-operator codecs (sibling modules).
-
-pub(crate) fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(v as u8);
-}
-
-pub(crate) fn read_bool(r: &mut Reader<'_>) -> Result<bool, WireError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        tag => Err(WireError::BadTag { what: "bool", tag }),
-    }
-}
-
-pub(crate) fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => buf.push(0),
-        Some(x) => {
-            buf.push(1);
-            borealis_types::wire::put_u64(buf, x);
-        }
-    }
-}
-
-pub(crate) fn read_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, WireError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64()?)),
-        tag => Err(WireError::BadTag {
-            what: "option",
-            tag,
-        }),
-    }
-}
-
-pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    borealis_types::wire::put_u64(buf, v.to_bits());
-}
-
-pub(crate) fn read_f64(r: &mut Reader<'_>) -> Result<f64, WireError> {
-    Ok(f64::from_bits(r.u64()?))
 }
 
 #[cfg(test)]

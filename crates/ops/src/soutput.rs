@@ -17,24 +17,26 @@
 //! fragment-wide reconciliation ([`crate::Operator::restore_on_reconcile`]):
 //! its duplicate-suppression memory spans the rollback.
 
-use crate::snapshot::{put_bool, read_bool, SnapshotCodec};
+use crate::snapshot::SnapshotCodec;
 use crate::{BatchEmitter, OpSnapshot, Operator};
-use borealis_types::wire;
+use borealis_types::wire_struct;
 use borealis_types::{ControlSignal, Time, Tuple, TupleBatch, TupleId, TupleKind};
 use std::sync::Arc;
 
-/// Runtime memory of an SOutput.
-#[derive(Debug, Clone, Default)]
-struct SOutputState {
-    /// Id of the last stable data tuple forwarded downstream.
-    last_stable: TupleId,
-    /// True if tentative tuples were forwarded after the last stable one
-    /// (an UNDO will be required to stabilize the stream).
-    tentative_since_stable: bool,
-    /// True while deduplicating a reconciliation replay.
-    stabilizing: bool,
-    /// True once this stabilization's UNDO has been emitted.
-    undo_emitted: bool,
+wire_struct! {
+    /// Runtime memory of an SOutput.
+    #[derive(Debug, Clone, Default)]
+    struct SOutputState {
+        /// Id of the last stable data tuple forwarded downstream.
+        last_stable: TupleId,
+        /// True if tentative tuples were forwarded after the last stable one
+        /// (an UNDO will be required to stabilize the stream).
+        tentative_since_stable: bool,
+        /// True while deduplicating a reconciliation replay.
+        stabilizing: bool,
+        /// True once this stabilization's UNDO has been emitted.
+        undo_emitted: bool,
+    }
 }
 
 /// The output-stabilizing pass-through operator.
@@ -201,27 +203,7 @@ impl Operator for SOutput {
     // process restarted from disk replay its inputs without re-emitting
     // tuples downstream consumers already acked.
     fn snapshot_codec(&self) -> SnapshotCodec {
-        SnapshotCodec {
-            encode: |snap, buf| {
-                let st = snap.get::<SOutputState>();
-                wire::put_u64(buf, st.last_stable.0);
-                put_bool(buf, st.tentative_since_stable);
-                put_bool(buf, st.stabilizing);
-                put_bool(buf, st.undo_emitted);
-            },
-            decode: |r| {
-                let last_stable = TupleId(r.u64()?);
-                let tentative_since_stable = read_bool(r)?;
-                let stabilizing = read_bool(r)?;
-                let undo_emitted = read_bool(r)?;
-                Ok(OpSnapshot::new(SOutputState {
-                    last_stable,
-                    tentative_since_stable,
-                    stabilizing,
-                    undo_emitted,
-                }))
-            },
-        }
+        SnapshotCodec::of::<SOutputState>()
     }
 
     fn as_soutput_mut(&mut self) -> Option<&mut SOutput> {

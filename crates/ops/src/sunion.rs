@@ -50,9 +50,9 @@
 //! first post-checkpoint mutation clones containers-of-views (cheap), never
 //! tuples. See [`crate::snapshot`] for the contract.
 
-use crate::snapshot::{put_bool, put_opt_u64, read_bool, read_opt_u64, SnapshotCodec};
+use crate::snapshot::SnapshotCodec;
 use crate::{BatchEmitter, OpSnapshot, Operator};
-use borealis_types::wire::{self, Reader, WireError};
+use borealis_types::{wire_enum, wire_struct};
 use borealis_types::{ControlSignal, Duration, Time, Tuple, TupleBatch, TupleId, TupleKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -125,41 +125,48 @@ pub enum Phase {
     Healed,
 }
 
-/// One arrival-ordered run of buffered tuples: a shared view of the batch
-/// they arrived in, tagged with the input port it arrived on (the port tag
-/// lives here so ingestion never copies tuples to stamp `origin`).
-#[derive(Debug, Clone)]
-struct BucketSeg {
-    port: u16,
-    batch: TupleBatch,
+wire_enum!(Phase, "phase", { Stable = 0, Failure = 1, Healed = 2, });
+
+wire_struct! {
+    /// One arrival-ordered run of buffered tuples: a shared view of the
+    /// batch they arrived in, tagged with the input port it arrived on (the
+    /// port tag lives here so ingestion never copies tuples to stamp
+    /// `origin`).
+    #[derive(Debug, Clone)]
+    struct BucketSeg {
+        port: u16,
+        batch: TupleBatch,
+    }
 }
 
-#[derive(Debug, Clone)]
-struct Bucket {
-    /// Buffered tuples, as arrival-ordered shared segments.
-    segs: Vec<BucketSeg>,
-    /// Total buffered tuples (sum of segment lengths).
-    len: usize,
-    /// Earliest arrival time of any tuple in the bucket; deadlines are
-    /// measured from here ("within D time-units of their arrival", §2.3.1).
-    first_arrival: Time,
-    /// Tentative-release deadline, frozen under the delay policy in force
-    /// when the bucket was created. Freezing is what produces the paper's
-    /// §6.1 trade-off: a bucket still unexpired when reconciliation
-    /// replaces it is never emitted tentatively (the Delay savings), while
-    /// a long stabilization lets deadlines expire and the data flows
-    /// tentatively anyway (why delaying stops helping for long failures,
-    /// Fig. 18).
-    deadline: Time,
-    /// True while every appended tuple extended the canonical
-    /// `(stime, port, id)` order — the common no-failure case; emission
-    /// then skips the stabilization sort entirely.
-    sorted: bool,
-    /// Canonical key of the most recently appended tuple — while `sorted`,
-    /// an upper bound on every key in the bucket. Removals (UNDO) may leave
-    /// it above the remaining maximum; that only clears `sorted`
-    /// conservatively on a later append, never wrongly keeps it.
-    last_key: (Time, u16, TupleId),
+wire_struct! {
+    #[derive(Debug, Clone)]
+    struct Bucket {
+        /// Buffered tuples, as arrival-ordered shared segments.
+        segs: Vec<BucketSeg>,
+        /// Total buffered tuples (sum of segment lengths).
+        len: usize,
+        /// Earliest arrival time of any tuple in the bucket; deadlines are
+        /// measured from here ("within D time-units of their arrival", §2.3.1).
+        first_arrival: Time,
+        /// Tentative-release deadline, frozen under the delay policy in force
+        /// when the bucket was created. Freezing is what produces the paper's
+        /// §6.1 trade-off: a bucket still unexpired when reconciliation
+        /// replaces it is never emitted tentatively (the Delay savings), while
+        /// a long stabilization lets deadlines expire and the data flows
+        /// tentatively anyway (why delaying stops helping for long failures,
+        /// Fig. 18).
+        deadline: Time,
+        /// True while every appended tuple extended the canonical
+        /// `(stime, port, id)` order — the common no-failure case; emission
+        /// then skips the stabilization sort entirely.
+        sorted: bool,
+        /// Canonical key of the most recently appended tuple — while `sorted`,
+        /// an upper bound on every key in the bucket. Removals (UNDO) may leave
+        /// it above the remaining maximum; that only clears `sorted`
+        /// conservatively on a later append, never wrongly keeps it.
+        last_key: (Time, u16, TupleId),
+    }
 }
 
 impl Bucket {
@@ -198,23 +205,25 @@ impl Bucket {
 /// with the arrival message — recording costs a range, not a copy.
 pub type ReplayEntry = (Time, usize, TupleBatch);
 
-#[derive(Clone)]
-struct SUnionState {
-    buckets: BTreeMap<u64, Bucket>,
-    /// Latest boundary stime per port.
-    watermarks: Vec<Option<Time>>,
-    /// Highest bucket index emitted (stably or tentatively).
-    emitted_through: Option<u64>,
-    /// Stable-boundary frontier already announced downstream.
-    announced_wm: Option<Time>,
-    phase: Phase,
-    /// Ports that delivered tentative tuples not yet corrected by an
-    /// UNDO + REC_DONE sequence.
-    awaiting_correction: Vec<bool>,
-    /// REC_DONE merge tracking for mid-diagram SUnions.
-    rec_done_seen: Vec<bool>,
-    /// Output id generator.
-    next_id: u64,
+wire_struct! {
+    #[derive(Clone)]
+    struct SUnionState {
+        buckets: BTreeMap<u64, Bucket>,
+        /// Latest boundary stime per port.
+        watermarks: Vec<Option<Time>>,
+        /// Highest bucket index emitted (stably or tentatively).
+        emitted_through: Option<u64>,
+        /// Stable-boundary frontier already announced downstream.
+        announced_wm: Option<Time>,
+        phase: Phase,
+        /// Ports that delivered tentative tuples not yet corrected by an
+        /// UNDO + REC_DONE sequence.
+        awaiting_correction: Vec<bool>,
+        /// REC_DONE merge tracking for mid-diagram SUnions.
+        rec_done_seen: Vec<bool>,
+        /// Output id generator.
+        next_id: u64,
+    }
 }
 
 /// The serializing union. See the module docs for the full protocol role.
@@ -849,121 +858,7 @@ impl Operator for SUnion {
     // image: durable checkpoints are only taken while the fragment is
     // untainted, and recording starts strictly after the taint checkpoint.
     fn snapshot_codec(&self) -> SnapshotCodec {
-        fn put_bucket(buf: &mut Vec<u8>, idx: u64, b: &Bucket) {
-            wire::put_u64(buf, idx);
-            wire::put_u32(buf, b.segs.len() as u32);
-            for seg in &b.segs {
-                wire::put_u16(buf, seg.port);
-                wire::put_batch(buf, &seg.batch);
-            }
-            wire::put_u64(buf, b.len as u64);
-            wire::put_u64(buf, b.first_arrival.0);
-            wire::put_u64(buf, b.deadline.0);
-            put_bool(buf, b.sorted);
-            wire::put_u64(buf, b.last_key.0 .0);
-            wire::put_u16(buf, b.last_key.1);
-            wire::put_u64(buf, b.last_key.2 .0);
-        }
-        fn read_bucket(r: &mut Reader<'_>) -> Result<(u64, Bucket), WireError> {
-            let idx = r.u64()?;
-            let n_segs = r.u32()? as usize;
-            let mut segs = Vec::with_capacity(n_segs.min(1024));
-            for _ in 0..n_segs {
-                let port = r.u16()?;
-                let batch = r.batch()?;
-                segs.push(BucketSeg { port, batch });
-            }
-            let len = r.u64()? as usize;
-            let first_arrival = Time(r.u64()?);
-            let deadline = Time(r.u64()?);
-            let sorted = read_bool(r)?;
-            let last_key = (Time(r.u64()?), r.u16()?, TupleId(r.u64()?));
-            Ok((
-                idx,
-                Bucket {
-                    segs,
-                    len,
-                    first_arrival,
-                    deadline,
-                    sorted,
-                    last_key,
-                },
-            ))
-        }
-        fn put_bools(buf: &mut Vec<u8>, v: &[bool]) {
-            wire::put_u32(buf, v.len() as u32);
-            for &b in v {
-                put_bool(buf, b);
-            }
-        }
-        fn read_bools(r: &mut Reader<'_>) -> Result<Vec<bool>, WireError> {
-            let n = r.u32()? as usize;
-            let mut v = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                v.push(read_bool(r)?);
-            }
-            Ok(v)
-        }
-        SnapshotCodec {
-            encode: |snap, buf| {
-                let st = snap.get::<SUnionState>();
-                wire::put_u32(buf, st.buckets.len() as u32);
-                for (idx, b) in &st.buckets {
-                    put_bucket(buf, *idx, b);
-                }
-                wire::put_u32(buf, st.watermarks.len() as u32);
-                for wm in &st.watermarks {
-                    put_opt_u64(buf, wm.map(|t| t.0));
-                }
-                put_opt_u64(buf, st.emitted_through);
-                put_opt_u64(buf, st.announced_wm.map(|t| t.0));
-                wire::put_u8(
-                    buf,
-                    match st.phase {
-                        Phase::Stable => 0,
-                        Phase::Failure => 1,
-                        Phase::Healed => 2,
-                    },
-                );
-                put_bools(buf, &st.awaiting_correction);
-                put_bools(buf, &st.rec_done_seen);
-                wire::put_u64(buf, st.next_id);
-            },
-            decode: |r| {
-                let n_buckets = r.u32()? as usize;
-                let mut buckets = BTreeMap::new();
-                for _ in 0..n_buckets {
-                    let (idx, b) = read_bucket(r)?;
-                    buckets.insert(idx, b);
-                }
-                let n_wm = r.u32()? as usize;
-                let mut watermarks = Vec::with_capacity(n_wm.min(1024));
-                for _ in 0..n_wm {
-                    watermarks.push(read_opt_u64(r)?.map(Time));
-                }
-                let emitted_through = read_opt_u64(r)?;
-                let announced_wm = read_opt_u64(r)?.map(Time);
-                let phase = match r.u8()? {
-                    0 => Phase::Stable,
-                    1 => Phase::Failure,
-                    2 => Phase::Healed,
-                    tag => return Err(WireError::BadTag { what: "phase", tag }),
-                };
-                let awaiting_correction = read_bools(r)?;
-                let rec_done_seen = read_bools(r)?;
-                let next_id = r.u64()?;
-                Ok(OpSnapshot::new(SUnionState {
-                    buckets,
-                    watermarks,
-                    emitted_through,
-                    announced_wm,
-                    phase,
-                    awaiting_correction,
-                    rec_done_seen,
-                    next_id,
-                }))
-            },
-        }
+        SnapshotCodec::of::<SUnionState>()
     }
 }
 

@@ -6,9 +6,9 @@
 //! it cannot keep replicas consistent — and merges boundaries by emitting
 //! the minimum watermark across its inputs.
 
-use crate::snapshot::{put_opt_u64, read_opt_u64, SnapshotCodec};
+use crate::snapshot::SnapshotCodec;
 use crate::{BatchEmitter, OpSnapshot, Operator};
-use borealis_types::wire;
+use borealis_types::wire_struct;
 use borealis_types::{Time, Tuple, TupleBatch, TupleId, TupleKind};
 use std::sync::Arc;
 
@@ -20,15 +20,17 @@ pub struct Union {
     state: Arc<UnionState>,
 }
 
-#[derive(Clone)]
-struct UnionState {
-    /// Latest boundary stime per input port.
-    watermarks: Vec<Option<Time>>,
-    /// Last boundary stime emitted downstream.
-    emitted_wm: Option<Time>,
-    /// Output id generator (inputs from different streams may collide, so
-    /// Union renumbers).
-    next_id: u64,
+wire_struct! {
+    #[derive(Clone)]
+    struct UnionState {
+        /// Latest boundary stime per input port.
+        watermarks: Vec<Option<Time>>,
+        /// Last boundary stime emitted downstream.
+        emitted_wm: Option<Time>,
+        /// Output id generator (inputs from different streams may collide, so
+        /// Union renumbers).
+        next_id: u64,
+    }
 }
 
 impl Union {
@@ -113,31 +115,7 @@ impl Operator for Union {
     }
 
     fn snapshot_codec(&self) -> SnapshotCodec {
-        SnapshotCodec {
-            encode: |snap, buf| {
-                let st = snap.get::<UnionState>();
-                wire::put_u32(buf, st.watermarks.len() as u32);
-                for wm in &st.watermarks {
-                    put_opt_u64(buf, wm.map(|t| t.0));
-                }
-                put_opt_u64(buf, st.emitted_wm.map(|t| t.0));
-                wire::put_u64(buf, st.next_id);
-            },
-            decode: |r| {
-                let n = r.u32()? as usize;
-                let mut watermarks = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    watermarks.push(read_opt_u64(r)?.map(Time));
-                }
-                let emitted_wm = read_opt_u64(r)?.map(Time);
-                let next_id = r.u64()?;
-                Ok(OpSnapshot::new(UnionState {
-                    watermarks,
-                    emitted_wm,
-                    next_id,
-                }))
-            },
-        }
+        SnapshotCodec::of::<UnionState>()
     }
 }
 

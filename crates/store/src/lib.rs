@@ -27,7 +27,8 @@
 //!
 //! The input log is a sequence of fixed-header records
 //! `[len u32][fnv64 of body][body = seq u64 + payload]`; a torn tail is
-//! detected by length or checksum and the valid prefix survives. Whole
+//! detected by length or checksum, the valid prefix survives, and the tail
+//! is cut off when the log is next opened for writing. Whole
 //! segments are pruned once a published snapshot covers them
 //! (snapshot-id-scoped truncation), and a checkpoint object is unlinked
 //! once neither pointer names it: `objects/` holds at most the two
@@ -41,7 +42,8 @@ use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use borealis_types::wire::{self, Reader, WireError};
+use borealis_types::wire::{Reader, Wire, WireError};
+use borealis_types::wire_struct;
 
 /// Magic prefix of a `HEAD` pointer file.
 const HEAD_MAGIC: u32 = 0x4252_4844; // "BRHD"
@@ -101,16 +103,30 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A decoded `HEAD` pointer: which snapshot is current and which object
-/// holds it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeadPointer {
-    /// Monotonic snapshot id assigned by the publisher.
-    pub snapshot_id: u64,
-    /// Content address (FNV-1a 64) of the object file.
-    pub object: u64,
-    /// Payload length in bytes, double-checked against the object file.
-    pub len: u64,
+wire_struct! {
+    /// A decoded `HEAD` pointer: which snapshot is current and which object
+    /// holds it. The file is `HEAD_MAGIC:u32`, these fields, then the
+    /// FNV-1a 64 of everything before it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct HeadPointer {
+        /// Monotonic snapshot id assigned by the publisher.
+        pub snapshot_id: u64,
+        /// Content address (FNV-1a 64) of the object file.
+        pub object: u64,
+        /// Payload length in bytes, double-checked against the object file.
+        pub len: u64,
+    }
+}
+
+wire_struct! {
+    /// The fixed header of a log record; the body it describes
+    /// (`seq:u64`, then the payload) follows.
+    struct RecordHeader {
+        /// Bytes in the body.
+        len: u32,
+        /// FNV-1a 64 of the body.
+        check: u64,
+    }
 }
 
 /// A snapshot loaded back from disk.
@@ -177,13 +193,14 @@ impl NodeStore {
         if !obj.exists() {
             write_atomic(&obj, payload)?;
         }
+        let pointer = HeadPointer {
+            snapshot_id,
+            object: hash,
+            len: payload.len() as u64,
+        };
         let mut head = Vec::with_capacity(40);
-        wire::put_u32(&mut head, HEAD_MAGIC);
-        wire::put_u64(&mut head, snapshot_id);
-        wire::put_u64(&mut head, hash);
-        wire::put_u64(&mut head, payload.len() as u64);
-        let check = fnv64(&head);
-        wire::put_u64(&mut head, check);
+        (HEAD_MAGIC, pointer).put(&mut head);
+        fnv64(&head).put(&mut head);
         // Demote the current pointer first: if we crash between the two
         // renames, recovery finds no HEAD and falls back to HEAD.prev.
         let demoted = self.load_pointer(&self.head_path());
@@ -215,29 +232,21 @@ impl NodeStore {
             Err(e) => return Err(e.into()),
         };
         let mut r = Reader::new(&bytes);
-        let magic = r.u32()?;
+        let (magic, pointer, check) = <(u32, HeadPointer, u64)>::get(&mut r)?;
+        r.finish()?;
         if magic != HEAD_MAGIC {
             return Err(StoreError::Corrupt {
                 what: "HEAD pointer",
                 detail: format!("bad magic {magic:#x}"),
             });
         }
-        let snapshot_id = r.u64()?;
-        let object = r.u64()?;
-        let len = r.u64()?;
-        let check = r.u64()?;
-        r.finish()?;
-        if check != fnv64(&bytes[..bytes.len() - 8]) {
+        if check != fnv64(&bytes[..bytes.len() - u64::MIN_LEN]) {
             return Err(StoreError::Corrupt {
                 what: "HEAD pointer",
                 detail: "checksum mismatch".into(),
             });
         }
-        Ok(Some(HeadPointer {
-            snapshot_id,
-            object,
-            len,
-        }))
+        Ok(Some(pointer))
     }
 
     fn load_via(&self, ptr: HeadPointer) -> Result<Vec<u8>, StoreError> {
@@ -312,29 +321,17 @@ impl NodeStore {
     /// with the typed error that ended it.
     pub fn read_log(&self, after: u64) -> Result<(Vec<LogRecord>, Option<StoreError>), StoreError> {
         let mut out = Vec::new();
-        let mut tail_err = None;
         for seg in sorted_segments(&self.log_dir())? {
-            let bytes = fs::read(&seg)?;
-            let mut off = 0usize;
-            while off < bytes.len() {
-                match decode_record(&bytes[off..]) {
-                    Ok((seq, payload, used)) => {
-                        if seq > after {
-                            out.push((seq, payload.to_vec()));
-                        }
-                        off += used;
-                    }
-                    Err(e) => {
-                        tail_err = Some(e);
-                        break;
-                    }
+            let keep = |seq, payload: &[u8]| {
+                if seq > after {
+                    out.push((seq, payload.to_vec()));
                 }
-            }
-            if tail_err.is_some() {
-                break;
+            };
+            if let (_, Some(tail_err)) = scan_segment(&fs::read(&seg)?, keep) {
+                return Ok((out, Some(tail_err)));
             }
         }
-        Ok((out, tail_err))
+        Ok((out, None))
     }
 
     /// Deletes every log segment fully covered by `covered_seq` (all its
@@ -366,6 +363,8 @@ pub struct LogWriter {
     max_seg_bytes: u64,
     next_seq: u64,
     sync_each: bool,
+    /// The record being written, reused append to append.
+    rec: Vec<u8>,
 }
 
 impl LogWriter {
@@ -373,10 +372,28 @@ impl LogWriter {
     /// `sync_each` forces an fsync per append (tests / strict mode); the
     /// default is OS-buffered appends — a crash may lose the un-synced
     /// tail, which upstream replay then covers.
+    ///
+    /// A tail torn by that crash is cut here, before anything is appended:
+    /// the segment holding the first undecodable record is truncated to its
+    /// valid prefix and the segments behind it (which no reader can reach
+    /// across the hole) are removed, so the log on disk is always "valid
+    /// prefix + what was appended since" and a sequence number is never
+    /// handed out twice.
     pub fn open(store: &NodeStore, sync_each: bool) -> Result<LogWriter, StoreError> {
         let dir = store.log_dir();
-        let (records, _torn) = store.read_log(0)?;
-        let next_seq = records.last().map(|(s, _)| s + 1).unwrap_or(1);
+        let mut next_seq = 1;
+        let mut segments = sorted_segments(&dir)?.into_iter();
+        for seg in segments.by_ref() {
+            let bytes = fs::read(&seg)?;
+            let (valid, tail_err) = scan_segment(&bytes, |seq, _| next_seq = seq + 1);
+            if tail_err.is_some() {
+                truncate_file(&seg, valid as u64)?;
+                break;
+            }
+        }
+        for unreachable in segments {
+            fs::remove_file(unreachable)?;
+        }
         Ok(LogWriter {
             dir,
             file: None,
@@ -384,6 +401,7 @@ impl LogWriter {
             max_seg_bytes: DEFAULT_SEGMENT_BYTES,
             next_seq,
             sync_each,
+            rec: Vec::new(),
         })
     }
 
@@ -401,13 +419,22 @@ impl LogWriter {
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut body = Vec::with_capacity(8 + payload.len());
-        wire::put_u64(&mut body, seq);
-        body.extend_from_slice(payload);
-        let mut rec = Vec::with_capacity(12 + body.len());
-        wire::put_u32(&mut rec, body.len() as u32);
-        wire::put_u64(&mut rec, fnv64(&body));
-        rec.extend_from_slice(&body);
+        // Built once, in the writer's own buffer: a header placeholder, the
+        // body, then the real header encoded behind the body and moved over
+        // the placeholder.
+        let rec = &mut self.rec;
+        rec.clear();
+        RecordHeader { len: 0, check: 0 }.put(rec);
+        seq.put(rec);
+        rec.extend_from_slice(payload);
+        let (body, end) = (RecordHeader::MIN_LEN, rec.len());
+        let header = RecordHeader {
+            len: (end - body) as u32,
+            check: fnv64(&rec[body..]),
+        };
+        header.put(rec);
+        rec.copy_within(end.., 0);
+        rec.truncate(end);
 
         if self.file.is_none() || self.seg_bytes >= self.max_seg_bytes {
             let path = self.dir.join(format!("{seq:020}.log"));
@@ -420,11 +447,11 @@ impl LogWriter {
             self.seg_bytes = 0;
         }
         let f = self.file.as_mut().expect("segment just opened");
-        f.write_all(&rec)?;
+        f.write_all(&self.rec)?;
         if self.sync_each {
             f.sync_data()?;
         }
-        self.seg_bytes += rec.len() as u64;
+        self.seg_bytes += self.rec.len() as u64;
         Ok(seq)
     }
 
@@ -438,33 +465,41 @@ impl LogWriter {
     }
 }
 
-fn decode_record(bytes: &[u8]) -> Result<(u64, &[u8], usize), StoreError> {
-    if bytes.len() < 12 {
-        return Err(StoreError::Corrupt {
-            what: "log record",
-            detail: format!("truncated header ({} bytes)", bytes.len()),
-        });
+/// Decodes the next record off `r`: its sequence number and payload.
+fn decode_record<'a>(r: &mut Reader<'a>) -> Result<(u64, &'a [u8]), StoreError> {
+    let torn = |detail: String| StoreError::Corrupt {
+        what: "log record",
+        detail,
+    };
+    let have = r.remaining();
+    let header =
+        RecordHeader::get(r).map_err(|_| torn(format!("truncated header ({have} bytes)")))?;
+    let (len, have) = (header.len as usize, r.remaining());
+    if len < u64::MIN_LEN || have < len {
+        return Err(torn(format!("torn body (want {len}, have {have})")));
     }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-    let crc = u64::from_le_bytes(bytes[4..12].try_into().unwrap());
-    if len < 8 || bytes.len() < 12 + len {
-        return Err(StoreError::Corrupt {
-            what: "log record",
-            detail: format!(
-                "torn body (want {len}, have {})",
-                bytes.len().saturating_sub(12)
-            ),
-        });
+    let body = r.bytes(len)?;
+    if fnv64(body) != header.check {
+        return Err(torn("checksum mismatch".into()));
     }
-    let body = &bytes[12..12 + len];
-    if fnv64(body) != crc {
-        return Err(StoreError::Corrupt {
-            what: "log record",
-            detail: "checksum mismatch".into(),
-        });
+    let mut body = Reader::new(body);
+    let seq = body.u64()?;
+    Ok((seq, body.bytes(body.remaining())?))
+}
+
+/// Decodes the records of one segment in order, handing each to `each`.
+/// Returns the length of the segment's valid prefix and, if a record would
+/// not decode, the typed error that ended the scan there.
+fn scan_segment(bytes: &[u8], mut each: impl FnMut(u64, &[u8])) -> (usize, Option<StoreError>) {
+    let mut r = Reader::new(bytes);
+    while r.remaining() > 0 {
+        let valid = bytes.len() - r.remaining();
+        match decode_record(&mut r) {
+            Ok((seq, payload)) => each(seq, payload),
+            Err(e) => return (valid, Some(e)),
+        }
     }
-    let seq = u64::from_le_bytes(body[0..8].try_into().unwrap());
-    Ok((seq, &body[8..], 12 + len))
+    (bytes.len(), None)
 }
 
 fn sorted_segments(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
@@ -504,10 +539,12 @@ fn sync_dir(dir: &Path) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Truncates `path` to `len` bytes — torn-write fault injection for tests.
+/// Truncates `path` to `len` bytes, durably — how [`LogWriter::open`] cuts
+/// a torn tail, and torn-write fault injection for tests.
 pub fn truncate_file(path: &Path, len: u64) -> Result<(), StoreError> {
     let f = fs::OpenOptions::new().write(true).open(path)?;
     f.set_len(len)?;
+    f.sync_all()?;
     Ok(())
 }
 
@@ -673,6 +710,49 @@ mod tests {
                 "trial {trial}: typed tail error"
             );
         }
+    }
+
+    /// A crash that tears the tail must not shadow what the restarted node
+    /// appends: reopening cuts the torn record, so every later append is
+    /// read back and no sequence number is handed out twice.
+    #[test]
+    fn appends_after_a_torn_tail_are_read_back() {
+        let store = NodeStore::open(scratch("torn-append")).unwrap();
+        let mut w = LogWriter::open(&store, true).unwrap();
+        for i in 0..8u8 {
+            w.append(&[i; 16]).unwrap();
+        }
+        drop(w);
+        for last_valid in [7u64, 8] {
+            let segs = sorted_segments(&store.log_dir()).unwrap();
+            let seg = segs.last().unwrap();
+            truncate_file(seg, fs::metadata(seg).unwrap().len() - 5).unwrap();
+            let mut w = LogWriter::open(&store, true).unwrap();
+            assert_eq!(w.last_seq(), last_valid, "the torn record is gone");
+            assert_eq!(w.append(b"after the tear").unwrap(), last_valid + 1);
+            assert_eq!(w.append(b"and one more").unwrap(), last_valid + 2);
+            drop(w);
+            let (records, torn) = store.read_log(0).unwrap();
+            assert!(torn.is_none(), "reopening cut the torn tail: {torn:?}");
+            let seqs: Vec<u64> = records.iter().map(|(s, _)| *s).collect();
+            assert_eq!(seqs, (1..=last_valid + 2).collect::<Vec<_>>());
+        }
+        // A hole in the middle (bit rot, or a store whose torn segment an
+        // older writer left in place): the segments behind it are dropped.
+        let store = NodeStore::open(scratch("log-hole")).unwrap();
+        let mut w = LogWriter::open(&store, true).unwrap();
+        w.set_segment_bytes(1); // one record per segment
+        for i in 0..3u8 {
+            w.append(&[i; 4]).unwrap();
+        }
+        drop(w);
+        corrupt_byte(&sorted_segments(&store.log_dir()).unwrap()[1], 15).unwrap();
+        let mut w = LogWriter::open(&store, true).unwrap();
+        assert_eq!(w.append(b"two again").unwrap(), 2);
+        drop(w);
+        let (records, torn) = store.read_log(0).unwrap();
+        assert!(torn.is_none(), "{torn:?}");
+        assert_eq!(records, vec![(1, vec![0u8; 4]), (2, b"two again".to_vec())]);
     }
 
     #[test]

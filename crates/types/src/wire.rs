@@ -33,12 +33,34 @@
 //! Floats travel as raw bit patterns so a round trip is bit-identical
 //! (including NaN payloads) — the same totality [`Value`]'s `Eq`/`Ord`
 //! rely on.
+//!
+//! ## One description per encoded type
+//!
+//! Every type that reaches a socket or a disk implements [`Wire`] once,
+//! next to its definition — that impl is its encoder *and* its decoder.
+//! Plain structs get both directions from one field list
+//! ([`wire_struct!`](crate::wire_struct)), enums from one tag list
+//! ([`wire_enum!`](crate::wire_enum)). Containers are laid out here only:
+//!
+//! ```text
+//! bool                 := 0x00 | 0x01           usize := u64
+//! Option<T>            := bool [T]              (A, B, ..) := A B ..
+//! Vec<T>, VecDeque<T>  := count:u32 T*
+//! BTreeMap<K, V>       := count:u32 (K V)*      (ascending key order)
+//! nested record        := len:u32 byte*         (put_len_prefixed / Reader::nested)
+//! ```
+//!
+//! **The one allocation rule.** Foreign bytes size a reservation only
+//! through [`Reader::seq`], which rejects a count larger than
+//! `remaining() / T::MIN_LEN` — more elements than the unread bytes could
+//! hold — as [`WireError::Truncated`] before anything is reserved.
 
-use crate::batch::TupleBatch;
-use crate::ids::NodeId;
-use crate::time::Time;
+use crate::batch::{BatchView, TupleBatch};
+use crate::ids::{NodeId, StreamId};
+use crate::time::{Duration, Time};
 use crate::tuple::{Tuple, TupleId, TupleKind};
 use crate::value::Value;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -146,6 +168,17 @@ pub fn end_frame(buf: &mut [u8], mark: usize) {
     buf[mark..mark + 4].copy_from_slice(&len.to_le_bytes());
 }
 
+/// Appends a nested record: a `len:u32` prefix, then whatever `body`
+/// writes, the prefix patched once the body's length is known — no
+/// intermediate buffer. Read back with [`Reader::nested`].
+#[inline]
+pub fn put_len_prefixed(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let mark = buf.len();
+    put_u32(buf, 0);
+    body(buf);
+    end_frame(buf, mark);
+}
+
 /// Encodes one attribute value (see the module docs for the layout).
 pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
@@ -191,17 +224,14 @@ pub fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
 /// `[start, end)` window, iterated in place from the `Arc`'d backing slice
 /// — the batch is never copied or re-collected before encoding.
 pub fn put_batch(buf: &mut Vec<u8>, b: &TupleBatch) {
-    put_u32(buf, b.len() as u32);
-    for t in b.as_slice() {
-        put_tuple(buf, t);
-    }
+    put_seq(buf, b.as_slice().iter());
 }
 
 /// Encodes a selection view straight into the write buffer — the count
 /// header then each selected run's tuples in order. Wire-compatible with
 /// [`put_batch`]/[`Reader::batch`]: the receiver decodes a contiguous
 /// batch, so a fragmented selection is never materialized on the sender.
-pub fn put_view(buf: &mut Vec<u8>, v: &crate::batch::BatchView) {
+pub fn put_view(buf: &mut Vec<u8>, v: &BatchView) {
     put_u32(buf, v.len() as u32);
     for run in v.runs() {
         for t in run {
@@ -232,7 +262,8 @@ impl<'a> Reader<'a> {
         self.bytes.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// Reads `n` raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }
@@ -243,41 +274,62 @@ impl<'a> Reader<'a> {
 
     /// Reads a `u8`.
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, WireError> {
         Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
+            self.bytes(2)?.try_into().expect("2 bytes"),
         ))
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
+            self.bytes(4)?.try_into().expect("4 bytes"),
         ))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
+            self.bytes(8)?.try_into().expect("8 bytes"),
         ))
     }
 
-    /// Reads `n` raw bytes — the escape hatch for nested records (the
-    /// durable snapshot format length-prefixes each operator's state so a
-    /// decoder can skip or sandbox it).
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        self.take(n)
+    /// Reads a nested record written by [`put_len_prefixed`]: a cursor over
+    /// exactly its bytes, so the inner decoder cannot read past the record
+    /// and the caller can demand it consumed all of it.
+    pub fn nested(&mut self) -> Result<Reader<'a>, WireError> {
+        let len = self.u32()? as usize;
+        Ok(Reader::new(self.bytes(len)?))
+    }
+
+    /// Accepts `count` as the length of a sequence of `T` about to be
+    /// decoded — the only rule by which foreign bytes size an allocation
+    /// (module docs): a count the unread bytes cannot hold is
+    /// [`WireError::Truncated`] before anything is reserved.
+    fn fits<T: Wire>(&self, count: usize) -> Result<usize, WireError> {
+        let fits = count <= self.remaining() / T::MIN_LEN;
+        fits.then_some(count).ok_or(WireError::Truncated)
+    }
+
+    /// The one sequence reader: `count:u32`, checked by that rule, then
+    /// that many `T`s.
+    pub fn seq<T: Wire>(&mut self) -> Result<Vec<T>, WireError> {
+        let count = self.u32()? as usize;
+        let mut items = Vec::with_capacity(self.fits::<T>(count)?);
+        for _ in 0..count {
+            items.push(T::get(self)?);
+        }
+        Ok(items)
     }
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<&'a str, WireError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
+        let bytes = self.bytes(len)?;
         std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
     }
 
@@ -299,7 +351,7 @@ impl<'a> Reader<'a> {
     /// Reads one tuple.
     pub fn tuple(&mut self) -> Result<Tuple, WireError> {
         // The fixed 23-byte header in one bounds check.
-        let h: &[u8; 23] = self.take(23)?.try_into().expect("23 bytes");
+        let h: &[u8; 23] = self.bytes(23)?.try_into().expect("23 bytes");
         let kind = match h[0] {
             0 => TupleKind::Insertion,
             1 => TupleKind::Tentative,
@@ -317,12 +369,7 @@ impl<'a> Reader<'a> {
         let stime = Time(u64::from_le_bytes(h[9..17].try_into().expect("8 bytes")));
         let origin = u16::from_le_bytes(h[17..19].try_into().expect("2 bytes"));
         let nvalues = u32::from_le_bytes(h[19..23].try_into().expect("4 bytes")) as usize;
-        // A tuple value is at least 2 bytes on the wire; cap the
-        // pre-allocation by what the buffer could actually hold so a
-        // corrupted count cannot force a huge reservation.
-        if nvalues > self.remaining() / 2 + 1 {
-            return Err(WireError::Truncated);
-        }
+        let nvalues = self.fits::<Value>(nvalues)?;
         let values = Tuple::try_values(nvalues, |_| self.value())?;
         Ok(Tuple {
             kind,
@@ -335,17 +382,7 @@ impl<'a> Reader<'a> {
 
     /// Reads a tuple batch.
     pub fn batch(&mut self) -> Result<TupleBatch, WireError> {
-        let count = self.u32()? as usize;
-        // A wire tuple is at least 23 bytes; reject counts the buffer
-        // cannot possibly satisfy before allocating for them.
-        if count > self.remaining() / 23 + 1 {
-            return Err(WireError::Truncated);
-        }
-        let mut tuples = Vec::with_capacity(count);
-        for _ in 0..count {
-            tuples.push(self.tuple()?);
-        }
-        Ok(TupleBatch::from_vec(tuples))
+        self.seq().map(TupleBatch::from_vec)
     }
 
     /// Asserts the payload was fully consumed.
@@ -380,6 +417,202 @@ pub fn split_frame(bytes: &[u8]) -> Result<Option<(NodeId, NodeId, u8, &[u8], us
     let to = NodeId(u32::from_le_bytes(bytes[8..12].try_into().expect("4")));
     let kind = bytes[12];
     Ok(Some((from, to, kind, &bytes[13..4 + len], 4 + len)))
+}
+
+// ---------------------------------------------------------------------
+// One description per encoded type (module docs).
+// ---------------------------------------------------------------------
+
+/// A type with a byte format. One impl is both the encoder and the
+/// decoder, so the two cannot disagree about field order, and composite
+/// formats are spelled by composing types.
+pub trait Wire: Sized {
+    /// A lower bound, never zero, on the bytes a value occupies — what
+    /// [`Reader::seq`] divides the unread bytes by.
+    const MIN_LEN: usize;
+    /// Appends the encoding of `self`.
+    fn put(&self, buf: &mut Vec<u8>);
+    /// Decodes one value; foreign bytes yield a [`WireError`], not a panic.
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+/// `count:u32`, then each element.
+fn put_seq<'a, T: Wire + 'a>(buf: &mut Vec<u8>, items: impl ExactSizeIterator<Item = &'a T>) {
+    put_u32(buf, items.len() as u32);
+    for item in items {
+        item.put(buf);
+    }
+}
+
+/// `impl Wire` from a minimum length and the two directions as functions:
+/// the scalars and ids over the primitives above, the data types over
+/// their named encoders (whose bodies are the hot path and stay where the
+/// profiler knows them).
+macro_rules! wire_fns {
+    ($($ty:ty, $len:expr, $put:expr, $get:expr;)+) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = $len;
+            fn put(&self, buf: &mut Vec<u8>) {
+                let put: fn(&mut Vec<u8>, &Self) = $put;
+                put(buf, self)
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                let get: fn(&mut Reader<'_>) -> Result<Self, WireError> = $get;
+                get(r)
+            }
+        }
+    )+};
+}
+wire_fns! {
+    u8, 1, |b, v| put_u8(b, *v), |r| r.u8();
+    u16, 2, |b, v| put_u16(b, *v), |r| r.u16();
+    u32, 4, |b, v| put_u32(b, *v), |r| r.u32();
+    u64, 8, |b, v| put_u64(b, *v), |r| r.u64();
+    i64, 8, |b, v| put_u64(b, *v as u64), |r| Ok(r.u64()? as i64);
+    usize, 8, |b, v| put_u64(b, *v as u64), |r| Ok(r.u64()? as usize);
+    f64, 8, |b, v| put_u64(b, v.to_bits()), |r| r.u64().map(f64::from_bits);
+    Time, 8, |b, v| put_u64(b, v.0), |r| r.u64().map(Time);
+    Duration, 8, |b, v| put_u64(b, v.0), |r| r.u64().map(Duration);
+    TupleId, 8, |b, v| put_u64(b, v.0), |r| r.u64().map(TupleId);
+    StreamId, 4, |b, v| put_u32(b, v.0), |r| r.u32().map(StreamId);
+    NodeId, 4, |b, v| put_u32(b, v.0), |r| r.u32().map(NodeId);
+    bool, 1, |b, v| b.push(*v as u8), |r| match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        tag => Err(WireError::BadTag { what: "bool", tag }),
+    };
+    Value, 2, put_value, |r| r.value();
+    Tuple, 23, put_tuple, |r| r.tuple();
+    TupleBatch, 4, put_batch, |r| r.batch();
+    BatchView, 4, put_view, |r| r.batch().map(BatchView::from);
+}
+
+/// Present or not, then the value.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.is_some().put(buf);
+        if let Some(v) = self {
+            v.put(buf);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(if bool::get(r)? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// A tuple is its fields, in order.
+macro_rules! wire_tuple {
+    ($($name:ident $idx:tt),+) => {
+        impl<$($name: Wire),+> Wire for ($($name,)+) {
+            const MIN_LEN: usize = 0 $(+ $name::MIN_LEN)+;
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$idx.put(buf);)+
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(($($name::get(r)?,)+))
+            }
+        }
+    };
+}
+wire_tuple!(A 0, B 1);
+wire_tuple!(A 0, B 1, C 2);
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_seq(buf, self.iter());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.seq()
+    }
+}
+
+impl<T: Wire> Wire for VecDeque<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_seq(buf, self.iter());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.seq().map(VecDeque::from)
+    }
+}
+
+/// Entries in ascending key order, each `(K, V)`.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.len() as u32);
+        for (key, value) in self {
+            key.put(buf);
+            value.put(buf);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.seq::<(K, V)>().map(BTreeMap::from_iter)
+    }
+}
+
+/// Defines a plain struct **and** its [`Wire`] impl from one field list:
+/// the fields travel in declaration order, so there is no second copy of
+/// that order to keep in step.
+#[macro_export]
+macro_rules! wire_struct {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident: $fty:ty,)+
+    }) => {
+        $(#[$meta])* $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $fty,)+
+        }
+
+        impl $crate::wire::Wire for $name {
+            const MIN_LEN: usize = 0 $(+ <$fty as $crate::wire::Wire>::MIN_LEN)+;
+            fn put(&self, buf: &mut Vec<u8>) {
+                $($crate::wire::Wire::put(&self.$field, buf);)+
+            }
+            fn get(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok($name {
+                    $($field: $crate::wire::Wire::get(r)?,)+
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for an enum as one tag byte, then the variant's
+/// fields in the order written — both directions from one
+/// `Variant(fields) = tag` list; `$what` names the tag space in
+/// [`WireError::BadTag`].
+#[macro_export]
+macro_rules! wire_enum {
+    ($name:ident, $what:literal, {
+        $($variant:ident $(($($tf:ident),+))? $({$($sf:ident),+})? = $tag:literal,)+
+    }) => {
+        impl $crate::wire::Wire for $name {
+            const MIN_LEN: usize = 1;
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($name::$variant $(($($tf),+))? $({$($sf),+})? => {
+                        buf.push($tag);
+                        $($($crate::wire::Wire::put($tf, buf);)+)?
+                        $($($crate::wire::Wire::put($sf, buf);)+)?
+                    })+
+                }
+            }
+            fn get(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(match r.u8()? {
+                    $($tag => $name::$variant
+                        $(($({ let $tf = $crate::wire::Wire::get(r)?; $tf }),+))?
+                        $({$($sf: $crate::wire::Wire::get(r)?),+})?,)+
+                    tag => return Err($crate::wire::WireError::BadTag { what: $what, tag }),
+                })
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------

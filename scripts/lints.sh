@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# The source-level lints, one command locally and in CI. Each guards a
+# "there is one of these" decision of an earlier PR against creeping back;
+# the first failure prints the offending lines and exits non-zero.
+set -euo pipefail
+cd "$(git rev-parse --show-toplevel)"
+
+fail() { echo "lint failed: $1" >&2; exit 1; }
+
+# Sync facade: every sync primitive in crates/runtime must come through
+# crate::sync, or the model checker can't see it.
+cargo run --quiet -p borealis-check --bin lint
+
+# One fault vocabulary: tests, examples and workloads say faults as
+# `FaultSpec`s handed to the builder — never as raw events pushed into the
+# simulator's queue — and the simulator-only `RunningSystem` fault verbs
+# stay deleted everywhere.
+if git grep -nE 'schedule_fault|FaultEvent::' -- tests examples crates/workloads; then fail "fault vocabulary"; fi
+if git grep -nE 'disconnect_source|mute_boundaries|crash_node|crash_shard_node' -- '*.rs'; then fail "fault vocabulary"; fi
+
+# One data entry point per layer: `Operator::process_batch` is the operator
+# contract, so the single-tuple convenience the trait provides is the only
+# `fn process(` under crates/ops/src, and the per-link `filter_batch` —
+# replaced by the one-pass `split_views` — stays deleted.
+if [ "$(git grep -n 'fn process(' -- crates/ops/src | wc -l)" -gt 1 ]; then git grep -n 'fn process(' -- crates/ops/src; fail "entry point"; fi
+if git grep -n 'filter_batch' -- '*.rs'; then fail "entry point"; fi
+
+# One node under every driver: outside the fabric itself only the
+# activation step (`ActorCell::activate`, crates/sim/src/node.rs) asks for
+# an arrival or a timer verdict, and neither driver keeps a (deadline, seq)
+# heap of its own beside `DeadlineQueue`.
+callers=$(git grep -lE '\.(arrive|timer_fires)\(' -- '*.rs' ':!crates/sim/src/fabric.rs' ':!*/tests/*' ':!*_tests.rs' || true)
+if [ "$(echo "$callers" | grep -c .)" -gt 1 ]; then echo "$callers"; fail "activation"; fi
+if git grep -nE 'impl(<.*>)? Ord for' -- crates/sim/src/kernel.rs crates/runtime/src/wheel.rs; then fail "activation"; fi
+
+# One decode surface: bytes from a socket or a disk are parsed through
+# `wire::Reader` / `Wire` only, and a decoded count sizes an allocation
+# only by `Reader::seq`'s rule — so no `from_le_bytes` outside wire.rs
+# (and the model checker's own crate), and no magic pre-allocation cap.
+# (Hashing's `to_le_bytes` in shard.rs is not decoding.)
+if git grep -nE 'from_le_bytes|\.min\(1024\)' -- crates src ':!crates/types/src/wire.rs' ':!crates/check' ':!*/tests/*' ':!*_tests.rs'; then fail "codec"; fi
+
+echo "lints: ok"

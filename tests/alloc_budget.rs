@@ -1,9 +1,10 @@
 //! Allocation budget of one steady-state fragment crossing.
 //!
-//! A counting `#[global_allocator]` (this test binary only) drives the
-//! chain job's `ingest` (SUnion → SOutput) and `work` (SUnion → Map →
-//! SOutput) fragments with warm batches and asserts how often the
-//! allocator is entered: a per-batch constant everywhere, plus exactly the
+//! Under the counting `#[global_allocator]` of `common/counting_alloc.rs`
+//! (this test binary and `wire_formats` only) this drives the chain job's
+//! `ingest` (SUnion → SOutput) and `work` (SUnion → Map → SOutput)
+//! fragments with warm batches and asserts how often the allocator is
+//! entered: a per-batch constant everywhere, plus exactly the
 //! payloads an operator computes — none in `ingest`, one per tuple in
 //! `work`. Tuple payloads are shared (`Arc<[Value]>`), so SUnion's
 //! renumbering and SOutput's pass-through must not copy them.
@@ -13,38 +14,9 @@ use borealis::dpc::ActorSpec;
 use borealis::engine::{Batch, Fragment};
 use borealis::prelude::*;
 use borealis_workloads::{sharded_chain_builder, ShardedChainOptions};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Allocator entries made by this thread (tests run on threads of
-    /// their own, so concurrent tests do not disturb each other's count).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a thread-local counter that
-// neither allocates nor unwinds (`try_with` tolerates thread teardown).
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 const WARM_STEPS: u64 = 20;
 const STEPS: u64 = 50;
@@ -80,12 +52,12 @@ fn allocs_per_step(plan: &FragmentPlan, per_batch: u64) -> (u64, u64) {
     let (mut allocs, mut emitted) = (0, 0);
     for (step, batch) in inputs.iter().enumerate() {
         let now = Time((step as u64 + 1) * 100_000);
-        let before = ALLOCS.with(Cell::get);
+        let before = counting_alloc::allocs();
         let mut out = Batch::default();
         for stream in &streams {
             out.merge(fragment.push_batch(*stream, batch, now));
         }
-        let after = ALLOCS.with(Cell::get);
+        let after = counting_alloc::allocs();
         if step as u64 >= WARM_STEPS {
             allocs += after - before;
             emitted += out.outputs.iter().map(|(_, b)| b.data_count()).sum::<u64>();

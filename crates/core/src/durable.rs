@@ -110,6 +110,8 @@ struct Flusher {
 pub struct NodeDisk {
     store: NodeStore,
     log: LogWriter,
+    /// The input-log record being encoded, reused by every append.
+    record: Vec<u8>,
     next_snapshot_id: u64,
     flusher: Option<Flusher>,
 }
@@ -153,6 +155,7 @@ impl NodeDisk {
         Ok(NodeDisk {
             store,
             log,
+            record: Vec::new(),
             next_snapshot_id,
             flusher,
         })
@@ -165,12 +168,13 @@ impl NodeDisk {
 
     /// Appends one deduplicated input view to the log, encoding straight
     /// from the selection (the record format matches `wire::put_batch`, so
-    /// recovery still decodes contiguous batches).
+    /// recovery still decodes contiguous batches) in a buffer every append
+    /// reuses.
     pub fn append_input(&mut self, stream: StreamId, tuples: &BatchView) {
-        let mut buf = Vec::with_capacity(16 + tuples.len() * 24);
-        (stream.0 as u64).put(&mut buf);
-        tuples.put(&mut buf);
-        let _ = self.log.append(&buf);
+        self.record.clear();
+        (stream.0 as u64).put(&mut self.record);
+        tuples.put(&mut self.record);
+        let _ = self.log.append(&self.record);
     }
 
     /// Captures one durable checkpoint. The CoW `Arc`s in `parts` are

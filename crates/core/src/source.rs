@@ -23,8 +23,9 @@ use crate::msg::{NetMsg, NodeState};
 use crate::publisher::Publisher;
 use crate::runtime::{DpcActor, RuntimeCtx};
 use borealis_sim::FaultEvent;
-use borealis_types::{Duration, NodeId, StreamId, Time, Tuple, TupleBatch, TupleId, Value};
-use std::sync::Arc;
+use borealis_types::{
+    Duration, NodeId, Payload, StreamId, Time, Tuple, TupleBatch, TupleId, Value,
+};
 
 /// Deterministic tuple-payload generators.
 #[derive(Debug, Clone)]
@@ -47,20 +48,22 @@ pub enum ValueGen {
 }
 
 impl ValueGen {
-    /// The payload of tuple `seq`, built in its one shared allocation (an
-    /// array converts in place; a `Vec` would be allocated and then copied).
-    fn gen(&self, seq: u64) -> Arc<[Value]> {
+    /// The payload of tuple `seq`: inline for `Seq`, else built in its one
+    /// shared allocation (an array converts in place; a `Vec` would be
+    /// allocated and then copied).
+    fn gen(&self, seq: u64) -> Payload {
         match self {
-            ValueGen::Seq => Arc::from([Value::Int(seq as i64)]),
+            ValueGen::Seq => Payload::One(Value::Int(seq as i64)),
             ValueGen::Keyed { keys } => {
-                Arc::from([Value::Int(seq as i64 % keys), Value::Int(seq as i64)])
+                [Value::Int(seq as i64 % keys), Value::Int(seq as i64)].into()
             }
             ValueGen::Reading { keys, amplitude } => {
                 let phase = (seq % 97) as f64 / 97.0;
-                Arc::from([
+                [
                     Value::Int(seq as i64 % keys),
                     Value::Float(amplitude * (2.0 * std::f64::consts::PI * phase).sin()),
-                ])
+                ]
+                .into()
             }
         }
     }

@@ -20,7 +20,7 @@
 use crate::snapshot::SnapshotCodec;
 use crate::{BatchEmitter, OpSnapshot, Operator};
 use borealis_types::{wire_enum, wire_struct};
-use borealis_types::{Duration, Expr, Time, Tuple, TupleBatch, TupleId, TupleKind, Value};
+use borealis_types::{Duration, Expr, Payload, Time, Tuple, TupleBatch, TupleId, TupleKind, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -293,8 +293,8 @@ impl Aggregate {
             let win = st.windows.remove(&key).expect("window key just listed");
             let (start, group) = key;
             // Exact-size chain: collected straight into the one payload
-            // allocation.
-            let values: Arc<[Value]> = group
+            // allocation, or inline when it is one attribute wide.
+            let values: Payload = group
                 .into_iter()
                 .chain(win.accums.iter().map(Accum::finish))
                 .collect();

@@ -14,7 +14,7 @@
 use crate::snapshot::SnapshotCodec;
 use crate::{BatchEmitter, OpSnapshot, Operator};
 use borealis_types::wire_struct;
-use borealis_types::{Duration, Expr, Time, Tuple, TupleBatch, TupleId, TupleKind, Value};
+use borealis_types::{Duration, Expr, Payload, Time, Tuple, TupleBatch, TupleId, TupleKind, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -134,8 +134,8 @@ impl SJoin {
                 (other, tuple)
             };
             // Exact-size chain: collected straight into the one payload
-            // allocation.
-            let values: Arc<[Value]> = l.values.iter().chain(r.values.iter()).cloned().collect();
+            // allocation, or inline when it is one attribute wide.
+            let values: Payload = l.values.iter().chain(r.values.iter()).cloned().collect();
             let stime = l.stime.max(r.stime);
             let tentative = l.is_tentative() || r.is_tentative();
             let id = TupleId(next_id);

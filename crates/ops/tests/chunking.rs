@@ -7,6 +7,8 @@
 //! signals, replay log (SUnion) and durable snapshot bytes. This is the one
 //! safety net under the zero-copy batch paths: `SUnion` buffering shared
 //! views, `SOutput` forwarding whole batches, `Filter` forwarding runs.
+//! Payloads are zero to three attributes wide, so every `Payload` variant
+//! crosses every operator.
 
 use borealis_ops::{
     AggFn, AggregateSpec, BatchEmitter, OpSnapshot, Operator, OperatorSpec, SJoinSpec, SUnionConfig,
@@ -27,8 +29,9 @@ fn every_spec() -> Vec<OperatorSpec> {
         OperatorSpec::Filter {
             predicate: Expr::gt(Expr::field(0), Expr::int(0)),
         },
+        // Narrows a shared payload to one inline attribute.
         OperatorSpec::Map {
-            outputs: vec![Expr::add(Expr::field(0), Expr::int(1)), Expr::field(1)],
+            outputs: vec![Expr::add(Expr::field(0), Expr::int(1))],
         },
         OperatorSpec::Union { n_inputs: 2 },
         OperatorSpec::Aggregate(AggregateSpec {
@@ -72,10 +75,14 @@ fn script(rng: &mut StdRng, n_ports: usize) -> Vec<Delivery> {
         }
         let tuples = (0..rng.gen_range(1usize..40)).map(|_| {
             let stime = Time::from_millis(rng.gen_range(0u64..1_000));
-            let values = vec![
+            // Every payload variant: empty, one attribute inline, or two
+            // and three shared.
+            let values: Vec<Value> = [
                 Value::Int(rng.gen_range(-5i64..5)),
                 Value::Int(rng.gen_range(0i64..3)),
-            ];
+                Value::str("elm"),
+            ][..rng.gen_range(0usize..4)]
+                .to_vec();
             let mut t = match rng.gen_range(0u32..100) {
                 0..60 => Tuple::insertion(TupleId(next_id), stime, values),
                 60..82 => Tuple::tentative(TupleId(next_id), stime, values),

@@ -31,6 +31,6 @@ pub use ids::{FragmentId, NodeId, OpId, StreamId};
 pub use sched::SchedGauges;
 pub use shard::{route_key_evals, PartitionSpec, ShardRouter};
 pub use time::{Duration, Time};
-pub use tuple::{ControlSignal, Tuple, TupleId, TupleKind};
+pub use tuple::{ControlSignal, Payload, Tuple, TupleId, TupleKind};
 pub use value::Value;
 pub use wire::{WireError, WireGauges};

@@ -12,17 +12,102 @@
 //!   that follows the identified tuple.
 //! * **REC_DONE** — marks the end of a reconciliation's correction sequence.
 //!
-//! The attributes `a1, ..., am` are a shared immutable payload
-//! (`Arc<[Value]>`): the protocol copies tuples constantly — SUnion
-//! renumbers them, a diverged operator's output is relabelled tentative,
-//! join windows and dedup keep them — and every such copy is a new header
-//! over the same payload. Only an operator that computes attributes
-//! allocates one.
+//! The attributes `a1, ..., am` are an immutable [`Payload`]: the protocol
+//! copies tuples constantly — SUnion renumbers them, a diverged operator's
+//! output is relabelled tentative, output buffers and join windows keep
+//! them, every replica gets its own — so a copy must not copy attributes.
+//! Two or more attributes are one shared allocation (`Arc<[Value]>`), and
+//! a copy is a new header over it. Zero or one attribute — boundaries,
+//! markers, and every tuple of the shipped chain job — is held inline in
+//! the header: a copy neither allocates nor counts references nor frees
+//! on another thread (a string attribute still shares its text). Inline
+//! stops at one attribute because two would grow a [`Tuple`] from 48 to
+//! 72 bytes and put copied headers across cache-line boundaries.
 
 use crate::time::Time;
 use crate::value::Value;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// A tuple's attribute values, canonical by width whichever constructor
+/// built it: no attribute is `Empty`, one is held inline, two or more
+/// share one allocation. Reads go through `Deref<Target = [Value]>`;
+/// equality and `Debug` are the slice's.
+#[derive(Clone)]
+pub enum Payload {
+    /// No attributes (boundaries, REC_DONE markers).
+    Empty,
+    /// One attribute, inline.
+    One(Value),
+    /// Two or more attributes, shared by every copy.
+    Shared(Arc<[Value]>),
+}
+
+const _: () = assert!(std::mem::size_of::<Payload>() == 24);
+const _: () = assert!(std::mem::size_of::<Tuple>() == 48);
+
+impl Deref for Payload {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        match self {
+            Payload::Empty => &[],
+            Payload::One(v) => std::slice::from_ref(v),
+            Payload::Shared(vs) => vs,
+        }
+    }
+}
+
+impl From<Vec<Value>> for Payload {
+    fn from(mut values: Vec<Value>) -> Payload {
+        match values.len() {
+            0 => Payload::Empty,
+            1 => Payload::One(values.pop().expect("one value")),
+            _ => Payload::Shared(values.into()),
+        }
+    }
+}
+
+impl<const N: usize> From<[Value; N]> for Payload {
+    /// An array converts in place: at most one allocation, no `Vec`.
+    fn from(values: [Value; N]) -> Payload {
+        match N {
+            0 => Payload::Empty,
+            1 => values.into_iter().collect(),
+            _ => Payload::Shared(Arc::from(values)),
+        }
+    }
+}
+
+impl FromIterator<Value> for Payload {
+    /// An exact-size iterator is collected straight into the one shared
+    /// allocation.
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Payload {
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else {
+            return Payload::Empty;
+        };
+        let Some(second) = iter.next() else {
+            return Payload::One(first);
+        };
+        Payload::Shared([first, second].into_iter().chain(iter).collect())
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// Identifies a tuple uniquely within its stream.
 ///
@@ -86,38 +171,30 @@ pub struct Tuple {
     /// arrived on. SUnion sets it when serializing multiple streams into one
     /// so that a following SJoin can tell its two logical inputs apart.
     pub origin: u16,
-    /// Attribute values `a1, ..., am`: a shared immutable payload. Cloning
-    /// or relabelling a tuple bumps a reference count; only an operator
-    /// that computes new attributes allocates a new payload.
-    pub values: Arc<[Value]>,
+    /// Attribute values `a1, ..., am`. Cloning or relabelling a tuple
+    /// copies at most one inline value or bumps a reference count; only an
+    /// operator that computes two or more attributes allocates.
+    pub values: Payload,
 }
 
 impl Tuple {
-    /// The payload of the kinds that carry no attributes: one process-wide
-    /// allocation, so boundaries and markers are born without entering the
-    /// allocator.
-    fn no_values() -> Arc<[Value]> {
-        static EMPTY: OnceLock<Arc<[Value]>> = OnceLock::new();
-        Arc::clone(EMPTY.get_or_init(|| Arc::from([])))
-    }
-
     /// Builds an `n`-attribute payload from a fallible per-attribute
-    /// producer. Up to four attributes (every payload the shipped workloads
-    /// carry) are built as an array, which converts in place: one
-    /// allocation, no intermediate `Vec`. Wider payloads go through a `Vec`
-    /// that is freed at once on the same thread — with a fallible producer
-    /// that measured faster on the wire decoder than collecting an
-    /// exact-size iterator into the final allocation.
+    /// producer. One attribute is held inline; two to four (every payload
+    /// the shipped workloads carry) are built as an array, which converts
+    /// in place: one allocation, no intermediate `Vec`. Wider payloads go
+    /// through a `Vec` that is freed at once on the same thread — with a
+    /// fallible producer that measured faster on the wire decoder than
+    /// collecting an exact-size iterator into the final allocation.
     pub fn try_values<E>(
         n: usize,
         mut attr: impl FnMut(usize) -> Result<Value, E>,
-    ) -> Result<Arc<[Value]>, E> {
+    ) -> Result<Payload, E> {
         Ok(match n {
-            0 => Tuple::no_values(),
-            1 => Arc::from([attr(0)?]),
-            2 => Arc::from([attr(0)?, attr(1)?]),
-            3 => Arc::from([attr(0)?, attr(1)?, attr(2)?]),
-            4 => Arc::from([attr(0)?, attr(1)?, attr(2)?, attr(3)?]),
+            0 => Payload::Empty,
+            1 => Payload::One(attr(0)?),
+            2 => [attr(0)?, attr(1)?].into(),
+            3 => [attr(0)?, attr(1)?, attr(2)?].into(),
+            4 => [attr(0)?, attr(1)?, attr(2)?, attr(3)?].into(),
             _ => {
                 let mut values = Vec::with_capacity(n);
                 for i in 0..n {
@@ -129,7 +206,7 @@ impl Tuple {
     }
 
     /// A stable insertion.
-    pub fn insertion(id: TupleId, stime: Time, values: impl Into<Arc<[Value]>>) -> Tuple {
+    pub fn insertion(id: TupleId, stime: Time, values: impl Into<Payload>) -> Tuple {
         Tuple {
             kind: TupleKind::Insertion,
             id,
@@ -140,7 +217,7 @@ impl Tuple {
     }
 
     /// A tentative insertion.
-    pub fn tentative(id: TupleId, stime: Time, values: impl Into<Arc<[Value]>>) -> Tuple {
+    pub fn tentative(id: TupleId, stime: Time, values: impl Into<Payload>) -> Tuple {
         Tuple {
             kind: TupleKind::Tentative,
             id,
@@ -158,7 +235,7 @@ impl Tuple {
             id,
             stime,
             origin: 0,
-            values: Tuple::no_values(),
+            values: Payload::Empty,
         }
     }
 
@@ -170,7 +247,7 @@ impl Tuple {
             id,
             stime: Time::ZERO,
             origin: 0,
-            values: Arc::from([Value::Int(last_kept.0 as i64)]),
+            values: Payload::One(Value::Int(last_kept.0 as i64)),
         }
     }
 
@@ -181,7 +258,7 @@ impl Tuple {
             id,
             stime,
             origin: 0,
-            values: Tuple::no_values(),
+            values: Payload::Empty,
         }
     }
 
@@ -286,14 +363,67 @@ mod tests {
     }
 
     #[test]
-    fn clones_and_relabels_share_the_payload_allocation() {
+    fn clones_and_relabels_share_a_shared_payload_and_copy_an_inline_one() {
+        let wide = vec![Value::str("k"), Value::Int(1)];
+        let t = Tuple::insertion(TupleId(4), Time::from_millis(10), wide);
+        let Payload::Shared(payload) = &t.values else {
+            panic!("two attributes are shared");
+        };
+        for copy in [t.clone(), t.as_tentative()] {
+            assert!(matches!(&copy.values, Payload::Shared(p) if Arc::ptr_eq(p, payload)));
+        }
+        // One attribute is copied into each header (a string attribute
+        // still shares its own text).
         let t = Tuple::insertion(TupleId(4), Time::from_millis(10), vec![Value::str("k")]);
-        assert!(Arc::ptr_eq(&t.values, &t.clone().values));
-        assert!(Arc::ptr_eq(&t.values, &t.as_tentative().values));
-        // Attribute-free kinds share one process-wide empty payload.
+        for copy in [t.clone(), t.as_tentative()] {
+            assert!(matches!(copy.values, Payload::One(_)));
+            assert!(!std::ptr::eq(&copy.values[0], &t.values[0]));
+            assert_eq!(copy.values, t.values);
+        }
+        // Attribute-free kinds carry no payload at all.
         let b = Tuple::boundary(TupleId::NONE, Time::ZERO);
         let r = Tuple::rec_done(TupleId::NONE, Time::ZERO);
-        assert!(Arc::ptr_eq(&b.values, &r.values));
+        assert!(matches!(
+            (b.values, r.values),
+            (Payload::Empty, Payload::Empty)
+        ));
+    }
+
+    #[test]
+    fn every_constructor_normalizes_by_width() {
+        let ints = |n: usize| (0..n as i64).map(Value::Int).collect::<Vec<_>>();
+        let from_arrays: [(usize, Payload); 3] = [
+            (0, Payload::from([] as [Value; 0])),
+            (1, [Value::Int(0)].into()),
+            (3, [Value::Int(0), Value::Int(1), Value::Int(2)].into()),
+        ];
+        let encoded = |values: &Payload| {
+            let mut buf = Vec::new();
+            let t = Tuple::insertion(TupleId(1), Time::ZERO, values.clone());
+            crate::wire::put_tuple(&mut buf, &t);
+            buf
+        };
+        for (n, from_array) in from_arrays {
+            let built = [
+                from_array,
+                Payload::from(ints(n)),
+                ints(n).into_iter().collect(),
+                Tuple::try_values(n, |i| Ok::<_, ()>(Value::Int(i as i64))).unwrap(),
+            ];
+            let canonical = match n {
+                0 => matches!(built[0], Payload::Empty),
+                1 => matches!(built[0], Payload::One(_)),
+                _ => matches!(built[0], Payload::Shared(_)),
+            };
+            assert!(canonical, "width {n}: {:?}", built[0]);
+            for p in &built {
+                let same = std::mem::discriminant(p) == std::mem::discriminant(&built[0]);
+                assert!(same, "width {n}");
+                assert_eq!(*p, built[0]);
+                assert_eq!(**p, *ints(n));
+                assert_eq!(encoded(p), encoded(&built[0]));
+            }
+        }
     }
 
     #[test]

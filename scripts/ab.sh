@@ -1,23 +1,30 @@
 #!/usr/bin/env bash
-# A/B of one end-to-end benchmark metric: a parent commit against the
-# working tree, by the rule of the choosing-metrics and simplicity-review
-# guides. Clones <parent-ref> into a scratch directory (under $TMPDIR),
-# builds both benchmark/ binaries into separate target directories, runs
-# them in alternating order, and prints every pair, both medians, the
-# parent's inter-quartile spread and the win count. A gain is real when
-# the change wins at least nine tenths of the pairs (ties count for
-# neither side) and the medians differ by more than the parent's spread.
+# A/B of one benchmark workload: a parent commit against the working tree,
+# by the rule of the choosing-metrics and simplicity-review guides. Clones
+# <parent-ref> into a scratch directory (under $TMPDIR), builds both
+# benchmark/ binaries into separate target directories, runs them in
+# alternating order at one seed (7 by default; 11 is the held-out seed),
+# and reports every end-to-end metric of BENCHMARK.json from the same runs:
+# each pair, both medians, the parent's inter-quartile spread, the wins,
+# whether the change is a gain — it wins at least nine tenths of the pairs
+# (ties count for neither side) and the medians differ by more than the
+# parent's spread — and whether its median is worse than the parent's by
+# more than the metric's bound (the acceptance driver's regression rule).
+# `failed` is summed over each side's runs.
 #
-#   scripts/ab.sh <parent-ref> <workload> <metric> [pairs=10]
-#   scripts/ab.sh HEAD~1 chain_threads cpu_us_per_stable_tuple
+#   scripts/ab.sh <parent-ref> <workload> [pairs=10] [seed=7]
+#   scripts/ab.sh HEAD~1 chain_tcp 10 11
 set -euo pipefail
 
-[ $# -ge 3 ] || { sed -n '2,14p' "$0" >&2; exit 2; }
-ref=$1 workload=$2 metric=$3 pairs=${4:-10}
+[ $# -ge 2 ] || { sed -n '2,16p' "$0" >&2; exit 2; }
+ref=$1 workload=$2 pairs=${3:-10} seed=${4:-7}
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$root/BENCHMARK.json")
-better=$(sed -n "s/.*\"name\": *\"$metric\"[^}]*\"better\": *\"\([a-z]*\)\".*/\1/p" "$root/BENCHMARK.json")
-[ -n "$better" ] || { echo "ab.sh: $metric is not a metric of BENCHMARK.json" >&2; exit 2; }
+# One line per end-to-end metric (the entries that carry a bound):
+# name, which direction is better, bound.
+metrics=$(sed -n 's/.*"name": *"\([a-z0-9_]*\)"[^}]*"better": *"\([a-z]*\)", *"bound": *\([0-9.]*\).*/\1 \2 \3/p' \
+    "$root/BENCHMARK.json")
+names=$(echo "$metrics" | cut -d' ' -f1)
 
 scratch=$(mktemp -d "${TMPDIR:-/tmp}/borealis-ab.XXXXXX")
 trap 'rm -rf "$scratch"' EXIT
@@ -29,12 +36,19 @@ for side in parent change; do
         --manifest-path "$src/benchmark/Cargo.toml"
 done
 
-# One run of a side from its own checkout; prints the metric's value.
+# One run of a side from its own checkout: appends each metric's value to
+# $scratch/<side>.<metric> and the run's `failed` to $scratch/<side>.failed.
 run() {
     local src=$root; [ "$1" = parent ] && src=$scratch/parent
     (cd "$src" && "$scratch/target-$1/release/bench" --workload "$workload" \
-        --seed 7 --seconds "$seconds" --trace 0) | tail -n 1 |
-        sed -n "s/.*\"$metric\": *{\"value\": *\([-0-9.e+]*\).*/\1/p"
+        --seed "$seed" --seconds "$seconds" --trace 0 2>"$scratch/stderr") |
+        tail -n 1 >"$scratch/last" || true
+    for m in $names; do
+        v=$(sed -n "s/.*\"$m\": *{\"value\": *\([-0-9.e+]*\).*/\1/p" "$scratch/last")
+        [ -n "$v" ] || { cat "$scratch/stderr" >&2; echo "ab.sh: a $1 run printed no $m" >&2; exit 1; }
+        echo "$v" >>"$scratch/$1.$m"
+    done
+    sed -n 's/.*"failed": *\([0-9]*\).*/\1/p' "$scratch/last" >>"$scratch/$1.failed"
 }
 # Quantile $1 of the values on stdin, by linear interpolation.
 quantile() {
@@ -43,22 +57,31 @@ quantile() {
               print v[lo] + (v[hi] - v[lo]) * (p - lo) }'
 }
 
-echo "$workload $metric ($better is better), $pairs pairs of ${seconds}s runs, parent $ref"
+echo "$workload, seed $seed, $pairs pairs of ${seconds}s runs, parent $ref (parent → change)"
 for i in $(seq 1 "$pairs"); do
-    if [ $((i % 2)) = 1 ]; then p=$(run parent); c=$(run change); first=parent
-    else c=$(run change); p=$(run parent); first=change; fi
-    [ -n "$p" ] && [ -n "$c" ] || { echo "ab.sh: a run printed no $metric (end_to_end metrics only)" >&2; exit 1; }
-    echo "$p" >>"$scratch/parent.txt"; echo "$c" >>"$scratch/change.txt"
-    echo "pair $i ($first first): parent $p  change $c"
+    if [ $((i % 2)) = 1 ]; then run parent; run change; first=parent
+    else run change; run parent; first=change; fi
+    line="pair $i ($first first):"
+    for m in $names; do
+        line="$line $m $(tail -n 1 "$scratch/parent.$m") → $(tail -n 1 "$scratch/change.$m");"
+    done
+    echo "$line"
 done
 
-pm=$(quantile 0.5 <"$scratch/parent.txt"); cm=$(quantile 0.5 <"$scratch/change.txt")
-iqr=$(awk -v a="$(quantile 0.25 <"$scratch/parent.txt")" -v b="$(quantile 0.75 <"$scratch/parent.txt")" 'BEGIN { print b - a }')
-paste "$scratch/parent.txt" "$scratch/change.txt" | awk -v better="$better" -v n="$pairs" \
-    -v pm="$pm" -v cm="$cm" -v iqr="$iqr" '
-    { if (better == "lower" ? $2 < $1 : $2 > $1) wins++; else if ($2 != $1) losses++ }
-    END { d = better == "lower" ? pm - cm : cm - pm
-          printf "median: parent %g  change %g  (change better by %g)\n", pm, cm, d
-          printf "parent inter-quartile spread: %g\n", iqr
-          printf "change wins %d of %d pairs, loses %d\n", wins, n, losses
-          print ((wins >= 0.9 * n && d > iqr) ? "gain" : "no gain") " by the nine-tenths-and-spread rule" }'
+printf '%-24s %-6s %10s %10s %8s %10s %8s  %-7s %s\n' metric better parent change delta \
+    parent-iqr wins gain "worse than bound?"
+echo "$metrics" | while read -r m better bound; do
+    pm=$(quantile 0.5 <"$scratch/parent.$m"); cm=$(quantile 0.5 <"$scratch/change.$m")
+    iqr=$(awk -v a="$(quantile 0.25 <"$scratch/parent.$m")" \
+        -v b="$(quantile 0.75 <"$scratch/parent.$m")" 'BEGIN { print b - a }')
+    paste "$scratch/parent.$m" "$scratch/change.$m" | awk -v m="$m" -v better="$better" \
+        -v bound="$bound" -v n="$pairs" -v pm="$pm" -v cm="$cm" -v iqr="$iqr" '
+        { if (better == "lower" ? $2 < $1 : $2 > $1) wins++ }
+        END { d = better == "lower" ? pm - cm : cm - pm
+              worse = better == "lower" ? cm > pm * (1 + bound) : cm < pm * (1 - bound)
+              printf "%-24s %-6s %10g %10g %+7.1f%% %10g %4d/%-3d  %-7s %s (bound %g%%)\n", m, better,
+                  pm, cm, pm ? 100 * (cm - pm) / pm : 0, iqr, wins, n,
+                  (wins >= 0.9 * n && d > iqr) ? "gain" : "no", worse ? "WORSE" : "no", 100 * bound }'
+done
+sum() { awk '{ s += $1 } END { print s + 0 }' "$1"; }
+echo "failed: parent $(sum "$scratch/parent.failed"), change $(sum "$scratch/change.failed") (over $pairs runs a side)"

@@ -40,4 +40,10 @@ if git grep -nE 'impl(<.*>)? Ord for' -- crates/sim/src/kernel.rs crates/runtime
 # (Hashing's `to_le_bytes` in shard.rs is not decoding.)
 if git grep -nE 'from_le_bytes|\.min\(1024\)' -- crates src ':!crates/types/src/wire.rs' ':!crates/check' ':!*/tests/*' ':!*_tests.rs'; then fail "codec"; fi
 
+# One payload type: tuple attributes are a `Payload` (inline up to one
+# attribute, shared beyond), so a shared slice of values is named only
+# where `Payload` is defined — an operator that collected one itself would
+# allocate where an inline payload needs nothing.
+if git grep -n 'Arc<\[Value\]>' -- '*.rs' ':!crates/types/src/tuple.rs' ':!*/tests/*' ':!tests/*' ':!*_tests.rs'; then fail "payload"; fi
+
 echo "lints: ok"

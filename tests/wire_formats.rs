@@ -11,7 +11,10 @@
 //! * `decode_never_panics_or_overallocates` feeds every strict prefix and
 //!   2 000 seeded single-byte mutations of each encoding back through the
 //!   matching decoder and demands `Ok` or a typed error, with no single
-//!   allocation out of proportion to the input.
+//!   allocation out of proportion to the input;
+//! * `decoded_one_attribute_tuples_cost_no_allocation_each` counts what
+//!   decoding a `Data` frame costs: a per-frame constant for one-attribute
+//!   tuples (held inline), one allocation more per wider tuple.
 
 use borealis::diagram::FragmentPlan;
 use borealis::dpc::{
@@ -21,7 +24,8 @@ use borealis::engine::Fragment;
 use borealis::ops::{AggFn, AggregateSpec, DelayMode, OperatorSpec, SJoinSpec, SUnionConfig};
 use borealis::types::wire::{put_tuple, Reader};
 use borealis::types::{
-    BatchView, Duration, Expr, NodeId, StreamId, Time, Tuple, TupleBatch, TupleId, TupleKind, Value,
+    BatchView, Duration, Expr, NodeId, Payload, StreamId, Time, Tuple, TupleBatch, TupleId,
+    TupleKind, Value,
 };
 use borealis_workloads::{sharded_chain_builder, ShardedChainOptions};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -392,6 +396,64 @@ const PINNED: &[(&str, usize, u64)] = &[
     ("input log", 263, 0xd5bad7d5739fa197),
 ];
 
+/// One tuple per `Payload` variant (and both inline value layouts), for the
+/// hostile-input test only: they are not pinned formats of their own.
+fn payload_tuples() -> Vec<Format> {
+    let payloads = [
+        ("tuple, empty payload", vec![]),
+        ("tuple, one int inline", vec![Value::Int(-7)]),
+        ("tuple, one str inline", vec![Value::str("elm")]),
+        (
+            "tuple, shared payload",
+            vec![Value::Bool(true), Value::Float(0.5)],
+        ),
+    ];
+    payloads
+        .into_iter()
+        .map(|(name, values)| {
+            let mut bytes = Vec::new();
+            put_tuple(&mut bytes, &Tuple::tentative(TupleId(5), Time(77), values));
+            Format {
+                name,
+                bytes,
+                decoder: Decoder::Tuple,
+            }
+        })
+        .collect()
+}
+
+/// Allocator entries `decode_frame` makes for a `Data` frame of `n` tuples
+/// of `width` integer attributes each.
+fn data_frame_decode_allocs(n: u64, width: i64) -> u64 {
+    let tuples = (1..=n)
+        .map(|id| {
+            let values: Payload = (0..width).map(Value::Int).collect();
+            Tuple::insertion(TupleId(id), Time::from_millis(id), values)
+        })
+        .collect();
+    let tuples = BatchView::from(TupleBatch::from_vec(tuples));
+    let mut bytes = Vec::new();
+    let msg = WireMsg::Net(NetMsg::Data {
+        stream: StreamId(7),
+        tuples,
+    });
+    encode_frame(&mut bytes, NodeId(3), NodeId(4), &msg);
+    let before = counting_alloc::allocs();
+    let decoded = decode_frame(&bytes);
+    let allocs = counting_alloc::allocs() - before;
+    assert!(matches!(decoded, Ok(Some(_))));
+    allocs
+}
+
+#[test]
+fn decoded_one_attribute_tuples_cost_no_allocation_each() {
+    let one = [100, 200].map(|n| data_frame_decode_allocs(n, 1));
+    let two = [100, 200].map(|n| data_frame_decode_allocs(n, 2));
+    assert_eq!(one[0], one[1], "one attribute: a per-frame constant");
+    assert_eq!(two[0] - one[0], 100, "two attributes: one allocation each");
+    assert_eq!(two[1] - one[1], 200, "two attributes: one allocation each");
+}
+
 #[test]
 fn wire_formats_are_pinned() {
     let dir = scratch("pinned");
@@ -488,7 +550,7 @@ fn decode_never_panics_or_overallocates() {
     let mut rng = StdRng::seed_from_u64(0x0DD_B17E5);
     let mut store = Store::new();
     let fixture = scratch("hostile-fixture");
-    for format in formats(&fixture) {
+    for format in formats(&fixture).into_iter().chain(payload_tuples()) {
         let mut attempts: Vec<Vec<u8>> = (0..format.bytes.len())
             .map(|cut| format.bytes[..cut].to_vec())
             .collect();

@@ -84,6 +84,7 @@ impl DpcActor<NetMsg> for ClientProxy {
             NetMsg::HeartbeatResp {
                 node_state,
                 stream_states,
+                ..
             } => {
                 let period = self.heartbeat_period;
                 self.inputs

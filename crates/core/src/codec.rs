@@ -13,11 +13,14 @@
 //! | `0x02` | `Unsubscribe` | `stream:u32` |
 //! | `0x03` | `Ack` | `stream:u32 through:u64` |
 //! | `0x04` | `HeartbeatReq` | empty |
-//! | `0x05` | `HeartbeatResp` | `node_state:u8 count:u32 (stream:u32 state:u8)*` |
+//! | `0x05` | `HeartbeatResp` | `node_state:u8 count:u32 (stream:u32 state:u8)* stalled:u64` (µs) |
 //! | `0x06`–`0x09` | `Reconcile{Request,Grant,Reject,Done}` | empty |
 //! | `0xE0` | `CreditGrant` | empty (the link is the header's `from`/`to`) |
 //! | `0xE1` | `Hello` | `proc:u32` |
-//! | `0xE2` | `StallReport` | `micros:u64` (0 clears the stall) |
+//! | `0xE3` | `Goodbye` | empty |
+//!
+//! `0xE2` (a credit-stall report; the stall now rides `HeartbeatResp`) is
+//! retired: like any unknown kind it decodes as `WireError::BadTag`.
 //!
 //! `Data` encodes **straight from the `Arc`'d batch view** into the
 //! caller's reusable write buffer — no intermediate message buffer, no
@@ -46,7 +49,6 @@ mod kind {
     pub const RECONCILE_DONE: u8 = 0x09;
     pub const CREDIT_GRANT: u8 = 0xE0;
     pub const HELLO: u8 = 0xE1;
-    pub const STALL_REPORT: u8 = 0xE2;
     pub const GOODBYE: u8 = 0xE3;
 }
 
@@ -64,13 +66,6 @@ pub enum WireMsg {
     Hello {
         /// Index of the dialing process in the deployment's process plan.
         proc: u32,
-    },
-    /// Sender-side credit-stall telemetry for the header's `from → to`
-    /// link, so the receiver's `inbound_stall` sees cross-process
-    /// backpressure. `micros` is the stall duration so far; 0 clears it.
-    StallReport {
-        /// Stall duration so far, in microseconds (0 = stall over).
-        micros: u64,
     },
     /// Clean shutdown: the peer is exiting on purpose, so the connection
     /// closing is not a crash.
@@ -92,7 +87,6 @@ impl WireMsg {
             WireMsg::Net(NetMsg::ReconcileDone) => kind::RECONCILE_DONE,
             WireMsg::CreditGrant => kind::CREDIT_GRANT,
             WireMsg::Hello { .. } => kind::HELLO,
-            WireMsg::StallReport { .. } => kind::STALL_REPORT,
             WireMsg::Goodbye => kind::GOODBYE,
         }
     }
@@ -126,12 +120,13 @@ impl WireMsg {
             WireMsg::Net(NetMsg::HeartbeatResp {
                 node_state,
                 stream_states,
+                stalled,
             }) => {
                 node_state.put(buf);
                 stream_states.put(buf);
+                stalled.put(buf);
             }
             WireMsg::Hello { proc } => proc.put(buf),
-            WireMsg::StallReport { micros } => micros.put(buf),
             _ => {}
         }
     }
@@ -183,6 +178,7 @@ pub fn decode_payload(kind_byte: u8, payload: &[u8]) -> Result<WireMsg, WireErro
         kind::HEARTBEAT_RESP => WireMsg::Net(NetMsg::HeartbeatResp {
             node_state: Wire::get(r)?,
             stream_states: Wire::get(r)?,
+            stalled: Wire::get(r)?,
         }),
         kind::RECONCILE_REQUEST => WireMsg::Net(NetMsg::ReconcileRequest),
         kind::RECONCILE_GRANT => WireMsg::Net(NetMsg::ReconcileGrant),
@@ -191,9 +187,6 @@ pub fn decode_payload(kind_byte: u8, payload: &[u8]) -> Result<WireMsg, WireErro
         kind::CREDIT_GRANT => WireMsg::CreditGrant,
         kind::HELLO => WireMsg::Hello {
             proc: Wire::get(r)?,
-        },
-        kind::STALL_REPORT => WireMsg::StallReport {
-            micros: Wire::get(r)?,
         },
         kind::GOODBYE => WireMsg::Goodbye,
         tag => {
@@ -227,7 +220,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Option<(NodeId, NodeId, WireMsg, usi
 mod tests {
     use super::*;
     use crate::msg::NodeState;
-    use borealis_types::{StreamId, Time, Tuple, TupleBatch, TupleId, Value};
+    use borealis_types::{Duration, StreamId, Time, Tuple, TupleBatch, TupleId, Value};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_value(rng: &mut StdRng) -> Value {
@@ -317,6 +310,7 @@ mod tests {
                     stream_states: (0..n)
                         .map(|_| (StreamId(rng.gen_range(0..64u32)), random_state(rng)))
                         .collect(),
+                    stalled: Duration::from_micros(rng.gen_range(0..u64::MAX)),
                 }
             }
             6 => NetMsg::ReconcileRequest,
@@ -363,8 +357,6 @@ mod tests {
         let cases = [
             WireMsg::CreditGrant,
             WireMsg::Hello { proc: 3 },
-            WireMsg::StallReport { micros: 125_000 },
-            WireMsg::StallReport { micros: 0 },
             WireMsg::Goodbye,
         ];
         for msg in &cases {
@@ -375,9 +367,6 @@ mod tests {
                 (WireMsg::CreditGrant, WireMsg::CreditGrant) => {}
                 (WireMsg::Goodbye, WireMsg::Goodbye) => {}
                 (WireMsg::Hello { proc: a }, WireMsg::Hello { proc: b }) => assert_eq!(a, b),
-                (WireMsg::StallReport { micros: a }, WireMsg::StallReport { micros: b }) => {
-                    assert_eq!(a, b)
-                }
                 other => panic!("mismatched round trip: {other:?}"),
             }
         }
@@ -427,6 +416,19 @@ mod tests {
                     let _ = decode_frame(&corrupt); // must return, not panic
                 }
             }
+        }
+    }
+
+    /// The retired stall-report kind is rejected like any unassigned one,
+    /// never reinterpreted.
+    #[test]
+    fn retired_and_unknown_kinds_are_bad_tags() {
+        for tag in [0x0A, 0xE2, 0xE4, 0xFF] {
+            let got = decode_payload(tag, &125_000u64.to_le_bytes());
+            assert!(
+                matches!(got, Err(WireError::BadTag { tag: t, .. }) if t == tag),
+                "{tag:#x}"
+            );
         }
     }
 

@@ -7,7 +7,7 @@
 //! inter-replica stabilization stagger protocol (§4.4.3, Fig. 9).
 
 use borealis_sim::ShardMsg;
-use borealis_types::{BatchView, PartitionSpec, ShardRouter, StreamId, TupleId};
+use borealis_types::{BatchView, Duration, PartitionSpec, ShardRouter, StreamId, TupleId};
 
 /// Consistency state of a node or of one of its output streams (Fig. 5,
 /// plus the `Failed` state a monitor assigns to unreachable peers).
@@ -88,6 +88,9 @@ pub enum NetMsg {
         /// Per-output-stream states (streams unaffected by a failure stay
         /// `Stable`).
         stream_states: Vec<(StreamId, NodeState)>,
+        /// The responder's credit stall towards the requester
+        /// (`RuntimeCtx::outbound_stall`; zero while credit flows).
+        stalled: Duration,
     },
     /// Stagger protocol (Fig. 9): ask a replica for permission to enter
     /// STABILIZATION (the replica promises to keep processing new tuples).
@@ -179,6 +182,7 @@ mod tests {
             NetMsg::HeartbeatResp {
                 node_state: NodeState::Stable,
                 stream_states: vec![],
+                stalled: Duration::ZERO,
             },
             NetMsg::ReconcileRequest,
             NetMsg::ReconcileGrant,

@@ -361,16 +361,33 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 let resp = NetMsg::HeartbeatResp {
                     node_state: self.state,
                     stream_states: self.stream_states(),
+                    stalled: ctx.outbound_stall(from),
                 };
                 ctx.send(from, resp);
             }
             NetMsg::HeartbeatResp {
                 node_state,
                 stream_states,
+                stalled,
             } => {
                 let period = self.cfg.tuning.heartbeat_period;
                 self.inputs
                     .heartbeat_response(ctx, from, node_state, &stream_states, period);
+                // Credit-stall surfacing: the responder's sends to us sit
+                // queued awaiting credit. On every input it currently
+                // feeds, a stall that outlasts the detection delay becomes
+                // an explicit UP_FAILURE — overload turns into delayed
+                // buckets under the DelayMode budget, not silent unbounded
+                // buffering.
+                let now = ctx.now();
+                for i in 0..self.inputs.ums.len() {
+                    let um = &self.inputs.ums[i];
+                    if stalled > Duration::ZERO && um.current() == from {
+                        let batch = self.fragment.note_input_stall(um.stream(), stalled, now);
+                        self.handle_batch(ctx, batch, now);
+                        self.post_event(ctx);
+                    }
+                }
             }
             NetMsg::ReconcileRequest => {
                 let must_reject = self.state == NodeState::Stabilization
@@ -433,22 +450,6 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 self.granted_to.retain(|(n, _)| ctx.reachable(*n));
                 if self.granted_to.len() < before {
                     self.check_reconcile(ctx);
-                }
-                // Credit-stall surfacing: when the active producer of an
-                // input stream has its sends queued awaiting credit, report
-                // the stall to that stream's input SUnions. A stall that
-                // outlasts the detection delay becomes an explicit
-                // UP_FAILURE — overload turns into delayed buckets under
-                // the DelayMode budget, not silent unbounded buffering.
-                for i in 0..self.inputs.ums.len() {
-                    let um = &self.inputs.ums[i];
-                    let (stream, from) = (um.stream(), um.current());
-                    let stalled = ctx.inbound_stall(from);
-                    if stalled > Duration::ZERO {
-                        let batch = self.fragment.note_input_stall(stream, stalled, now);
-                        self.handle_batch(ctx, batch, now);
-                        self.post_event(ctx);
-                    }
                 }
                 self.refresh_state();
                 ctx.set_timer(now + self.cfg.tuning.heartbeat_period, TIMER_HEARTBEAT);
@@ -577,6 +578,7 @@ mod tests {
     use super::*;
     use crate::runtime::fake::FakeCtx;
     use borealis_diagram::{plan_deployment, DeploymentSpec, DpcConfig, QueryBuilder};
+    use borealis_ops::OperatorSpec;
 
     const SOURCE: NodeId = NodeId(1);
     const CLIENT: NodeId = NodeId(2);
@@ -641,5 +643,39 @@ mod tests {
             ctx.sent
         );
         assert_eq!(node.state, NodeState::Stable);
+    }
+
+    /// A producer reports its own credit stall in its keep-alive reply, and
+    /// the consumer acts on it where the reply arrives: a stall from the
+    /// current upstream that reaches the SUnion's detection delay is an
+    /// UP_FAILURE; a zero stall, or one from a node feeding no input, is
+    /// nothing.
+    #[test]
+    fn heartbeat_reply_carries_the_stall_and_a_long_one_declares_up_failure() {
+        let (mut node, _) = relay_node();
+        let OperatorSpec::SUnion(su) = &node.cfg.plan.ops[0].spec else {
+            panic!("the fragment starts with its input SUnion");
+        };
+        let (detect, mut ctx) = (su.detect_delay, FakeCtx::default());
+        ctx.stall = Duration::from_millis(7);
+        node.on_start(&mut ctx);
+        ctx.sent.clear();
+        node.on_message(&mut ctx, CLIENT, NetMsg::HeartbeatReq);
+        let [(_, to, NetMsg::HeartbeatResp { stalled, .. })] = &ctx.sent[..] else {
+            panic!("one reply expected: {:?}", ctx.sent);
+        };
+        assert_eq!((*to, *stalled), (CLIENT, ctx.stall));
+        let reply = |stalled| NetMsg::HeartbeatResp {
+            node_state: NodeState::Stable,
+            stream_states: Vec::new(),
+            stalled,
+        };
+        node.on_message(&mut ctx, SOURCE, reply(Duration::ZERO));
+        node.on_message(&mut ctx, CLIENT, reply(detect));
+        assert_eq!(node.state, NodeState::Stable);
+        assert!(!node.fragment.is_tainted());
+        node.on_message(&mut ctx, SOURCE, reply(detect));
+        assert_eq!(node.state, NodeState::UpFailure);
+        assert!(node.fragment.is_tainted());
     }
 }

@@ -43,6 +43,8 @@ pub(crate) mod fake {
         pub sent: Vec<(Time, NodeId, NetMsg)>,
         /// Every timer armed so far: (due instant, kind).
         pub timers: Vec<(Time, u64)>,
+        /// What [`RuntimeCtx::outbound_stall`] answers, for every link.
+        pub stall: Duration,
     }
 
     impl RuntimeCtx<NetMsg> for FakeCtx {
@@ -56,8 +58,8 @@ pub(crate) mod fake {
             self.sent.push((self.now, to, msg));
         }
         fn data_consumed_at(&mut self, _at: Time) {}
-        fn inbound_stall(&self, _from: NodeId) -> Duration {
-            Duration::ZERO
+        fn outbound_stall(&self, _to: NodeId) -> Duration {
+            self.stall
         }
         fn set_timer(&mut self, at: Time, kind: u64) {
             self.timers.push((at.max(self.now), kind));

@@ -220,6 +220,7 @@ impl DpcActor<NetMsg> for DataSource {
                     NetMsg::HeartbeatResp {
                         node_state: NodeState::Stable,
                         stream_states: vec![(self.cfg.stream, NodeState::Stable)],
+                        stalled: ctx.outbound_stall(from),
                     },
                 );
             }

@@ -350,13 +350,14 @@ impl Fragment {
     }
 
     /// Surfaces a transport-level credit stall on one of this fragment's
-    /// input streams (reported by the node's Consistency Manager from
-    /// `RuntimeCtx::inbound_stall`): forwarded to the stream's input
-    /// SUnions, which treat a stall outlasting their detection delay as an
-    /// upstream failure. The failure checkpoint is taken *before* the
-    /// declaration, exactly as for a deadline-triggered tentative release
-    /// (§4.4.1), so the stall era is recorded for replay and later
-    /// reconciled.
+    /// input streams (the stream's producer reads it off its own ledger,
+    /// `RuntimeCtx::outbound_stall`, and reports it in its keep-alive
+    /// reply; the node's Consistency Manager passes it on): forwarded to
+    /// the stream's input SUnions, which treat a stall outlasting their
+    /// detection delay as an upstream failure. The failure checkpoint is
+    /// taken *before* the declaration, exactly as for a deadline-triggered
+    /// tentative release (§4.4.1), so the stall era is recorded for replay
+    /// and later reconciled.
     pub fn note_input_stall(
         &mut self,
         stream: StreamId,

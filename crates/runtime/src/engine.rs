@@ -93,17 +93,10 @@ impl RuntimeCtx<NetMsg> for ThreadCtx<'_> {
         self.consumed_at = Some(at.max(self.now));
     }
 
-    fn inbound_stall(&self, from: NodeId) -> Duration {
-        // A remote sender's ledger lives in its own process: use the
-        // stall it reported over the wire instead of the local ledger.
-        match &self.worker.tcp {
-            Some(t) if t.is_remote(from) => t.remote_stalled_for(from, self.id),
-            _ => self
-                .worker
-                .hub
-                .fabric()
-                .stalled_for(from, self.id, self.now),
-        }
+    fn outbound_stall(&self, to: NodeId) -> Duration {
+        // The sender's ledger is this process's fabric whether `to` is
+        // local or remote (over TCP it is the wire window).
+        self.worker.hub.fabric().stalled_for(self.id, to, self.now)
     }
 
     fn set_timer(&mut self, at: Time, kind: u64) {
@@ -184,29 +177,23 @@ impl Worker {
     ///
     /// With a socket mesh, a remote destination changes only that last
     /// hop: admission still debits the **local** ledger (it is the wire
-    /// credit window — see [`crate::tcp`]) and a queued outcome
-    /// additionally reports the stall to the remote receiver.
+    /// credit window — see [`crate::tcp`]).
     fn send(&mut self, from: NodeId, to: NodeId, msg: NetMsg, now: Time) {
-        let sent = self.hub.fabric().send(&mut self.router, from, to, msg, now);
-        let remote = self.tcp.as_deref().filter(|t| t.is_remote(to));
-        match (sent, remote) {
-            (Sent::Go(msg), None) => {
-                self.hub
-                    .sched
-                    .push(to, Envelope::Msg { from, msg }, Some(self.idx));
-            }
-            (Sent::Go(msg), Some(tcp)) => {
+        let Sent::Go(msg) = self.hub.fabric().send(&mut self.router, from, to, msg, now) else {
+            return; // queued awaiting credit, not for this shard, or dropped
+        };
+        match self.tcp.as_deref().filter(|t| t.is_remote(to)) {
+            None => self
+                .hub
+                .sched
+                .push(to, Envelope::Msg { from, msg }, Some(self.idx)),
+            Some(tcp) => {
                 if !tcp.send_net(from, to, msg) {
                     // The connection died between the reachability check
                     // and the enqueue: the frame is lost.
                     self.hub.fabric().count_lost();
                 }
             }
-            (Sent::Queued, Some(tcp)) => {
-                let stalled = self.hub.fabric().stalled_for(from, to, now);
-                tcp.note_queued(from, to, stalled);
-            }
-            (Sent::Queued | Sent::NotForShard | Sent::Dropped, _) => {}
         }
     }
 

@@ -20,17 +20,18 @@
 //! the credit with an explicit `CreditGrant` frame (replacing the
 //! in-process `Replenish` wheel entry) whose header names the data link
 //! `from → to`. On grant receipt the sender releases the next queued
-//! message from its own ledger and puts it on the wire. Because the ledger
-//! is sender-side, a receiver cannot observe its own inbound stall
-//! locally; the sender reports it with `StallReport` frames (micros
-//! stalled so far, `0` = drained) that the receiver extrapolates in
-//! [`TcpFabric::remote_stalled_for`] — so SUnion's `inbound_stall` probe
-//! and the §6 delay budget work unchanged across the wire.
+//! message from its own ledger and puts it on the wire. The stall of a
+//! link is read where its ledger lives, by the sender
+//! (`RuntimeCtx::outbound_stall`), and reaches the receiver inside the
+//! sender's `HeartbeatResp` — the same path on every runtime, so SUnion's
+//! overload detection and the §6 delay budget work unchanged across the
+//! wire.
 //!
 //! **Connection reset = crash.** A torn connection (read error, EOF
-//! without a `Goodbye` frame, or a corrupt frame) marks every actor of the
-//! dead peer process `NodeDown` in the local fabric — the same
-//! `Fabric::apply` the scripted fault controller calls: queued
+//! without a `Goodbye` frame, a corrupt frame, or a header whose actor ids
+//! the plan does not place on this connection's two ends) marks every
+//! actor of the dead peer process `NodeDown` in the local fabric — the
+//! same `Fabric::apply` the scripted fault controller calls: queued
 //! credit-stalled sends purge as counted delivery drops and later sends
 //! count as send drops, so the chaos semantics of the two transports are
 //! identical. The scripted fault script itself replays in *every* process
@@ -53,8 +54,7 @@ use borealis_dpc::{
     decode_frame, encode_frame, DpcActor, MetricsHub, NetMsg, RuntimeCtx, SystemLayout, WireMsg,
 };
 use borealis_sim::{FaultEvent, StatsSnapshot};
-use borealis_types::{Duration, NodeId, Time, WireGauges};
-use std::collections::{HashMap, HashSet};
+use borealis_types::{NodeId, WireGauges};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::thread::JoinHandle;
@@ -70,7 +70,6 @@ struct ConnGauges {
     flushes: AtomicU64,
     grants_sent: AtomicU64,
     grants_recv: AtomicU64,
-    stall_reports: AtomicU64,
     purged: AtomicU64,
     resets: AtomicU64,
 }
@@ -205,11 +204,10 @@ impl DpcActor<NetMsg> for RemoteStub {
     fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
 }
 
-/// The per-process socket mesh: one connection per peer process, the
-/// process plan, and the cross-process stall bookkeeping. (The *link*
-/// fabric — reachability, credits, loss accounting — is
-/// `borealis_sim::Fabric`, shared with the worker pool through the
-/// engine's hub; this type only moves frames.)
+/// The per-process socket mesh: one connection per peer process and the
+/// process plan. (The *link* fabric — reachability, credits, loss
+/// accounting — is `borealis_sim::Fabric`, shared with the worker pool
+/// through the engine's hub; this type only moves frames.)
 pub struct TcpFabric {
     my_proc: u32,
     /// `plan[actor index] = process id` — identical in every process.
@@ -228,12 +226,6 @@ pub struct TcpFabric {
     hub: Mutex<Option<Arc<Hub>>>,
     /// Orderly shutdown: stops the acceptor and refuses late installs.
     closing: AtomicBool,
-    /// Sender side: links `from → to` whose stall we have reported to the
-    /// remote receiver and not yet retracted with a `StallReport{0}`.
-    reported_stalls: Mutex<HashSet<(u32, u32)>>,
-    /// Receiver side: last stall report per remote link, as
-    /// `(micros reported, receipt instant)` — extrapolated on read.
-    remote_stalls: Mutex<HashMap<(u32, u32), (u64, Instant)>>,
     io: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -314,26 +306,20 @@ impl TcpFabric {
             listener: Mutex::new(Some(listener)),
             hub: Mutex::new(None),
             closing: AtomicBool::new(false),
-            reported_stalls: Mutex::new(HashSet::new()),
-            remote_stalls: Mutex::new(HashMap::new()),
             io: Mutex::new(Vec::new()),
         })
     }
 
-    /// This fabric's process id.
-    pub fn my_proc(&self) -> u32 {
-        self.my_proc
-    }
-
-    /// The process hosting `id`.
-    pub fn proc_of(&self, id: NodeId) -> u32 {
-        self.plan[id.index()]
+    /// True when the plan places `id` in process `proc` — false for an id
+    /// outside the plan, so it may be asked about ids read off a socket.
+    fn placed(&self, id: NodeId, proc: u32) -> bool {
+        self.plan.get(id.index()) == Some(&proc)
     }
 
     /// True when `id` lives in another process (its sends travel the
     /// wire; its local task is an inert stub).
     pub fn is_remote(&self, id: NodeId) -> bool {
-        self.proc_of(id) != self.my_proc
+        !self.placed(id, self.my_proc)
     }
 
     /// Every actor the plan places in process `proc`.
@@ -344,7 +330,7 @@ impl TcpFabric {
     }
 
     fn conn_to(&self, id: NodeId) -> Option<Arc<Conn>> {
-        read(&self.conns[self.proc_of(id) as usize]).clone()
+        read(&self.conns[self.plan[id.index()] as usize]).clone()
     }
 
     /// Encodes `msg` into the write buffer of `to`'s process connection.
@@ -368,62 +354,6 @@ impl TcpFabric {
             }) {
                 conn.g.grants_sent.fetch_add(1, Ordering::Relaxed);
             }
-        }
-    }
-
-    /// Sender side: a data message to remote `to` just queued in the local
-    /// ledger. Report the stall so the receiver's `inbound_stall` probe
-    /// sees it.
-    pub(crate) fn note_queued(&self, from: NodeId, to: NodeId, stalled: Duration) {
-        relock(&self.reported_stalls).insert((from.0, to.0));
-        if let Some(conn) = self.conn_to(to) {
-            conn.enqueue(|buf| {
-                encode_frame(
-                    buf,
-                    from,
-                    to,
-                    &WireMsg::StallReport {
-                        micros: stalled.as_micros(),
-                    },
-                );
-            });
-        }
-    }
-
-    /// Sender side, on grant receipt: if the link's stall episode ended
-    /// (queue drained), retract the report with a `StallReport{0}`.
-    fn clear_stall_if_drained(&self, hub: &Hub, from: NodeId, to: NodeId, now: Time) {
-        if hub.fabric().stalled_for(from, to, now) != Duration::ZERO {
-            return;
-        }
-        if !relock(&self.reported_stalls).remove(&(from.0, to.0)) {
-            return;
-        }
-        if let Some(conn) = self.conn_to(to) {
-            conn.enqueue(|buf| {
-                encode_frame(buf, from, to, &WireMsg::StallReport { micros: 0 });
-            });
-        }
-    }
-
-    /// Receiver side: records (or retracts, `micros == 0`) a sender's
-    /// stall report for the link `from → to`.
-    fn note_remote_stall(&self, from: NodeId, to: NodeId, micros: u64) {
-        let mut map = relock(&self.remote_stalls);
-        if micros == 0 {
-            map.remove(&(from.0, to.0));
-        } else {
-            map.insert((from.0, to.0), (micros, Instant::now()));
-        }
-    }
-
-    /// Continuous inbound credit-stall of the remote link `from → to`, as
-    /// last reported by the sender and extrapolated since receipt — the
-    /// cross-process analogue of `Fabric::stalled_for`.
-    pub fn remote_stalled_for(&self, from: NodeId, to: NodeId) -> Duration {
-        match relock(&self.remote_stalls).get(&(from.0, to.0)) {
-            Some((micros, at)) => Duration::from_micros(micros + at.elapsed().as_micros() as u64),
-            None => Duration::ZERO,
         }
     }
 
@@ -565,7 +495,6 @@ impl TcpFabric {
             w.flushes += g.flushes.load(Ordering::Relaxed);
             w.grants_sent += g.grants_sent.load(Ordering::Relaxed);
             w.grants_recv += g.grants_recv.load(Ordering::Relaxed);
-            w.stall_reports += g.stall_reports.load(Ordering::Relaxed);
             w.purged_frames += g.purged.load(Ordering::Relaxed);
             w.resets += g.resets.load(Ordering::Relaxed);
         }
@@ -713,6 +642,7 @@ fn read_hello(mut stream: &TcpStream) -> std::io::Result<(u32, Vec<u8>)> {
 fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
     let mut buf: Vec<u8> = std::mem::take(&mut relock(&conn.carry));
     let mut scratch = vec![0u8; 64 * 1024];
+    let (ours, theirs) = (mesh.my_proc, conn.peer_proc);
     loop {
         // Drain every complete frame before reading more.
         let mut consumed = 0usize;
@@ -722,37 +652,35 @@ fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
                     consumed += used;
                     conn.g.frames_recv.fetch_add(1, Ordering::Relaxed);
                     match msg {
-                        WireMsg::Net(m) => {
+                        WireMsg::Net(m) if mesh.placed(from, theirs) && mesh.placed(to, ours) => {
                             // Straight into the destination mailbox: the
                             // fabric's delivery-time checks run when the
                             // worker processes it, the same as an
                             // in-process send.
                             hub.sched.push(to, Envelope::Msg { from, msg: m }, None);
                         }
-                        WireMsg::CreditGrant => {
+                        WireMsg::CreditGrant
+                            if mesh.placed(from, ours) && mesh.placed(to, theirs) =>
+                        {
                             conn.g.grants_recv.fetch_add(1, Ordering::Relaxed);
-                            let now = hub.clock.now();
                             // The grant names the data link from → to; our
                             // ledger holds its window. Release the next
                             // queued message onto the wire.
-                            let released = hub.fabric().consumed(from, to, now);
+                            let released = hub.fabric().consumed(from, to, hub.clock.now());
                             if let Some(m) = released {
                                 if !mesh.send_net(from, to, m) {
                                     hub.fabric().count_lost();
                                 }
                             }
-                            mesh.clear_stall_if_drained(&hub, from, to, now);
-                        }
-                        WireMsg::StallReport { micros } => {
-                            conn.g.stall_reports.fetch_add(1, Ordering::Relaxed);
-                            mesh.note_remote_stall(from, to, micros);
                         }
                         WireMsg::Goodbye => {
                             conn.peer_goodbye.store(true, Ordering::Release);
                         }
-                        // Only valid during the handshake; mid-stream it
-                        // means the framing is corrupt.
-                        WireMsg::Hello { .. } => {
+                        // A `Hello` is only valid during the handshake, and
+                        // a link the plan does not run between the two
+                        // processes is not ours to act on: either way the
+                        // peer is broken — crash semantics.
+                        WireMsg::Net(_) | WireMsg::CreditGrant | WireMsg::Hello { .. } => {
                             mesh.reset_conn(&conn, &hub);
                             return;
                         }
@@ -914,7 +842,8 @@ pub fn deploy_tcp(layout: SystemLayout, fabric: Arc<TcpFabric>) -> RunningTcp {
 mod tests {
     use super::*;
     use crate::sync::AtomicUsize;
-    use borealis_types::{CreditPolicy, StreamId, Tuple, TupleBatch, TupleId};
+    use borealis_types::{CreditPolicy, Duration, StreamId, Time, Tuple, TupleBatch, TupleId};
+    use std::collections::HashSet;
 
     fn data_msg() -> NetMsg {
         NetMsg::Data {
@@ -1033,21 +962,14 @@ mod tests {
             "all four data messages must arrive; got {}",
             seen.load(Ordering::SeqCst)
         );
-        // The queued sends stalled the link, so the receiver heard about
-        // it; the drain retracted the report.
-        assert!(
-            wait_until(
-                || f1.remote_stalled_for(NodeId(0), NodeId(1)) == Duration::ZERO,
-                2000
-            ),
-            "stall retracts once the queue drains"
-        );
         let w1 = f1.wire_gauges();
         assert!(
             w1.grants_sent >= 3,
             "wire grants released the queue: {w1:?}"
         );
-        assert!(w1.stall_reports >= 1, "sender reported its stall: {w1:?}");
+        // The sender's ledger is the wire window: drained, it stalls no more.
+        let flow0 = rt0.fabric().stats().flow;
+        assert_eq!(flow0.queued_now, 0, "{flow0:?}");
         let stats0 = rt0.shutdown();
         f0.shutdown();
         rt1.shutdown();
@@ -1056,6 +978,45 @@ mod tests {
         let w0 = f0.wire_gauges();
         assert!(w0.grants_recv >= 3, "sender saw the grants: {w0:?}");
         assert!(w0.frames_per_flush() >= 1.0);
+    }
+
+    /// Every id in a frame header is checked against the plan before the
+    /// frame is dispatched: a `Data` frame must come from the peer's
+    /// process and go to ours, a `CreditGrant` the reverse. Each hostile
+    /// header below resets the connection like a corrupt frame, and no
+    /// actor sees the frame.
+    #[test]
+    fn frames_naming_links_outside_the_plan_reset_the_connection() {
+        let (data, grant) = (|| WireMsg::Net(data_msg()), WireMsg::CreditGrant);
+        let hostile = [
+            ("sender outside the plan", 7, 1, data()),
+            ("sender in a third process", 2, 1, data()),
+            ("sender in the receiver's process", 1, 1, data()),
+            ("receiver outside the plan", 0, 9, data()),
+            ("grant for a link the peer sends on", 0, 1, grant),
+        ];
+        for (case, from, to, msg) in hostile {
+            // Actor 2 is placed in a process that never joins the mesh.
+            let (f0, f1) = fabric_pair(vec![0, 1, 2]);
+            let seen = Arc::new(AtomicUsize::new(0));
+            let counter = Box::new(Counter {
+                seen: Arc::clone(&seen),
+            });
+            let actors = |one: Box<dyn DpcActor<NetMsg>>| {
+                vec![Box::new(RemoteStub) as _, one, Box::new(RemoteStub) as _]
+            };
+            let rt0 = spawn_proc(&f0, actors(Box::new(RemoteStub)), CreditPolicy::Window(1));
+            let rt1 = spawn_proc(&f1, actors(counter), CreditPolicy::Window(1));
+            let conn = read(&f0.conns[1]).clone().expect("mesh is up");
+            assert!(conn.enqueue(|buf| _ = encode_frame(buf, NodeId(from), NodeId(to), &msg)));
+            let reset = wait_until(|| f1.wire_gauges().resets > 0, 3000);
+            rt1.shutdown(); // panics naming any actor that panicked
+            assert!(reset, "{case}: the receiver resets the connection");
+            assert_eq!(seen.load(Ordering::SeqCst), 0, "{case}: seen by an actor");
+            rt0.shutdown();
+            f0.shutdown();
+            f1.shutdown();
+        }
     }
 
     #[test]

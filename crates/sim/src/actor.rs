@@ -51,12 +51,12 @@ pub trait Ctx<M> {
     /// then. Handlers that never call this consume instantly.
     fn data_consumed_at(&mut self, at: Time);
 
-    /// Continuous credit-stall duration of the inbound link `from → self`:
-    /// how long `from`'s sends to this actor have been queued awaiting
-    /// credit ([`Duration::ZERO`] when credit is flowing or flow control is
-    /// off). This is how an overloaded consumer's backpressure is surfaced
-    /// to the protocol layer (and from there to `SUnion`).
-    fn inbound_stall(&self, from: NodeId) -> Duration;
+    /// Continuous credit-stall duration of this actor's own link to `to`
+    /// ([`Duration::ZERO`] when credit flows or flow control is off), read
+    /// off the sender's ledger — its home on every runtime. The sender
+    /// reports it to `to` in its keep-alive reply: how an overloaded
+    /// consumer's backpressure reaches its protocol layer and `SUnion`.
+    fn outbound_stall(&self, to: NodeId) -> Duration;
 
     /// Schedules an `on_timer(kind)` callback at `at` (clamped to now).
     fn set_timer(&mut self, at: Time, kind: u64);

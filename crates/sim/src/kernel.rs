@@ -68,8 +68,8 @@ impl<M: ShardMsg> Ctx<M> for SimCtx<'_, M> {
         self.consumed_at = Some(at.max(self.now));
     }
 
-    fn inbound_stall(&self, from: NodeId) -> Duration {
-        self.fabric.stalled_for(from, self.id, self.now)
+    fn outbound_stall(&self, to: NodeId) -> Duration {
+        self.fabric.stalled_for(self.id, to, self.now)
     }
 
     fn set_timer(&mut self, at: Time, kind: u64) {

@@ -312,7 +312,7 @@ mod tests {
         fn data_consumed_at(&mut self, at: Time) {
             self.consumed_at = Some(at.max(self.now));
         }
-        fn inbound_stall(&self, _from: NodeId) -> Duration {
+        fn outbound_stall(&self, _to: NodeId) -> Duration {
             Duration::ZERO
         }
         fn set_timer(&mut self, _at: Time, kind: u64) {

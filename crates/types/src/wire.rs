@@ -646,8 +646,6 @@ pub struct WireGauges {
     pub grants_sent: u64,
     /// `CreditGrant` frames received.
     pub grants_recv: u64,
-    /// `StallReport` frames received (remote credit stall telemetry).
-    pub stall_reports: u64,
     /// Frames purged from send queues when a connection reset (counted as
     /// delivery drops, exactly like an in-process crash purge).
     pub purged_frames: u64,
@@ -676,7 +674,6 @@ impl WireGauges {
         self.flushes += other.flushes;
         self.grants_sent += other.grants_sent;
         self.grants_recv += other.grants_recv;
-        self.stall_reports += other.stall_reports;
         self.purged_frames += other.purged_frames;
         self.resets += other.resets;
     }

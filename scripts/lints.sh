@@ -46,4 +46,12 @@ if git grep -nE 'from_le_bytes|\.min\(1024\)' -- crates src ':!crates/types/src/
 # allocate where an inline payload needs nothing.
 if git grep -n 'Arc<\[Value\]>' -- '*.rs' ':!crates/types/src/tuple.rs' ':!*/tests/*' ':!tests/*' ':!*_tests.rs'; then fail "payload"; fi
 
+# One overload signal: a link's credit stall is read by its sender, off the
+# ledger it owns, and travels to the consumer in the sender's keep-alive
+# reply. Outside the ledger itself only the simulator's and the pool's
+# contexts, answering `Ctx::outbound_stall`, read it, and the socket
+# layer's stall telemetry stays deleted.
+if git grep -n 'stalled_for(' -- '*.rs' ':!crates/sim/src/fabric.rs' ':!crates/sim/src/flow.rs' ':!crates/sim/src/kernel.rs' ':!crates/runtime/src/engine.rs' ':!*/tests/*' ':!tests/*' ':!*_tests.rs'; then fail "backpressure"; fi
+if git grep -nE 'StallReport|inbound_stall|remote_stall' -- '*.rs'; then fail "backpressure"; fi
+
 echo "lints: ok"

@@ -189,14 +189,15 @@ fn overload_bounded_window_caps_inflight_where_baseline_grows() {
     assert!(peak8 > 4 * 4, "dwarfs the bounded window: {peak8}");
 }
 
-/// Credit-stall overload, simulator vs thread engine: backpressure may
-/// delay buckets, never reorder or drop stable data.
+/// Credit-stall overload on all three runtimes: backpressure may delay
+/// buckets, never reorder or drop stable data.
 #[test]
 fn overload_stable_stream_identical_across_runtimes() {
     let _serial = serial();
     let scenario = || overload_chain(CreditPolicy::Window(4), 78, Some(150));
     let sim = run_on(Runtime::Sim, &scenario, secs(10));
     let thr = run_on(Runtime::Threads, &scenario, ms(8500));
+    let tcp = run_on(Runtime::Tcp, &scenario, ms(8500));
 
     // Availability through the stall (§6, Fig. 11's criterion): the
     // maximum gap between *new* tuples stays under the chain's total
@@ -214,6 +215,10 @@ fn overload_stable_stream_identical_across_runtimes() {
     // wall-clock run must match over the common prefix.
     assert_eq!(sim.stable().len(), 450, "sim run fully stabilized");
     assert_same_stable_prefix(&sim, &thr, 300);
+    assert_same_stable_prefix(&sim, &tcp, 300);
+    // Ingest and work replicas sit in different shares: the stall is read
+    // by the sender and reaches the work stage in its keep-alive reply.
+    assert!(tcp.n_tentative > 0, "overload surfaced across the wire");
 }
 
 /// Overload composed with a mid-run replica crash: one work replica dies

@@ -341,6 +341,7 @@ fn formats(dir: &Path) -> Vec<Format> {
                     (StreamId(4), NodeState::Stabilization),
                     (StreamId(5), NodeState::Failed),
                 ],
+                stalled: Duration::from_micros(125_000),
             },
         ),
         net("frame reconcile request", NetMsg::ReconcileRequest),
@@ -349,10 +350,6 @@ fn formats(dir: &Path) -> Vec<Format> {
         net("frame reconcile done", NetMsg::ReconcileDone),
         frame("frame credit grant", WireMsg::CreditGrant),
         frame("frame hello", WireMsg::Hello { proc: 2 }),
-        frame(
-            "frame stall report",
-            WireMsg::StallReport { micros: 125_000 },
-        ),
         frame("frame goodbye", WireMsg::Goodbye),
     ];
     let mut tuple = Vec::new();
@@ -369,6 +366,8 @@ fn formats(dir: &Path) -> Vec<Format> {
 
 /// `(format, encoded length, FNV-1a 64 of the encoding)`, captured at the
 /// commit before the codecs moved onto `Wire` (PR 23's parent).
+/// "frame heartbeat resp" was re-pinned when the reply gained its trailing
+/// `stalled: u64`: the same bytes plus those eight.
 const PINNED: &[(&str, usize, u64)] = &[
     ("frame data", 252, 0xb2dea32ddd52d0d2),
     ("frame subscribe", 26, 0x89809f1e41305990),
@@ -376,14 +375,13 @@ const PINNED: &[(&str, usize, u64)] = &[
     ("frame unsubscribe", 17, 0x2f8697a900fb63fc),
     ("frame ack", 25, 0x81e775dfe4cbc3f6),
     ("frame heartbeat req", 13, 0x825e1c6e8ebf0ec9),
-    ("frame heartbeat resp", 33, 0x94bd1172120d4a1b),
+    ("frame heartbeat resp", 41, 0x832b2fa067fe43da),
     ("frame reconcile request", 13, 0x825e1a6e8ebf0b63),
     ("frame reconcile grant", 13, 0x825e196e8ebf09b0),
     ("frame reconcile reject", 13, 0x825e286e8ebf232d),
     ("frame reconcile done", 13, 0x825e276e8ebf217a),
     ("frame credit grant", 13, 0x825e006e8ebedf35),
     ("frame hello", 17, 0x1ddaa6a979717dcc),
-    ("frame stall report", 21, 0x074c96d5f9f4159e),
     ("frame goodbye", 13, 0x825dfd6e8ebeda1c),
     ("tuple", 51, 0xe74da2f07f33ede8),
     ("snapshot sunion", 481, 0x22658a26280cbab1),

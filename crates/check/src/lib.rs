@@ -90,8 +90,6 @@ pub struct Report {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BlockedOn {
     Mutex(u64),
-    RwRead(u64),
-    RwWrite(u64),
     Cv { cv: u64, timed: bool },
     Join(usize),
 }
@@ -107,14 +105,6 @@ pub(crate) enum TState {
 pub(crate) struct MxInfo {
     pub held: bool,
     pub waiters: Vec<usize>,
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct RwInfo {
-    pub writer: bool,
-    pub readers: usize,
-    /// `(thread, wants_write)`
-    pub waiters: Vec<(usize, bool)>,
 }
 
 #[derive(Debug, Default)]
@@ -158,7 +148,6 @@ pub(crate) struct ExecState {
     pub failed: Option<String>,
     pub done: bool,
     pub mutexes: HashMap<u64, MxInfo>,
-    pub rwlocks: HashMap<u64, RwInfo>,
     pub condvars: HashMap<u64, CvInfo>,
     pub joiners: HashMap<usize, Vec<usize>>,
     pub handles: Vec<std::thread::JoinHandle<()>>,
@@ -440,7 +429,6 @@ fn run_once(
             failed: None,
             done: false,
             mutexes: HashMap::new(),
-            rwlocks: HashMap::new(),
             condvars: HashMap::new(),
             joiners: HashMap::new(),
             handles: Vec::new(),

@@ -215,137 +215,6 @@ impl Condvar {
 }
 
 // ---------------------------------------------------------------------------
-// RwLock
-// ---------------------------------------------------------------------------
-
-/// Virtual reader-writer lock (no poisoning, like [`Mutex`]).
-#[derive(Debug)]
-pub struct RwLock<T: ?Sized> {
-    id: u64,
-    inner: std::sync::RwLock<T>,
-}
-
-/// Shared guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-    inner: Option<std::sync::RwLockReadGuard<'a, T>>,
-}
-
-/// Exclusive guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-    inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new virtual rwlock.
-    pub fn new(t: T) -> Self {
-        RwLock {
-            id: next_id(),
-            inner: std::sync::RwLock::new(t),
-        }
-    }
-
-    /// Acquires shared access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        yield_point();
-        with_current(|ex, me| {
-            let mut st = ex.lock_st();
-            loop {
-                let info = st.rwlocks.entry(self.id).or_default();
-                if !info.writer {
-                    info.readers += 1;
-                    return;
-                }
-                info.waiters.push((me, false));
-                st.threads[me] = TState::Blocked(BlockedOn::RwRead(self.id));
-                ex.schedule_from(&mut st, me, false);
-                st = ex.wait_until_active(st, me);
-            }
-        });
-        RwLockReadGuard {
-            lock: self,
-            inner: Some(self.inner.read().unwrap_or_else(|e| e.into_inner())),
-        }
-    }
-
-    /// Acquires exclusive access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        yield_point();
-        with_current(|ex, me| {
-            let mut st = ex.lock_st();
-            loop {
-                let info = st.rwlocks.entry(self.id).or_default();
-                if !info.writer && info.readers == 0 {
-                    info.writer = true;
-                    return;
-                }
-                info.waiters.push((me, true));
-                st.threads[me] = TState::Blocked(BlockedOn::RwWrite(self.id));
-                ex.schedule_from(&mut st, me, false);
-                st = ex.wait_until_active(st, me);
-            }
-        });
-        RwLockWriteGuard {
-            lock: self,
-            inner: Some(self.inner.write().unwrap_or_else(|e| e.into_inner())),
-        }
-    }
-}
-
-fn release_rw(id: u64, write: bool) {
-    with_current(|ex, _me| {
-        let mut st = ex.lock_st();
-        let info = st.rwlocks.entry(id).or_default();
-        if write {
-            info.writer = false;
-        } else {
-            info.readers -= 1;
-        }
-        if !info.writer && info.readers == 0 {
-            let ws = std::mem::take(&mut info.waiters);
-            for (w, _) in ws {
-                st.threads[w] = TState::Runnable;
-            }
-        }
-    });
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        drop(self.inner.take());
-        release_rw(self.lock.id, false);
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        drop(self.inner.take());
-        release_rw(self.lock.id, true);
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard taken")
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard taken")
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard taken")
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Atomics
 // ---------------------------------------------------------------------------
 
@@ -376,22 +245,10 @@ macro_rules! model_atomic_int {
                 self.0.store(v, Ordering::SeqCst)
             }
 
-            /// Atomic swap (scheduling point).
-            pub fn swap(&self, v: $prim, _o: Ordering) -> $prim {
-                yield_point();
-                self.0.swap(v, Ordering::SeqCst)
-            }
-
             /// Atomic add (scheduling point).
             pub fn fetch_add(&self, v: $prim, _o: Ordering) -> $prim {
                 yield_point();
                 self.0.fetch_add(v, Ordering::SeqCst)
-            }
-
-            /// Atomic sub (scheduling point).
-            pub fn fetch_sub(&self, v: $prim, _o: Ordering) -> $prim {
-                yield_point();
-                self.0.fetch_sub(v, Ordering::SeqCst)
             }
 
             /// Atomic max (scheduling point).
@@ -399,37 +256,12 @@ macro_rules! model_atomic_int {
                 yield_point();
                 self.0.fetch_max(v, Ordering::SeqCst)
             }
-
-            /// Atomic min (scheduling point).
-            pub fn fetch_min(&self, v: $prim, _o: Ordering) -> $prim {
-                yield_point();
-                self.0.fetch_min(v, Ordering::SeqCst)
-            }
-
-            /// Atomic compare-exchange (scheduling point).
-            pub fn compare_exchange(
-                &self,
-                cur: $prim,
-                new: $prim,
-                _s: Ordering,
-                _f: Ordering,
-            ) -> Result<$prim, $prim> {
-                yield_point();
-                self.0
-                    .compare_exchange(cur, new, Ordering::SeqCst, Ordering::SeqCst)
-            }
-
-            /// Non-atomic read via `&mut` (no scheduling point needed).
-            pub fn get_mut(&mut self) -> &mut $prim {
-                self.0.get_mut()
-            }
         }
     };
 }
 
 model_atomic_int!(AtomicU64, std::sync::atomic::AtomicU64, u64);
 model_atomic_int!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
-model_atomic_int!(AtomicU32, std::sync::atomic::AtomicU32, u32);
 
 /// Virtual atomic bool; see the integer atomics for the model.
 #[derive(Debug, Default)]
@@ -451,25 +283,6 @@ impl AtomicBool {
     pub fn store(&self, v: bool, _o: Ordering) {
         yield_point();
         self.0.store(v, Ordering::SeqCst)
-    }
-
-    /// Atomic swap (scheduling point).
-    pub fn swap(&self, v: bool, _o: Ordering) -> bool {
-        yield_point();
-        self.0.swap(v, Ordering::SeqCst)
-    }
-
-    /// Atomic compare-exchange (scheduling point).
-    pub fn compare_exchange(
-        &self,
-        cur: bool,
-        new: bool,
-        _s: Ordering,
-        _f: Ordering,
-    ) -> Result<bool, bool> {
-        yield_point();
-        self.0
-            .compare_exchange(cur, new, Ordering::SeqCst, Ordering::SeqCst)
     }
 }
 
@@ -523,10 +336,5 @@ pub mod thread {
                 }
             });
         }
-    }
-
-    /// A bare scheduling point (`std::thread::yield_now` analogue).
-    pub fn yield_now() {
-        yield_point();
     }
 }

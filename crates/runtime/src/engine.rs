@@ -1,15 +1,19 @@
 //! The thread engine: every actor is a schedulable task multiplexed onto a
 //! **fixed pool of worker threads** (per-worker run queues with work
-//! stealing plus a global injector — see [`crate::scheduler`]), a
-//! per-worker timer wheel against the monotonic clock, and a
-//! fault-controller thread replaying scripted failures.
+//! stealing plus a global injector — see [`crate::scheduler`]), each
+//! worker with a wheel of deadlines against the monotonic clock.
 //!
 //! The engine is a *driver* of the system model in `borealis_sim`, like the
-//! simulator kernel: what a send, a credit return or a fault means is the
-//! one shared [`Fabric`]'s call ([`SharedFabric`]), and what an arriving
-//! message, a due timer or the actor's own crash means is
-//! [`ActorCell::activate`]'s. What the engine owns is the clock, the
-//! mailboxes and wheels, the threads, and a message's last hop.
+//! simulator kernel, and speaks its vocabulary: a mailbox holds the
+//! [`Input`]s of [`ActorCell::activate`], and a wheel holds the kernel's
+//! [`Event`]s — a timer, a credit return, a scripted fault (worker 0's
+//! wheel carries the whole fault script) — which `Worker::fire_due`
+//! handles with the same three arms as the kernel. What a send, a credit
+//! return or a fault means is the one shared [`Fabric`]'s call
+//! ([`SharedFabric`]), and what an arriving message, a due timer or the
+//! actor's own crash means is the activation step's. What the engine owns
+//! is the clock, the mailboxes and wheels, the threads, and a message's
+//! last hop.
 //!
 //! The engine delivers and wakes; it never sends on an actor's behalf. A
 //! [`RuntimeCtx::send`] reaches the destination's mailbox (or socket) from
@@ -26,14 +30,12 @@
 
 use crate::clock::MonotonicClock;
 use crate::scheduler::{Envelope, Scheduler, Task};
-use crate::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use crate::sync::{relock, Arc, Mutex, MutexGuard};
 use crate::tcp::TcpFabric;
-use crate::wheel::Due;
 use crate::SharedFabric;
 use borealis_dpc::{DpcActor, NetMsg, RuntimeCtx};
 use borealis_sim::{
-    ActorCell, DeadlineQueue, Fabric, FaultEvent, Host, Input, Sent, StatsSnapshot,
+    ActorCell, DeadlineQueue, Event, Fabric, FaultEvent, Host, Input, Sent, StatsSnapshot,
 };
 use borealis_types::{CreditPolicy, Duration, NodeId, PartitionSpec, ShardRouter, Time};
 use rand::rngs::StdRng;
@@ -47,8 +49,7 @@ use std::thread::JoinHandle;
 const ACTIVATION_BATCH: usize = 32;
 
 /// What every thread of a runtime shares: the mailboxes, the link fabric
-/// and the clock. Workers, the fault controller and the socket mesh's I/O
-/// threads all hold one.
+/// and the clock. Workers and the socket mesh's I/O threads all hold one.
 pub(crate) struct Hub {
     pub(crate) sched: Scheduler,
     pub(crate) fabric: SharedFabric,
@@ -100,12 +101,8 @@ impl RuntimeCtx<NetMsg> for ThreadCtx<'_> {
     }
 
     fn set_timer(&mut self, at: Time, kind: u64) {
-        let (owner, incarnation) = (self.id, self.incarnation);
-        let timer = Due::Timer {
-            owner,
-            kind,
-            incarnation,
-        };
+        let incarnation = self.incarnation;
+        let timer = Event::Input(self.id, Input::Timer { kind, incarnation });
         self.worker.wheel.push(at.max(self.now), timer);
     }
 
@@ -138,12 +135,19 @@ enum Activation {
     Stopped,
 }
 
-/// One pool worker: a run-queue consumer with its own timer wheel.
+/// One pool worker: a run-queue consumer with its own wheel.
 struct Worker {
     idx: usize,
     hub: Arc<Hub>,
     tcp: Option<Arc<TcpFabric>>,
-    wheel: DeadlineQueue<Due>,
+    /// The timers armed and credits owed by the activations this worker
+    /// ran, each tagged with its actor (one wheel serves many), plus — on
+    /// worker 0 — the fault script. An entry fires here even if its actor
+    /// has migrated since. No message waits on a wheel: what an actor wants
+    /// to leave later stays in its own state behind a timer
+    /// (`borealis_dpc::Publisher`), so two wheels firing one actor's
+    /// entries in either order can delay a send but cannot reorder a link.
+    wheel: DeadlineQueue<Event<NetMsg>>,
     /// Worker-local one-pass partition memo: a sender's whole K·R fan-out
     /// runs back-to-back on its worker, so per-worker state needs no
     /// cross-thread sharing and the memo's few entries suffice.
@@ -183,10 +187,10 @@ impl Worker {
             return; // queued awaiting credit, not for this shard, or dropped
         };
         match self.tcp.as_deref().filter(|t| t.is_remote(to)) {
-            None => self
-                .hub
-                .sched
-                .push(to, Envelope::Msg { from, msg }, Some(self.idx)),
+            None => {
+                let message = Envelope::Input(Input::Message { from, msg });
+                self.hub.sched.push(to, message, Some(self.idx));
+            }
             Some(tcp) => {
                 if !tcp.send_net(from, to, msg) {
                     // The connection died between the reachability check
@@ -197,25 +201,29 @@ impl Worker {
         }
     }
 
-    /// Fires every wheel entry due now, on behalf of its owning actor.
+    /// Fires every wheel entry due now — the three arms of the simulator
+    /// kernel's dispatch, with a mailbox push in place of an activation.
     fn fire_due(&mut self) {
-        while let Some((_, due)) = self.wheel.pop_due(self.hub.clock.now()) {
-            match due {
-                Due::Timer {
-                    owner,
-                    kind,
-                    incarnation,
-                } => {
-                    // Re-enqueued behind the owner's pending mailbox work;
-                    // whether it fires is decided there, by the activation
-                    // step under the owner's cell.
-                    let timer = Envelope::Timer(kind, incarnation);
-                    self.hub.sched.push(owner, timer, Some(self.idx));
+        while let Some((_, event)) = self.wheel.pop_due(self.hub.clock.now()) {
+            match event {
+                // Queued behind the actor's pending mailbox work; whether
+                // a timer still fires is the activation step's call.
+                Event::Input(to, input) => {
+                    self.hub
+                        .sched
+                        .push(to, Envelope::Input(input), Some(self.idx));
                 }
-                Due::Replenish { owner, from } => {
-                    // The owner's modeled CPU finished a delivery: its
-                    // credit returns now.
-                    self.return_credit(from, owner);
+                // The consumer's modelled CPU finished a delivery.
+                Event::Replenish { from, to } => self.return_credit(from, to),
+                // A fault due after shutdown began never applies: the
+                // statistics `shutdown` returns are final.
+                Event::Fault(_) if self.hub.sched.stopping() => {}
+                Event::Fault(fault) => {
+                    let notify = self.hub.fabric().apply(&fault, self.hub.clock.now());
+                    for id in notify {
+                        let heard = Envelope::Input(Input::Fault(fault.clone()));
+                        self.hub.sched.push(id, heard, Some(self.idx));
+                    }
                 }
             }
         }
@@ -270,21 +278,17 @@ impl Worker {
     fn activate(&mut self, task: &Arc<Task>) -> Activation {
         let mut guard = relock(&task.cell);
         let (cell, rng) = &mut *guard;
-        self.step(task.id, cell, rng, Input::Start);
         for _ in 0..ACTIVATION_BATCH {
-            let input = match task.pop_envelope() {
+            match task.pop_envelope() {
                 None => return Activation::Drained,
+                Some(Envelope::Input(input)) => self.step(task.id, cell, rng, input),
                 Some(Envelope::Stop) => {
                     if task.mark_stopped() {
                         self.hub.sched.note_stopped();
                     }
                     return Activation::Stopped;
                 }
-                Some(Envelope::Msg { from, msg }) => Input::Message { from, msg },
-                Some(Envelope::Fault(fault)) => Input::Fault(fault),
-                Some(Envelope::Timer(kind, incarnation)) => Input::Timer { kind, incarnation },
-            };
-            self.step(task.id, cell, rng, input);
+            }
         }
         Activation::Budget
     }
@@ -310,7 +314,7 @@ impl Worker {
         };
         if let Some((from, at)) = cell.activate(&mut ctx, input) {
             if at > self.hub.clock.now() {
-                self.wheel.push(at, Due::Replenish { owner: id, from });
+                self.wheel.push(at, Event::Replenish { from, to: id });
             } else {
                 self.return_credit(from, id);
             }
@@ -318,36 +322,12 @@ impl Worker {
     }
 }
 
-/// The fault controller: replays the script against the fabric and
-/// notifies the actors it names. Sleeps on its stop channel between
-/// scripted instants — no polling.
-fn fault_controller(script: Vec<(Time, FaultEvent)>, hub: Arc<Hub>, stop: Receiver<()>) {
-    for (at, fault) in script {
-        loop {
-            let wait = hub.clock.until(at);
-            if wait.is_zero() {
-                break;
-            }
-            match stop.recv_timeout(wait) {
-                Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-        }
-        let notify = hub.fabric().apply(&fault, hub.clock.now());
-        for id in notify {
-            hub.sched.push(id, Envelope::Fault(fault.clone()), None);
-        }
-    }
-}
-
-/// A running thread engine: a fixed worker pool multiplexing every actor,
-/// plus the fault controller. Dropping it (or calling
+/// A running thread engine: a fixed worker pool multiplexing every actor
+/// and replaying the fault script. Dropping it (or calling
 /// [`ThreadRuntime::shutdown`]) stops every thread in order.
 pub struct ThreadRuntime {
     hub: Arc<Hub>,
     workers: Vec<JoinHandle<()>>,
-    fault_handle: Option<JoinHandle<()>>,
-    fault_stop: Option<Sender<()>>,
 }
 
 impl ThreadRuntime {
@@ -363,20 +343,19 @@ impl ThreadRuntime {
     }
 
     /// Spawns a pool of `workers` threads multiplexing every actor
-    /// (`actors[i]` becomes `NodeId(i)`), plus a controller thread
-    /// replaying `script` (already sorted by time). `partitions` declares
-    /// key-sharded receivers: every data batch sent to such a node is
-    /// filtered to its shard on the way out. `flow_policy` governs
-    /// credit-based flow control on every link.
+    /// (`actors[i]` becomes `NodeId(i)`); worker 0's wheel replays
+    /// `script`. `partitions` declares key-sharded receivers: every data
+    /// batch sent to such a node is filtered to its shard on the way out.
+    /// `flow_policy` governs credit-based flow control on every link.
     ///
     /// With a socket mesh (`tcp`), sends to actors it plans in another
     /// process travel the wire, and its per-connection reader threads feed
     /// incoming frames into local mailboxes.
     ///
-    /// Every actor starts Queued, so its `on_start` runs as soon as a
-    /// worker picks it up; the clock starts just before the pool spawns.
-    /// The OS-thread budget is exactly `workers + 1` spawned threads
-    /// (pool + fault controller), independent of the topology size.
+    /// Every actor starts Queued with its `Start` in its mailbox, so its
+    /// `on_start` runs as soon as a worker picks it up; the clock starts
+    /// just before the pool spawns. The OS-thread budget is exactly
+    /// `workers` spawned threads, independent of the topology size.
     pub fn spawn(
         actors: Vec<Box<dyn DpcActor<NetMsg>>>,
         script: Vec<(Time, FaultEvent)>,
@@ -391,8 +370,8 @@ impl ThreadRuntime {
         let mut fabric = Fabric::new(partitions, flow_policy);
         // Faults scripted at t=0 shape the initial connectivity: apply them
         // before any worker starts, as the simulator does for faults
-        // scheduled ahead of the Start events. (The controller re-applies
-        // them idempotently and delivers the notifications.)
+        // scheduled ahead of the Start events. (Worker 0 re-applies them
+        // idempotently and delivers the notifications.)
         for (_, fault) in script.iter().filter(|(at, _)| *at == Time::ZERO) {
             fabric.apply(fault, Time::ZERO);
         }
@@ -417,13 +396,19 @@ impl ThreadRuntime {
         if let Some(t) = &tcp {
             t.start_io(Arc::clone(&hub));
         }
-        let handles = (0..workers)
-            .map(|idx| {
+        let mut wheels: Vec<_> = (0..workers).map(|_| DeadlineQueue::default()).collect();
+        for (at, fault) in script {
+            wheels[0].push(at, Event::Fault(fault));
+        }
+        let handles = wheels
+            .into_iter()
+            .enumerate()
+            .map(|(idx, wheel)| {
                 let worker = Worker {
                     idx,
                     hub: Arc::clone(&hub),
                     tcp: tcp.clone(),
-                    wheel: DeadlineQueue::default(),
+                    wheel,
                     router: ShardRouter::new(),
                 };
                 std::thread::Builder::new()
@@ -432,21 +417,9 @@ impl ThreadRuntime {
                     .expect("spawn pool worker")
             })
             .collect();
-        let (fault_stop, stop_rx) = channel();
-        let fault_handle = {
-            let hub = Arc::clone(&hub);
-            Some(
-                std::thread::Builder::new()
-                    .name("dpc-faults".into())
-                    .spawn(move || fault_controller(script, hub, stop_rx))
-                    .expect("spawn fault controller"),
-            )
-        };
         ThreadRuntime {
             hub,
             workers: handles,
-            fault_handle,
-            fault_stop: Some(fault_stop),
         }
     }
 
@@ -488,10 +461,10 @@ impl ThreadRuntime {
         std::thread::sleep(wall);
     }
 
-    /// Stops every thread: the controller first (no further faults), then
-    /// each actor after it drains its mailbox (Stop is an ordinary
+    /// Stops every thread: no scripted fault applies from here on, each
+    /// actor stops after it drains its mailbox (Stop is an ordinary
     /// envelope, so everything queued before it is processed), then the
-    /// pool. Returns final statistics.
+    /// pool exits. Returns final statistics.
     ///
     /// # Panics
     /// Panics if any actor panicked during the run — a protocol bug must
@@ -508,25 +481,13 @@ impl ThreadRuntime {
     /// Stops and joins everything; returns the names of actors that
     /// panicked.
     fn stop_threads(&mut self) -> Vec<String> {
-        if let Some(stop) = self.fault_stop.take() {
-            let _ = stop.send(());
-        }
-        if let Some(h) = self.fault_handle.take() {
-            let _ = h.join();
-        }
         let sched = &self.hub.sched;
-        for task in &sched.tasks {
-            sched.push(task.id, Envelope::Stop, None);
-        }
+        sched.stop_all();
         sched.wait_all_stopped();
         sched.begin_exit();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        // Workers joined: nothing pushes concurrently, so the depth
-        // gauges must now equal the actual queue lengths exactly.
-        #[cfg(debug_assertions)]
-        sched.debug_verify_depths();
         sched.crashed()
     }
 }
@@ -731,6 +692,64 @@ mod tests {
         assert!(heard_crash, "the crashing node observes its own NodeDown");
         assert!(!l.contains(&(NodeId(u32::MAX), "timer")), "stale: {l:?}");
         assert_eq!(stats.timers_suppressed, 1, "dropped and counted");
+    }
+
+    #[test]
+    fn fault_due_after_shutdown_began_is_not_applied() {
+        /// Two peers start together, one on each worker. The one on worker
+        /// 0 — whose wheel holds the fault script, so it must stay free —
+        /// sends the other two heartbeats and holds worker 0 until the
+        /// other has taken them to worker 1. The first heartbeat's handler
+        /// runs 800 ms, then answers.
+        struct Peer {
+            started: Arc<Mutex<usize>>,
+            heard: Arc<Mutex<usize>>,
+        }
+        impl DpcActor<NetMsg> for Peer {
+            fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
+                let pause = std::time::Duration::from_millis;
+                *self.started.lock().unwrap() += 1;
+                while *self.started.lock().unwrap() < 2 {
+                    std::thread::sleep(pause(1));
+                }
+                if std::thread::current().name() == Some("dpc-worker-0") {
+                    let other = NodeId(1 - ctx.id().0);
+                    ctx.send(other, NetMsg::HeartbeatReq);
+                    ctx.send(other, NetMsg::HeartbeatReq);
+                    std::thread::sleep(pause(100));
+                }
+            }
+            fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, _: NetMsg) {
+                let mut heard = self.heard.lock().unwrap();
+                *heard += 1;
+                if *heard == 1 {
+                    drop(heard);
+                    std::thread::sleep(std::time::Duration::from_millis(800));
+                    ctx.send(from, NetMsg::HeartbeatReq);
+                }
+            }
+            fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
+        }
+        let (started, heard) = (Arc::new(Mutex::new(0)), Arc::new(Mutex::new(0)));
+        let peer = || {
+            let (started, heard) = (Arc::clone(&started), Arc::clone(&heard));
+            Box::new(Peer { started, heard }) as Box<dyn DpcActor<NetMsg>>
+        };
+        let (a, b) = (NodeId(0), NodeId(1));
+        let script = vec![(Time::from_millis(400), FaultEvent::LinkDown { a, b })];
+        let policy = CreditPolicy::Unbounded;
+        let rt = ThreadRuntime::spawn(vec![peer(), peer()], script, 1, Vec::new(), policy, 2, None);
+        assert!(wait_until(|| *heard.lock().unwrap() == 1, 2000));
+        // The link's scripted instant falls after shutdown began and
+        // while the first handler still runs.
+        assert!(rt.now() < Time::from_millis(400), "shutdown begins first");
+        let stats = rt.shutdown();
+        assert_eq!(
+            *heard.lock().unwrap(),
+            2,
+            "the queued heartbeat is delivered"
+        );
+        assert_eq!(stats.total_drops(), 0, "the answer is no drop: {stats:?}");
     }
 
     #[test]

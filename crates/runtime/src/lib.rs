@@ -12,17 +12,19 @@
 //!   multiplex onto a handful of OS threads;
 //! * `NetMsg::Data` payloads are `Arc`-backed `TupleBatch` views, so
 //!   cross-thread fan-out moves reference counts, not tuples;
-//! * a per-worker timer wheel (see [`wheel`]) drives protocol timers and
-//!   modelled-CPU credit returns; its earliest deadline bounds the worker's
-//!   park, so idle workers burn no CPU. It holds no messages: actors send,
-//!   from inside their own serial activations, and the runtime only
-//!   delivers and wakes — which is why every link is FIFO by construction;
+//! * each worker's wheel — a `DeadlineQueue` of the simulator kernel's own
+//!   `Event`s — drives protocol timers, modelled-CPU credit returns and
+//!   (worker 0's) the scripted faults; its earliest deadline bounds the
+//!   worker's park, so idle workers burn no CPU. It holds no messages:
+//!   actors send, from inside their own serial activations, and the
+//!   runtime only delivers and wakes — which is why every link is FIFO by
+//!   construction;
 //! * the system model is `borealis_sim`'s, not this crate's: one
 //!   [`SharedFabric`] — the very `Fabric` the simulator kernel owns, behind
 //!   a mutex — decides what every send, credit return and fault means, and
-//!   every activation runs through the one `ActorCell::activate` step
-//!   (delivery, timer staleness, incarnations, the credit owed), so the
-//!   fault model and the node model exist once for all three runtimes;
+//!   every mailbox entry is an `Input` of the one `ActorCell::activate`
+//!   step (delivery, timer staleness, incarnations, the credit owed), so
+//!   the fault model and the node model exist once for all three runtimes;
 //! * [`deploy_threads`] launches a runtime-independent
 //!   [`SystemLayout`](borealis_dpc::SystemLayout) — the very object
 //!   `deploy_sim` consumes, its `FaultSpec` schedule already lowered to
@@ -50,11 +52,10 @@ pub(crate) mod scheduler;
 pub mod sync;
 #[cfg(not(borealis_model))]
 pub mod tcp;
-pub mod wheel;
 
 // Model builds (`--cfg borealis_model`) swap the sync facade for the
 // virtual primitives of `borealis-check` and compile only the protocol
-// cores the model tests exercise (scheduler, shared fabric, wheel); the
+// cores the model tests exercise (scheduler, shared fabric); the
 // real OS-thread engine and TCP mesh need wall clocks and sockets, which
 // have no meaning under the interleaving explorer.
 #[cfg(all(test, borealis_model))]
@@ -66,12 +67,10 @@ pub use clock::MonotonicClock;
 pub use engine::ThreadRuntime;
 #[cfg(not(borealis_model))]
 pub use tcp::{deploy_tcp, plan_processes, RunningTcp, TcpFabric};
-pub use wheel::Due;
 
 /// The one link fabric of a wall-clock runtime: the simulator's
-/// single-threaded `borealis_sim::Fabric`, shared by the pool's workers,
-/// the fault controller and the socket mesh's reader threads behind one
-/// lock. One lock, because the fabric is cold (a few thousand crossings a
+/// single-threaded `borealis_sim::Fabric`, shared by the pool's workers
+/// and the socket mesh's reader threads behind one lock. One lock, because the fabric is cold (a few thousand crossings a
 /// second against microseconds of per-tuple work) and every rule — the
 /// send-time window check, the crash purge and its drop count — is then
 /// trivially atomic; the model checker verifies exactly this type.

@@ -9,8 +9,8 @@
 //! 1. the mailbox queued-exactly-once state machine ([`Scheduler::push`]);
 //! 2. [`IdleLot`] token parking (no lost wakeup, token bank capped);
 //! 3. credit-window accounting on the [`SharedFabric`] — the one
-//!    `Mutex<Fabric<NetMsg>>` the pool's workers, the fault controller and
-//!    the TCP readers share;
+//!    `Mutex<Fabric<NetMsg>>` the pool's workers and the TCP readers
+//!    share;
 //! 4. crash purge vs in-flight sends on that same shared fabric (every
 //!    purged send counted exactly once as a delivery drop);
 //! 5. credit release vs link order ([`Scheduler::release_credit`]: two
@@ -29,7 +29,7 @@ use crate::SharedFabric;
 use borealis_check::sync::thread;
 use borealis_check::{explore, explore_expect_violation, Opts, Report};
 use borealis_dpc::{DpcActor, NetMsg, RuntimeCtx};
-use borealis_sim::{Fabric, FaultEvent};
+use borealis_sim::{Fabric, FaultEvent, Input};
 use borealis_types::{CreditPolicy, NodeId, ShardRouter, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,6 +51,14 @@ fn sched(n_actors: usize, workers: usize) -> Scheduler {
         })
         .collect();
     Scheduler::new(actors, workers)
+}
+
+/// A due timer of `kind`, as a worker's wheel hands it to a mailbox.
+fn timer(kind: u64) -> Envelope {
+    Envelope::Input(Input::Timer {
+        kind,
+        incarnation: 0,
+    })
 }
 
 /// Drains the initial seeding so every task is Idle.
@@ -110,9 +118,9 @@ fn model_mailbox_queued_exactly_once() {
         let s = Arc::new(sched(1, 1));
         drain_initial(&s);
         let s1 = Arc::clone(&s);
-        let p1 = thread::spawn(move || s1.push(NodeId(0), Envelope::Timer(1, 0), None));
+        let p1 = thread::spawn(move || s1.push(NodeId(0), timer(1), None));
         let s2 = Arc::clone(&s);
-        let p2 = thread::spawn(move || s2.push(NodeId(0), Envelope::Timer(2, 0), None));
+        let p2 = thread::spawn(move || s2.push(NodeId(0), timer(2), None));
         // The worker loop: drain, then park on the IdleLot like the real
         // engine — a lost wakeup shows up as a deadlock violation.
         let mut seen: Vec<u64> = Vec::new();
@@ -122,7 +130,7 @@ fn model_mailbox_queued_exactly_once() {
                     t.begin();
                     while let Some(env) = t.pop_envelope() {
                         match env {
-                            Envelope::Timer(k, _) => seen.push(k),
+                            Envelope::Input(Input::Timer { kind, .. }) => seen.push(kind),
                             _ => unreachable!("only timers pushed"),
                         }
                     }
@@ -351,9 +359,8 @@ fn model_crash_purge_counts_each_send_once() {
         });
         let t2 = Arc::clone(&t);
         let crasher = thread::spawn(move || {
-            // The engine's fault-controller line (engine.rs
-            // `fault_controller`): link state, purge and drop count change
-            // in one critical section.
+            // The fault arm of `Worker::fire_due` (engine.rs): link state,
+            // purge and drop count change in one critical section.
             relock(&t2).apply(&FaultEvent::NodeDown(b), Time::ZERO);
         });
         sender.join();
@@ -449,10 +456,10 @@ fn credit_release_race(release: fn(&Scheduler, &SharedFabric)) -> Vec<u32> {
     task.begin();
     std::iter::from_fn(|| task.pop_envelope())
         .map(|env| match env {
-            Envelope::Msg {
+            Envelope::Input(Input::Message {
                 msg: NetMsg::Data { stream, .. },
                 ..
-            } => stream.0,
+            }) => stream.0,
             _ => unreachable!("only data released"),
         })
         .collect()
@@ -485,7 +492,7 @@ fn model_credit_release_outside_lock_twin_reorders() {
             // BUG: the lock is gone by the end of this statement.
             let released = relock(t).consumed(from, to, Time::ZERO);
             if let Some(msg) = released {
-                s.push(to, Envelope::Msg { from, msg }, None);
+                s.push(to, Envelope::Input(Input::Message { from, msg }), None);
             }
         });
         assert_eq!(got, [3, 4], "released out of ledger order");
@@ -510,11 +517,11 @@ fn model_panic_containment_stops_mailbox_not_worker() {
     let r = explore(Opts::default(), || {
         let s = Arc::new(sched(2, 1));
         drain_initial(&s);
-        s.push(NodeId(0), Envelope::Timer(1, 0), None);
+        s.push(NodeId(0), timer(1), None);
         let t = s.pop(0).expect("queued");
         t.begin();
         let s2 = Arc::clone(&s);
-        let racer = thread::spawn(move || s2.push(NodeId(0), Envelope::Timer(9, 0), None));
+        let racer = thread::spawn(move || s2.push(NodeId(0), timer(9), None));
         let _ = t.pop_envelope();
         // The panic path runs while the task is still Running, exactly as
         // engine.rs does after catch_unwind — the racer's push lands in a
@@ -523,16 +530,16 @@ fn model_panic_containment_stops_mailbox_not_worker() {
         assert!(t.mark_stopped());
         racer.join();
         assert!(s.pop(0).is_none(), "dead task never re-queued");
-        s.push(NodeId(0), Envelope::Timer(3, 0), None);
+        s.push(NodeId(0), timer(3), None);
         assert!(s.pop(0).is_none(), "pushes to the stopped task dropped");
         // The pool keeps scheduling the healthy sibling.
-        s.push(NodeId(1), Envelope::Timer(2, 0), None);
+        s.push(NodeId(1), timer(2), None);
         let healthy = s.pop(0).expect("healthy task still schedulable");
         assert_eq!(healthy.id, NodeId(1));
         healthy.begin();
         assert!(matches!(
             healthy.pop_envelope(),
-            Some(Envelope::Timer(2, 0))
+            Some(Envelope::Input(Input::Timer { kind: 2, .. }))
         ));
         assert!(healthy.pop_envelope().is_none());
     });

@@ -1,26 +1,26 @@
 //! The work-stealing scheduling fabric of the pooled thread engine.
 //!
-//! Every actor is a [`Task`]: a mailbox plus its protocol state, runnable
-//! by any worker. The scheduler's contract is the *queued-exactly-once*
-//! state machine — a mailbox push transitions an Idle task to Queued and
-//! enqueues it on exactly one run queue; pushes to a Queued or Running
-//! task only append to the mailbox. A worker that drains a task's mailbox
-//! transitions it back to Idle under the mailbox lock, so no envelope can
-//! arrive between "queue observed empty" and "state set Idle" without
-//! re-queueing the task.
+//! Every actor is a [`Task`]: a mailbox of activation [`Input`]s plus its
+//! protocol state, runnable by any worker. The scheduler's contract is the
+//! *queued-exactly-once* state machine — a mailbox push transitions an
+//! Idle task to Queued and enqueues it on exactly one run queue; pushes to
+//! a Queued or Running task only append to the mailbox. A worker that
+//! drains a task's mailbox transitions it back to Idle under the mailbox
+//! lock, so no envelope can arrive between "queue observed empty" and
+//! "state set Idle" without re-queueing the task.
 //!
 //! Run queues come in two kinds:
 //!
 //! * one **local queue per worker** — pushes made *by* a worker land on
 //!   its own queue (locality); idle siblings steal from the back;
-//! * a **global injector** — pushes from non-worker threads (the fault
-//!   controller, shutdown) land here and any worker picks them up.
+//! * a **global injector** — pushes from non-worker threads (socket
+//!   readers, shutdown) land here and any worker picks them up.
 //!
 //! Idle workers park on a token condvar ([`IdleLot`]): every push that
 //! makes a task runnable deposits a wake token (capped at the worker
 //! count), so a worker observing empty queues either consumes a pending
 //! token and rescans or sleeps until the next deposit — wakeups are never
-//! lost and idle workers burn no CPU. A worker with pending timer-wheel
+//! lost and idle workers burn no CPU. A worker with pending wheel
 //! deadlines bounds its park by the earliest one.
 //!
 //! FIFO guarantees: one mailbox is one `VecDeque` behind one mutex, and a
@@ -34,26 +34,16 @@ use crate::sync::{
 };
 use crate::SharedFabric;
 use borealis_dpc::{DpcActor, NetMsg};
-use borealis_sim::{ActorCell, FaultEvent};
+use borealis_sim::{ActorCell, Input};
 use borealis_types::{NodeId, SchedGauges, Time};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 
 /// One delivery into a task's mailbox.
 pub(crate) enum Envelope {
-    /// A protocol message from another actor.
-    Msg {
-        /// Sending actor.
-        from: NodeId,
-        /// The message.
-        msg: NetMsg,
-    },
-    /// A fault notification from the controller.
-    Fault(FaultEvent),
-    /// A timer that came due on a worker wheel (re-enqueued so it runs
-    /// with the task's other work, in mailbox order): its kind, and the
-    /// incarnation of the task that armed it.
-    Timer(u64, u32),
+    /// One input of the activation step, in mailbox order: the start, a
+    /// message, a timer that came due on a worker's wheel, a fault.
+    Input(Input<NetMsg>),
     /// Orderly shutdown: process everything queued before this, then stop.
     Stop,
 }
@@ -89,12 +79,14 @@ pub(crate) struct Task {
 }
 
 impl Task {
+    /// A Queued task whose mailbox holds its `Start`, as the simulator
+    /// queues one for every actor it adds.
     fn new(id: NodeId, actor: Box<dyn DpcActor<NetMsg>>, rng: StdRng) -> Task {
         Task {
             id,
             mailbox: Mutex::new(MailboxInner {
-                queue: VecDeque::new(),
-                state: RunState::Idle,
+                queue: VecDeque::from([Envelope::Input(Input::Start)]),
+                state: RunState::Queued,
                 stopped: false,
             }),
             cell: Mutex::new((ActorCell::new(actor), rng)),
@@ -249,14 +241,12 @@ pub(crate) struct Scheduler {
     pub(crate) tasks: Vec<Arc<Task>>,
     locals: Vec<Mutex<VecDeque<Arc<Task>>>>,
     injector: Mutex<VecDeque<Arc<Task>>>,
-    /// Exact depth of each local queue, updated under that queue's lock —
-    /// so the gauge provably equals `q.len()` at every push/pop/steal
-    /// boundary (debug-asserted there).
-    local_depths: Vec<AtomicU64>,
-    /// Exact depth of the injector, updated under its lock.
-    global_depth: AtomicU64,
     idle: IdleLot,
     counters: SchedCounters,
+    /// Set when shutdown begins, before the Stops go out: a scripted fault
+    /// due from then on is never applied, so the statistics a shutdown
+    /// returns cannot change behind it.
+    stopping: AtomicBool,
     /// Set once every task has stopped: workers exit their loops.
     exiting: AtomicBool,
     stopped: AtomicUsize,
@@ -267,8 +257,8 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// Builds the fabric and seeds every task onto the run queues
-    /// round-robin (state Queued), so each actor's `on_start` runs as soon
+    /// Builds the fabric and seeds every task, its `Start` queued, onto
+    /// the run queues round-robin, so each actor's `on_start` runs as soon
     /// as a worker picks it up.
     pub(crate) fn new(
         actors: Vec<(Box<dyn DpcActor<NetMsg>>, StdRng)>,
@@ -281,21 +271,15 @@ impl Scheduler {
             .collect();
         let mut locals: Vec<VecDeque<Arc<Task>>> = (0..workers).map(|_| VecDeque::new()).collect();
         for (i, task) in tasks.iter().enumerate() {
-            relock(&task.mailbox).state = RunState::Queued;
             locals[i % workers].push_back(Arc::clone(task));
         }
-        let local_depths = locals
-            .iter()
-            .map(|q| AtomicU64::new(q.len() as u64))
-            .collect();
         Scheduler {
             tasks,
             locals: locals.into_iter().map(Mutex::new).collect(),
             injector: Mutex::new(VecDeque::new()),
-            local_depths,
-            global_depth: AtomicU64::new(0),
             idle: IdleLot::new(workers),
             counters: SchedCounters::default(),
+            stopping: AtomicBool::new(false),
             exiting: AtomicBool::new(false),
             stopped: AtomicUsize::new(0),
             exit_mx: Mutex::new(()),
@@ -358,71 +342,42 @@ impl Scheduler {
     ) {
         let mut fabric = relock(fabric);
         if let Some(msg) = fabric.consumed(from, to, now) {
-            self.push(to, Envelope::Msg { from, msg }, from_worker);
+            let message = Input::Message { from, msg };
+            self.push(to, Envelope::Input(message), from_worker);
         }
     }
 
     /// Puts an already-Queued task on a run queue (initial seeding is done
     /// by [`Scheduler::new`]; batch-budget yields come through here too).
     pub(crate) fn enqueue(&self, task: Arc<Task>, from_worker: Option<usize>) {
-        match from_worker {
-            Some(w) => {
-                let mut q = relock(&self.locals[w]);
-                q.push_back(task);
-                let depth = q.len() as u64;
-                let gauge = self.local_depths[w].fetch_add(1, Ordering::Relaxed) + 1;
-                debug_assert_eq!(
-                    gauge, depth,
-                    "local depth gauge drifted on push (worker {w})"
-                );
-                drop(q);
-                self.counters.local_peak.fetch_max(depth, Ordering::Relaxed);
-            }
-            None => {
-                let mut q = relock(&self.injector);
-                q.push_back(task);
-                let depth = q.len() as u64;
-                let gauge = self.global_depth.fetch_add(1, Ordering::Relaxed) + 1;
-                debug_assert_eq!(gauge, depth, "global depth gauge drifted on push");
-                drop(q);
-                self.counters
-                    .global_peak
-                    .fetch_max(depth, Ordering::Relaxed);
-            }
-        }
+        let (queue, peak) = match from_worker {
+            Some(w) => (&self.locals[w], &self.counters.local_peak),
+            None => (&self.injector, &self.counters.global_peak),
+        };
+        let mut q = relock(queue);
+        q.push_back(task);
+        let depth = q.len() as u64;
+        drop(q);
+        peak.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Finds the next runnable task for worker `w`: own queue front, then
     /// the global injector, then steal from a sibling's back.
     pub(crate) fn pop(&self, w: usize) -> Option<Arc<Task>> {
-        {
-            let mut q = relock(&self.locals[w]);
-            if let Some(t) = q.pop_front() {
-                let gauge = self.local_depths[w].fetch_sub(1, Ordering::Relaxed) - 1;
-                debug_assert_eq!(gauge, q.len() as u64, "local depth gauge drifted on pop");
-                drop(q);
-                self.counters.local_polls.fetch_add(1, Ordering::Relaxed);
-                return Some(t);
-            }
+        let own = relock(&self.locals[w]).pop_front();
+        if let Some(t) = own {
+            self.counters.local_polls.fetch_add(1, Ordering::Relaxed);
+            return Some(t);
         }
-        {
-            let mut q = relock(&self.injector);
-            if let Some(t) = q.pop_front() {
-                let gauge = self.global_depth.fetch_sub(1, Ordering::Relaxed) - 1;
-                debug_assert_eq!(gauge, q.len() as u64, "global depth gauge drifted on pop");
-                drop(q);
-                self.counters.global_polls.fetch_add(1, Ordering::Relaxed);
-                return Some(t);
-            }
+        let injected = relock(&self.injector).pop_front();
+        if let Some(t) = injected {
+            self.counters.global_polls.fetch_add(1, Ordering::Relaxed);
+            return Some(t);
         }
         let n = self.locals.len();
         for off in 1..n {
-            let victim = (w + off) % n;
-            let mut q = relock(&self.locals[victim]);
-            if let Some(t) = q.pop_back() {
-                let gauge = self.local_depths[victim].fetch_sub(1, Ordering::Relaxed) - 1;
-                debug_assert_eq!(gauge, q.len() as u64, "local depth gauge drifted on steal");
-                drop(q);
+            let stolen = relock(&self.locals[(w + off) % n]).pop_back();
+            if let Some(t) = stolen {
                 self.counters.steals.fetch_add(1, Ordering::Relaxed);
                 return Some(t);
             }
@@ -470,23 +425,18 @@ impl Scheduler {
         }
     }
 
-    /// Debug-only full check that the depth gauges equal the actual queue
-    /// lengths. Only valid at quiescent points (no concurrent pushers) —
-    /// the engine calls it after the workers have been joined.
-    #[cfg(debug_assertions)]
-    pub(crate) fn debug_verify_depths(&self) {
-        for (w, q) in self.locals.iter().enumerate() {
-            assert_eq!(
-                self.local_depths[w].load(Ordering::Relaxed),
-                relock(q).len() as u64,
-                "local depth gauge drifted (worker {w})"
-            );
+    /// Begins shutdown: from now on no scripted fault applies, and every
+    /// task stops once it has drained what it had queued before its Stop.
+    pub(crate) fn stop_all(&self) {
+        self.stopping.store(true, Ordering::Release);
+        for task in &self.tasks {
+            self.push(task.id, Envelope::Stop, None);
         }
-        assert_eq!(
-            self.global_depth.load(Ordering::Relaxed),
-            relock(&self.injector).len() as u64,
-            "global depth gauge drifted"
-        );
+    }
+
+    /// True once [`Scheduler::stop_all`] has begun shutdown.
+    pub(crate) fn stopping(&self) -> bool {
+        self.stopping.load(Ordering::Acquire)
     }
 
     /// Tells every worker to exit and wakes them all.
@@ -509,13 +459,9 @@ impl Scheduler {
             global_polls: c.global_polls.load(Ordering::Relaxed),
             steals: c.steals.load(Ordering::Relaxed),
             parks: c.parks.load(Ordering::Relaxed),
-            local_depth: self
-                .local_depths
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .sum(),
+            local_depth: self.locals.iter().map(|q| relock(q).len() as u64).sum(),
             local_peak: c.local_peak.load(Ordering::Relaxed),
-            global_depth: self.global_depth.load(Ordering::Relaxed),
+            global_depth: relock(&self.injector).len() as u64,
             global_peak: c.global_peak.load(Ordering::Relaxed),
             run_hist: [
                 c.run_hist[0].load(Ordering::Relaxed),
@@ -552,6 +498,22 @@ mod tests {
         Scheduler::new(actors, workers)
     }
 
+    /// A due timer of `kind`, as a worker's wheel hands it to a mailbox.
+    fn timer(kind: u64) -> Envelope {
+        Envelope::Input(Input::Timer {
+            kind,
+            incarnation: 0,
+        })
+    }
+
+    /// The kind of a popped timer.
+    fn timer_kind(env: Option<Envelope>) -> Option<u64> {
+        match env? {
+            Envelope::Input(Input::Timer { kind, .. }) => Some(kind),
+            _ => None,
+        }
+    }
+
     /// Drains the initial seeding so every task is Idle.
     fn drain_initial(s: &Scheduler) {
         for w in 0..s.workers() {
@@ -566,21 +528,21 @@ mod tests {
     fn push_queues_idle_task_exactly_once() {
         let s = sched(2, 2);
         drain_initial(&s);
-        s.push(NodeId(0), Envelope::Timer(1, 0), None);
-        s.push(NodeId(0), Envelope::Timer(2, 0), None);
+        s.push(NodeId(0), timer(1), None);
+        s.push(NodeId(0), timer(2), None);
         // Two pushes, one enqueue: the second saw Queued.
         let t = s.pop(0).expect("task queued");
         assert!(s.pop(0).is_none(), "queued exactly once");
         t.begin();
-        assert!(matches!(t.pop_envelope(), Some(Envelope::Timer(1, 0))));
+        assert_eq!(timer_kind(t.pop_envelope()), Some(1));
         // Pushes while Running only append.
-        s.push(NodeId(0), Envelope::Timer(3, 0), None);
+        s.push(NodeId(0), timer(3), None);
         assert!(s.pop(0).is_none(), "running task is not re-queued");
-        assert!(matches!(t.pop_envelope(), Some(Envelope::Timer(2, 0))));
-        assert!(matches!(t.pop_envelope(), Some(Envelope::Timer(3, 0))));
+        assert_eq!(timer_kind(t.pop_envelope()), Some(2));
+        assert_eq!(timer_kind(t.pop_envelope()), Some(3));
         assert!(t.pop_envelope().is_none(), "drained back to Idle");
         // Idle again: next push re-queues.
-        s.push(NodeId(0), Envelope::Timer(4, 0), None);
+        s.push(NodeId(0), timer(4), None);
         assert!(s.pop(1).is_some(), "any worker can pick it up");
     }
 
@@ -590,6 +552,12 @@ mod tests {
         // Initial seeding round-robins 0,2 → worker 0 and 1,3 → worker 1.
         let t = s.pop(0).unwrap();
         assert_eq!(t.id, NodeId(0));
+        t.begin();
+        let start = t.pop_envelope();
+        assert!(
+            matches!(start, Some(Envelope::Input(Input::Start))),
+            "seeded"
+        );
         assert_eq!(s.pop(1).unwrap().id, NodeId(1), "own queue first");
         assert_eq!(s.pop(1).unwrap().id, NodeId(3));
         // Worker 1's queue and the injector are empty: steal from 0's back.
@@ -605,7 +573,7 @@ mod tests {
         let t = Arc::clone(s.task(NodeId(0)).unwrap());
         assert!(t.mark_stopped());
         assert!(!t.mark_stopped(), "idempotent");
-        s.push(NodeId(0), Envelope::Timer(1, 0), None);
+        s.push(NodeId(0), timer(1), None);
         assert!(s.pop(0).is_none(), "push to stopped task dropped");
     }
 
@@ -613,20 +581,20 @@ mod tests {
     fn yield_back_requeues_only_with_work_left() {
         let s = sched(1, 1);
         drain_initial(&s);
-        s.push(NodeId(0), Envelope::Timer(1, 0), Some(0));
+        s.push(NodeId(0), timer(1), Some(0));
         let t = s.pop(0).unwrap();
         t.begin();
         // Arrives while Running: appends, no second enqueue.
-        s.push(NodeId(0), Envelope::Timer(2, 0), Some(0));
+        s.push(NodeId(0), timer(2), Some(0));
         assert!(s.pop(0).is_none(), "running task is not re-queued");
-        assert!(matches!(t.pop_envelope(), Some(Envelope::Timer(1, 0))));
+        assert_eq!(timer_kind(t.pop_envelope()), Some(1));
         // Budget hit with work left: yield re-queues.
         assert!(t.yield_back(), "work left: requeue");
         s.enqueue(Arc::clone(&t), Some(0));
         let t2 = s.pop(0).unwrap();
         assert_eq!(t2.id, t.id);
         t2.begin();
-        assert!(matches!(t2.pop_envelope(), Some(Envelope::Timer(2, 0))));
+        assert_eq!(timer_kind(t2.pop_envelope()), Some(2));
         assert!(!t2.yield_back(), "drained: idle");
     }
 

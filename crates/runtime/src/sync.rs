@@ -15,35 +15,21 @@
 //! runtime's state machines guarantee exclusive access (a task is Running
 //! on at most one worker), so a panic that poisoned a lock left no torn
 //! invariant behind — every acquisition goes through [`relock`] /
-//! [`read`] / [`write`] / [`cv_wait`] / [`cv_wait_timeout`], which strip
-//! the `PoisonError` in one place instead of ad-hoc `unwrap_or_else`
-//! calls at every site. (The virtual primitives don't poison at all — a
-//! model execution dies as a whole — so the helpers keep one signature
-//! across both builds.)
+//! [`cv_wait`] / [`cv_wait_timeout`], which strip the `PoisonError` in one
+//! place instead of ad-hoc `unwrap_or_else` calls at every site. (The
+//! virtual primitives don't poison at all — a model execution dies as a
+//! whole — so the helpers keep one signature across both builds.)
 
 #[cfg(not(borealis_model))]
 mod imp {
     pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-    pub use std::sync::mpsc;
     use std::sync::PoisonError;
-    pub use std::sync::{
-        Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
-    };
+    pub use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::Duration;
 
     /// Locks a mutex, tolerating poisoning (see module docs).
     pub fn relock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
         m.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Takes a shared rwlock guard, tolerating poisoning.
-    pub fn read<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-        l.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Takes an exclusive rwlock guard, tolerating poisoning.
-    pub fn write<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-        l.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Condvar wait, tolerating poisoning.
@@ -67,10 +53,8 @@ mod imp {
 
 #[cfg(borealis_model)]
 mod imp {
-    pub use borealis_check::sync::thread;
     pub use borealis_check::sync::{
-        AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard,
-        RwLockWriteGuard,
+        AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard,
     };
     pub use std::sync::atomic::Ordering;
     pub use std::sync::Arc;
@@ -79,16 +63,6 @@ mod imp {
     /// Locks a virtual mutex (no poisoning in the model).
     pub fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
         m.lock()
-    }
-
-    /// Takes a shared virtual rwlock guard.
-    pub fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-        l.read()
-    }
-
-    /// Takes an exclusive virtual rwlock guard.
-    pub fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-        l.write()
     }
 
     /// Virtual condvar wait.

@@ -31,7 +31,7 @@
 //! without a `Goodbye` frame, a corrupt frame, or a header whose actor ids
 //! the plan does not place on this connection's two ends) marks every
 //! actor of the dead peer process `NodeDown` in the local fabric — the
-//! same `Fabric::apply` the scripted fault controller calls: queued
+//! same `Fabric::apply` a scripted fault meets on worker 0's wheel: queued
 //! credit-stalled sends purge as counted delivery drops and later sends
 //! count as send drops, so the chaos semantics of the two transports are
 //! identical. The scripted fault script itself replays in *every* process
@@ -48,12 +48,12 @@
 
 use crate::engine::{Hub, ThreadRuntime};
 use crate::scheduler::Envelope;
-use crate::sync::{cv_wait, read, relock, write};
-use crate::sync::{Arc, AtomicBool, AtomicU64, Condvar, Mutex, Ordering, RwLock};
+use crate::sync::{cv_wait, relock};
+use crate::sync::{Arc, AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 use borealis_dpc::{
     decode_frame, encode_frame, DpcActor, MetricsHub, NetMsg, RuntimeCtx, SystemLayout, WireMsg,
 };
-use borealis_sim::{FaultEvent, StatsSnapshot};
+use borealis_sim::{FaultEvent, Input, StatsSnapshot};
 use borealis_types::{NodeId, WireGauges};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -95,14 +95,11 @@ struct Conn {
     /// The peer announced an orderly close (`Goodbye` frame) — a
     /// subsequent EOF is a clean teardown, not a crash.
     peer_goodbye: AtomicBool,
-    /// Bytes read past the `Hello` frame during the handshake, replayed to
-    /// the reader thread.
-    carry: Mutex<Vec<u8>>,
     g: ConnGauges,
 }
 
 impl Conn {
-    fn new(peer_proc: u32, stream: TcpStream, carry: Vec<u8>) -> Conn {
+    fn new(peer_proc: u32, stream: TcpStream) -> Conn {
         Conn {
             peer_proc,
             stream,
@@ -114,7 +111,6 @@ impl Conn {
             wake: Condvar::new(),
             alive: AtomicBool::new(true),
             peer_goodbye: AtomicBool::new(false),
-            carry: Mutex::new(carry),
             g: ConnGauges::default(),
         }
     }
@@ -214,8 +210,9 @@ pub struct TcpFabric {
     plan: Vec<u32>,
     /// Indexed by process id; `None` for `my_proc`. Slots are writable
     /// because a killed peer process may respawn and re-dial mid-run: the
-    /// acceptor thread installs the fresh connection in place.
-    conns: Vec<RwLock<Option<Arc<Conn>>>>,
+    /// acceptor thread installs the fresh connection in place. A holder
+    /// only clones the `Arc` out (or swaps it, on a rejoin).
+    conns: Vec<Mutex<Option<Arc<Conn>>>>,
     /// Connections replaced by a rejoin, kept for their wire gauges.
     retired: Mutex<Vec<Arc<Conn>>>,
     /// The listener, parked here between `establish` and `start_io`
@@ -260,7 +257,7 @@ impl TcpFabric {
             let (stream, _) = listener.accept()?;
             stream.set_nodelay(true)?;
             stream.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
-            let (peer, carry) = read_hello(&stream)?;
+            let peer = read_hello(&stream)?;
             stream.set_read_timeout(None)?;
             if peer <= my_proc || peer >= procs || conns[peer as usize].is_some() {
                 return Err(std::io::Error::new(
@@ -268,7 +265,7 @@ impl TcpFabric {
                     format!("unexpected hello from process {peer}"),
                 ));
             }
-            conns[peer as usize] = Some(Arc::new(Conn::new(peer, stream, carry)));
+            conns[peer as usize] = Some(Arc::new(Conn::new(peer, stream)));
         }
         Ok(Self::assemble(my_proc, listener, plan, conns))
     }
@@ -301,7 +298,7 @@ impl TcpFabric {
         Arc::new(TcpFabric {
             my_proc,
             plan,
-            conns: conns.into_iter().map(RwLock::new).collect(),
+            conns: conns.into_iter().map(Mutex::new).collect(),
             retired: Mutex::new(Vec::new()),
             listener: Mutex::new(Some(listener)),
             hub: Mutex::new(None),
@@ -330,7 +327,7 @@ impl TcpFabric {
     }
 
     fn conn_to(&self, id: NodeId) -> Option<Arc<Conn>> {
-        read(&self.conns[self.plan[id.index()] as usize]).clone()
+        relock(&self.conns[self.plan[id.index()] as usize]).clone()
     }
 
     /// Encodes `msg` into the write buffer of `to`'s process connection.
@@ -387,8 +384,8 @@ impl TcpFabric {
         };
         for local in live {
             for &d in &dead {
-                hub.sched
-                    .push(local, Envelope::Fault(FaultEvent::NodeDown(d)), None);
+                let heard = Input::Fault(FaultEvent::NodeDown(d));
+                hub.sched.push(local, Envelope::Input(heard), None);
             }
         }
     }
@@ -400,7 +397,8 @@ impl TcpFabric {
     pub(crate) fn start_io(self: &Arc<Self>, hub: Arc<Hub>) {
         *relock(&self.hub) = Some(Arc::clone(&hub));
         for slot in &self.conns {
-            if let Some(conn) = read(slot).clone() {
+            let conn = relock(slot).clone();
+            if let Some(conn) = conn {
                 self.spawn_conn_io(&conn, &hub);
             }
         }
@@ -443,7 +441,7 @@ impl TcpFabric {
     /// recovery — reloading its checkpoint, replaying its input log,
     /// re-subscribing — happens in the rejoined process itself; survivors
     /// only need delivery re-enabled, after which heartbeats resume.
-    fn install_conn(self: &Arc<Self>, peer: u32, stream: TcpStream, carry: Vec<u8>) {
+    fn install_conn(self: &Arc<Self>, peer: u32, stream: TcpStream) {
         let Some(hub) = relock(&self.hub).clone() else {
             return;
         };
@@ -454,11 +452,8 @@ impl TcpFabric {
             let _ = stream.shutdown(Shutdown::Both);
             return;
         }
-        let conn = Arc::new(Conn::new(peer, stream, carry));
-        let old = {
-            let mut slot = write(&self.conns[peer as usize]);
-            slot.replace(Arc::clone(&conn))
-        };
+        let conn = Arc::new(Conn::new(peer, stream));
+        let old = relock(&self.conns[peer as usize]).replace(Arc::clone(&conn));
         if let Some(old) = old {
             // Usually already dead (the reader saw the torn socket when
             // the peer was killed); if the kill and the rejoin raced, the
@@ -480,7 +475,7 @@ impl TcpFabric {
         let live: Vec<Arc<Conn>> = self
             .conns
             .iter()
-            .filter_map(|slot| read(slot).clone())
+            .filter_map(|slot| relock(slot).clone())
             .collect();
         let retired: Vec<Arc<Conn>> = relock(&self.retired).clone();
         for conn in live.iter().chain(retired.iter()) {
@@ -508,7 +503,7 @@ impl TcpFabric {
     pub fn shutdown(&self) {
         self.closing.store(true, Ordering::Release);
         for slot in &self.conns {
-            let Some(conn) = read(slot).clone() else {
+            let Some(conn) = relock(slot).clone() else {
                 continue;
             };
             let mut ws = relock(&conn.write);
@@ -535,7 +530,7 @@ impl TcpFabric {
     /// — the peer observes a crash, not a clean close.
     #[cfg(test)]
     pub(crate) fn kill(&self, proc: u32) {
-        if let Some(conn) = read(&self.conns[proc as usize]).clone() {
+        if let Some(conn) = relock(&self.conns[proc as usize]).clone() {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
     }
@@ -553,7 +548,7 @@ fn dial_peer(my_proc: u32, peer: u32, addr: &str) -> std::io::Result<Arc<Conn>> 
         &WireMsg::Hello { proc: my_proc },
     );
     (&stream).write_all(&hello)?;
-    Ok(Arc::new(Conn::new(peer, stream, Vec::new())))
+    Ok(Arc::new(Conn::new(peer, stream)))
 }
 
 /// Dials `addr`, retrying while the peer's listener comes up (~10 s
@@ -592,11 +587,11 @@ fn acceptor_loop(fabric: Arc<TcpFabric>, listener: TcpListener) {
                     continue;
                 }
                 let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(30)));
-                let Ok((peer, carry)) = read_hello(&stream) else {
+                let Ok(peer) = read_hello(&stream) else {
                     continue;
                 };
                 let _ = stream.set_read_timeout(None);
-                fabric.install_conn(peer, stream, carry);
+                fabric.install_conn(peer, stream);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(std::time::Duration::from_millis(20));
@@ -607,32 +602,24 @@ fn acceptor_loop(fabric: Arc<TcpFabric>, listener: TcpListener) {
     }
 }
 
-/// Reads the handshake `Hello` frame off a freshly accepted stream;
-/// returns the dialer's process id and any bytes read past the frame.
-fn read_hello(mut stream: &TcpStream) -> std::io::Result<(u32, Vec<u8>)> {
-    let mut buf = Vec::with_capacity(64);
-    let mut scratch = [0u8; 1024];
-    loop {
-        match decode_frame(&buf) {
-            Ok(Some((_, _, WireMsg::Hello { proc }, used))) => {
-                return Ok((proc, buf.split_off(used)));
-            }
-            Ok(Some(_)) | Err(_) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "handshake must start with a Hello frame",
-                ));
-            }
-            Ok(None) => {}
-        }
-        let n = stream.read(&mut scratch)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed during handshake",
-            ));
-        }
-        buf.extend_from_slice(&scratch[..n]);
+/// Length of a `Hello` frame: the `len`, `from`, `to` and `kind` header,
+/// then `proc: u32`.
+const HELLO_LEN: usize = 17;
+
+/// Reads exactly one handshake `Hello` frame off a freshly accepted
+/// stream and returns the dialer's process id. It never reads past the
+/// frame — whatever the dialer sends behind it stays in the socket for the
+/// reader thread — and refuses at once any 17 bytes that are not a whole
+/// `Hello`: another kind, or a header declaring a longer frame.
+fn read_hello(mut stream: &TcpStream) -> std::io::Result<u32> {
+    let mut buf = [0u8; HELLO_LEN];
+    stream.read_exact(&mut buf)?;
+    match decode_frame(&buf) {
+        Ok(Some((_, _, WireMsg::Hello { proc }, _))) => Ok(proc),
+        _ => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "handshake must be exactly one Hello frame",
+        )),
     }
 }
 
@@ -640,7 +627,7 @@ fn read_hello(mut stream: &TcpStream) -> std::io::Result<(u32, Vec<u8>)> {
 /// every complete frame, and translates the connection's end into either
 /// a clean close or a crash.
 fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
-    let mut buf: Vec<u8> = std::mem::take(&mut relock(&conn.carry));
+    let mut buf: Vec<u8> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
     let (ours, theirs) = (mesh.my_proc, conn.peer_proc);
     loop {
@@ -657,7 +644,8 @@ fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
                             // fabric's delivery-time checks run when the
                             // worker processes it, the same as an
                             // in-process send.
-                            hub.sched.push(to, Envelope::Msg { from, msg: m }, None);
+                            let message = Input::Message { from, msg: m };
+                            hub.sched.push(to, Envelope::Input(message), None);
                         }
                         WireMsg::CreditGrant
                             if mesh.placed(from, ours) && mesh.placed(to, theirs) =>
@@ -1007,7 +995,7 @@ mod tests {
             };
             let rt0 = spawn_proc(&f0, actors(Box::new(RemoteStub)), CreditPolicy::Window(1));
             let rt1 = spawn_proc(&f1, actors(counter), CreditPolicy::Window(1));
-            let conn = read(&f0.conns[1]).clone().expect("mesh is up");
+            let conn = relock(&f0.conns[1]).clone().expect("mesh is up");
             assert!(conn.enqueue(|buf| _ = encode_frame(buf, NodeId(from), NodeId(to), &msg)));
             let reset = wait_until(|| f1.wire_gauges().resets > 0, 3000);
             rt1.shutdown(); // panics naming any actor that panicked
@@ -1069,9 +1057,10 @@ mod tests {
     #[test]
     fn respawned_peer_rejoins_and_delivers_again() {
         // Actor 0 lives in proc 1 (the sender), actor 1 in proc 0 (the
-        // counter). Proc 1 dies hard (torn socket), then a fresh fabric
-        // rejoins through proc 0's acceptor thread — the slot is
-        // reinstalled, the actor marked back up, and deliveries resume.
+        // counter). Proc 1 dies hard (torn socket), a dialer that is not a
+        // peer holds proc 0's acceptor as long as it can, then a fresh
+        // fabric rejoins through that acceptor — the slot is reinstalled,
+        // the actor marked back up, and deliveries resume.
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
         let addrs = vec![
@@ -1112,6 +1101,25 @@ mod tests {
         );
         rt1.shutdown();
         f1.shutdown();
+        // The handshake reads one `Hello`'s 17 bytes and no more: the first
+        // 17 bytes of a 1 MiB `Data` frame, then silence, are refused at
+        // once rather than read until the acceptor's 30 s timeout.
+        let mut silent = TcpStream::connect(&addrs[0]).unwrap();
+        let mut head = Vec::new();
+        for word in [1u32 << 20, 0, 1] {
+            head.extend(word.to_le_bytes()); // len, from, to
+        }
+        head.push(0x00); // kind: `Data`
+        head.extend(0u32.to_le_bytes()); // its stream id
+        assert_eq!(head.len(), HELLO_LEN);
+        silent.write_all(&head).unwrap();
+        let two_secs = std::time::Duration::from_secs(2);
+        silent.set_read_timeout(Some(two_secs)).unwrap();
+        let closed = match silent.read(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+        };
+        assert!(closed, "the acceptor closes a non-Hello dialer at once");
         // Respawn proc 1 (new listener — a real respawn rebinds its
         // configured address; a fresh port keeps the test race-free).
         let l1b = TcpListener::bind("127.0.0.1:0").unwrap();

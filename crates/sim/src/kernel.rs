@@ -13,25 +13,11 @@
 use crate::actor::{Actor, Ctx};
 use crate::fabric::{Fabric, Sent, ShardMsg, StatsSnapshot};
 use crate::fault::FaultEvent;
-use crate::node::{ActorCell, DeadlineQueue, Host, Input};
+use crate::node::{ActorCell, DeadlineQueue, Event, Host, Input};
 use borealis_types::{Duration, NodeId, ShardRouter, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::DerefMut;
-
-enum Event<M> {
-    /// One activation of an actor: its start, a message reaching the far
-    /// end of its link, or a timer (stamped with the incarnation that
-    /// armed it).
-    Input(NodeId, Input<M>),
-    /// A delivery on `from → to` was consumed: return its credit and
-    /// release the next queued message, if any.
-    Replenish {
-        from: NodeId,
-        to: NodeId,
-    },
-    Fault(FaultEvent),
-}
 
 /// The [`Host`] handed to the activation step: sends go through the fabric
 /// and become arrival events one link latency later.

@@ -36,4 +36,4 @@ pub use fabric::{Arrival, Fabric, Sent, ShardMsg, StatsSnapshot};
 pub use fault::FaultEvent;
 pub use flow::FlowControl;
 pub use kernel::Sim;
-pub use node::{ActorCell, DeadlineQueue, Host, Input};
+pub use node::{ActorCell, DeadlineQueue, Event, Host, Input};

@@ -3,9 +3,10 @@
 //! a new *incarnation* — written once, next to the link half ([`Fabric`]),
 //! and shared by every runtime.
 //!
-//! * [`DeadlineQueue`] is the one `(deadline, insertion sequence)` heap:
-//!   the simulator's event queue and each pool worker's timer wheel are
-//!   instances, so they share a total order by construction.
+//! * [`DeadlineQueue`] is the one `(deadline, insertion sequence)` heap and
+//!   [`Event`] what it holds: the simulator's event queue and each pool
+//!   worker's wheel are both a `DeadlineQueue<Event<M>>`, so they share a
+//!   total order and one vocabulary by construction.
 //! * [`ActorCell`] is one actor's driver-side state — the boxed actor,
 //!   whether it has started, and its incarnation — and
 //!   [`ActorCell::activate`] is the one activation step. A driver turns
@@ -24,8 +25,8 @@
 //!     ran, so whatever that handler armed never fires either.
 //!
 //! What stays with a driver is the clock, the queue discipline (one global
-//! event heap, or mailboxes plus per-worker wheels), the last hop of a
-//! message, and who hears of a fault ([`Fabric::apply`]'s notify list).
+//! event heap, or mailboxes of [`Input`]s plus per-worker wheels), and the
+//! last hop of a message.
 
 use crate::actor::{Actor, Ctx};
 use crate::fabric::{Fabric, ShardMsg};
@@ -146,6 +147,27 @@ pub enum Input<M> {
         incarnation: u32,
     },
     /// A fault the fabric says this actor hears of.
+    Fault(FaultEvent),
+}
+
+/// Deferred work on a driver's [`DeadlineQueue`]: the simulator's one event
+/// queue and every pool worker's wheel hold these three kinds.
+#[derive(Debug)]
+pub enum Event<M> {
+    /// One activation of an actor: its start, a message reaching the far
+    /// end of its link, or a timer (stamped with the incarnation that
+    /// armed it).
+    Input(NodeId, Input<M>),
+    /// A delivery on `from → to` was consumed: return its credit and
+    /// release the next queued message, if any.
+    Replenish {
+        /// The sender whose link credit returns.
+        from: NodeId,
+        /// The consuming actor.
+        to: NodeId,
+    },
+    /// A scripted fault (or heal): [`Fabric::apply`] it, then notify the
+    /// actors it names with an [`Input::Fault`].
     Fault(FaultEvent),
 }
 

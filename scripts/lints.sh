@@ -28,10 +28,14 @@ if git grep -n 'filter_batch' -- '*.rs'; then fail "entry point"; fi
 # One node under every driver: outside the fabric itself only the
 # activation step (`ActorCell::activate`, crates/sim/src/node.rs) asks for
 # an arrival or a timer verdict, and neither driver keeps a (deadline, seq)
-# heap of its own beside `DeadlineQueue`.
+# heap of its own beside `DeadlineQueue`. Both speak one event vocabulary:
+# the pool's wheels hold the kernel's `Event`s and its mailboxes `Input`s,
+# its fault script replays on worker 0's wheel rather than a thread of its
+# own, and the socket mesh's connection slots take the one lock kind.
 callers=$(git grep -lE '\.(arrive|timer_fires)\(' -- '*.rs' ':!crates/sim/src/fabric.rs' ':!*/tests/*' ':!*_tests.rs' || true)
 if [ "$(echo "$callers" | grep -c .)" -gt 1 ]; then echo "$callers"; fail "activation"; fi
-if git grep -nE 'impl(<.*>)? Ord for' -- crates/sim/src/kernel.rs crates/runtime/src/wheel.rs; then fail "activation"; fi
+if git grep -nE 'impl(<.*>)? Ord for' -- crates/sim/src/kernel.rs; then fail "activation"; fi
+if git grep -nE '\bDue\b|fault_controller|recv_timeout|RwLock' -- crates/runtime/src crates/check/src; then fail "activation"; fi
 
 # One decode surface: bytes from a socket or a disk are parsed through
 # `wire::Reader` / `Wire` only, and a decoded count sizes an allocation

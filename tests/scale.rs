@@ -52,16 +52,18 @@ fn run_grid(wall_secs: u64, crash: bool) -> (u64, u64, borealis::sim::StatsSnaps
     }
     let before = os_threads();
     let sys = deploy_threads(builder.layout());
+    let deployed = os_threads();
     sys.run_for(std::time::Duration::from_secs(wall_secs));
     // The pool stays fixed-size however many actors exist: the engine adds
-    // its workers and one fault controller to the caller's own thread — the
-    // `workers + 2` ceiling.
-    if let (Some(before), Some(now)) = (before, os_threads()) {
-        assert!(
-            now <= before + WORKERS + 1,
-            "2097 actors may not cost more than {WORKERS} workers + 1 controller threads: \
-             {before} → {now}"
-        );
+    // its workers, and nothing else, to the caller's own thread — neither
+    // while the fault script is pending (worker 0 replays it) nor after.
+    for now in [deployed, os_threads()] {
+        if let (Some(before), Some(now)) = (before, now) {
+            assert!(
+                now <= before + WORKERS,
+                "2097 actors may not cost more than {WORKERS} worker threads: {before} → {now}"
+            );
+        }
     }
     let (mut stable, mut dup) = (0, 0);
     for out in outs {

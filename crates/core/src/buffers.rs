@@ -16,8 +16,9 @@
 //!
 //! Truncation: cumulative acknowledgments from downstream consumers move
 //! the safe horizon forward; everything at or before the acked stable tuple
-//! is dropped by *splitting ranges* — whole segments are released, a
-//! partially-acked segment is narrowed to its live sub-range. Views already
+//! is dropped by *splitting ranges* — whole segments are released (by
+//! their last stable id, without reading their tuples), a partially-acked
+//! segment is narrowed to its live sub-range. Views already
 //! handed to slower subscribers keep their shared backing alive until they
 //! drop, so acking mid-batch can never free or corrupt tuples another
 //! replay cursor still references. With bounded buffers
@@ -45,6 +46,10 @@ struct Segment {
     /// Aligned with `batch`; empty means every entry is live. Allocated
     /// lazily — only reconciliations (UNDO appends) ever populate it.
     dead: Vec<bool>,
+    /// Index of the segment's last stable data entry. Stable ids increase
+    /// along the log, so its id bounds every stable id in the segment:
+    /// truncation releases whole segments by it without reading them.
+    last_stable: Option<usize>,
 }
 
 impl Segment {
@@ -67,6 +72,16 @@ impl Segment {
         if !self.dead.is_empty() {
             self.dead.drain(..k);
         }
+        self.last_stable = self.last_stable.and_then(|i| i.checked_sub(k));
+    }
+
+    /// The id of the last stable data entry among the first `k`.
+    fn last_stable_before(&self, k: usize) -> Option<TupleId> {
+        let i = match self.last_stable? {
+            i if i < k => i,
+            _ => self.batch[..k].iter().rposition(Tuple::is_stable_data)?,
+        };
+        Some(self.batch[i].id)
     }
 
     /// Appends the live (non-dead) runs of `[start, len)` as O(1) shared
@@ -103,9 +118,9 @@ pub struct OutputBuffer {
     segs: VecDeque<Segment>,
     /// Retained entries (sum of segment lengths).
     retained: usize,
-    /// Highest stable id ever dropped from the front (ack truncation or
-    /// bounded eviction): a subscriber is "missed" only when it resumes
-    /// behind this horizon.
+    /// Last stable id dropped from the front (ack truncation or bounded
+    /// eviction) — the highest, as stable ids increase along the log: a
+    /// subscriber is "missed" only when it resumes behind this horizon.
     dropped_stable_id: TupleId,
     policy: BufferPolicy,
     truncation_misses: u64,
@@ -156,6 +171,7 @@ impl OutputBuffer {
         self.retained += batch.len();
         self.segs.push_back(Segment {
             start: seg_start,
+            last_stable: batch.iter().rposition(Tuple::is_stable_data),
             batch,
             dead: Vec::new(),
         });
@@ -187,17 +203,16 @@ impl OutputBuffer {
     }
 
     /// Drops the `k` oldest retained entries by releasing whole segments
-    /// and narrowing the first survivor (range split, no copying).
+    /// and narrowing the first survivor (range split, no copying). A
+    /// released segment's last stable id is known; a narrowed one is read
+    /// backward from the cut only.
     fn drop_front_entries(&mut self, mut k: usize) {
         while k > 0 {
             let Some(front) = self.segs.front_mut() else {
                 return;
             };
-            let dropped = front.len().min(k);
-            for t in &front.batch.as_slice()[..dropped] {
-                if t.is_stable_data() {
-                    self.dropped_stable_id = self.dropped_stable_id.max(t.id);
-                }
+            if let Some(id) = front.last_stable_before(front.len().min(k)) {
+                self.dropped_stable_id = id;
             }
             if front.len() <= k {
                 k -= front.len();
@@ -297,26 +312,34 @@ impl OutputBuffer {
     /// `id <= through` (cumulative-ack truncation, §8.1). Segments are
     /// released whole or narrowed by range split; batch views already
     /// handed out for replay keep their shared backing alive.
+    ///
+    /// Stable ids increase along the log, so a segment whose last stable id
+    /// is covered by the ack is released by that id alone, and only the
+    /// segment the ack ends in is read — up to its first stable entry
+    /// beyond the ack.
     pub fn truncate_through(&mut self, through: TupleId) {
-        let mut last: Option<usize> = None;
-        let mut idx = 0;
-        // Stable ids increase monotonically along the log, so the scan can
-        // stop at the first stable entry beyond the ack instead of walking
-        // everything retained.
-        'scan: for seg in &self.segs {
-            for t in seg.batch.as_slice() {
-                if t.is_stable_data() {
-                    if t.id <= through {
-                        last = Some(idx);
-                    } else {
-                        break 'scan;
-                    }
-                }
-                idx += 1;
+        // Logical position of the last stable entry with `id <= through`.
+        let mut cut = None;
+        for seg in &self.segs {
+            let Some(last) = seg.last_stable else {
+                continue;
+            };
+            if seg.batch[last].id <= through {
+                cut = Some(seg.start + last);
+                continue;
             }
+            for (i, t) in seg.batch.iter().enumerate() {
+                if t.is_stable_data() {
+                    if t.id > through {
+                        break;
+                    }
+                    cut = Some(seg.start + i);
+                }
+            }
+            break;
         }
-        if let Some(p) = last {
-            self.drop_front_entries(p + 1);
+        if let Some(p) = cut {
+            self.drop_front_entries(p + 1 - self.base);
         }
     }
 }
@@ -629,5 +652,96 @@ mod tests {
             .flat_map(|c| c.iter().map(|t| t.id.0))
             .collect();
         assert_eq!(all, vec![5, 6, 7, 8]);
+    }
+
+    /// A naive reference of the buffer's front: every appended entry, how
+    /// many are gone, and the highest stable id among those.
+    struct Model {
+        log: Vec<Tuple>,
+        base: usize,
+        dropped: TupleId,
+    }
+
+    impl Model {
+        fn drop_front(&mut self, k: usize) {
+            for t in &self.log[self.base..self.base + k] {
+                if t.is_stable_data() {
+                    self.dropped = self.dropped.max(t.id);
+                }
+            }
+            self.base += k;
+        }
+
+        /// Up to the last stable entry at or below `through`, scanning from
+        /// the front until a stable entry beyond it.
+        fn truncate_through(&mut self, through: TupleId) {
+            let mut last = None;
+            for (i, t) in self.log[self.base..].iter().enumerate() {
+                if t.is_stable_data() {
+                    if t.id > through {
+                        break;
+                    }
+                    last = Some(i);
+                }
+            }
+            if let Some(i) = last {
+                self.drop_front(i + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn truncation_matches_a_naive_scan_over_random_logs() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7A11);
+        for case in 0..300 {
+            let policy = match rng.gen_range(0u32..3) {
+                0 => BufferPolicy::DropOldest(rng.gen_range(1usize..40)),
+                _ => BufferPolicy::Unbounded,
+            };
+            let mut b = OutputBuffer::new(policy);
+            let mut m = Model {
+                log: Vec::new(),
+                base: 0,
+                dropped: TupleId::NONE,
+            };
+            let (mut next, mut last_stable) = (1u64, TupleId::NONE);
+            for step in 0..40 {
+                if rng.gen_range(0u32..3) == 0 {
+                    // Acks may lag, repeat, or run ahead of what was sent.
+                    let through = TupleId(rng.gen_range(0..next + 3));
+                    b.truncate_through(through);
+                    m.truncate_through(through);
+                } else {
+                    let batch: Vec<Tuple> = (0..rng.gen_range(1usize..8))
+                        .map(|_| match rng.gen_range(0u32..10) {
+                            0 | 1 => boundary(next),
+                            2 | 3 => tentative(next + 1000),
+                            4 => Tuple::undo(TupleId::NONE, last_stable),
+                            _ => {
+                                last_stable = TupleId(next);
+                                next += 1;
+                                stable(last_stable.0)
+                            }
+                        })
+                        .collect();
+                    m.log.extend(batch.iter().cloned());
+                    b.append_batch(TupleBatch::from_vec(batch));
+                    if let BufferPolicy::DropOldest(max) = policy {
+                        let excess = (m.log.len() - m.base).saturating_sub(max);
+                        m.drop_front(excess);
+                    }
+                }
+                let retained: Vec<Tuple> = b
+                    .segs
+                    .iter()
+                    .flat_map(|seg| seg.batch.iter().cloned())
+                    .collect();
+                let at = format!("case {case}, step {step}");
+                assert_eq!(retained, m.log[m.base..], "{at}: retained entries");
+                assert_eq!((b.base, b.end()), (m.base, m.log.len()), "{at}");
+                assert_eq!(b.dropped_stable_id, m.dropped, "{at}: dropped horizon");
+            }
+        }
     }
 }

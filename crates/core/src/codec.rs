@@ -95,9 +95,8 @@ impl WireMsg {
     /// own [`Wire`] format (`decode_payload` reads them back the same way).
     fn put_payload(&self, buf: &mut Vec<u8>) {
         match self {
-            // `tuples` is encoded straight from the selection view into the
-            // write buffer: a sharded receiver's run list is walked in
-            // place, no intermediate batch is materialized on the send path.
+            // `tuples` is encoded straight from the view's slice into the
+            // write buffer: no intermediate batch on the send path.
             WireMsg::Net(NetMsg::Data { stream, tuples }) => {
                 stream.put(buf);
                 tuples.put(buf);

@@ -167,9 +167,8 @@ impl NodeDisk {
     }
 
     /// Appends one deduplicated input view to the log, encoding straight
-    /// from the selection (the record format matches `wire::put_batch`, so
-    /// recovery still decodes contiguous batches) in a buffer every append
-    /// reuses.
+    /// from the view (the record format is `wire::put_batch`'s, so
+    /// recovery decodes batches) in a buffer every append reuses.
     pub fn append_input(&mut self, stream: StreamId, tuples: &BatchView) {
         self.record.clear();
         (stream.0 as u64).put(&mut self.record);

@@ -35,11 +35,12 @@ borealis_types::wire_enum!(NodeState, "node state", {
 pub enum NetMsg {
     /// Tuples on a stream, in order.
     ///
-    /// The payload is a shared selection view: fanning the same tuples out
-    /// to every replica of every downstream neighbor clones reference
-    /// counts, not tuples, and a key-sharded receiver's shard is a run
-    /// list over the producer's batch — so per-hop cost is independent of
-    /// both replication degree and shard count.
+    /// The payload is a shared contiguous view: fanning the same tuples
+    /// out to every replica of every downstream neighbor clones reference
+    /// counts, not tuples, and a key-sharded receiver's part is a slice of
+    /// the one batch its shard's tuples were copied into, once per produced
+    /// batch — so per-hop cost is independent of both replication degree
+    /// and shard count.
     Data {
         /// The stream they belong to.
         stream: StreamId,

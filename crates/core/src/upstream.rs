@@ -658,7 +658,7 @@ mod tests {
         let (i, fresh, actions) = inputs
             .intake(NodeId(10), StreamId(0), sent.clone())
             .unwrap();
-        assert!(i == 0 && actions.is_empty() && fresh.same_view(&sent));
+        assert!(i == 0 && actions.is_empty() && fresh == sent && fresh.shares_backing(&sent));
         // A post-heal retransmission overlapping the prefix: only the new
         // tuples come through, and the prefix advances over them.
         let (_, fresh, _) = inputs

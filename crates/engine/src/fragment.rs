@@ -177,34 +177,17 @@ impl Fragment {
     /// tuple-at-a-time delivery.
     pub fn push_batch(&mut self, stream: StreamId, tuples: &TupleBatch, now: Time) -> Batch {
         let mut batch = Batch::default();
-        self.push_contiguous(stream, tuples, now, &mut batch);
-        batch
-    }
-
-    /// Delivers a selection view of external tuples — the partitioned
-    /// intake: a sharded replica's run list is consumed run by run, each
-    /// run a zero-copy slice of the producer's batch, with no
-    /// re-materialization of the selection. Semantics (including the
-    /// checkpoint-before-tentative split) are identical to delivering the
-    /// selected tuples one contiguous batch at a time.
-    pub fn push_view(&mut self, stream: StreamId, view: &BatchView, now: Time) -> Batch {
-        let mut batch = Batch::default();
-        for run in view.run_batches() {
-            self.push_contiguous(stream, &run, now, &mut batch);
-        }
-        batch
-    }
-
-    fn push_contiguous(
-        &mut self,
-        stream: StreamId,
-        tuples: &TupleBatch,
-        now: Time,
-        batch: &mut Batch,
-    ) {
-        self.admit(tuples, now, batch, |f, piece| {
+        self.admit(tuples, now, &mut batch, |f, piece| {
             f.enqueue_external(stream, piece)
         });
+        batch
+    }
+
+    /// Delivers a received message's view — one contiguous slice (a
+    /// sharded replica's is a slice of its shard's batch), so this is
+    /// [`Fragment::push_batch`] on it.
+    pub fn push_view(&mut self, stream: StreamId, view: &BatchView, now: Time) -> Batch {
+        self.push_batch(stream, view, now)
     }
 
     /// Checkpoint-before-tentative (§4.4.1), for live input and replay

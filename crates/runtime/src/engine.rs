@@ -148,9 +148,10 @@ struct Worker {
     /// (`borealis_dpc::Publisher`), so two wheels firing one actor's
     /// entries in either order can delay a send but cannot reorder a link.
     wheel: DeadlineQueue<Event<NetMsg>>,
-    /// Worker-local one-pass partition memo: a sender's whole K·R fan-out
-    /// runs back-to-back on its worker, so per-worker state needs no
-    /// cross-thread sharing and the memo's few entries suffice.
+    /// Worker-local one-pass partition memo (no cross-thread sharing): an
+    /// actor's sends run on whichever worker runs its activation, so a
+    /// produced batch is split once per worker that sends any of it —
+    /// usually one — and every other chunk and receiver is a slice of that.
     router: ShardRouter,
 }
 

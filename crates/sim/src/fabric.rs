@@ -53,10 +53,10 @@ pub trait ShardMsg: Sized {
     /// This shard's view of the message, or `None` if nothing remains.
     ///
     /// `router` is the sending driver's one-pass partition memo: the first
-    /// receiver of a batch computes every shard's selection view, the
-    /// remaining K·R−1 receivers clone theirs out of the shared result —
-    /// the shard key is evaluated and hashed once per tuple per producing
-    /// link regardless of fan-out.
+    /// route of a produced batch splits it into one contiguous batch per
+    /// shard, and every chunk of it for any of the K·R receivers is a slice
+    /// of its shard's — the shard key is evaluated and hashed once per
+    /// tuple regardless of fan-out and chunking.
     fn partition(self, _spec: &PartitionSpec, _router: &mut ShardRouter) -> Option<Self> {
         Some(self)
     }

@@ -95,7 +95,8 @@ pub struct Sim<M> {
     rng: StdRng,
     events_dispatched: u64,
     /// One-pass partition memo shared by every send in the simulation
-    /// (single-threaded, so one router covers all senders).
+    /// (single-threaded, so one router covers all senders): each produced
+    /// batch is split once, whatever order its chunks leave in.
     router: ShardRouter,
 }
 

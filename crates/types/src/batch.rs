@@ -10,8 +10,10 @@
 //! arithmetic, and one batch built by an operator can back the emission
 //! log, every subscriber's in-flight message, and every replay
 //! simultaneously. Where the protocol needs *new* tuples (SUnion's
-//! renumbering, a divergence relabel) it builds one new batch of tuple
-//! headers; the attribute payloads stay shared ([`Tuple::values`]).
+//! renumbering, a divergence relabel, one shard's part of a key-routed
+//! batch) it builds one new batch of tuple headers; the attribute payloads
+//! stay shared ([`Tuple::values`]). What travels in a message is a
+//! [`BatchView`]: always one contiguous range of one such batch.
 
 use crate::tuple::Tuple;
 use std::fmt;
@@ -113,6 +115,12 @@ impl TupleBatch {
         self.data.len()
     }
 
+    /// The backing allocation and this view's range within it: the shard
+    /// router's memo key and the bounds it slices by.
+    pub(crate) fn backing(&self) -> (&Arc<[Tuple]>, Range<usize>) {
+        (&self.data, self.start..self.end)
+    }
+
     /// Index of the first tentative tuple, if any (checkpoint-before-
     /// tentative split point, §4.4.1).
     pub fn first_tentative(&self) -> Option<usize> {
@@ -152,9 +160,16 @@ impl From<Vec<Tuple>> for TupleBatch {
     }
 }
 
+/// Collects straight into the shared allocation: an iterator of known
+/// length (a `map` over a slice) allocates once and copies nothing after.
 impl FromIterator<Tuple> for TupleBatch {
     fn from_iter<I: IntoIterator<Item = Tuple>>(iter: I) -> TupleBatch {
-        TupleBatch::from_vec(iter.into_iter().collect())
+        let data: Arc<[Tuple]> = iter.into_iter().collect();
+        TupleBatch {
+            end: data.len(),
+            data,
+            start: 0,
+        }
     }
 }
 
@@ -179,179 +194,51 @@ impl fmt::Debug for TupleBatch {
     }
 }
 
-/// A selection view over a shared batch: the unit shard routing ships.
+/// The payload of a `Data` message: one contiguous view of a shared batch.
 ///
-/// Holds the producing batch's allocation plus an optional sorted run
-/// list selecting which of its tuples are visible. A contiguous selection
-/// collapses to plain range arithmetic (`sel == None` over a
-/// [`TupleBatch::slice`]) — the whole-batch and single-run cases allocate
-/// nothing; a fragmented selection stores one `(start, end)` pair per run,
-/// never a per-tuple copy. All R replicas of one shard share a single view
-/// through its internal `Arc`s: `clone` is reference-count bumps, so a
-/// K-shard fan-out of one batch costs one key-hash pass plus K run lists
-/// regardless of replication degree.
-#[derive(Clone)]
-pub struct BatchView {
-    base: TupleBatch,
-    /// Sorted, disjoint, non-empty `[start, end)` runs relative to `base`;
-    /// `None` selects all of `base`. Invariant: `Some` holds at least two
-    /// runs (anything less collapses into `base` itself).
-    sel: Option<Arc<[(u32, u32)]>>,
-    len: usize,
-}
+/// A producer's batch travels whole or in chunks, and a shard receiver's
+/// part of it is a slice of the contiguous batch
+/// [`ShardRouter`](crate::ShardRouter) built for that shard — so a view is
+/// always one range of one allocation, `clone` is a reference-count bump,
+/// and every replica of a shard shares its view. Reads go through
+/// [`TupleBatch`] (`Deref`).
+#[derive(Clone, Default, PartialEq)]
+pub struct BatchView(TupleBatch);
 
 impl BatchView {
-    /// A view over an entire batch (no selection metadata).
+    /// A view over an entire batch.
     pub fn whole(base: TupleBatch) -> BatchView {
-        let len = base.len();
-        BatchView {
-            base,
-            sel: None,
-            len,
-        }
+        BatchView(base)
     }
 
     /// An empty view (shares the cached empty allocation).
     pub fn empty() -> BatchView {
-        BatchView::whole(TupleBatch::empty())
+        BatchView(TupleBatch::empty())
     }
 
-    /// Builds a view from sorted, disjoint, non-empty runs relative to
-    /// `base`. Zero or one runs collapse to the run-list-free form; a full
-    /// single run is `base` itself.
-    ///
-    /// # Panics
-    /// Panics (debug builds) if the runs are unsorted, overlapping, empty,
-    /// or out of `base`'s bounds.
-    pub fn from_runs(base: TupleBatch, runs: Vec<(u32, u32)>) -> BatchView {
-        #[cfg(debug_assertions)]
-        {
-            let mut prev = 0u32;
-            for &(s, e) in &runs {
-                assert!(
-                    s >= prev && s < e && e as usize <= base.len(),
-                    "bad run list"
-                );
-                prev = e;
-            }
-        }
-        match runs.len() {
-            0 => BatchView::empty(),
-            1 => {
-                let (s, e) = runs[0];
-                BatchView::whole(base.slice(s as usize..e as usize))
-            }
-            _ => {
-                let len = runs.iter().map(|&(s, e)| (e - s) as usize).sum();
-                BatchView {
-                    base,
-                    sel: Some(Arc::from(runs)),
-                    len,
-                }
-            }
-        }
-    }
-
-    /// Number of selected tuples.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the view selects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The selected run bounds, relative to the base view (one implicit
-    /// whole-base run when there is no run list).
-    fn bounds(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let empty: &[(u32, u32)] = &[];
-        let (implicit, sel) = match &self.sel {
-            None if self.base.is_empty() => (None, empty),
-            None => (Some((0, self.base.len())), empty),
-            Some(s) => (None, &s[..]),
-        };
-        implicit
-            .into_iter()
-            .chain(sel.iter().map(|&(s, e)| (s as usize, e as usize)))
-    }
-
-    /// The selected tuples as contiguous runs (no allocation, no `Arc`
-    /// traffic) — the wire encoder and batch-native consumers walk these.
-    pub fn runs(&self) -> impl Iterator<Item = &[Tuple]> + '_ {
-        self.bounds().map(|(s, e)| &self.base.as_slice()[s..e])
-    }
-
-    /// The selected runs as zero-copy [`TupleBatch`] slices sharing the
-    /// base allocation (SUnion's batch-native intake consumes these).
-    pub fn run_batches(&self) -> impl Iterator<Item = TupleBatch> + '_ {
-        self.bounds().map(|(s, e)| self.base.slice(s..e))
-    }
-
-    /// Iterates the selected tuples in order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> + '_ {
-        self.runs().flatten()
-    }
-
-    /// Number of data-carrying tuples (stable + tentative) in the view —
-    /// the CPU cost model's work unit.
-    pub fn data_count(&self) -> u64 {
-        self.iter().filter(|t| t.is_data()).count() as u64
-    }
-
-    /// A contiguous batch of the selected tuples. Zero-copy when the view
-    /// is already contiguous (the overwhelmingly common case); a
-    /// fragmented selection copies out once.
+    /// The viewed tuples as a batch (zero-copy).
     pub fn to_batch(&self) -> TupleBatch {
-        match &self.sel {
-            None => self.base.clone(),
-            Some(_) => {
-                let mut v = Vec::with_capacity(self.len);
-                for run in self.runs() {
-                    v.extend_from_slice(run);
-                }
-                TupleBatch::from_vec(v)
-            }
-        }
+        self.0.clone()
     }
+}
 
-    /// Identity (not content) comparison: true when both views are the
-    /// same selection of the same backing range. The shard router's memo
-    /// uses this — entries hold a clone of the compared view, so a true
-    /// result can never be an address-reuse coincidence.
-    pub fn same_view(&self, other: &BatchView) -> bool {
-        self.base.shares_backing(&other.base)
-            && self.base.start == other.base.start
-            && self.base.end == other.base.end
-            && match (&self.sel, &other.sel) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
+impl Deref for BatchView {
+    type Target = TupleBatch;
+
+    fn deref(&self) -> &TupleBatch {
+        &self.0
     }
 }
 
 impl From<TupleBatch> for BatchView {
     fn from(b: TupleBatch) -> BatchView {
-        BatchView::whole(b)
-    }
-}
-
-impl Default for BatchView {
-    fn default() -> BatchView {
-        BatchView::empty()
-    }
-}
-
-impl PartialEq for BatchView {
-    fn eq(&self, other: &BatchView) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
+        BatchView(b)
     }
 }
 
 impl fmt::Debug for BatchView {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
+        self.0.fmt(f)
     }
 }
 
@@ -379,60 +266,24 @@ mod tests {
     }
 
     #[test]
-    fn view_collapses_contiguous_runs() {
+    fn view_is_a_zero_copy_batch() {
         let b = TupleBatch::from_vec((1..=8).map(stable).collect());
         let whole = BatchView::from(b.clone());
         assert_eq!(whole.len(), 8);
-        assert!(
-            whole.to_batch().shares_backing(&b),
-            "whole view is the batch"
-        );
+        assert!(whole.to_batch().shares_backing(&b), "the view is the batch");
 
-        let single = BatchView::from_runs(b.clone(), vec![(2, 6)]);
-        assert_eq!(single.len(), 4);
-        assert!(
-            single.to_batch().shares_backing(&b),
-            "one run is a zero-copy slice"
-        );
+        let part = BatchView::whole(b.slice(2..6));
+        assert!(part.shares_backing(&b), "a slice stays zero-copy");
         assert_eq!(
-            single.iter().map(|t| t.id.0).collect::<Vec<_>>(),
-            vec![3, 4, 5, 6]
+            part.iter().map(|t| t.id.0).collect::<Vec<_>>(),
+            [3, 4, 5, 6]
         );
+        assert_eq!(part.data_count(), 4);
 
-        let none = BatchView::from_runs(b.clone(), vec![]);
-        assert!(none.is_empty());
-        assert_eq!(none.to_batch().len(), 0);
-    }
-
-    #[test]
-    fn fragmented_view_iterates_runs_in_order() {
-        let b = TupleBatch::from_vec((1..=8).map(stable).collect());
-        let v = BatchView::from_runs(b.clone(), vec![(0, 2), (3, 4), (6, 8)]);
-        assert_eq!(v.len(), 5);
-        assert_eq!(
-            v.iter().map(|t| t.id.0).collect::<Vec<_>>(),
-            vec![1, 2, 4, 7, 8]
-        );
-        let runs: Vec<usize> = v.run_batches().map(|r| r.len()).collect();
-        assert_eq!(runs, vec![2, 1, 2]);
-        assert!(
-            v.run_batches().all(|r| r.shares_backing(&b)),
-            "runs share the base"
-        );
-        assert_eq!(v.to_batch().len(), 5, "materializes only on demand");
-        assert_eq!(v.data_count(), 5);
-    }
-
-    #[test]
-    fn view_identity_vs_equality() {
-        let b = TupleBatch::from_vec((1..=4).map(stable).collect());
-        let v1 = BatchView::from(b.clone());
-        let v2 = BatchView::from(b.clone());
         let copy = BatchView::from(TupleBatch::from_vec(b.to_vec()));
-        assert!(v1.same_view(&v2));
-        assert!(!v1.same_view(&copy), "identity tracks the allocation");
-        assert_eq!(v1, copy, "equality tracks contents");
-        assert!(!v1.same_view(&BatchView::from(b.slice(1..3))));
+        assert!(!copy.shares_backing(&b));
+        assert_eq!(whole, copy, "equality tracks contents");
+        assert!(BatchView::empty().is_empty());
     }
 
     #[test]

@@ -14,8 +14,13 @@
 //! FNV-1a over the key value's canonical byte form, so the same tuple
 //! routes to the same shard on every replica, every runtime, and every
 //! replay — a requirement for DPC's replica determinism (§2.1).
+//!
+//! Routing is one pass per produced batch, not per message: the
+//! [`ShardRouter`] splits a batch's backing allocation once into one
+//! contiguous batch per shard, and every chunk of it, sent to any replica
+//! of any shard, is a slice of its shard's batch.
 
-use crate::batch::BatchView;
+use crate::batch::{BatchView, TupleBatch};
 use crate::expr::Expr;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -27,10 +32,10 @@ thread_local! {
 }
 
 /// Debug-build routing gauge: how many shard-key evaluate+hash operations
-/// this thread has performed. The one-pass partitioner's contract — the
-/// key is hashed exactly once per tuple per producing link, regardless of
-/// K·R — is asserted against this counter in tests and the `shard_route`
-/// microbench. Always 0 in release builds (no counting on the hot path).
+/// this thread has performed. The router's contract — the key is hashed
+/// exactly once per data tuple of a produced batch, regardless of K·R and
+/// of how the batch is chunked — is asserted against this counter in tests.
+/// Always 0 in release builds (no counting on the hot path).
 pub fn route_key_evals() -> u64 {
     #[cfg(debug_assertions)]
     {
@@ -98,71 +103,39 @@ impl PartitionSpec {
     pub fn keeps(&self, t: &Tuple) -> bool {
         !t.is_data() || self.shard_of(t) == self.index
     }
-
-    /// One-pass K-way partition: evaluates the key expression and
-    /// `route_hash` exactly once per data tuple, producing one selection
-    /// view per shard over the input's backing allocation (index `i` is
-    /// shard `i`'s view; `self.index` is ignored). Control tuples appear
-    /// in every shard's view; contiguous selections collapse to zero-copy
-    /// range slices. The result is shared — every replica of every shard
-    /// clones `Arc`s out of it instead of rescanning the batch.
-    pub fn split_views(&self, input: &BatchView) -> Arc<[BatchView]> {
-        let k = self.shards.max(1) as usize;
-        let mut runs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); k];
-        fn push_pos(runs: &mut Vec<(u32, u32)>, pos: u32) {
-            match runs.last_mut() {
-                Some(last) if last.1 == pos => last.1 = pos + 1,
-                _ => runs.push((pos, pos + 1)),
-            }
-        }
-        // `input` is usually contiguous (a producer's outgoing batch); when
-        // it is itself fragmented the output views select from a compacted
-        // copy so downstream runs stay dense.
-        let base = input.to_batch();
-        for (pos, t) in base.as_slice().iter().enumerate() {
-            let pos = pos as u32;
-            if t.is_data() {
-                let s = hash_shard(&self.key, t, k as u64) as usize;
-                push_pos(&mut runs[s], pos);
-            } else {
-                for r in runs.iter_mut() {
-                    push_pos(r, pos);
-                }
-            }
-        }
-        runs.into_iter()
-            .map(|r| BatchView::from_runs(base.clone(), r))
-            .collect()
-    }
 }
 
-/// Delivery-layer memo that makes fan-out routing one-pass: the first
-/// receiver of a (batch, shard group) computes all K selection views via
-/// [`PartitionSpec::split_views`]; the remaining K·R−1 receivers of the
-/// same batch find the entry and clone their shard's view — no key
-/// evaluation, no hashing, no copying.
+/// Delivery-layer memo that makes fan-out routing one pass per produced
+/// batch, keyed by the input's backing allocation.
 ///
-/// The cache is identity-keyed ([`BatchView::same_view`]) and each entry
-/// holds a clone of its input view, so a hit can never be a reused
-/// allocation address. A handful of entries suffices: all receivers of one
-/// batch are routed back-to-back by a single sender activation, so the
-/// working set is the few batches currently fanning out, not history.
+/// The first route of a backing for a shard group (key, K) evaluates the
+/// key once per data tuple and copies the backing's tuples into K
+/// contiguous batches — control tuples in every one — recording each
+/// shard's backing positions. Any contiguous view of that backing (the
+/// whole batch or any chunk of it, for any of the K·R receivers, in any
+/// send order) then routes by two binary searches to a slice of its
+/// shard's batch: no hashing, no allocation, and all R replicas of a shard
+/// share it.
+///
+/// Each entry holds a clone of its backing, so a hit can never be a reused
+/// allocation address. A handful of entries suffices: a producer's flush
+/// sends each receiver in turn the few batches it emitted since the last
+/// one, so the working set is those batches, not history.
 #[derive(Default)]
 pub struct ShardRouter {
     entries: Vec<RouteEntry>,
 }
 
+/// One backing, split for one shard group.
 struct RouteEntry {
     key: Expr,
-    shards: u32,
-    input: BatchView,
-    views: Arc<[BatchView]>,
+    backing: Arc<[Tuple]>,
+    /// Index `i` is shard `i`: its tuples of the backing as one batch, and
+    /// each one's position in the backing (ascending).
+    shards: Vec<(TupleBatch, Vec<u32>)>,
 }
 
-/// Entries kept per router (MRU order). Fan-out routes one batch to all
-/// its receivers consecutively, so a small cache already captures the
-/// K·R−1 follow-up lookups; interleavings of a few concurrent batches
-/// (e.g. subscriber replay) still hit.
+/// Entries kept per router (most recently used first).
 const ROUTER_CAP: usize = 4;
 
 impl ShardRouter {
@@ -171,41 +144,66 @@ impl ShardRouter {
         ShardRouter::default()
     }
 
-    /// Routes `input` for the receiver described by `spec`, computing the
-    /// shard group's K views on the first call for this batch and serving
-    /// `Arc` clones on every subsequent one.
+    /// Routes `input` for the receiver described by `spec`: splits its
+    /// backing on the first call for the backing and group, then serves a
+    /// slice of the shard's batch on this and every later call.
     pub fn route(&mut self, spec: &PartitionSpec, input: &BatchView) -> BatchView {
         if spec.shards <= 1 {
             return input.clone();
         }
-        if let Some(i) = self
-            .entries
-            .iter()
-            .position(|e| e.shards == spec.shards && e.input.same_view(input) && e.key == spec.key)
-        {
-            self.entries.swap(0, i);
-            return self.entries[0].views[spec.index as usize].clone();
+        let (backing, range) = input.backing();
+        let k = spec.shards as usize;
+        let hit = self.entries.iter().position(|e| {
+            Arc::ptr_eq(&e.backing, backing) && e.shards.len() == k && e.key == spec.key
+        });
+        match hit {
+            Some(i) => self.entries.swap(0, i),
+            None => {
+                self.entries.truncate(ROUTER_CAP - 1);
+                let entry = RouteEntry {
+                    key: spec.key.clone(),
+                    backing: Arc::clone(backing),
+                    shards: split(&spec.key, k, backing),
+                };
+                self.entries.insert(0, entry);
+            }
         }
-        let views = spec.split_views(input);
-        let out = views[spec.index as usize].clone();
-        self.entries.insert(
-            0,
-            RouteEntry {
-                key: spec.key.clone(),
-                shards: spec.shards,
-                input: input.clone(),
-                views,
-            },
-        );
-        self.entries.truncate(ROUTER_CAP);
-        out
+        let (batch, positions) = &self.entries[0].shards[spec.index as usize];
+        let at = |p: usize| positions.partition_point(|&q| (q as usize) < p);
+        BatchView::whole(batch.slice(at(range.start)..at(range.end)))
     }
+}
+
+/// Splits `backing` for `k` shards: one key evaluation per data tuple, then
+/// per shard its backing positions and its tuples copied into one batch —
+/// every allocation sized by a counting pass first, so their number does
+/// not grow with the backing.
+fn split(key: &Expr, k: usize, backing: &[Tuple]) -> Vec<(TupleBatch, Vec<u32>)> {
+    // `None`: a control tuple, which every shard keeps.
+    let owners: Vec<Option<u32>> = backing
+        .iter()
+        .map(|t| t.is_data().then(|| hash_shard(key, t, k as u64)))
+        .collect();
+    let mut counts = vec![owners.iter().filter(|o| o.is_none()).count(); k];
+    for &s in owners.iter().flatten() {
+        counts[s as usize] += 1;
+    }
+    let mut positions: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (pos, owner) in owners.iter().enumerate() {
+        match owner {
+            Some(s) => positions[*s as usize].push(pos as u32),
+            None => positions.iter_mut().for_each(|p| p.push(pos as u32)),
+        }
+    }
+    positions
+        .into_iter()
+        .map(|p| (p.iter().map(|&i| backing[i as usize].clone()).collect(), p))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::TupleBatch;
     use crate::time::Time;
     use crate::tuple::TupleId;
 
@@ -219,6 +217,18 @@ mod tests {
             shards,
             index,
         }
+    }
+
+    /// `n` data tuples with a boundary after every thousandth.
+    fn produced(n: u64) -> TupleBatch {
+        let mut tuples = Vec::new();
+        for i in 1..=n {
+            tuples.push(keyed(i, i as i64));
+            if i % 1000 == 0 {
+                tuples.push(Tuple::boundary(TupleId::NONE, Time::from_millis(i)));
+            }
+        }
+        TupleBatch::from_vec(tuples)
     }
 
     #[test]
@@ -266,91 +276,81 @@ mod tests {
     }
 
     #[test]
-    fn split_views_matches_per_link_keeps() {
+    fn route_matches_per_link_keeps() {
         for k in [1u32, 2, 4, 8] {
             let mut tuples: Vec<Tuple> = (0..40).map(|i| keyed(i, (i * 7) as i64)).collect();
             tuples.insert(10, Tuple::boundary(TupleId::NONE, Time::from_secs(1)));
             tuples.push(Tuple::boundary(TupleId::NONE, Time::from_secs(2)));
             let b = TupleBatch::from_vec(tuples);
-            let views = spec(k, 0).split_views(&b.clone().into());
-            assert_eq!(views.len(), k as usize);
-            for (i, v) in views.iter().enumerate() {
-                let shard = spec(k, i as u32);
-                let expect: Vec<Tuple> = b.iter().filter(|t| shard.keeps(t)).cloned().collect();
-                let got: Vec<Tuple> = v.iter().cloned().collect();
-                assert_eq!(got, expect, "K={k} shard {i}");
+            let mut router = ShardRouter::new();
+            for view in [b.clone(), b.slice(5..30), b.slice(11..11)] {
+                for i in 0..k {
+                    let shard = spec(k, i);
+                    let expect: Vec<Tuple> =
+                        view.iter().filter(|t| shard.keeps(t)).cloned().collect();
+                    let got = router.route(&shard, &view.clone().into());
+                    assert_eq!(got.as_slice(), &expect[..], "K={k} shard {i}");
+                }
             }
         }
     }
 
+    /// The fan-out of a produced batch as `Publisher` sends it: a
+    /// 9,000-tuple backing in chunks of 500 to K = 4 shards × R = 2
+    /// replicas, subscriber by subscriber (a zero-cost flush) and chunk by
+    /// chunk (the paced departure queue).
     #[test]
-    fn split_views_hashes_once_per_tuple() {
-        let b = TupleBatch::from_vec((0..100).map(|i| keyed(i, i as i64)).collect());
-        let before = route_key_evals();
-        let views = spec(8, 0).split_views(&b.into());
-        if cfg!(debug_assertions) {
-            assert_eq!(
-                route_key_evals() - before,
-                100,
-                "one hash per tuple for all 8 shards"
-            );
-        }
-        let total: usize = views.iter().map(|v| v.len()).sum();
-        assert_eq!(
-            total, 100,
-            "data tuples are partitioned totally and disjointly"
-        );
-    }
-
-    #[test]
-    fn split_views_contiguous_selection_is_zero_copy() {
-        // All-one-shard keys: shard s gets the whole batch as a zero-copy
-        // slice, the others get empty views.
-        let b = TupleBatch::from_vec((0..16).map(|i| keyed(i, 42)).collect());
-        let views = spec(4, 0).split_views(&b.clone().into());
-        let owner = spec(4, 0).shard_of(&keyed(0, 42)) as usize;
-        for (i, v) in views.iter().enumerate() {
-            if i == owner {
-                assert_eq!(v.len(), 16);
-                assert!(
-                    v.to_batch().shares_backing(&b),
-                    "contiguous run stays zero-copy"
+    fn fanout_evaluates_each_key_once_in_either_send_order() {
+        const K: u32 = 4;
+        const R: usize = 2;
+        let backing = produced(9_000);
+        let chunks: Vec<BatchView> = backing.chunks_shared(500).map(BatchView::whole).collect();
+        let receivers: Vec<PartitionSpec> = (0..K)
+            .flat_map(|s| std::iter::repeat_n(spec(K, s), R))
+            .collect();
+        let (n_recv, n_chunks) = (receivers.len(), chunks.len());
+        let by_subscriber = (0..n_recv).flat_map(|r| (0..n_chunks).map(move |c| (r, c)));
+        let by_chunk = (0..n_chunks).flat_map(|c| (0..n_recv).map(move |r| (r, c)));
+        let orders: [(&str, Vec<(usize, usize)>); 2] = [
+            ("subscriber by subscriber", by_subscriber.collect()),
+            ("chunk by chunk", by_chunk.collect()),
+        ];
+        for (order, sends) in orders {
+            let mut router = ShardRouter::new();
+            let before = route_key_evals();
+            let routed: Vec<(usize, usize, BatchView)> = sends
+                .into_iter()
+                .map(|(r, c)| (r, c, router.route(&receivers[r], &chunks[c])))
+                .collect();
+            if cfg!(debug_assertions) {
+                assert_eq!(
+                    route_key_evals() - before,
+                    backing.data_count(),
+                    "{order}: one key evaluation per data tuple for all K·R receivers"
                 );
-            } else {
-                assert!(v.is_empty());
+            }
+            let mut shard_batches: Vec<Option<TupleBatch>> = vec![None; K as usize];
+            for (r, c, view) in routed {
+                let spec = &receivers[r];
+                let expect: Vec<Tuple> = chunks[c]
+                    .iter()
+                    .filter(|t| spec.keeps(t))
+                    .cloned()
+                    .collect();
+                assert_eq!(
+                    view.as_slice(),
+                    &expect[..],
+                    "{order}: receiver {r}, chunk {c}"
+                );
+                let first =
+                    shard_batches[spec.index as usize].get_or_insert_with(|| view.to_batch());
+                assert!(
+                    view.shares_backing(first),
+                    "{order}: every view of shard {} slices one batch",
+                    spec.index
+                );
             }
         }
-    }
-
-    #[test]
-    fn router_serves_fanout_from_one_pass() {
-        let b: BatchView =
-            TupleBatch::from_vec((0..50).map(|i| keyed(i, i as i64)).collect()).into();
-        let mut router = ShardRouter::new();
-        let before = route_key_evals();
-        // K=4, R=2: eight receiver links route the same batch.
-        let mut outs = Vec::new();
-        for shard in 0..4u32 {
-            for _replica in 0..2 {
-                outs.push(router.route(&spec(4, shard), &b));
-            }
-        }
-        if cfg!(debug_assertions) {
-            assert_eq!(
-                route_key_evals() - before,
-                50,
-                "K·R fan-out still hashes once per tuple"
-            );
-        }
-        for (n, out) in outs.iter().enumerate() {
-            assert_eq!(
-                out,
-                &outs[(n / 2) * 2],
-                "both replicas share the shard's view"
-            );
-        }
-        let total: usize = outs.iter().step_by(2).map(|v| v.len()).sum();
-        assert_eq!(total, 50);
     }
 
     #[test]
@@ -371,7 +371,7 @@ mod tests {
         );
         // Unsharded links pass through untouched.
         let whole = router.route(&spec(1, 0), &b1);
-        assert_eq!(whole.len(), b1.len());
+        assert!(whole.shares_backing(&b1) && whole.len() == b1.len());
     }
 
     #[test]

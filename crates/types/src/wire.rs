@@ -227,17 +227,10 @@ pub fn put_batch(buf: &mut Vec<u8>, b: &TupleBatch) {
     put_seq(buf, b.as_slice().iter());
 }
 
-/// Encodes a selection view straight into the write buffer — the count
-/// header then each selected run's tuples in order. Wire-compatible with
-/// [`put_batch`]/[`Reader::batch`]: the receiver decodes a contiguous
-/// batch, so a fragmented selection is never materialized on the sender.
+/// Encodes a message's view: the one slice it is, as [`put_batch`] does
+/// (the receiver decodes it with [`Reader::batch`]).
 pub fn put_view(buf: &mut Vec<u8>, v: &BatchView) {
-    put_u32(buf, v.len() as u32);
-    for run in v.runs() {
-        for t in run {
-            put_tuple(buf, t);
-        }
-    }
+    put_batch(buf, v);
 }
 
 // ---------------------------------------------------------------------

@@ -21,7 +21,7 @@ if git grep -nE 'disconnect_source|mute_boundaries|crash_node|crash_shard_node' 
 # One data entry point per layer: `Operator::process_batch` is the operator
 # contract, so the single-tuple convenience the trait provides is the only
 # `fn process(` under crates/ops/src, and the per-link `filter_batch` —
-# replaced by the one-pass `split_views` — stays deleted.
+# replaced by the one-pass `ShardRouter` — stays deleted.
 if [ "$(git grep -n 'fn process(' -- crates/ops/src | wc -l)" -gt 1 ]; then git grep -n 'fn process(' -- crates/ops/src; fail "entry point"; fi
 if git grep -n 'filter_batch' -- '*.rs'; then fail "entry point"; fi
 
@@ -57,5 +57,11 @@ if git grep -n 'Arc<\[Value\]>' -- '*.rs' ':!crates/types/src/tuple.rs' ':!*/tes
 # layer's stall telemetry stays deleted.
 if git grep -n 'stalled_for(' -- '*.rs' ':!crates/sim/src/fabric.rs' ':!crates/sim/src/flow.rs' ':!crates/sim/src/kernel.rs' ':!crates/runtime/src/engine.rs' ':!*/tests/*' ':!tests/*' ':!*_tests.rs'; then fail "backpressure"; fi
 if git grep -nE 'StallReport|inbound_stall|remote_stall' -- '*.rs'; then fail "backpressure"; fi
+
+# One contiguous view: `ShardRouter` splits a produced batch once into one
+# contiguous batch per shard, so a message's `BatchView` is one slice and
+# the run-list form (its constructor, per-run iteration, identity compare)
+# and the per-view splitter stay deleted.
+if git grep -nE 'from_runs|split_views|same_view|run_batches' -- '*.rs'; then fail "contiguous view"; fi
 
 echo "lints: ok"

@@ -10,11 +10,16 @@
 //! SUnion's renumbering and SOutput's pass-through copy 48-byte headers
 //! only. A payload of two or more attributes would cost its computing
 //! operator one allocation per tuple and every copy a reference count.
+//!
+//! The routing row does the same for `ShardRouter`: splitting a produced
+//! batch for the work shards allocates per shard, not per tuple, and every
+//! further chunk and receiver of that batch allocates nothing.
 
 use borealis::diagram::FragmentPlan;
 use borealis::dpc::ActorSpec;
 use borealis::engine::{Batch, Fragment};
 use borealis::prelude::*;
+use borealis::types::{BatchView, ShardRouter};
 use borealis_workloads::{sharded_chain_builder, ShardedChainOptions};
 
 #[path = "common/counting_alloc.rs"]
@@ -93,4 +98,58 @@ fn steady_state_crossing_allocates_only_computed_payloads() {
         assert_eq!(large, small, "{name}: allocations per tuple");
         assert!(small <= 16, "{name}: {small} allocations per step");
     }
+}
+
+/// Allocator entries of routing one `n`-tuple produced batch, in chunks of
+/// 500, to the chain job's K work shards × 2 replicas: (the first route,
+/// every further one).
+fn routing_allocs(spec: &PartitionSpec, n: u64) -> (u64, u64) {
+    let chunks: Vec<BatchView> = step_batch(0, n)
+        .chunks_shared(500)
+        .map(BatchView::whole)
+        .collect();
+    let mut router = ShardRouter::new();
+    let receiver = |i: u32| PartitionSpec {
+        index: i % spec.shards,
+        ..spec.clone()
+    };
+    let receivers: Vec<PartitionSpec> = (0..2 * spec.shards).map(receiver).collect();
+    let before = counting_alloc::allocs();
+    let first = router.route(&receivers[0], &chunks[0]);
+    let after_first = counting_alloc::allocs();
+    let mut routed = Vec::with_capacity(chunks.len() * receivers.len());
+    let reserved = counting_alloc::allocs();
+    for chunk in &chunks {
+        for spec in &receivers {
+            routed.push(router.route(spec, chunk));
+        }
+    }
+    let after = counting_alloc::allocs();
+    assert!(first.len() <= 500 && routed.len() == chunks.len() * receivers.len());
+    (after_first - before, after - reserved)
+}
+
+#[test]
+fn shard_routing_allocates_per_batch_not_per_tuple() {
+    let layout = sharded_chain_builder(&ShardedChainOptions::default())
+        .0
+        .layout();
+    let (_, spec) = layout.partitions[0].clone();
+    let (small, small_rest) = routing_allocs(&spec, 1_000);
+    let (large, large_rest) = routing_allocs(&spec, 9_000);
+    println!(
+        "alloc budget: routing (K = {}): {small} allocations for the first route of a \
+         1000-tuple batch, {large} of a 9000-tuple one, {large_rest} for the other routes",
+        spec.shards
+    );
+    assert_eq!(large, small, "the split allocates per shard, not per tuple");
+    // Per shard its positions and its batch, plus five: the owner and count
+    // passes, the two outer vectors and the memo's entry list.
+    let budget = 5 + 2 * spec.shards as u64;
+    assert!(small <= budget, "{small} allocations, budget {budget}");
+    assert_eq!(
+        (small_rest, large_rest),
+        (0, 0),
+        "a memo hit allocates nothing"
+    );
 }

@@ -397,12 +397,12 @@ fn credit_gated_sunion_output_identical_to_unbounded() {
 
 /// One-pass partitioner equivalence: for random mixed batches (data +
 /// control tuples), random key expressions (including ones that fail to
-/// evaluate), and random shard counts, the shared selection views produced
-/// by a single `ShardRouter::route` pass are byte-identical to what each
-/// receiver link keeps under `PartitionSpec::keeps`.
-/// Data tuples land on exactly one shard (total and disjoint); control
-/// tuples reach every shard; and replica links (same spec routed again)
-/// observe the very same view.
+/// evaluate), and random shard counts, every chunk of one shared backing —
+/// random chunk sizes, routed chunk by chunk or shard by shard through one
+/// `ShardRouter` — comes out as exactly what each receiver link keeps under
+/// `PartitionSpec::keeps`. Data tuples land on exactly one shard (total and
+/// disjoint); control tuples reach every shard; and replica links (same
+/// spec routed again) observe the very same view.
 #[test]
 fn shard_views_match_per_link_keeps() {
     use borealis::types::{BatchView, ShardRouter};
@@ -439,51 +439,48 @@ fn shard_views_match_per_link_keeps() {
             })
             .collect();
         let batch = TupleBatch::from_vec(tuples);
-        // Sometimes route a zero-copy sub-slice to cover non-whole views.
-        let input: BatchView = if batch.len() > 2 && rng.gen_range(0u32..3) == 0 {
-            let start = rng.gen_range(0usize..batch.len() / 2);
-            let end = rng.gen_range(start + 1..batch.len() + 1);
-            batch.slice(start..end).into()
-        } else {
-            batch.clone().into()
-        };
         let key = Expr::field(rng.gen_range(0usize..3)); // field 2 never evals
         let k = [1u32, 2, 3, 4, 8][rng.gen_range(0usize..5)];
+        // One chunk is the whole batch; smaller ones are sub-views of it.
+        let chunk = rng.gen_range(1..n.max(1) + 1);
+        let chunks: Vec<BatchView> = batch.chunks_shared(chunk).map(BatchView::whole).collect();
+        let mut sends: Vec<(usize, u32)> = (0..chunks.len())
+            .flat_map(|c| (0..k).map(move |shard| (c, shard)))
+            .collect();
+        if rng.gen_range(0u32..2) == 0 {
+            sends.sort_by_key(|&(c, shard)| (shard, c));
+        }
 
-        let reference = input.to_batch();
         let mut router = ShardRouter::new();
         let mut data_seen = 0usize;
-        for shard in 0..k {
+        for (c, shard) in sends {
+            let input = &chunks[c];
             let spec = PartitionSpec {
                 key: key.clone(),
                 shards: k,
                 index: shard,
             };
-            let view = router.route(&spec, &input);
-            let expect: Vec<Tuple> = reference
-                .iter()
-                .filter(|t| spec.keeps(t))
-                .cloned()
-                .collect();
+            let view = router.route(&spec, input);
+            let expect: Vec<Tuple> = input.iter().filter(|t| spec.keeps(t)).cloned().collect();
             assert_eq!(
-                view.to_batch().as_slice(),
+                view.as_slice(),
                 &expect[..],
-                "case {case}: shard {shard}/{k} diverges from `keeps`"
+                "case {case}: chunk {c}, shard {shard}/{k} diverges from `keeps`"
             );
             // A replica link routing the same spec sees the same view.
-            let replica = router.route(&spec, &input);
+            let replica = router.route(&spec, input);
             assert_eq!(view, replica, "case {case}: replica view differs");
-            data_seen += view.iter().filter(|t| t.is_data()).count();
+            data_seen += view.data_count() as usize;
             assert_eq!(
                 view.iter().filter(|t| !t.is_data()).count(),
-                reference.as_slice().iter().filter(|t| !t.is_data()).count(),
+                input.iter().filter(|t| !t.is_data()).count(),
                 "case {case}: control tuples must reach every shard"
             );
         }
         // Total and disjoint: every data tuple on exactly one shard.
         assert_eq!(
             data_seen,
-            reference.as_slice().iter().filter(|t| t.is_data()).count(),
+            batch.data_count() as usize,
             "case {case}: data tuples must land on exactly one shard"
         );
     }

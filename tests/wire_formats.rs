@@ -90,19 +90,17 @@ fn boundary(ms: u64) -> Tuple {
     Tuple::boundary(TupleId::NONE, Time::from_millis(ms))
 }
 
-/// Every tuple kind in one batch, seen through a three-run selection.
-fn fragmented_view() -> BatchView {
-    let base = TupleBatch::from_vec(vec![
+/// Stable, tentative, boundary, UNDO and an empty payload in one
+/// contiguous view.
+fn mixed_view() -> BatchView {
+    BatchView::whole(TupleBatch::from_vec(vec![
         row(1, 10, 0),
         row(2, 20, 0),
-        row(3, 30, 1),
         tentative(4, 40, 1),
         boundary(50),
         Tuple::undo(TupleId(6), TupleId(2)),
-        Tuple::rec_done(TupleId(7), Time::from_millis(60)),
         Tuple::insertion(TupleId(8), Time::from_millis(70), Vec::<Value>::new()),
-    ]);
-    BatchView::from_runs(base, vec![(0, 2), (3, 6), (7, 8)])
+    ]))
 }
 
 fn frame(name: &'static str, msg: WireMsg) -> Format {
@@ -268,7 +266,7 @@ fn durable_files(dir: &Path) -> Vec<Format> {
         fragment.push_batch(input.stream, &closed, Time::from_millis(100));
     }
     fragment.push_batch(stream, &open, Time::from_millis(130));
-    disk.append_input(stream, &fragmented_view());
+    disk.append_input(stream, &mixed_view());
     let positions: Vec<(StreamId, TupleId, bool)> = plan
         .inputs
         .iter()
@@ -302,7 +300,7 @@ fn formats(dir: &Path) -> Vec<Format> {
             "frame data",
             NetMsg::Data {
                 stream,
-                tuples: fragmented_view(),
+                tuples: mixed_view(),
             },
         ),
         net(

@@ -23,11 +23,12 @@
 //! [`TupleBatch`] views, operators run their
 //! [`Operator::process_batch`](borealis_ops::Operator::process_batch) path,
 //! and intra-fragment routing and the produced [`Batch::outputs`] move
-//! reference-counted views. Per tuple, a crossing allocates only the
-//! payloads an operator computes (`Map`, `Aggregate`, `SJoin`); SUnion
-//! emission and the failure path's divergence relabelling build one new
-//! batch of tuple headers over shared payloads, and SOutput forwards the
-//! batch it was given (`tests/alloc_budget.rs` holds the exact counts).
+//! reference-counted views. Per tuple, a crossing allocates only payloads
+//! an operator computes (`Aggregate`, `SJoin`, a `Map` that changes them);
+//! SUnion emission and the failure path's divergence relabelling build one
+//! batch of tuple headers over shared payloads, and SOutput and a `Map`
+//! that reproduces its input forward the batch they are given
+//! (`tests/alloc_budget.rs` holds the exact counts).
 
 use borealis_diagram::FragmentPlan;
 use borealis_ops::sunion::Phase;

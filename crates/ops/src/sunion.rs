@@ -42,8 +42,9 @@
 //! renumbering that makes replicas identical): one sealed output batch of
 //! renumbered tuple headers per stabilization — the attribute payloads are
 //! shared with the arrival batches, so nothing is allocated per tuple.
-//! Buckets track a `sorted` flag so the common in-order case skips the
-//! stabilization sort entirely.
+//! The canonical order, the stable sort by `(stime, port, id)`, is a merge
+//! of the ports' arrivals, each in `stime` order already unless its input
+//! reordered it; no bucket is sorted whole.
 //!
 //! Checkpoints are copy-on-write: the whole operator state lives behind an
 //! `Arc`, [`crate::Operator::checkpoint`] is a reference-count bump, and the
@@ -55,6 +56,7 @@ use crate::{BatchEmitter, OpSnapshot, Operator};
 use borealis_types::{wire_enum, wire_struct};
 use borealis_types::{ControlSignal, Duration, Time, Tuple, TupleBatch, TupleId, TupleKind};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How an SUnion treats buckets that cannot (yet) be emitted stably.
@@ -158,8 +160,8 @@ wire_struct! {
         /// Fig. 18).
         deadline: Time,
         /// True while every appended tuple extended the canonical
-        /// `(stime, port, id)` order — the common no-failure case; emission
-        /// then skips the stabilization sort entirely.
+        /// `(stime, port, id)` order — one input delivering in order;
+        /// emission then concatenates the segments as they are.
         sorted: bool,
         /// Canonical key of the most recently appended tuple — while `sorted`,
         /// an upper bound on every key in the bucket. Removals (UNDO) may leave
@@ -593,17 +595,21 @@ impl SUnion {
     }
 
     /// Serializes one bucket into `outv` in the canonical deterministic
-    /// order. The protocol requires fresh tuples here (renumbered ids, the
-    /// port as `origin`), so the bucket's shared views are materialized
-    /// once into the output batch; each tuple's payload is shared, not
-    /// copied. The common in-order case skips the sort.
+    /// order, the stable sort of its arrivals by `(stime, port, id)`. The
+    /// protocol requires fresh tuples here (renumbered ids, the port as
+    /// `origin`), so the bucket's shared views are materialized once into
+    /// the output batch; each tuple's payload is shared, not copied. A
+    /// bucket already in that order is emitted as it arrived; otherwise
+    /// the ports' runs — each input's own arrivals, which are almost never
+    /// out of order although their interleaving almost always is — merge.
     fn emit_bucket_into(
         next_id: &mut u64,
         bucket: Bucket,
         force_tentative: bool,
         outv: &mut Vec<Tuple>,
     ) {
-        let renumber = |t: &Tuple, port: u16, next_id: &mut u64| {
+        outv.reserve(bucket.len);
+        let mut emit = |t: &Tuple, port: u16| {
             let mut t = t.clone();
             t.origin = port;
             t.id = TupleId(*next_id);
@@ -611,27 +617,44 @@ impl SUnion {
             if force_tentative {
                 t.kind = TupleKind::Tentative;
             }
-            t
+            outv.push(t);
         };
-        outv.reserve(bucket.len);
         if bucket.sorted {
             for seg in &bucket.segs {
                 for t in seg.batch.as_slice() {
-                    outv.push(renumber(t, seg.port, next_id));
+                    emit(t, seg.port);
                 }
             }
-        } else {
-            let mut order: Vec<(&Tuple, u16)> = Vec::with_capacity(bucket.len);
-            for seg in &bucket.segs {
-                for t in seg.batch.as_slice() {
-                    order.push((t, seg.port));
-                }
+            return;
+        }
+        // Each port's arrivals as one run of `flat`; a port out of order on
+        // its own is sorted, stably: equal keys keep their arrival order.
+        let key = |t: &&Tuple| (t.stime, t.id);
+        let ports = bucket.segs.iter().map(|s| s.port + 1).max().unwrap_or(0);
+        let mut flat: Vec<&Tuple> = Vec::with_capacity(bucket.len);
+        let mut runs: Vec<Range<usize>> = Vec::with_capacity(ports as usize);
+        for port in 0..ports {
+            let start = flat.len();
+            for seg in bucket.segs.iter().filter(|s| s.port == port) {
+                flat.extend(seg.batch.as_slice());
             }
-            // Stable sort: ties keep arrival order, exactly as per-tuple
-            // insertion into one vector would.
-            order.sort_by_key(|&(t, port)| (t.stime, port, t.id));
-            for (t, port) in order {
-                outv.push(renumber(t, port, next_id));
+            if !flat[start..].is_sorted_by_key(key) {
+                flat[start..].sort_by_key(key);
+            }
+            runs.push(start..flat.len());
+        }
+        // Merge: smallest `stime` first, ties to the lower port. A port's
+        // head is emitted while it precedes every other port's head.
+        let head =
+            |runs: &[Range<usize>], p: usize| runs[p].clone().next().map(|i| (flat[i].stime, p));
+        while let Some((_, p)) = (0..runs.len()).filter_map(|p| head(&runs, p)).min() {
+            let limit = (0..runs.len())
+                .filter(|&q| q != p)
+                .filter_map(|q| head(&runs, q))
+                .min();
+            while head(&runs, p).is_some_and(|k| limit.is_none_or(|l| k < l)) {
+                emit(flat[runs[p].start], p as u16);
+                runs[p].start += 1;
             }
         }
     }

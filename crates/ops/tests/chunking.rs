@@ -6,7 +6,8 @@
 //! every delivery; both feeds must leave the same output tuples, control
 //! signals, replay log (SUnion) and durable snapshot bytes. This is the one
 //! safety net under the zero-copy batch paths: `SUnion` buffering shared
-//! views, `SOutput` forwarding whole batches, `Filter` forwarding runs.
+//! views, `SOutput` forwarding whole batches, `Filter` forwarding runs,
+//! `Map` forwarding a batch it reproduces.
 //! Payloads are zero to three attributes wide, so every `Payload` variant
 //! crosses every operator.
 
@@ -19,7 +20,7 @@ use borealis_types::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One instance of every [`OperatorSpec`] variant.
+/// One instance of every [`OperatorSpec`] variant, and a second `Map`.
 fn every_spec() -> Vec<OperatorSpec> {
     let sunion = SUnionConfig {
         is_input: true,
@@ -32,6 +33,10 @@ fn every_spec() -> Vec<OperatorSpec> {
         // Narrows a shared payload to one inline attribute.
         OperatorSpec::Map {
             outputs: vec![Expr::add(Expr::field(0), Expr::int(1))],
+        },
+        // Forwards a chunk of one-attribute tuples, computes any other.
+        OperatorSpec::Map {
+            outputs: vec![Expr::field(0)],
         },
         OperatorSpec::Union { n_inputs: 2 },
         OperatorSpec::Aggregate(AggregateSpec {

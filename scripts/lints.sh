@@ -64,4 +64,10 @@ if git grep -nE 'StallReport|inbound_stall|remote_stall' -- '*.rs'; then fail "b
 # and the per-view splitter stay deleted.
 if git grep -nE 'from_runs|split_views|same_view|run_batches' -- '*.rs'; then fail "contiguous view"; fi
 
+# One serialization order: SUnion emits a bucket in `(stime, port, id)`
+# order by merging its ports' runs, each sorted only if that input
+# reordered it — so no sort there keys on the port (the whole-bucket sort
+# of every arrival stays deleted).
+if git grep -nE 'sort[a-z_]*\(.*\bport\b' -- crates/ops/src/sunion.rs; then fail "one serialization order"; fi
+
 echo "lints: ok"

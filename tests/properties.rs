@@ -187,13 +187,24 @@ fn sunion_total_order_is_interleaving_invariant() {
     use borealis::ops::{BatchEmitter, Operator, SUnion};
 
     let mut rng = StdRng::seed_from_u64(0x50_u64);
-    for _ in 0..50 {
-        // Random per-stream tuples with random stimes inside one bucket
-        // span, delivered in two different interleavings.
+    for case in 0..100 {
+        // Random per-stream tuples with random stimes over four buckets,
+        // delivered in two different interleavings.
         let n = rng.gen_range(1usize..40);
-        let items: Vec<(usize, u64)> = (0..n)
+        let mut items: Vec<(usize, u64)> = (0..n)
             .map(|_| (rng.gen_range(0usize..3), rng.gen_range(0u64..400)))
             .collect();
+        if case % 2 == 1 {
+            // Every stream in `stime` order on its own, as a source's is:
+            // only the interleaving across streams is out of order.
+            for port in 0..3 {
+                let mut stimes: Vec<u64> =
+                    items.iter().filter(|i| i.0 == port).map(|i| i.1).collect();
+                stimes.sort_unstable();
+                let slots = items.iter_mut().filter(|i| i.0 == port);
+                slots.zip(stimes).for_each(|(slot, stime)| slot.1 = stime);
+            }
+        }
 
         let run = |order: &[(usize, u64)]| {
             let mut cfg = SUnionConfig::new(3);

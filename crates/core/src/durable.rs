@@ -2,30 +2,36 @@
 //! input log, so a crashed node restarts from disk instead of from an
 //! empty state (§4.5's recovery, supplemented with persistent storage).
 //!
-//! Layout (one [`borealis_store::NodeStore`] per node replica):
+//! Each node replica owns one [`borealis_store::NodeStore`], whose one log
+//! holds two record kinds in the order they happened:
 //!
-//! * `objects/<hash>.obj` — immutable, content-addressed checkpoint
-//!   objects: a small header (recovered subscription positions, the log
-//!   prefix the snapshot covers) followed by every operator's
+//! * input records — every deduplicated input view, `(stream, batch)`;
+//! * checkpoint records — the format version, a `SnapshotHeader` (the
+//!   subscription positions to recover), then every operator's
 //!   [`SnapshotCodec`]-encoded state.
-//! * `HEAD` / `HEAD.prev` — the atomically flipped pointer to the newest
-//!   intact object (write–rename–fsync; a torn flip falls back).
-//! * `log/` — the append-only input log, truncated by snapshot id: once a
-//!   published snapshot covers a log prefix, the covered closed segments
-//!   are removed.
 //!
-//! Capture stays off the hot path: the node hands the copy-on-write
-//! [`OpSnapshot`] `Arc`s to a background flusher (or serializes inline in
-//! deterministic simulator runs); encoding and fsync happen outside the
-//! actor's message loop.
+//! A checkpoint covers exactly the input records before it, so recovery
+//! loads the newest intact checkpoint record and replays the input records
+//! after it: the ordering holds by position, with no protocol between a
+//! snapshot and its log prefix to get wrong.
+//!
+//! Both kinds are appended on the actor's thread, through the node's one
+//! [`LogWriter`] — a write into the page cache, which a killed process does
+//! not lose. A checkpoint record is made durable by one `fdatasync` of its
+//! segment, which also prunes the log: inline in deterministic simulator
+//! runs, on the node's flusher thread otherwise, so that the actor's thread
+//! never waits for the disk. A failed append, sync or prune is counted
+//! ([`NodeDisk::failures`]) and the node keeps serving from memory:
+//! durability degrades, the DPC replica protocol still covers the node.
 
 use borealis_engine::encode_durable_capture;
 use borealis_ops::{OpSnapshot, SnapshotCodec};
-use borealis_store::{LogWriter, NodeStore, StoreError};
+use borealis_store::{LogWriter, NodeStore, Seal, StoreError};
 use borealis_types::wire::{Reader, Wire};
 use borealis_types::{wire_struct, BatchView, Duration, StreamId, TupleBatch, TupleId};
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 /// Durability settings of one node replica (see
@@ -36,12 +42,12 @@ pub struct DurabilityConfig {
     pub dir: PathBuf,
     /// Checkpoint period.
     pub interval: Duration,
-    /// Serialize and publish snapshots on a background flusher thread
-    /// (real runtimes) instead of inline (deterministic simulator runs,
-    /// where wall-clock work must not depend on scheduling).
+    /// Sync checkpoint records (and prune the log) on a background flusher
+    /// thread (real runtimes) instead of inline (deterministic simulator
+    /// runs, where wall-clock work must not depend on scheduling).
     pub background: bool,
     /// `fsync` the input log after every append. Correctness does not
-    /// require it: the log suffix past the last *published* snapshot is
+    /// require it: the log suffix past the last durable checkpoint is
     /// re-fetched from upstream on restart (the initial `Subscribe`
     /// carries the recovered position), so an unsynced tail only widens
     /// the replay window.
@@ -60,18 +66,15 @@ impl DurabilityConfig {
     }
 }
 
-/// Leads every checkpoint object, so a layout change can be told apart
+/// Leads every checkpoint payload, so a layout change can be told apart
 /// before anything behind it is decoded.
-const SNAPSHOT_VERSION: u32 = 1;
+const SNAPSHOT_VERSION: u32 = 2;
 
 wire_struct! {
-    /// What follows the version in a checkpoint object, ahead of the
-    /// operator states. Both durable formats — this and the input-log
-    /// record, `(stream, batch)` — store a stream id widened to 64 bits.
+    /// What follows the version in a checkpoint payload, ahead of the
+    /// operator states. Both durable formats — this and the input record,
+    /// `(stream, batch)` — store a stream id widened to 64 bits.
     struct SnapshotHeader {
-        snapshot_id: u64,
-        /// The log prefix the snapshot covers.
-        covered_seq: u64,
         /// Per input stream: `(stream, last stable, saw tentative)`.
         positions: Vec<(u64, TupleId, bool)>,
     }
@@ -86,78 +89,55 @@ pub struct RecoveredImage {
     pub positions: Vec<(StreamId, TupleId, bool)>,
     /// The operator-state region (fed to `Fragment::restore_durable`).
     pub ops_bytes: Vec<u8>,
-    /// Input-log suffix past the snapshot, in append order.
+    /// Input logged after the snapshot, in append order.
     pub replay: Vec<(StreamId, TupleBatch)>,
-    /// True when `HEAD` was torn by a crash mid-flip and the previous
-    /// snapshot was used instead.
+    /// True when a newer checkpoint record was torn and this older one was
+    /// used instead.
     pub fell_back: bool,
 }
 
-/// One durable checkpoint handed to the flusher: the operator states are
-/// still shared `Arc`s (serialized off the hot path).
-struct FlushJob {
-    header: SnapshotHeader,
-    parts: Vec<(SnapshotCodec, OpSnapshot)>,
-}
-
-struct Flusher {
-    tx: Option<mpsc::Sender<FlushJob>>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-/// A node's open durable state: the store, the input-log writer, and the
+/// A node's open durable state: the store, its log writer, and the
 /// optional background flusher.
 pub struct NodeDisk {
     store: NodeStore,
     log: LogWriter,
-    /// The input-log record being encoded, reused by every append.
-    record: Vec<u8>,
     next_snapshot_id: u64,
-    flusher: Option<Flusher>,
-}
-
-fn publish_job(store: &NodeStore, job: FlushJob) {
-    let mut payload = Vec::new();
-    SNAPSHOT_VERSION.put(&mut payload);
-    job.header.put(&mut payload);
-    encode_durable_capture(&job.parts, &mut payload);
-    // A full disk must not take the stream down: durability degrades, the
-    // DPC replica protocol still covers the node.
-    if store.publish(job.header.snapshot_id, &payload).is_ok() {
-        let _ = store.prune_log(job.header.covered_seq);
-    }
+    /// The flusher thread and the channel that hands it checkpoint seals.
+    flusher: Option<(mpsc::Sender<Seal>, thread::JoinHandle<()>)>,
+    /// Durable operations that failed, shared with the flusher.
+    failures: Arc<AtomicU64>,
 }
 
 impl NodeDisk {
-    /// Opens (or creates) the store and resumes the input log.
+    /// Opens (or creates) the store and resumes its log.
     pub fn open(cfg: &DurabilityConfig) -> Result<NodeDisk, StoreError> {
         let store = NodeStore::open(&cfg.dir)?;
         let log = LogWriter::open(&store, cfg.sync_log)?;
-        let next_snapshot_id = store.head()?.map_or(1, |h| h.snapshot_id + 1);
+        let next_snapshot_id = store.load_latest()?.map_or(1, |s| s.snapshot_id + 1);
+        let failures = Arc::new(AtomicU64::new(0));
         let flusher = if cfg.background {
-            let own = NodeStore::open(&cfg.dir)?;
-            let (tx, rx) = mpsc::channel::<FlushJob>();
+            let (tx, rx) = mpsc::channel::<Seal>();
+            let failed = Arc::clone(&failures);
             let handle = thread::Builder::new()
                 .name("borealis-flusher".into())
                 .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        publish_job(&own, job);
+                    for seal in rx {
+                        if seal.run().is_err() {
+                            failed.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 })
                 .map_err(StoreError::Io)?;
-            Some(Flusher {
-                tx: Some(tx),
-                handle: Some(handle),
-            })
+            Some((tx, handle))
         } else {
             None
         };
         Ok(NodeDisk {
             store,
             log,
-            record: Vec::new(),
             next_snapshot_id,
             flusher,
+            failures,
         })
     }
 
@@ -166,57 +146,68 @@ impl NodeDisk {
         &self.store
     }
 
-    /// Appends one deduplicated input view to the log, encoding straight
-    /// from the view (the record format is `wire::put_batch`'s, so
-    /// recovery decodes batches) in a buffer every append reuses.
-    pub fn append_input(&mut self, stream: StreamId, tuples: &BatchView) {
-        self.record.clear();
-        (stream.0 as u64).put(&mut self.record);
-        tuples.put(&mut self.record);
-        let _ = self.log.append(&self.record);
+    /// Appends, syncs, prunes, hand-offs and marker writes that have failed
+    /// so far. Each failure lost durability only: the node served on from
+    /// memory.
+    pub fn failures(&self) -> u64 {
+        self.failures.load(Ordering::Relaxed)
     }
 
-    /// Captures one durable checkpoint. The CoW `Arc`s in `parts` are
-    /// serialized by the flusher (or inline when none), so this returns in
-    /// microseconds regardless of state size. The snapshot covers the
-    /// current log prefix, which is synced first so recovery never resumes
-    /// from a snapshot whose input basis is gone.
+    fn count<T, E>(&self, outcome: Result<T, E>) {
+        if outcome.is_err() {
+            self.failures.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Appends one deduplicated input view to the log, encoding straight
+    /// from the view into the record (the format is `wire::put_batch`'s, so
+    /// recovery decodes batches).
+    pub fn append_input(&mut self, stream: StreamId, tuples: &BatchView) {
+        let appended = self.log.append_with(|record| {
+            (stream.0 as u64).put(record);
+            tuples.put(record);
+        });
+        self.count(appended);
+    }
+
+    /// Appends one checkpoint record, which covers every input record
+    /// before it, and makes it durable: inline, or — with a flusher — on
+    /// the flusher's thread. The CoW `Arc`s in `parts` are encoded straight
+    /// into the record.
     pub fn checkpoint(
         &mut self,
         parts: Vec<(SnapshotCodec, OpSnapshot)>,
         positions: &[(StreamId, TupleId, bool)],
     ) -> u64 {
-        let covered_seq = self.log.last_seq();
-        let _ = self.log.sync();
         let snapshot_id = self.next_snapshot_id;
         self.next_snapshot_id += 1;
         let widened = |&(stream, last_stable, saw_tentative): &(StreamId, TupleId, bool)| {
             (stream.0 as u64, last_stable, saw_tentative)
         };
         let header = SnapshotHeader {
-            snapshot_id,
-            covered_seq,
             positions: positions.iter().map(widened).collect(),
         };
-        let job = FlushJob { header, parts };
-        match self.flusher.as_ref().and_then(|f| f.tx.as_ref()) {
-            Some(tx) => {
-                let _ = tx.send(job);
-            }
-            None => publish_job(&self.store, job),
+        let sealed = self.log.checkpoint(snapshot_id, |payload| {
+            SNAPSHOT_VERSION.put(payload);
+            header.put(payload);
+            encode_durable_capture(&parts, payload);
+        });
+        match (sealed, &self.flusher) {
+            (Ok(seal), Some((tx, _))) => self.count(tx.send(seal)),
+            (Ok(seal), None) => self.count(seal.run()),
+            (failed, _) => self.count(failed),
         }
         snapshot_id
     }
 
-    /// Loads the newest intact snapshot and the replayable log suffix past
-    /// it. `Ok(None)` on a cold (empty) store. A torn log tail is expected
+    /// Loads the newest intact snapshot and the input logged after it.
+    /// `Ok(None)` on a cold (empty) store. A torn log tail is expected
     /// after a crash — the valid prefix is kept, the rest is re-fetched
     /// from upstream.
     pub fn recover(&mut self) -> Result<Option<RecoveredImage>, StoreError> {
         let Some(loaded) = self.store.load_latest()? else {
             return Ok(None);
         };
-        let fell_back = loaded.fell_back.is_some();
         let mut r = Reader::new(&loaded.payload);
         let version = u32::get(&mut r)?;
         if version != SNAPSHOT_VERSION {
@@ -228,7 +219,7 @@ impl NodeDisk {
         let header = SnapshotHeader::get(&mut r)?;
         let ops_bytes = r.bytes(r.remaining())?.to_vec();
 
-        let (records, _torn_tail) = self.store.read_log(header.covered_seq)?;
+        let (records, _torn_tail) = self.store.read_log(loaded.seq)?;
         let mut replay = Vec::with_capacity(records.len());
         for (_seq, body) in records {
             let mut r = Reader::new(&body);
@@ -240,11 +231,11 @@ impl NodeDisk {
             (StreamId(stream as u32), last_stable, saw_tentative)
         };
         Ok(Some(RecoveredImage {
-            snapshot_id: header.snapshot_id,
+            snapshot_id: loaded.snapshot_id,
             positions: header.positions.into_iter().map(narrowed).collect(),
             ops_bytes,
             replay,
-            fell_back,
+            fell_back: loaded.fell_back.is_some(),
         }))
     }
 
@@ -255,22 +246,248 @@ impl NodeDisk {
     pub fn write_recovery_marker(&self, snapshot_id: u64, recover_us: u64, replayed: usize) {
         let contents =
             format!("snapshot={snapshot_id} recover_us={recover_us} replayed={replayed}");
-        let _ = self
+        let written = self
             .store
             .write_marker("last_recovery", contents.as_bytes());
+        self.count(written);
     }
 }
 
 impl Drop for NodeDisk {
     fn drop(&mut self) {
-        // Queued snapshots reach disk before shutdown: close the channel,
-        // then join the flusher.
-        if let Some(mut f) = self.flusher.take() {
-            drop(f.tx.take());
-            if let Some(h) = f.handle.take() {
-                let _ = h.join();
+        // Queued seals reach disk before shutdown: close the channel, then
+        // join the flusher.
+        if let Some((tx, handle)) = self.flusher.take() {
+            drop(tx);
+            let _ = handle.join();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use borealis_types::{Time, Tuple, Value};
+    use std::fs;
+    use std::path::Path;
+
+    const STREAM: StreamId = StreamId(3);
+
+    /// One record of the test log: an input tuple's id, or a checkpoint's
+    /// snapshot id.
+    #[derive(Clone, Copy, Debug)]
+    enum Logged {
+        Input(u64),
+        Checkpoint(u64),
+    }
+
+    /// What a crash left of one record.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Left {
+        Intact,
+        /// Some of its bytes are on disk, or its segment was created and
+        /// is empty: recovery sees a record that does not decode.
+        Damaged,
+        Absent,
+    }
+
+    /// A record of the test log and its bytes `[start, end)` in the
+    /// segments laid end to end; `first` if it begins its segment.
+    struct Placed {
+        logged: Logged,
+        start: usize,
+        end: usize,
+        first: bool,
+    }
+
+    /// Recovery's result as the test states it: the snapshot id, the input
+    /// tuple ids replayed after it, and whether it fell back.
+    type Outcome = Option<(u64, Vec<u64>, bool)>;
+
+    fn input(id: u64) -> BatchView {
+        let t = Tuple::insertion(
+            TupleId(id),
+            Time::from_millis(id),
+            vec![Value::Int(id as i64)],
+        );
+        BatchView::from(TupleBatch::single(t))
+    }
+
+    fn segments(dir: &Path) -> Vec<PathBuf> {
+        let mut segs: Vec<PathBuf> = fs::read_dir(dir.join("log"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        segs.sort();
+        segs
+    }
+
+    /// Replaces the store's log with `files`.
+    fn lay_out(dir: &Path, files: impl Iterator<Item = (PathBuf, Vec<u8>)>) {
+        let _ = fs::remove_dir_all(dir.join("log"));
+        fs::create_dir_all(dir.join("log")).unwrap();
+        for (path, bytes) in files {
+            fs::write(path, bytes).unwrap();
+        }
+    }
+
+    /// A restart: open the store (which cuts what does not decode) and
+    /// recover. Neither may fail on a damaged log, let alone panic.
+    fn restart(dir: &Path) -> Outcome {
+        let mut disk = NodeDisk::open(&DurabilityConfig::new(dir)).unwrap();
+        let image = disk.recover().unwrap()?;
+        let mut ids = Vec::new();
+        for (stream, batch) in &image.replay {
+            assert_eq!(*stream, STREAM);
+            ids.extend(batch.as_slice().iter().map(|t| t.id.0));
+        }
+        Some((image.snapshot_id, ids, image.fell_back))
+    }
+
+    /// The newest intact checkpoint, the intact input after it up to the
+    /// first record that is not, and whether a newer checkpoint left
+    /// damaged bytes behind.
+    fn expected(log: &[Placed], left: impl Fn(&Placed) -> Left) -> Outcome {
+        let intact_checkpoint =
+            |p: &Placed| matches!(p.logged, Logged::Checkpoint(_)) && left(p) == Left::Intact;
+        let newest = log.iter().rposition(intact_checkpoint)?;
+        let Logged::Checkpoint(id) = log[newest].logged else {
+            unreachable!("a checkpoint was found")
+        };
+        let after = &log[newest + 1..];
+        let replay = after
+            .iter()
+            .take_while(|p| left(p) == Left::Intact)
+            .filter_map(|p| match p.logged {
+                Logged::Input(id) => Some(id),
+                Logged::Checkpoint(_) => None,
+            })
+            .collect();
+        let fell_back = after
+            .iter()
+            .any(|p| matches!(p.logged, Logged::Checkpoint(_)) && left(p) == Left::Damaged);
+        Some((id, replay, fell_back))
+    }
+
+    /// Satellite: every crash point of a log shaped inputs, checkpoint,
+    /// inputs, checkpoint, inputs. Cut at every byte offset (a segment the
+    /// cut begins at both not yet created and created empty), and with
+    /// every byte corrupted in turn, a restart recovers exactly the newest
+    /// checkpoint whose record is intact and the valid input after it —
+    /// never a newer checkpoint than survives, and without panicking.
+    #[test]
+    fn every_crash_point_recovers_the_newest_intact_checkpoint_and_the_input_after_it() {
+        use Logged::{Checkpoint, Input};
+        let dir = std::env::temp_dir().join(format!(
+            "borealis-durable-crash-points-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let script = [
+            Input(1),
+            Input(2),
+            Checkpoint(1),
+            Input(3),
+            Input(4),
+            Checkpoint(2),
+            Input(5),
+            Input(6),
+        ];
+        let mut disk = NodeDisk::open(&DurabilityConfig::new(&dir)).unwrap();
+        // Where each record ends: its segment, and that segment's length.
+        let mut ends = Vec::new();
+        for logged in script {
+            match logged {
+                Input(id) => disk.append_input(STREAM, &input(id)),
+                Checkpoint(id) => {
+                    let positions = [(STREAM, TupleId(id), false)];
+                    assert_eq!(disk.checkpoint(Vec::new(), &positions), id);
+                }
+            }
+            let seg = segments(&dir).pop().unwrap();
+            ends.push((seg.clone(), fs::metadata(&seg).unwrap().len() as usize));
+        }
+        assert_eq!(disk.failures(), 0);
+        drop(disk);
+
+        // What retention kept, laid end to end: the segments, each with its
+        // offset, and the records in them.
+        let mut files = Vec::new();
+        let mut log = Vec::new();
+        let mut total = 0;
+        for path in segments(&dir) {
+            let bytes = fs::read(&path).unwrap();
+            let mut start = total;
+            for (i, (_, end)) in ends.iter().enumerate().filter(|(_, (p, _))| *p == path) {
+                log.push(Placed {
+                    logged: script[i],
+                    start,
+                    end: total + end,
+                    first: start == total,
+                });
+                start = total + end;
+            }
+            files.push((path, total, bytes.clone()));
+            total += bytes.len();
+        }
+        assert_eq!(
+            log.len(),
+            6,
+            "the first checkpoint dropped the first inputs"
+        );
+
+        for cut in 0..=total {
+            for created in [false, true] {
+                if created && !files.iter().any(|(_, start, _)| *start == cut) {
+                    continue;
+                }
+                let present = |start: usize| start < cut || (created && start == cut);
+                lay_out(
+                    &dir,
+                    files.iter().filter(|(_, start, _)| present(*start)).map(
+                        |(path, start, bytes)| {
+                            let kept = (cut - start).min(bytes.len());
+                            (path.clone(), bytes[..kept].to_vec())
+                        },
+                    ),
+                );
+                let left = |p: &Placed| {
+                    if p.end <= cut {
+                        Left::Intact
+                    } else if p.start < cut || (p.first && created && p.start == cut) {
+                        Left::Damaged
+                    } else {
+                        Left::Absent
+                    }
+                };
+                assert_eq!(
+                    restart(&dir),
+                    expected(&log, left),
+                    "cut at byte {cut} of {total}, segment created: {created}"
+                );
             }
         }
-        let _ = self.log.sync();
+        for at in 0..total {
+            lay_out(
+                &dir,
+                files.iter().map(|(path, start, bytes)| {
+                    let mut bytes = bytes.clone();
+                    if let Some(b) = at.checked_sub(*start).and_then(|i| bytes.get_mut(i)) {
+                        *b ^= 1 << (at % 8);
+                    }
+                    (path.clone(), bytes)
+                }),
+            );
+            let left = |p: &Placed| match (p.start..p.end).contains(&at) {
+                true => Left::Damaged,
+                false => Left::Intact,
+            };
+            assert_eq!(
+                restart(&dir),
+                expected(&log, left),
+                "bit flipped in byte {at} of {total}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

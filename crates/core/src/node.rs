@@ -579,6 +579,7 @@ mod tests {
     use crate::runtime::fake::FakeCtx;
     use borealis_diagram::{plan_deployment, DeploymentSpec, DpcConfig, QueryBuilder};
     use borealis_ops::OperatorSpec;
+    use borealis_types::{BatchView, Tuple, TupleBatch, TupleKind, Value};
 
     const SOURCE: NodeId = NodeId(1);
     const CLIENT: NodeId = NodeId(2);
@@ -677,5 +678,76 @@ mod tests {
         node.on_message(&mut ctx, SOURCE, reply(detect));
         assert_eq!(node.state, NodeState::UpFailure);
         assert!(node.fragment.is_tainted());
+    }
+
+    /// A store failing under a running node costs durability only: here
+    /// its log directory vanishes, so the next checkpoint cannot begin its
+    /// segment and no append after it lands. Each failure is counted, and
+    /// the node keeps delivering stable output from memory.
+    #[test]
+    fn a_failing_store_is_counted_and_output_still_flows() {
+        let (mut node, out) = relay_node();
+        let input = node.cfg.upstreams[0].stream;
+        let dir = std::env::temp_dir().join(format!(
+            "borealis-node-failing-store-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        node.cfg.durability = Some(DurabilityConfig::new(&dir));
+        let mut ctx = FakeCtx::default();
+        node.on_start(&mut ctx);
+        let subscribe = NetMsg::Subscribe {
+            stream: out,
+            last_stable: TupleId::NONE,
+            saw_tentative: false,
+            fresh_only: false,
+        };
+        node.on_message(&mut ctx, CLIENT, subscribe);
+        // One second of input: two tuples and the boundary that makes them
+        // stable; then the node's own timers up to the next second.
+        let second = |node: &mut ProcessingNode, ctx: &mut FakeCtx, s: u64| {
+            ctx.now = Time::from_secs(s);
+            let at = |ms| Time::from_millis(s * 1000 + ms);
+            let tuples = TupleBatch::from_vec(vec![
+                Tuple::insertion(TupleId(2 * s), at(10), vec![Value::Int(1)]),
+                Tuple::insertion(TupleId(2 * s + 1), at(20), vec![Value::Int(2)]),
+                Tuple::boundary(TupleId::NONE, at(999)),
+            ]);
+            let data = NetMsg::Data {
+                stream: input,
+                tuples: BatchView::from(tuples),
+            };
+            node.on_message(ctx, SOURCE, data);
+            ctx.now = Time::from_secs(s + 1);
+            node.on_timer(ctx, TIMER_TICK);
+            node.on_timer(ctx, TIMER_CHECKPOINT);
+        };
+        let stable_delivered = |ctx: &FakeCtx| {
+            let to_client = ctx.sent.iter().filter(|(_, to, _)| *to == CLIENT);
+            let tuples = to_client.flat_map(|(_, _, msg)| match msg {
+                NetMsg::Data { tuples, .. } => tuples.as_slice().to_vec(),
+                _ => Vec::new(),
+            });
+            tuples.filter(|t| t.kind == TupleKind::Insertion).count()
+        };
+        let failures = |node: &ProcessingNode| node.disk.as_ref().expect("durable").failures();
+
+        second(&mut node, &mut ctx, 1);
+        assert_eq!(failures(&node), 0);
+        let before = stable_delivered(&ctx);
+        assert!(before > 0, "stable output flows: {:?}", ctx.sent);
+        std::fs::remove_dir_all(dir.join("log")).unwrap();
+        for s in 2..5 {
+            second(&mut node, &mut ctx, s);
+        }
+        assert!(
+            failures(&node) >= 1,
+            "a checkpoint with no segment to begin"
+        );
+        assert!(
+            stable_delivered(&ctx) > before,
+            "stable output still flows once the store fails"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -104,8 +104,9 @@ impl TcpChainSpec {
         let (mut builder, out) = sharded_chain_builder(&o);
         builder = builder.workers(self.workers);
         if let Some(dir) = &self.durable_dir {
-            // Background flusher: capture stays off the data path; the
-            // snapshot objects are written by a dedicated thread.
+            // Background flusher: each node appends its checkpoint records
+            // itself, and their fsync and the log's pruning run on the
+            // node's flusher thread.
             builder = builder.durability(dir, Duration::from_millis(250), true);
         }
         if self.crash {

@@ -70,4 +70,10 @@ if git grep -nE 'from_runs|split_views|same_view|run_batches' -- '*.rs'; then fa
 # of every arrival stays deleted).
 if git grep -nE 'sort[a-z_]*\(.*\bport\b' -- crates/ops/src/sunion.rs; then fail "one serialization order"; fi
 
+# One durable log: a checkpoint is a record of the node's input log, made
+# durable by one fsync of the segment it begins, so the content-addressed
+# object store, its `HEAD` pointers, their rename-and-fsync helpers and the
+# byte-at-a-time record hash stay deleted from the durability layer.
+if git grep -nE 'HEAD\.prev|objects/|write_atomic|sync_dir|fn fnv64' -- crates/store crates/core/src/durable.rs; then fail "one durable log"; fi
+
 echo "lints: ok"

@@ -43,11 +43,13 @@ enum Decoder {
     Tuple,
     /// The `SnapshotCodec` of an operator instantiated from this spec.
     Snapshot(OperatorSpec),
-    /// The store's `HEAD` pointer file.
-    Head,
-    /// A checkpoint object: snapshot header, then the fragment's operators.
-    Object,
-    /// An input-log segment holding one record.
+    /// A checkpoint record: snapshot header, then the fragment's operators,
+    /// framed as the log's first record.
+    Checkpoint,
+    /// A checkpoint payload, published as a record of its own: what the
+    /// checkpoint record's checksum keeps mutations away from.
+    Payload,
+    /// An input record, behind the checkpoint record.
     Log,
 }
 
@@ -253,8 +255,8 @@ fn only_file(dir: &Path) -> PathBuf {
     files.pop().unwrap()
 }
 
-/// One logged input view and one checkpoint of a warm ingest fragment,
-/// through `NodeDisk`; the three files that leaves behind.
+/// One checkpoint of a warm ingest fragment and one logged input view,
+/// through `NodeDisk`: the two records that leaves in the log.
 fn durable_files(dir: &Path) -> Vec<Format> {
     let plan = ingest_plan();
     let mut fragment = Fragment::from_plan(&plan);
@@ -266,7 +268,6 @@ fn durable_files(dir: &Path) -> Vec<Format> {
         fragment.push_batch(input.stream, &closed, Time::from_millis(100));
     }
     fragment.push_batch(stream, &open, Time::from_millis(130));
-    disk.append_input(stream, &mixed_view());
     let positions: Vec<(StreamId, TupleId, bool)> = plan
         .inputs
         .iter()
@@ -275,20 +276,19 @@ fn durable_files(dir: &Path) -> Vec<Format> {
         .collect();
     let parts = fragment.capture_durable().expect("untainted fragment");
     disk.checkpoint(parts, &positions);
+    let segment = only_file(&dir.join("log"));
+    let checkpoint = fs::read(&segment).unwrap();
+    disk.append_input(stream, &mixed_view());
     drop(disk);
-    let file = |name, path: PathBuf, decoder| Format {
+    let input = fs::read(&segment).unwrap()[checkpoint.len()..].to_vec();
+    let format = |name, bytes, decoder| Format {
         name,
-        bytes: fs::read(path).unwrap(),
+        bytes,
         decoder,
     };
     vec![
-        file("head pointer", dir.join("HEAD"), Decoder::Head),
-        file(
-            "snapshot object",
-            only_file(&dir.join("objects")),
-            Decoder::Object,
-        ),
-        file("input log", only_file(&dir.join("log")), Decoder::Log),
+        format("checkpoint record", checkpoint, Decoder::Checkpoint),
+        format("input log", input, Decoder::Log),
     ]
 }
 
@@ -365,7 +365,10 @@ fn formats(dir: &Path) -> Vec<Format> {
 /// `(format, encoded length, FNV-1a 64 of the encoding)`, captured at the
 /// commit before the codecs moved onto `Wire` (PR 23's parent).
 /// "frame heartbeat resp" was re-pinned when the reply gained its trailing
-/// `stalled: u64`: the same bytes plus those eight.
+/// `stalled: u64`: the same bytes plus those eight. The durable formats
+/// were re-pinned when the checkpoint moved into the log (snapshot version
+/// 2): the `HEAD` pointer is gone, the checkpoint is a record of the log,
+/// and a record's body holds a kind byte where its sequence number was.
 const PINNED: &[(&str, usize, u64)] = &[
     ("frame data", 252, 0xb2dea32ddd52d0d2),
     ("frame subscribe", 26, 0x89809f1e41305990),
@@ -387,9 +390,8 @@ const PINNED: &[(&str, usize, u64)] = &[
     ("snapshot sjoin", 252, 0xb9b230da923e8393),
     ("snapshot union", 32, 0xe82e11130b60fb77),
     ("snapshot soutput", 11, 0x214f15cc41059202),
-    ("head pointer", 36, 0x3d3ce4e8d1a99eaa),
-    ("snapshot object", 337, 0x7fe372a71a501e25),
-    ("input log", 263, 0xd5bad7d5739fa197),
+    ("checkpoint record", 342, 0x34b8fa85908d97d8),
+    ("input log", 256, 0xa58367cfd05a7e13),
 ];
 
 /// One tuple per `Payload` variant (and both inline value layouts), for the
@@ -416,6 +418,19 @@ fn payload_tuples() -> Vec<Format> {
             }
         })
         .collect()
+}
+
+/// The payload of the checkpoint record in `dir`, as recovery loads it —
+/// for the hostile-input test only: the record's checksum turns away every
+/// mutation of the record before the decoders behind it run, so the
+/// payload is also attacked on its own, published whole.
+fn checkpoint_payload(dir: &Path) -> Format {
+    let disk = NodeDisk::open(&DurabilityConfig::new(dir)).unwrap();
+    Format {
+        name: "checkpoint payload",
+        bytes: disk.store().load_latest().unwrap().unwrap().payload,
+        decoder: Decoder::Payload,
+    }
 }
 
 /// Allocator entries `decode_frame` makes for a `Data` frame of `n` tuples
@@ -461,37 +476,49 @@ fn wire_formats_are_pinned() {
     assert_eq!(got, PINNED);
 }
 
-/// A store holding valid files of the three durable formats, under an open
-/// `NodeDisk`: an attempt overwrites one file and recovers through it.
+/// A store holding a valid log, under an open `NodeDisk`: an attempt
+/// overwrites the log's one segment, or publishes a checkpoint, and
+/// recovers through it.
 struct Store {
     dir: PathBuf,
     disk: NodeDisk,
     plan: FragmentPlan,
-    log: PathBuf,
-    next_id: u64,
+    segment: PathBuf,
+    /// The valid checkpoint record an input record is attacked behind.
+    checkpoint: Vec<u8>,
 }
 
 impl Store {
     fn new() -> Store {
         let dir = scratch("hostile");
-        durable_files(&dir);
+        let checkpoint = durable_files(&dir).remove(0).bytes;
         Store {
             disk: NodeDisk::open(&DurabilityConfig::new(&dir)).unwrap(),
             plan: ingest_plan(),
-            log: only_file(&dir.join("log")),
-            next_id: 2,
+            segment: only_file(&dir.join("log")),
+            checkpoint,
             dir,
         }
     }
 
-    /// Recovery as a restarting node runs it: pointer, object, header, log
-    /// records, then every operator's state.
+    /// Recovery as a restarting node runs it: the newest checkpoint record,
+    /// its header, the input records behind it, then every operator's
+    /// state.
     fn recover(&mut self) {
         let mut fragment = Fragment::from_plan(&self.plan);
         counting_alloc::take_largest();
         if let Ok(Some(image)) = self.disk.recover() {
             let _ = fragment.restore_durable(&image.ops_bytes);
         }
+    }
+
+    /// Writes `bytes` as the log's one segment and recovers; reopening the
+    /// log scans it too, and cuts it at the first record that does not
+    /// decode.
+    fn recover_segment(&mut self, bytes: &[u8]) {
+        fs::write(&self.segment, bytes).unwrap();
+        self.recover();
+        let _ = NodeDisk::open(&DurabilityConfig::new(&self.dir));
     }
 }
 
@@ -512,21 +539,11 @@ fn largest_reservation(format: &Format, bytes: &[u8], store: &mut Store) -> usiz
             counting_alloc::take_largest();
             let _ = (codec.decode)(&mut Reader::new(bytes));
         }
-        Decoder::Head => {
-            fs::write(store.dir.join("HEAD"), bytes).unwrap();
+        Decoder::Checkpoint => store.recover_segment(bytes),
+        Decoder::Log => store.recover_segment(&[&store.checkpoint[..], bytes].concat()),
+        Decoder::Payload => {
+            let _ = store.disk.store().publish(2, bytes);
             store.recover();
-        }
-        Decoder::Object => {
-            store.next_id += 1;
-            let _ = store.disk.store().publish(store.next_id, bytes);
-            store.recover();
-        }
-        Decoder::Log => {
-            fs::write(&store.log, bytes).unwrap();
-            store.recover();
-            // Reopening scans the log too, and cuts it at the first record
-            // that does not decode.
-            let _ = NodeDisk::open(&DurabilityConfig::new(&store.dir));
         }
     }
     counting_alloc::take_largest()
@@ -546,7 +563,9 @@ fn decode_never_panics_or_overallocates() {
     let mut rng = StdRng::seed_from_u64(0x0DD_B17E5);
     let mut store = Store::new();
     let fixture = scratch("hostile-fixture");
-    for format in formats(&fixture).into_iter().chain(payload_tuples()) {
+    let formats = formats(&fixture);
+    let payload = checkpoint_payload(&fixture);
+    for format in formats.into_iter().chain([payload]).chain(payload_tuples()) {
         let mut attempts: Vec<Vec<u8>> = (0..format.bytes.len())
             .map(|cut| format.bytes[..cut].to_vec())
             .collect();
@@ -568,7 +587,7 @@ fn decode_never_panics_or_overallocates() {
         // Leave the store valid for the next format.
         if matches!(
             format.decoder,
-            Decoder::Head | Decoder::Object | Decoder::Log
+            Decoder::Checkpoint | Decoder::Payload | Decoder::Log
         ) {
             store = Store::new();
         }

@@ -15,23 +15,24 @@
 //! after it: the ordering holds by position, with no protocol between a
 //! snapshot and its log prefix to get wrong.
 //!
-//! Both kinds are appended on the actor's thread, through the node's one
-//! [`LogWriter`] — a write into the page cache, which a killed process does
-//! not lose. A checkpoint record is made durable by one `fdatasync` of its
-//! segment, which also prunes the log: inline in deterministic simulator
-//! runs, on the node's flusher thread otherwise, so that the actor's thread
-//! never waits for the disk. A failed append, sync or prune is counted
-//! ([`NodeDisk::failures`]) and the node keeps serving from memory:
-//! durability degrades, the DPC replica protocol still covers the node.
+//! Both kinds are encoded and appended on the actor's thread, through the
+//! node's one [`LogWriter`] — a write into the page cache, which a killed
+//! process does not lose. A checkpoint record is made durable by one
+//! `fdatasync` of its segment, which also prunes the log: inline in
+//! deterministic simulator runs, otherwise on the one flusher thread all
+//! the process's nodes share, so that no actor waits for the disk. A
+//! failed append, sync or prune is counted ([`NodeDisk::failures`]) and the
+//! node keeps serving from memory: durability degrades, the DPC replica
+//! protocol still covers the node.
 
 use borealis_engine::encode_durable_capture;
 use borealis_ops::{OpSnapshot, SnapshotCodec};
-use borealis_store::{LogWriter, NodeStore, Seal, StoreError};
+use borealis_store::{LogWriter, NodeStore, StoreError};
 use borealis_types::wire::{Reader, Wire};
 use borealis_types::{wire_struct, BatchView, Duration, StreamId, TupleBatch, TupleId};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread;
 
 /// Durability settings of one node replica (see
@@ -42,7 +43,7 @@ pub struct DurabilityConfig {
     pub dir: PathBuf,
     /// Checkpoint period.
     pub interval: Duration,
-    /// Sync checkpoint records (and prune the log) on a background flusher
+    /// Sync checkpoint records (and prune the log) on the process's flusher
     /// thread (real runtimes) instead of inline (deterministic simulator
     /// runs, where wall-clock work must not depend on scheduling).
     pub background: bool,
@@ -96,15 +97,41 @@ pub struct RecoveredImage {
     pub fell_back: bool,
 }
 
-/// A node's open durable state: the store, its log writer, and the
-/// optional background flusher.
+/// One job of the process's flusher: a checkpoint's seal together with
+/// the failure counter of the node that queued it, or a closing node's
+/// barrier.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// The process's one flusher: a `borealis-flusher` thread, started on first
+/// use, that runs the jobs of every node in the order they were queued.
+fn flusher() -> &'static mpsc::Sender<Job> {
+    static FLUSHER: OnceLock<mpsc::Sender<Job>> = OnceLock::new();
+    FLUSHER.get_or_init(|| {
+        let (jobs, queue) = mpsc::channel::<Job>();
+        // Never joined: it lives as long as the process, and a closing node
+        // waits for its own jobs instead. A thread that cannot start drops
+        // `queue`: every hand-off then fails, and is counted by the node.
+        let _ = thread::Builder::new()
+            .name("borealis-flusher".into())
+            .spawn(move || queue.into_iter().for_each(|job| job()));
+        jobs
+    })
+}
+
+/// Counts a failed durable operation in `failures`.
+fn count<T, E>(failures: &AtomicU64, outcome: Result<T, E>) {
+    if outcome.is_err() {
+        failures.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A node's open durable state: the store and its log writer.
 pub struct NodeDisk {
     store: NodeStore,
     log: LogWriter,
-    next_snapshot_id: u64,
-    /// The flusher thread and the channel that hands it checkpoint seals.
-    flusher: Option<(mpsc::Sender<Seal>, thread::JoinHandle<()>)>,
-    /// Durable operations that failed, shared with the flusher.
+    /// Hand checkpoint seals to the process's flusher.
+    background: bool,
+    /// Durable operations that failed, shared with the flusher's jobs.
     failures: Arc<AtomicU64>,
 }
 
@@ -113,31 +140,11 @@ impl NodeDisk {
     pub fn open(cfg: &DurabilityConfig) -> Result<NodeDisk, StoreError> {
         let store = NodeStore::open(&cfg.dir)?;
         let log = LogWriter::open(&store, cfg.sync_log)?;
-        let next_snapshot_id = store.load_latest()?.map_or(1, |s| s.snapshot_id + 1);
-        let failures = Arc::new(AtomicU64::new(0));
-        let flusher = if cfg.background {
-            let (tx, rx) = mpsc::channel::<Seal>();
-            let failed = Arc::clone(&failures);
-            let handle = thread::Builder::new()
-                .name("borealis-flusher".into())
-                .spawn(move || {
-                    for seal in rx {
-                        if seal.run().is_err() {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                })
-                .map_err(StoreError::Io)?;
-            Some((tx, handle))
-        } else {
-            None
-        };
         Ok(NodeDisk {
             store,
             log,
-            next_snapshot_id,
-            flusher,
-            failures,
+            background: cfg.background,
+            failures: Arc::new(AtomicU64::new(0)),
         })
     }
 
@@ -153,12 +160,6 @@ impl NodeDisk {
         self.failures.load(Ordering::Relaxed)
     }
 
-    fn count<T, E>(&self, outcome: Result<T, E>) {
-        if outcome.is_err() {
-            self.failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Appends one deduplicated input view to the log, encoding straight
     /// from the view into the record (the format is `wire::put_batch`'s, so
     /// recovery decodes batches).
@@ -167,20 +168,19 @@ impl NodeDisk {
             (stream.0 as u64).put(record);
             tuples.put(record);
         });
-        self.count(appended);
+        count(&self.failures, appended);
     }
 
     /// Appends one checkpoint record, which covers every input record
-    /// before it, and makes it durable: inline, or — with a flusher — on
-    /// the flusher's thread. The CoW `Arc`s in `parts` are encoded straight
-    /// into the record.
+    /// before it, and makes it durable: inline, or — with `background` —
+    /// on the process's flusher. The CoW `Arc`s in `parts` are encoded
+    /// straight into the record.
     pub fn checkpoint(
         &mut self,
         parts: Vec<(SnapshotCodec, OpSnapshot)>,
         positions: &[(StreamId, TupleId, bool)],
     ) -> u64 {
-        let snapshot_id = self.next_snapshot_id;
-        self.next_snapshot_id += 1;
+        let snapshot_id = self.log.snapshot_id().map_or(1, |id| id + 1);
         let widened = |&(stream, last_stable, saw_tentative): &(StreamId, TupleId, bool)| {
             (stream.0 as u64, last_stable, saw_tentative)
         };
@@ -192,10 +192,14 @@ impl NodeDisk {
             header.put(payload);
             encode_durable_capture(&parts, payload);
         });
-        match (sealed, &self.flusher) {
-            (Ok(seal), Some((tx, _))) => self.count(tx.send(seal)),
-            (Ok(seal), None) => self.count(seal.run()),
-            (failed, _) => self.count(failed),
+        match sealed {
+            Ok(seal) if self.background => {
+                let failures = Arc::clone(&self.failures);
+                let job = Box::new(move || count(&failures, seal.run()));
+                count(&self.failures, flusher().send(job));
+            }
+            Ok(seal) => count(&self.failures, seal.run()),
+            failed => count(&self.failures, failed),
         }
         snapshot_id
     }
@@ -249,17 +253,19 @@ impl NodeDisk {
         let written = self
             .store
             .write_marker("last_recovery", contents.as_bytes());
-        self.count(written);
+        count(&self.failures, written);
     }
 }
 
 impl Drop for NodeDisk {
     fn drop(&mut self) {
-        // Queued seals reach disk before shutdown: close the channel, then
-        // join the flusher.
-        if let Some((tx, handle)) = self.flusher.take() {
-            drop(tx);
-            let _ = handle.join();
+        // The node's queued seals have run before it closes — so a restart
+        // in this process never reopens the log under a running prune: queue
+        // a barrier behind them, which ends `wait` when the flusher drops it.
+        if self.background {
+            let (reached, wait) = mpsc::channel::<()>();
+            let _ = flusher().send(Box::new(move || drop(reached)));
+            let _ = wait.recv();
         }
     }
 }
@@ -342,6 +348,86 @@ mod tests {
             ids.extend(batch.as_slice().iter().map(|t| t.id.0));
         }
         Some((image.snapshot_id, ids, image.fell_back))
+    }
+
+    /// A store directory of this test process, clean at entry.
+    fn scratch(name: &str) -> PathBuf {
+        let name = format!("borealis-durable-{name}-{}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn background(dir: &Path) -> DurabilityConfig {
+        DurabilityConfig {
+            background: true,
+            ..DurabilityConfig::new(dir)
+        }
+    }
+
+    /// However many background replicas a process hosts, their seals run
+    /// on one `borealis-flusher` thread (Linux cuts a thread's name to 15
+    /// bytes), and each replica's checkpoints reach its own disk.
+    #[test]
+    fn one_flusher_thread_seals_for_every_background_replica() {
+        let dirs: Vec<PathBuf> = (0..32).map(|i| scratch(&format!("shared-{i}"))).collect();
+        let open = |dir: &PathBuf| NodeDisk::open(&background(dir)).unwrap();
+        let mut disks: Vec<NodeDisk> = dirs.iter().map(open).collect();
+        for disk in &mut disks {
+            for id in 1..=2 {
+                disk.append_input(STREAM, &input(id));
+                let positions = [(STREAM, TupleId(id), false)];
+                assert_eq!(disk.checkpoint(Vec::new(), &positions), id);
+            }
+        }
+        if let Ok(tasks) = fs::read_dir("/proc/self/task") {
+            let flusher = |task: &fs::DirEntry| {
+                let name = fs::read_to_string(task.path().join("comm"));
+                name.is_ok_and(|name| name.trim_end() == "borealis-flushe")
+            };
+            let flushers = tasks.flatten().filter(flusher).count();
+            assert_eq!(flushers, 1, "one flusher per process");
+        }
+        drop(disks);
+        for dir in &dirs {
+            let mut disk = open(dir);
+            let image = disk.recover().unwrap().expect("two checkpoints were taken");
+            assert_eq!((image.snapshot_id, image.fell_back), (2, false));
+            assert_eq!(disk.failures(), 0);
+            assert_eq!(segments(dir).len(), 2, "retention keeps two segments");
+            drop(disk);
+            let _ = fs::remove_dir_all(dir);
+        }
+    }
+
+    /// Dropping a background disk waits for its own seals — the
+    /// log is already pruned to what retention keeps — so a restart in the
+    /// same process that reopens the log at once never races the prune of
+    /// a checkpoint the old incarnation took.
+    #[test]
+    fn a_dropped_background_disk_has_run_its_seals() {
+        let dir = scratch("drop-waits");
+        let mut next = 0;
+        for round in 0..100 {
+            let mut disk = NodeDisk::open(&background(&dir)).unwrap();
+            for k in 1..=3 {
+                next += 1;
+                disk.append_input(STREAM, &input(next));
+                let positions = [(STREAM, TupleId(next), false)];
+                assert_eq!(disk.checkpoint(Vec::new(), &positions), 3 * round + k);
+            }
+            next += 1;
+            disk.append_input(STREAM, &input(next));
+            drop(disk);
+            let pruned = segments(&dir).len();
+            assert_eq!(
+                pruned, 2,
+                "round {round}: the newest seal has pruned the log"
+            );
+            let newest = Some((3 * round + 3, vec![next], false));
+            assert_eq!(restart(&dir), newest, "round {round}");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// The newest intact checkpoint, the intact input after it up to the

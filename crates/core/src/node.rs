@@ -259,21 +259,16 @@ impl ProcessingNode {
     fn recover_from_disk(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, dcfg: &DurabilityConfig) {
         self.disk = None; // close a previous incarnation's handles first
         let wall_start = std::time::Instant::now();
-        let mut disk = match NodeDisk::open(dcfg) {
-            Ok(d) => d,
-            Err(_) => return, // disk unavailable: run without durability
+        let Ok(mut disk) = NodeDisk::open(dcfg) else {
+            return; // disk unavailable: run without durability
         };
-        let image = match disk.recover() {
-            Ok(Some(image)) => image,
-            Ok(None) | Err(_) => {
-                self.disk = Some(disk);
-                return;
-            }
-        };
+        let image = disk.recover();
+        self.disk = Some(disk);
+        // A cold or unreadable store, or an undecodable operator region
+        // (e.g. the plan changed across the restart): the empty-state
+        // rebuild.
+        let Ok(Some(image)) = image else { return };
         if self.fragment.restore_durable(&image.ops_bytes).is_err() {
-            // Undecodable operator region (e.g. plan changed across the
-            // restart): fall back to the empty-state rebuild.
-            self.disk = Some(disk);
             return;
         }
         let now = ctx.now();
@@ -293,8 +288,9 @@ impl ProcessingNode {
             self.handle_batch(ctx, batch, now);
         }
         let recover_us = wall_start.elapsed().as_micros() as u64;
-        disk.write_recovery_marker(image.snapshot_id, recover_us, n_replay);
-        self.disk = Some(disk);
+        if let Some(disk) = &self.disk {
+            disk.write_recovery_marker(image.snapshot_id, recover_us, n_replay);
+        }
         self.recovering = true;
         ctx.set_timer(self.busy_until.max(now), TIMER_RECOVERY_DONE);
     }
@@ -490,7 +486,7 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 self.post_event(ctx);
             }
             TIMER_CHECKPOINT => {
-                if let Some(disk) = self.disk.as_mut() {
+                if let (Some(disk), Some(dcfg)) = (self.disk.as_mut(), &self.cfg.durability) {
                     // Only an untainted fragment yields a durable image
                     // (checkpoint-before-tentative, §4.4.1: tentative eras
                     // are recovered via upstream replay, not from disk).
@@ -503,13 +499,7 @@ impl DpcActor<NetMsg> for ProcessingNode {
                             .collect();
                         disk.checkpoint(parts, &positions);
                     }
-                    let interval = self
-                        .cfg
-                        .durability
-                        .as_ref()
-                        .map(|d| d.interval)
-                        .unwrap_or(Duration::from_millis(250));
-                    ctx.set_timer(now + interval, TIMER_CHECKPOINT);
+                    ctx.set_timer(now + dcfg.interval, TIMER_CHECKPOINT);
                 }
             }
             TIMER_GRANT_TIMEOUT => {

@@ -167,8 +167,9 @@ impl SystemBuilder {
     /// Enables durable checkpoints and a replayable input log on every
     /// node replica. Each replica gets its own store under
     /// `root/node-<id>`; `interval` is the checkpoint period;
-    /// `background` moves snapshot serialization to a flusher thread
-    /// (keep it `false` for deterministic simulator runs).
+    /// `background` moves each checkpoint's fsync and the log's prune to
+    /// the process's one flusher thread (keep it `false` for deterministic
+    /// simulator runs, which run them inline).
     pub fn durability(
         mut self,
         root: impl Into<std::path::PathBuf>,

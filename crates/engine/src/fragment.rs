@@ -21,7 +21,7 @@
 //!
 //! Execution is **batch-wise**: external input arrives as shared
 //! [`TupleBatch`] views, operators run their
-//! [`Operator::process_batch`](borealis_ops::Operator::process_batch) path,
+//! [`Operator::process_batch`] path,
 //! and intra-fragment routing and the produced [`Batch::outputs`] move
 //! reference-counted views. Per tuple, a crossing allocates only payloads
 //! an operator computes (`Aggregate`, `SJoin`, a `Map` that changes them);
@@ -498,9 +498,9 @@ impl Fragment {
 
     /// Captures the fragment for the *durable* store: `(codec, snapshot)`
     /// pairs, one per operator, in operator order. The capture itself is
-    /// O(#operators) reference-count bumps — serialization happens later
-    /// (possibly on a background flusher thread) via
-    /// [`encode_durable_capture`].
+    /// O(#operators) reference-count bumps; [`encode_durable_capture`]
+    /// then serializes it, on the same thread, straight into the
+    /// checkpoint record.
     ///
     /// Returns `None` while the fragment is tainted: a durable checkpoint
     /// must describe a stable-era state (tentative divergence is repaired by
@@ -571,10 +571,10 @@ impl Fragment {
 }
 
 /// Serializes a [`Fragment::capture_durable`] result: operator count, then
-/// one length-prefixed state record per operator in operator order. This is
-/// the half of the durable checkpoint that runs *off* the hot path — the
-/// capture is refcount bumps on the actor thread; this walk of the shared
-/// state can run on a background flusher.
+/// one length-prefixed state record per operator in operator order. The
+/// durable store calls it on the actor's thread to encode the checkpoint
+/// record's payload in place; only the record's fsync and the log's prune
+/// leave that thread.
 pub fn encode_durable_capture(parts: &[(SnapshotCodec, OpSnapshot)], buf: &mut Vec<u8>) {
     wire::put_u32(buf, parts.len() as u32);
     for (codec, snap) in parts {

@@ -92,11 +92,11 @@ impl std::fmt::Debug for OpSnapshot {
 /// durable bytes and back — the bridge between the O(1) in-memory
 /// checkpoint and the on-disk durability layer (`borealis-store`).
 ///
-/// Plain function pointers keep the codec `Copy + Send + 'static`, so the
-/// hot path only *captures* (an `Arc` refcount bump via
-/// `Operator::checkpoint`) and hands `(codec, snapshot)` pairs to a
-/// background flusher, which walks the shared state and serializes it off
-/// the critical path.
+/// Plain function pointers keep the codec `Copy + Send + 'static`: a
+/// checkpoint only *captures* (an `Arc` refcount bump via
+/// `Operator::checkpoint`) and hands `(codec, snapshot)` pairs to the
+/// durable store, which walks the shared state and encodes it straight
+/// into the checkpoint record.
 ///
 /// An operator writes neither function: its state type implements
 /// [`Wire`] next to its definition and `snapshot_codec` returns

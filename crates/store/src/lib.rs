@@ -151,11 +151,6 @@ impl NodeStore {
         Ok(NodeStore { root })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn log_dir(&self) -> PathBuf {
         self.root.join("log")
     }
@@ -218,9 +213,9 @@ pub struct LogWriter {
     /// Number of the newest segment, and the index of its next record.
     segment: u64,
     index: u64,
-    /// Segment of the newest checkpoint record: what the next checkpoint's
-    /// retention keeps.
-    checkpoint: Option<u64>,
+    /// Segment and snapshot id of the newest checkpoint record: what the
+    /// next checkpoint's retention keeps, and the id it follows.
+    checkpoint: Option<(u64, u64)>,
     sync_each: bool,
     /// The record being written, reused append to append.
     rec: Vec<u8>,
@@ -271,17 +266,23 @@ impl LogWriter {
     ) -> Result<(LogWriter, Vec<Segment>, usize), StoreError> {
         let dir = store.log_dir();
         let segs = segments(&dir)?;
-        let newest = newest_checkpoint(&segs)?.map(|(i, _)| i);
+        let newest = newest_checkpoint(&segs)?.map(|(i, s)| (i, s.snapshot_id));
         let log = LogWriter {
             dir,
             file: None,
             segment: segs.last().map_or(0, |(n, _)| *n),
             index: 0,
-            checkpoint: newest.map(|i| segs[i].0),
+            checkpoint: newest.map(|(i, id)| (segs[i].0, id)),
             sync_each,
             rec: Vec::new(),
         };
-        Ok((log, segs, newest.unwrap_or(0)))
+        Ok((log, segs, newest.map_or(0, |(i, _)| i)))
+    }
+
+    /// Snapshot id of the newest intact checkpoint record: the one found
+    /// when the writer opened, or the last one it appended since.
+    pub fn snapshot_id(&self) -> Option<u64> {
+        self.checkpoint.map(|(_, id)| id)
     }
 
     /// Appends one input record, returning its sequence number.
@@ -310,8 +311,8 @@ impl LogWriter {
         })?;
         let keep_from = self
             .checkpoint
-            .replace(self.segment)
-            .unwrap_or(self.segment);
+            .replace((self.segment, snapshot_id))
+            .map_or(self.segment, |(segment, _)| segment);
         Ok(Seal {
             file: Arc::clone(self.file.as_ref().expect("the record began a segment")),
             dir: self.dir.clone(),
@@ -693,12 +694,13 @@ mod tests {
 
     #[test]
     fn markers_round_trip() {
-        let store = NodeStore::open(scratch("markers")).unwrap();
+        let root = scratch("markers");
+        let store = NodeStore::open(&root).unwrap();
         store.write_marker("last_recovery", b"snap=3").unwrap();
         store
             .write_marker("last_recovery", b"snap=4 replayed=17")
             .unwrap();
-        let on_disk = fs::read(store.root().join("last_recovery.marker")).unwrap();
+        let on_disk = fs::read(root.join("last_recovery.marker")).unwrap();
         assert_eq!(on_disk, b"snap=4 replayed=17", "replaced whole");
     }
 }

@@ -105,8 +105,8 @@ impl TcpChainSpec {
         builder = builder.workers(self.workers);
         if let Some(dir) = &self.durable_dir {
             // Background flusher: each node appends its checkpoint records
-            // itself, and their fsync and the log's pruning run on the
-            // node's flusher thread.
+            // itself, and their fsync and the log's pruning run on this
+            // process's one flusher thread, shared by the nodes it hosts.
             builder = builder.durability(dir, Duration::from_millis(250), true);
         }
         if self.crash {

@@ -76,4 +76,10 @@ if git grep -nE 'sort[a-z_]*\(.*\bport\b' -- crates/ops/src/sunion.rs; then fail
 # byte-at-a-time record hash stay deleted from the durability layer.
 if git grep -nE 'HEAD\.prev|objects/|write_atomic|sync_dir|fn fnv64' -- crates/store crates/core/src/durable.rs; then fail "one durable log"; fi
 
+# One flusher per process: a replica queues its checkpoint seals on the
+# process's one `borealis-flusher` thread, so the durability layer holds no
+# thread handle of its own and starts one thread in all.
+if git grep -n 'JoinHandle' -- crates/core/src/durable.rs; then fail "one flusher per process"; fi
+if [ "$(git grep -n 'thread::Builder' -- crates/core/src crates/store/src | wc -l)" -gt 1 ]; then git grep -n 'thread::Builder' -- crates/core/src crates/store/src; fail "one flusher per process"; fi
+
 echo "lints: ok"

@@ -1,8 +1,8 @@
 //! Worker process for multi-process deployments: one node of the TCP
 //! fabric, launched by [`borealis_workloads::run_tcp_parent`].
 //!
-//! Argv carries `proc=<i>` plus the serialized [`TcpChainSpec`]
-//! (`key=value` tokens); the port map arrives on stdin. See
+//! Argv carries `proc=<i>`, the port map as `addrs=` and the serialized
+//! [`TcpChainSpec`] (`key=value` tokens). See
 //! `borealis_workloads::tcp` for the handshake protocol.
 //!
 //! [`TcpChainSpec`]: borealis_workloads::TcpChainSpec

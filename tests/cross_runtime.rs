@@ -418,7 +418,7 @@ fn durable_restart_stable_stream_identical_across_runtimes() {
         after: ms(1500),
     };
     // Durable stores on virtual time under the simulator, behind the
-    // background flusher on the pool.
+    // process's flusher on the pool.
     let (sim_root, thr_root) = (scratch("sim"), scratch("threads"));
     let stored = |root: &std::path::Path, background: bool| {
         let (builder, out) = chain_builder(&o);
@@ -439,6 +439,74 @@ fn durable_restart_stable_stream_identical_across_runtimes() {
     assert_same_stable_prefix(&sim, &thr, 300);
     let _ = std::fs::remove_dir_all(&sim_root);
     let _ = std::fs::remove_dir_all(&thr_root);
+}
+
+/// Episodes of the durability-only soak below, ≈ 5 s each.
+const DURABLE_SOAK_EPISODES: usize = 20;
+
+/// Durable stores and nothing else, at default detection settings: the
+/// benchmark's sharded chain (K = 4, replication 2, two workers) at 45k
+/// tuples/s with 1 µs modelled cost, 100 ms keep-alives and 500 ms per
+/// SUnion, every replica checkpointing every 250 ms behind the process's
+/// flusher, and no fault. Every episode on the pool must deliver the
+/// simulator's whole stable stream. Evidence for the wall-clock failure
+/// table, so a failing episode is reported with its signature; run it with
+/// `cargo test --release --test cross_runtime durability_only -- --ignored
+/// --nocapture`.
+#[test]
+#[ignore = "a soak of ≈ 2 minutes"]
+fn durability_only_chain_delivers_the_whole_stream_on_threads() {
+    let _serial = serial();
+    const EXPECTED: u64 = 3 * 60_000; // four seconds of input from each source
+    let o = ShardedChainOptions {
+        shards: 4,
+        replication: 2,
+        total_rate: 45_000.0,
+        per_node_delay: Duration::from_millis(500),
+        heartbeat_period: Duration::from_millis(100),
+        work_cost: Duration::from_micros(1),
+        light_cost: Duration::from_micros(1),
+        source_limit: Some(EXPECTED / 3),
+        seed: 7,
+        ..ShardedChainOptions::default()
+    };
+    let chain = || {
+        let (builder, out) = sharded_chain_builder(&o);
+        (builder.workers(2), out)
+    };
+    let sim = run_on(Runtime::Sim, &chain, secs(8));
+    assert_eq!(sim.stable().len() as u64, EXPECTED, "complete reference");
+
+    let mut failed = Vec::new();
+    for episode in 0..DURABLE_SOAK_EPISODES {
+        let root = scratch(&format!("soak-{episode}"));
+        let stored = || {
+            let (builder, out) = chain();
+            (
+                builder.durability(&root, Duration::from_millis(250), true),
+                out,
+            )
+        };
+        let draining = |m: &borealis::dpc::StreamMetrics| m.n_stable < EXPECTED;
+        let thr = run_while(Runtime::Threads, &stored, secs(10), draining);
+        let same = std::panic::catch_unwind(|| assert_same_stable_prefix(&sim, &thr, 1));
+        let stable = thr.stable().len() as u64;
+        if same.is_err() || stable != EXPECTED {
+            let (sim_stable, thr_stable) = (sim.stable(), thr.stable());
+            let diverged = sim_stable.iter().zip(&thr_stable).position(|(a, b)| a != b);
+            failed.push(format!(
+                "episode {episode}: {stable} of {EXPECTED} stable tuples, first divergence \
+                 {diverged:?}; dup_stable {}, tentative left {}, drops {}",
+                thr.dup_stable,
+                thr.tentative_left(),
+                thr.stats.total_drops(),
+            ));
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    let n_failed = failed.len();
+    println!("durability-only chain: {DURABLE_SOAK_EPISODES} episodes run, {n_failed} failed");
+    assert!(failed.is_empty(), "{failed:#?}");
 }
 
 /// Kill-then-respawn across OS processes: worker process 1 (hosting one

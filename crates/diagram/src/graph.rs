@@ -106,8 +106,9 @@ pub enum DiagramError {
     Cyclic,
     /// An operator was assigned to no fragment during deployment.
     Unassigned(OpId),
-    /// Operators in the same fragment must form a connected sub-diagram
-    /// deployable on one node; this edge crosses fragments backwards.
+    /// The fragment cut has a cycle: `from` feeds `to`, whose outputs lead
+    /// back into `from`. Neither fragment could stabilize — each would wait
+    /// on the other's corrections.
     BackwardsEdge {
         /// Producing fragment.
         from: FragmentId,
@@ -155,7 +156,7 @@ impl fmt::Display for DiagramError {
             DiagramError::BackwardsEdge { from, to } => {
                 write!(
                     f,
-                    "fragment {to} feeds earlier fragment {from} (cycle between fragments)"
+                    "fragment {from} feeds fragment {to}, which feeds it back (cycle between fragments)"
                 )
             }
             DiagramError::UnknownOp(n) => write!(f, "deployment references unknown operator {n:?}"),

@@ -18,7 +18,7 @@ pub mod spec;
 pub use graph::{Diagram, DiagramError, JoinSpec, LogicalOp, OpNode};
 pub use plan::{
     plan_deployment, DelayAssignment, DpcConfig, FragmentInput, FragmentOutput, FragmentPlan,
-    PhysOp, PhysicalPlan, PlanGroup, Protection, ShardAssignment, StreamOrigin,
+    PhysOp, PhysicalPlan, PlanGroup, Protection, ShardAssignment,
 };
 pub use query::{QueryBuilder, StreamHandle};
 pub use spec::{DeploymentSpec, FragmentSpec};

@@ -9,14 +9,25 @@
 //! * every `Union` becomes an **SUnion**, every `Join` becomes an SUnion
 //!   followed by an **SJoin** (§3);
 //! * every stream leaving a fragment passes through an **SOutput** (§4.4.2);
+//! * a fragment with `shards = K` runs as K key-partitioned physical
+//!   fragments, each producing its own substream of every output, and the
+//!   consumer's input SUnion merges the K substreams back into one
+//!   deterministic stream;
 //! * each SUnion receives its share of the application's incremental latency
 //!   budget `X` according to the chosen [`DelayAssignment`] (§6.3).
+//!
+//! Planning is one pass. The physical streams are decided first — which
+//! streams cross a fragment boundary, and the K substreams of each sharded
+//! fragment's outputs — so each logical fragment is lowered once, every
+//! external input bound to one port per physical substream, and a sharded
+//! fragment's K physical fragments are copies that differ only in their
+//! [`ShardAssignment`] and the names of their output streams.
 
-use crate::graph::{Diagram, DiagramError, LogicalOp};
-use crate::spec::{DeploymentSpec, FragmentSpec};
+use crate::graph::{Diagram, DiagramError, LogicalOp, OpNode};
+use crate::spec::DeploymentSpec;
 use borealis_ops::{DelayMode, OperatorSpec, SJoinSpec, SUnionConfig};
-use borealis_types::{BufferPolicy, Duration, Expr, FragmentId, OpId, StreamId};
-use std::collections::HashMap;
+use borealis_types::{BufferPolicy, Duration, Expr, FragmentId, StreamId};
+use std::collections::{HashMap, HashSet};
 
 /// Whether the planner wraps the diagram in DPC's fault-tolerance
 /// machinery.
@@ -86,15 +97,6 @@ impl Default for DpcConfig {
     }
 }
 
-/// Where a fragment input stream comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamOrigin {
-    /// Produced by a data source outside the query diagram.
-    Source,
-    /// Produced by another fragment (its SOutput).
-    Fragment(FragmentId),
-}
-
 /// A physical operator instance within a fragment.
 #[derive(Debug, Clone)]
 pub struct PhysOp {
@@ -109,14 +111,12 @@ pub struct PhysOp {
 /// An external input binding of a fragment.
 #[derive(Debug, Clone)]
 pub struct FragmentInput {
-    /// The global stream.
+    /// The global stream (a source's, or another fragment's output).
     pub stream: StreamId,
-    /// Index of the receiving op (always an input SUnion).
+    /// Index of the receiving op (an input SUnion under DPC).
     pub target: usize,
     /// Port on that op.
     pub port: usize,
-    /// Who produces the stream.
-    pub origin: StreamOrigin,
 }
 
 /// An output binding of a fragment.
@@ -157,8 +157,8 @@ pub struct FragmentPlan {
 }
 
 /// Deployment settings of one *logical* fragment in a physical plan: its
-/// replication degree, shard fan-out, and the physical fragment indexes
-/// belonging to it (one per shard).
+/// replication degree and the physical fragment indexes belonging to it
+/// (one per shard).
 #[derive(Debug, Clone)]
 pub struct PlanGroup {
     /// Fragment name (from the deployment spec).
@@ -167,8 +167,6 @@ pub struct PlanGroup {
     /// availability during stabilization; one is allowed for single-node
     /// studies).
     pub replication: usize,
-    /// Shard fan-out (1 = unsharded).
-    pub shards: u32,
     /// Physical fragment indexes of this group, in shard order.
     pub fragments: Vec<usize>,
     /// Optional per-fragment CPU cost override (heterogeneous stages).
@@ -191,373 +189,18 @@ pub struct PhysicalPlan {
     pub per_sunion_delay: Duration,
 }
 
-/// The logical fragments' physical diagrams, before the sharding pass.
-struct LogicalPlan {
-    fragments: Vec<FragmentPlan>,
-    max_sunion_depth: usize,
-    per_sunion_delay: Duration,
-}
-
-/// Plans the per-fragment physical diagrams of a resolved fragment cut:
-/// `assignment[op.index()]` is the (logical) fragment of each operator.
-fn plan_fragments(
-    diagram: &Diagram,
-    assignment: &[FragmentId],
-    n_fragments: usize,
-    cfg: &DpcConfig,
-) -> Result<LogicalPlan, DiagramError> {
-    let frag_of = |op: OpId| assignment[op.index()];
-    let dpc = cfg.protection == Protection::Dpc;
-    let mut fragments: Vec<FragmentPlan> = (0..n_fragments)
-        .map(|i| FragmentPlan {
-            id: FragmentId(i as u32),
-            ops: Vec::new(),
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            shard: None,
-        })
-        .collect();
-
-    // Which fragment produces each stream (None = source).
-    let mut produced_in: HashMap<StreamId, FragmentId> = HashMap::new();
-    for op in diagram.ops() {
-        produced_in.insert(op.output, frag_of(op.id));
-    }
-
-    // Streams that must leave their producing fragment: consumed by another
-    // fragment or delivered to clients.
-    let mut crosses: Vec<StreamId> = Vec::new();
-    for op in diagram.ops() {
-        for &s in &op.inputs {
-            match produced_in.get(&s) {
-                Some(&pf) if pf != frag_of(op.id) => crosses.push(s),
-                _ => {}
-            }
-        }
-    }
-    crosses.extend(diagram.output_streams().iter().copied());
-    crosses.sort();
-    crosses.dedup();
-
-    // Build each fragment.
-    // Per fragment: map from global stream -> (op index, is origin-tagging needed)
-    // local_producer[frag][stream] = op index producing it inside the fragment.
-    let mut local_producer: Vec<HashMap<StreamId, usize>> = vec![HashMap::new(); n_fragments];
-    // Entry SUnions created per (frag, external stream).
-    let mut entry_sunion: Vec<HashMap<StreamId, usize>> = vec![HashMap::new(); n_fragments];
-
-    let base_sunion = |n: usize, is_input: bool| -> SUnionConfig {
-        SUnionConfig {
-            bucket: cfg.bucket,
-            // Delays are assigned after planning; placeholder here.
-            detect_delay: cfg.total_delay,
-            delay_budget: cfg.total_delay,
-            failure_mode: cfg.failure_mode,
-            stabilization_mode: cfg.stabilization_mode,
-            is_input,
-            // The paper's 300 ms minimum tentative wait (footnote 5).
-            ..SUnionConfig::new(n)
-        }
-    };
-
-    // How many fragment-local consumers a stream has (to decide whether a
-    // multi-input op can absorb its external inputs into its own SUnion).
-    let consumers_in_frag = |s: StreamId, f: FragmentId| -> usize {
-        diagram
-            .ops()
-            .iter()
-            .filter(|o| frag_of(o.id) == f)
-            .map(|o| o.inputs.iter().filter(|&&i| i == s).count())
-            .sum()
-    };
-
-    for &opid in diagram.topo_order() {
-        let node = &diagram.ops()[opid.index()];
-        let f = frag_of(node.id);
-        let fp = &mut fragments[f.index()];
-        let external = |s: StreamId| produced_in.get(&s).copied() != Some(f);
-        let origin_of = |s: StreamId| {
-            produced_in
-                .get(&s)
-                .map_or(StreamOrigin::Source, |&p| StreamOrigin::Fragment(p))
-        };
-
-        // Ensures `s` is available inside the fragment, returning the local
-        // producing op index. Creates an entry SUnion for external streams
-        // (DPC mode only; baseline callers bind externals directly).
-        macro_rules! ensure_local {
-            ($s:expr) => {{
-                let s: StreamId = $s;
-                if let Some(&idx) = local_producer[f.index()].get(&s) {
-                    idx
-                } else if let Some(&idx) = entry_sunion[f.index()].get(&s) {
-                    idx
-                } else {
-                    let idx = fp.ops.len();
-                    fp.ops.push(PhysOp {
-                        spec: OperatorSpec::SUnion(base_sunion(1, true)),
-                        fanout: Vec::new(),
-                        external_output: None,
-                    });
-                    fp.inputs.push(FragmentInput {
-                        stream: s,
-                        target: idx,
-                        port: 0,
-                        origin: origin_of(s),
-                    });
-                    entry_sunion[f.index()].insert(s, idx);
-                    idx
-                }
-            }};
-        }
-
-        // Two-phase input binding, keeping ops in topological order: the
-        // feeder (local producer or DPC entry SUnion) is materialized
-        // *before* the consuming op is pushed; baseline external streams
-        // bind directly to the consumer once its index is known.
-        enum Bind {
-            Feeder(usize),
-            External(StreamId),
-        }
-        macro_rules! prebind {
-            ($s:expr) => {{
-                let s: StreamId = $s;
-                if !external(s) || dpc {
-                    Bind::Feeder(ensure_local!(s))
-                } else {
-                    Bind::External(s)
-                }
-            }};
-        }
-        macro_rules! apply_bind {
-            ($bind:expr, $idx:expr, $port:expr) => {{
-                match $bind {
-                    Bind::Feeder(feeder) => fp.ops[feeder].fanout.push(($idx, $port)),
-                    Bind::External(s) => fp.inputs.push(FragmentInput {
-                        stream: s,
-                        target: $idx,
-                        port: $port,
-                        origin: origin_of(s),
-                    }),
-                }
-            }};
-        }
-
-        // True when a multi-input op can act as the fragment entry for all
-        // of its inputs: every input is external, feeds only this op, and no
-        // entry SUnion exists for it yet (DPC mode only).
-        let absorb_ok = dpc
-            && node.inputs.iter().all(|&s| {
-                external(s)
-                    && consumers_in_frag(s, f) == 1
-                    && !entry_sunion[f.index()].contains_key(&s)
-            });
-
-        let out_idx = match &node.op {
-            LogicalOp::Union if dpc => {
-                let idx = fp.ops.len();
-                if absorb_ok {
-                    fp.ops.push(PhysOp {
-                        spec: OperatorSpec::SUnion(base_sunion(node.inputs.len(), true)),
-                        fanout: Vec::new(),
-                        external_output: None,
-                    });
-                    for (port, &s) in node.inputs.iter().enumerate() {
-                        fp.inputs.push(FragmentInput {
-                            stream: s,
-                            target: idx,
-                            port,
-                            origin: origin_of(s),
-                        });
-                    }
-                    idx
-                } else {
-                    let feeders: Vec<usize> =
-                        node.inputs.iter().map(|&s| ensure_local!(s)).collect();
-                    let idx = fp.ops.len();
-                    fp.ops.push(PhysOp {
-                        spec: OperatorSpec::SUnion(base_sunion(node.inputs.len(), false)),
-                        fanout: Vec::new(),
-                        external_output: None,
-                    });
-                    for (port, &src) in feeders.iter().enumerate() {
-                        fp.ops[src].fanout.push((idx, port));
-                    }
-                    idx
-                }
-            }
-            LogicalOp::Union => {
-                // Baseline: a plain, non-serializing union.
-                let binds: Vec<Bind> = node.inputs.iter().map(|&s| prebind!(s)).collect();
-                let idx = fp.ops.len();
-                fp.ops.push(PhysOp {
-                    spec: OperatorSpec::Union {
-                        n_inputs: node.inputs.len(),
-                    },
-                    fanout: Vec::new(),
-                    external_output: None,
-                });
-                for (port, bind) in binds.into_iter().enumerate() {
-                    apply_bind!(bind, idx, port);
-                }
-                idx
-            }
-            LogicalOp::Join(js) => {
-                // An SUnion serializing all inputs (the first is the left
-                // side), then the SJoin. Joins keep their serializer even in
-                // baseline mode — deterministic matching requires it.
-                let n = node.inputs.len();
-                let su_idx = if absorb_ok {
-                    let su_idx = fp.ops.len();
-                    fp.ops.push(PhysOp {
-                        spec: OperatorSpec::SUnion(base_sunion(n, true)),
-                        fanout: Vec::new(),
-                        external_output: None,
-                    });
-                    for (port, &s) in node.inputs.iter().enumerate() {
-                        fp.inputs.push(FragmentInput {
-                            stream: s,
-                            target: su_idx,
-                            port,
-                            origin: origin_of(s),
-                        });
-                    }
-                    su_idx
-                } else {
-                    let binds: Vec<Bind> = node.inputs.iter().map(|&s| prebind!(s)).collect();
-                    let su_idx = fp.ops.len();
-                    fp.ops.push(PhysOp {
-                        spec: OperatorSpec::SUnion(base_sunion(n, false)),
-                        fanout: Vec::new(),
-                        external_output: None,
-                    });
-                    for (port, bind) in binds.into_iter().enumerate() {
-                        apply_bind!(bind, su_idx, port);
-                    }
-                    su_idx
-                };
-                let j_idx = fp.ops.len();
-                fp.ops.push(PhysOp {
-                    spec: OperatorSpec::SJoin(SJoinSpec {
-                        window: js.window,
-                        left_key: js.left_key.clone(),
-                        right_key: js.right_key.clone(),
-                        max_state: js.max_state,
-                        left_split: 1,
-                    }),
-                    fanout: Vec::new(),
-                    external_output: None,
-                });
-                fp.ops[su_idx].fanout.push((j_idx, 0));
-                j_idx
-            }
-            LogicalOp::Passthrough => {
-                // Identity: no physical operator. The input's local producer
-                // (an entry SUnion for external streams) stands in for it —
-                // a DPC tap is exactly [entry SUnion, SOutput].
-                if !dpc {
-                    return Err(DiagramError::UnprotectedPassthrough(node.output));
-                }
-                ensure_local!(node.inputs[0])
-            }
-            single => {
-                let input = node.inputs[0];
-                let spec = match single {
-                    LogicalOp::Filter { predicate } => OperatorSpec::Filter {
-                        predicate: predicate.clone(),
-                    },
-                    LogicalOp::Map { outputs } => OperatorSpec::Map {
-                        outputs: outputs.clone(),
-                    },
-                    LogicalOp::Aggregate(a) => OperatorSpec::Aggregate(a.clone()),
-                    LogicalOp::Union | LogicalOp::Join(_) | LogicalOp::Passthrough => {
-                        unreachable!("handled above")
-                    }
-                };
-                let bind = prebind!(input);
-                let idx = fp.ops.len();
-                fp.ops.push(PhysOp {
-                    spec,
-                    fanout: Vec::new(),
-                    external_output: None,
-                });
-                apply_bind!(bind, idx, 0);
-                idx
-            }
-        };
-        local_producer[f.index()].insert(node.output, out_idx);
-
-        // A stream crossing the fragment boundary leaves through an SOutput
-        // (DPC) or directly from its producing op (baseline).
-        if crosses.contains(&node.output) {
-            if dpc {
-                let so_idx = fp.ops.len();
-                fp.ops.push(PhysOp {
-                    spec: OperatorSpec::SOutput,
-                    fanout: Vec::new(),
-                    external_output: Some(node.output),
-                });
-                fp.ops[out_idx].fanout.push((so_idx, 0));
-                fp.outputs.push(FragmentOutput {
-                    stream: node.output,
-                    op: so_idx,
-                });
-            } else {
-                fp.ops[out_idx].external_output = Some(node.output);
-                fp.outputs.push(FragmentOutput {
-                    stream: node.output,
-                    op: out_idx,
-                });
-            }
-        }
-    }
-
-    // Fragment DAG sanity: a fragment may only consume from strictly earlier
-    // fragments or sources (prevents cross-fragment cycles).
-    for fp in &fragments {
-        for input in &fp.inputs {
-            if let StreamOrigin::Fragment(from) = input.origin {
-                if from == fp.id {
-                    return Err(DiagramError::BackwardsEdge { from, to: fp.id });
-                }
-            }
-        }
-    }
-
-    // Delay assignment (§6.3).
-    let max_depth = max_sunion_depth(&fragments);
-    let per_delay = match cfg.assignment {
-        DelayAssignment::Uniform => {
-            let d = cfg.total_delay.as_micros() / max_depth.max(1) as u64;
-            Duration::from_micros((d as f64 * cfg.safety) as u64)
-        }
-        DelayAssignment::Full { effective } => effective,
-    };
-    for fp in &mut fragments {
-        for op in &mut fp.ops {
-            if let OperatorSpec::SUnion(su) = &mut op.spec {
-                su.detect_delay = per_delay;
-                su.delay_budget = per_delay;
-            }
-        }
-    }
-
-    Ok(LogicalPlan {
-        fragments,
-        max_sunion_depth: max_depth,
-        per_sunion_delay: per_delay,
-    })
-}
-
-/// Plans a diagram against a declarative [`DeploymentSpec`]: resolves the
-/// fragment cut by operator name, runs the DPC physical planner, then
-/// applies the **sharding pass** — every fragment with `shards = K > 1` is
-/// cloned into K key-partitioned physical instances:
+/// Plans a diagram against a declarative [`DeploymentSpec`] in one pass:
+/// resolves the fragment cut by operator name, decides the physical
+/// streams, lowers each logical fragment once, and assigns the SUnion
+/// delays (§6.3).
 ///
-/// * each shard's output streams are renamed to per-shard substreams, so
-///   the K instances are complementary producers rather than replicas;
-/// * every downstream consumer's entry SUnion is widened to merge the K
-///   serialized substreams back into one deterministic stream (§4.2's
+/// A fragment with `shards = K > 1` becomes K key-partitioned physical
+/// fragments:
+///
+/// * each shard produces its own substream of every output stream, so the
+///   K instances are complementary producers rather than replicas;
+/// * every consumer's input SUnion has one port per substream and merges
+///   the K serialized substreams back into one deterministic stream (§4.2's
 ///   bucket ordering makes the merge identical on every replica and every
 ///   runtime);
 /// * the shard's [`ShardAssignment`] tells the deployment layer to install
@@ -566,7 +209,8 @@ fn plan_fragments(
 ///
 /// Sharding composes with DPC replication unchanged: each shard is its own
 /// fragment with its own replica set, stagger protocol, and upstream
-/// monitoring.
+/// monitoring. A cut whose fragments feed each other in a cycle is
+/// rejected ([`DiagramError::BackwardsEdge`]).
 pub fn plan_deployment(
     diagram: &Diagram,
     spec: &DeploymentSpec,
@@ -581,234 +225,417 @@ pub fn plan_deployment(
             return Err(DiagramError::ZeroCapacityBuffer(m.name.clone()));
         }
     }
-    let base = plan_fragments(diagram, &assignment, metas.len(), cfg)?;
-    shard_pass(diagram, base, &metas)
-}
+    let frag_of = |op: &OpNode| assignment[op.id.index()].index();
+    let topo = || {
+        diagram
+            .topo_order()
+            .iter()
+            .map(move |id| &diagram.ops()[id.index()])
+    };
 
-/// Expands a logical-fragment plan set into physical fragments, cloning
-/// sharded fragments and rewiring streams (see [`plan_deployment`]).
-fn shard_pass(
-    diagram: &Diagram,
-    base: LogicalPlan,
-    metas: &[FragmentSpec],
-) -> Result<PhysicalPlan, DiagramError> {
-    debug_assert_eq!(base.fragments.len(), metas.len());
-
-    // Physical index ranges, one per logical fragment (one entry per shard).
-    let mut phys_of: Vec<Vec<usize>> = Vec::with_capacity(metas.len());
-    let mut n_phys = 0usize;
-    for m in metas {
-        let k = m.shards.max(1) as usize;
-        phys_of.push((n_phys..n_phys + k).collect());
-        n_phys += k;
-    }
-
-    // Substream allocation: each output stream of a sharded fragment
-    // becomes K fresh streams, one per shard.
-    let mut next_stream = diagram.n_streams() as u32;
-    let mut subs: HashMap<StreamId, Vec<StreamId>> = HashMap::new();
-    let mut sub_producer: HashMap<StreamId, usize> = HashMap::new();
-    for (f, m) in metas.iter().enumerate() {
-        if m.shards <= 1 {
-            continue;
-        }
-        for out in &base.fragments[f].outputs {
-            if diagram.output_streams().contains(&out.stream) {
-                return Err(DiagramError::ShardedOutput(out.stream));
+    let mut streams = Streams {
+        cfg,
+        produced_in: diagram
+            .ops()
+            .iter()
+            .map(|o| (o.output, frag_of(o)))
+            .collect(),
+        uses: HashMap::new(),
+        crosses: diagram.output_streams().iter().copied().collect(),
+        subs: HashMap::new(),
+    };
+    // Streams leave their fragment when another fragment consumes them (or
+    // clients do); `feeds[f]` lists the fragments consuming `f`'s outputs.
+    let mut feeds = vec![Vec::new(); metas.len()];
+    for op in diagram.ops() {
+        let f = frag_of(op);
+        for &s in &op.inputs {
+            *streams.uses.entry((s, f)).or_default() += 1;
+            match streams.produced_in.get(&s) {
+                Some(&from) if from != f => {
+                    streams.crosses.insert(s);
+                    if !feeds[from].contains(&f) {
+                        feeds[from].push(f);
+                    }
+                }
+                _ => {}
             }
-            let ids: Vec<StreamId> = (0..m.shards)
-                .map(|k| {
-                    let s = StreamId(next_stream);
-                    next_stream += 1;
-                    sub_producer.insert(s, phys_of[f][k as usize]);
-                    s
-                })
-                .collect();
-            subs.insert(out.stream, ids);
+        }
+    }
+    if let Some((from, to)) = fragment_cycle(&feeds) {
+        return Err(DiagramError::BackwardsEdge {
+            from: FragmentId(from as u32),
+            to: FragmentId(to as u32),
+        });
+    }
+
+    // Each output of a sharded fragment becomes K fresh substreams,
+    // numbered after the diagram's own streams by fragment, then output
+    // (in topological order), then shard.
+    let mut next = diagram.n_streams() as u32;
+    for (f, m) in metas.iter().enumerate().filter(|(_, m)| m.shards > 1) {
+        for op in topo().filter(|o| frag_of(o) == f && streams.crosses.contains(&o.output)) {
+            if diagram.output_streams().contains(&op.output) {
+                return Err(DiagramError::ShardedOutput(op.output));
+            }
+            let subs = (next..next + m.shards).map(StreamId).collect();
+            streams.subs.insert(op.output, subs);
+            next += m.shards;
         }
     }
 
-    let mut phys: Vec<FragmentPlan> = Vec::with_capacity(n_phys);
-    for (f, m) in metas.iter().enumerate() {
-        let shards = m.shards.max(1);
-        for k in 0..shards {
-            let mut fp = base.fragments[f].clone();
-            fp.id = FragmentId(phys.len() as u32);
-            if shards > 1 {
+    let mut lowered: Vec<Lowering> = (0..metas.len()).map(Lowering::new).collect();
+    for op in topo() {
+        lowered[frag_of(op)].lower(op, &streams)?;
+    }
+
+    let mut fragments = Vec::new();
+    let mut groups = Vec::with_capacity(metas.len());
+    for (lowering, m) in lowered.into_iter().zip(metas) {
+        let first = fragments.len();
+        for index in 0..m.shards.max(1) {
+            let mut fp = lowering.plan.clone();
+            fp.id = FragmentId(fragments.len() as u32);
+            if m.shards > 1 {
                 fp.shard = Some(ShardAssignment {
                     key: m
                         .shard_key
                         .clone()
-                        .expect("FragmentSpec::shards always sets a key"),
-                    count: shards,
-                    index: k,
+                        .expect("FragmentSpec::shards sets a key"),
+                    count: m.shards,
+                    index,
                 });
-                for oi in 0..fp.outputs.len() {
-                    let sub = subs[&fp.outputs[oi].stream][k as usize];
-                    fp.ops[fp.outputs[oi].op].external_output = Some(sub);
-                    fp.outputs[oi].stream = sub;
+                for out in &mut fp.outputs {
+                    out.stream = streams.subs[&out.stream][index as usize];
+                    fp.ops[out.op].external_output = Some(out.stream);
                 }
             }
-            expand_inputs(&mut fp, &subs, &sub_producer, &phys_of);
-            phys.push(fp);
+            fragments.push(fp);
+        }
+        groups.push(PlanGroup {
+            name: m.name,
+            replication: m.replication,
+            fragments: (first..fragments.len()).collect(),
+            per_tuple_cost: m.per_tuple_cost,
+            buffer_policy: m.buffer_policy,
+        });
+    }
+
+    // Delay assignment (§6.3).
+    let max_sunion_depth = max_sunion_depth(&fragments);
+    let per_sunion_delay = match cfg.assignment {
+        DelayAssignment::Uniform => {
+            let d = cfg.total_delay.as_micros() / max_sunion_depth.max(1) as u64;
+            Duration::from_micros((d as f64 * cfg.safety) as u64)
+        }
+        DelayAssignment::Full { effective } => effective,
+    };
+    for op in fragments.iter_mut().flat_map(|fp| &mut fp.ops) {
+        if let OperatorSpec::SUnion(su) = &mut op.spec {
+            su.detect_delay = per_sunion_delay;
+            su.delay_budget = per_sunion_delay;
         }
     }
 
-    let groups = metas
-        .iter()
-        .enumerate()
-        .map(|(f, m)| PlanGroup {
-            name: m.name.clone(),
-            replication: m.replication,
-            shards: m.shards.max(1),
-            fragments: phys_of[f].clone(),
-            per_tuple_cost: m.per_tuple_cost,
-            buffer_policy: m.buffer_policy,
-        })
-        .collect();
-
     Ok(PhysicalPlan {
-        fragments: phys,
+        fragments,
         groups,
-        max_sunion_depth: base.max_sunion_depth,
-        per_sunion_delay: base.per_sunion_delay,
+        max_sunion_depth,
+        per_sunion_delay,
     })
 }
 
-/// Rewrites one physical fragment's external inputs for sharded upstreams:
-/// an input on a sharded stream becomes K inputs, one per substream, and
-/// the receiving SUnion widens accordingly (an SJoin behind it keeps its
-/// left/right split aligned with the widened port set). Origins are
-/// remapped from logical to physical fragment ids.
-///
-/// Only targets that actually consume a sharded stream are renumbered.
-/// Those are always DPC entry SUnions, whose ports are contiguous and all
-/// externally fed; every other target keeps its original ports — in
-/// baseline plans an op may mix locally-fed ports with external bindings,
-/// and renumbering its externals from zero would collide with the local
-/// feeders.
-fn expand_inputs(
-    fp: &mut FragmentPlan,
-    subs: &HashMap<StreamId, Vec<StreamId>>,
-    sub_producer: &HashMap<StreamId, usize>,
-    phys_of: &[Vec<usize>],
-) {
-    let remap_origin = |origin: StreamOrigin| match origin {
-        StreamOrigin::Fragment(lf) => {
-            StreamOrigin::Fragment(FragmentId(phys_of[lf.index()][0] as u32))
+/// The physical streams of a deployment, decided before any fragment is
+/// lowered.
+struct Streams<'a> {
+    cfg: &'a DpcConfig,
+    /// The logical fragment producing each stream (sources: none).
+    produced_in: HashMap<StreamId, usize>,
+    /// How many input ports of a logical fragment's operators read a stream.
+    uses: HashMap<(StreamId, usize), usize>,
+    /// Streams leaving their producing fragment.
+    crosses: HashSet<StreamId>,
+    /// The K substreams of each sharded fragment's outputs.
+    subs: HashMap<StreamId, Vec<StreamId>>,
+}
+
+impl Streams<'_> {
+    fn dpc(&self) -> bool {
+        self.cfg.protection == Protection::Dpc
+    }
+
+    /// Whether `s` enters logical fragment `f` from outside.
+    fn external(&self, s: StreamId, f: usize) -> bool {
+        self.produced_in.get(&s) != Some(&f)
+    }
+
+    /// The physical streams carrying `s`: its substreams, or itself.
+    fn physical<'s>(&'s self, s: &'s StreamId) -> &'s [StreamId] {
+        self.subs
+            .get(s)
+            .map_or(std::slice::from_ref(s), Vec::as_slice)
+    }
+
+    fn sunion(&self, n_inputs: usize, is_input: bool) -> OperatorSpec {
+        // Delays are assigned once the whole plan is known.
+        OperatorSpec::SUnion(SUnionConfig {
+            bucket: self.cfg.bucket,
+            failure_mode: self.cfg.failure_mode,
+            stabilization_mode: self.cfg.stabilization_mode,
+            is_input,
+            ..SUnionConfig::new(n_inputs)
+        })
+    }
+}
+
+/// One logical fragment's physical diagram under construction.
+struct Lowering {
+    fragment: usize,
+    plan: FragmentPlan,
+    /// The op carrying each stream available inside the fragment: its
+    /// producer, or an external stream's entry SUnion.
+    local: HashMap<StreamId, usize>,
+}
+
+impl Lowering {
+    fn new(fragment: usize) -> Lowering {
+        Lowering {
+            fragment,
+            plan: FragmentPlan {
+                id: FragmentId(fragment as u32),
+                ops: Vec::new(),
+                inputs: Vec::new(),
+                outputs: Vec::new(),
+                shard: None,
+            },
+            local: HashMap::new(),
         }
-        o => o,
+    }
+
+    fn push(&mut self, spec: OperatorSpec) -> usize {
+        self.plan.ops.push(PhysOp {
+            spec,
+            fanout: Vec::new(),
+            external_output: None,
+        });
+        self.plan.ops.len() - 1
+    }
+
+    /// An input SUnion over the external `inputs`, one port per physical
+    /// substream, in order.
+    fn entry(&mut self, inputs: &[StreamId], streams: &Streams) -> usize {
+        let ports: Vec<StreamId> = inputs
+            .iter()
+            .flat_map(|s| streams.physical(s))
+            .copied()
+            .collect();
+        let target = self.push(streams.sunion(ports.len(), true));
+        for (port, stream) in ports.into_iter().enumerate() {
+            self.plan.inputs.push(FragmentInput {
+                stream,
+                target,
+                port,
+            });
+        }
+        target
+    }
+
+    /// The op carrying `s` inside the fragment: its local producer, or its
+    /// entry SUnion, created on first use.
+    fn feeder(&mut self, s: StreamId, streams: &Streams) -> usize {
+        if let Some(&idx) = self.local.get(&s) {
+            return idx;
+        }
+        let idx = self.entry(&[s], streams);
+        self.local.insert(s, idx);
+        idx
+    }
+
+    /// Pushes `spec` reading `inputs`, port by port. Each input's feeder is
+    /// materialized first, so ops stay in topological order; in a baseline
+    /// plan an external input binds to the op itself.
+    fn op(&mut self, spec: OperatorSpec, inputs: &[StreamId], streams: &Streams) -> usize {
+        let dpc = streams.dpc();
+        let feeders: Vec<Option<usize>> = inputs
+            .iter()
+            .map(|&s| (dpc || !streams.external(s, self.fragment)).then(|| self.feeder(s, streams)))
+            .collect();
+        let idx = self.push(spec);
+        for (port, (feeder, &stream)) in feeders.into_iter().zip(inputs).enumerate() {
+            match feeder {
+                Some(feeder) => self.plan.ops[feeder].fanout.push((idx, port)),
+                None => self.plan.inputs.push(FragmentInput {
+                    stream,
+                    target: idx,
+                    port,
+                }),
+            }
+        }
+        idx
+    }
+
+    /// Lowers one logical operator of this fragment (operators arrive in
+    /// topological order).
+    fn lower(&mut self, node: &OpNode, streams: &Streams) -> Result<(), DiagramError> {
+        let dpc = streams.dpc();
+        // A multi-input op is the fragment's entry for all of its inputs
+        // when each is external, feeds only this op here, and has no entry
+        // SUnion yet (DPC only).
+        let absorbs = dpc
+            && node.inputs.iter().all(|&s| {
+                streams.external(s, self.fragment)
+                    && streams.uses[&(s, self.fragment)] == 1
+                    && !self.local.contains_key(&s)
+            });
+        let n = node.inputs.len();
+        let out = match &node.op {
+            LogicalOp::Union if absorbs => self.entry(&node.inputs, streams),
+            LogicalOp::Union if dpc => self.op(streams.sunion(n, false), &node.inputs, streams),
+            // Baseline: a plain, non-serializing union.
+            LogicalOp::Union => self.op(OperatorSpec::Union { n_inputs: n }, &node.inputs, streams),
+            LogicalOp::Join(js) => {
+                // An SUnion serializing all inputs (the first is the left
+                // side), then the SJoin. Joins keep their serializer even in
+                // baseline mode — deterministic matching requires it.
+                let (su, left_split) = if absorbs {
+                    let left = streams.physical(&node.inputs[0]).len();
+                    (self.entry(&node.inputs, streams), left)
+                } else {
+                    (self.op(streams.sunion(n, false), &node.inputs, streams), 1)
+                };
+                let join = self.push(OperatorSpec::SJoin(SJoinSpec {
+                    window: js.window,
+                    left_key: js.left_key.clone(),
+                    right_key: js.right_key.clone(),
+                    max_state: js.max_state,
+                    left_split: left_split as u16,
+                }));
+                self.plan.ops[su].fanout.push((join, 0));
+                join
+            }
+            // Identity: no physical operator. The input's feeder stands in
+            // for it — a DPC tap is exactly [entry SUnion, SOutput].
+            LogicalOp::Passthrough if dpc => self.feeder(node.inputs[0], streams),
+            LogicalOp::Passthrough => {
+                return Err(DiagramError::UnprotectedPassthrough(node.output))
+            }
+            LogicalOp::Filter { predicate } => {
+                let spec = OperatorSpec::Filter {
+                    predicate: predicate.clone(),
+                };
+                self.op(spec, &node.inputs, streams)
+            }
+            LogicalOp::Map { outputs } => {
+                let spec = OperatorSpec::Map {
+                    outputs: outputs.clone(),
+                };
+                self.op(spec, &node.inputs, streams)
+            }
+            LogicalOp::Aggregate(a) => {
+                self.op(OperatorSpec::Aggregate(a.clone()), &node.inputs, streams)
+            }
+        };
+        self.local.insert(node.output, out);
+
+        // A stream crossing the fragment boundary leaves through an SOutput
+        // (DPC) or directly from its producing op (baseline).
+        if streams.crosses.contains(&node.output) {
+            let op = if dpc {
+                let so = self.push(OperatorSpec::SOutput);
+                self.plan.ops[out].fanout.push((so, 0));
+                so
+            } else {
+                out
+            };
+            self.plan.ops[op].external_output = Some(node.output);
+            self.plan.outputs.push(FragmentOutput {
+                stream: node.output,
+                op,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// A fragment edge `(from, to)` on a cycle of the fragment graph, if there
+/// is one: `feeds[f]` lists the fragments consuming `f`'s outputs. Such a
+/// cut could never stabilize — each fragment would wait on the other's
+/// corrections.
+fn fragment_cycle(feeds: &[Vec<usize>]) -> Option<(usize, usize)> {
+    let reaches = |start: usize, goal: usize| {
+        let mut seen = vec![false; feeds.len()];
+        let mut stack = vec![start];
+        while let Some(f) = stack.pop() {
+            if f == goal {
+                return true;
+            }
+            if !std::mem::replace(&mut seen[f], true) {
+                stack.extend(&feeds[f]);
+            }
+        }
+        false
     };
-    let sharded_targets: Vec<usize> = fp
-        .inputs
+    feeds
         .iter()
-        .filter(|i| subs.contains_key(&i.stream))
-        .map(|i| i.target)
-        .collect();
-
-    let mut old = std::mem::take(&mut fp.inputs);
-    old.sort_by_key(|i| (i.target, i.port));
-    let mut new_inputs: Vec<FragmentInput> = Vec::with_capacity(old.len());
-    // Per-renumbered-target state: (next port, per-original-port expansion
-    // counts — used to re-aim SJoin split points).
-    let mut per_target: HashMap<usize, (usize, Vec<usize>)> = HashMap::new();
-    for inp in old {
-        if !sharded_targets.contains(&inp.target) {
-            new_inputs.push(FragmentInput {
-                origin: remap_origin(inp.origin),
-                ..inp
-            });
-            continue;
-        }
-        let (next_port, expansion) = per_target.entry(inp.target).or_insert((0, Vec::new()));
-        if let Some(sub_ids) = subs.get(&inp.stream) {
-            expansion.push(sub_ids.len());
-            for sub in sub_ids {
-                new_inputs.push(FragmentInput {
-                    stream: *sub,
-                    target: inp.target,
-                    port: *next_port,
-                    origin: StreamOrigin::Fragment(FragmentId(sub_producer[sub] as u32)),
-                });
-                *next_port += 1;
-            }
-        } else {
-            expansion.push(1);
-            new_inputs.push(FragmentInput {
-                stream: inp.stream,
-                target: inp.target,
-                port: *next_port,
-                origin: remap_origin(inp.origin),
-            });
-            *next_port += 1;
-        }
-    }
-    fp.inputs = new_inputs;
-
-    // Widen the receiving SUnions and re-aim any SJoin split points.
-    for (&target, (n_ports, expansion)) in &per_target {
-        let consumers = fp.ops[target].fanout.clone();
-        if let OperatorSpec::SUnion(su) = &mut fp.ops[target].spec {
-            su.n_inputs = *n_ports;
-        }
-        for (c, _) in consumers {
-            if let OperatorSpec::SJoin(js) = &mut fp.ops[c].spec {
-                // The planner always splits after the first logical input;
-                // with that input expanded to `expansion[0]` substreams the
-                // split moves accordingly.
-                let old_split = js.left_split as usize;
-                let new_split: usize = expansion.iter().take(old_split).sum();
-                js.left_split = new_split as u16;
-            }
-        }
-    }
+        .enumerate()
+        .flat_map(|(from, tos)| tos.iter().map(move |&to| (from, to)))
+        .find(|&(from, to)| reaches(to, from))
 }
 
 /// Longest source→output path measured in SUnion hops, across fragments.
 fn max_sunion_depth(fragments: &[FragmentPlan]) -> usize {
     // Global node = (fragment index, op index). Longest-path DP over the
     // global DAG; depth counts SUnion nodes.
-    let mut memo: HashMap<(usize, usize), usize> = HashMap::new();
+    type Node = (usize, usize);
+    let mut enters: HashMap<StreamId, Vec<Node>> = HashMap::new();
+    for (fi, fp) in fragments.iter().enumerate() {
+        for input in &fp.inputs {
+            enters
+                .entry(input.stream)
+                .or_default()
+                .push((fi, input.target));
+        }
+    }
 
     fn depth(
-        node: (usize, usize),
+        (fi, oi): Node,
         fragments: &[FragmentPlan],
-        memo: &mut HashMap<(usize, usize), usize>,
+        enters: &HashMap<StreamId, Vec<Node>>,
+        memo: &mut HashMap<Node, usize>,
     ) -> usize {
-        if let Some(&d) = memo.get(&node) {
+        if let Some(&d) = memo.get(&(fi, oi)) {
             return d;
         }
-        let (fi, oi) = node;
         let op = &fragments[fi].ops[oi];
-        let own = usize::from(op.spec.is_sunion());
-        let mut best = 0;
-        for &(c, _) in &op.fanout {
-            best = best.max(depth((fi, c), fragments, memo));
-        }
-        if let Some(stream) = op.external_output {
-            // Find fragments consuming this stream.
-            for (cfi, cfp) in fragments.iter().enumerate() {
-                for inp in &cfp.inputs {
-                    if inp.stream == stream {
-                        best = best.max(depth((cfi, inp.target), fragments, memo));
-                    }
-                }
-            }
-        }
-        let d = own + best;
-        memo.insert(node, d);
+        let local = op.fanout.iter().map(|&(c, _)| (fi, c));
+        let remote = op
+            .external_output
+            .iter()
+            .flat_map(|s| enters.get(s))
+            .flatten()
+            .copied();
+        let best = local
+            .chain(remote)
+            .map(|next| depth(next, fragments, enters, memo))
+            .max();
+        let d = usize::from(op.spec.is_sunion()) + best.unwrap_or(0);
+        memo.insert((fi, oi), d);
         d
     }
 
-    let mut max = 0;
-    for (fi, fp) in fragments.iter().enumerate() {
-        for inp in &fp.inputs {
-            if inp.origin == StreamOrigin::Source {
-                max = max.max(depth((fi, inp.target), fragments, &mut memo));
-            }
-        }
-    }
-    max
+    // Paths start at the streams no fragment produces: the sources.
+    let produced: HashSet<StreamId> = fragments
+        .iter()
+        .flat_map(|fp| &fp.outputs)
+        .map(|o| o.stream)
+        .collect();
+    let mut memo = HashMap::new();
+    let starts = enters.iter().filter(|(s, _)| !produced.contains(s));
+    starts
+        .flat_map(|(_, nodes)| nodes)
+        .map(|&node| depth(node, fragments, &enters, &mut memo))
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -816,7 +643,7 @@ mod tests {
     use super::*;
     use crate::graph::JoinSpec;
     use crate::query::QueryBuilder;
-    use borealis_types::Expr;
+    use crate::spec::FragmentSpec;
 
     /// Plans `d` as one fragment.
     fn plan_single(d: &Diagram, cfg: &DpcConfig) -> Result<PhysicalPlan, DiagramError> {
@@ -834,6 +661,13 @@ mod tests {
         LogicalOp::Filter {
             predicate: Expr::Const(borealis_types::Value::Bool(true)),
         }
+    }
+
+    /// The physical fragment whose outputs include `stream`.
+    fn producer(p: &PhysicalPlan, stream: StreamId) -> Option<usize> {
+        p.fragments
+            .iter()
+            .position(|fp| fp.outputs.iter().any(|o| o.stream == stream))
     }
 
     /// The SUnion ops of `fp`.
@@ -901,7 +735,7 @@ mod tests {
         // Fragment 1's input comes from fragment 0.
         let f1p = &p.fragments[1];
         assert_eq!(f1p.inputs.len(), 1);
-        assert_eq!(f1p.inputs[0].origin, StreamOrigin::Fragment(FragmentId(0)));
+        assert_eq!(producer(&p, f1p.inputs[0].stream), Some(0));
         // Fragment 0's output is the crossing stream.
         assert_eq!(p.fragments[0].outputs.len(), 1);
     }
@@ -1032,11 +866,9 @@ mod tests {
         ));
     }
 
-    /// Baseline plans survive the (no-op) sharding pass untouched: an op
-    /// mixing a locally-fed port with a direct external binding keeps its
-    /// original port numbering (regression: expand_inputs used to renumber
-    /// every target's external ports from zero, colliding with the local
-    /// feeder).
+    /// A baseline op mixing a locally-fed port with a direct external
+    /// binding keeps its logical port numbering: the external stream's
+    /// port must not collide with the local feeder's.
     #[test]
     fn baseline_mixed_ports_survive_shard_pass() {
         let mut b = QueryBuilder::new();
@@ -1088,14 +920,8 @@ mod tests {
             .collect();
         assert_eq!(ext.len(), 1);
         assert_eq!(ext[0].0, 1, "external binding keeps port 1");
-        assert_eq!(
-            fb.inputs
-                .iter()
-                .find(|i| i.target == union_idx)
-                .unwrap()
-                .origin,
-            StreamOrigin::Fragment(FragmentId(0))
-        );
+        assert_eq!(producer(&p, up.id()), Some(0));
+        assert_eq!(ext[0].1, up.id().index());
     }
 
     fn sharded_chain_spec(k: u32) -> (Diagram, DeploymentSpec) {
@@ -1130,9 +956,9 @@ mod tests {
         (d, spec)
     }
 
-    /// The sharding pass clones the sharded fragment K ways, renames its
-    /// outputs into per-shard substreams, and widens the downstream entry
-    /// SUnion to merge them.
+    /// A sharded fragment plans as K copies with per-shard output
+    /// substreams, and the downstream entry SUnion has one port per
+    /// substream to merge them.
     #[test]
     fn shard_pass_clones_and_rewires() {
         let (d, spec) = sharded_chain_spec(3);
@@ -1156,7 +982,7 @@ mod tests {
             // The shard consumes the *original* ingest output; partitioning
             // happens on the wire, not by renaming inputs.
             assert_eq!(fp.inputs.len(), 1);
-            assert_eq!(fp.inputs[0].origin, StreamOrigin::Fragment(FragmentId(0)));
+            assert_eq!(producer(&p, fp.inputs[0].stream), Some(0));
         }
         out_streams.sort();
         out_streams.dedup();
@@ -1173,16 +999,13 @@ mod tests {
         assert!(
             matches!(&deliver.ops[target].spec, OperatorSpec::SUnion(c) if c.n_inputs == 3 && c.is_input)
         );
-        // Origins point at the individual shard fragments.
-        let origins: Vec<StreamOrigin> = deliver.inputs.iter().map(|i| i.origin).collect();
-        assert_eq!(
-            origins,
-            vec![
-                StreamOrigin::Fragment(FragmentId(1)),
-                StreamOrigin::Fragment(FragmentId(2)),
-                StreamOrigin::Fragment(FragmentId(3)),
-            ]
-        );
+        // Each port reads one shard fragment's substream.
+        let producers: Vec<Option<usize>> = deliver
+            .inputs
+            .iter()
+            .map(|i| producer(&p, i.stream))
+            .collect();
+        assert_eq!(producers, vec![Some(1), Some(2), Some(3)]);
     }
 
     /// shards = 1 is a plain deployment: no renaming, no filters.
@@ -1192,7 +1015,7 @@ mod tests {
         let p = plan_deployment(&d, &spec, &DpcConfig::default()).unwrap();
         assert_eq!(p.fragments.len(), 3);
         assert!(p.fragments.iter().all(|f| f.shard.is_none()));
-        assert_eq!(p.groups[1].shards, 1);
+        assert_eq!(p.groups[1].fragments.len(), 1);
     }
 
     /// A sharded fragment may not feed clients directly — its substreams
@@ -1267,8 +1090,8 @@ mod tests {
         ));
     }
 
-    /// A join whose left input comes from a sharded upstream keeps its
-    /// left/right split aligned with the widened SUnion port set.
+    /// A join whose left input comes from a sharded upstream splits left
+    /// from right after the left input's substreams.
     #[test]
     fn join_split_follows_shard_expansion() {
         let mut b = QueryBuilder::new();
@@ -1338,5 +1161,35 @@ mod tests {
             .filter(|op| matches!(&op.spec, OperatorSpec::SUnion(c) if c.is_input))
             .count();
         assert_eq!(input_count, 2);
+    }
+
+    /// A cut whose fragments feed each other is rejected: `a` and `c` in
+    /// one fragment, `b` between them in another, would each wait on the
+    /// other's corrections forever.
+    #[test]
+    fn fragment_cycle_rejected() {
+        let mut b = QueryBuilder::new();
+        let s = b.source("s");
+        let a = b.add("a", filter(), &[s]);
+        let m = b.add("b", filter(), &[a]);
+        let c = b.add("c", filter(), &[m]);
+        b.output(c);
+        let d = b.build().unwrap();
+        let spec = DeploymentSpec::new()
+            .fragment(FragmentSpec::named("outer").ops(["a", "c"]))
+            .fragment(FragmentSpec::named("inner").op("b"));
+        for protection in [Protection::Dpc, Protection::Baseline] {
+            let cfg = DpcConfig {
+                protection,
+                ..DpcConfig::default()
+            };
+            assert_eq!(
+                plan_deployment(&d, &spec, &cfg).unwrap_err(),
+                DiagramError::BackwardsEdge {
+                    from: FragmentId(0),
+                    to: FragmentId(1)
+                }
+            );
+        }
     }
 }

@@ -82,4 +82,11 @@ if git grep -nE 'HEAD\.prev|objects/|write_atomic|sync_dir|fn fnv64' -- crates/s
 if git grep -n 'JoinHandle' -- crates/core/src/durable.rs; then fail "one flusher per process"; fi
 if [ "$(git grep -n 'thread::Builder' -- crates/core/src crates/store/src | wc -l)" -gt 1 ]; then git grep -n 'thread::Builder' -- crates/core/src crates/store/src; fail "one flusher per process"; fi
 
+# One planning pass: the physical streams (crossings, shard substreams)
+# are decided before any fragment is lowered, so each fragment is lowered
+# once — the second pass that rewrote the first one's inputs, its
+# intermediate plan, its per-input origin tags and the macros the old
+# lowering was written in stay deleted.
+if git grep -nE 'fn expand_inputs|struct LogicalPlan|StreamOrigin|macro_rules!' -- crates/diagram/src; then fail "one planning pass"; fi
+
 echo "lints: ok"

@@ -1,25 +1,22 @@
 //! # borealis-check
 //!
-//! Model checker and static lints for the borealis concurrency core.
+//! Model checker for the borealis concurrency core.
 //!
-//! Two halves:
+//! **A bounded exhaustive interleaving explorer** ([`explore`]) in the
+//! loom/CHESS style: test code runs on cooperative *virtual threads* (real
+//! OS threads serialized so exactly one runs at a time), every operation on
+//! the virtual sync primitives in [`sync`] is a scheduling point, and the
+//! explorer enumerates schedules depth-first with an iterative *preemption
+//! bound* — a context switch away from a thread that could have kept
+//! running costs one unit of budget; switches at blocking points are free.
+//! Violations (assertion failures, deadlocks, step-limit livelocks) abort
+//! the run with a **replayable trace**: the sequence of branch choices,
+//! which can be fed back through the `BOREALIS_MODEL_REPLAY` environment
+//! variable to re-run exactly the failing schedule under a debugger.
 //!
-//! * **A bounded exhaustive interleaving explorer** ([`explore`]) in the
-//!   loom/CHESS style: test code runs on cooperative *virtual threads*
-//!   (real OS threads serialized so exactly one runs at a time), every
-//!   operation on the virtual sync primitives in [`sync`] is a scheduling
-//!   point, and the explorer enumerates schedules depth-first with an
-//!   iterative *preemption bound* — a context switch away from a thread
-//!   that could have kept running costs one unit of budget; switches at
-//!   blocking points are free. Violations (assertion failures, deadlocks,
-//!   step-limit livelocks) abort the run with a **replayable trace**: the
-//!   sequence of branch choices, which can be fed back through the
-//!   `BOREALIS_MODEL_REPLAY` environment variable to re-run exactly the
-//!   failing schedule under a debugger.
-//! * **A source-level facade lint** ([`lint`], `cargo run -p borealis-check
-//!   --bin lint`): fails the build if `crates/runtime` touches `std::sync`
-//!   anywhere outside its `sync.rs` facade module, which is what keeps the
-//!   runtime model-checkable at all.
+//! The runtime is model-checkable only while `crates/runtime` takes every
+//! sync primitive from its `sync.rs` facade; `scripts/lints.sh` fails on a
+//! direct `std::sync` use anywhere else there.
 //!
 //! Like the `crates/shims/*` crates, this crate has **no dependencies**:
 //! the explorer is plain std. It compiles identically with and without
@@ -37,7 +34,6 @@
 //! firing. Test bodies must be deterministic (no wall clock, no OS
 //! randomness); the explorer fails with a "diverged" violation otherwise.
 
-pub mod lint;
 pub mod sync;
 
 use std::collections::HashMap;

@@ -286,10 +286,9 @@ impl Fragment {
         // 2. Restore operators; SOutput keeps its memory and enters
         //    duplicate-suppression mode instead.
         for (i, snap) in snapshot.iter().enumerate() {
-            if self.ops[i].restore_on_reconcile() {
-                self.ops[i].restore(snap);
-            } else if let Some(so) = self.ops[i].as_soutput_mut() {
-                so.begin_stabilization();
+            match self.ops[i].as_soutput_mut() {
+                Some(so) => so.begin_stabilization(),
+                None => self.ops[i].restore(snap),
             }
             self.op_tainted[i] = false;
             self.queues[i].clear();

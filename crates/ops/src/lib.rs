@@ -217,13 +217,6 @@ pub trait Operator: Send {
         SnapshotCodec::unit()
     }
 
-    /// Whether fragment-wide reconciliation restores this operator. SOutput
-    /// keeps its runtime duplicate-suppression state across reconciliations
-    /// (§4.4.2) and returns `false`.
-    fn restore_on_reconcile(&self) -> bool {
-        true
-    }
-
     /// Downcast hook for the fragment's SUnion-specific plumbing (replay
     /// buffers, correction status).
     fn as_sunion_mut(&mut self) -> Option<&mut SUnion> {

@@ -14,8 +14,8 @@
 //!    Manager that stabilization of this stream finished.
 //!
 //! Unlike every other operator, SOutput is **not** restored during
-//! fragment-wide reconciliation ([`crate::Operator::restore_on_reconcile`]):
-//! its duplicate-suppression memory spans the rollback.
+//! fragment-wide reconciliation: its duplicate-suppression memory spans
+//! the rollback.
 
 use crate::snapshot::SnapshotCodec;
 use crate::{BatchEmitter, OpSnapshot, Operator};
@@ -194,10 +194,6 @@ impl Operator for SOutput {
         self.state = snap.shared::<SOutputState>();
     }
 
-    fn restore_on_reconcile(&self) -> bool {
-        false
-    }
-
     // Reconciliation never restores SOutput, but *durable* restart must:
     // `last_stable` is exactly the duplicate-suppression memory that lets a
     // process restarted from disk replay its inputs without re-emitting
@@ -325,12 +321,6 @@ mod tests {
         run(&mut s, &stable(1));
         let (out, _) = run(&mut s, &stable(2));
         assert_eq!(out, vec![stable(2)], "no tentative suffix, no undo");
-    }
-
-    #[test]
-    fn survives_reconcile_without_restore() {
-        let s = SOutput::new();
-        assert!(!s.restore_on_reconcile());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! borealis_model` the same names resolve to the instrumented virtual
 //! primitives from [`borealis_check::sync`], so the model checker can
 //! enumerate interleavings of the real scheduler/ledger code. The rule is
-//! enforced by a source-level lint (`cargo run -p borealis-check --bin
-//! lint`, run in CI): a direct `std::sync` use outside this module fails
-//! the build, because it would silently escape the model.
+//! enforced by a source-level lint (`scripts/lints.sh`, run in CI): a
+//! direct `std::sync` use outside this module fails the build, because it
+//! would silently escape the model.
 //!
 //! The facade is also where the **poisoned-lock policy** lives: the
 //! runtime's state machines guarantee exclusive access (a task is Running

@@ -38,13 +38,14 @@
 //! against its own fabric, which keeps reachability decisions consistent
 //! without any cross-process coordination.
 //!
-//! **Crashed processes may come back.** Every process keeps its listener
-//! open on a persistent acceptor thread; a respawned worker re-dials the
-//! whole mesh ([`TcpFabric::establish_rejoin`]) and each survivor installs
-//! the fresh connection in the torn slot and marks the rejoiner's actors
-//! back up. The rejoined process recovers its *protocol* state itself
-//! (checkpoint + input-log replay from its durable store, then
-//! re-subscription) — the fabric only restores connectivity.
+//! **One way into the mesh.** From `establish` on, one acceptor thread
+//! hands each accepted socket to a short-lived thread that reads its one
+//! `Hello`, so a silent or stray dialer costs only itself. Every
+//! connection, dialed or accepted, at start or on a rejoin, enters its slot
+//! through `install_conn`. A respawned worker re-dials the whole mesh
+//! ([`TcpFabric::establish_rejoin`]) and recovers its *protocol* state
+//! itself (checkpoint + input-log replay, then re-subscription) — the
+//! fabric only restores connectivity.
 
 use crate::engine::{Hub, ThreadRuntime};
 use crate::scheduler::Envelope;
@@ -56,13 +57,14 @@ use borealis_dpc::{
 use borealis_sim::{FaultEvent, Input, StatsSnapshot};
 use borealis_types::{NodeId, WireGauges};
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Per-connection wire counters (relaxed atomics; exact after shutdown).
+/// The mesh's one set of wire counters (relaxed atomics; exact after
+/// shutdown): a connection a rejoin replaces leaves its traffic counted.
 #[derive(Default)]
-struct ConnGauges {
+struct Counters {
     bytes_sent: AtomicU64,
     bytes_recv: AtomicU64,
     frames_sent: AtomicU64,
@@ -95,7 +97,6 @@ struct Conn {
     /// The peer announced an orderly close (`Goodbye` frame) — a
     /// subsequent EOF is a clean teardown, not a crash.
     peer_goodbye: AtomicBool,
-    g: ConnGauges,
 }
 
 impl Conn {
@@ -111,7 +112,6 @@ impl Conn {
             wake: Condvar::new(),
             alive: AtomicBool::new(true),
             peer_goodbye: AtomicBool::new(false),
-            g: ConnGauges::default(),
         }
     }
 
@@ -147,7 +147,7 @@ impl Conn {
 /// The writer thread: parks until frames are queued, swaps the coalesced
 /// buffer out under the lock, and drains it — every frame queued since the
 /// last flush shares the syscall(s) of this one.
-fn writer_loop(conn: Arc<Conn>) {
+fn writer_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>) {
     let mut local: Vec<u8> = Vec::with_capacity(16 * 1024);
     loop {
         let (frames, closing) = {
@@ -174,9 +174,9 @@ fn writer_loop(conn: Arc<Conn>) {
             };
             local.clear();
             if ok {
-                conn.g.flushes.fetch_add(1, Ordering::Relaxed);
-                conn.g.frames_sent.fetch_add(frames, Ordering::Relaxed);
-                conn.g.bytes_sent.fetch_add(total, Ordering::Relaxed);
+                mesh.g.flushes.fetch_add(1, Ordering::Relaxed);
+                mesh.g.frames_sent.fetch_add(frames, Ordering::Relaxed);
+                mesh.g.bytes_sent.fetch_add(total, Ordering::Relaxed);
             } else {
                 // The reader observes the same torn socket and runs the
                 // reset accounting; the writer just stops.
@@ -209,20 +209,21 @@ pub struct TcpFabric {
     /// `plan[actor index] = process id` — identical in every process.
     plan: Vec<u32>,
     /// Indexed by process id; `None` for `my_proc`. Slots are writable
-    /// because a killed peer process may respawn and re-dial mid-run: the
-    /// acceptor thread installs the fresh connection in place. A holder
-    /// only clones the `Arc` out (or swaps it, on a rejoin).
+    /// because a killed peer process may respawn and re-dial mid-run:
+    /// `install_conn` puts the fresh connection in place. A holder only
+    /// clones the `Arc` out.
     conns: Vec<Mutex<Option<Arc<Conn>>>>,
-    /// Connections replaced by a rejoin, kept for their wire gauges.
-    retired: Mutex<Vec<Arc<Conn>>>,
-    /// The listener, parked here between `establish` and `start_io`
-    /// (which moves it into the acceptor thread).
-    listener: Mutex<Option<TcpListener>>,
     /// The running engine's mailboxes, link fabric and clock; set by
-    /// `start_io`.
+    /// `start_io`. Also the install lock, which `install_conn`, `start_io`
+    /// and `shutdown`'s `closing` store hold throughout.
     hub: Mutex<Option<Arc<Hub>>>,
+    /// Signalled by each install before the engine starts.
+    admitted: Condvar,
+    /// The listener's address: `shutdown` dials it to wake the acceptor.
+    addr: SocketAddr,
     /// Orderly shutdown: stops the acceptor and refuses late installs.
     closing: AtomicBool,
+    g: Counters,
     io: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -235,76 +236,75 @@ impl TcpFabric {
     /// Dial direction is deterministic — the higher process id dials the
     /// lower and identifies itself with a `Hello` frame — so exactly one
     /// connection exists per process pair. Dialing retries with bounded
-    /// exponential backoff for ~10 s (peers may still be binding);
-    /// accepting waits up to 30 s for the `Hello`. No process returns
-    /// until its whole mesh is up, which makes `establish` double as a
-    /// start barrier for multi-process runs.
+    /// exponential backoff for ~10 s (peers may still be binding); the
+    /// acceptor, serving the listener from here on, admits the higher
+    /// peers. No process returns until its whole mesh is up, which makes
+    /// `establish` double as a start barrier for multi-process runs.
     pub fn establish(
         my_proc: u32,
         listener: TcpListener,
         addrs: &[String],
         plan: Vec<u32>,
     ) -> std::io::Result<Arc<TcpFabric>> {
-        let procs = addrs.len() as u32;
-        let mut conns: Vec<Option<Arc<Conn>>> = (0..procs).map(|_| None).collect();
-        // Dial every lower peer, announcing who we are.
-        for p in 0..my_proc {
-            conns[p as usize] = Some(dial_peer(my_proc, p, &addrs[p as usize])?);
-        }
-        // Accept every higher peer; the Hello tells us which one dialed.
-        let higher = procs.saturating_sub(my_proc + 1);
-        for _ in 0..higher {
-            let (stream, _) = listener.accept()?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
-            let peer = read_hello(&stream)?;
-            stream.set_read_timeout(None)?;
-            if peer <= my_proc || peer >= procs || conns[peer as usize].is_some() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("unexpected hello from process {peer}"),
-                ));
-            }
-            conns[peer as usize] = Some(Arc::new(Conn::new(peer, stream)));
-        }
-        Ok(Self::assemble(my_proc, listener, plan, conns))
+        Self::join(my_proc, listener, addrs, plan, 0..my_proc)
     }
 
     /// Establishes the mesh for a process **rejoining** a running system
     /// (a respawned worker): instead of the dial-lower/accept-higher
     /// split, the rejoiner dials *every* peer — each survivor's acceptor
-    /// thread reads the `Hello`, installs the fresh connection in the
-    /// torn slot, and marks the rejoiner's actors back up.
+    /// admits it into the torn slot and marks its actors back up.
     pub fn establish_rejoin(
         my_proc: u32,
         listener: TcpListener,
         addrs: &[String],
         plan: Vec<u32>,
     ) -> std::io::Result<Arc<TcpFabric>> {
-        let procs = addrs.len() as u32;
-        let mut conns: Vec<Option<Arc<Conn>>> = (0..procs).map(|_| None).collect();
-        for p in (0..procs).filter(|p| *p != my_proc) {
-            conns[p as usize] = Some(dial_peer(my_proc, p, &addrs[p as usize])?);
-        }
-        Ok(Self::assemble(my_proc, listener, plan, conns))
+        let peers = (0..addrs.len() as u32).filter(|p| *p != my_proc);
+        Self::join(my_proc, listener, addrs, plan, peers)
     }
 
-    fn assemble(
+    /// Starts the acceptor, dials `dial`, and waits until every peer's
+    /// slot is filled — by a dial or by the acceptor.
+    fn join(
         my_proc: u32,
         listener: TcpListener,
+        addrs: &[String],
         plan: Vec<u32>,
-        conns: Vec<Option<Arc<Conn>>>,
-    ) -> Arc<TcpFabric> {
-        Arc::new(TcpFabric {
+        dial: impl IntoIterator<Item = u32>,
+    ) -> std::io::Result<Arc<TcpFabric>> {
+        let mesh = Arc::new(TcpFabric {
             my_proc,
             plan,
-            conns: conns.into_iter().map(Mutex::new).collect(),
-            retired: Mutex::new(Vec::new()),
-            listener: Mutex::new(Some(listener)),
+            conns: addrs.iter().map(|_| Mutex::new(None)).collect(),
             hub: Mutex::new(None),
+            admitted: Condvar::new(),
+            addr: listener.local_addr()?,
             closing: AtomicBool::new(false),
+            g: Counters::default(),
             io: Mutex::new(Vec::new()),
-        })
+        });
+        let acceptor = Arc::clone(&mesh);
+        relock(&mesh.io).push(
+            std::thread::Builder::new()
+                .name("tcp-acceptor".into())
+                .spawn(move || acceptor_loop(acceptor, listener))?,
+        );
+        for p in dial {
+            match dial_peer(my_proc, p, &addrs[p as usize]) {
+                Ok(stream) => mesh.install_conn(p, stream),
+                Err(e) => {
+                    mesh.shutdown();
+                    return Err(e);
+                }
+            }
+        }
+        let peers = addrs.len().saturating_sub(1);
+        let mut installs = relock(&mesh.hub);
+        while mesh.conns.iter().filter(|c| relock(c).is_some()).count() < peers {
+            installs = cv_wait(&mesh.admitted, installs);
+        }
+        drop(installs);
+        Ok(mesh)
     }
 
     /// True when the plan places `id` in process `proc` — false for an id
@@ -349,7 +349,7 @@ impl TcpFabric {
             if conn.enqueue(|buf| {
                 encode_frame(buf, from, to, &WireMsg::CreditGrant);
             }) {
-                conn.g.grants_sent.fetch_add(1, Ordering::Relaxed);
+                self.g.grants_sent.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -367,7 +367,6 @@ impl TcpFabric {
         if !conn.mark_dead() {
             return;
         }
-        conn.g.resets.fetch_add(1, Ordering::Relaxed);
         let now = hub.clock.now();
         let dead: Vec<NodeId> = self.actors_of(conn.peer_proc).collect();
         let live: Vec<NodeId> = {
@@ -377,7 +376,10 @@ impl TcpFabric {
                 fabric.apply(&FaultEvent::NodeDown(d), now);
             }
             let purged = fabric.stats().flow.purged - purged_before;
-            conn.g.purged.fetch_add(purged, Ordering::Relaxed);
+            self.g.purged.fetch_add(purged, Ordering::Relaxed);
+            // Counted once its peer is down, so a reader of the gauge
+            // finds the accounting done.
+            self.g.resets.fetch_add(1, Ordering::Relaxed);
             self.actors_of(self.my_proc)
                 .filter(|l| fabric.node_up(*l))
                 .collect()
@@ -390,37 +392,25 @@ impl TcpFabric {
         }
     }
 
-    /// Spawns the per-connection reader and writer threads plus the
-    /// persistent acceptor (which admits rejoining peers mid-run). Called
-    /// by the engine once the scheduler exists; incoming frames push
-    /// straight into the destination task's mailbox.
+    /// Publishes the engine's hub and spawns the I/O threads of every
+    /// connection installed so far, under the install lock: a connection
+    /// admitted meanwhile gets its threads exactly once.
     pub(crate) fn start_io(self: &Arc<Self>, hub: Arc<Hub>) {
-        *relock(&self.hub) = Some(Arc::clone(&hub));
-        for slot in &self.conns {
-            let conn = relock(slot).clone();
-            if let Some(conn) = conn {
-                self.spawn_conn_io(&conn, &hub);
-            }
+        let mut installs = relock(&self.hub);
+        for conn in self.conns.iter().filter_map(|c| relock(c).clone()) {
+            self.spawn_conn_io(&conn, &hub);
         }
-        if let Some(listener) = relock(&self.listener).take() {
-            let mesh = Arc::clone(self);
-            relock(&self.io).push(
-                std::thread::Builder::new()
-                    .name("tcp-acceptor".into())
-                    .spawn(move || acceptor_loop(mesh, listener))
-                    .expect("spawn tcp acceptor"),
-            );
-        }
+        *installs = Some(hub);
     }
 
     /// Spawns the writer and reader threads of one connection.
     fn spawn_conn_io(self: &Arc<Self>, conn: &Arc<Conn>, hub: &Arc<Hub>) {
         let mut io = relock(&self.io);
-        let w = Arc::clone(conn);
+        let (mesh, w) = (Arc::clone(self), Arc::clone(conn));
         io.push(
             std::thread::Builder::new()
                 .name(format!("tcp-writer-{}", conn.peer_proc))
-                .spawn(move || writer_loop(w))
+                .spawn(move || writer_loop(mesh, w))
                 .expect("spawn tcp writer"),
         );
         let mesh = Arc::clone(self);
@@ -434,17 +424,15 @@ impl TcpFabric {
         );
     }
 
-    /// Installs a rejoining peer's fresh connection: retires whatever
-    /// occupied the slot (running its crash accounting if the reader had
-    /// not already), marks the peer's actors back up in the link fabric,
-    /// and spawns the new connection's I/O threads. The peer's *protocol*
-    /// recovery — reloading its checkpoint, replaying its input log,
-    /// re-subscribing — happens in the rejoined process itself; survivors
-    /// only need delivery re-enabled, after which heartbeats resume.
+    /// Puts a handshaken connection to `peer`, dialed or accepted, in its
+    /// slot. Before the engine starts, that is all. Once it runs, the peer
+    /// is rejoining: the old connection is torn down (with its crash
+    /// accounting, if its reader had not run it), the peer's actors are
+    /// marked back up — after which heartbeats resume — and the new
+    /// connection's I/O starts. A `Hello` naming this process or none of
+    /// the mesh, or arriving once shutdown began, closes that socket only.
     fn install_conn(self: &Arc<Self>, peer: u32, stream: TcpStream) {
-        let Some(hub) = relock(&self.hub).clone() else {
-            return;
-        };
+        let installs = relock(&self.hub);
         if peer == self.my_proc
             || peer as usize >= self.conns.len()
             || self.closing.load(Ordering::Acquire)
@@ -454,46 +442,39 @@ impl TcpFabric {
         }
         let conn = Arc::new(Conn::new(peer, stream));
         let old = relock(&self.conns[peer as usize]).replace(Arc::clone(&conn));
+        let Some(hub) = installs.as_ref() else {
+            self.admitted.notify_all();
+            return;
+        };
         if let Some(old) = old {
             // Usually already dead (the reader saw the torn socket when
             // the peer was killed); if the kill and the rejoin raced, the
             // crash accounting runs now, before the NodeUp below.
-            self.reset_conn(&old, &hub);
-            relock(&self.retired).push(old);
+            self.reset_conn(&old, hub);
         }
         let now = hub.clock.now();
         for id in self.actors_of(peer) {
             hub.fabric().apply(&FaultEvent::NodeUp(id), now);
         }
-        self.spawn_conn_io(&conn, &hub);
+        self.spawn_conn_io(&conn, hub);
     }
 
-    /// Aggregated wire gauges across every connection, including retired
-    /// ones (a rejoin replaces the `Conn` but its traffic still counts).
+    /// The mesh's wire gauges: its counters, and the connections alive now.
     pub fn wire_gauges(&self) -> WireGauges {
-        let mut w = WireGauges::default();
-        let live: Vec<Arc<Conn>> = self
-            .conns
-            .iter()
-            .filter_map(|slot| relock(slot).clone())
-            .collect();
-        let retired: Vec<Arc<Conn>> = relock(&self.retired).clone();
-        for conn in live.iter().chain(retired.iter()) {
-            if conn.alive.load(Ordering::Acquire) {
-                w.conns += 1;
-            }
-            let g = &conn.g;
-            w.bytes_sent += g.bytes_sent.load(Ordering::Relaxed);
-            w.bytes_recv += g.bytes_recv.load(Ordering::Relaxed);
-            w.frames_sent += g.frames_sent.load(Ordering::Relaxed);
-            w.frames_recv += g.frames_recv.load(Ordering::Relaxed);
-            w.flushes += g.flushes.load(Ordering::Relaxed);
-            w.grants_sent += g.grants_sent.load(Ordering::Relaxed);
-            w.grants_recv += g.grants_recv.load(Ordering::Relaxed);
-            w.purged_frames += g.purged.load(Ordering::Relaxed);
-            w.resets += g.resets.load(Ordering::Relaxed);
+        let conns = self.conns.iter().filter_map(|c| relock(c).clone());
+        let (g, load) = (&self.g, |n: &AtomicU64| n.load(Ordering::Relaxed));
+        WireGauges {
+            conns: conns.filter(|c| c.alive.load(Ordering::Acquire)).count() as u64,
+            bytes_sent: load(&g.bytes_sent),
+            bytes_recv: load(&g.bytes_recv),
+            frames_sent: load(&g.frames_sent),
+            frames_recv: load(&g.frames_recv),
+            flushes: load(&g.flushes),
+            grants_sent: load(&g.grants_sent),
+            grants_recv: load(&g.grants_recv),
+            purged_frames: load(&g.purged),
+            resets: load(&g.resets),
         }
-        w
     }
 
     /// Orderly teardown: stops the acceptor, sends a `Goodbye` on every
@@ -501,7 +482,14 @@ impl TcpFabric {
     /// the I/O threads (each reader exits on its peer's `Goodbye` + EOF,
     /// or was already gone). Idempotent.
     pub fn shutdown(&self) {
-        self.closing.store(true, Ordering::Release);
+        let first = {
+            let _installs = relock(&self.hub);
+            !self.closing.swap(true, Ordering::AcqRel)
+        };
+        if first {
+            // Wakes the acceptor's blocking `accept`; it sees `closing`.
+            let _ = TcpStream::connect(self.addr);
+        }
         for slot in &self.conns {
             let Some(conn) = relock(slot).clone() else {
                 continue;
@@ -537,7 +525,7 @@ impl TcpFabric {
 }
 
 /// Dials one peer and announces ourselves with a `Hello` frame.
-fn dial_peer(my_proc: u32, peer: u32, addr: &str) -> std::io::Result<Arc<Conn>> {
+fn dial_peer(my_proc: u32, peer: u32, addr: &str) -> std::io::Result<TcpStream> {
     let stream = dial_retry(addr)?;
     stream.set_nodelay(true)?;
     let mut hello = Vec::with_capacity(16);
@@ -548,7 +536,7 @@ fn dial_peer(my_proc: u32, peer: u32, addr: &str) -> std::io::Result<Arc<Conn>> 
         &WireMsg::Hello { proc: my_proc },
     );
     (&stream).write_all(&hello)?;
-    Ok(Arc::new(Conn::new(peer, stream)))
+    Ok(stream)
 }
 
 /// Dials `addr`, retrying while the peer's listener comes up (~10 s
@@ -571,34 +559,39 @@ fn dial_retry(addr: &str) -> std::io::Result<TcpStream> {
     }
 }
 
-/// The acceptor thread: admits peers that (re)dial after startup — a
-/// respawned worker process rejoining the mesh. Polls a non-blocking
-/// listener so shutdown can stop it promptly.
-fn acceptor_loop(fabric: Arc<TcpFabric>, listener: TcpListener) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !fabric.closing.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // The Hello read is blocking (with a deadline) — the
-                // accepted socket must not inherit the listener's mode.
-                if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(30)));
-                let Ok(peer) = read_hello(&stream) else {
-                    continue;
-                };
-                let _ = stream.set_read_timeout(None);
-                fabric.install_conn(peer, stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
+/// The acceptor thread, from `establish` to `shutdown`: blocks in
+/// `accept` and hands every accepted socket to a handshake thread of its
+/// own. A failed accept loses that one dialer, not the acceptor.
+fn acceptor_loop(mesh: Arc<TcpFabric>, listener: TcpListener) {
+    loop {
+        let accepted = listener.accept();
+        if mesh.closing.load(Ordering::Acquire) {
+            return;
         }
+        if let Ok((stream, _)) = accepted {
+            let mesh = Arc::clone(&mesh);
+            // Not joined: `shutdown` must not wait out a silent dialer's
+            // deadline, and a handshake ending after it installs nothing.
+            // A failed spawn drops the closure, closing the socket.
+            let _ = std::thread::Builder::new()
+                .name("tcp-handshake".into())
+                .spawn(move || handshake(mesh, stream));
+        }
+    }
+}
+
+/// One accepted socket's handshake: reads its `Hello` under a 30 s
+/// deadline and installs the connection. Anything else closes the socket
+/// (by dropping it); a silent dialer holds this thread and nothing more.
+fn handshake(mesh: Arc<TcpFabric>, stream: TcpStream) {
+    let deadline = Some(std::time::Duration::from_secs(30));
+    let peer = stream
+        .set_nodelay(true)
+        .and_then(|()| stream.set_read_timeout(deadline))
+        .and_then(|()| read_hello(&stream))
+        .and_then(|peer| stream.set_read_timeout(None).map(|()| peer));
+    if let Ok(peer) = peer {
+        mesh.install_conn(peer, stream);
     }
 }
 
@@ -637,7 +630,7 @@ fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
             match decode_frame(&buf[consumed..]) {
                 Ok(Some((from, to, msg, used))) => {
                     consumed += used;
-                    conn.g.frames_recv.fetch_add(1, Ordering::Relaxed);
+                    mesh.g.frames_recv.fetch_add(1, Ordering::Relaxed);
                     match msg {
                         WireMsg::Net(m) if mesh.placed(from, theirs) && mesh.placed(to, ours) => {
                             // Straight into the destination mailbox: the
@@ -650,7 +643,7 @@ fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
                         WireMsg::CreditGrant
                             if mesh.placed(from, ours) && mesh.placed(to, theirs) =>
                         {
-                            conn.g.grants_recv.fetch_add(1, Ordering::Relaxed);
+                            mesh.g.grants_recv.fetch_add(1, Ordering::Relaxed);
                             // The grant names the data link from → to; our
                             // ledger holds its window. Release the next
                             // queued message onto the wire.
@@ -696,7 +689,7 @@ fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
                 return;
             }
             Ok(n) => {
-                conn.g.bytes_recv.fetch_add(n as u64, Ordering::Relaxed);
+                mesh.g.bytes_recv.fetch_add(n as u64, Ordering::Relaxed);
                 buf.extend_from_slice(&scratch[..n]);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -842,17 +835,26 @@ mod tests {
 
     /// Two fabrics over loopback in one OS process. Sequential establish
     /// works because the dialer's connect completes against the
-    /// listener's backlog before accept is called.
-    fn fabric_pair(plan: Vec<u32>) -> (Arc<TcpFabric>, Arc<TcpFabric>) {
+    /// listener's backlog before its acceptor starts. `before` runs with
+    /// the address map ahead of both.
+    fn fabric_pair_after(
+        plan: Vec<u32>,
+        before: impl FnOnce(&[String]),
+    ) -> (Arc<TcpFabric>, Arc<TcpFabric>) {
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
         let addrs = vec![
             l0.local_addr().unwrap().to_string(),
             l1.local_addr().unwrap().to_string(),
         ];
+        before(&addrs);
         let f1 = TcpFabric::establish(1, l1, &addrs, plan.clone()).unwrap();
         let f0 = TcpFabric::establish(0, l0, &addrs, plan).unwrap();
         (f0, f1)
+    }
+
+    fn fabric_pair(plan: Vec<u32>) -> (Arc<TcpFabric>, Arc<TcpFabric>) {
+        fabric_pair_after(plan, |_| {})
     }
 
     /// Sends a burst of data messages to a remote consumer on start.
@@ -880,6 +882,17 @@ mod tests {
             self.seen.fetch_add(1, Ordering::SeqCst);
         }
         fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
+    }
+
+    /// Actor 0 bursts `n` data messages at actor 1; actor 1 is remote.
+    fn sender(n: usize) -> Vec<Box<dyn DpcActor<NetMsg>>> {
+        vec![Box::new(Burst { to: NodeId(1), n }), Box::new(RemoteStub)]
+    }
+
+    /// Actor 1 counts into `seen`; actor 0 is remote.
+    fn counter(seen: &Arc<AtomicUsize>) -> Vec<Box<dyn DpcActor<NetMsg>>> {
+        let seen = Arc::clone(seen);
+        vec![Box::new(RemoteStub), Box::new(Counter { seen })]
     }
 
     fn wait_until(pred: impl Fn() -> bool, ms: u64) -> bool {
@@ -917,34 +930,13 @@ mod tests {
         rt
     }
 
-    #[test]
-    fn window_one_credits_flow_across_the_wire() {
-        // Actor 0 (proc 0) bursts 4 data messages at actor 1 (proc 1)
-        // under Window(1): three queue in proc 0's ledger and release one
-        // by one as CreditGrant frames come back.
-        let (f0, f1) = fabric_pair(vec![0, 1]);
+    /// Actor 0 (proc 0) bursts 4 data messages at actor 1 (proc 1) under
+    /// Window(1): three queue in proc 0's ledger and release one by one as
+    /// CreditGrant frames come back.
+    fn assert_credits_flow(f0: Arc<TcpFabric>, f1: Arc<TcpFabric>) {
         let seen = Arc::new(AtomicUsize::new(0));
-        let rt0 = spawn_proc(
-            &f0,
-            vec![
-                Box::new(Burst {
-                    to: NodeId(1),
-                    n: 4,
-                }),
-                Box::new(RemoteStub),
-            ],
-            CreditPolicy::Window(1),
-        );
-        let rt1 = spawn_proc(
-            &f1,
-            vec![
-                Box::new(RemoteStub),
-                Box::new(Counter {
-                    seen: Arc::clone(&seen),
-                }),
-            ],
-            CreditPolicy::Window(1),
-        );
+        let rt0 = spawn_proc(&f0, sender(4), CreditPolicy::Window(1));
+        let rt1 = spawn_proc(&f1, counter(&seen), CreditPolicy::Window(1));
         assert!(
             wait_until(|| seen.load(Ordering::SeqCst) == 4, 5000),
             "all four data messages must arrive; got {}",
@@ -966,6 +958,27 @@ mod tests {
         let w0 = f0.wire_gauges();
         assert!(w0.grants_recv >= 3, "sender saw the grants: {w0:?}");
         assert!(w0.frames_per_flush() >= 1.0);
+    }
+
+    #[test]
+    fn window_one_credits_flow_across_the_wire() {
+        let (f0, f1) = fabric_pair(vec![0, 1]);
+        assert_credits_flow(f0, f1);
+    }
+
+    /// A stranger ahead of the real peer in process 0's backlog, sending 17
+    /// bytes that are not a `Hello`, loses only its own socket: the mesh
+    /// still comes up.
+    #[test]
+    fn a_stray_dialer_cannot_abort_establish() {
+        let mut stray = None;
+        let (f0, f1) = fabric_pair_after(vec![0, 1], |addrs| {
+            let mut s = TcpStream::connect(&addrs[0]).unwrap();
+            s.write_all(&[0xAB; HELLO_LEN]).unwrap();
+            stray = Some(s);
+        });
+        assert_credits_flow(f0, f1);
+        drop(stray);
     }
 
     /// Every id in a frame header is checked against the plan before the
@@ -1011,27 +1024,8 @@ mod tests {
     fn torn_connection_is_a_crash_with_counted_drops() {
         let (f0, f1) = fabric_pair(vec![0, 1]);
         let seen = Arc::new(AtomicUsize::new(0));
-        let rt0 = spawn_proc(
-            &f0,
-            vec![
-                Box::new(Burst {
-                    to: NodeId(1),
-                    n: 2,
-                }),
-                Box::new(RemoteStub),
-            ],
-            CreditPolicy::Window(1),
-        );
-        let rt1 = spawn_proc(
-            &f1,
-            vec![
-                Box::new(RemoteStub),
-                Box::new(Counter {
-                    seen: Arc::clone(&seen),
-                }),
-            ],
-            CreditPolicy::Window(1),
-        );
+        let rt0 = spawn_proc(&f0, sender(2), CreditPolicy::Window(1));
+        let rt1 = spawn_proc(&f1, counter(&seen), CreditPolicy::Window(1));
         assert!(wait_until(|| seen.load(Ordering::SeqCst) >= 1, 5000));
         // Tear the socket down with no Goodbye: both sides must see a
         // reset, mark the peer's actors down, and count later sends as
@@ -1054,46 +1048,15 @@ mod tests {
         f1.shutdown();
     }
 
-    #[test]
-    fn respawned_peer_rejoins_and_delivers_again() {
-        // Actor 0 lives in proc 1 (the sender), actor 1 in proc 0 (the
-        // counter). Proc 1 dies hard (torn socket), a dialer that is not a
-        // peer holds proc 0's acceptor as long as it can, then a fresh
-        // fabric rejoins through that acceptor — the slot is reinstalled,
-        // the actor marked back up, and deliveries resume.
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addrs = vec![
-            l0.local_addr().unwrap().to_string(),
-            l1.local_addr().unwrap().to_string(),
-        ];
-        let plan = vec![1u32, 0u32];
-        let f1 = TcpFabric::establish(1, l1, &addrs, plan.clone()).unwrap();
-        let f0 = TcpFabric::establish(0, l0, &addrs, plan.clone()).unwrap();
+    /// Actor 0 lives in proc 1 (the sender), actor 1 in proc 0 (the
+    /// counter). After two deliveries proc 1 dies hard — a torn socket, no
+    /// `Goodbye` — and proc 0, returned here, marks its actor down.
+    fn survivor_of_a_kill() -> (Arc<TcpFabric>, ThreadRuntime, Arc<AtomicUsize>) {
+        let (f0, f1) = fabric_pair(vec![1, 0]);
         let seen = Arc::new(AtomicUsize::new(0));
-        let rt0 = spawn_proc(
-            &f0,
-            vec![
-                Box::new(RemoteStub),
-                Box::new(Counter {
-                    seen: Arc::clone(&seen),
-                }),
-            ],
-            CreditPolicy::Window(1),
-        );
-        let rt1 = spawn_proc(
-            &f1,
-            vec![
-                Box::new(Burst {
-                    to: NodeId(1),
-                    n: 2,
-                }),
-                Box::new(RemoteStub),
-            ],
-            CreditPolicy::Window(1),
-        );
+        let rt0 = spawn_proc(&f0, counter(&seen), CreditPolicy::Window(1));
+        let rt1 = spawn_proc(&f1, sender(2), CreditPolicy::Window(1));
         assert!(wait_until(|| seen.load(Ordering::SeqCst) == 2, 5000));
-        // Kill proc 1 the hard way: no Goodbye, proc 0 sees a crash.
         f1.kill(0);
         assert!(
             wait_until(|| !rt0.fabric().node_up(NodeId(0)), 5000),
@@ -1101,10 +1064,31 @@ mod tests {
         );
         rt1.shutdown();
         f1.shutdown();
+        (f0, rt0, seen)
+    }
+
+    /// Respawns proc 1, which rejoins `f0`'s mesh and sends 3 more. (A real
+    /// respawn rebinds its configured address; a fresh port keeps the test
+    /// race-free.) It runs an engine of its own: `f0`'s shutdown waits for
+    /// its `Goodbye`.
+    fn respawn(f0: &TcpFabric) -> (Arc<TcpFabric>, ThreadRuntime) {
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = [f0.addr.to_string(), l1.local_addr().unwrap().to_string()];
+        let f1 = TcpFabric::establish_rejoin(1, l1, &addrs, f0.plan.clone()).unwrap();
+        let rt1 = spawn_proc(&f1, sender(3), CreditPolicy::Window(1));
+        (f1, rt1)
+    }
+
+    #[test]
+    fn respawned_peer_rejoins_and_delivers_again() {
+        // A dialer that is not a peer is closed at once; then a fresh
+        // fabric rejoins through the acceptor — the slot is reinstalled,
+        // the actor marked back up, and deliveries resume.
+        let (f0, rt0, seen) = survivor_of_a_kill();
         // The handshake reads one `Hello`'s 17 bytes and no more: the first
         // 17 bytes of a 1 MiB `Data` frame, then silence, are refused at
-        // once rather than read until the acceptor's 30 s timeout.
-        let mut silent = TcpStream::connect(&addrs[0]).unwrap();
+        // once rather than read until the handshake's 30 s timeout.
+        let mut silent = TcpStream::connect(f0.addr).unwrap();
         let mut head = Vec::new();
         for word in [1u32 << 20, 0, 1] {
             head.extend(word.to_le_bytes()); // len, from, to
@@ -1120,22 +1104,7 @@ mod tests {
             Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
         };
         assert!(closed, "the acceptor closes a non-Hello dialer at once");
-        // Respawn proc 1 (new listener — a real respawn rebinds its
-        // configured address; a fresh port keeps the test race-free).
-        let l1b = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addrs2 = vec![addrs[0].clone(), l1b.local_addr().unwrap().to_string()];
-        let f1b = TcpFabric::establish_rejoin(1, l1b, &addrs2, plan).unwrap();
-        let rt1b = spawn_proc(
-            &f1b,
-            vec![
-                Box::new(Burst {
-                    to: NodeId(1),
-                    n: 3,
-                }),
-                Box::new(RemoteStub),
-            ],
-            CreditPolicy::Window(1),
-        );
+        let (f1b, rt1b) = respawn(&f0);
         assert!(
             wait_until(|| rt0.fabric().node_up(NodeId(0)), 5000),
             "rejoin marks the peer's actors back up"
@@ -1149,6 +1118,30 @@ mod tests {
         assert!(w0.resets >= 1, "the kill counted as a reset: {w0:?}");
         rt1b.shutdown();
         f1b.shutdown();
+        rt0.shutdown();
+        f0.shutdown();
+    }
+
+    /// Two dialers that never finish a handshake — one sends nothing, one
+    /// 3 bytes — each hold only their own handshake thread: the rejoin
+    /// behind them is admitted at once, not after their 30 s deadlines.
+    #[test]
+    fn silent_dialers_do_not_stall_a_rejoin() {
+        let (f0, rt0, seen) = survivor_of_a_kill();
+        let mute = TcpStream::connect(f0.addr).unwrap();
+        let mut partial = TcpStream::connect(f0.addr).unwrap();
+        partial.write_all(&[17, 0, 0]).unwrap();
+        let started = Instant::now();
+        let (f1, rt1) = respawn(&f0);
+        assert!(
+            wait_until(|| rt0.fabric().node_up(NodeId(0)), 3000),
+            "the rejoin waited {:?} behind silent dialers",
+            started.elapsed()
+        );
+        assert!(wait_until(|| seen.load(Ordering::SeqCst) == 5, 5000));
+        drop((mute, partial));
+        rt1.shutdown();
+        f1.shutdown();
         rt0.shutdown();
         f0.shutdown();
     }

@@ -636,22 +636,23 @@ macro_rules! wire_enum {
 /// so wire behavior — bytes moved, how many frames each flush syscall
 /// carried, grant traffic — is measurable, never silent.
 ///
-/// All counters are cumulative over the run, summed across every
-/// connection of the process.
+/// Every counter but `conns` is cumulative over the run, across every
+/// connection the process has had.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WireGauges {
     /// Connections currently established.
     pub conns: u64,
-    /// Payload bytes written to sockets.
+    /// Bytes written to sockets: whole frames, headers included.
     pub bytes_sent: u64,
-    /// Payload bytes read from sockets.
+    /// Bytes read from sockets: whole frames, headers included.
     pub bytes_recv: u64,
     /// Frames encoded and written.
     pub frames_sent: u64,
     /// Frames decoded from the receive stream.
     pub frames_recv: u64,
-    /// Writer flushes (one gathered `write_vectored` pass over the swap
-    /// buffer; `frames_sent / flushes` is the coalescing ratio).
+    /// Writer flushes (one drain of the swapped-out write buffer with as
+    /// few `write` calls as the kernel allows; `frames_sent / flushes` is
+    /// the coalescing ratio).
     pub flushes: u64,
     /// `CreditGrant` frames sent (the wire replacement of the in-process
     /// `Replenish` path).
@@ -673,21 +674,6 @@ impl WireGauges {
         } else {
             self.frames_sent as f64 / self.flushes as f64
         }
-    }
-
-    /// Adds `other`'s counters into `self` (summing per-connection gauges
-    /// into a process-wide snapshot).
-    pub fn absorb(&mut self, other: &WireGauges) {
-        self.conns += other.conns;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_recv += other.bytes_recv;
-        self.frames_sent += other.frames_sent;
-        self.frames_recv += other.frames_recv;
-        self.flushes += other.flushes;
-        self.grants_sent += other.grants_sent;
-        self.grants_recv += other.grants_recv;
-        self.purged_frames += other.purged_frames;
-        self.resets += other.resets;
     }
 }
 
@@ -817,21 +803,12 @@ mod tests {
     }
 
     #[test]
-    fn wire_gauges_absorb_and_ratio() {
-        let mut a = WireGauges {
-            frames_sent: 30,
-            flushes: 10,
+    fn wire_gauges_frames_per_flush() {
+        let a = WireGauges {
+            frames_sent: 40,
+            flushes: 20,
             ..WireGauges::default()
         };
-        let b = WireGauges {
-            frames_sent: 10,
-            flushes: 10,
-            bytes_sent: 100,
-            ..WireGauges::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.frames_sent, 40);
-        assert_eq!(a.bytes_sent, 100);
         assert_eq!(a.frames_per_flush(), 2.0);
         assert_eq!(WireGauges::default().frames_per_flush(), 0.0);
     }

@@ -191,8 +191,9 @@ pub fn run_while(
             let addr = |l: &TcpListener| l.local_addr().expect("bound").to_string();
             let addrs: Vec<String> = listeners.iter().map(addr).collect();
             // Highest share first: a share dials the lower ones, whose
-            // listeners hold the connection until their own `establish`
-            // accepts it — so one thread can bring the whole mesh up.
+            // listeners hold the connection in their backlog until their
+            // own `establish` starts its acceptor and admits it — so one
+            // thread can bring the whole mesh up.
             let mut shares = Vec::new();
             for (p, listener) in listeners.into_iter().enumerate().rev() {
                 let (builder, hub, out) = traced();

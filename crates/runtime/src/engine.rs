@@ -1,6 +1,6 @@
 //! The thread engine: every actor is a schedulable task multiplexed onto a
 //! **fixed pool of worker threads** (per-worker run queues with work
-//! stealing plus a global injector — see [`crate::scheduler`]), each
+//! stealing plus a global injector — see the `scheduler` module), each
 //! worker with a wheel of deadlines against the monotonic clock.
 //!
 //! The engine is a *driver* of the system model in `borealis_sim`, like the
@@ -153,17 +153,27 @@ struct Worker {
     /// produced batch is split once per worker that sends any of it —
     /// usually one — and every other chunk and receiver is a slice of that.
     router: ShardRouter,
+    /// This worker queued frames on the socket mesh since its last flush.
+    unflushed: bool,
 }
 
 impl Worker {
     /// The worker main loop: fire due wheel entries, run one task
-    /// activation, repeat; park (bounded by the wheel's earliest deadline)
-    /// when no task is runnable.
+    /// activation, flush the frames they queued, repeat; park (bounded by
+    /// the wheel's earliest deadline) when no task is runnable.
     fn run(mut self) {
         loop {
             self.fire_due();
-            if let Some(task) = self.hub.sched.pop(self.idx) {
-                self.run_task(&task);
+            let task = self.hub.sched.pop(self.idx);
+            if let Some(task) = &task {
+                self.run_task(task);
+            }
+            if std::mem::take(&mut self.unflushed) {
+                if let Some(tcp) = &self.tcp {
+                    tcp.flush();
+                }
+            }
+            if task.is_some() {
                 continue;
             }
             if self.hub.sched.exiting() {
@@ -182,7 +192,8 @@ impl Worker {
     ///
     /// With a socket mesh, a remote destination changes only that last
     /// hop: admission still debits the **local** ledger (it is the wire
-    /// credit window — see [`crate::tcp`]).
+    /// credit window — see [`crate::tcp`]), and the frame waits in the
+    /// connection's buffer for this worker's flush.
     fn send(&mut self, from: NodeId, to: NodeId, msg: NetMsg, now: Time) {
         let Sent::Go(msg) = self.hub.fabric().send(&mut self.router, from, to, msg, now) else {
             return; // queued awaiting credit, not for this shard, or dropped
@@ -193,6 +204,7 @@ impl Worker {
                 self.hub.sched.push(to, message, Some(self.idx));
             }
             Some(tcp) => {
+                self.unflushed = true;
                 if !tcp.send_net(from, to, msg) {
                     // The connection died between the reachability check
                     // and the enqueue: the frame is lost.
@@ -237,7 +249,10 @@ impl Worker {
     /// frame instead.
     fn return_credit(&mut self, from: NodeId, to: NodeId) {
         match &self.tcp {
-            Some(t) if t.is_remote(from) => t.send_grant(from, to),
+            Some(t) if t.is_remote(from) => {
+                self.unflushed = true;
+                t.send_grant(from, to);
+            }
             _ => {
                 let now = self.hub.clock.now();
                 let hub = &self.hub;
@@ -411,6 +426,7 @@ impl ThreadRuntime {
                     tcp: tcp.clone(),
                     wheel,
                     router: ShardRouter::new(),
+                    unflushed: false,
                 };
                 std::thread::Builder::new()
                     .name(format!("dpc-worker-{idx}"))

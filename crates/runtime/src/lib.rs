@@ -8,7 +8,7 @@
 //! * every actor is a schedulable task: per-worker run queues with work
 //!   stealing, a global injector for cross-worker wakeups, and an
 //!   Idle/Queued/Running state machine so a mailbox push schedules an idle
-//!   actor exactly once (see [`crate::scheduler`]) — thousands of actors
+//!   actor exactly once (see the `scheduler` module) — thousands of actors
 //!   multiplex onto a handful of OS threads;
 //! * `NetMsg::Data` payloads are `Arc`-backed `TupleBatch` views, so
 //!   cross-thread fan-out moves reference counts, not tuples;
@@ -25,10 +25,9 @@
 //!   every mailbox entry is an `Input` of the one `ActorCell::activate`
 //!   step (delivery, timer staleness, incarnations, the credit owed), so
 //!   the fault model and the node model exist once for all three runtimes;
-//! * [`deploy_threads`] launches a runtime-independent
-//!   [`SystemLayout`](borealis_dpc::SystemLayout) — the very object
-//!   `deploy_sim` consumes, its `FaultSpec` schedule already lowered to
-//!   events — and [`deploy_tcp`] launches one process's share of it over a
+//! * [`deploy_threads`] launches a runtime-independent [`SystemLayout`] —
+//!   the very object `deploy_sim` consumes, its `FaultSpec` schedule
+//!   already lowered to events — and [`deploy_tcp`] launches one process's share of it over a
 //!   [`TcpFabric`] socket mesh; the layout's `workers` field sizes the
 //!   pool. These two and `deploy_sim` are the only launchers, and the
 //!   layout stays the topology lookup: the running handles carry the
@@ -44,9 +43,11 @@
 pub mod clock;
 #[cfg(not(borealis_model))]
 pub mod engine;
-// In model builds the engine is compiled out, so the scheduler is
-// reachable only from the model tests — the non-test model build would
-// flag it dead.
+// In model builds the engine and the socket mesh are compiled out, so the
+// scheduler and the outbox are reachable only from the model tests — the
+// non-test model build would flag them dead.
+#[cfg_attr(borealis_model, allow(dead_code))]
+mod outbox;
 #[cfg_attr(borealis_model, allow(dead_code))]
 pub(crate) mod scheduler;
 pub mod sync;
@@ -55,7 +56,7 @@ pub mod tcp;
 
 // Model builds (`--cfg borealis_model`) swap the sync facade for the
 // virtual primitives of `borealis-check` and compile only the protocol
-// cores the model tests exercise (scheduler, shared fabric); the
+// cores the model tests exercise (scheduler, shared fabric, outbox); the
 // real OS-thread engine and TCP mesh need wall clocks and sockets, which
 // have no meaning under the interleaving explorer.
 #[cfg(all(test, borealis_model))]

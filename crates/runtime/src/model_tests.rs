@@ -4,7 +4,7 @@
 //!
 //! Every test explores *all* thread interleavings up to the preemption
 //! bound (2 — the CHESS observation: almost all real concurrency bugs
-//! need at most two preemptive switches). Five protocols are covered:
+//! need at most two preemptive switches). Six protocols are covered:
 //!
 //! 1. the mailbox queued-exactly-once state machine ([`Scheduler::push`]);
 //! 2. [`IdleLot`] token parking (no lost wakeup, token bank capped);
@@ -15,7 +15,10 @@
 //!    purged send counted exactly once as a delivery drop);
 //! 5. credit release vs link order ([`Scheduler::release_credit`]: two
 //!    threads returning credits of one link deliver the released messages
-//!    in ledger order).
+//!    in ledger order);
+//! 6. the socket outbox's flush role ([`Outbox::flush`]: frames appended
+//!    by concurrent senders, each flushing its own, are written exactly
+//!    once, in each sender's order, and none is left behind).
 //!
 //! Each protocol also has a **seeded-bug twin**: a compact
 //! reimplementation with one critical line mutated the way a plausible
@@ -23,6 +26,7 @@
 //! the explorer *detects* the class of bug the real code avoids, and
 //! printing the replayable trace a real regression would produce.
 
+use crate::outbox::{Outbox, Sink};
 use crate::scheduler::{Envelope, IdleLot, Scheduler};
 use crate::sync::{relock, Arc, AtomicU64, Condvar, Mutex, Ordering};
 use crate::SharedFabric;
@@ -544,4 +548,169 @@ fn model_panic_containment_stops_mailbox_not_worker() {
         assert!(healthy.pop_envelope().is_none());
     });
     report("panic_containment_stops_mailbox_not_worker", r);
+}
+
+// ---------------------------------------------------------------------------
+// Protocol 6: the outbox's flush role
+// ---------------------------------------------------------------------------
+
+/// An in-memory sink that takes at most three bytes a `write` — a chunk of
+/// two-byte frames crosses several calls — and times out on call
+/// `refuse`, the way a socket whose peer stopped reading does.
+struct Recorder {
+    written: Mutex<Vec<u8>>,
+    calls: AtomicU64,
+    refuse: u64,
+}
+
+impl Recorder {
+    fn new(refuse: Option<u64>) -> Recorder {
+        let (written, calls) = (Mutex::new(Vec::new()), AtomicU64::new(0));
+        let refuse = refuse.unwrap_or(u64::MAX);
+        Recorder {
+            written,
+            calls,
+            refuse,
+        }
+    }
+
+    /// The frames written, as `(sender, sequence number)` pairs.
+    fn frames(&self) -> Vec<(u8, u8)> {
+        let written = relock(&self.written);
+        written.chunks(2).map(|f| (f[0], f[1])).collect()
+    }
+}
+
+impl Sink for Recorder {
+    fn write(&self, bytes: &[u8]) -> std::io::Result<usize> {
+        if self.calls.fetch_add(1, Ordering::SeqCst) == self.refuse {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        let n = bytes.len().min(3);
+        relock(&self.written).extend_from_slice(&bytes[..n]);
+        Ok(n)
+    }
+
+    fn close(&self) {}
+}
+
+/// Two senders each append two frames `[sender, n]` and flush after each,
+/// as a worker does after an activation; the sink refuses its call
+/// `refuse`, if any. Returns the outbox once both have returned.
+fn outbox_race(refuse: Option<u64>) -> Arc<Outbox<Recorder>> {
+    let out = Arc::new(Outbox::new(Recorder::new(refuse)));
+    let sender = |id: u8| {
+        let out = Arc::clone(&out);
+        thread::spawn(move || {
+            for n in 0..2 {
+                assert!(out.append(|buf| buf.extend([id, n])));
+                out.flush();
+            }
+        })
+    };
+    let (a, b) = (sender(1), sender(2));
+    a.join();
+    b.join();
+    out
+}
+
+/// Each sender's frames appear exactly once and in its order.
+fn assert_each_once_in_order(frames: &[(u8, u8)]) {
+    assert_eq!(frames.len(), 4, "a frame lost or doubled: {frames:?}");
+    for id in [1, 2] {
+        let mine: Vec<u8> = frames.iter().filter(|f| f.0 == id).map(|f| f.1).collect();
+        assert_eq!(mine, [0, 1], "sender {id}'s frames: {frames:?}");
+    }
+}
+
+/// Two senders race for the flush role: whoever loses it leaves its frames
+/// to the holder, which re-checks the buffer under the lock hold that
+/// gives the role up — so once both return, every frame is written
+/// exactly once, each sender's in order, and nothing is left queued.
+#[test]
+fn model_outbox_writes_each_frame_once_in_order() {
+    let r = explore(Opts::default(), || {
+        let out = outbox_race(None);
+        assert_eq!(out.pending(), 0, "a frame stranded in the buffer");
+        assert_each_once_in_order(&out.sink().frames());
+    });
+    report("outbox_writes_each_frame_once_in_order", r);
+}
+
+/// The same race against a sink that times out once, mid-chunk in some
+/// interleavings: the unwritten tail stays at the head of the buffer,
+/// ahead of frames appended meanwhile, and the next flush — a reader's,
+/// once the peer reads again — writes it and everything behind it.
+#[test]
+fn model_outbox_resumes_a_stalled_tail_in_order() {
+    let r = explore(Opts::default(), || {
+        let out = outbox_race(Some(1));
+        out.flush();
+        assert_eq!(out.pending(), 0, "the resumed flush left bytes");
+        assert_each_once_in_order(&out.sink().frames());
+    });
+    report("outbox_resumes_a_stalled_tail_in_order", r);
+}
+
+/// Seeded-bug twin of [`Outbox::flush`]: the holder finds the buffer empty
+/// in one critical section and gives the role up in the next (the real
+/// code does both under one lock hold). A sender appending in the gap sees
+/// the role taken and leaves its frame to a holder that is already gone:
+/// the frame is stranded.
+#[test]
+fn model_outbox_release_after_recheck_twin_strands_a_frame() {
+    struct TwinOutbox {
+        /// (queued bytes, flush role held).
+        q: Mutex<(Vec<u8>, bool)>,
+        sink: Recorder,
+    }
+    impl TwinOutbox {
+        fn buggy_flush(&self) {
+            {
+                let mut q = relock(&self.q);
+                if q.1 {
+                    return;
+                }
+                q.1 = true;
+            }
+            loop {
+                let chunk = std::mem::take(&mut relock(&self.q).0);
+                if chunk.is_empty() {
+                    // BUG: the role is given up in a second critical
+                    // section, after the one that found nothing queued.
+                    relock(&self.q).1 = false;
+                    return;
+                }
+                let mut off = 0;
+                while off < chunk.len() {
+                    off += self.sink.write(&chunk[off..]).expect("never refuses");
+                }
+            }
+        }
+    }
+    let msg = explore_expect_violation(Opts::default(), || {
+        let out = Arc::new(TwinOutbox {
+            q: Mutex::new((Vec::new(), false)),
+            sink: Recorder::new(None),
+        });
+        let sender = |id: u8| {
+            let out = Arc::clone(&out);
+            thread::spawn(move || {
+                relock(&out.q).0.extend([id, 0]);
+                out.buggy_flush();
+            })
+        };
+        let (a, b) = (sender(1), sender(2));
+        a.join();
+        b.join();
+        assert!(
+            relock(&out.q).0.is_empty(),
+            "a frame stranded in the buffer"
+        );
+    });
+    assert!(
+        msg.contains("BOREALIS_MODEL_REPLAY"),
+        "violation trace is replayable: {msg}"
+    );
+    println!("seeded stranded-frame trace:\n{msg}");
 }

@@ -3,15 +3,26 @@
 //!
 //! Each process runs the same worker-pool engine ([`crate::engine`]) over
 //! the *same* actor id space; a process plan (`actor index → process`)
-//! decides which actors are live locally and which are inert
-//! [`RemoteStub`]s. Sends to remote actors are encoded **straight from the
-//! `Arc`'d batch into the destination connection's shared write buffer**
-//! (`borealis_dpc::encode_frame` appends in place — no intermediate
-//! message allocation), where they coalesce with every other frame queued
-//! since the last flush; a dedicated writer thread swaps the buffer out
-//! under the lock and drains it with as few `write` syscalls as the kernel
-//! allows, so heartbeats, acks, and grants amortize into one syscall
-//! (see [`WireGauges::frames_per_flush`]).
+//! decides which actors are live locally and which are inert stubs. Sends
+//! to remote actors are encoded **straight from the `Arc`'d batch into the
+//! destination connection's write buffer** (`borealis_dpc::encode_frame`
+//! appends in place — no intermediate message allocation), where they
+//! coalesce with every other frame queued since the last flush.
+//!
+//! **Senders flush their own frames.** Appending wakes nobody. Whoever
+//! filled a buffer drains it: a pool worker after each activation that
+//! queued a frame and before it parks (which covers grants its wheel
+//! returned), a connection's reader after each read (which covers the
+//! messages a grant released), and the teardown. One caller at a time holds
+//! the flush role; one that finds it taken leaves its bytes to the holder
+//! (the `outbox` module, model-checked), so heartbeats, acks and grants
+//! share `write` calls (see [`WireGauges::frames_per_flush`]). Every socket
+//! carries a short write timeout: a peer that stops reading costs a flusher
+//! that timeout, and the unwritten tail waits at the head of the buffer for
+//! the next flush — in practice the reader's, once the peer's grants show
+//! it consuming again. A process runs its pool's workers, one acceptor and
+//! one reader per peer: a durable worker of a three-process mesh, with its
+//! two pool workers and the durability flusher, runs 7 OS threads.
 //!
 //! **Credits cross the wire.** The sending process's link
 //! [`Fabric`](borealis_sim::Fabric) holds the credit ledger, and that ledger
@@ -48,6 +59,7 @@
 //! fabric only restores connectivity.
 
 use crate::engine::{Hub, ThreadRuntime};
+use crate::outbox::{Drained, Outbox, Sink};
 use crate::scheduler::Envelope;
 use crate::sync::{cv_wait, relock};
 use crate::sync::{Arc, AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
@@ -76,22 +88,28 @@ struct Counters {
     resets: AtomicU64,
 }
 
-/// The coalescing write buffer of one connection: frames append here under
-/// the lock and the writer thread swaps the whole thing out per flush.
-struct WriteSide {
-    buf: Vec<u8>,
-    frames: u64,
-    /// Orderly shutdown requested: flush what is queued (the last frame is
-    /// the `Goodbye`), then shut the write half down.
-    closing: bool,
+/// How long one `write` may wait on a peer that is not reading before the
+/// flush gives up and leaves the rest queued (module docs).
+const WRITE_STALL: std::time::Duration = std::time::Duration::from_millis(5);
+
+/// Bytes a reader makes room for behind the undecoded ones before it reads.
+const READ_CHUNK: usize = 64 * 1024;
+
+impl Sink for TcpStream {
+    fn write(&self, bytes: &[u8]) -> std::io::Result<usize> {
+        Write::write(&mut &*self, bytes)
+    }
+
+    fn close(&self) {
+        let _ = self.shutdown(Shutdown::Write);
+    }
 }
 
 /// One established connection to a peer process.
 struct Conn {
     peer_proc: u32,
-    stream: TcpStream,
-    write: Mutex<WriteSide>,
-    wake: Condvar,
+    /// The socket, behind its write buffer and flush role.
+    out: Outbox<TcpStream>,
     /// Cleared exactly once, by reset or clean close.
     alive: AtomicBool,
     /// The peer announced an orderly close (`Goodbye` frame) — a
@@ -103,90 +121,22 @@ impl Conn {
     fn new(peer_proc: u32, stream: TcpStream) -> Conn {
         Conn {
             peer_proc,
-            stream,
-            write: Mutex::new(WriteSide {
-                buf: Vec::with_capacity(16 * 1024),
-                frames: 0,
-                closing: false,
-            }),
-            wake: Condvar::new(),
+            out: Outbox::new(stream),
             alive: AtomicBool::new(true),
             peer_goodbye: AtomicBool::new(false),
         }
     }
 
-    /// Appends one frame to the shared write buffer (the closure encodes
-    /// in place — zero intermediate copies) and wakes the writer. Refused
+    fn stream(&self) -> &TcpStream {
+        self.out.sink()
+    }
+
+    /// Appends one frame to the write buffer (the closure encodes in place
+    /// — zero intermediate copies); a flush puts it on the wire. Refused
     /// (`false`) once the connection is dead or closing: the frame is a
     /// counted drop at the caller.
     fn enqueue(&self, encode: impl FnOnce(&mut Vec<u8>)) -> bool {
-        let mut ws = relock(&self.write);
-        if !self.alive.load(Ordering::Acquire) || ws.closing {
-            return false;
-        }
-        encode(&mut ws.buf);
-        ws.frames += 1;
-        drop(ws);
-        self.wake.notify_one();
-        true
-    }
-
-    /// Marks the connection dead and unblocks the writer. Returns `true`
-    /// exactly once — the caller owning that edge runs the crash
-    /// accounting.
-    fn mark_dead(&self) -> bool {
-        let was_alive = self.alive.swap(false, Ordering::AcqRel);
-        let mut ws = relock(&self.write);
-        ws.closing = true;
-        drop(ws);
-        self.wake.notify_all();
-        was_alive
-    }
-}
-
-/// The writer thread: parks until frames are queued, swaps the coalesced
-/// buffer out under the lock, and drains it — every frame queued since the
-/// last flush shares the syscall(s) of this one.
-fn writer_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>) {
-    let mut local: Vec<u8> = Vec::with_capacity(16 * 1024);
-    loop {
-        let (frames, closing) = {
-            let mut ws = relock(&conn.write);
-            while ws.buf.is_empty() && !ws.closing {
-                ws = cv_wait(&conn.wake, ws);
-            }
-            std::mem::swap(&mut local, &mut ws.buf);
-            (std::mem::take(&mut ws.frames), ws.closing)
-        };
-        if !local.is_empty() {
-            let total = local.len() as u64;
-            let mut off = 0usize;
-            let ok = loop {
-                if off >= local.len() {
-                    break true;
-                }
-                match (&conn.stream).write(&local[off..]) {
-                    Ok(0) => break false,
-                    Ok(n) => off += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => break false,
-                }
-            };
-            local.clear();
-            if ok {
-                mesh.g.flushes.fetch_add(1, Ordering::Relaxed);
-                mesh.g.frames_sent.fetch_add(frames, Ordering::Relaxed);
-                mesh.g.bytes_sent.fetch_add(total, Ordering::Relaxed);
-            } else {
-                // The reader observes the same torn socket and runs the
-                // reset accounting; the writer just stops.
-                return;
-            }
-        }
-        if closing {
-            let _ = conn.stream.shutdown(Shutdown::Write);
-            return;
-        }
+        self.alive.load(Ordering::Acquire) && self.out.append(encode)
     }
 }
 
@@ -354,6 +304,38 @@ impl TcpFabric {
         }
     }
 
+    /// Flushes every connection: a worker's call after an activation that
+    /// queued frames, and before it parks.
+    pub(crate) fn flush(&self) {
+        for slot in &self.conns {
+            let conn = relock(slot).clone();
+            if let Some(conn) = conn {
+                self.flush_conn(&conn);
+            }
+        }
+    }
+
+    fn flush_conn(&self, conn: &Conn) {
+        self.count(conn.out.flush());
+    }
+
+    fn count(&self, d: Drained) {
+        if d != Drained::default() {
+            self.g.flushes.fetch_add(d.flushes, Ordering::Relaxed);
+            self.g.frames_sent.fetch_add(d.frames, Ordering::Relaxed);
+            self.g.bytes_sent.fetch_add(d.bytes, Ordering::Relaxed);
+        }
+    }
+
+    /// Marks `conn` dead, then flushes what is queued on it and closes its
+    /// write half. Returns `true` exactly once — the caller owning that
+    /// edge runs the crash accounting.
+    fn mark_dead(&self, conn: &Conn) -> bool {
+        let was_alive = conn.alive.swap(false, Ordering::AcqRel);
+        self.count(conn.out.close(|_| {}));
+        was_alive
+    }
+
     /// Crash accounting for a torn connection: every actor of the dead
     /// peer process goes `NodeDown` in the local fabric (queued
     /// credit-stalled sends purge as counted delivery drops; later sends
@@ -364,7 +346,7 @@ impl TcpFabric {
     /// longer knows them — a dangling subscription that silences the
     /// stream forever.
     fn reset_conn(&self, conn: &Conn, hub: &Hub) {
-        if !conn.mark_dead() {
+        if !self.mark_dead(conn) {
             return;
         }
         let now = hub.clock.now();
@@ -392,31 +374,23 @@ impl TcpFabric {
         }
     }
 
-    /// Publishes the engine's hub and spawns the I/O threads of every
+    /// Publishes the engine's hub and spawns the reader of every
     /// connection installed so far, under the install lock: a connection
-    /// admitted meanwhile gets its threads exactly once.
+    /// admitted meanwhile gets its reader exactly once.
     pub(crate) fn start_io(self: &Arc<Self>, hub: Arc<Hub>) {
         let mut installs = relock(&self.hub);
         for conn in self.conns.iter().filter_map(|c| relock(c).clone()) {
-            self.spawn_conn_io(&conn, &hub);
+            self.spawn_reader(&conn, &hub);
         }
         *installs = Some(hub);
     }
 
-    /// Spawns the writer and reader threads of one connection.
-    fn spawn_conn_io(self: &Arc<Self>, conn: &Arc<Conn>, hub: &Arc<Hub>) {
-        let mut io = relock(&self.io);
-        let (mesh, w) = (Arc::clone(self), Arc::clone(conn));
-        io.push(
-            std::thread::Builder::new()
-                .name(format!("tcp-writer-{}", conn.peer_proc))
-                .spawn(move || writer_loop(mesh, w))
-                .expect("spawn tcp writer"),
-        );
+    /// Spawns the reader thread of one connection.
+    fn spawn_reader(self: &Arc<Self>, conn: &Arc<Conn>, hub: &Arc<Hub>) {
         let mesh = Arc::clone(self);
         let conn = Arc::clone(conn);
         let hub = Arc::clone(hub);
-        io.push(
+        relock(&self.io).push(
             std::thread::Builder::new()
                 .name(format!("tcp-reader-{}", conn.peer_proc))
                 .spawn(move || reader_loop(mesh, conn, hub))
@@ -429,13 +403,15 @@ impl TcpFabric {
     /// is rejoining: the old connection is torn down (with its crash
     /// accounting, if its reader had not run it), the peer's actors are
     /// marked back up — after which heartbeats resume — and the new
-    /// connection's I/O starts. A `Hello` naming this process or none of
-    /// the mesh, or arriving once shutdown began, closes that socket only.
+    /// connection's reader starts. A `Hello` naming this process or none of
+    /// the mesh, or arriving once shutdown began, closes that socket only,
+    /// as does a socket that refuses its write timeout.
     fn install_conn(self: &Arc<Self>, peer: u32, stream: TcpStream) {
         let installs = relock(&self.hub);
         if peer == self.my_proc
             || peer as usize >= self.conns.len()
             || self.closing.load(Ordering::Acquire)
+            || stream.set_write_timeout(Some(WRITE_STALL)).is_err()
         {
             let _ = stream.shutdown(Shutdown::Both);
             return;
@@ -456,7 +432,7 @@ impl TcpFabric {
         for id in self.actors_of(peer) {
             hub.fabric().apply(&FaultEvent::NodeUp(id), now);
         }
-        self.spawn_conn_io(&conn, hub);
+        self.spawn_reader(&conn, hub);
     }
 
     /// The mesh's wire gauges: its counters, and the connections alive now.
@@ -478,9 +454,10 @@ impl TcpFabric {
     }
 
     /// Orderly teardown: stops the acceptor, sends a `Goodbye` on every
-    /// live connection, flushes, shuts the write halves down, and joins
-    /// the I/O threads (each reader exits on its peer's `Goodbye` + EOF,
-    /// or was already gone). Idempotent.
+    /// live connection, flushes, shuts the write halves down (a reader
+    /// holding the flush role does so as it lets go), and joins the I/O
+    /// threads (each reader exits on its peer's `Goodbye` + EOF, or was
+    /// already gone). Idempotent.
     pub fn shutdown(&self) {
         let first = {
             let _installs = relock(&self.hub);
@@ -494,19 +471,12 @@ impl TcpFabric {
             let Some(conn) = relock(slot).clone() else {
                 continue;
             };
-            let mut ws = relock(&conn.write);
-            if conn.alive.load(Ordering::Acquire) && !ws.closing {
-                encode_frame(
-                    &mut ws.buf,
-                    NodeId(self.my_proc),
-                    NodeId(conn.peer_proc),
-                    &WireMsg::Goodbye,
-                );
-                ws.frames += 1;
-                ws.closing = true;
+            if conn.alive.load(Ordering::Acquire) {
+                let (me, peer) = (NodeId(self.my_proc), NodeId(conn.peer_proc));
+                let goodbye =
+                    |buf: &mut Vec<u8>| _ = encode_frame(buf, me, peer, &WireMsg::Goodbye);
+                self.count(conn.out.close(goodbye));
             }
-            drop(ws);
-            conn.wake.notify_all();
         }
         let handles: Vec<JoinHandle<()>> = relock(&self.io).drain(..).collect();
         for h in handles {
@@ -519,7 +489,7 @@ impl TcpFabric {
     #[cfg(test)]
     pub(crate) fn kill(&self, proc: u32) {
         if let Some(conn) = relock(&self.conns[proc as usize]).clone() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
+            let _ = conn.stream().shutdown(Shutdown::Both);
         }
     }
 }
@@ -616,18 +586,20 @@ fn read_hello(mut stream: &TcpStream) -> std::io::Result<u32> {
     }
 }
 
-/// The reader thread: grows a decode buffer from large reads, dispatches
-/// every complete frame, and translates the connection's end into either
-/// a clean close or a crash.
+/// The reader thread: reads straight into its decode buffer, dispatches
+/// every complete frame, flushes the connection, and translates the
+/// connection's end into either a clean close or a crash.
 fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
+    // `buf[..filled]` holds the bytes of frames not yet whole; each read
+    // lands right behind them.
+    let mut buf = vec![0u8; READ_CHUNK];
+    let mut filled = 0usize;
     let (ours, theirs) = (mesh.my_proc, conn.peer_proc);
     loop {
         // Drain every complete frame before reading more.
         let mut consumed = 0usize;
         loop {
-            match decode_frame(&buf[consumed..]) {
+            match decode_frame(&buf[consumed..filled]) {
                 Ok(Some((from, to, msg, used))) => {
                     consumed += used;
                     mesh.g.frames_recv.fetch_add(1, Ordering::Relaxed);
@@ -676,13 +648,18 @@ fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
                 }
             }
         }
-        if consumed > 0 {
-            buf.drain(..consumed);
+        // The messages the grants just read released, and a tail a stalled
+        // flush left: the peer is reading again.
+        mesh.flush_conn(&conn);
+        buf.copy_within(consumed..filled, 0);
+        filled -= consumed;
+        if buf.len() - filled < READ_CHUNK / 2 {
+            buf.resize(filled + READ_CHUNK, 0);
         }
-        match (&conn.stream).read(&mut scratch) {
+        match conn.stream().read(&mut buf[filled..]) {
             Ok(0) => {
                 if conn.peer_goodbye.load(Ordering::Acquire) {
-                    conn.mark_dead();
+                    mesh.mark_dead(&conn);
                 } else {
                     mesh.reset_conn(&conn, &hub);
                 }
@@ -690,7 +667,7 @@ fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
             }
             Ok(n) => {
                 mesh.g.bytes_recv.fetch_add(n as u64, Ordering::Relaxed);
-                buf.extend_from_slice(&scratch[..n]);
+                filled += n;
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => {
@@ -823,7 +800,9 @@ pub fn deploy_tcp(layout: SystemLayout, fabric: Arc<TcpFabric>) -> RunningTcp {
 mod tests {
     use super::*;
     use crate::sync::AtomicUsize;
-    use borealis_types::{CreditPolicy, Duration, StreamId, Time, Tuple, TupleBatch, TupleId};
+    use borealis_types::{
+        CreditPolicy, Duration, StreamId, Time, Tuple, TupleBatch, TupleId, Value,
+    };
     use std::collections::HashSet;
 
     fn data_msg() -> NetMsg {
@@ -1010,6 +989,7 @@ mod tests {
             let rt1 = spawn_proc(&f1, actors(counter), CreditPolicy::Window(1));
             let conn = relock(&f0.conns[1]).clone().expect("mesh is up");
             assert!(conn.enqueue(|buf| _ = encode_frame(buf, NodeId(from), NodeId(to), &msg)));
+            f0.flush_conn(&conn);
             let reset = wait_until(|| f1.wire_gauges().resets > 0, 3000);
             rt1.shutdown(); // panics naming any actor that panicked
             assert!(reset, "{case}: the receiver resets the connection");
@@ -1018,6 +998,122 @@ mod tests {
             f0.shutdown();
             f1.shutdown();
         }
+    }
+
+    /// Sends one data message to a remote actor on every tick of a 10 ms
+    /// timer — numbered through its stream id, and `big` tuples long while
+    /// `big` is set — and records each tick's instant.
+    struct Ticker {
+        big: Arc<AtomicBool>,
+        batch: TupleBatch,
+        ticks: Arc<Mutex<Vec<Time>>>,
+    }
+    impl DpcActor<NetMsg> for Ticker {
+        fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
+            ctx.set_timer(ctx.now() + Duration::from_millis(10), 0);
+        }
+        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, _msg: NetMsg) {}
+        fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {
+            let mut ticks = relock(&self.ticks);
+            let stream = StreamId(ticks.len() as u32);
+            ticks.push(ctx.now());
+            let tuples = match self.big.load(Ordering::SeqCst) {
+                true => self.batch.clone(),
+                false => self.batch.slice(0..1),
+            };
+            ctx.send(
+                NodeId(1),
+                NetMsg::Data {
+                    stream,
+                    tuples: tuples.into(),
+                },
+            );
+            ctx.set_timer(ctx.now() + Duration::from_millis(10), 0);
+        }
+    }
+
+    /// Process 1 is a bare socket that says `Hello` and then reads nothing
+    /// while process 0's ticker sends it half a megabyte every tick. The
+    /// kernel's buffers fill, each flush gives up after its write timeout,
+    /// and the connection's buffer grows — but no worker is held: the
+    /// ticks keep their schedule. Once the peer reads again, every frame
+    /// arrives, in order.
+    #[test]
+    fn a_peer_that_stops_reading_holds_no_worker() {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![l0.local_addr().unwrap().to_string(), String::new()];
+        let mut peer = TcpStream::connect(&addrs[0]).unwrap();
+        let mut hello = Vec::new();
+        encode_frame(
+            &mut hello,
+            NodeId(1),
+            NodeId(0),
+            &WireMsg::Hello { proc: 1 },
+        );
+        peer.write_all(&hello).unwrap();
+        let f0 = TcpFabric::establish(0, l0, &addrs, vec![0, 1]).unwrap();
+        let tuples =
+            (0..16_384).map(|i| Tuple::insertion(TupleId(i), Time::ZERO, vec![Value::Int(1)]));
+        let (big, ticks) = (
+            Arc::new(AtomicBool::new(true)),
+            Arc::new(Mutex::new(Vec::new())),
+        );
+        let ticker = Ticker {
+            big: Arc::clone(&big),
+            batch: TupleBatch::from_vec(tuples.collect()),
+            ticks: Arc::clone(&ticks),
+        };
+        let rt0 = spawn_proc(
+            &f0,
+            vec![Box::new(ticker), Box::new(RemoteStub)],
+            CreditPolicy::Unbounded,
+        );
+        // Dropped before the runtime if an assertion fails, so a worker
+        // stuck in a write would be released rather than hang the test.
+        let mut peer = peer;
+        let conn = relock(&f0.conns[1]).clone().expect("mesh is up");
+        let queued = wait_until(|| conn.out.pending() > 8 << 20, 20_000);
+        big.store(false, Ordering::SeqCst);
+        let stalled: Vec<Time> = relock(&ticks).clone();
+        assert!(
+            queued,
+            "the buffer grows: {} bytes after {} ticks",
+            conn.out.pending(),
+            stalled.len()
+        );
+        let elapsed = stalled[stalled.len() - 1] - stalled[0];
+        let slowest = stalled.windows(2).map(|w| w[1] - w[0]).max().unwrap();
+        assert!(
+            slowest < Duration::from_millis(100),
+            "a tick waited {slowest:?}"
+        );
+        assert!(
+            elapsed < Duration::from_millis(30 * stalled.len() as u64),
+            "{elapsed:?}"
+        );
+        // The peer reads again: the ticks' flushes resume the queued tail.
+        peer.set_read_timeout(Some(std::time::Duration::from_secs(20)))
+            .unwrap();
+        let (mut buf, mut next) = (Vec::new(), 0u32);
+        while next < stalled.len() as u32 + 3 {
+            let mut chunk = [0u8; 64 * 1024];
+            let n = peer.read(&mut chunk).expect("every frame arrives");
+            assert!(n > 0, "the connection stays up");
+            buf.extend_from_slice(&chunk[..n]);
+            let mut used = 0;
+            while let Some((_, _, msg, len)) = decode_frame(&buf[used..]).unwrap() {
+                used += len;
+                let WireMsg::Net(NetMsg::Data { stream, .. }) = msg else {
+                    panic!("only data is sent: {msg:?}");
+                };
+                assert_eq!(stream.0, next, "frames arrive in order");
+                next += 1;
+            }
+            buf.drain(..used);
+        }
+        drop(peer);
+        rt0.shutdown();
+        f0.shutdown();
     }
 
     #[test]

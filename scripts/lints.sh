@@ -97,4 +97,9 @@ if git grep -nE 'fn expand_inputs|struct LogicalPlan|StreamOrigin|macro_rules!' 
 if [ "$(git grep --untracked -n '\.accept()' -- crates/runtime/src | wc -l)" -ne 1 ]; then git grep --untracked -n '\.accept()' -- crates/runtime/src; fail "one way into the mesh"; fi
 if git grep --untracked -nE 'set_nonblocking|WouldBlock|retired' -- crates/runtime/src; then fail "one way into the mesh"; fi
 
+# One flush path: whoever fills a connection's write buffer flushes it,
+# through the one outbox and its flush role (crates/runtime/src/outbox.rs),
+# so the per-connection writer thread and its loop stay deleted.
+if git grep --untracked -nE 'writer_loop|tcp-writer' -- '*.rs'; then fail "one flush path"; fi
+
 echo "lints: ok"

@@ -82,7 +82,7 @@ pub enum Runtime {
     /// [`TCP_SHARES`] worker pools in this process, each running its share
     /// of the layout (`plan_processes`; share 0 keeps sources and client)
     /// and reaching the others over loopback sockets: the wire codec, the
-    /// credit grants and the reader/writer threads of a multi-process
+    /// credit grants, the readers and the senders' flushes of a multi-process
     /// deployment, for any builder, without forking.
     Tcp,
 }

@@ -356,7 +356,7 @@ fn stable_stream_identical_across_sim_threads_and_sockets() {
     let wire = tcp.stats.wire;
     assert!(wire.frames_sent > 0, "data crosses the wire: {wire:?}");
     assert!(wire.frames_recv > 0, "in both directions: {wire:?}");
-    // The writer coalesces at least one frame per syscall.
+    // A flush carries at least one frame.
     assert!(wire.frames_per_flush() >= 1.0, "{wire:?}");
     assert_same_stable_prefix(&sim, &thr, 300);
     assert_same_stable_prefix(&sim, &tcp, 300);

@@ -27,9 +27,8 @@
 //! per-tuple allocation. Node states are `Stable=0`, `UpFailure=1`,
 //! `Stabilization=2`, `Failed=3`.
 //!
-//! Decoding rejects truncated or corrupted frames with a
-//! [`WireError`](borealis_types::WireError); it never panics on foreign
-//! bytes.
+//! Decoding rejects truncated or corrupted frames with a [`WireError`]; it
+//! never panics on foreign bytes.
 
 use crate::msg::NetMsg;
 use borealis_types::wire::{begin_frame, end_frame, split_frame, Reader, Wire};

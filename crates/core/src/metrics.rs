@@ -199,12 +199,11 @@ impl StreamRecorder {
 /// harness reads after (or during) the run.
 ///
 /// The hub is **sharded per stream**: a registry mutex guards only the
-/// `stream → shard` map (touched at subscription time and by aggregate
-/// readers), while every shard is its own `Arc<Mutex<StreamMetrics>>`
-/// handed out as a [`StreamRecorder`]. Actors on the thread runtime
-/// therefore never contend on one global mutex per tuple — the seed design
-/// locked a single `Mutex<HashMap>` once per delivered tuple on every
-/// client's hot path.
+/// `stream → shard` map (touched at subscription time and by readers),
+/// while every shard is its own `Arc<Mutex<StreamMetrics>>` handed out as
+/// a [`StreamRecorder`]. Actors on the thread runtime therefore never
+/// contend on one global mutex per tuple — the seed design locked a single
+/// `Mutex<HashMap>` once per delivered tuple on every client's hot path.
 #[derive(Debug, Default, Clone)]
 pub struct MetricsHub {
     streams: Arc<Mutex<HashMap<u32, Arc<Mutex<StreamMetrics>>>>>,
@@ -251,20 +250,6 @@ impl MetricsHub {
         let shard = self.shard(stream);
         let m = shard.lock().expect("stream metrics lock");
         f(&m)
-    }
-
-    /// Total protocol violations (must be zero in a correct run). The
-    /// registry lock is released before the shards are visited, so
-    /// recorders are never blocked behind an aggregate reader.
-    pub fn total_dup_stable(&self) -> u64 {
-        let shards: Vec<Arc<Mutex<StreamMetrics>>> = {
-            let map = self.streams.lock().expect("metrics registry lock");
-            map.values().map(Arc::clone).collect()
-        };
-        let locked = shards
-            .iter()
-            .map(|s| s.lock().expect("stream metrics lock"));
-        locked.map(|m| m.dup_stable).sum()
     }
 }
 
@@ -343,11 +328,11 @@ mod tests {
         let of = |s| hub.with(s, |m| (m.n_tentative, m.procnew));
         assert_eq!(of(s0), (1, Duration::from_millis(50)));
         assert_eq!(of(s1), (1, Duration::from_millis(20)));
-        assert_eq!(hub.total_dup_stable(), 0);
         hub.record(s0, Time::from_millis(130), &stable(3, 120));
         hub.record(s0, Time::from_millis(140), &stable(3, 120));
         hub.record(s1, Time::from_millis(140), &stable(2, 110));
-        assert_eq!(hub.total_dup_stable(), 2, "summed over streams");
+        let dups = |s| hub.with(s, |m| m.dup_stable);
+        assert_eq!((dups(s0), dups(s1)), (1, 1), "kept per stream");
     }
 
     #[test]

@@ -63,6 +63,7 @@ const GRANT_TIMEOUT: Duration = Duration::from_secs(120);
 const RETRY_WAIT: Duration = Duration::from_millis(100);
 
 /// Full configuration of one node replica.
+#[derive(Clone)]
 pub struct NodeConfig {
     /// The fragment this node executes.
     pub plan: FragmentPlan,
@@ -534,16 +535,9 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 // and so is what the crashed incarnation's timers stood
                 // for: every driver drops those when they come due (they
                 // carry the incarnation that armed them), and the fields
-                // they would have read are cleared all the same.
-                self.fragment = Fragment::from_plan(&self.cfg.plan);
-                self.out = Self::publisher(&self.cfg, &self.fragment);
-                self.busy_until = ctx.now();
-                self.state = NodeState::Stable;
-                self.pending_request = None;
-                self.granted_to.clear();
-                self.authorized_by = None;
-                self.stab_done_at = None;
-                self.scheduled_tick = None;
+                // they would have read are cleared all the same: the new
+                // incarnation is the one `new` builds.
+                *self = ProcessingNode::new(self.cfg.clone());
                 self.recovering = true;
                 self.on_start(ctx);
                 ctx.set_timer(ctx.now() + Duration::from_millis(500), TIMER_RECOVERY_DONE);

@@ -37,14 +37,6 @@ pub enum ValueGen {
         /// Number of distinct keys.
         keys: i64,
     },
-    /// `[Int(seq % keys), Float(amplitude * f(seq))]` — a keyed reading with
-    /// a deterministic wave, for sensor-style workloads.
-    Reading {
-        /// Number of distinct keys (sensors).
-        keys: i64,
-        /// Reading amplitude.
-        amplitude: f64,
-    },
 }
 
 impl ValueGen {
@@ -56,14 +48,6 @@ impl ValueGen {
             ValueGen::Seq => Payload::One(Value::Int(seq as i64)),
             ValueGen::Keyed { keys } => {
                 [Value::Int(seq as i64 % keys), Value::Int(seq as i64)].into()
-            }
-            ValueGen::Reading { keys, amplitude } => {
-                let phase = (seq % 97) as f64 / 97.0;
-                [
-                    Value::Int(seq as i64 % keys),
-                    Value::Float(amplitude * (2.0 * std::f64::consts::PI * phase).sin()),
-                ]
-                .into()
             }
         }
     }

@@ -1,12 +1,11 @@
 //! The query-construction API — the one way to describe a diagram: typed
 //! stream handles and per-kind combinators.
 //!
-//! A [`QueryBuilder`] produces the validated
-//! [`Diagram`](crate::graph::Diagram) the planner consumes, and callers
-//! never touch raw `StreamId`s: every combinator takes and returns a
-//! [`StreamHandle`] bound to its builder, so wiring mistakes (a handle from
-//! another query, a join with one input) are caught at `build()` with a
-//! typed [`DiagramError`](crate::graph::DiagramError).
+//! A [`QueryBuilder`] produces the validated [`Diagram`] the planner
+//! consumes, and callers never touch raw `StreamId`s: every combinator takes
+//! and returns a [`StreamHandle`] bound to its builder, so wiring mistakes
+//! (a handle from another query, a join with one input) are caught at
+//! `build()` with a typed [`DiagramError`].
 
 use crate::graph::{Diagram, DiagramError, JoinSpec, LogicalOp, OpNode};
 use borealis_ops::AggregateSpec;

@@ -1,11 +1,10 @@
 //! Declarative deployment specifications: the fragment cut by operator
 //! name, with per-fragment replication and key-partitioned sharding.
 //!
-//! A [`DeploymentSpec`] says *where* a validated
-//! [`Diagram`](crate::graph::Diagram) runs: which operators form each
-//! fragment (the unit of replication, §2.1), how many replicas each
-//! fragment gets, and — for fragments under heavy load — how many
-//! key-partitioned shards to fan it out over.
+//! A [`DeploymentSpec`] says *where* a validated [`Diagram`] runs: which
+//! operators form each fragment (the unit of replication, §2.1), how many
+//! replicas each fragment gets, and — for fragments under heavy load — how
+//! many key-partitioned shards to fan it out over.
 //! [`plan_deployment`](crate::plan::plan_deployment) resolves it against a
 //! diagram into a [`PhysicalPlan`](crate::plan::PhysicalPlan).
 //!

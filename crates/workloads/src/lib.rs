@@ -3,7 +3,7 @@
 //! Workload generators, deployment setups, and experiment runners
 //! reproducing every table and figure of the paper's evaluation (§5–§7).
 //! `tests/reproduce.rs` asserts the paper's claims over these runners; the
-//! examples and integration tests reuse the same setups.
+//! integration tests reuse the same setups.
 
 #![warn(missing_docs)]
 
@@ -21,4 +21,7 @@ pub use setups::{
     ScaleOptions, ShardedChainOptions, SingleNodeOptions, DISTRIBUTED_VARIANTS, SINGLE_NODE_OUT,
     VARIANTS,
 };
-pub use tcp::{run_tcp_child, run_tcp_child_args, run_tcp_parent, TcpChainSpec, TcpReport};
+pub use tcp::{
+    read_recovery_markers, run_tcp_child, run_tcp_child_args, run_tcp_parent, TcpChainSpec,
+    TcpReport,
+};

@@ -24,6 +24,7 @@ use borealis_runtime::{deploy_tcp, plan_processes, TcpFabric};
 use borealis_types::{Duration, StreamId, Time, WireGauges};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
+use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
 
 /// The sharded-chain deployment every process of a multi-process run
@@ -214,8 +215,9 @@ fn invalid(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
-/// Reads every node store's `last_recovery.marker` under `root`.
-fn read_recovery_markers(root: &str) -> Vec<String> {
+/// Reads every node store's `last_recovery.marker` under `root` (a
+/// durability root: one store directory per node), sorted.
+pub fn read_recovery_markers(root: &Path) -> Vec<String> {
     let mut found = Vec::new();
     let Ok(entries) = std::fs::read_dir(root) else {
         return found;
@@ -341,6 +343,7 @@ pub fn run_tcp_parent(spec: &TcpChainSpec, worker_exe: &str) -> std::io::Result<
     let recoveries = spec
         .durable_dir
         .as_deref()
+        .map(Path::new)
         .map(read_recovery_markers)
         .unwrap_or_default();
     Ok(TcpReport {

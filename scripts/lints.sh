@@ -12,11 +12,11 @@ fail() { echo "lint failed: $1" >&2; exit 1; }
 # `//` on its line is a comment and passes.
 if git grep --untracked -nE '^([^/]|/[^/])*std::sync' -- crates/runtime/src ':!crates/runtime/src/sync.rs'; then fail "sync facade"; fi
 
-# One fault vocabulary: tests, examples and workloads say faults as
+# One fault vocabulary: tests and workloads say faults as
 # `FaultSpec`s handed to the builder — never as raw events pushed into the
 # simulator's queue — and the simulator-only `RunningSystem` fault verbs
 # stay deleted everywhere.
-if git grep -nE 'schedule_fault|FaultEvent::' -- tests examples crates/workloads; then fail "fault vocabulary"; fi
+if git grep -nE 'schedule_fault|FaultEvent::' -- tests crates/workloads; then fail "fault vocabulary"; fi
 if git grep -nE 'disconnect_source|mute_boundaries|crash_node|crash_shard_node' -- '*.rs'; then fail "fault vocabulary"; fi
 
 # One data entry point per layer: `Operator::process_batch` is the operator

@@ -5,7 +5,7 @@
 # the `#[cfg(test)] mod … {` block that ends a source file — so a
 # simplification cannot pay for itself by moving code into tests. The
 # non-test figure is then broken down by workspace member (plus the facade
-# `src` and `examples`), so a CHANGES entry can say where lines went.
+# `src`), so a CHANGES entry can say where lines went.
 # Run from any directory of a checkout; counts what git tracks there.
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"

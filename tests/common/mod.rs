@@ -40,6 +40,161 @@ pub fn merge3(seed: u64, replication: usize, rate: f64, trace: bool) -> (SystemB
     (builder, u.id())
 }
 
+/// A source of `[key, seq]` tuples over `keys` keys at `rate` tuples/s,
+/// with 100 ms boundaries.
+fn keyed(stream: StreamHandle, rate: f64, keys: i64) -> SourceConfig {
+    SourceConfig {
+        values: ValueGen::Keyed { keys },
+        ..SourceConfig::seq(stream.id(), rate)
+    }
+}
+
+/// Network monitoring (§1): three monitors' flow records `[prefix, seq]`
+/// (streams 0–2, 200 tuples/s over 16 prefixes each); per-monitor filters
+/// keep the suspicious fifth (`seq % 1000 > 800`: one second in five) and
+/// a union merges them on an edge fragment, and a second fragment counts
+/// suspicious flows per prefix every second. Two replicas each, a 4 s delay budget; returns the
+/// alert-count stream.
+pub fn network_monitoring(seed: u64) -> (SystemBuilder, StreamId) {
+    let mut q = QueryBuilder::new();
+    let (a, b, c) = (
+        q.source("monitor-A"),
+        q.source("monitor-B"),
+        q.source("monitor-C"),
+    );
+    let suspicious = Expr::gt(
+        Expr::modulo(Expr::field(1), Expr::int(1000)),
+        Expr::int(800),
+    );
+    let sa = q.filter("suspicious-A", a, suspicious.clone());
+    let sb = q.filter("suspicious-B", b, suspicious.clone());
+    let sc = q.filter("suspicious-C", c, suspicious);
+    let all = q.union("suspicious-all", &[sa, sb, sc]);
+    let alerts = q.aggregate(
+        "alert-counts",
+        all,
+        AggregateSpec {
+            window: Duration::from_secs(1),
+            slide: Duration::from_secs(1),
+            group_by: vec![Expr::field(0)],
+            aggs: vec![AggFn::count(), AggFn::max(Expr::field(1))],
+        },
+    );
+    q.output(alerts);
+    let d = q.build().unwrap();
+    let edge = [
+        "suspicious-A",
+        "suspicious-B",
+        "suspicious-C",
+        "suspicious-all",
+    ];
+    let spec = DeploymentSpec::new()
+        .fragment(FragmentSpec::named("edge").ops(edge))
+        .fragment(FragmentSpec::named("analytics").op("alert-counts"));
+    let cfg = DpcConfig {
+        total_delay: Duration::from_secs(4),
+        ..DpcConfig::default()
+    };
+    let mut builder = SystemBuilder::new(seed, Duration::from_millis(1))
+        .plan(plan_deployment(&d, &spec, &cfg).unwrap())
+        .client_streams(vec![alerts.id()]);
+    for m in [a, b, c] {
+        builder = builder.source(keyed(m, 200.0, 16));
+    }
+    (builder, alerts.id())
+}
+
+/// A financial feed (§1): two exchange gateways' trades `[instrument,
+/// seq]` (streams 0 and 1, 400 tuples/s over 12 instruments each, 50 ms
+/// boundaries) merged by a union; a per-instrument 2 s window sliding every
+/// 500 ms counts and averages them, and a filter keeps the instruments
+/// with more than 30 trades in a window. One fragment, two replicas, a
+/// 1.5 s delay budget; returns the burst stream.
+pub fn financial_feed(seed: u64) -> (SystemBuilder, StreamId) {
+    let mut q = QueryBuilder::new();
+    let gateways = [q.source("gateway-1"), q.source("gateway-2")];
+    let trades = q.union("trades", &gateways);
+    let analytics = q.aggregate(
+        "per-instrument",
+        trades,
+        AggregateSpec {
+            window: Duration::from_secs(2),
+            slide: Duration::from_millis(500),
+            group_by: vec![Expr::field(0)],
+            aggs: vec![AggFn::count(), AggFn::avg(Expr::field(1))],
+        },
+    );
+    // [instrument, count, avg]
+    let bursts = q.filter("bursts", analytics, Expr::gt(Expr::field(1), Expr::int(30)));
+    q.output(bursts);
+    let d = q.build().unwrap();
+    let cfg = DpcConfig {
+        total_delay: Duration::from_secs_f64(1.5),
+        ..DpcConfig::default()
+    };
+    let mut builder = SystemBuilder::new(seed, Duration::from_millis(1))
+        .plan(plan_deployment(&d, &DeploymentSpec::single(2), &cfg).unwrap())
+        .client_streams(vec![bursts.id()]);
+    for g in gateways {
+        builder = builder.source(SourceConfig {
+            boundary_interval: Duration::from_millis(50),
+            ..keyed(g, 400.0, 12)
+        });
+    }
+    (builder, bursts.id())
+}
+
+/// Sensor-based pipeline monitoring (§1): temperature and pressure
+/// readings `[segment, seq]` (streams 0 and 1, 150 tuples/s over 8
+/// segments each). A blocking path joins them per segment within 200 ms
+/// and alerts when both readings sit in the top quarter of their band
+/// (`seq % 100 > 75`); a non-blocking path counts the union of both feeds
+/// every second. One fragment, two replicas, a 5 s delay budget; returns
+/// the alert stream and the liveness stream, both delivered to the client.
+pub fn sensor_pipeline(seed: u64) -> (SystemBuilder, StreamId, StreamId) {
+    let mut q = QueryBuilder::new();
+    let (temperature, pressure) = (q.source("temperature"), q.source("pressure"));
+    let joined = q.join(
+        "temp-pressure",
+        temperature,
+        pressure,
+        JoinSpec {
+            window: Duration::from_millis(200),
+            left_key: Expr::field(0),
+            right_key: Expr::field(0),
+            max_state: Some(500),
+        },
+    );
+    // [segment, temperature, segment, pressure]
+    let high = |f| Expr::gt(Expr::modulo(Expr::field(f), Expr::int(100)), Expr::int(75));
+    let alerts = q.filter("anomalies", joined, Expr::and(high(1), high(3)));
+    q.output(alerts);
+    let both = q.union("all-readings", &[temperature, pressure]);
+    let liveness = q.aggregate(
+        "liveness",
+        both,
+        AggregateSpec {
+            window: Duration::from_secs(1),
+            slide: Duration::from_secs(1),
+            group_by: vec![],
+            aggs: vec![AggFn::count()],
+        },
+    );
+    q.output(liveness);
+    let d = q.build().unwrap();
+    let cfg = DpcConfig {
+        total_delay: Duration::from_secs(5),
+        ..DpcConfig::default()
+    };
+    let (alerts, liveness) = (alerts.id(), liveness.id());
+    let builder = SystemBuilder::new(seed, Duration::from_millis(1))
+        .plan(plan_deployment(&d, &DeploymentSpec::single(2), &cfg).unwrap())
+        .client_streams(vec![alerts, liveness])
+        .source(keyed(temperature, 150.0, 8))
+        .source(keyed(pressure, 150.0, 8));
+    (builder, alerts, liveness)
+}
+
 /// Shorthand for the instants of a fault schedule.
 pub fn secs(s: u64) -> Time {
     Time::from_secs(s)

@@ -19,8 +19,8 @@
 
 use borealis::prelude::*;
 use borealis_workloads::{
-    chain_builder, run_tcp_parent, sharded_chain_builder, ChainOptions, ShardedChainOptions,
-    TcpChainSpec, TcpReport, DISTRIBUTED_VARIANTS,
+    chain_builder, read_recovery_markers, run_tcp_parent, sharded_chain_builder, ChainOptions,
+    ShardedChainOptions, TcpChainSpec, TcpReport, DISTRIBUTED_VARIANTS,
 };
 
 mod common;
@@ -394,15 +394,6 @@ fn scratch(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Reads every node store's `last_recovery.marker` under `root`.
-fn recovery_markers(root: &std::path::Path) -> Vec<String> {
-    let stores = std::fs::read_dir(root).into_iter().flatten().flatten();
-    let marker = |store: std::fs::DirEntry| {
-        std::fs::read_to_string(store.path().join("last_recovery.marker")).ok()
-    };
-    stores.filter_map(marker).map(|s| s.trim().into()).collect()
-}
-
 /// Crash-then-restart with durable stores, sim vs threads: the replica the
 /// client watches is killed mid-run and respawned 300 ms later; under both
 /// runtimes it reloads its latest checkpoint from disk, replays the logged
@@ -428,7 +419,10 @@ fn durable_restart_stable_stream_identical_across_runtimes() {
     };
     let sim = run_on(Runtime::Sim, &|| stored(&sim_root, false), secs(6));
     let thr = run_on(Runtime::Threads, &|| stored(&thr_root, true), ms(4500));
-    let (sim_markers, thr_markers) = (recovery_markers(&sim_root), recovery_markers(&thr_root));
+    let (sim_markers, thr_markers) = (
+        read_recovery_markers(&sim_root),
+        read_recovery_markers(&thr_root),
+    );
 
     // Exactly the respawned replica recovers from disk, and its marker
     // records the snapshot it recovered.

@@ -19,27 +19,85 @@ fn merge3(
 }
 
 /// Definition 1 (eventual consistency), checked literally: after failures
-/// heal, the client's final stream equals the failure-free run's stream.
+/// heal, the client's final stream equals the failure-free run's stream —
+/// for the Union merge and for the paper's §1 applications, whose Filter,
+/// Aggregate and Join state must come back exactly through checkpoint,
+/// undo and redo. Each row: a deployment, a source outage, the fewest
+/// stable tuples its client must retain by 40 s, and whether the outage
+/// must show as tentative output (a Join missing one input has nothing to
+/// emit).
 #[test]
 fn eventual_consistency_exact_stream_equivalence() {
-    let run = |faults: &[FaultSpec]| {
-        let scenario = || {
-            let (builder, out) = common::merge3(5, 2, 100.0, false);
-            (builder.faults(faults.to_vec()), out)
+    type Scenario = fn() -> (SystemBuilder, StreamId);
+    let rows: [(&str, Scenario, FaultSpec, usize, bool); 5] = [
+        (
+            "merge3",
+            || common::merge3(5, 2, 100.0, false),
+            disconnect(2, secs(8), secs(16)),
+            9000,
+            true,
+        ),
+        (
+            "financial",
+            || common::financial_feed(37),
+            disconnect(1, secs(12), secs(18)),
+            800,
+            true,
+        ),
+        (
+            "network",
+            || common::network_monitoring(11),
+            disconnect(2, secs(10), secs(18)),
+            100,
+            true,
+        ),
+        (
+            "sensor-join",
+            || {
+                let (builder, alerts, _) = common::sensor_pipeline(23);
+                (builder, alerts)
+            },
+            disconnect(1, secs(10), secs(20)),
+            4000,
+            false,
+        ),
+        (
+            "sensor-liveness",
+            || {
+                let (builder, _, liveness) = common::sensor_pipeline(23);
+                (builder, liveness)
+            },
+            disconnect(1, secs(10), secs(20)),
+            35,
+            true,
+        ),
+    ];
+    for (name, scenario, outage, min_stable, tentative) in rows {
+        let run = |faults: Vec<FaultSpec>| {
+            let faulted = || {
+                let (builder, out) = scenario();
+                (builder.faults(faults.clone()), out)
+            };
+            run_on(Runtime::Sim, &faulted, secs(40))
         };
-        run_on(Runtime::Sim, &scenario, secs(40)).stable()
-    };
-    let clean_stream = run(&[]);
-    let faulty_stream = run(&[disconnect(2, secs(8), secs(16))]);
-
-    // The shorter run is a prefix of the longer one (the tail may still be
-    // in flight at the horizon); everything delivered stably must agree
-    // exactly — same ids, same stimes, same order.
-    let n = clean_stream.len().min(faulty_stream.len());
-    assert!(n > 9000, "substantial stable output expected, got {n}");
-    assert_eq!(clean_stream[..n], faulty_stream[..n]);
-    let diff = clean_stream.len().abs_diff(faulty_stream.len());
-    assert!(diff < 100, "tails diverge by {diff} tuples");
+        let (clean, faulty) = (run(vec![]), run(vec![outage]));
+        for o in [&clean, &faulty] {
+            assert_eq!(o.dup_stable, 0, "{name}: duplicate stable tuples");
+            assert_eq!(o.tentative_left(), 0, "{name}: tentative tuples left");
+        }
+        if tentative {
+            assert!(faulty.n_tentative > 0, "{name}: no tentative output");
+        }
+        // Everything delivered stably agrees exactly: same ids, same
+        // stimes, same order, same length.
+        let stable = clean.stable();
+        assert!(
+            stable.len() >= min_stable,
+            "{name}: {} stable",
+            stable.len()
+        );
+        assert!(stable == faulty.stable(), "{name}: stable streams differ");
+    }
 }
 
 /// Property 1 (availability): with a live replica path, new results keep

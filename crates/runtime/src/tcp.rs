@@ -484,11 +484,11 @@ impl TcpFabric {
         }
     }
 
-    /// Test hook: tears the connection to `proc` down without a `Goodbye`
-    /// — the peer observes a crash, not a clean close.
-    #[cfg(test)]
-    pub(crate) fn kill(&self, proc: u32) {
-        if let Some(conn) = relock(&self.conns[proc as usize]).clone() {
+    /// Tears every connection down without a `Goodbye`: the peers observe
+    /// what a killed process leaves them, a crash rather than a clean
+    /// close. `shutdown` then stops the acceptor and joins the readers.
+    pub fn crash(&self) {
+        for conn in self.conns.iter().filter_map(|c| relock(c).clone()) {
             let _ = conn.stream().shutdown(Shutdown::Both);
         }
     }
@@ -1126,7 +1126,7 @@ mod tests {
         // Tear the socket down with no Goodbye: both sides must see a
         // reset, mark the peer's actors down, and count later sends as
         // drops.
-        f0.kill(1);
+        f0.crash();
         assert!(
             wait_until(
                 || f0.wire_gauges().resets + f1.wire_gauges().resets >= 2,
@@ -1153,7 +1153,7 @@ mod tests {
         let rt0 = spawn_proc(&f0, counter(&seen), CreditPolicy::Window(1));
         let rt1 = spawn_proc(&f1, sender(2), CreditPolicy::Window(1));
         assert!(wait_until(|| seen.load(Ordering::SeqCst) == 2, 5000));
-        f1.kill(0);
+        f1.crash();
         assert!(
             wait_until(|| !rt0.fabric().node_up(NodeId(0)), 5000),
             "torn socket marks the peer's actor down"

@@ -1,7 +1,8 @@
 //! # borealis-workloads
 //!
-//! Workload generators, deployment setups, and experiment runners
-//! reproducing every table and figure of the paper's evaluation (§5–§7).
+//! Deployment descriptions (workload generators and setups) and the
+//! simulator runners reproducing every table and figure of the paper's
+//! evaluation (§5–§7).
 //! `tests/reproduce.rs` asserts the paper's claims over these runners; the
 //! integration tests reuse the same setups.
 
@@ -9,7 +10,6 @@
 
 pub mod experiments;
 pub mod setups;
-pub mod tcp;
 
 pub use experiments::{
     run_chain, run_delay_assignment, run_fig11, run_fig13, run_switchover, run_table3, run_table4,
@@ -20,8 +20,4 @@ pub use setups::{
     sharded_chain_builder, single_node_builder, ChainOptions, OverheadOptions, PolicyVariant,
     ScaleOptions, ShardedChainOptions, SingleNodeOptions, DISTRIBUTED_VARIANTS, SINGLE_NODE_OUT,
     VARIANTS,
-};
-pub use tcp::{
-    read_recovery_markers, run_tcp_child, run_tcp_child_args, run_tcp_parent, TcpChainSpec,
-    TcpReport,
 };

@@ -102,4 +102,10 @@ if git grep --untracked -nE 'set_nonblocking|WouldBlock|retired' -- crates/runti
 # so the per-connection writer thread and its loop stay deleted.
 if git grep --untracked -nE 'writer_loop|tcp-writer' -- '*.rs'; then fail "one flush path"; fi
 
+# One socket-mesh harness: a multi-process deployment is tested as shares of
+# one process over loopback sockets (`tests/common::run_on`), a process crash
+# and respawn included, so no test forks a binary and the chain-only
+# launcher and its argv codec stay deleted.
+if git grep -nE 'CARGO_BIN_EXE|Command::new|TcpChainSpec' -- '*.rs' ':!benchmark'; then fail "one socket-mesh harness"; fi
+
 echo "lints: ok"

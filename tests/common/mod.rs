@@ -6,6 +6,8 @@ use borealis::dpc::StreamMetrics;
 use borealis::prelude::*;
 use borealis::runtime::StatsSnapshot;
 use std::net::TcpListener;
+use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The deployment most fault tests script against: three sequence sources
@@ -238,15 +240,21 @@ pub enum Runtime {
     /// of the layout (`plan_processes`; share 0 keeps sources and client)
     /// and reaching the others over loopback sockets: the wire codec, the
     /// credit grants, the readers and the senders' flushes of a multi-process
-    /// deployment, for any builder, without forking.
+    /// deployment, for any builder, in this process.
     Tcp,
+    /// As [`Runtime::Tcp`], except that share `share` crashes at `at` — its
+    /// connections torn without a `Goodbye` (`TcpFabric::crash`), its
+    /// engine stopped — and a fresh share of the same scenario rejoins the
+    /// mesh at once (`TcpFabric::establish_rejoin`): a process killed and
+    /// respawned. With durable stores its nodes restart from disk.
+    TcpRejoin { share: u32, at: Time },
 }
 
 /// Shares of a [`Runtime::Tcp`] run.
 pub const TCP_SHARES: u32 = 3;
 
 /// What one run left at its horizon.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Outcome {
     /// The output stream the client watched.
     pub stream: StreamId,
@@ -264,6 +272,9 @@ pub struct Outcome {
     /// Loss, flow, scheduler and wire statistics — under [`Runtime::Tcp`]
     /// share 0's, read before the mesh is torn down.
     pub stats: StatsSnapshot,
+    /// The actors share 0's link fabric holds down at the horizon (socket
+    /// runs only).
+    pub down: Vec<NodeId>,
 }
 
 impl Outcome {
@@ -307,8 +318,8 @@ pub fn run_while(
         hub.enable_trace(out);
         (builder.metrics(hub.clone()), hub, out)
     };
-    let wait = |hub: &MetricsHub, out| {
-        let end = Instant::now() + std::time::Duration::from_micros(horizon.as_micros());
+    let wait = |hub: &MetricsHub, out, start: Instant, until: Time| {
+        let end = start + std::time::Duration::from_micros(until.as_micros());
         while Instant::now() < end && hub.with(out, &more) {
             let left = end.saturating_duration_since(Instant::now());
             std::thread::sleep(left.min(std::time::Duration::from_millis(20)));
@@ -323,6 +334,7 @@ pub fn run_while(
             dup_stable: m.dup_stable,
             max_gap: m.max_gap,
             stats,
+            down: Vec::new(),
         })
     };
     match runtime {
@@ -335,41 +347,78 @@ pub fn run_while(
         Runtime::Threads => {
             let (builder, hub, out) = traced();
             let sys = deploy_threads(builder.layout());
-            wait(&hub, out);
+            wait(&hub, out, Instant::now(), horizon);
             let outcome = read(&hub, out, StatsSnapshot::default());
             let stats = sys.shutdown();
             Outcome { stats, ..outcome }
         }
-        Runtime::Tcp => {
-            let bind = |_| TcpListener::bind("127.0.0.1:0").expect("loopback port");
-            let listeners: Vec<TcpListener> = (0..TCP_SHARES).map(bind).collect();
+        Runtime::Tcp | Runtime::TcpRejoin { .. } => {
+            let bind = || TcpListener::bind("127.0.0.1:0").expect("loopback port");
+            let listeners: Vec<TcpListener> = (0..TCP_SHARES).map(|_| bind()).collect();
             let addr = |l: &TcpListener| l.local_addr().expect("bound").to_string();
-            let addrs: Vec<String> = listeners.iter().map(addr).collect();
+            let mut addrs: Vec<String> = listeners.iter().map(addr).collect();
+            type Join =
+                fn(u32, TcpListener, &[String], Vec<u32>) -> std::io::Result<Arc<TcpFabric>>;
+            // Share `p` of the scenario, admitted to the mesh by `join`.
+            let share = |p: u32, listener, addrs: &[String], join: Join| {
+                let (builder, hub, out) = traced();
+                let layout = builder.layout();
+                let plan = plan_processes(&layout, TCP_SHARES);
+                let mesh = join(p, listener, addrs, plan).expect("loopback mesh");
+                (layout, mesh, hub, out)
+            };
             // Highest share first: a share dials the lower ones, whose
             // listeners hold the connection in their backlog until their
             // own `establish` starts its acceptor and admits it — so one
             // thread can bring the whole mesh up.
             let mut shares = Vec::new();
             for (p, listener) in listeners.into_iter().enumerate().rev() {
-                let (builder, hub, out) = traced();
-                let layout = builder.layout();
-                let plan = plan_processes(&layout, TCP_SHARES);
-                let mesh = TcpFabric::establish(p as u32, listener, &addrs, plan);
-                shares.push((layout, mesh.expect("loopback mesh"), hub, out));
+                shares.push(share(p as u32, listener, &addrs, TcpFabric::establish));
             }
+            let actors = shares[0].0.actors.len();
             let deploy = |(layout, mesh, hub, out)| (deploy_tcp(layout, mesh), hub, out);
             let mut running: Vec<(RunningTcp, MetricsHub, StreamId)> =
-                shares.into_iter().map(deploy).collect();
-            let (front, hub, out) = running.pop().expect("share 0 deploys last");
-            wait(&hub, out);
+                shares.into_iter().map(deploy).collect(); // share 0 deploys last
+            running.reverse();
+            let (hub, out) = (running[0].1.clone(), running[0].2);
+            let start = Instant::now();
+            if let Runtime::TcpRejoin { share: p, at } = runtime {
+                wait(&hub, out, start, at);
+                let (victim, ..) = running.remove(p as usize);
+                victim.fabric.crash();
+                victim.shutdown();
+                let listener = bind();
+                addrs[p as usize] = addr(&listener);
+                let fresh = share(p, listener, &addrs, TcpFabric::establish_rejoin);
+                running.insert(p as usize, deploy(fresh));
+            }
+            wait(&hub, out, start, horizon);
+            let front = &running[0].0;
+            let fabric = front.runtime.fabric();
+            let ids = (0..actors as u32).map(NodeId);
+            let down = ids.filter(|&id| !fabric.node_up(id)).collect();
+            drop(fabric);
             let outcome = read(&hub, out, front.stats()); // before teardown
-            front.shutdown();
             for (share, ..) in running {
                 share.shutdown();
             }
-            outcome
+            Outcome { down, ..outcome }
         }
     }
+}
+
+/// Reads every node store's `last_recovery.marker` under `root` (a
+/// durability root: one store directory per node), sorted — one entry per
+/// node that restarted from disk.
+pub fn read_recovery_markers(root: &Path) -> Vec<String> {
+    let mut found = Vec::new();
+    for e in std::fs::read_dir(root).into_iter().flatten().flatten() {
+        if let Ok(s) = std::fs::read_to_string(e.path().join("last_recovery.marker")) {
+            found.push(s.trim().to_string());
+        }
+    }
+    found.sort();
+    found
 }
 
 /// Neither run delivered a stable tuple twice, and `other` watched the

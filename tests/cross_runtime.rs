@@ -19,34 +19,23 @@
 
 use borealis::prelude::*;
 use borealis_workloads::{
-    chain_builder, read_recovery_markers, run_tcp_parent, sharded_chain_builder, ChainOptions,
-    ShardedChainOptions, TcpChainSpec, TcpReport, DISTRIBUTED_VARIANTS,
+    chain_builder, sharded_chain_builder, ChainOptions, ShardedChainOptions, DISTRIBUTED_VARIANTS,
 };
 
 mod common;
-use common::{assert_same_stable_prefix, crash, ms, run_on, run_while, secs, Outcome, Runtime};
+use common::{
+    assert_same_stable_prefix, crash, ms, read_recovery_markers, run_on, run_while, secs, Runtime,
+};
 
 /// Serializes the tests in this binary. Every test here deploys on the
-/// wall-clock thread engine (some additionally fork OS processes) and
-/// compares the result against the virtual-time simulator; running them
-/// concurrently oversubscribes the CPU far enough that keep-alives go
-/// stale spuriously and the runs diverge for scheduling reasons, not
-/// protocol ones.
+/// wall-clock thread engine (some on three of them joined by loopback
+/// sockets) and compares the result against the virtual-time simulator;
+/// running them concurrently oversubscribes the CPU far enough that
+/// keep-alives go stale spuriously and the runs diverge for scheduling
+/// reasons, not protocol ones.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// What process 0 of a forked deployment reported, in the harness's terms.
-fn forked(report: &TcpReport, stream: StreamId) -> Outcome {
-    let mut outcome = Outcome {
-        stream,
-        final_stream: final_stream(report.trace.as_ref().expect("trace enabled")),
-        dup_stable: report.dup,
-        ..Outcome::default()
-    };
-    outcome.stats.wire = report.wire;
-    outcome
 }
 
 /// Chain options tuned so a wall-clock run finishes in a few seconds.
@@ -125,6 +114,9 @@ fn sharded_chain_stable_stream_identical_across_runtimes() {
     assert!(lost > 0, "the crash must sever traffic: {:?}", thr.stats);
     let wire = tcp.stats.wire;
     assert!(wire.frames_sent > 0, "data crosses the sockets: {wire:?}");
+    assert!(wire.frames_recv > 0, "in both directions: {wire:?}");
+    // A flush carries at least one frame.
+    assert!(wire.frames_per_flush() >= 1.0, "{wire:?}");
     assert_same_stable_prefix(&sim, &thr, 300);
     assert_same_stable_prefix(&sim, &tcp, 300);
 }
@@ -324,44 +316,6 @@ fn paced_sharded_chain_whole_stream_identical_on_the_wall_clock() {
     assert!(failed.is_empty(), "{failed:#?}");
 }
 
-/// The full portability ladder: the same [`TcpChainSpec`] deployment —
-/// sharded chain (K = 2), replication 2, one work-shard replica crashed
-/// mid-run — under the simulator, on one worker pool, and across **three
-/// OS processes** over loopback TCP (this one hosts the sources and the
-/// client; two forked `tcp_node` children host the fragment replicas,
-/// same-fragment replicas in different processes).
-///
-/// This is the transport-independence guarantee the socket layer must not
-/// break: credit windows ride the wire as explicit `CreditGrant` frames, a
-/// torn connection is handled through the same NodeDown/purge path as an
-/// in-process crash, and the corrected stable stream is a function of the
-/// deployment description alone — not of which transport carried it.
-#[test]
-fn stable_stream_identical_across_sim_threads_and_sockets() {
-    let _serial = serial();
-    let spec = TcpChainSpec {
-        wall_ms: 4500,
-        crash: true,
-        seed: 33,
-        heartbeat_ms: 400,
-        ..TcpChainSpec::default()
-    };
-    let sim = run_on(Runtime::Sim, &|| spec.builder(), secs(6));
-    let thr = run_on(Runtime::Threads, &|| spec.builder(), ms(spec.wall_ms));
-    let report = run_tcp_parent(&spec, env!("CARGO_BIN_EXE_tcp_node")).expect("tcp run");
-    let tcp = forked(&report, sim.stream);
-
-    // Drops are summed over the whole cluster.
-    assert!(report.drops > 0, "the crash must sever traffic: {report:?}");
-    let wire = tcp.stats.wire;
-    assert!(wire.frames_sent > 0, "data crosses the wire: {wire:?}");
-    assert!(wire.frames_recv > 0, "in both directions: {wire:?}");
-    // A flush carries at least one frame.
-    assert!(wire.frames_per_flush() >= 1.0, "{wire:?}");
-    assert_same_stable_prefix(&sim, &thr, 300);
-    assert_same_stable_prefix(&sim, &tcp, 300);
-}
-
 /// Worker-count invariance: the sharded chain with a mid-run shard-replica
 /// crash delivers the simulator's stable stream on pools of 1, 2 and 8
 /// workers. Pool sizing and steal interleavings are scheduling details.
@@ -503,48 +457,51 @@ fn durability_only_chain_delivers_the_whole_stream_on_threads() {
     assert!(failed.is_empty(), "{failed:#?}");
 }
 
-/// Kill-then-respawn across OS processes: worker process 1 (hosting one
-/// replica of every fragment) is SIGKILLed at t=2 s and respawned with
-/// `rejoin=true`; its nodes reload their checkpoints from the durable
-/// stores, replay their input-log suffixes, and re-dial the mesh. The
-/// client's stable stream must match the failure-free simulator run of the
-/// same spec.
+/// Kill-then-respawn of a whole process: share 1, which hosts one replica
+/// of every fragment, crashes at t = 2 s — every connection torn without a
+/// `Goodbye` — and a fresh share of the same deployment rejoins the mesh at
+/// once. Its nodes reload their checkpoints from the durable stores, replay
+/// their input-log suffixes and re-subscribe. The client's stable stream
+/// must match the failure-free simulator run and keep flowing after the
+/// crash, and share 0 must hold every respawned actor up again.
 #[test]
 fn tcp_killed_worker_respawns_and_recovers_from_disk() {
     let _serial = serial();
     let root = scratch("tcp");
-    let spec = TcpChainSpec {
-        wall_ms: 5000,
-        seed: 33,
-        durable_dir: Some(root.to_string_lossy().into_owned()),
-        restart: Some((1, 2000)),
-        // Subscription cleanup on the kill comes from the connection
-        // reset, not staleness — stretched keep-alives only remove the
-        // spurious-failover hazard on a starved runner.
-        heartbeat_ms: 400,
-        ..TcpChainSpec::default()
+    let o = fast_sharded_chain(33);
+    // The simulator reference runs without stores: they must not seed the
+    // socket run's directories, and durability leaves the id space alone.
+    let chain = || sharded_chain_builder(&o);
+    let stored = || {
+        let (builder, out) = chain();
+        let every = Duration::from_millis(250);
+        (builder.durability(&root, every, true), out)
     };
-    // Failure-free simulator reference of the identical topology (no
-    // durable stores — the sim must not seed the TCP run's directories;
-    // durability does not change the layout's id space).
-    let sim_spec = TcpChainSpec {
-        durable_dir: None,
-        restart: None,
-        ..spec.clone()
+    let sim = run_on(Runtime::Sim, &chain, secs(6));
+    let killed = Runtime::TcpRejoin {
+        share: 1,
+        at: ms(2000),
     };
-    let sim = run_on(Runtime::Sim, &|| sim_spec.builder(), secs(6));
-    let report = run_tcp_parent(&spec, env!("CARGO_BIN_EXE_tcp_node")).expect("tcp run");
-    let tcp = forked(&report, sim.stream);
+    let tcp = run_on(killed, &stored, ms(5000));
 
     // Evidence of the kill that cannot race: recovery markers are written
     // only by nodes that restarted from their (fresh, per-run) stores. A
-    // drop count cannot serve — an immediate respawn can reconnect before
-    // any peer sends into the dead connection, and then nothing is lost.
-    let recovered = &report.recoveries;
-    assert!(!recovered.is_empty(), "nodes recover from disk: {report:?}");
-    for marker in recovered {
+    // drop count cannot serve — the respawn can reconnect before any peer
+    // sends into the dead connection, and then nothing is lost.
+    let recovered = read_recovery_markers(&root);
+    assert!(!recovered.is_empty(), "nodes recover from disk");
+    for marker in &recovered {
         assert!(marker.starts_with("snapshot="), "marker {marker}");
     }
+    // The survivors admitted the respawned share's actors back up, and
+    // they carry the stream on: stable output from a second past the crash
+    // reaches the client.
+    assert!(tcp.down.is_empty(), "left down in share 0: {:?}", tcp.down);
+    let last = tcp.stable().last().map_or(0, |&(_, stime)| stime);
+    assert!(
+        last >= ms(3000).as_micros(),
+        "stable output stops at {last} µs"
+    );
     // Kill + disk recovery re-delivers nothing and changes nothing.
     assert_same_stable_prefix(&sim, &tcp, 300);
     let _ = std::fs::remove_dir_all(&root);

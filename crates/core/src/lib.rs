@@ -58,7 +58,8 @@ pub use node::{NodeConfig, NodeTuning, ProcessingNode};
 pub use publisher::Publisher;
 pub use runtime::{DpcActor, RuntimeCtx};
 pub use source::{DataSource, SourceConfig, ValueGen};
-pub use system::{ActorSpec, FaultSpec, RunningSystem, SystemBuilder, SystemLayout, RESTART_DELAY};
+pub use system::{plan_processes, CrashDomain, RunningSystem, RESTART_DELAY};
+pub use system::{ActorSpec, FaultSpec, SystemBuilder, SystemLayout};
 pub use upstream::{Inputs, Requests, UpstreamManager, UpstreamSpec};
 
 #[cfg(test)]
@@ -173,10 +174,12 @@ mod tests {
     #[test]
     fn replica_crash_switches_client_within_keepalive_bound() {
         // Crash replica 0 permanently at t=5s.
-        let (mut sys, out) = merge3_system(vec![FaultSpec::CrashReplica {
-            frag: 0,
-            shard: 0,
-            replica: 0,
+        let (mut sys, out) = merge3_system(vec![FaultSpec::Crash {
+            domain: CrashDomain::Replica {
+                frag: 0,
+                shard: 0,
+                replica: 0,
+            },
             from: Time::from_secs(5),
             to: None,
         }]);

@@ -89,27 +89,20 @@ pub enum FaultSpec {
         /// Unmute instant.
         to: Time,
     },
-    /// Crash replica `replica` of shard `shard` of logical fragment `frag`
-    /// at `from`; restart at `to` if given (§2.2 crash failures: volatile
-    /// state is lost). Unsharded fragments have a single shard 0.
-    CrashReplica {
-        /// Logical fragment index (deployment-spec order).
-        frag: usize,
-        /// Shard index within the fragment (0 for unsharded fragments).
-        shard: usize,
-        /// Replica index within the shard.
-        replica: usize,
+    /// Crash every actor of `domain` at `from`, and restart them at `to` if
+    /// given (§2.2: volatile state is lost; a durable store survives).
+    Crash {
+        /// What fails together.
+        domain: CrashDomain,
         /// Crash instant.
         from: Time,
         /// Optional restart instant.
         to: Option<Time>,
     },
-    /// Kill replica `replica` of shard `shard` of logical fragment `frag`
-    /// at `after`, then respawn it [`RESTART_DELAY`] later. With
-    /// durability enabled ([`SystemBuilder::durability`]) the respawned
-    /// node restarts *from disk*: it loads its latest checkpoint, replays
-    /// the bounded input-log suffix, re-registers with its upstreams, and
-    /// rejoins the DPC protocol.
+    /// A [`CrashDomain::Replica`] crash at `after`, respawned
+    /// [`RESTART_DELAY`] later — *from disk* with durability enabled
+    /// ([`SystemBuilder::durability`]): it loads its latest checkpoint,
+    /// replays the input-log suffix and re-registers with its upstreams.
     RestartReplica {
         /// Logical fragment index (deployment-spec order).
         frag: usize,
@@ -119,6 +112,29 @@ pub enum FaultSpec {
         replica: usize,
         /// Kill instant; the respawn follows [`RESTART_DELAY`] later.
         after: Time,
+    },
+}
+
+/// What one [`FaultSpec::Crash`] takes down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashDomain {
+    /// One replica, whose peers detect its crash by keep-alives (§2.2).
+    Replica {
+        /// Logical fragment index (deployment-spec order).
+        frag: usize,
+        /// Shard index within the fragment (0 for unsharded fragments).
+        shard: usize,
+        /// Replica index within the shard.
+        replica: usize,
+    },
+    /// One process: every actor [`plan_processes`] places in share `share`
+    /// of `shares`, whose crash every live actor hears at once. Share 0
+    /// holds the sources and the client, and cannot crash.
+    Share {
+        /// The process that crashes, `1..shares`.
+        share: u32,
+        /// Processes of the deployment.
+        shares: u32,
     },
 }
 
@@ -244,8 +260,9 @@ impl SystemBuilder {
     ///
     /// # Panics
     /// Panics if no plan was provided, a consumed stream has no producer,
-    /// or a scripted fault references a missing source/fragment/replica —
-    /// all deployment bugs.
+    /// or a scripted fault references a missing source/fragment/replica or
+    /// share, or crashes share 0 (the sources and the client) — all
+    /// deployment bugs.
     pub fn layout(self) -> SystemLayout {
         let plan = self.plan.expect("SystemBuilder requires a plan");
         let n_sources = self.sources.len();
@@ -567,28 +584,39 @@ impl SystemLayout {
                     self.script.push((at, FaultEvent::Custom { target, tag }));
                 }
             }
-            FaultSpec::CrashReplica {
-                frag,
-                shard,
-                replica,
-                from,
-                to,
-            } => {
-                let node = self.shard_replicas(frag, shard)[replica];
-                self.script.push((from, FaultEvent::NodeDown(node)));
-                if let Some(to) = to {
-                    self.script.push((to, FaultEvent::NodeUp(node)));
-                }
+            FaultSpec::Crash { domain, from, to } => {
+                let (down, up) = match domain {
+                    CrashDomain::Replica {
+                        frag,
+                        shard,
+                        replica,
+                    } => {
+                        let node = self.shard_replicas(frag, shard)[replica];
+                        (FaultEvent::NodeDown(node), FaultEvent::NodeUp(node))
+                    }
+                    CrashDomain::Share { share, shares } => {
+                        assert!(0 < share && share < shares, "share {share} of {shares}");
+                        let plan = plan_processes(self, shares);
+                        let ids = (0..plan.len() as u32).map(NodeId);
+                        let nodes: Vec<NodeId> = ids.filter(|n| plan[n.index()] == share).collect();
+                        let down = FaultEvent::ProcessDown(nodes.clone());
+                        (down, FaultEvent::ProcessUp(nodes))
+                    }
+                };
+                self.script.push((from, down));
+                self.script.extend(to.map(|to| (to, up)));
             }
             FaultSpec::RestartReplica {
                 frag,
                 shard,
                 replica,
                 after,
-            } => self.lower_fault(&FaultSpec::CrashReplica {
-                frag,
-                shard,
-                replica,
+            } => self.lower_fault(&FaultSpec::Crash {
+                domain: CrashDomain::Replica {
+                    frag,
+                    shard,
+                    replica,
+                },
                 from: after,
                 to: Some(after + RESTART_DELAY),
             }),
@@ -611,6 +639,26 @@ impl SystemLayout {
             metrics: self.metrics,
         }
     }
+}
+
+/// Maps every actor of `layout` to a process: sources and the client stay
+/// in process 0 (the launcher, which reads the metrics), and the replicas
+/// of each physical fragment spread round-robin over processes `1..procs`
+/// such that **same-fragment replicas land in different processes** —
+/// killing one process then behaves like the paper's independent node
+/// failures. Every process computes the identical plan from the shared
+/// layout, so no coordination is needed.
+pub fn plan_processes(layout: &SystemLayout, procs: u32) -> Vec<u32> {
+    let mut plan = vec![0u32; layout.actors.len()];
+    if procs <= 1 {
+        return plan;
+    }
+    for (fi, replicas) in layout.fragment_replicas.iter().enumerate() {
+        for (r, id) in replicas.iter().enumerate() {
+            plan[id.index()] = 1 + ((fi + r) as u32 % (procs - 1));
+        }
+    }
+    plan
 }
 
 /// A deployment running under the simulator.
@@ -669,6 +717,27 @@ mod tests {
         assert_eq!(l.fragment_replicas, vec![vec![NodeId(2), NodeId(3)]]);
         assert_eq!(l.client, Some(NodeId(4)));
         assert_eq!(l.source_of(StreamId(1)), NodeId(1));
+    }
+
+    #[test]
+    fn plan_spreads_replicas_across_processes() {
+        let layout = tiny_layout(Vec::new());
+        let plan = plan_processes(&layout, 3);
+        assert_eq!(plan.len(), layout.actors.len());
+        // Sources and client stay in process 0.
+        for (_, id) in &layout.source_ids {
+            assert_eq!(plan[id.index()], 0);
+        }
+        assert_eq!(plan[layout.client.unwrap().index()], 0);
+        // Same-fragment replicas land in different processes.
+        for replicas in &layout.fragment_replicas {
+            let procs: std::collections::HashSet<u32> =
+                replicas.iter().map(|id| plan[id.index()]).collect();
+            assert_eq!(procs.len(), replicas.len().min(2));
+            assert!(!procs.contains(&0), "replicas avoid the client process");
+        }
+        let single = plan_processes(&layout, 1);
+        assert!(single.iter().all(|p| *p == 0));
     }
 
     fn sharded_layout(k: u32, work_replication: usize, faults: Vec<FaultSpec>) -> SystemLayout {
@@ -737,7 +806,7 @@ mod tests {
     /// the exact events, in script order.
     #[test]
     fn topology_faults_lower_to_concrete_events_on_both_replicas() {
-        use FaultEvent::{Custom, LinkDown, LinkUp, NodeDown, NodeUp};
+        use FaultEvent::{Custom, LinkDown, LinkUp, NodeDown, NodeUp, ProcessDown, ProcessUp};
         let script = |faults: &[FaultSpec]| sharded_layout(2, 2, faults.to_vec()).script;
         let (t1, t2) = (Time::from_secs(1), Time::from_secs(2));
         let s1 = StreamId(0);
@@ -760,10 +829,12 @@ mod tests {
             from: t1,
             to: t2,
         };
-        let crash = |to| FaultSpec::CrashReplica {
-            frag: 1,
-            shard: 1,
-            replica: 0,
+        let crash = |to| FaultSpec::Crash {
+            domain: CrashDomain::Replica {
+                frag: 1,
+                shard: 1,
+                replica: 0,
+            },
             from: t1,
             to,
         };
@@ -773,6 +844,11 @@ mod tests {
             replica: 0,
             after,
         };
+        let share_crash = |share, to| FaultSpec::Crash {
+            domain: CrashDomain::Share { share, shares: 3 },
+            from: t1,
+            to,
+        };
         let down = |at, b| (at, LinkDown { a: NodeId(0), b });
         let up = |at, b| (at, LinkUp { a: NodeId(0), b });
         let custom = |at, tag| {
@@ -781,6 +857,10 @@ mod tests {
         };
         let work = [NodeId(4), NodeId(5), NodeId(6), NodeId(7)];
         let victim = NodeId(6);
+        // `plan_processes` over 3 shares: replica r of physical fragment f
+        // in share 1 + (f + r) % 2.
+        let share1 = vec![NodeId(2), NodeId(5), NodeId(6), NodeId(9)];
+        let share2 = vec![NodeId(3), NodeId(4), NodeId(7), NodeId(8)];
         let t1_up = t1 + RESTART_DELAY;
 
         let cases: Vec<(FaultSpec, Vec<(Time, FaultEvent)>)> = vec![
@@ -808,10 +888,43 @@ mod tests {
                 restart(t1),
                 vec![(t1, NodeDown(victim)), (t1_up, NodeUp(victim))],
             ),
+            (
+                share_crash(1, Some(t2)),
+                vec![
+                    (t1, ProcessDown(share1.clone())),
+                    (t2, ProcessUp(share1.clone())),
+                ],
+            ),
+            (share_crash(2, None), vec![(t1, ProcessDown(share2))]),
         ];
         for (fault, want) in cases {
             assert_eq!(script(std::slice::from_ref(&fault)), want, "{fault:?}");
         }
+        // Share 0 holds the sources and the client: crashing it, or a
+        // share the deployment does not have, is refused at layout.
+        for share in [0, 3] {
+            let refused = std::panic::catch_unwind(|| script(&[share_crash(share, None)]));
+            assert!(refused.is_err(), "share {share} of 3 crashed");
+        }
+        // Every actor still up hears a share crash at once, as each
+        // victim's NodeDown; a victim hears its own only. A replica crash
+        // stays its victim's own (§2.2: keep-alive detection).
+        let everyone = || (0..11).map(NodeId);
+        let hears = |h| {
+            if share1.contains(&h) {
+                vec![h]
+            } else {
+                share1.clone()
+            }
+        };
+        let want: Vec<(NodeId, FaultEvent)> = everyone()
+            .flat_map(|h| hears(h).into_iter().map(move |v| (h, NodeDown(v))))
+            .collect();
+        let mut fabric: Fabric<NetMsg> = Fabric::new(Vec::new(), CreditPolicy::Unbounded);
+        let (_, crash_share1) = &script(&[share_crash(1, None)])[0];
+        assert_eq!(fabric.apply(crash_share1, t1, everyone()), want);
+        let alone = fabric.apply(&NodeDown(NodeId(3)), t1, everyone());
+        assert_eq!(alone, vec![(NodeId(3), NodeDown(NodeId(3)))]);
         assert_eq!(
             script(&[disconnect(1, t1, t2)]),
             script(&[cut(0, 0), cut(0, 1), cut(1, 0), cut(1, 1)]),

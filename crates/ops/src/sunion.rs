@@ -386,11 +386,12 @@ impl SUnion {
         self.mode_delay(mode)
     }
 
-    /// Earliest tentative-release deadline over all buffered buckets.
+    /// Earliest tentative-release deadline over the non-empty buckets.
     fn oldest_deadline(&self) -> Option<Time> {
         self.state
             .buckets
             .values()
+            .filter(|b| b.len > 0)
             .map(|b| b.deadline)
             .filter(|&d| d != Time::MAX)
             .min()
@@ -669,7 +670,7 @@ impl SUnion {
                 .state
                 .buckets
                 .iter()
-                .find(|(_, b)| b.deadline <= now)
+                .find(|(_, b)| b.len > 0 && b.deadline <= now)
                 .map(|(&k, _)| k);
             let Some(idx) = expired else {
                 return;
@@ -733,7 +734,8 @@ impl SUnion {
     /// Edits are range splits on the shared views while survivors dominate
     /// their backing batch; mostly-undone batches are compacted instead
     /// (one copy of the survivors), so the undone arrivals are actually
-    /// reclaimed rather than pinned by slivers.
+    /// reclaimed rather than pinned by slivers. An emptied bucket stays, so
+    /// its corrections leave when the undone data would have (§2.3.1).
     fn apply_undo(&mut self, port: usize) {
         // Every entry of the undone port goes through `stable_runs`, even
         // pure-stable ones: the compaction decision is per backing
@@ -778,7 +780,6 @@ impl SUnion {
             bucket.segs = segs;
             bucket.len = len;
         }
-        st.buckets.retain(|_, b| b.len > 0);
     }
 }
 
@@ -1033,6 +1034,30 @@ mod tests {
         assert!(out.tuples().is_empty(), "delay mode holds the full budget");
         s.tick(Time::from_millis(4200), true, &mut out);
         assert_eq!(out.tuples().len(), 1);
+    }
+
+    /// An UNDO empties a held bucket; the stable correction that refills
+    /// it leaves at the deadline the tentative data had, not a fresh one.
+    #[test]
+    fn undo_keeps_the_emptied_buckets_deadline() {
+        let mut c = cfg(2);
+        c.failure_mode = DelayMode::Delay;
+        let mut s = SUnion::new(c);
+        let mut out = BatchEmitter::new();
+        s.process(0, &data(1, 50), Time::from_millis(100), &mut out);
+        s.tick(Time::from_millis(2100), true, &mut out); // detection
+        let held = Tuple::tentative(TupleId(2), Time::from_millis(2150), vec![]);
+        s.process(0, &held, Time::from_millis(2200), &mut out);
+        assert_eq!(s.next_deadline(), Some(Time::from_millis(4200)));
+        let undo = Tuple::undo(TupleId::NONE, TupleId::NONE);
+        s.process(0, &undo, Time::from_millis(3000), &mut out);
+        assert_eq!(s.buffered_tuples(), 0);
+        assert_eq!(s.next_deadline(), None, "an empty bucket is never due");
+        out.take();
+        s.process(0, &data(3, 2150), Time::from_millis(3500), &mut out);
+        assert_eq!(s.next_deadline(), Some(Time::from_millis(4200)));
+        s.tick(Time::from_millis(4200), true, &mut out);
+        assert_eq!(out.tuples().len(), 1, "the correction leaves on time");
     }
 
     #[test]

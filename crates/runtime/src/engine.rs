@@ -232,9 +232,10 @@ impl Worker {
                 // statistics `shutdown` returns are final.
                 Event::Fault(_) if self.hub.sched.stopping() => {}
                 Event::Fault(fault) => {
-                    let notify = self.hub.fabric().apply(&fault, self.hub.clock.now());
-                    for id in notify {
-                        let heard = Envelope::Input(Input::Fault(fault.clone()));
+                    let (now, actors) = (self.hub.clock.now(), self.hub.sched.actors());
+                    let heard = self.hub.fabric().apply(&fault, now, actors);
+                    for (id, heard) in heard {
+                        let heard = Envelope::Input(Input::Fault(heard));
                         self.hub.sched.push(id, heard, Some(self.idx));
                     }
                 }
@@ -389,7 +390,7 @@ impl ThreadRuntime {
         // scheduled ahead of the Start events. (Worker 0 re-applies them
         // idempotently and delivers the notifications.)
         for (_, fault) in script.iter().filter(|(at, _)| *at == Time::ZERO) {
-            fabric.apply(fault, Time::ZERO);
+            fabric.apply(fault, Time::ZERO, []);
         }
         let tasks = actors
             .into_iter()
@@ -560,6 +561,9 @@ mod tests {
                 FaultEvent::NodeDown(_) => "node-down",
                 FaultEvent::NodeUp(_) => "node-up",
                 FaultEvent::Custom { .. } => "custom",
+                FaultEvent::ProcessDown(_) | FaultEvent::ProcessUp(_) => {
+                    unreachable!("heard as each node's NodeDown / NodeUp")
+                }
             };
             self.log.lock().unwrap().push((NodeId(u32::MAX), tag));
         }

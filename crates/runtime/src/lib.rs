@@ -62,12 +62,13 @@ pub mod tcp;
 #[cfg(all(test, borealis_model))]
 mod model_tests;
 
+pub use borealis_dpc::plan_processes;
 pub use borealis_sim::StatsSnapshot;
 pub use clock::MonotonicClock;
 #[cfg(not(borealis_model))]
 pub use engine::ThreadRuntime;
 #[cfg(not(borealis_model))]
-pub use tcp::{deploy_tcp, plan_processes, RunningTcp, TcpFabric};
+pub use tcp::{deploy_tcp, RunningTcp, TcpFabric};
 
 /// The one link fabric of a wall-clock runtime: the simulator's
 /// single-threaded `borealis_sim::Fabric`, shared by the pool's workers

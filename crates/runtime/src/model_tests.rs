@@ -365,7 +365,7 @@ fn model_crash_purge_counts_each_send_once() {
         let crasher = thread::spawn(move || {
             // The fault arm of `Worker::fire_due` (engine.rs): link state,
             // purge and drop count change in one critical section.
-            relock(&t2).apply(&FaultEvent::NodeDown(b), Time::ZERO);
+            relock(&t2).apply(&FaultEvent::NodeDown(b), Time::ZERO, []);
         });
         sender.join();
         crasher.join();

@@ -292,6 +292,10 @@ impl Scheduler {
         self.locals.len()
     }
 
+    pub(crate) fn actors(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.tasks.len() as u32).map(NodeId)
+    }
+
     #[cfg(test)]
     pub(crate) fn task(&self, id: NodeId) -> Option<&Arc<Task>> {
         self.tasks.get(id.index())

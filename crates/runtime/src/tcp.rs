@@ -40,14 +40,17 @@
 //!
 //! **Connection reset = crash.** A torn connection (read error, EOF
 //! without a `Goodbye` frame, a corrupt frame, or a header whose actor ids
-//! the plan does not place on this connection's two ends) marks every
-//! actor of the dead peer process `NodeDown` in the local fabric — the
-//! same `Fabric::apply` a scripted fault meets on worker 0's wheel: queued
+//! the plan does not place on this connection's two ends) is a process
+//! crash of the dead peer: one `FaultEvent::ProcessDown` of its actors in
+//! the local fabric — the same `Fabric::apply`, and the same rule for who
+//! hears it (every live actor), that a scripted process crash meets on
+//! worker 0's wheel under the pool or in the simulator's queue: queued
 //! credit-stalled sends purge as counted delivery drops and later sends
-//! count as send drops, so the chaos semantics of the two transports are
+//! count as send drops, so the chaos semantics of the transports are
 //! identical. The scripted fault script itself replays in *every* process
 //! against its own fabric, which keeps reachability decisions consistent
-//! without any cross-process coordination.
+//! without any cross-process coordination — except a scripted process
+//! crash, which the launcher carries out instead (`FaultEvent::process`).
 //!
 //! **One way into the mesh.** From `establish` on, one acceptor thread
 //! hands each accepted socket to a short-lived thread that reads its one
@@ -336,12 +339,13 @@ impl TcpFabric {
         was_alive
     }
 
-    /// Crash accounting for a torn connection: every actor of the dead
-    /// peer process goes `NodeDown` in the local fabric (queued
+    /// Crash accounting for a torn connection: the dead peer process's
+    /// actors go down in the local fabric as one `ProcessDown` (queued
     /// credit-stalled sends purge as counted delivery drops; later sends
-    /// become send drops), and every live local actor is notified so it
-    /// drops the subscription state the dead process held for it. Without
-    /// the notification a peer that restarts *faster* than the keep-alive
+    /// become send drops), and `Fabric::apply`'s rule for a process crash
+    /// decides who hears it — every live local actor, so it drops the
+    /// subscription state the dead process held for it. Without the
+    /// notification a peer that restarts *faster* than the keep-alive
     /// staleness window leaves its consumers subscribed to a node that no
     /// longer knows them — a dangling subscription that silences the
     /// stream forever.
@@ -349,28 +353,21 @@ impl TcpFabric {
         if !self.mark_dead(conn) {
             return;
         }
-        let now = hub.clock.now();
-        let dead: Vec<NodeId> = self.actors_of(conn.peer_proc).collect();
-        let live: Vec<NodeId> = {
+        let dead = FaultEvent::ProcessDown(self.actors_of(conn.peer_proc).collect());
+        let heard = {
             let mut fabric = hub.fabric();
             let purged_before = fabric.stats().flow.purged;
-            for &d in &dead {
-                fabric.apply(&FaultEvent::NodeDown(d), now);
-            }
+            let heard = fabric.apply(&dead, hub.clock.now(), self.actors_of(self.my_proc));
             let purged = fabric.stats().flow.purged - purged_before;
             self.g.purged.fetch_add(purged, Ordering::Relaxed);
             // Counted once its peer is down, so a reader of the gauge
             // finds the accounting done.
             self.g.resets.fetch_add(1, Ordering::Relaxed);
-            self.actors_of(self.my_proc)
-                .filter(|l| fabric.node_up(*l))
-                .collect()
+            heard
         };
-        for local in live {
-            for &d in &dead {
-                let heard = Input::Fault(FaultEvent::NodeDown(d));
-                hub.sched.push(local, Envelope::Input(heard), None);
-            }
+        for (local, fault) in heard {
+            hub.sched
+                .push(local, Envelope::Input(Input::Fault(fault)), None);
         }
     }
 
@@ -428,10 +425,8 @@ impl TcpFabric {
             // crash accounting runs now, before the NodeUp below.
             self.reset_conn(&old, hub);
         }
-        let now = hub.clock.now();
-        for id in self.actors_of(peer) {
-            hub.fabric().apply(&FaultEvent::NodeUp(id), now);
-        }
+        let back = FaultEvent::ProcessUp(self.actors_of(peer).collect());
+        hub.fabric().apply(&back, hub.clock.now(), []);
         self.spawn_reader(&conn, hub);
     }
 
@@ -678,26 +673,6 @@ fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
     }
 }
 
-/// Maps every actor of `layout` to a process: sources and the client stay
-/// in process 0 (the launcher, which reads the metrics), and the replicas
-/// of each physical fragment spread round-robin over processes `1..procs`
-/// such that **same-fragment replicas land in different processes** —
-/// killing one process then behaves like the paper's independent node
-/// failures. Every process computes the identical plan from the shared
-/// layout, so no coordination is needed.
-pub fn plan_processes(layout: &SystemLayout, procs: u32) -> Vec<u32> {
-    let mut plan = vec![0u32; layout.actors.len()];
-    if procs <= 1 {
-        return plan;
-    }
-    for (fi, replicas) in layout.fragment_replicas.iter().enumerate() {
-        for (r, id) in replicas.iter().enumerate() {
-            plan[id.index()] = 1 + ((fi + r) as u32 % (procs - 1));
-        }
-    }
-    plan
-}
-
 /// A deployment running under the thread engine in one process of a
 /// multi-process system — the socket sibling of
 /// [`RunningThreads`](crate::RunningThreads).
@@ -803,7 +778,6 @@ mod tests {
     use borealis_types::{
         CreditPolicy, Duration, StreamId, Time, Tuple, TupleBatch, TupleId, Value,
     };
-    use std::collections::HashSet;
 
     fn data_msg() -> NetMsg {
         NetMsg::Data {
@@ -1240,40 +1214,5 @@ mod tests {
         f1.shutdown();
         rt0.shutdown();
         f0.shutdown();
-    }
-
-    #[test]
-    fn plan_spreads_replicas_across_processes() {
-        // Hand-build the minimal layout shape the planner reads.
-        use borealis_diagram::{plan_deployment, DeploymentSpec, DpcConfig, QueryBuilder};
-        use borealis_dpc::SystemBuilder;
-        let mut q = QueryBuilder::new();
-        let s1 = q.source("s1");
-        let s2 = q.source("s2");
-        let u = q.union("u", &[s1, s2]);
-        q.output(u);
-        let d = q.build().unwrap();
-        let p = plan_deployment(&d, &DeploymentSpec::single(2), &DpcConfig::default()).unwrap();
-        let layout = SystemBuilder::new(1, Duration::from_millis(1))
-            .source(borealis_dpc::SourceConfig::seq(s1.id(), 10.0))
-            .source(borealis_dpc::SourceConfig::seq(s2.id(), 10.0))
-            .plan(p)
-            .client_streams(vec![u.id()])
-            .layout();
-        let plan = plan_processes(&layout, 3);
-        assert_eq!(plan.len(), layout.actors.len());
-        // Sources and client stay in process 0.
-        for (_, id) in &layout.source_ids {
-            assert_eq!(plan[id.index()], 0);
-        }
-        assert_eq!(plan[layout.client.unwrap().index()], 0);
-        // Same-fragment replicas land in different processes.
-        for replicas in &layout.fragment_replicas {
-            let procs: HashSet<u32> = replicas.iter().map(|id| plan[id.index()]).collect();
-            assert_eq!(procs.len(), replicas.len().min(2));
-            assert!(!procs.contains(&0), "replicas avoid the client process");
-        }
-        let single = plan_processes(&layout, 1);
-        assert!(single.iter().all(|p| *p == 0));
     }
 }

@@ -24,8 +24,8 @@
 //!   message;
 //! * [`Fabric::apply`] — a fault mutates the link state, a crash purges the
 //!   node's queued sends (counted once, as delivery drops), and the result
-//!   is the list of actors to notify: a down node hears nothing but its own
-//!   `NodeDown`.
+//!   says who hears what: a down node hears nothing but its own `NodeDown`,
+//!   and only a process crash is heard by every live actor.
 //!
 //! Only data messages are credit-controlled (see
 //! [`ShardMsg::credit_controlled`]); control traffic always passes, so a
@@ -240,36 +240,53 @@ impl<M> Fabric<M> {
         released
     }
 
-    /// Applies a fault (or heal) at `now` and returns the actors to notify.
-    ///
-    /// A crash purges the node's pending credits and queued sends — those
-    /// are in-flight losses, counted here exactly once as delivery drops,
-    /// and its links restart with a full window. A down node hears nothing
-    /// except its own `NodeDown` (so crash semantics stay scripted).
-    pub fn apply(&mut self, fault: &FaultEvent, now: Time) -> Vec<NodeId> {
-        let mut involved = match *fault {
-            FaultEvent::LinkDown { a, b } => {
-                self.down_links.insert(ordered(a, b));
-                vec![a, b]
+    /// Applies a fault (or heal) at `now` and returns who hears what among
+    /// `hosted`, the actors the caller drives — one rule for every runtime
+    /// and the socket mesh's torn connections: a link fault's live ends, a
+    /// `Custom` fault's live target, a crashed or restarted node alone (its
+    /// peers detect a crash by keep-alives, §2.2) — but a process crash is
+    /// heard at once by every live actor, as each of its nodes' `NodeDown`.
+    /// A crash purges the node's pending credits and queued sends, counted
+    /// once as delivery drops, and its links restart with a full window. A
+    /// down node hears nothing but its own crash.
+    pub fn apply(
+        &mut self,
+        fault: &FaultEvent,
+        now: Time,
+        hosted: impl IntoIterator<Item = NodeId>,
+    ) -> Vec<(NodeId, FaultEvent)> {
+        use FaultEvent::*;
+        match fault {
+            LinkDown { a, b } => _ = self.down_links.insert(ordered(*a, *b)),
+            LinkUp { a, b } => _ = self.down_links.remove(&ordered(*a, *b)),
+            NodeDown(n) => self.crash(*n, now),
+            ProcessDown(dead) => dead.iter().for_each(|&n| self.crash(n, now)),
+            NodeUp(n) => _ = self.down_nodes.remove(n),
+            ProcessUp(back) => back.iter().for_each(|n| _ = self.down_nodes.remove(n)),
+            Custom { .. } => {}
+        }
+        let hosted: Vec<NodeId> = hosted.into_iter().collect();
+        let hosts: HashSet<NodeId> = hosted.iter().copied().collect();
+        let heard: Vec<(NodeId, FaultEvent)> = match fault {
+            LinkDown { a, b } | LinkUp { a, b } => vec![(*a, fault.clone()), (*b, fault.clone())],
+            NodeDown(n) | NodeUp(n) | Custom { target: n, .. } => vec![(*n, fault.clone())],
+            ProcessDown(dead) => {
+                let each = |&h: &NodeId| dead.iter().map(move |&n| (h, NodeDown(n)));
+                hosted.iter().flat_map(each).collect()
             }
-            FaultEvent::LinkUp { a, b } => {
-                self.down_links.remove(&ordered(a, b));
-                vec![a, b]
-            }
-            FaultEvent::NodeDown(n) => {
-                self.down_nodes.insert(n);
-                self.counts.delivery_drops += self.flow.reset_node(n, now);
-                self.debug_check();
-                return vec![n];
-            }
-            FaultEvent::NodeUp(n) => {
-                self.down_nodes.remove(&n);
-                vec![n]
-            }
-            FaultEvent::Custom { target, .. } => vec![target],
+            ProcessUp(back) => back.iter().map(|&n| (n, NodeUp(n))).collect(),
         };
-        involved.retain(|n| self.node_up(*n));
-        involved
+        let hears = |(h, e): &(NodeId, FaultEvent)| {
+            hosts.contains(h) && (self.node_up(*h) || *e == NodeDown(*h))
+        };
+        heard.into_iter().filter(hears).collect()
+    }
+
+    /// Marks `n` down and purges its ledger state (see [`Fabric::apply`]).
+    fn crash(&mut self, n: NodeId, now: Time) {
+        self.down_nodes.insert(n);
+        self.counts.delivery_drops += self.flow.reset_node(n, now);
+        self.debug_check();
     }
 
     /// Debug builds re-verify the ledger's gauge/window invariants after
@@ -390,8 +407,11 @@ mod tests {
         Arrive(NodeId, NodeId, Msg, bool, bool),
         /// `consumed(from, to)` → released payload id.
         Consumed(NodeId, NodeId, Option<u32>),
-        /// `apply(fault)` → notify list.
+        /// `apply(fault)` among every node → who hears it.
         Fault(FaultEvent, &'static [NodeId]),
+        /// `apply(ProcessDown(nodes))` among every node → who hears whose
+        /// `NodeDown`.
+        Crash(Vec<NodeId>, &'static [(NodeId, NodeId)]),
         /// `reachable(a, b)` in both directions.
         Reach(NodeId, NodeId, bool),
         /// `timer_fires(actor, stale)`.
@@ -605,6 +625,19 @@ mod tests {
                     Fault(link_down(N0, N1), &[N0, N1]),
                 ],
             },
+            Case {
+                name: "every live node hears a process crash, a restart its own",
+                policy: Unbounded,
+                steps: vec![
+                    Fault(FaultEvent::NodeDown(N3), &[N3]),
+                    Crash(vec![N1, N2], &[(N0, N1), (N0, N2), (N1, N1), (N2, N2)]),
+                    Reach(N0, N1, false),
+                    Reach(N1, N2, false),
+                    Fault(FaultEvent::ProcessUp(vec![N1, N2]), &[N1, N2]),
+                    Reach(N0, N2, true),
+                    Reach(N2, N3, false),
+                ],
+            },
         ]
     }
 
@@ -657,7 +690,21 @@ mod tests {
                             "{at}"
                         )
                     }
-                    Fault(fault, want) => assert_eq!(f.apply(&fault, now), want, "{at}"),
+                    Fault(fault, want) => {
+                        let heard = f.apply(&fault, now, [N0, N1, N2, N3]);
+                        let own = |h, e: &FaultEvent| *e == fault || *e == FaultEvent::NodeUp(h);
+                        assert!(heard.iter().all(|(h, e)| own(*h, e)), "{at}");
+                        let hearers: Vec<NodeId> = heard.into_iter().map(|(n, _)| n).collect();
+                        assert_eq!(hearers, want, "{at}");
+                    }
+                    Crash(nodes, want) => {
+                        let heard = f.apply(&FaultEvent::ProcessDown(nodes), now, [N0, N1, N2, N3]);
+                        let want: Vec<_> = want
+                            .iter()
+                            .map(|&(h, n)| (h, FaultEvent::NodeDown(n)))
+                            .collect();
+                        assert_eq!(heard, want, "{at}");
+                    }
                     Reach(a, b, want) => {
                         assert_eq!(f.reachable(a, b), want, "{at}");
                         assert_eq!(f.reachable(b, a), want, "{at} (reverse)");

@@ -32,6 +32,11 @@ pub enum FaultEvent {
     NodeDown(NodeId),
     /// The node restarts (empty state; see §4.5 failed-node recovery).
     NodeUp(NodeId),
+    /// A process crash: `NodeDown` of every listed node at once, which
+    /// every live actor hears too — the process's connections tear.
+    ProcessDown(Vec<NodeId>),
+    /// The crashed process is back: `NodeUp` of every listed node.
+    ProcessUp(Vec<NodeId>),
     /// An application-defined fault delivered to one actor's `on_fault`
     /// hook. Used for source-level scripting: muting a source's output or
     /// just its boundary tuples (the §6.2 failure mode).
@@ -41,4 +46,16 @@ pub enum FaultEvent {
         /// Application-defined discriminator.
         tag: u64,
     },
+}
+
+impl FaultEvent {
+    /// A process crash's (`false`) or restart's (`true`) nodes: a launcher
+    /// of real processes kills or respawns the process instead of replaying it.
+    pub fn process(&self) -> Option<(&[NodeId], bool)> {
+        match self {
+            FaultEvent::ProcessDown(nodes) => Some((nodes, false)),
+            FaultEvent::ProcessUp(nodes) => Some((nodes, true)),
+            _ => None,
+        }
+    }
 }

@@ -176,8 +176,9 @@ impl<M: ShardMsg> Sim<M> {
                 }
             }
             Event::Fault(fault) => {
-                for id in self.fabric.apply(&fault, self.now) {
-                    self.activate(id, Input::Fault(fault.clone()));
+                let actors = (0..self.cells.len() as u32).map(NodeId);
+                for (id, heard) in self.fabric.apply(&fault, self.now, actors) {
+                    self.activate(id, Input::Fault(heard));
                 }
             }
         }

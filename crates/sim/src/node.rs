@@ -466,10 +466,10 @@ mod tests {
                         (Input::Timer { kind, incarnation }, None)
                     }
                     Fault(fault) => {
-                        if !fabric.apply(&fault, now).contains(&ME) {
+                        let Some((_, heard)) = fabric.apply(&fault, now, [ME]).pop() else {
                             continue;
-                        }
-                        (Input::Fault(fault), None)
+                        };
+                        (Input::Fault(heard), None)
                     }
                     Log(want) => {
                         assert_eq!(*log.lock().unwrap(), want, "{at}");

@@ -9,7 +9,7 @@ use crate::setups::{
     PolicyVariant, SingleNodeOptions, DISTRIBUTED_VARIANTS, SINGLE_NODE_OUT, VARIANTS,
 };
 use borealis_diagram::DelayAssignment;
-use borealis_dpc::FaultSpec;
+use borealis_dpc::{CrashDomain, FaultSpec};
 use borealis_types::{Duration, StreamId, Time};
 
 /// When failures start in every scenario (after warm-up).
@@ -330,10 +330,12 @@ pub struct SwitchoverResult {
 /// ~40 ms switch ≈ 140 ms).
 pub fn run_switchover() -> SwitchoverResult {
     let mut sys = single_node_builder(&SingleNodeOptions::default())
-        .fault(FaultSpec::CrashReplica {
-            frag: 0,
-            shard: 0,
-            replica: 0,
+        .fault(FaultSpec::Crash {
+            domain: CrashDomain::Replica {
+                frag: 0,
+                shard: 0,
+                replica: 0,
+            },
             from: FAILURE_START,
             to: None,
         })

@@ -534,15 +534,17 @@ pub fn overhead_builder(o: &OverheadOptions) -> SystemBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borealis_dpc::FaultSpec;
+    use borealis_dpc::{CrashDomain, FaultSpec};
     use borealis_types::Time;
 
     /// A permanent crash, two seconds in, of replica 0 of shard 1 of `frag`.
     fn crash_shard_one(frag: usize) -> FaultSpec {
-        FaultSpec::CrashReplica {
-            frag,
-            shard: 1,
-            replica: 0,
+        FaultSpec::Crash {
+            domain: CrashDomain::Replica {
+                frag,
+                shard: 1,
+                replica: 0,
+            },
             from: Time::from_secs(2),
             to: None,
         }

@@ -24,15 +24,12 @@ const KNOWN_DEVIATIONS: &[&str] = &[
     // Delaying in UP_FAILURE yields *more* tentative tuples than processing
     // (22186 vs 21286 at 4 s; +900 to +3600 at every duration ≥ 4 s).
     "fig13/delaying_failure_cuts_ntentative",
-    // Delay & Delay on a chain: 5.41 / 8.11 / 11.01 s at depth 2 / 3 / 4
-    // against depth × 2 s.
+    // Delay & Delay on a chain: 4.20 / 6.06 s at depth 2 / 3 against
+    // depth × 2 s.
     "fig15/delay_delay_within_budget",
-    // Delay & Delay, D = 2 s, depth 4: 8.30 / 11.01 / 9.02 s on 10 / 30 /
-    // 60 s failures against X = 8 s.
+    // Delay & Delay, D = 2 s, depth 4: 8.47 s on the 60 s failure against
+    // X = 8 s.
     "fig19_20/delay_delay_within_budget",
-    // Process & Process with the full 6.5 s at every SUnion: 8.06 s on
-    // failures ≥ 10 s against X = 8 s.
-    "fig19_20/full_assignment_within_budget",
 ];
 
 /// One paper claim and the measured rows that contradict it.

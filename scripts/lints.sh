@@ -108,4 +108,11 @@ if git grep --untracked -nE 'writer_loop|tcp-writer' -- '*.rs'; then fail "one f
 # launcher and its argv codec stay deleted.
 if git grep -nE 'CARGO_BIN_EXE|Command::new|TcpChainSpec' -- '*.rs' ':!benchmark'; then fail "one socket-mesh harness"; fi
 
+# One crash fault: a crash is a `FaultSpec::Crash` over a failure domain —
+# one replica, or every actor of one process — on every runtime, so the
+# replica-only variant and the socket-mesh-only harness option stay
+# deleted from the code, CI and the docs (the frozen benchmark's README
+# and the top-level change logs keep their history).
+if git grep -nE 'TcpRejoin|CrashReplica' -- '*.rs' '*.yml' '*/*.md' README.md ':!benchmark'; then fail "one crash fault"; fi
+
 echo "lints: ok"

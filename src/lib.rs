@@ -104,8 +104,8 @@ pub mod prelude {
         JoinSpec, PhysicalPlan, Protection, QueryBuilder, StreamHandle,
     };
     pub use borealis_dpc::{
-        final_stream, BufferPolicy, FaultSpec, MetricsHub, NodeState, NodeTuning, RunningSystem,
-        SourceConfig, SystemBuilder, SystemLayout, TraceEntry, ValueGen,
+        final_stream, BufferPolicy, CrashDomain, FaultSpec, MetricsHub, NodeState, NodeTuning,
+        RunningSystem, SourceConfig, SystemBuilder, SystemLayout, TraceEntry, ValueGen,
     };
     pub use borealis_ops::{AggFn, AggregateSpec, DelayMode, SJoinSpec, SUnionConfig};
     pub use borealis_runtime::{

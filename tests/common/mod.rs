@@ -209,10 +209,12 @@ pub fn ms(n: u64) -> Time {
 
 /// Replica 0 of shard `shard` of fragment `frag` dies at `at`, for good.
 pub fn crash(frag: usize, shard: usize, at: Time) -> FaultSpec {
-    FaultSpec::CrashReplica {
-        frag,
-        shard,
-        replica: 0,
+    FaultSpec::Crash {
+        domain: CrashDomain::Replica {
+            frag,
+            shard,
+            replica: 0,
+        },
         from: at,
         to: None,
     }
@@ -240,14 +242,14 @@ pub enum Runtime {
     /// of the layout (`plan_processes`; share 0 keeps sources and client)
     /// and reaching the others over loopback sockets: the wire codec, the
     /// credit grants, the readers and the senders' flushes of a multi-process
-    /// deployment, for any builder, in this process.
+    /// deployment, for any builder, in this process. A scripted crash of a
+    /// share (`CrashDomain::Share` over [`TCP_SHARES`]) is carried out as a
+    /// process kill, and kept out of every share's script: the share's
+    /// connections tear without a `Goodbye` (`TcpFabric::crash`) and its
+    /// engine stops; at the restart a fresh share of the same scenario
+    /// rejoins the mesh (`TcpFabric::establish_rejoin`), its nodes
+    /// restarting from their durable stores, if any.
     Tcp,
-    /// As [`Runtime::Tcp`], except that share `share` crashes at `at` — its
-    /// connections torn without a `Goodbye` (`TcpFabric::crash`), its
-    /// engine stopped — and a fresh share of the same scenario rejoins the
-    /// mesh at once (`TcpFabric::establish_rejoin`): a process killed and
-    /// respawned. With durable stores its nodes restart from disk.
-    TcpRejoin { share: u32, at: Time },
 }
 
 /// Shares of a [`Runtime::Tcp`] run.
@@ -352,19 +354,23 @@ pub fn run_while(
             let stats = sys.shutdown();
             Outcome { stats, ..outcome }
         }
-        Runtime::Tcp | Runtime::TcpRejoin { .. } => {
+        Runtime::Tcp => {
             let bind = || TcpListener::bind("127.0.0.1:0").expect("loopback port");
             let listeners: Vec<TcpListener> = (0..TCP_SHARES).map(|_| bind()).collect();
             let addr = |l: &TcpListener| l.local_addr().expect("bound").to_string();
             let mut addrs: Vec<String> = listeners.iter().map(addr).collect();
+            let layout = scenario().0.layout();
+            let plan = plan_processes(&layout, TCP_SHARES);
+            let (actors, mut kills) = (layout.actors.len(), layout.script);
+            kills.retain(|(_, f)| f.process().is_some());
             type Join =
                 fn(u32, TcpListener, &[String], Vec<u32>) -> std::io::Result<Arc<TcpFabric>>;
             // Share `p` of the scenario, admitted to the mesh by `join`.
             let share = |p: u32, listener, addrs: &[String], join: Join| {
                 let (builder, hub, out) = traced();
-                let layout = builder.layout();
-                let plan = plan_processes(&layout, TCP_SHARES);
-                let mesh = join(p, listener, addrs, plan).expect("loopback mesh");
+                let mut layout = builder.layout();
+                layout.script.retain(|(_, f)| f.process().is_none());
+                let mesh = join(p, listener, addrs, plan.clone()).expect("loopback mesh");
                 (layout, mesh, hub, out)
             };
             // Highest share first: a share dials the lower ones, whose
@@ -375,31 +381,36 @@ pub fn run_while(
             for (p, listener) in listeners.into_iter().enumerate().rev() {
                 shares.push(share(p as u32, listener, &addrs, TcpFabric::establish));
             }
-            let actors = shares[0].0.actors.len();
-            let deploy = |(layout, mesh, hub, out)| (deploy_tcp(layout, mesh), hub, out);
-            let mut running: Vec<(RunningTcp, MetricsHub, StreamId)> =
+            let deploy = |(layout, mesh, hub, out)| Some((deploy_tcp(layout, mesh), hub, out));
+            let mut running: Vec<Option<(RunningTcp, MetricsHub, StreamId)>> =
                 shares.into_iter().map(deploy).collect(); // share 0 deploys last
             running.reverse();
-            let (hub, out) = (running[0].1.clone(), running[0].2);
+            let (_, hub, out) = running[0].as_ref().expect("share 0 runs");
+            let (hub, out) = (hub.clone(), *out);
             let start = Instant::now();
-            if let Runtime::TcpRejoin { share: p, at } = runtime {
+            for (at, kill) in kills {
+                let (nodes, up) = kill.process().expect("a process fault");
+                let p = plan[nodes[0].index()];
                 wait(&hub, out, start, at);
-                let (victim, ..) = running.remove(p as usize);
-                victim.fabric.crash();
-                victim.shutdown();
-                let listener = bind();
-                addrs[p as usize] = addr(&listener);
-                let fresh = share(p, listener, &addrs, TcpFabric::establish_rejoin);
-                running.insert(p as usize, deploy(fresh));
+                if up {
+                    let listener = bind();
+                    addrs[p as usize] = addr(&listener);
+                    let fresh = share(p, listener, &addrs, TcpFabric::establish_rejoin);
+                    running[p as usize] = deploy(fresh);
+                } else {
+                    let (victim, ..) = running[p as usize].take().expect("share up");
+                    victim.fabric.crash();
+                    victim.shutdown();
+                }
             }
             wait(&hub, out, start, horizon);
-            let front = &running[0].0;
+            let front = &running[0].as_ref().expect("share 0 never crashes").0;
             let fabric = front.runtime.fabric();
             let ids = (0..actors as u32).map(NodeId);
             let down = ids.filter(|&id| !fabric.node_up(id)).collect();
             drop(fabric);
             let outcome = read(&hub, out, front.stats()); // before teardown
-            for (share, ..) in running {
+            for (share, ..) in running.into_iter().flatten() {
                 share.shutdown();
             }
             Outcome { down, ..outcome }

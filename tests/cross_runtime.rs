@@ -457,52 +457,68 @@ fn durability_only_chain_delivers_the_whole_stream_on_threads() {
     assert!(failed.is_empty(), "{failed:#?}");
 }
 
-/// Kill-then-respawn of a whole process: share 1, which hosts one replica
-/// of every fragment, crashes at t = 2 s — every connection torn without a
-/// `Goodbye` — and a fresh share of the same deployment rejoins the mesh at
-/// once. Its nodes reload their checkpoints from the durable stores, replay
-/// their input-log suffixes and re-subscribe. The client's stable stream
-/// must match the failure-free simulator run and keep flowing after the
-/// crash, and share 0 must hold every respawned actor up again.
+/// Kill-then-respawn of a whole process, from one fault list on every
+/// runtime: share 1 of [`common::TCP_SHARES`], which hosts one replica of
+/// every fragment, crashes at t = 2 s and respawns at once. Every survivor
+/// hears the crash at once — over TCP through its torn connections, every
+/// connection torn without a `Goodbye` and a fresh share rejoining the
+/// mesh. The respawned nodes reload their checkpoints from the durable
+/// stores, replay their input-log suffixes and re-subscribe. Each runtime
+/// must keep the stream flowing past the crash and agree with the
+/// simulator's run of the same crash, and share 0 must hold every
+/// respawned actor up again.
 #[test]
 fn tcp_killed_worker_respawns_and_recovers_from_disk() {
     let _serial = serial();
-    let root = scratch("tcp");
     let o = fast_sharded_chain(33);
-    // The simulator reference runs without stores: they must not seed the
-    // socket run's directories, and durability leaves the id space alone.
-    let chain = || sharded_chain_builder(&o);
-    let stored = || {
-        let (builder, out) = chain();
+    let kill = FaultSpec::Crash {
+        domain: CrashDomain::Share {
+            share: 1,
+            shares: common::TCP_SHARES,
+        },
+        from: ms(2000),
+        to: Some(ms(2000)),
+    };
+    // Durable stores on virtual time under the simulator, behind each
+    // process's flusher on the wall clock.
+    let roots = [
+        scratch("kill-sim"),
+        scratch("kill-threads"),
+        scratch("kill-tcp"),
+    ];
+    let stored = |root: &std::path::Path, background: bool| {
+        let (builder, out) = sharded_chain_builder(&o);
         let every = Duration::from_millis(250);
-        (builder.durability(&root, every, true), out)
+        let builder = builder.durability(root, every, background);
+        (builder.fault(kill.clone()), out)
     };
-    let sim = run_on(Runtime::Sim, &chain, secs(6));
-    let killed = Runtime::TcpRejoin {
-        share: 1,
-        at: ms(2000),
-    };
-    let tcp = run_on(killed, &stored, ms(5000));
+    let sim = run_on(Runtime::Sim, &|| stored(&roots[0], false), secs(6));
+    let thr = run_on(Runtime::Threads, &|| stored(&roots[1], true), ms(5000));
+    let tcp = run_on(Runtime::Tcp, &|| stored(&roots[2], true), ms(5000));
 
-    // Evidence of the kill that cannot race: recovery markers are written
-    // only by nodes that restarted from their (fresh, per-run) stores. A
-    // drop count cannot serve — the respawn can reconnect before any peer
-    // sends into the dead connection, and then nothing is lost.
-    let recovered = read_recovery_markers(&root);
-    assert!(!recovered.is_empty(), "nodes recover from disk");
-    for marker in &recovered {
-        assert!(marker.starts_with("snapshot="), "marker {marker}");
+    for (run, root) in [&sim, &thr, &tcp].into_iter().zip(&roots) {
+        // Evidence of the kill that cannot race: recovery markers are
+        // written only by nodes that restarted from their (fresh, per-run)
+        // stores. A drop count cannot serve — the respawn can reconnect
+        // before any peer sends into the dead connection, and then nothing
+        // is lost.
+        let recovered = read_recovery_markers(root);
+        assert!(!recovered.is_empty(), "{root:?}: nodes recover from disk");
+        for marker in &recovered {
+            assert!(marker.starts_with("snapshot="), "marker {marker}");
+        }
+        // The survivors carry the stream on with the respawned share:
+        // stable output from a second past the crash reaches the client.
+        let last = run.stable().last().map_or(0, |&(_, stime)| stime);
+        assert!(
+            last >= ms(3000).as_micros(),
+            "{root:?}: stable output stops at {last} µs"
+        );
+        let _ = std::fs::remove_dir_all(root);
     }
-    // The survivors admitted the respawned share's actors back up, and
-    // they carry the stream on: stable output from a second past the crash
-    // reaches the client.
+    // The survivors admitted the respawned share's actors back up.
     assert!(tcp.down.is_empty(), "left down in share 0: {:?}", tcp.down);
-    let last = tcp.stable().last().map_or(0, |&(_, stime)| stime);
-    assert!(
-        last >= ms(3000).as_micros(),
-        "stable output stops at {last} µs"
-    );
     // Kill + disk recovery re-delivers nothing and changes nothing.
+    assert_same_stable_prefix(&sim, &thr, 300);
     assert_same_stable_prefix(&sim, &tcp, 300);
-    let _ = std::fs::remove_dir_all(&root);
 }

@@ -124,10 +124,12 @@ fn availability_bound_through_long_failure() {
 /// inconsistencies appear.
 #[test]
 fn crash_during_failure_and_recovery() {
-    let crash = FaultSpec::CrashReplica {
-        frag: 0,
-        shard: 0,
-        replica: 0,
+    let crash = FaultSpec::Crash {
+        domain: CrashDomain::Replica {
+            frag: 0,
+            shard: 0,
+            replica: 0,
+        },
         from: secs(10),
         to: Some(secs(20)),
     };

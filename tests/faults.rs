@@ -59,10 +59,12 @@ fn mixed_fault_types_converge() {
 /// rebuild from the source logs and the stream resumes without duplicates.
 #[test]
 fn total_crash_recovers_from_source_logs() {
-    let crash = |replica| FaultSpec::CrashReplica {
-        frag: 0,
-        shard: 0,
-        replica,
+    let crash = |replica| FaultSpec::Crash {
+        domain: CrashDomain::Replica {
+            frag: 0,
+            shard: 0,
+            replica,
+        },
         from: secs(8),
         to: Some(secs(12)),
     };

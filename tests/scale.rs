@@ -42,10 +42,12 @@ fn run_grid(wall_secs: u64, crash: bool) -> (u64, u64, borealis::sim::StatsSnaps
     let (mut builder, outs) = scale_grid_builder(&o);
     builder = builder.workers(WORKERS);
     if crash {
-        builder = builder.fault(FaultSpec::CrashReplica {
-            frag: 2,
-            shard: 1,
-            replica: 0,
+        builder = builder.fault(FaultSpec::Crash {
+            domain: CrashDomain::Replica {
+                frag: 2,
+                shard: 1,
+                replica: 0,
+            },
             from: Time::from_millis(1500),
             to: None,
         });

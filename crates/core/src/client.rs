@@ -3,8 +3,10 @@
 //!
 //! The proxy is the consumer half of DPC ([`Inputs`], the same one a
 //! processing node runs) with a recorder behind it instead of a fragment:
-//! subscription with exact resume positions, keep-alive monitoring of the
-//! producing replicas, Table II switching (preferring stable replicas —
+//! subscription with exact resume positions, keep-alive monitoring of every
+//! producer of every input (a lone one too: a restarted producer has
+//! forgotten the subscription, and missed keep-alives are how the proxy
+//! learns to renew it), Table II switching (preferring stable replicas —
 //! Property 3), duplicate filtering, and cumulative acks for upstream
 //! buffer truncation. Every accepted tuple is recorded into a
 //! [`MetricsHub`] so experiments can read `Procnew` and `Ntentative`
@@ -58,7 +60,7 @@ impl DpcActor<NetMsg> for ClientProxy {
     /// Startup: subscribe to every watched stream, arm the timers.
     fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
         let now = ctx.now();
-        self.inputs = Inputs::new(&self.streams, false, now);
+        self.inputs = Inputs::new(&self.streams, now);
         let watched = self.streams.iter();
         self.recorders = watched.map(|cs| self.metrics.recorder(cs.stream)).collect();
         self.inputs.subscribe_all(ctx);

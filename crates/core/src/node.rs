@@ -27,7 +27,7 @@ use crate::durable::{DurabilityConfig, NodeDisk};
 use crate::msg::{NetMsg, NodeState};
 use crate::publisher::Publisher;
 use crate::runtime::{DpcActor, RuntimeCtx};
-use crate::upstream::{Inputs, UpstreamSpec, ACK_PERIOD};
+use crate::upstream::{stale_after, Inputs, UpstreamSpec, ACK_PERIOD};
 use borealis_diagram::FragmentPlan;
 use borealis_engine::{Batch, Fragment};
 use borealis_sim::FaultEvent;
@@ -108,11 +108,11 @@ pub struct ProcessingNode {
     granted_to: Vec<(NodeId, Time)>,
     /// Who authorized our current stabilization.
     authorized_by: Option<NodeId>,
-    /// End of the current stabilization's busy window.
-    stab_done_at: Option<Time>,
     scheduled_tick: Option<Time>,
-    /// True while rebuilding after a crash (§4.5): no requests answered.
-    recovering: bool,
+    /// Set while rebuilding after a crash (§4.5), when no request is
+    /// answered: the silence lasts until this instant and until the
+    /// recovery replay is done (`busy_until`), whichever is later.
+    recovering_until: Option<Time>,
     /// Open durable store, when configured.
     disk: Option<NodeDisk>,
 }
@@ -132,9 +132,8 @@ impl ProcessingNode {
             pending_request: None,
             granted_to: Vec::new(),
             authorized_by: None,
-            stab_done_at: None,
             scheduled_tick: None,
-            recovering: false,
+            recovering_until: None,
             disk: None,
         }
     }
@@ -223,7 +222,6 @@ impl ProcessingNode {
         self.state = NodeState::Stabilization;
         let batch = self.fragment.reconcile(now);
         self.handle_batch(ctx, batch, now);
-        self.stab_done_at = Some(self.busy_until.max(now));
         ctx.set_timer(self.busy_until.max(now), TIMER_STAB_DONE);
     }
 
@@ -292,8 +290,8 @@ impl ProcessingNode {
         if let Some(disk) = &self.disk {
             disk.write_recovery_marker(image.snapshot_id, recover_us, n_replay);
         }
-        self.recovering = true;
-        ctx.set_timer(self.busy_until.max(now), TIMER_RECOVERY_DONE);
+        let replayed = Some(self.busy_until.max(now));
+        self.recovering_until = self.recovering_until.max(replayed);
     }
 }
 
@@ -304,17 +302,17 @@ impl DpcActor<NetMsg> for ProcessingNode {
     /// subscribe to upstreams and arm the periodic timers. The disk
     /// recovery runs *before* the first `Subscribe`, so the subscription
     /// carries the recovered stable positions — the upstream replays only
-    /// the suffix the disk image does not cover.
+    /// the suffix the disk image does not cover. A node that restarted or
+    /// recovered from disk answers nothing until its recovery is done.
     fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
         let now = ctx.now();
-        // Fragment streams are monitored for Table II switching; source
-        // streams are monitored so that a node cut off from its sources
-        // detects the silence via missed keep-alives (Fig. 5) even with no
-        // data in flight.
-        self.inputs = Inputs::new(&self.cfg.upstreams, true, now);
+        self.inputs = Inputs::new(&self.cfg.upstreams, now);
         if let Some(dcfg) = self.cfg.durability.clone() {
             self.recover_from_disk(ctx, &dcfg);
             ctx.set_timer(now + dcfg.interval, TIMER_CHECKPOINT);
+        }
+        if let Some(until) = self.recovering_until {
+            ctx.set_timer(until, TIMER_RECOVERY_DONE);
         }
         self.inputs.subscribe_all(ctx);
         ctx.set_timer(now + self.cfg.tuning.heartbeat_period, TIMER_HEARTBEAT);
@@ -346,13 +344,13 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 self.post_event(ctx);
             }
             // §4.5: a recovering node serves no subscriptions.
-            NetMsg::Subscribe { .. } if self.recovering => {}
+            NetMsg::Subscribe { .. } if self.recovering_until.is_some() => {}
             NetMsg::Subscribe { .. } | NetMsg::Unsubscribe { .. } | NetMsg::Ack { .. } => {
                 let ready = self.busy_until.max(ctx.now()); // when the modelled CPU is free
                 self.out.on_message(ctx, from, msg, ready);
             }
             NetMsg::HeartbeatReq => {
-                if self.recovering {
+                if self.recovering_until.is_some() {
                     return; // §4.5: no replies until consistent again
                 }
                 let resp = NetMsg::HeartbeatResp {
@@ -388,7 +386,7 @@ impl DpcActor<NetMsg> for ProcessingNode {
             }
             NetMsg::ReconcileRequest => {
                 let must_reject = self.state == NodeState::Stabilization
-                    || self.recovering
+                    || self.recovering_until.is_some()
                     || (self.fragment.can_reconcile() && ctx.id() < from);
                 if must_reject {
                     ctx.send(from, NetMsg::ReconcileReject);
@@ -460,18 +458,16 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 self.check_reconcile(ctx);
             }
             TIMER_STAB_DONE => {
-                if self.stab_done_at.is_none() {
-                    return; // stale timer from a superseded stabilization
+                if self.state != NodeState::Stabilization {
+                    return; // no stabilization to finish
                 }
                 if now < self.busy_until {
                     // Fresh input extended the queue past the original
                     // estimate: stabilization ends only when the node
                     // "catches up with normal execution" (§4.4.2).
-                    self.stab_done_at = Some(self.busy_until);
                     ctx.set_timer(self.busy_until, TIMER_STAB_DONE);
                     return;
                 }
-                self.stab_done_at = None;
                 // Caught up: emit REC_DONE (and any final UNDO) on every
                 // output stream, then leave STABILIZATION.
                 let batch = self.fragment.finish_reconciliation(now);
@@ -509,13 +505,17 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 self.check_reconcile(ctx);
             }
             TIMER_RECOVERY_DONE => {
-                if now >= self.busy_until {
-                    self.recovering = false;
+                let Some(until) = self.recovering_until else {
+                    return;
+                };
+                let done = until.max(self.busy_until);
+                if now >= done {
+                    self.recovering_until = None;
                     self.post_event(ctx);
                 } else {
                     // Still draining the recovery backlog: check again when
                     // the CPU catches up.
-                    ctx.set_timer(self.busy_until, TIMER_RECOVERY_DONE);
+                    ctx.set_timer(done, TIMER_RECOVERY_DONE);
                 }
             }
             _ => {}
@@ -537,10 +537,16 @@ impl DpcActor<NetMsg> for ProcessingNode {
                 // carry the incarnation that armed them), and the fields
                 // they would have read are cleared all the same: the new
                 // incarnation is the one `new` builds.
+                //
+                // A replica crash is silent (§2.2): its consumers learn of
+                // it only by missed keep-alives. The node stays silent one
+                // staleness window plus one keep-alive round, so each of
+                // them has declared it failed, and dropped the subscription
+                // it no longer holds, before it answers again.
                 *self = ProcessingNode::new(self.cfg.clone());
-                self.recovering = true;
+                let period = self.cfg.tuning.heartbeat_period;
+                self.recovering_until = Some(ctx.now() + stale_after(period) + period);
                 self.on_start(ctx);
-                ctx.set_timer(ctx.now() + Duration::from_millis(500), TIMER_RECOVERY_DONE);
                 return;
             }
             FaultEvent::NodeDown(n) if *n != ctx.id() => {
@@ -602,15 +608,27 @@ mod tests {
         let mut ctx = FakeCtx::default();
         let me = ctx.id;
         node.on_start(&mut ctx);
-        // Mid-stabilization, busy until t = 2 s, when the node crashes.
-        node.stab_done_at = Some(Time::from_secs(2));
+        // Mid-stabilization, its timer due at t = 2 s, when the node
+        // crashes.
+        node.state = NodeState::Stabilization;
         ctx.now = Time::from_secs(1);
         node.on_fault(&mut ctx, &FaultEvent::NodeDown(me));
         ctx.now = Time::from_secs(1) + crate::system::RESTART_DELAY;
         node.on_fault(&mut ctx, &FaultEvent::NodeUp(me));
-        ctx.now += Duration::from_millis(500);
+        // Silent for one staleness window plus one keep-alive period.
+        let (restart, period) = (ctx.now, node.cfg.tuning.heartbeat_period);
+        let silence_end = restart + stale_after(period) + period;
+        assert!(ctx.timers.contains(&(silence_end, TIMER_RECOVERY_DONE)));
+        ctx.now = restart + stale_after(period);
+        node.on_timer(&mut ctx, TIMER_RECOVERY_DONE); // early: changes nothing
+        node.on_message(&mut ctx, CLIENT, NetMsg::HeartbeatReq);
+        assert!(ctx.sent.iter().all(|(_, to, _)| *to != CLIENT), "silent");
+        ctx.now = silence_end;
         node.on_timer(&mut ctx, TIMER_RECOVERY_DONE);
-        assert!(!node.recovering, "the restarted node serves again");
+        assert!(
+            node.recovering_until.is_none(),
+            "the restarted node serves again"
+        );
         let subscribe = NetMsg::Subscribe {
             stream: out,
             last_stable: TupleId::NONE,

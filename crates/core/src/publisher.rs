@@ -63,10 +63,6 @@ pub struct Publisher {
     /// Pending departures, earliest first; every entry is later than the
     /// instant of the last [`Publisher::release_due`].
     queue: VecDeque<Departure>,
-    /// Latest departure ever scheduled. Later flushes start no earlier, so
-    /// the queue stays sorted by appending and a subscriber's messages
-    /// depart in emission order by construction.
-    horizon: Time,
     /// The instant the release timer is armed for, if one is outstanding.
     armed: Option<Time>,
 }
@@ -96,7 +92,6 @@ impl Publisher {
             topics,
             chunk: chunk.max(1),
             queue: VecDeque::new(),
-            horizon: Time::ZERO,
             armed: None,
         }
     }
@@ -133,13 +128,17 @@ impl Publisher {
     /// across `[w_start, w_end]` (outputs stream out as the CPU produces
     /// them, rather than in one burst at the end).
     ///
+    /// Owners flush their busy windows in order — each starts no earlier
+    /// than the previous one ended, because the modelled CPU serves one
+    /// window at a time — so the queue stays sorted by appending and a
+    /// subscriber's messages depart in emission order by construction.
+    ///
     /// The suffix is taken as shared batch views and re-chunked by range
     /// split, so N subscribers behind the same position cost N
     /// reference-count bumps per batch — fan-out is independent of
     /// replication degree.
     pub fn flush(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, w_start: Time, w_end: Time) {
         let now = ctx.now();
-        let w_start = w_start.max(self.horizon);
         let window = w_end.max(w_start).since(w_start).as_micros();
         let first_new = self.queue.len();
         for (&stream, topic) in &mut self.topics {
@@ -175,7 +174,6 @@ impl Publisher {
         // The loop appended subscriber by subscriber; departure order is by
         // instant, ties in insertion order (a stable sort of the new tail).
         self.queue.make_contiguous()[first_new..].sort_by_key(|d| d.at);
-        self.horizon = w_start + Duration::from_micros(window);
         self.release_due(ctx);
     }
 

@@ -46,8 +46,6 @@ pub struct UpstreamManager {
     trace: bool,
     stream: StreamId,
     candidates: Vec<NodeId>,
-    /// Whether to monitor and switch (false for single-source streams).
-    monitor: bool,
     /// The primary upstream (Curr(s) in Table II).
     curr: NodeId,
     /// All live subscriptions (curr plus, during upstream stabilization,
@@ -64,7 +62,7 @@ impl UpstreamManager {
     /// # Panics
     /// Panics if `candidates` is empty — a stream with no producer is a
     /// deployment bug.
-    pub fn new(stream: StreamId, candidates: Vec<NodeId>, monitor: bool, now: Time) -> Self {
+    pub fn new(stream: StreamId, candidates: Vec<NodeId>, now: Time) -> Self {
         assert!(!candidates.is_empty(), "stream {stream} has no producers");
         let curr = candidates[0];
         let peers = candidates
@@ -78,7 +76,6 @@ impl UpstreamManager {
             trace: std::env::var("BOREALIS_TRACE_SWITCH").is_ok(),
             stream,
             candidates,
-            monitor,
             curr,
             subscribed: BTreeSet::new(),
             peers,
@@ -148,11 +145,6 @@ impl UpstreamManager {
     /// subscription — the next [`UpstreamManager::evaluate`] switches to a
     /// live replica (Table II) or re-subscribes when the peer recovers.
     pub fn connection_lost(&mut self, peer: NodeId, now: Time) {
-        if !self.monitor {
-            // Unmonitored (single-producer) streams have no switch/
-            // re-subscribe machinery; leave their state untouched.
-            return;
-        }
         let Some(i) = self.candidates.iter().position(|&c| c == peer) else {
             return;
         };
@@ -177,15 +169,6 @@ impl UpstreamManager {
     /// valid across switches too.
     pub fn is_duplicate(&self, t: &Tuple) -> bool {
         t.is_stable_data() && t.id <= self.last_stable
-    }
-
-    /// Peers to send keep-alive requests to.
-    pub fn heartbeat_targets(&self) -> Vec<NodeId> {
-        if self.monitor {
-            self.candidates.clone()
-        } else {
-            Vec::new()
-        }
     }
 
     /// True if at least one producer of this stream is believed reachable.
@@ -280,10 +263,7 @@ impl UpstreamManager {
     /// periods — the paper's 100 ms / 250 ms — is Failed) and the Table II
     /// condition-action rules. Returns subscription changes.
     pub fn evaluate(&mut self, now: Time, heartbeat_period: Duration) -> Requests {
-        if !self.monitor {
-            return Vec::new();
-        }
-        let stale_after = Duration::from_micros(heartbeat_period.as_micros() * 5 / 2);
+        let stale_after = stale_after(heartbeat_period);
         for (i, p) in self.peers.iter_mut().enumerate() {
             if now.since(p.last_heard) > stale_after && p.state != NodeState::Failed {
                 p.state = NodeState::Failed;
@@ -353,6 +333,14 @@ impl UpstreamManager {
     }
 }
 
+/// How long a peer may stay silent before its consumers call it Failed
+/// ([`UpstreamManager::evaluate`]). A restarted node stays silent this
+/// long plus one keep-alive period (§4.5), so every consumer has dropped
+/// its subscription by the time it answers again.
+pub(crate) fn stale_after(heartbeat_period: Duration) -> Duration {
+    Duration::from_micros(heartbeat_period.as_micros() * 5 / 2)
+}
+
 /// Upstream binding of one input stream of a node or a client.
 #[derive(Debug, Clone)]
 pub struct UpstreamSpec {
@@ -381,13 +369,9 @@ pub(crate) const ACK_PERIOD: Duration = Duration::from_secs(1);
 
 impl Inputs {
     /// One manager per binding, in order (the index [`Inputs::intake`]
-    /// reports is the position here). A stream with a single producer has
-    /// nothing to switch to and is monitored only if `monitor_all`.
-    pub fn new(specs: &[UpstreamSpec], monitor_all: bool, now: Time) -> Self {
-        let manager = |s: &UpstreamSpec| {
-            let monitor = monitor_all || s.candidates.len() > 1;
-            UpstreamManager::new(s.stream, s.candidates.clone(), monitor, now)
-        };
+    /// reports is the position here).
+    pub fn new(specs: &[UpstreamSpec], now: Time) -> Self {
+        let manager = |s: &UpstreamSpec| UpstreamManager::new(s.stream, s.candidates.clone(), now);
         Inputs {
             ums: specs.iter().map(manager).collect(),
         }
@@ -463,12 +447,12 @@ impl Inputs {
 
     /// One keep-alive round (there is one every `period`): re-evaluates
     /// every input (staleness, Table II), then requests a heartbeat from
-    /// each monitored producer.
+    /// each of its producers.
     pub fn heartbeat_round(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, period: Duration) {
         let now = ctx.now();
         for um in &mut self.ums {
             Self::send(ctx, um.evaluate(now, period));
-            for target in um.heartbeat_targets() {
+            for &target in um.candidates() {
                 ctx.send(target, NetMsg::HeartbeatReq);
             }
         }
@@ -498,9 +482,10 @@ impl Inputs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::fake::FakeCtx;
 
     fn um() -> UpstreamManager {
-        UpstreamManager::new(StreamId(0), vec![NodeId(10), NodeId(11)], true, Time::ZERO)
+        UpstreamManager::new(StreamId(0), vec![NodeId(10), NodeId(11)], Time::ZERO)
     }
 
     fn hb(u: &mut UpstreamManager, from: NodeId, state: NodeState, ms: u64) {
@@ -627,13 +612,49 @@ mod tests {
         assert_eq!(u.last_stable(), TupleId(4));
     }
 
+    /// An input with one producer is monitored like any other, the client
+    /// proxy's too: its consumer asks the producer for keep-alives, drops
+    /// the subscription when the producer falls silent (a restart forgets
+    /// its subscribers), and renews it from the prefix held as soon as the
+    /// producer answers STABLE again.
     #[test]
-    fn unmonitored_streams_never_switch() {
-        let mut u = UpstreamManager::new(StreamId(0), vec![NodeId(5)], false, Time::ZERO);
-        u.initial_subscribe();
-        assert!(u.heartbeat_targets().is_empty());
-        assert!(u.evaluate(Time::from_secs(100), HEARTBEAT).is_empty());
-        assert_eq!(u.current(), NodeId(5));
+    fn a_single_stale_producer_is_resubscribed_when_it_answers_stable() {
+        let spec = UpstreamSpec {
+            stream: StreamId(0),
+            candidates: vec![NodeId(5)],
+        };
+        let (mut inputs, mut ctx) = (Inputs::new(&[spec], Time::ZERO), FakeCtx::default());
+        inputs.subscribe_all(&mut ctx);
+        let held = TupleBatch::single(Tuple::insertion(TupleId(3), Time::ZERO, vec![]));
+        inputs.intake(NodeId(5), StreamId(0), held.into()).unwrap();
+        let at = |ctx: &mut FakeCtx, ms| {
+            ctx.sent.clear();
+            ctx.now = Time::from_millis(ms);
+        };
+        let sent = |ctx: &FakeCtx| -> Vec<(NodeId, NetMsg)> {
+            ctx.sent.iter().map(|(_, to, m)| (*to, m.clone())).collect()
+        };
+        let keep_alive = [(NodeId(5), NetMsg::HeartbeatReq)];
+
+        at(&mut ctx, 100);
+        inputs.heartbeat_round(&mut ctx, HEARTBEAT);
+        assert_eq!(sent(&ctx), keep_alive);
+        inputs.heartbeat_response(&mut ctx, NodeId(5), NodeState::Stable, &[], HEARTBEAT);
+        at(&mut ctx, 350);
+        inputs.heartbeat_round(&mut ctx, HEARTBEAT);
+        assert_eq!(sent(&ctx), keep_alive, "heard 250 ms ago: still live");
+        assert!(inputs.ums[0].accepts_from(NodeId(5)));
+
+        // Silent for more than 250 ms: Failed, and the subscription is gone.
+        at(&mut ctx, 450);
+        inputs.heartbeat_round(&mut ctx, HEARTBEAT);
+        assert_eq!(sent(&ctx), keep_alive);
+        assert!(!inputs.ums[0].accepts_from(NodeId(5)));
+        assert!(!inputs.ums[0].has_live_producer());
+        at(&mut ctx, 460);
+        inputs.heartbeat_response(&mut ctx, NodeId(5), NodeState::Stable, &[], HEARTBEAT);
+        assert_eq!(sent(&ctx), [sub(5, 3, false, false)]);
+        assert!(inputs.ums[0].accepts_from(NodeId(5)));
     }
 
     #[test]
@@ -642,7 +663,7 @@ mod tests {
             stream: StreamId(0),
             candidates: vec![NodeId(10), NodeId(11)],
         };
-        let mut inputs = Inputs::new(&[spec], false, Time::ZERO);
+        let mut inputs = Inputs::new(&[spec], Time::ZERO);
         inputs.ums[0].initial_subscribe();
         let stable = |id| Tuple::insertion(TupleId(id), Time::ZERO, vec![]);
         let view = |ids: &[u64]| -> BatchView {
@@ -674,7 +695,6 @@ mod tests {
         let mut u = UpstreamManager::new(
             StreamId(0),
             vec![NodeId(1), NodeId(2), NodeId(3)],
-            true,
             Time::ZERO,
         );
         u.initial_subscribe();

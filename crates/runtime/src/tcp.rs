@@ -687,17 +687,6 @@ pub struct RunningTcp {
 }
 
 impl RunningTcp {
-    /// Lets the system run for `wall` (blocks the caller; the actors run on
-    /// the worker pool).
-    pub fn run_for(&self, wall: std::time::Duration) {
-        self.runtime.run_for(wall);
-    }
-
-    /// Aggregated wire gauges across this process's connections.
-    pub fn wire_gauges(&self) -> WireGauges {
-        self.fabric.wire_gauges()
-    }
-
     /// Message-loss statistics so far, including the wire gauges.
     pub fn stats(&self) -> StatsSnapshot {
         StatsSnapshot {

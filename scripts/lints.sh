@@ -115,4 +115,11 @@ if git grep -nE 'CARGO_BIN_EXE|Command::new|TcpChainSpec' -- '*.rs' ':!benchmark
 # and the top-level change logs keep their history).
 if git grep -nE 'TcpRejoin|CrashReplica' -- '*.rs' '*.yml' '*/*.md' README.md ':!benchmark'; then fail "one crash fault"; fi
 
+# One consumer path: every consumer, the client proxy included, sends
+# keep-alives to every producer of every input and applies one staleness
+# rule, so a lone producer that restarts is noticed and re-subscribed like
+# any replica — the per-stream switch that left single-producer inputs
+# unmonitored stays deleted.
+if git grep -nE 'monitor_all|self\.monitor\b|monitor: bool' -- '*.rs'; then fail "one consumer path"; fi
+
 echo "lints: ok"

@@ -2,9 +2,13 @@
 //! partitions, back-to-back failures, combined fault types, total crashes.
 
 use borealis::prelude::*;
+use borealis_workloads::{
+    chain_builder, single_node_builder, ChainOptions, SingleNodeOptions, DISTRIBUTED_VARIANTS,
+    SINGLE_NODE_OUT,
+};
 
 mod common;
-use common::{disconnect, secs};
+use common::{disconnect, ms, run_on, secs, Runtime};
 
 /// The replicated three-source merge at 100 tuples/s a source, with the
 /// test's fault schedule, under the simulator.
@@ -175,4 +179,94 @@ fn flapping_link_does_not_wedge() {
             m.n_stable
         );
     });
+}
+
+/// Scratch directory for a durable-store test, clean at entry.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let name = format!("borealis-faults-{}-{name}", std::process::id());
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A durable restart of the replica the client reads from (depth-2 chain,
+/// restart at 1.5 s) is a silent crash (§2.2): the client learns of it
+/// only by missed keep-alives. The restarted replica stays silent until the
+/// client's staleness window has passed, so the client drops the
+/// subscription the replica forgot and renews it when the replica answers
+/// again — at any keep-alive period. By 30 s the client holds the
+/// failure-free run's whole stable stream, with no tentative tuple left
+/// and no duplicate.
+#[test]
+fn durable_restart_of_the_clients_upstream_keeps_the_whole_stream() {
+    for period in [100, 400, 1000] {
+        let o = ChainOptions {
+            depth: 2,
+            total_rate: 300.0,
+            per_node_delay: Duration::from_millis(500),
+            variant: DISTRIBUTED_VARIANTS[1], // Process & Process
+            per_tuple_cost: Duration::from_micros(10),
+            heartbeat_period: Duration::from_millis(period),
+            seed: 21,
+            ..Default::default()
+        };
+        let clean = run_on(Runtime::Sim, &|| chain_builder(&o), secs(30));
+        let root = scratch(&format!("chain-{period}"));
+        let restarted = || {
+            let (builder, out) = chain_builder(&o);
+            let builder = builder.durability(&root, Duration::from_millis(250), false);
+            let restart = FaultSpec::RestartReplica {
+                frag: o.depth - 1, // the fragment the client watches
+                shard: 0,
+                replica: 0,
+                after: ms(1500),
+            };
+            (builder.fault(restart), out)
+        };
+        let run = run_on(Runtime::Sim, &restarted, secs(30));
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(run.dup_stable, 0, "{period} ms keep-alives: duplicates");
+        assert_eq!(run.tentative_left(), 0, "{period} ms keep-alives");
+        assert!(
+            run.stable() == clean.stable(),
+            "{period} ms keep-alives: {} of {} stable tuples, the last at {:?} µs",
+            run.stable().len(),
+            clean.stable().len(),
+            run.stable().last()
+        );
+    }
+}
+
+/// A durable restart of an unreplicated node (the single-node setup,
+/// replication 1, restarted at 5 s): the client reads its one producer,
+/// monitors it like any other, and re-subscribes once the restarted node
+/// answers again, so stable output resumes. Only that is asserted, not
+/// the whole stream: what the sources sent while the node was down is
+/// lost on the restart (ROADMAP item 1, root (d)), 300 ms of input here.
+#[test]
+fn durable_restart_of_an_unreplicated_node_resumes_the_stream() {
+    let o = SingleNodeOptions {
+        replication: 1,
+        ..SingleNodeOptions::default()
+    };
+    let root = scratch("single");
+    let restarted = || {
+        let builder = single_node_builder(&o).durability(&root, Duration::from_millis(250), false);
+        let restart = FaultSpec::RestartReplica {
+            frag: 0,
+            shard: 0,
+            replica: 0,
+            after: secs(5),
+        };
+        (builder.fault(restart), SINGLE_NODE_OUT)
+    };
+    let run = run_on(Runtime::Sim, &restarted, secs(30));
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(run.dup_stable, 0, "duplicate stable tuples");
+    let last = run.stable().last().map_or(0, |&(_, stime)| stime);
+    assert!(
+        last >= secs(20).as_micros(),
+        "{} stable tuples, the last at {last} µs",
+        run.stable().len()
+    );
 }

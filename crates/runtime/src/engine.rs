@@ -1,19 +1,18 @@
 //! The thread engine: every actor is a schedulable task multiplexed onto a
 //! **fixed pool of worker threads** (per-worker run queues with work
-//! stealing plus a global injector — see the `scheduler` module), each
-//! worker with a wheel of deadlines against the monotonic clock.
+//! stealing plus a global injector — see the `scheduler` module), sharing
+//! one wheel of deadlines against the monotonic clock.
 //!
 //! The engine is a *driver* of the system model in `borealis_sim`, like the
 //! simulator kernel, and speaks its vocabulary: a mailbox holds the
-//! [`Input`]s of [`ActorCell::activate`], and a wheel holds the kernel's
-//! [`Event`]s — a timer, a credit return, a scripted fault (worker 0's
-//! wheel carries the whole fault script) — which `Worker::fire_due`
-//! handles with the same three arms as the kernel. What a send, a credit
-//! return or a fault means is the one shared [`Fabric`]'s call
-//! ([`SharedFabric`]), and what an arriving message, a due timer or the
-//! actor's own crash means is the activation step's. What the engine owns
-//! is the clock, the mailboxes and wheels, the threads, and a message's
-//! last hop.
+//! [`Input`]s of [`ActorCell::activate`], and the pool wheel holds the
+//! kernel's [`Event`]s — every timer, credit return and scripted fault —
+//! which `Worker::fire_due` handles with the same three arms as the kernel,
+//! on whichever worker finds them due. What a send, a credit return or a
+//! fault means is the one shared [`Fabric`]'s call ([`SharedFabric`]), and
+//! what an arriving message, a due timer or the actor's own crash means is
+//! the activation step's. What the engine owns is the clock, the mailboxes
+//! and the wheel, the threads, and a message's last hop.
 //!
 //! The engine delivers and wakes; it never sends on an actor's behalf. A
 //! [`RuntimeCtx::send`] reaches the destination's mailbox (or socket) from
@@ -24,9 +23,9 @@
 //! queued send released by a returning credit, is pushed under the fabric
 //! lock that released it: `Scheduler::release_credit`.)
 //!
-//! Idle workers park on a condvar bounded by their wheel's earliest
-//! deadline — no polling backstop, no sleep loops: a fully idle pool
-//! burns zero CPU until a push or a deadline wakes it.
+//! A worker runs what its own activations queued and wakes a sibling only
+//! for backlog; idle workers park, the timekeeper until the wheel's next
+//! deadline — no polling backstop, no sleep loops.
 
 use crate::clock::MonotonicClock;
 use crate::scheduler::{Envelope, Scheduler, Task};
@@ -48,12 +47,18 @@ use std::thread::JoinHandle;
 /// one busy actor can starve the others sharing its worker.
 const ACTIVATION_BATCH: usize = 32;
 
-/// What every thread of a runtime shares: the mailboxes, the link fabric
-/// and the clock. Workers and the socket mesh's I/O threads all hold one.
+/// What every thread of a runtime — each worker and each socket-mesh I/O
+/// thread — shares: the mailboxes, the link fabric, the clock and the wheel.
 pub(crate) struct Hub {
     pub(crate) sched: Scheduler,
     pub(crate) fabric: SharedFabric,
     pub(crate) clock: MonotonicClock,
+    /// Every armed timer, credit owed later and scripted fault, pushed and
+    /// popped under its lock with the clock read inside it, so pops keep
+    /// `(deadline, seq)` order across workers. No message waits here (see
+    /// `borealis_dpc::Publisher`): firing one actor's entries in either
+    /// order can delay a send but cannot reorder a link.
+    wheel: Mutex<DeadlineQueue<Event<NetMsg>>>,
 }
 
 impl Hub {
@@ -61,11 +66,17 @@ impl Hub {
     pub(crate) fn fabric(&self) -> MutexGuard<'_, Fabric<NetMsg>> {
         relock(&self.fabric)
     }
+
+    /// Puts `event` on the pool wheel at `at`, or now if that has passed.
+    fn arm(&self, at: Time, event: Event<NetMsg>) {
+        let mut wheel = relock(&self.wheel);
+        wheel.push(at.max(self.clock.now()), event);
+    }
 }
 
 /// The [`RuntimeCtx`] handed to protocol handlers on a worker thread: the
-/// worker itself (its wheel and router serve the running actor) plus the
-/// actor's identity and RNG.
+/// worker itself (its router serves the running actor) plus the actor's
+/// identity and RNG.
 struct ThreadCtx<'a> {
     id: NodeId,
     incarnation: u32,
@@ -103,7 +114,7 @@ impl RuntimeCtx<NetMsg> for ThreadCtx<'_> {
     fn set_timer(&mut self, at: Time, kind: u64) {
         let incarnation = self.incarnation;
         let timer = Event::Input(self.id, Input::Timer { kind, incarnation });
-        self.worker.wheel.push(at.max(self.now), timer);
+        self.worker.hub.arm(at, timer);
     }
 
     fn reachable(&self, to: NodeId) -> bool {
@@ -135,19 +146,12 @@ enum Activation {
     Stopped,
 }
 
-/// One pool worker: a run-queue consumer with its own wheel.
+/// One pool worker: a run-queue consumer. What its activations push lands
+/// on its own queue and wakes nobody unless that queue is backlogged.
 struct Worker {
     idx: usize,
     hub: Arc<Hub>,
     tcp: Option<Arc<TcpFabric>>,
-    /// The timers armed and credits owed by the activations this worker
-    /// ran, each tagged with its actor (one wheel serves many), plus — on
-    /// worker 0 — the fault script. An entry fires here even if its actor
-    /// has migrated since. No message waits on a wheel: what an actor wants
-    /// to leave later stays in its own state behind a timer
-    /// (`borealis_dpc::Publisher`), so two wheels firing one actor's
-    /// entries in either order can delay a send but cannot reorder a link.
-    wheel: DeadlineQueue<Event<NetMsg>>,
     /// Worker-local one-pass partition memo (no cross-thread sharing): an
     /// actor's sends run on whichever worker runs its activation, so a
     /// produced batch is split once per worker that sends any of it —
@@ -159,12 +163,13 @@ struct Worker {
 
 impl Worker {
     /// The worker main loop: fire due wheel entries, run one task
-    /// activation, flush the frames they queued, repeat; park (bounded by
-    /// the wheel's earliest deadline) when no task is runnable.
+    /// activation, flush the frames they queued, repeat; park when no task
+    /// is runnable, timed to the wheel's next deadline if it is the pool's
+    /// timekeeper ([`Scheduler::park`]).
     fn run(mut self) {
         loop {
-            self.fire_due();
-            let task = self.hub.sched.pop(self.idx);
+            let next_due = self.fire_due();
+            let task = self.hub.sched.pop(self.idx, self.hub.clock.now());
             if let Some(task) = &task {
                 self.run_task(task);
             }
@@ -179,8 +184,8 @@ impl Worker {
             if self.hub.sched.exiting() {
                 break;
             }
-            let timeout = self.wheel.next_due().map(|at| self.hub.clock.until(at));
-            self.hub.sched.park(timeout);
+            let due = next_due.map(|at| (at, self.hub.clock.until(at)));
+            self.hub.sched.park(due);
         }
     }
 
@@ -201,7 +206,7 @@ impl Worker {
         match self.tcp.as_deref().filter(|t| t.is_remote(to)) {
             None => {
                 let message = Envelope::Input(Input::Message { from, msg });
-                self.hub.sched.push(to, message, Some(self.idx));
+                self.hub.sched.push(to, message, Some((self.idx, now)));
             }
             Some(tcp) => {
                 self.unflushed = true;
@@ -215,28 +220,39 @@ impl Worker {
     }
 
     /// Fires every wheel entry due now — the three arms of the simulator
-    /// kernel's dispatch, with a mailbox push in place of an activation.
-    fn fire_due(&mut self) {
-        while let Some((_, event)) = self.wheel.pop_due(self.hub.clock.now()) {
+    /// kernel's dispatch, with a mailbox push in place of an activation —
+    /// and returns the next deadline.
+    fn fire_due(&mut self) -> Option<Time> {
+        loop {
+            let mut wheel = relock(&self.hub.wheel);
+            let now = self.hub.clock.now();
+            let Some((_, event)) = wheel.pop_due(now) else {
+                return wheel.next_due();
+            };
             match event {
                 // Queued behind the actor's pending mailbox work; whether
                 // a timer still fires is the activation step's call.
                 Event::Input(to, input) => {
-                    self.hub
-                        .sched
-                        .push(to, Envelope::Input(input), Some(self.idx));
+                    drop(wheel);
+                    let input = Envelope::Input(input);
+                    self.hub.sched.push(to, input, Some((self.idx, now)));
                 }
                 // The consumer's modelled CPU finished a delivery.
-                Event::Replenish { from, to } => self.return_credit(from, to),
+                Event::Replenish { from, to } => {
+                    drop(wheel);
+                    self.return_credit(from, to);
+                }
                 // A fault due after shutdown began never applies: the
                 // statistics `shutdown` returns are final.
                 Event::Fault(_) if self.hub.sched.stopping() => {}
+                // Applied and heard under the wheel lock: faults two workers
+                // pop reach the fabric and the mailboxes in script order.
                 Event::Fault(fault) => {
-                    let (now, actors) = (self.hub.clock.now(), self.hub.sched.actors());
+                    let actors = self.hub.sched.actors();
                     let heard = self.hub.fabric().apply(&fault, now, actors);
                     for (id, heard) in heard {
                         let heard = Envelope::Input(Input::Fault(heard));
-                        self.hub.sched.push(id, heard, Some(self.idx));
+                        self.hub.sched.push(id, heard, Some((self.idx, now)));
                     }
                 }
             }
@@ -276,7 +292,8 @@ impl Worker {
             Ok(Activation::Drained) | Ok(Activation::Stopped) => {}
             Ok(Activation::Budget) => {
                 if task.yield_back() {
-                    self.hub.sched.enqueue(Arc::clone(task), Some(self.idx));
+                    let worker = Some((self.idx, self.hub.clock.now()));
+                    self.hub.sched.enqueue(Arc::clone(task), worker);
                 }
             }
             Err(_) => {
@@ -312,8 +329,8 @@ impl Worker {
 
     /// One input of actor `id` with a fresh context at the current instant.
     /// The credit the step reports returns at the handler's consumption
-    /// mark (the modeled CPU completion) through this worker's wheel, or
-    /// right away for infinitely fast consumers and in-flight losses.
+    /// mark (the modeled CPU completion) through the pool wheel, or right
+    /// away for infinitely fast consumers and in-flight losses.
     fn step(
         &mut self,
         id: NodeId,
@@ -331,7 +348,7 @@ impl Worker {
         };
         if let Some((from, at)) = cell.activate(&mut ctx, input) {
             if at > self.hub.clock.now() {
-                self.wheel.push(at, Event::Replenish { from, to: id });
+                self.hub.arm(at, Event::Replenish { from, to: id });
             } else {
                 self.return_credit(from, id);
             }
@@ -360,7 +377,7 @@ impl ThreadRuntime {
     }
 
     /// Spawns a pool of `workers` threads multiplexing every actor
-    /// (`actors[i]` becomes `NodeId(i)`); worker 0's wheel replays
+    /// (`actors[i]` becomes `NodeId(i)`); the pool wheel replays
     /// `script`. `partitions` declares key-sharded receivers: every data
     /// batch sent to such a node is filtered to its shard on the way out.
     /// `flow_policy` governs credit-based flow control on every link.
@@ -387,10 +404,14 @@ impl ThreadRuntime {
         let mut fabric = Fabric::new(partitions, flow_policy);
         // Faults scripted at t=0 shape the initial connectivity: apply them
         // before any worker starts, as the simulator does for faults
-        // scheduled ahead of the Start events. (Worker 0 re-applies them
-        // idempotently and delivers the notifications.)
-        for (_, fault) in script.iter().filter(|(at, _)| *at == Time::ZERO) {
-            fabric.apply(fault, Time::ZERO, []);
+        // scheduled ahead of the Start events. (Popped off the wheel, they
+        // re-apply idempotently and are heard.)
+        let mut wheel = DeadlineQueue::default();
+        for (at, fault) in script {
+            if at == Time::ZERO {
+                fabric.apply(&fault, Time::ZERO, []);
+            }
+            wheel.push(at, Event::Fault(fault));
         }
         let tasks = actors
             .into_iter()
@@ -409,23 +430,17 @@ impl ThreadRuntime {
             sched: Scheduler::new(tasks, workers),
             fabric: Mutex::new(fabric),
             clock,
+            wheel: Mutex::new(wheel),
         });
         if let Some(t) = &tcp {
             t.start_io(Arc::clone(&hub));
         }
-        let mut wheels: Vec<_> = (0..workers).map(|_| DeadlineQueue::default()).collect();
-        for (at, fault) in script {
-            wheels[0].push(at, Event::Fault(fault));
-        }
-        let handles = wheels
-            .into_iter()
-            .enumerate()
-            .map(|(idx, wheel)| {
+        let handles = (0..workers)
+            .map(|idx| {
                 let worker = Worker {
                     idx,
                     hub: Arc::clone(&hub),
                     tcp: tcp.clone(),
-                    wheel,
                     router: ShardRouter::new(),
                     unflushed: false,
                 };
@@ -717,27 +732,25 @@ mod tests {
 
     #[test]
     fn fault_due_after_shutdown_began_is_not_applied() {
-        /// Two peers start together, one on each worker. The one on worker
-        /// 0 — whose wheel holds the fault script, so it must stay free —
-        /// sends the other two heartbeats and holds worker 0 until the
-        /// other has taken them to worker 1. The first heartbeat's handler
-        /// runs 800 ms, then answers.
+        /// Two peers start together, one on each worker, and the one on
+        /// worker 0 sends the other two heartbeats. The first heartbeat's
+        /// handler runs 800 ms, then answers. Whichever worker runs it, the
+        /// other is free to pop the link's fault off the pool wheel when it
+        /// comes due.
         struct Peer {
             started: Arc<Mutex<usize>>,
             heard: Arc<Mutex<usize>>,
         }
         impl DpcActor<NetMsg> for Peer {
             fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
-                let pause = std::time::Duration::from_millis;
                 *self.started.lock().unwrap() += 1;
                 while *self.started.lock().unwrap() < 2 {
-                    std::thread::sleep(pause(1));
+                    std::thread::sleep(std::time::Duration::from_millis(1));
                 }
                 if std::thread::current().name() == Some("dpc-worker-0") {
                     let other = NodeId(1 - ctx.id().0);
                     ctx.send(other, NetMsg::HeartbeatReq);
                     ctx.send(other, NetMsg::HeartbeatReq);
-                    std::thread::sleep(pause(100));
                 }
             }
             fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, _: NetMsg) {
@@ -771,6 +784,121 @@ mod tests {
             "the queued heartbeat is delivered"
         );
         assert_eq!(stats.total_drops(), 0, "the answer is no drop: {stats:?}");
+    }
+
+    /// A pool of two running `actors` with no script, sharding or flow
+    /// control.
+    fn spawn_two_workers(actors: Vec<Box<dyn DpcActor<NetMsg>>>) -> ThreadRuntime {
+        let policy = CreditPolicy::Unbounded;
+        ThreadRuntime::spawn(actors, Vec::new(), 1, Vec::new(), policy, 2, None)
+    }
+
+    #[test]
+    fn a_timer_driven_relay_stays_on_one_worker() {
+        /// Every millisecond a timer fires and relays one heartbeat.
+        struct Ticker {
+            ticks: Arc<Mutex<u64>>,
+        }
+        impl DpcActor<NetMsg> for Ticker {
+            fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
+                ctx.set_timer(ctx.now() + Duration::from_millis(1), 0);
+            }
+            fn on_message(&mut self, _: &mut dyn RuntimeCtx<NetMsg>, _: NodeId, _: NetMsg) {}
+            fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {
+                *self.ticks.lock().unwrap() += 1;
+                ctx.send(NodeId(1), NetMsg::HeartbeatReq);
+                ctx.set_timer(ctx.now() + Duration::from_millis(1), 0);
+            }
+        }
+        let (ticks, log) = (Arc::new(Mutex::new(0)), Arc::new(Mutex::new(Vec::new())));
+        let ticker = Box::new(Ticker {
+            ticks: Arc::clone(&ticks),
+        });
+        let sink = Box::new(Recorder {
+            log: Arc::clone(&log),
+            peer: None,
+        });
+        let rt = spawn_two_workers(vec![ticker, sink]);
+        rt.run_for(std::time::Duration::from_millis(300));
+        let sched = rt.shutdown().sched;
+        let ticks = *ticks.lock().unwrap();
+        assert!(ticks >= 100, "the timer keeps its pace: {ticks} ticks");
+        // The relay's push lands on the firing worker's own queue: the
+        // sibling sleeps through the run, and the timekeeper parks once a
+        // tick.
+        assert!(sched.steals <= 2, "{ticks} ticks: {sched:?}");
+        assert!(
+            sched.parks <= ticks + ticks / 10 + 10,
+            "{ticks} ticks: {sched:?}"
+        );
+    }
+
+    #[test]
+    fn a_cpu_bound_burst_brings_the_sibling_in() {
+        const SPIN: std::time::Duration = std::time::Duration::from_millis(5);
+        /// Spins `SPIN` on each message, then notes when it finished.
+        struct Spinner {
+            done: Arc<Mutex<Vec<std::time::Instant>>>,
+        }
+        impl DpcActor<NetMsg> for Spinner {
+            fn on_message(&mut self, _: &mut dyn RuntimeCtx<NetMsg>, _: NodeId, _: NetMsg) {
+                let start = std::time::Instant::now();
+                while start.elapsed() < SPIN {}
+                self.done.lock().unwrap().push(std::time::Instant::now());
+            }
+            fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
+        }
+        /// Once every spinner has started and gone idle, sends each one
+        /// message from one activation; three such bursts, 100 ms apart.
+        struct Burst {
+            sent: Arc<Mutex<Vec<std::time::Instant>>>,
+        }
+        impl DpcActor<NetMsg> for Burst {
+            fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
+                ctx.set_timer(ctx.now() + Duration::from_millis(20), 0);
+            }
+            fn on_message(&mut self, _: &mut dyn RuntimeCtx<NetMsg>, _: NodeId, _: NetMsg) {}
+            fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {
+                let mut sent = self.sent.lock().unwrap();
+                sent.push(std::time::Instant::now());
+                for to in 1..=8 {
+                    ctx.send(NodeId(to), NetMsg::HeartbeatReq);
+                }
+                if sent.len() < 3 {
+                    ctx.set_timer(ctx.now() + Duration::from_millis(100), 0);
+                }
+            }
+        }
+        let (sent, done) = (
+            Arc::new(Mutex::new(Vec::new())),
+            Arc::new(Mutex::new(Vec::new())),
+        );
+        let mut actors: Vec<Box<dyn DpcActor<NetMsg>>> = vec![Box::new(Burst {
+            sent: Arc::clone(&sent),
+        })];
+        for _ in 0..8 {
+            let done = Arc::clone(&done);
+            actors.push(Box::new(Spinner { done }));
+        }
+        let rt = spawn_two_workers(actors);
+        assert!(wait_until(|| done.lock().unwrap().len() == 24, 2000));
+        let sched = rt.shutdown().sched;
+        let (sent, mut done) = (sent.lock().unwrap(), done.lock().unwrap());
+        done.sort();
+        // The fastest burst, so that other threads sharing the cores during
+        // one burst do not decide the verdict.
+        let wall = (sent.iter().zip(done.chunks(8)))
+            .map(|(sent, done)| done[7] - *sent)
+            .min()
+            .unwrap();
+        // All eight land on one worker's queue; once the oldest has waited
+        // out the backlog, the sibling steals.
+        assert!(sched.steals > 0, "{sched:?}");
+        assert!(
+            wall < SPIN * 8 * 3 / 4,
+            "{wall:?} against {:?} serial",
+            SPIN * 8
+        );
     }
 
     #[test]

@@ -6,16 +6,18 @@
 //! **fixed pool of worker threads**, in one process or several.
 //!
 //! * every actor is a schedulable task: per-worker run queues with work
-//!   stealing, a global injector for cross-worker wakeups, and an
+//!   stealing, a global injector for pushes from outside the pool, and an
 //!   Idle/Queued/Running state machine so a mailbox push schedules an idle
 //!   actor exactly once (see the `scheduler` module) — thousands of actors
-//!   multiplex onto a handful of OS threads;
+//!   multiplex onto a handful of OS threads. A worker wakes a sibling
+//!   only for backlog, so a light cascade stays on one core;
 //! * `NetMsg::Data` payloads are `Arc`-backed `TupleBatch` views, so
 //!   cross-thread fan-out moves reference counts, not tuples;
-//! * each worker's wheel — a `DeadlineQueue` of the simulator kernel's own
+//! * one pool wheel — a `DeadlineQueue` of the simulator kernel's own
 //!   `Event`s — drives protocol timers, modelled-CPU credit returns and
-//!   (worker 0's) the scripted faults; its earliest deadline bounds the
-//!   worker's park, so idle workers burn no CPU. It holds no messages:
+//!   the scripted faults; its earliest deadline bounds the park of one
+//!   idle worker, the timekeeper, while the others sleep until woken, so
+//!   idle workers burn no CPU. It holds no messages:
 //!   actors send, from inside their own serial activations, and the
 //!   runtime only delivers and wakes — which is why every link is FIFO by
 //!   construction;

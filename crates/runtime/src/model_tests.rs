@@ -4,7 +4,7 @@
 //!
 //! Every test explores *all* thread interleavings up to the preemption
 //! bound (2 — the CHESS observation: almost all real concurrency bugs
-//! need at most two preemptive switches). Six protocols are covered:
+//! need at most two preemptive switches). Seven protocols are covered:
 //!
 //! 1. the mailbox queued-exactly-once state machine ([`Scheduler::push`]);
 //! 2. [`IdleLot`] token parking (no lost wakeup, token bank capped);
@@ -18,7 +18,10 @@
 //!    in ledger order);
 //! 6. the socket outbox's flush role ([`Outbox::flush`]: frames appended
 //!    by concurrent senders, each flushing its own, are written exactly
-//!    once, in each sender's order, and none is left behind).
+//!    once, in each sender's order, and none is left behind);
+//! 7. the pool's timekeeper and its quiet pushes ([`IdleLot::park`]: the
+//!    earliest deadline always has a timed parker; a worker's own push
+//!    wakes nobody and is run before that worker parks).
 //!
 //! Each protocol also has a **seeded-bug twin**: a compact
 //! reimplementation with one critical line mutated the way a plausible
@@ -28,7 +31,7 @@
 
 use crate::outbox::{Outbox, Sink};
 use crate::scheduler::{Envelope, IdleLot, Scheduler};
-use crate::sync::{relock, Arc, AtomicU64, Condvar, Mutex, Ordering};
+use crate::sync::{cv_wait, cv_wait_timeout, relock, Arc, AtomicU64, Condvar, Mutex, Ordering};
 use crate::SharedFabric;
 use borealis_check::sync::thread;
 use borealis_check::{explore, explore_expect_violation, Opts, Report};
@@ -57,7 +60,7 @@ fn sched(n_actors: usize, workers: usize) -> Scheduler {
     Scheduler::new(actors, workers)
 }
 
-/// A due timer of `kind`, as a worker's wheel hands it to a mailbox.
+/// A due timer of `kind`, as the pool wheel hands it to a mailbox.
 fn timer(kind: u64) -> Envelope {
     Envelope::Input(Input::Timer {
         kind,
@@ -68,7 +71,7 @@ fn timer(kind: u64) -> Envelope {
 /// Drains the initial seeding so every task is Idle.
 fn drain_initial(s: &Scheduler) {
     for w in 0..s.workers() {
-        while let Some(t) = s.pop(w) {
+        while let Some(t) = s.pop(w, Time::ZERO) {
             t.begin();
             while t.pop_envelope().is_some() {}
         }
@@ -129,7 +132,7 @@ fn model_mailbox_queued_exactly_once() {
         // engine — a lost wakeup shows up as a deadlock violation.
         let mut seen: Vec<u64> = Vec::new();
         while seen.len() < 2 {
-            match s.pop(0) {
+            match s.pop(0, Time::ZERO) {
                 Some(t) => {
                     t.begin();
                     while let Some(env) = t.pop_envelope() {
@@ -146,7 +149,10 @@ fn model_mailbox_queued_exactly_once() {
         p2.join();
         seen.sort_unstable();
         assert_eq!(seen, [1, 2], "each envelope delivered exactly once");
-        assert!(s.pop(0).is_none(), "no residual run-queue entry");
+        assert!(
+            s.pop(0, Time::ZERO).is_none(),
+            "no residual run-queue entry"
+        );
     });
     report("mailbox_queued_exactly_once", r);
 }
@@ -222,7 +228,10 @@ fn model_idlelot_no_lost_wakeup_no_herd() {
         p2.join();
         // 3 deposits capped at 2, 2 consumed: at most one token can remain
         // — a bank above that would wake workers with nothing to scan for.
-        assert!(lot.banked() <= 1, "token bank exceeds deposits minus parks");
+        assert!(
+            relock(&lot.lot).tokens <= 1,
+            "token bank exceeds deposits minus parks"
+        );
     });
     report("idlelot_no_lost_wakeup_no_herd", r);
 }
@@ -438,8 +447,8 @@ fn model_crash_purge_outside_lock_twin_drops_counts() {
 
 /// One Window(2) link `0 → 1` with messages 1 and 2 in flight and 3 and 4
 /// queued, an idle sink, and two threads returning one credit each through
-/// `release` — the receiver's activation and a `Replenish` entry on another
-/// worker's wheel. Returns the numbers of the messages in the sink's
+/// `release` — the receiver's activation and a `Replenish` entry another
+/// worker pops off the pool wheel. Returns the numbers of the messages in the sink's
 /// mailbox, in order.
 fn credit_release_race(release: fn(&Scheduler, &SharedFabric)) -> Vec<u32> {
     let s = Arc::new(sched(2, 1));
@@ -456,7 +465,7 @@ fn credit_release_race(release: fn(&Scheduler, &SharedFabric)) -> Vec<u32> {
     let (r1, r2) = (spawn(), spawn());
     r1.join();
     r2.join();
-    let task = s.pop(0).expect("the releases queued the sink");
+    let task = s.pop(0, Time::ZERO).expect("the releases queued the sink");
     task.begin();
     std::iter::from_fn(|| task.pop_envelope())
         .map(|env| match env {
@@ -522,7 +531,7 @@ fn model_panic_containment_stops_mailbox_not_worker() {
         let s = Arc::new(sched(2, 1));
         drain_initial(&s);
         s.push(NodeId(0), timer(1), None);
-        let t = s.pop(0).expect("queued");
+        let t = s.pop(0, Time::ZERO).expect("queued");
         t.begin();
         let s2 = Arc::clone(&s);
         let racer = thread::spawn(move || s2.push(NodeId(0), timer(9), None));
@@ -533,12 +542,17 @@ fn model_panic_containment_stops_mailbox_not_worker() {
         // neither re-queues the task.
         assert!(t.mark_stopped());
         racer.join();
-        assert!(s.pop(0).is_none(), "dead task never re-queued");
+        assert!(s.pop(0, Time::ZERO).is_none(), "dead task never re-queued");
         s.push(NodeId(0), timer(3), None);
-        assert!(s.pop(0).is_none(), "pushes to the stopped task dropped");
+        assert!(
+            s.pop(0, Time::ZERO).is_none(),
+            "pushes to the stopped task dropped"
+        );
         // The pool keeps scheduling the healthy sibling.
         s.push(NodeId(1), timer(2), None);
-        let healthy = s.pop(0).expect("healthy task still schedulable");
+        let healthy = s
+            .pop(0, Time::ZERO)
+            .expect("healthy task still schedulable");
         assert_eq!(healthy.id, NodeId(1));
         healthy.begin();
         assert!(matches!(
@@ -713,4 +727,163 @@ fn model_outbox_release_after_recheck_twin_strands_a_frame() {
         "violation trace is replayable: {msg}"
     );
     println!("seeded stranded-frame trace:\n{msg}");
+}
+
+// ---------------------------------------------------------------------------
+// Protocol 7: the pool's timekeeper and its quiet pushes
+// ---------------------------------------------------------------------------
+
+/// What the timekeeper race needs of a parking lot.
+trait Parking: Send + Sync + 'static {
+    /// Parks a worker whose earliest deadline is `due`.
+    fn park_until(&self, due: Time);
+    fn unpark_one(&self);
+    /// Parked workers and the earliest deadline one of them waits for.
+    fn waits(&self) -> (usize, Option<Time>);
+}
+
+impl Parking for IdleLot {
+    fn park_until(&self, due: Time) {
+        self.park(Some((due, std::time::Duration::ZERO)));
+    }
+    fn unpark_one(&self) {
+        IdleLot::unpark_one(self);
+    }
+    fn waits(&self) -> (usize, Option<Time>) {
+        let parked = &relock(&self.lot).parked;
+        (parked.len(), parked.iter().flatten().min().copied())
+    }
+}
+
+/// One worker parks on the wheel's later deadline (10 ms), another arms an
+/// earlier one (5 ms) and parks, in either order. Whenever both are parked,
+/// a timed wait covers the earlier deadline — it never sleeps behind the
+/// later one's timekeeper. The tokens deposited last release whoever waits
+/// untimed.
+fn timekeeper_race(lot: Arc<impl Parking>) {
+    let (later, earlier) = (Time::from_millis(10), Time::from_millis(5));
+    let parker = |due| {
+        let lot = Arc::clone(&lot);
+        thread::spawn(move || lot.park_until(due))
+    };
+    let (a, b) = (parker(later), parker(earlier));
+    let (parked, earliest) = lot.waits();
+    assert!(
+        parked < 2 || earliest.is_some_and(|at| at <= earlier),
+        "both parked, and the earliest timed wait is {earliest:?}"
+    );
+    lot.unpark_one();
+    lot.unpark_one();
+    a.join();
+    b.join();
+}
+
+#[test]
+fn model_timekeeper_never_sleeps_past_the_earliest_deadline() {
+    let r = explore(Opts::default(), || {
+        timekeeper_race(Arc::new(IdleLot::new(2)))
+    });
+    report("timekeeper_never_sleeps_past_the_earliest_deadline", r);
+}
+
+/// Seeded-bug twin of [`IdleLot::park`]'s timekeeper rule: a parker defers
+/// to any timed parker, whatever the deadlines (the real code defers only
+/// to one that waits for an earlier or equal deadline). A worker that armed
+/// an earlier deadline then sleeps untimed behind the later one's wait.
+#[test]
+fn model_timekeeper_deferring_to_any_twin_oversleeps() {
+    /// (banked tokens, each parked worker's timed deadline).
+    struct DeferringLot {
+        lot: Mutex<(usize, Vec<Option<Time>>)>,
+        cv: Condvar,
+    }
+    impl Parking for DeferringLot {
+        fn park_until(&self, due: Time) {
+            let mut lot = relock(&self.lot);
+            if lot.0 > 0 {
+                lot.0 -= 1;
+                return;
+            }
+            // BUG: any timed parker is taken to cover this deadline too.
+            let wait = Some(due).filter(|_| lot.1.iter().all(Option::is_none));
+            lot.1.push(wait);
+            match wait {
+                Some(_) => lot = cv_wait_timeout(&self.cv, lot, std::time::Duration::ZERO).0,
+                None => {
+                    while lot.0 == 0 {
+                        lot = cv_wait(&self.cv, lot);
+                    }
+                }
+            }
+            lot.0 = lot.0.saturating_sub(1);
+            let me = lot.1.iter().position(|w| *w == wait).expect("listed");
+            lot.1.swap_remove(me);
+        }
+        fn unpark_one(&self) {
+            let mut lot = relock(&self.lot);
+            lot.0 = (lot.0 + 1).min(2);
+            drop(lot);
+            self.cv.notify_one();
+        }
+        fn waits(&self) -> (usize, Option<Time>) {
+            let lot = relock(&self.lot);
+            (lot.1.len(), lot.1.iter().flatten().min().copied())
+        }
+    }
+    let msg = explore_expect_violation(Opts::default(), || {
+        timekeeper_race(Arc::new(DeferringLot {
+            lot: Mutex::new((0, Vec::new())),
+            cv: Condvar::new(),
+        }))
+    });
+    assert!(
+        msg.contains("BOREALIS_MODEL_REPLAY"),
+        "violation trace is replayable: {msg}"
+    );
+    println!("seeded oversleeping-timekeeper trace:\n{msg}");
+}
+
+/// Worker 0 pushes to an idle task from inside its activation while its
+/// sibling runs the worker loop — pop, else park untimed — until the pool
+/// exits. The push lands on worker 0's own queue and banks no wake token,
+/// and worker 0's loop pops before it parks: when it would park, no run
+/// queue still holds the task, and the task runs exactly once — on worker
+/// 0, or on the sibling if it was awake to steal it.
+#[test]
+fn model_own_push_runs_before_its_worker_parks() {
+    let r = explore(Opts::default(), || {
+        let s = Arc::new(sched(1, 2));
+        drain_initial(&s);
+        let ran = Arc::new(AtomicU64::new(0));
+        let run = |t: Arc<crate::scheduler::Task>, ran: &AtomicU64| {
+            t.begin();
+            while t.pop_envelope().is_some() {
+                ran.fetch_add(1, Ordering::SeqCst);
+            }
+        };
+        let (s1, ran1) = (Arc::clone(&s), Arc::clone(&ran));
+        let sibling = thread::spawn(move || loop {
+            match s1.pop(1, Time::ZERO) {
+                Some(t) => run(t, &ran1),
+                None if s1.exiting() => break,
+                None => s1.park(None),
+            }
+        });
+        s.push(NodeId(0), timer(1), Some((0, Time::ZERO)));
+        assert_eq!(
+            relock(&s.idle.lot).tokens,
+            0,
+            "a worker's own push wakes nobody"
+        );
+        if let Some(t) = s.pop(0, Time::ZERO) {
+            run(t, &ran);
+        }
+        // Worker 0 would park now: nothing may be left queued for it.
+        let g = s.gauges();
+        assert_eq!(g.local_depth + g.global_depth, 0, "the push is stranded");
+        s.begin_exit();
+        sibling.join();
+        assert_eq!(ran.load(Ordering::SeqCst), 1, "run exactly once");
+    });
+    report("own_push_runs_before_its_worker_parks", r);
 }

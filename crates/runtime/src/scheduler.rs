@@ -12,16 +12,18 @@
 //! Run queues come in two kinds:
 //!
 //! * one **local queue per worker** — pushes made *by* a worker land on
-//!   its own queue (locality); idle siblings steal from the back;
+//!   its own queue (locality) and wake nobody: the worker runs them after
+//!   its activation, before it may park. Idle siblings steal from the back;
 //! * a **global injector** — pushes from non-worker threads (socket
-//!   readers, shutdown) land here and any worker picks them up.
+//!   readers, shutdown) land here and deposit a wake token.
 //!
-//! Idle workers park on a token condvar ([`IdleLot`]): every push that
-//! makes a task runnable deposits a wake token (capped at the worker
-//! count), so a worker observing empty queues either consumes a pending
-//! token and rescans or sleeps until the next deposit — wakeups are never
-//! lost and idle workers burn no CPU. A worker with pending wheel
-//! deadlines bounds its park by the earliest one.
+//! Idle workers park on a token condvar ([`IdleLot`]): a worker observing
+//! empty queues either consumes a pending token and rescans or sleeps
+//! until the next deposit — wakeups are never lost. A park and its wake
+//! cost ≈ 24 µs of CPU on a 2-vCPU host, so a worker brings a sibling in
+//! only for **backlog** — its own queue's oldest task waited over
+//! [`BACKLOG`] — and a light cascade of activations stays on one core. One
+//! parked worker, the **timekeeper**, waits for the wheel's next deadline.
 //!
 //! FIFO guarantees: one mailbox is one `VecDeque` behind one mutex, and a
 //! task is Running on at most one worker at a time, so per-sender delivery
@@ -35,14 +37,27 @@ use crate::sync::{
 use crate::SharedFabric;
 use borealis_dpc::{DpcActor, NetMsg};
 use borealis_sim::{ActorCell, Input};
-use borealis_types::{NodeId, SchedGauges, Time};
+use borealis_types::{Duration, NodeId, SchedGauges, Time};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
+
+/// How long the oldest task on a worker's own queue may wait before the
+/// worker wakes a sibling to steal (checked as it queues a task and after
+/// each activation): about forty park-and-wake costs.
+const BACKLOG: Duration = Duration::from_millis(1);
+
+/// A worker's own run queue: each task with the instant it was queued.
+type LocalQueue = VecDeque<(Arc<Task>, Time)>;
+
+/// True if the oldest task of `q` has waited longer than [`BACKLOG`].
+fn backlogged(q: &LocalQueue, now: Time) -> bool {
+    q.front().is_some_and(|&(_, at)| now - at > BACKLOG)
+}
 
 /// One delivery into a task's mailbox.
 pub(crate) enum Envelope {
     /// One input of the activation step, in mailbox order: the start, a
-    /// message, a timer that came due on a worker's wheel, a fault.
+    /// message, a timer that came due on the pool wheel, a fault.
     Input(Input<NetMsg>),
     /// Orderly shutdown: process everything queued before this, then stop.
     Stop,
@@ -153,72 +168,72 @@ impl Task {
 }
 
 /// The token-based parking lot: `unpark_one` deposits a wake token
-/// (capped at the worker count) and signals; a parking worker first
-/// consumes a pending token (then rescans the queues) and only sleeps
-/// when none is banked. The token closes the scan-then-sleep race — a
-/// push landing between a worker's empty scan and its sleep leaves a
-/// token the sleep consumes immediately.
+/// (capped at the worker count) and signals a parked worker, if any; a
+/// parking worker first consumes a pending token (then rescans the queues)
+/// and only sleeps when none is banked. The token closes the
+/// scan-then-sleep race — a push landing between a worker's empty scan and
+/// its sleep leaves a token the sleep consumes immediately.
 pub(crate) struct IdleLot {
-    tokens: Mutex<usize>,
+    pub(crate) lot: Mutex<Lot>,
     cv: Condvar,
     cap: usize,
 }
 
+#[derive(Default)]
+pub(crate) struct Lot {
+    pub(crate) tokens: usize,
+    /// Each parked worker's deadline, `None` if it waits for a token only.
+    pub(crate) parked: Vec<Option<Time>>,
+}
+
 impl IdleLot {
     pub(crate) fn new(cap: usize) -> IdleLot {
-        IdleLot {
-            tokens: Mutex::new(0),
-            cv: Condvar::new(),
-            cap,
-        }
+        let (lot, cv) = (Mutex::new(Lot::default()), Condvar::new());
+        IdleLot { lot, cv, cap }
     }
 
     pub(crate) fn unpark_one(&self) {
-        let mut t = relock(&self.tokens);
-        if *t < self.cap {
-            *t += 1;
+        let mut lot = relock(&self.lot);
+        if lot.tokens < self.cap {
+            lot.tokens += 1;
         }
-        debug_assert!(*t <= self.cap, "token bank never exceeds the cap");
-        drop(t);
-        self.cv.notify_one();
+        debug_assert!(lot.tokens <= self.cap, "token bank never exceeds the cap");
+        let parked = !lot.parked.is_empty();
+        drop(lot);
+        if parked {
+            self.cv.notify_one();
+        }
     }
 
     fn unpark_all(&self) {
-        let mut t = relock(&self.tokens);
-        *t = self.cap;
-        drop(t);
+        relock(&self.lot).tokens = self.cap;
         self.cv.notify_all();
     }
 
-    /// Tokens currently banked (model-test observability).
-    #[cfg(all(test, borealis_model))]
-    pub(crate) fn banked(&self) -> usize {
-        *relock(&self.tokens)
-    }
-
-    /// Parks until a token is available or `timeout` elapses (indefinitely
-    /// with `None`). Consumes at most one token.
-    pub(crate) fn park(&self, timeout: Option<std::time::Duration>) {
-        let mut t = relock(&self.tokens);
-        if *t > 0 {
-            *t -= 1;
+    /// Parks until a token is available or, if no parked worker waits for
+    /// an earlier or equal deadline, until the caller's earliest deadline
+    /// `due` (its instant and the time left to it) — the pool needs one
+    /// timekeeper. Consumes at most one token.
+    pub(crate) fn park(&self, due: Option<(Time, std::time::Duration)>) {
+        let mut lot = relock(&self.lot);
+        if lot.tokens > 0 {
+            lot.tokens -= 1;
             return;
         }
-        match timeout {
-            Some(d) => {
-                let (mut t, _) = cv_wait_timeout(&self.cv, t, d);
-                if *t > 0 {
-                    *t -= 1;
+        let due = due.filter(|(at, _)| lot.parked.iter().flatten().all(|t| t > at));
+        let wait = due.map(|(at, _)| at);
+        lot.parked.push(wait);
+        match due {
+            Some((_, d)) => lot = cv_wait_timeout(&self.cv, lot, d).0,
+            None => {
+                while lot.tokens == 0 {
+                    lot = cv_wait(&self.cv, lot);
                 }
             }
-            None => loop {
-                t = cv_wait(&self.cv, t);
-                if *t > 0 {
-                    *t -= 1;
-                    return;
-                }
-            },
         }
+        lot.tokens = lot.tokens.saturating_sub(1);
+        let me = lot.parked.iter().position(|w| *w == wait).expect("listed");
+        lot.parked.swap_remove(me);
     }
 }
 
@@ -239,9 +254,9 @@ struct SchedCounters {
 /// lot, and the shutdown rendezvous.
 pub(crate) struct Scheduler {
     pub(crate) tasks: Vec<Arc<Task>>,
-    locals: Vec<Mutex<VecDeque<Arc<Task>>>>,
+    locals: Vec<Mutex<LocalQueue>>,
     injector: Mutex<VecDeque<Arc<Task>>>,
-    idle: IdleLot,
+    pub(crate) idle: IdleLot,
     counters: SchedCounters,
     /// Set when shutdown begins, before the Stops go out: a scripted fault
     /// due from then on is never applied, so the statistics a shutdown
@@ -269,9 +284,9 @@ impl Scheduler {
             .enumerate()
             .map(|(i, (actor, rng))| Arc::new(Task::new(NodeId(i as u32), actor, rng)))
             .collect();
-        let mut locals: Vec<VecDeque<Arc<Task>>> = (0..workers).map(|_| VecDeque::new()).collect();
+        let mut locals: Vec<LocalQueue> = (0..workers).map(|_| VecDeque::new()).collect();
         for (i, task) in tasks.iter().enumerate() {
-            locals[i % workers].push_back(Arc::clone(task));
+            locals[i % workers].push_back((Arc::clone(task), Time::ZERO));
         }
         Scheduler {
             tasks,
@@ -303,10 +318,10 @@ impl Scheduler {
 
     /// Delivers `env` into `to`'s mailbox, transitioning an Idle task to
     /// Queued exactly once. `from_worker` is the pushing worker's index
-    /// (its local queue takes the task); non-worker threads pass `None`
-    /// (the global injector takes it). Pushes to a stopped task are
-    /// dropped silently.
-    pub(crate) fn push(&self, to: NodeId, env: Envelope, from_worker: Option<usize>) {
+    /// and clock reading (its local queue takes the task); non-worker
+    /// threads pass `None` (the global injector takes it). Pushes to a
+    /// stopped task are dropped silently.
+    pub(crate) fn push(&self, to: NodeId, env: Envelope, from_worker: Option<(usize, Time)>) {
         let Some(task) = self.tasks.get(to.index()) else {
             return;
         };
@@ -325,17 +340,16 @@ impl Scheduler {
         };
         if newly_queued {
             self.enqueue(Arc::clone(task), from_worker);
-            self.idle.unpark_one();
         }
     }
 
     /// Returns one credit of the local link `from → to` and delivers the
     /// queued message it releases, if any, into `to`'s mailbox **before
     /// letting go of the fabric lock**: a link's credits come back from
-    /// several threads (the receiver's activation, `Replenish` entries on
-    /// other workers' wheels), and pushing after the unlock would let two of
-    /// them swap consecutive messages. Lock order is fabric → mailbox → run
-    /// queue everywhere; nothing takes the fabric under a scheduler lock.
+    /// several threads (the receiver's activation, `Replenish` entries that
+    /// other workers pop off the pool wheel), and pushing after the unlock
+    /// would let two of them swap consecutive messages. Lock order is wheel
+    /// → fabric → mailbox → run queue → idle lot everywhere.
     pub(crate) fn release_credit(
         &self,
         fabric: &SharedFabric,
@@ -347,32 +361,46 @@ impl Scheduler {
         let mut fabric = relock(fabric);
         if let Some(msg) = fabric.consumed(from, to, now) {
             let message = Input::Message { from, msg };
-            self.push(to, Envelope::Input(message), from_worker);
+            self.push(to, Envelope::Input(message), from_worker.map(|w| (w, now)));
         }
     }
 
-    /// Puts an already-Queued task on a run queue (initial seeding is done
-    /// by [`Scheduler::new`]; batch-budget yields come through here too).
-    pub(crate) fn enqueue(&self, task: Arc<Task>, from_worker: Option<usize>) {
-        let (queue, peak) = match from_worker {
-            Some(w) => (&self.locals[w], &self.counters.local_peak),
-            None => (&self.injector, &self.counters.global_peak),
+    /// Puts an already-Queued task on a run queue (batch-budget yields come
+    /// through here too), waking a worker for the injector or a backlog.
+    pub(crate) fn enqueue(&self, task: Arc<Task>, from_worker: Option<(usize, Time)>) {
+        let (depth, peak, wake) = match from_worker {
+            Some((w, now)) => {
+                let mut q = relock(&self.locals[w]);
+                q.push_back((task, now));
+                (q.len(), &self.counters.local_peak, backlogged(&q, now))
+            }
+            None => {
+                let mut q = relock(&self.injector);
+                q.push_back(task);
+                (q.len(), &self.counters.global_peak, true)
+            }
         };
-        let mut q = relock(queue);
-        q.push_back(task);
-        let depth = q.len() as u64;
-        drop(q);
-        peak.fetch_max(depth, Ordering::Relaxed);
+        peak.fetch_max(depth as u64, Ordering::Relaxed);
+        if wake {
+            self.idle.unpark_one();
+        }
     }
 
-    /// Finds the next runnable task for worker `w`: own queue front, then
-    /// the global injector, then steal from a sibling's back.
-    pub(crate) fn pop(&self, w: usize) -> Option<Arc<Task>> {
-        let own = relock(&self.locals[w]).pop_front();
-        if let Some(t) = own {
+    /// Finds the next runnable task for worker `w` at `now`: own queue
+    /// front (waking a sibling if what stays behind it is backlogged),
+    /// then the global injector, then steal from a sibling's back.
+    pub(crate) fn pop(&self, w: usize, now: Time) -> Option<Arc<Task>> {
+        let mut own = relock(&self.locals[w]);
+        if let Some((t, _)) = own.pop_front() {
+            let wake = backlogged(&own, now);
+            drop(own);
+            if wake {
+                self.idle.unpark_one();
+            }
             self.counters.local_polls.fetch_add(1, Ordering::Relaxed);
             return Some(t);
         }
+        drop(own);
         let injected = relock(&self.injector).pop_front();
         if let Some(t) = injected {
             self.counters.global_polls.fetch_add(1, Ordering::Relaxed);
@@ -381,7 +409,7 @@ impl Scheduler {
         let n = self.locals.len();
         for off in 1..n {
             let stolen = relock(&self.locals[(w + off) % n]).pop_back();
-            if let Some(t) = stolen {
+            if let Some((t, _)) = stolen {
                 self.counters.steals.fetch_add(1, Ordering::Relaxed);
                 return Some(t);
             }
@@ -389,10 +417,10 @@ impl Scheduler {
         None
     }
 
-    /// Parks worker `w` until a wake token arrives or `timeout` elapses.
-    pub(crate) fn park(&self, timeout: Option<std::time::Duration>) {
+    /// Parks the calling worker ([`IdleLot::park`]).
+    pub(crate) fn park(&self, due: Option<(Time, std::time::Duration)>) {
         self.counters.parks.fetch_add(1, Ordering::Relaxed);
-        self.idle.park(timeout);
+        self.idle.park(due);
     }
 
     /// Records one actor activation's run time in the histogram.
@@ -502,7 +530,7 @@ mod tests {
         Scheduler::new(actors, workers)
     }
 
-    /// A due timer of `kind`, as a worker's wheel hands it to a mailbox.
+    /// A due timer of `kind`, as the pool wheel hands it to a mailbox.
     fn timer(kind: u64) -> Envelope {
         Envelope::Input(Input::Timer {
             kind,
@@ -521,7 +549,7 @@ mod tests {
     /// Drains the initial seeding so every task is Idle.
     fn drain_initial(s: &Scheduler) {
         for w in 0..s.workers() {
-            while let Some(t) = s.pop(w) {
+            while let Some(t) = s.pop(w, Time::ZERO) {
                 t.begin();
                 while t.pop_envelope().is_some() {}
             }
@@ -535,26 +563,29 @@ mod tests {
         s.push(NodeId(0), timer(1), None);
         s.push(NodeId(0), timer(2), None);
         // Two pushes, one enqueue: the second saw Queued.
-        let t = s.pop(0).expect("task queued");
-        assert!(s.pop(0).is_none(), "queued exactly once");
+        let t = s.pop(0, Time::ZERO).expect("task queued");
+        assert!(s.pop(0, Time::ZERO).is_none(), "queued exactly once");
         t.begin();
         assert_eq!(timer_kind(t.pop_envelope()), Some(1));
         // Pushes while Running only append.
         s.push(NodeId(0), timer(3), None);
-        assert!(s.pop(0).is_none(), "running task is not re-queued");
+        assert!(
+            s.pop(0, Time::ZERO).is_none(),
+            "running task is not re-queued"
+        );
         assert_eq!(timer_kind(t.pop_envelope()), Some(2));
         assert_eq!(timer_kind(t.pop_envelope()), Some(3));
         assert!(t.pop_envelope().is_none(), "drained back to Idle");
         // Idle again: next push re-queues.
         s.push(NodeId(0), timer(4), None);
-        assert!(s.pop(1).is_some(), "any worker can pick it up");
+        assert!(s.pop(1, Time::ZERO).is_some(), "any worker can pick it up");
     }
 
     #[test]
     fn steal_takes_from_sibling_back() {
         let s = sched(4, 2);
         // Initial seeding round-robins 0,2 → worker 0 and 1,3 → worker 1.
-        let t = s.pop(0).unwrap();
+        let t = s.pop(0, Time::ZERO).unwrap();
         assert_eq!(t.id, NodeId(0));
         t.begin();
         let start = t.pop_envelope();
@@ -562,10 +593,14 @@ mod tests {
             matches!(start, Some(Envelope::Input(Input::Start))),
             "seeded"
         );
-        assert_eq!(s.pop(1).unwrap().id, NodeId(1), "own queue first");
-        assert_eq!(s.pop(1).unwrap().id, NodeId(3));
+        assert_eq!(
+            s.pop(1, Time::ZERO).unwrap().id,
+            NodeId(1),
+            "own queue first"
+        );
+        assert_eq!(s.pop(1, Time::ZERO).unwrap().id, NodeId(3));
         // Worker 1's queue and the injector are empty: steal from 0's back.
-        let stolen = s.pop(1).unwrap();
+        let stolen = s.pop(1, Time::ZERO).unwrap();
         assert_eq!(stolen.id, NodeId(2), "stolen from worker 0's queue");
         assert!(s.gauges().steals >= 1);
     }
@@ -578,24 +613,30 @@ mod tests {
         assert!(t.mark_stopped());
         assert!(!t.mark_stopped(), "idempotent");
         s.push(NodeId(0), timer(1), None);
-        assert!(s.pop(0).is_none(), "push to stopped task dropped");
+        assert!(
+            s.pop(0, Time::ZERO).is_none(),
+            "push to stopped task dropped"
+        );
     }
 
     #[test]
     fn yield_back_requeues_only_with_work_left() {
         let s = sched(1, 1);
         drain_initial(&s);
-        s.push(NodeId(0), timer(1), Some(0));
-        let t = s.pop(0).unwrap();
+        s.push(NodeId(0), timer(1), Some((0, Time::ZERO)));
+        let t = s.pop(0, Time::ZERO).unwrap();
         t.begin();
         // Arrives while Running: appends, no second enqueue.
-        s.push(NodeId(0), timer(2), Some(0));
-        assert!(s.pop(0).is_none(), "running task is not re-queued");
+        s.push(NodeId(0), timer(2), Some((0, Time::ZERO)));
+        assert!(
+            s.pop(0, Time::ZERO).is_none(),
+            "running task is not re-queued"
+        );
         assert_eq!(timer_kind(t.pop_envelope()), Some(1));
         // Budget hit with work left: yield re-queues.
         assert!(t.yield_back(), "work left: requeue");
-        s.enqueue(Arc::clone(&t), Some(0));
-        let t2 = s.pop(0).unwrap();
+        s.enqueue(Arc::clone(&t), Some((0, Time::ZERO)));
+        let t2 = s.pop(0, Time::ZERO).unwrap();
         assert_eq!(t2.id, t.id);
         t2.begin();
         assert_eq!(timer_kind(t2.pop_envelope()), Some(2));
@@ -613,12 +654,52 @@ mod tests {
         lot.unpark_one();
         lot.unpark_one();
         lot.unpark_one();
-        lot.park(Some(std::time::Duration::ZERO));
-        lot.park(Some(std::time::Duration::ZERO));
-        // Third park finds no token and times out.
+        let due = |ms| Some((Time::from_millis(ms), std::time::Duration::from_millis(ms)));
+        lot.park(due(0));
+        lot.park(due(0));
+        // Third park finds no token and, the only parker, times out.
         let start = std::time::Instant::now();
-        lot.park(Some(std::time::Duration::from_millis(10)));
+        lot.park(due(10));
         assert!(start.elapsed() >= std::time::Duration::from_millis(5));
+    }
+
+    #[test]
+    fn only_a_backlog_or_an_outside_push_wakes_a_sibling() {
+        let s = sched(3, 2);
+        drain_initial(&s);
+        let on_worker_0_at = |ms| Some((0, Time::from_millis(ms)));
+        s.push(NodeId(0), timer(1), on_worker_0_at(0));
+        s.push(NodeId(1), timer(1), on_worker_0_at(0));
+        assert_eq!(
+            relock(&s.idle.lot).tokens,
+            0,
+            "a worker's own push wakes nobody"
+        );
+        // Task 1, behind the one popped, has waited exactly the backlog.
+        let t = s.pop(0, Time::from_millis(1)).unwrap();
+        assert_eq!(t.id, NodeId(0));
+        assert_eq!(relock(&s.idle.lot).tokens, 0, "not yet a backlog");
+        t.begin();
+        while t.pop_envelope().is_some() {}
+        s.push(NodeId(2), timer(1), on_worker_0_at(2));
+        assert_eq!(
+            relock(&s.idle.lot).tokens,
+            1,
+            "the oldest task waited 2 ms: wake one"
+        );
+        // Task 2, now the oldest, was queued just now.
+        assert_eq!(s.pop(0, Time::from_millis(2)).unwrap().id, NodeId(1));
+        assert_eq!(
+            relock(&s.idle.lot).tokens,
+            1,
+            "no backlog left behind the pop"
+        );
+        s.push(NodeId(0), timer(2), None);
+        assert_eq!(
+            relock(&s.idle.lot).tokens,
+            2,
+            "an outside push always wakes"
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! **Senders flush their own frames.** Appending wakes nobody. Whoever
 //! filled a buffer drains it: a pool worker after each activation that
-//! queued a frame and before it parks (which covers grants its wheel
-//! returned), a connection's reader after each read (which covers the
+//! queued a frame and before it parks (which covers grants it returned for
+//! the pool wheel), a connection's reader after each read (which covers the
 //! messages a grant released), and the teardown. One caller at a time holds
 //! the flush role; one that finds it taken leaves its bytes to the holder
 //! (the `outbox` module, model-checked), so heartbeats, acks and grants
@@ -43,8 +43,8 @@
 //! the plan does not place on this connection's two ends) is a process
 //! crash of the dead peer: one `FaultEvent::ProcessDown` of its actors in
 //! the local fabric — the same `Fabric::apply`, and the same rule for who
-//! hears it (every live actor), that a scripted process crash meets on
-//! worker 0's wheel under the pool or in the simulator's queue: queued
+//! hears it (every live actor), that a scripted process crash meets on the
+//! pool wheel or in the simulator's queue: queued
 //! credit-stalled sends purge as counted delivery drops and later sends
 //! count as send drops, so the chaos semantics of the transports are
 //! identical. The scripted fault script itself replays in *every* process

@@ -8,8 +8,8 @@
 //!
 //! * the simulator kernel owns one directly and adds a clock, an event
 //!   queue and link latency;
-//! * the worker pool shares one behind a mutex and adds mailboxes and timer
-//!   wheels;
+//! * the worker pool shares one behind a mutex and adds mailboxes and a
+//!   timer wheel;
 //! * the TCP mesh uses that same shared copy from its reader and reset
 //!   paths and adds sockets.
 //!

@@ -4,8 +4,8 @@
 //! and shared by every runtime.
 //!
 //! * [`DeadlineQueue`] is the one `(deadline, insertion sequence)` heap and
-//!   [`Event`] what it holds: the simulator's event queue and each pool
-//!   worker's wheel are both a `DeadlineQueue<Event<M>>`, so they share a
+//!   [`Event`] what it holds: the simulator's event queue and the worker
+//!   pool's one wheel are both a `DeadlineQueue<Event<M>>`, so they share a
 //!   total order and one vocabulary by construction.
 //! * [`ActorCell`] is one actor's driver-side state — the boxed actor,
 //!   whether it has started, and its incarnation — and
@@ -25,7 +25,7 @@
 //!     ran, so whatever that handler armed never fires either.
 //!
 //! What stays with a driver is the clock, the queue discipline (one global
-//! event heap, or mailboxes of [`Input`]s plus per-worker wheels), and the
+//! event heap, or mailboxes of [`Input`]s plus one pool wheel), and the
 //! last hop of a message.
 
 use crate::actor::{Actor, Ctx};
@@ -151,7 +151,7 @@ pub enum Input<M> {
 }
 
 /// Deferred work on a driver's [`DeadlineQueue`]: the simulator's one event
-/// queue and every pool worker's wheel hold these three kinds.
+/// queue and the worker pool's one wheel hold these three kinds.
 #[derive(Debug)]
 pub enum Event<M> {
     /// One activation of an actor: its start, a message reaching the far

@@ -1,22 +1,24 @@
 #!/usr/bin/env bash
 # A/B of one benchmark workload: a parent commit against the working tree,
 # by the rule of the choosing-metrics and simplicity-review guides. Clones
-# <parent-ref> into a scratch directory (under $TMPDIR), builds both
-# benchmark/ binaries into separate target directories, runs them in
-# alternating order at one seed (7 by default; 11 is the held-out seed),
-# and reports every end-to-end metric of BENCHMARK.json from the same runs:
-# each pair, both medians, the parent's inter-quartile spread, the wins,
-# whether the change is a gain — it wins at least nine tenths of the pairs
-# (ties count for neither side) and the medians differ by more than the
-# parent's spread — and whether its median is worse than the parent's by
-# more than the metric's bound (the acceptance driver's regression rule).
-# `failed` is summed over each side's runs.
+# <parent-ref> and copies the working tree (what git tracks or would track)
+# into a scratch directory (under $TMPDIR), so nothing is built in the
+# working tree — cargo would rewrite the frozen benchmark/Cargo.lock there.
+# Builds both benchmark/ binaries into separate target directories, runs
+# them in alternating order at one seed (7 by default; 11 is the held-out
+# seed), and reports every end-to-end metric of BENCHMARK.json from the
+# same runs: each pair, both medians, the parent's inter-quartile spread,
+# the wins, whether the change is a gain — it wins at least nine tenths of
+# the pairs (ties count for neither side) and the medians differ by more
+# than the parent's spread — and whether its median is worse than the
+# parent's by more than the metric's bound (BENCHMARK.json's regression
+# rule). `failed` is summed over each side's runs.
 #
 #   scripts/ab.sh <parent-ref> <workload> [pairs=10] [seed=7]
 #   scripts/ab.sh HEAD~1 chain_tcp 10 11
 set -euo pipefail
 
-[ $# -ge 2 ] || { sed -n '2,16p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,18p' "$0" >&2; exit 2; }
 ref=$1 workload=$2 pairs=${3:-10} seed=${4:-7}
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$root/BENCHMARK.json")
@@ -30,17 +32,18 @@ scratch=$(mktemp -d "${TMPDIR:-/tmp}/borealis-ab.XXXXXX")
 trap 'rm -rf "$scratch"' EXIT
 git clone --quiet "$root" "$scratch/parent"
 git -C "$scratch/parent" checkout --quiet --detach "$(git -C "$root" rev-parse "$ref")"
+mkdir "$scratch/change"
+git -C "$root" ls-files -z --cached --others --exclude-standard |
+    tar -C "$root" --null -T - --ignore-failed-read -cf - 2>/dev/null | tar -C "$scratch/change" -xf -
 for side in parent change; do
-    src=$root; [ $side = parent ] && src=$scratch/parent
     CARGO_TARGET_DIR=$scratch/target-$side cargo build --quiet --release --offline \
-        --manifest-path "$src/benchmark/Cargo.toml"
+        --manifest-path "$scratch/$side/benchmark/Cargo.toml"
 done
 
 # One run of a side from its own checkout: appends each metric's value to
 # $scratch/<side>.<metric> and the run's `failed` to $scratch/<side>.failed.
 run() {
-    local src=$root; [ "$1" = parent ] && src=$scratch/parent
-    (cd "$src" && "$scratch/target-$1/release/bench" --workload "$workload" \
+    (cd "$scratch/$1" && "$scratch/target-$1/release/bench" --workload "$workload" \
         --seed "$seed" --seconds "$seconds" --trace 0 2>"$scratch/stderr") |
         tail -n 1 >"$scratch/last" || true
     for m in $names; do

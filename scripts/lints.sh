@@ -30,9 +30,9 @@ if git grep -n 'filter_batch' -- '*.rs'; then fail "entry point"; fi
 # activation step (`ActorCell::activate`, crates/sim/src/node.rs) asks for
 # an arrival or a timer verdict, and neither driver keeps a (deadline, seq)
 # heap of its own beside `DeadlineQueue`. Both speak one event vocabulary:
-# the pool's wheels hold the kernel's `Event`s and its mailboxes `Input`s,
-# its fault script replays on worker 0's wheel rather than a thread of its
-# own, and the socket mesh's connection slots take the one lock kind.
+# the pool's wheel holds the kernel's `Event`s and its mailboxes `Input`s,
+# its fault script replays on that wheel rather than a thread of its own,
+# and the socket mesh's connection slots take the one lock kind.
 callers=$(git grep -lE '\.(arrive|timer_fires)\(' -- '*.rs' ':!crates/sim/src/fabric.rs' ':!*/tests/*' ':!*_tests.rs' || true)
 if [ "$(echo "$callers" | grep -c .)" -gt 1 ]; then echo "$callers"; fail "activation"; fi
 if git grep -nE 'impl(<.*>)? Ord for' -- crates/sim/src/kernel.rs; then fail "activation"; fi
@@ -121,5 +121,13 @@ if git grep -nE 'TcpRejoin|CrashReplica' -- '*.rs' '*.yml' '*/*.md' README.md ':
 # any replica — the per-stream switch that left single-producer inputs
 # unmonitored stays deleted.
 if git grep -nE 'monitor_all|self\.monitor\b|monitor: bool' -- '*.rs'; then fail "one consumer path"; fi
+
+# One pool clock: every timer, credit return and scripted fault of the
+# worker pool waits on the one wheel its workers share, so the runtime
+# builds one `DeadlineQueue` and no worker keeps a wheel of its own — the
+# per-worker wheels, and worker 0's hold on the fault script, stay deleted.
+built=$(git grep --untracked -nE 'DeadlineQueue(::<.*>)?::(default|new)\(' -- crates/runtime/src || true)
+if [ "$(echo "$built" | grep -c .)" -ne 1 ]; then echo "$built"; fail "one pool clock"; fi
+if git grep --untracked -h -A30 '^struct Worker {' -- crates/runtime/src | sed '/^}/q' | grep -E '^\s*(pub(\([a-z]+\))? )?wheel:'; then fail "one pool clock"; fi
 
 echo "lints: ok"

@@ -58,7 +58,8 @@ fn run_grid(wall_secs: u64, crash: bool) -> (u64, u64, borealis::sim::StatsSnaps
     sys.run_for(std::time::Duration::from_secs(wall_secs));
     // The pool stays fixed-size however many actors exist: the engine adds
     // its workers, and nothing else, to the caller's own thread — neither
-    // while the fault script is pending (worker 0 replays it) nor after.
+    // while the fault script is pending (the pool wheel replays it) nor
+    // after.
     for now in [deployed, os_threads()] {
         if let (Some(before), Some(now)) = (before, now) {
             assert!(

@@ -250,12 +250,6 @@ macro_rules! model_atomic_int {
                 yield_point();
                 self.0.fetch_add(v, Ordering::SeqCst)
             }
-
-            /// Atomic max (scheduling point).
-            pub fn fetch_max(&self, v: $prim, _o: Ordering) -> $prim {
-                yield_point();
-                self.0.fetch_max(v, Ordering::SeqCst)
-            }
         }
     };
 }

@@ -136,62 +136,3 @@ impl ShardMsg for NetMsg {
         matches!(self, NetMsg::Data { .. })
     }
 }
-
-impl NetMsg {
-    /// Short tag for diagnostics.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            NetMsg::Data { .. } => "data",
-            NetMsg::Subscribe { .. } => "subscribe",
-            NetMsg::Unsubscribe { .. } => "unsubscribe",
-            NetMsg::Ack { .. } => "ack",
-            NetMsg::HeartbeatReq => "hb-req",
-            NetMsg::HeartbeatResp { .. } => "hb-resp",
-            NetMsg::ReconcileRequest => "rec-req",
-            NetMsg::ReconcileGrant => "rec-grant",
-            NetMsg::ReconcileReject => "rec-reject",
-            NetMsg::ReconcileDone => "rec-done",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_names_cover_all_variants() {
-        let msgs = [
-            NetMsg::Data {
-                stream: StreamId(0),
-                tuples: BatchView::empty(),
-            },
-            NetMsg::Subscribe {
-                stream: StreamId(0),
-                last_stable: TupleId::NONE,
-                saw_tentative: false,
-                fresh_only: false,
-            },
-            NetMsg::Unsubscribe {
-                stream: StreamId(0),
-            },
-            NetMsg::Ack {
-                stream: StreamId(0),
-                through: TupleId(3),
-            },
-            NetMsg::HeartbeatReq,
-            NetMsg::HeartbeatResp {
-                node_state: NodeState::Stable,
-                stream_states: vec![],
-                stalled: Duration::ZERO,
-            },
-            NetMsg::ReconcileRequest,
-            NetMsg::ReconcileGrant,
-            NetMsg::ReconcileReject,
-            NetMsg::ReconcileDone,
-        ];
-        let names: Vec<_> = msgs.iter().map(|m| m.kind_name()).collect();
-        assert_eq!(names.len(), 10);
-        assert!(names.contains(&"subscribe"));
-    }
-}

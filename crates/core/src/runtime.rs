@@ -102,8 +102,12 @@ mod tests {
             );
         }
         fn on_message(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, msg: NetMsg) {
-            self.got
-                .push((ctx.now().as_millis(), msg.kind_name().into()));
+            let kind = match msg {
+                NetMsg::Unsubscribe { .. } => "unsubscribe",
+                NetMsg::HeartbeatReq => "hb-req",
+                other => panic!("a probe sends no {other:?}"),
+            };
+            self.got.push((ctx.now().as_millis(), kind.into()));
         }
         fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
             self.got

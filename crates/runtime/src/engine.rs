@@ -1,7 +1,7 @@
 //! The thread engine: every actor is a schedulable task multiplexed onto a
-//! **fixed pool of worker threads** (per-worker run queues with work
-//! stealing plus a global injector — see the `scheduler` module), sharing
-//! one wheel of deadlines against the monotonic clock.
+//! **fixed pool of worker threads** (one run queue that idle workers wait
+//! on — see the `scheduler` module), sharing one wheel of deadlines
+//! against the monotonic clock.
 //!
 //! The engine is a *driver* of the system model in `borealis_sim`, like the
 //! simulator kernel, and speaks its vocabulary: a mailbox holds the
@@ -146,8 +146,8 @@ enum Activation {
     Stopped,
 }
 
-/// One pool worker: a run-queue consumer. What its activations push lands
-/// on its own queue and wakes nobody unless that queue is backlogged.
+/// One pool worker: a run-queue consumer. What its activations push wakes
+/// nobody unless the run queue is backlogged.
 struct Worker {
     idx: usize,
     hub: Arc<Hub>,
@@ -165,11 +165,11 @@ impl Worker {
     /// The worker main loop: fire due wheel entries, run one task
     /// activation, flush the frames they queued, repeat; park when no task
     /// is runnable, timed to the wheel's next deadline if it is the pool's
-    /// timekeeper ([`Scheduler::park`]).
+    /// timekeeper ([`Scheduler::next`]).
     fn run(mut self) {
         loop {
-            let next_due = self.fire_due();
-            let task = self.hub.sched.pop(self.idx, self.hub.clock.now());
+            let due = self.fire_due().map(|at| (at, self.hub.clock.until(at)));
+            let task = self.hub.sched.next(self.idx, self.hub.clock.now(), due);
             if let Some(task) = &task {
                 self.run_task(task);
             }
@@ -178,14 +178,9 @@ impl Worker {
                     tcp.flush();
                 }
             }
-            if task.is_some() {
-                continue;
-            }
-            if self.hub.sched.exiting() {
+            if task.is_none() && self.hub.sched.exiting() {
                 break;
             }
-            let due = next_due.map(|at| (at, self.hub.clock.until(at)));
-            self.hub.sched.park(due);
         }
     }
 
@@ -206,7 +201,7 @@ impl Worker {
         match self.tcp.as_deref().filter(|t| t.is_remote(to)) {
             None => {
                 let message = Envelope::Input(Input::Message { from, msg });
-                self.hub.sched.push(to, message, Some((self.idx, now)));
+                self.hub.sched.push(to, message, Some(self.idx), now);
             }
             Some(tcp) => {
                 self.unflushed = true;
@@ -235,7 +230,7 @@ impl Worker {
                 Event::Input(to, input) => {
                     drop(wheel);
                     let input = Envelope::Input(input);
-                    self.hub.sched.push(to, input, Some((self.idx, now)));
+                    self.hub.sched.push(to, input, Some(self.idx), now);
                 }
                 // The consumer's modelled CPU finished a delivery.
                 Event::Replenish { from, to } => {
@@ -252,7 +247,7 @@ impl Worker {
                     let heard = self.hub.fabric().apply(&fault, now, actors);
                     for (id, heard) in heard {
                         let heard = Envelope::Input(Input::Fault(heard));
-                        self.hub.sched.push(id, heard, Some((self.idx, now)));
+                        self.hub.sched.push(id, heard, Some(self.idx), now);
                     }
                 }
             }
@@ -292,8 +287,8 @@ impl Worker {
             Ok(Activation::Drained) | Ok(Activation::Stopped) => {}
             Ok(Activation::Budget) => {
                 if task.yield_back() {
-                    let worker = Some((self.idx, self.hub.clock.now()));
-                    self.hub.sched.enqueue(Arc::clone(task), worker);
+                    let (sched, now) = (&self.hub.sched, self.hub.clock.now());
+                    sched.enqueue(Arc::clone(task), Some(self.idx), now);
                 }
             }
             Err(_) => {
@@ -366,9 +361,9 @@ pub struct ThreadRuntime {
 
 impl ThreadRuntime {
     /// The pool size used when a layout requests none: the machine's
-    /// available parallelism clamped to `[2, 8]` (at least two so stealing
-    /// is live even on one core; at most eight — the scaling target's pool
-    /// size).
+    /// available parallelism clamped to `[2, 8]` (at least two so work can
+    /// move between workers even on one core; at most eight — the scaling
+    /// target's pool size).
     pub fn default_workers() -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -476,7 +471,7 @@ impl ThreadRuntime {
     /// Stops one task (used by the socket deployment to retire the inert
     /// stubs standing in for remote actors).
     pub(crate) fn stop_task(&self, id: NodeId) {
-        self.hub.sched.push(id, Envelope::Stop, None);
+        self.hub.sched.push(id, Envelope::Stop, None, self.now());
     }
 
     /// Message-loss statistics so far, including the fabric's flow-control
@@ -515,7 +510,7 @@ impl ThreadRuntime {
     /// panicked.
     fn stop_threads(&mut self) -> Vec<String> {
         let sched = &self.hub.sched;
-        sched.stop_all();
+        sched.stop_all(self.hub.clock.now());
         sched.wait_all_stopped();
         sched.begin_exit();
         for h in self.workers.drain(..) {
@@ -557,7 +552,12 @@ mod tests {
             }
         }
         fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, from: NodeId, msg: NetMsg) {
-            self.log.lock().unwrap().push((from, msg.kind_name()));
+            let kind = match msg {
+                NetMsg::HeartbeatReq => "hb-req",
+                NetMsg::Unsubscribe { .. } => "unsubscribe",
+                other => panic!("a recorder's peers send no {other:?}"),
+            };
+            self.log.lock().unwrap().push((from, kind));
         }
         fn on_timer(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>, kind: u64) {
             assert_eq!(kind, 7);
@@ -823,7 +823,7 @@ mod tests {
         let sched = rt.shutdown().sched;
         let ticks = *ticks.lock().unwrap();
         assert!(ticks >= 100, "the timer keeps its pace: {ticks} ticks");
-        // The relay's push lands on the firing worker's own queue: the
+        // The relay's push wakes nobody and the firing worker runs it: the
         // sibling sleeps through the run, and the timekeeper parks once a
         // tick.
         assert!(sched.steals <= 2, "{ticks} ticks: {sched:?}");
@@ -891,8 +891,8 @@ mod tests {
             .map(|(sent, done)| done[7] - *sent)
             .min()
             .unwrap();
-        // All eight land on one worker's queue; once the oldest has waited
-        // out the backlog, the sibling steals.
+        // All eight are queued by one worker; once the oldest has waited
+        // out the backlog, the sibling is woken and takes some.
         assert!(sched.steals > 0, "{sched:?}");
         assert!(
             wall < SPIN * 8 * 3 / 4,

@@ -5,12 +5,12 @@
 //! the deterministic simulator, driven against the monotonic clock on a
 //! **fixed pool of worker threads**, in one process or several.
 //!
-//! * every actor is a schedulable task: per-worker run queues with work
-//!   stealing, a global injector for pushes from outside the pool, and an
-//!   Idle/Queued/Running state machine so a mailbox push schedules an idle
-//!   actor exactly once (see the `scheduler` module) — thousands of actors
-//!   multiplex onto a handful of OS threads. A worker wakes a sibling
-//!   only for backlog, so a light cascade stays on one core;
+//! * every actor is a schedulable task: one run queue under one lock that
+//!   idle workers park on, and an Idle/Queued/Running state machine so a
+//!   mailbox push schedules an idle actor exactly once (see the
+//!   `scheduler` module) — thousands of actors multiplex onto a handful of
+//!   OS threads. A worker's own push wakes a sibling only for backlog, so
+//!   a light cascade stays on one core;
 //! * `NetMsg::Data` payloads are `Arc`-backed `TupleBatch` views, so
 //!   cross-thread fan-out moves reference counts, not tuples;
 //! * one pool wheel — a `DeadlineQueue` of the simulator kernel's own

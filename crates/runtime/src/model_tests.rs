@@ -7,7 +7,9 @@
 //! need at most two preemptive switches). Seven protocols are covered:
 //!
 //! 1. the mailbox queued-exactly-once state machine ([`Scheduler::push`]);
-//! 2. [`IdleLot`] token parking (no lost wakeup, token bank capped);
+//! 2. the one run queue's park ([`Scheduler::next`]: a push racing a
+//!    parker's empty check is never slept through — the check and the
+//!    wait are one critical section);
 //! 3. credit-window accounting on the [`SharedFabric`] — the one
 //!    `Mutex<Fabric<NetMsg>>` the pool's workers and the TCP readers
 //!    share;
@@ -19,8 +21,8 @@
 //! 6. the socket outbox's flush role ([`Outbox::flush`]: frames appended
 //!    by concurrent senders, each flushing its own, are written exactly
 //!    once, in each sender's order, and none is left behind);
-//! 7. the pool's timekeeper and its quiet pushes ([`IdleLot::park`]: the
-//!    earliest deadline always has a timed parker; a worker's own push
+//! 7. the pool's timekeeper and its quiet pushes ([`Scheduler::next`]:
+//!    the earliest deadline always has a timed parker; a worker's own push
 //!    wakes nobody and is run before that worker parks).
 //!
 //! Each protocol also has a **seeded-bug twin**: a compact
@@ -30,7 +32,7 @@
 //! printing the replayable trace a real regression would produce.
 
 use crate::outbox::{Outbox, Sink};
-use crate::scheduler::{Envelope, IdleLot, Scheduler};
+use crate::scheduler::{Envelope, Scheduler, Task};
 use crate::sync::{cv_wait, cv_wait_timeout, relock, Arc, AtomicU64, Condvar, Mutex, Ordering};
 use crate::SharedFabric;
 use borealis_check::sync::thread;
@@ -68,13 +70,23 @@ fn timer(kind: u64) -> Envelope {
     })
 }
 
+/// Tasks on the run queue.
+fn queued(s: &Scheduler) -> u64 {
+    s.gauges().local_depth
+}
+
+/// Worker `w`'s next task; the run queue must hold one (on an empty one
+/// the worker would park).
+fn pop(s: &Scheduler, w: usize) -> Arc<Task> {
+    s.next(w, Time::ZERO, None).expect("a task is queued")
+}
+
 /// Drains the initial seeding so every task is Idle.
 fn drain_initial(s: &Scheduler) {
-    for w in 0..s.workers() {
-        while let Some(t) = s.pop(w, Time::ZERO) {
-            t.begin();
-            while t.pop_envelope().is_some() {}
-        }
+    while queued(s) > 0 {
+        let t = pop(s, 0);
+        t.begin();
+        while t.pop_envelope().is_some() {}
     }
 }
 
@@ -125,34 +137,29 @@ fn model_mailbox_queued_exactly_once() {
         let s = Arc::new(sched(1, 1));
         drain_initial(&s);
         let s1 = Arc::clone(&s);
-        let p1 = thread::spawn(move || s1.push(NodeId(0), timer(1), None));
+        let p1 = thread::spawn(move || s1.push(NodeId(0), timer(1), None, Time::ZERO));
         let s2 = Arc::clone(&s);
-        let p2 = thread::spawn(move || s2.push(NodeId(0), timer(2), None));
-        // The worker loop: drain, then park on the IdleLot like the real
+        let p2 = thread::spawn(move || s2.push(NodeId(0), timer(2), None, Time::ZERO));
+        // The worker loop: drain, else park on the run queue like the real
         // engine — a lost wakeup shows up as a deadlock violation.
         let mut seen: Vec<u64> = Vec::new();
         while seen.len() < 2 {
-            match s.pop(0, Time::ZERO) {
-                Some(t) => {
-                    t.begin();
-                    while let Some(env) = t.pop_envelope() {
-                        match env {
-                            Envelope::Input(Input::Timer { kind, .. }) => seen.push(kind),
-                            _ => unreachable!("only timers pushed"),
-                        }
-                    }
+            let Some(t) = s.next(0, Time::ZERO, None) else {
+                continue; // parked and woken: ask again
+            };
+            t.begin();
+            while let Some(env) = t.pop_envelope() {
+                match env {
+                    Envelope::Input(Input::Timer { kind, .. }) => seen.push(kind),
+                    _ => unreachable!("only timers pushed"),
                 }
-                None => s.park(None),
             }
         }
         p1.join();
         p2.join();
         seen.sort_unstable();
         assert_eq!(seen, [1, 2], "each envelope delivered exactly once");
-        assert!(
-            s.pop(0, Time::ZERO).is_none(),
-            "no residual run-queue entry"
-        );
+        assert_eq!(queued(&s), 0, "no residual run-queue entry");
     });
     report("mailbox_queued_exactly_once", r);
 }
@@ -206,60 +213,85 @@ fn model_mailbox_double_enqueue_twin_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 2: IdleLot token parking
+// Protocol 2: no lost wakeup on the one run queue
 // ---------------------------------------------------------------------------
 
-/// Two parkers against three wake deposits (cap 2): no wakeup is ever
-/// lost (both parks return in every interleaving — a loss deadlocks the
-/// exploration) and the token bank never exceeds the cap (debug-asserted
-/// inside `unpark_one`; at most one token can remain banked).
+/// Two workers run the worker loop — pop, else park — while shutdown
+/// pushes each of two idle tasks its Stop from outside the pool, waits
+/// for both to stop and lets the workers exit. Each push races a parker's
+/// empty check; because [`Scheduler::next`] checks the queue and waits
+/// under one lock hold, no push is slept through (a lost wakeup leaves a
+/// Stop unrun and deadlocks the exploration, which the checker reports).
 #[test]
-fn model_idlelot_no_lost_wakeup_no_herd() {
+fn model_run_queue_no_lost_wakeup() {
     let r = explore(Opts::default(), || {
-        let lot = Arc::new(IdleLot::new(2));
-        let l1 = Arc::clone(&lot);
-        let p1 = thread::spawn(move || l1.park(None));
-        let l2 = Arc::clone(&lot);
-        let p2 = thread::spawn(move || l2.park(None));
-        lot.unpark_one();
-        lot.unpark_one();
-        lot.unpark_one(); // over-deposit: capped, not banked
-        p1.join();
-        p2.join();
-        // 3 deposits capped at 2, 2 consumed: at most one token can remain
-        // — a bank above that would wake workers with nothing to scan for.
-        assert!(
-            relock(&lot.lot).tokens <= 1,
-            "token bank exceeds deposits minus parks"
-        );
+        let s = Arc::new(sched(2, 2));
+        drain_initial(&s);
+        let worker = |w: usize| {
+            let s = Arc::clone(&s);
+            thread::spawn(move || loop {
+                match s.next(w, Time::ZERO, None) {
+                    Some(t) => {
+                        t.begin();
+                        while let Some(env) = t.pop_envelope() {
+                            assert!(matches!(env, Envelope::Stop), "only Stops pushed");
+                            if t.mark_stopped() {
+                                s.note_stopped();
+                            }
+                        }
+                    }
+                    None if s.exiting() => break,
+                    None => {}
+                }
+            })
+        };
+        let (w0, w1) = (worker(0), worker(1));
+        s.stop_all(Time::ZERO);
+        s.wait_all_stopped();
+        s.begin_exit();
+        w0.join();
+        w1.join();
+        assert_eq!(queued(&s), 0, "no residual run-queue entry");
     });
-    report("idlelot_no_lost_wakeup_no_herd", r);
+    report("run_queue_no_lost_wakeup", r);
 }
 
-/// Seeded-bug twin of [`IdleLot::park`]: a condvar sleep with no banked
-/// token to consume first (the real code checks `*t > 0` before waiting —
-/// `scheduler.rs`, `IdleLot::park`). A deposit landing before the sleep
-/// is then lost and the parker never wakes: a deadlock the checker finds.
+/// Seeded-bug twin of [`Scheduler::next`]: the worker checks the queue
+/// under one guard and waits under a re-taken one (the real code parks
+/// in the critical section that found the queue empty). A push landing
+/// between the two finds no waiter to notify, and the parker sleeps
+/// through it: a deadlock the checker finds.
 #[test]
-fn model_idlelot_tokenless_twin_loses_wakeup() {
-    struct TokenlessLot {
-        m: Mutex<()>,
+fn model_run_queue_recheck_twin_loses_wakeup() {
+    struct TwinQueue {
+        queue: Mutex<VecDeque<u64>>,
         cv: Condvar,
     }
+    impl TwinQueue {
+        fn buggy_next(&self) -> Option<u64> {
+            if let Some(task) = relock(&self.queue).pop_front() {
+                return Some(task);
+            }
+            // BUG: the wait re-takes the lock the empty check let go of —
+            // a notify that happened in the gap is gone (condvars have no
+            // memory).
+            let _g = cv_wait(&self.cv, relock(&self.queue));
+            None
+        }
+        fn push(&self, task: u64) {
+            relock(&self.queue).push_back(task);
+            self.cv.notify_one();
+        }
+    }
     let msg = explore_expect_violation(Opts::default(), || {
-        let lot = Arc::new(TokenlessLot {
-            m: Mutex::new(()),
+        let q = Arc::new(TwinQueue {
+            queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
         });
-        let l = Arc::clone(&lot);
-        let parker = thread::spawn(move || {
-            let g = relock(&l.m);
-            // BUG: no token check before the wait — a notify that already
-            // happened is gone (condvars have no memory).
-            let _g = l.cv.wait(g);
-        });
-        lot.cv.notify_one();
-        parker.join();
+        let q2 = Arc::clone(&q);
+        let worker = thread::spawn(move || while q2.buggy_next().is_none() {});
+        q.push(1);
+        worker.join();
     });
     assert!(
         msg.contains("BOREALIS_MODEL_REPLAY"),
@@ -465,7 +497,7 @@ fn credit_release_race(release: fn(&Scheduler, &SharedFabric)) -> Vec<u32> {
     let (r1, r2) = (spawn(), spawn());
     r1.join();
     r2.join();
-    let task = s.pop(0, Time::ZERO).expect("the releases queued the sink");
+    let task = pop(&s, 0);
     task.begin();
     std::iter::from_fn(|| task.pop_envelope())
         .map(|env| match env {
@@ -505,7 +537,8 @@ fn model_credit_release_outside_lock_twin_reorders() {
             // BUG: the lock is gone by the end of this statement.
             let released = relock(t).consumed(from, to, Time::ZERO);
             if let Some(msg) = released {
-                s.push(to, Envelope::Input(Input::Message { from, msg }), None);
+                let message = Envelope::Input(Input::Message { from, msg });
+                s.push(to, message, None, Time::ZERO);
             }
         });
         assert_eq!(got, [3, 4], "released out of ledger order");
@@ -530,11 +563,11 @@ fn model_panic_containment_stops_mailbox_not_worker() {
     let r = explore(Opts::default(), || {
         let s = Arc::new(sched(2, 1));
         drain_initial(&s);
-        s.push(NodeId(0), timer(1), None);
-        let t = s.pop(0, Time::ZERO).expect("queued");
+        s.push(NodeId(0), timer(1), None, Time::ZERO);
+        let t = pop(&s, 0);
         t.begin();
         let s2 = Arc::clone(&s);
-        let racer = thread::spawn(move || s2.push(NodeId(0), timer(9), None));
+        let racer = thread::spawn(move || s2.push(NodeId(0), timer(9), None, Time::ZERO));
         let _ = t.pop_envelope();
         // The panic path runs while the task is still Running, exactly as
         // engine.rs does after catch_unwind — the racer's push lands in a
@@ -542,17 +575,12 @@ fn model_panic_containment_stops_mailbox_not_worker() {
         // neither re-queues the task.
         assert!(t.mark_stopped());
         racer.join();
-        assert!(s.pop(0, Time::ZERO).is_none(), "dead task never re-queued");
-        s.push(NodeId(0), timer(3), None);
-        assert!(
-            s.pop(0, Time::ZERO).is_none(),
-            "pushes to the stopped task dropped"
-        );
+        assert_eq!(queued(&s), 0, "dead task never re-queued");
+        s.push(NodeId(0), timer(3), None, Time::ZERO);
+        assert_eq!(queued(&s), 0, "pushes to the stopped task dropped");
         // The pool keeps scheduling the healthy sibling.
-        s.push(NodeId(1), timer(2), None);
-        let healthy = s
-            .pop(0, Time::ZERO)
-            .expect("healthy task still schedulable");
+        s.push(NodeId(1), timer(2), None, Time::ZERO);
+        let healthy = pop(&s, 0);
         assert_eq!(healthy.id, NodeId(1));
         healthy.begin();
         assert!(matches!(
@@ -733,24 +761,26 @@ fn model_outbox_release_after_recheck_twin_strands_a_frame() {
 // Protocol 7: the pool's timekeeper and its quiet pushes
 // ---------------------------------------------------------------------------
 
-/// What the timekeeper race needs of a parking lot.
+/// What the timekeeper race needs of a run queue.
 trait Parking: Send + Sync + 'static {
-    /// Parks a worker whose earliest deadline is `due`.
+    /// Parks a worker whose earliest deadline is `due`, if nothing is
+    /// queued.
     fn park_until(&self, due: Time);
-    fn unpark_one(&self);
+    /// Queues idle task `id` from outside the pool.
+    fn wake(&self, id: u32);
     /// Parked workers and the earliest deadline one of them waits for.
     fn waits(&self) -> (usize, Option<Time>);
 }
 
-impl Parking for IdleLot {
+impl Parking for Scheduler {
     fn park_until(&self, due: Time) {
-        self.park(Some((due, std::time::Duration::ZERO)));
+        self.next(0, Time::ZERO, Some((due, std::time::Duration::ZERO)));
     }
-    fn unpark_one(&self) {
-        IdleLot::unpark_one(self);
+    fn wake(&self, id: u32) {
+        self.push(NodeId(id), timer(1), None, Time::ZERO);
     }
     fn waits(&self) -> (usize, Option<Time>) {
-        let parked = &relock(&self.lot).parked;
+        let parked = &relock(&self.run).parked;
         (parked.len(), parked.iter().flatten().min().copied())
     }
 }
@@ -758,22 +788,22 @@ impl Parking for IdleLot {
 /// One worker parks on the wheel's later deadline (10 ms), another arms an
 /// earlier one (5 ms) and parks, in either order. Whenever both are parked,
 /// a timed wait covers the earlier deadline — it never sleeps behind the
-/// later one's timekeeper. The tokens deposited last release whoever waits
-/// untimed.
-fn timekeeper_race(lot: Arc<impl Parking>) {
+/// later one's timekeeper. The two pushes queued last release whoever
+/// waits untimed.
+fn timekeeper_race(q: Arc<impl Parking>) {
     let (later, earlier) = (Time::from_millis(10), Time::from_millis(5));
     let parker = |due| {
-        let lot = Arc::clone(&lot);
-        thread::spawn(move || lot.park_until(due))
+        let q = Arc::clone(&q);
+        thread::spawn(move || q.park_until(due))
     };
     let (a, b) = (parker(later), parker(earlier));
-    let (parked, earliest) = lot.waits();
+    let (parked, earliest) = q.waits();
     assert!(
         parked < 2 || earliest.is_some_and(|at| at <= earlier),
         "both parked, and the earliest timed wait is {earliest:?}"
     );
-    lot.unpark_one();
-    lot.unpark_one();
+    q.wake(0);
+    q.wake(1);
     a.join();
     b.join();
 }
@@ -781,58 +811,59 @@ fn timekeeper_race(lot: Arc<impl Parking>) {
 #[test]
 fn model_timekeeper_never_sleeps_past_the_earliest_deadline() {
     let r = explore(Opts::default(), || {
-        timekeeper_race(Arc::new(IdleLot::new(2)))
+        let s = sched(2, 2);
+        drain_initial(&s);
+        timekeeper_race(Arc::new(s))
     });
     report("timekeeper_never_sleeps_past_the_earliest_deadline", r);
 }
 
-/// Seeded-bug twin of [`IdleLot::park`]'s timekeeper rule: a parker defers
-/// to any timed parker, whatever the deadlines (the real code defers only
-/// to one that waits for an earlier or equal deadline). A worker that armed
-/// an earlier deadline then sleeps untimed behind the later one's wait.
+/// Seeded-bug twin of [`Scheduler::next`]'s timekeeper rule: a parker
+/// defers to any timed parker, whatever the deadlines (the real code
+/// defers only to one that waits for an earlier or equal deadline). A
+/// worker that armed an earlier deadline then sleeps untimed behind the
+/// later one's wait.
 #[test]
 fn model_timekeeper_deferring_to_any_twin_oversleeps() {
-    /// (banked tokens, each parked worker's timed deadline).
-    struct DeferringLot {
-        lot: Mutex<(usize, Vec<Option<Time>>)>,
+    /// (queued tasks, each parked worker's timed deadline).
+    struct DeferringQueue {
+        run: Mutex<(usize, Vec<Option<Time>>)>,
         cv: Condvar,
     }
-    impl Parking for DeferringLot {
+    impl Parking for DeferringQueue {
         fn park_until(&self, due: Time) {
-            let mut lot = relock(&self.lot);
-            if lot.0 > 0 {
-                lot.0 -= 1;
+            let mut run = relock(&self.run);
+            if run.0 > 0 {
+                run.0 -= 1;
                 return;
             }
             // BUG: any timed parker is taken to cover this deadline too.
-            let wait = Some(due).filter(|_| lot.1.iter().all(Option::is_none));
-            lot.1.push(wait);
-            match wait {
-                Some(_) => lot = cv_wait_timeout(&self.cv, lot, std::time::Duration::ZERO).0,
-                None => {
-                    while lot.0 == 0 {
-                        lot = cv_wait(&self.cv, lot);
-                    }
-                }
-            }
-            lot.0 = lot.0.saturating_sub(1);
-            let me = lot.1.iter().position(|w| *w == wait).expect("listed");
-            lot.1.swap_remove(me);
+            let wait = Some(due).filter(|_| run.1.iter().all(Option::is_none));
+            run.1.push(wait);
+            run = match wait {
+                Some(_) => cv_wait_timeout(&self.cv, run, std::time::Duration::ZERO).0,
+                None => cv_wait(&self.cv, run),
+            };
+            let me = run.1.iter().position(|w| *w == wait).expect("listed");
+            run.1.swap_remove(me);
         }
-        fn unpark_one(&self) {
-            let mut lot = relock(&self.lot);
-            lot.0 = (lot.0 + 1).min(2);
-            drop(lot);
-            self.cv.notify_one();
+        fn wake(&self, _id: u32) {
+            let mut run = relock(&self.run);
+            run.0 += 1;
+            let parked = !run.1.is_empty();
+            drop(run);
+            if parked {
+                self.cv.notify_one();
+            }
         }
         fn waits(&self) -> (usize, Option<Time>) {
-            let lot = relock(&self.lot);
-            (lot.1.len(), lot.1.iter().flatten().min().copied())
+            let run = relock(&self.run);
+            (run.1.len(), run.1.iter().flatten().min().copied())
         }
     }
     let msg = explore_expect_violation(Opts::default(), || {
-        timekeeper_race(Arc::new(DeferringLot {
-            lot: Mutex::new((0, Vec::new())),
+        timekeeper_race(Arc::new(DeferringQueue {
+            run: Mutex::new((0, Vec::new())),
             cv: Condvar::new(),
         }))
     });
@@ -845,17 +876,17 @@ fn model_timekeeper_deferring_to_any_twin_oversleeps() {
 
 /// Worker 0 pushes to an idle task from inside its activation while its
 /// sibling runs the worker loop — pop, else park untimed — until the pool
-/// exits. The push lands on worker 0's own queue and banks no wake token,
-/// and worker 0's loop pops before it parks: when it would park, no run
-/// queue still holds the task, and the task runs exactly once — on worker
-/// 0, or on the sibling if it was awake to steal it.
+/// exits. The push notifies nobody, so no parked sibling is woken — only
+/// the exit releases a parked one — and worker 0's next step pops the
+/// task or, if the sibling was awake to take it, parks on an empty queue:
+/// the task runs exactly once, and nothing is left queued.
 #[test]
 fn model_own_push_runs_before_its_worker_parks() {
     let r = explore(Opts::default(), || {
         let s = Arc::new(sched(1, 2));
         drain_initial(&s);
         let ran = Arc::new(AtomicU64::new(0));
-        let run = |t: Arc<crate::scheduler::Task>, ran: &AtomicU64| {
+        let run = |t: Arc<Task>, ran: &AtomicU64| {
             t.begin();
             while t.pop_envelope().is_some() {
                 ran.fetch_add(1, Ordering::SeqCst);
@@ -863,24 +894,22 @@ fn model_own_push_runs_before_its_worker_parks() {
         };
         let (s1, ran1) = (Arc::clone(&s), Arc::clone(&ran));
         let sibling = thread::spawn(move || loop {
-            match s1.pop(1, Time::ZERO) {
+            match s1.next(1, Time::ZERO, None) {
                 Some(t) => run(t, &ran1),
-                None if s1.exiting() => break,
-                None => s1.park(None),
+                None => {
+                    assert!(s1.exiting(), "a parked sibling woken by an own push");
+                    break;
+                }
             }
         });
-        s.push(NodeId(0), timer(1), Some((0, Time::ZERO)));
-        assert_eq!(
-            relock(&s.idle.lot).tokens,
-            0,
-            "a worker's own push wakes nobody"
-        );
-        if let Some(t) = s.pop(0, Time::ZERO) {
+        s.push(NodeId(0), timer(1), Some(0), Time::ZERO);
+        // Worker 0's loop: it pops the task, or parks (timed, as the
+        // timekeeper) if the sibling took it — never with it still queued.
+        let due = Some((Time::ZERO, std::time::Duration::ZERO));
+        if let Some(t) = s.next(0, Time::ZERO, due) {
             run(t, &ran);
         }
-        // Worker 0 would park now: nothing may be left queued for it.
-        let g = s.gauges();
-        assert_eq!(g.local_depth + g.global_depth, 0, "the push is stranded");
+        assert_eq!(queued(&s), 0, "the push is stranded");
         s.begin_exit();
         sibling.join();
         assert_eq!(ran.load(Ordering::SeqCst), 1, "run exactly once");

@@ -1,34 +1,29 @@
-//! The work-stealing scheduling fabric of the pooled thread engine.
+//! The scheduling fabric of the pooled thread engine: one run queue that
+//! idle workers wait on.
 //!
 //! Every actor is a [`Task`]: a mailbox of activation [`Input`]s plus its
 //! protocol state, runnable by any worker. The scheduler's contract is the
 //! *queued-exactly-once* state machine — a mailbox push transitions an
-//! Idle task to Queued and enqueues it on exactly one run queue; pushes to
-//! a Queued or Running task only append to the mailbox. A worker that
-//! drains a task's mailbox transitions it back to Idle under the mailbox
-//! lock, so no envelope can arrive between "queue observed empty" and
-//! "state set Idle" without re-queueing the task.
+//! Idle task to Queued and puts it on the run queue; pushes to a Queued or
+//! Running task only append to the mailbox. A worker that drains a task's
+//! mailbox transitions it back to Idle under the mailbox lock, so no
+//! envelope can arrive between "queue observed empty" and "state set Idle"
+//! without re-queueing the task.
 //!
-//! Run queues come in two kinds:
-//!
-//! * one **local queue per worker** — pushes made *by* a worker land on
-//!   its own queue (locality) and wake nobody: the worker runs them after
-//!   its activation, before it may park. Idle siblings steal from the back;
-//! * a **global injector** — pushes from non-worker threads (socket
-//!   readers, shutdown) land here and deposit a wake token.
-//!
-//! Idle workers park on a token condvar ([`IdleLot`]): a worker observing
-//! empty queues either consumes a pending token and rescans or sleeps
-//! until the next deposit — wakeups are never lost. A park and its wake
-//! cost ≈ 24 µs of CPU on a 2-vCPU host, so a worker brings a sibling in
-//! only for **backlog** — its own queue's oldest task waited over
-//! [`BACKLOG`] — and a light cascade of activations stays on one core. One
-//! parked worker, the **timekeeper**, waits for the wheel's next deadline.
+//! The run queue is one FIFO behind one mutex, with the list of parked
+//! workers under the same lock and one condvar they wait on
+//! ([`Scheduler::next`]): a worker pops the front or, finding it empty,
+//! parks in the same critical section, so a push cannot slip between the
+//! empty check and the wait. A park and its wake cost ≈ 24 µs of CPU on a
+//! 2-vCPU host, so what a worker's own activations push wakes nobody — the
+//! worker runs it after its activation — unless the queue's oldest task
+//! has waited over [`BACKLOG`]; a push from outside the pool (socket
+//! readers, shutdown) always wakes one. One parked worker, the
+//! **timekeeper**, waits for the wheel's next deadline.
 //!
 //! FIFO guarantees: one mailbox is one `VecDeque` behind one mutex, and a
 //! task is Running on at most one worker at a time, so per-sender delivery
-//! order is preserved no matter which workers run the task or how runs
-//! interleave with steals.
+//! order is preserved no matter which workers run the task.
 
 use crate::sync::{
     cv_wait, cv_wait_timeout, relock, Arc, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex,
@@ -41,19 +36,10 @@ use borealis_types::{Duration, NodeId, SchedGauges, Time};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 
-/// How long the oldest task on a worker's own queue may wait before the
-/// worker wakes a sibling to steal (checked as it queues a task and after
-/// each activation): about forty park-and-wake costs.
+/// How long the run queue's oldest task may wait before a worker wakes a
+/// sibling (checked as a worker queues a task and as it pops one): about
+/// forty park-and-wake costs.
 const BACKLOG: Duration = Duration::from_millis(1);
-
-/// A worker's own run queue: each task with the instant it was queued.
-type LocalQueue = VecDeque<(Arc<Task>, Time)>;
-
-/// True if the oldest task of `q` has waited longer than [`BACKLOG`].
-fn backlogged(q: &LocalQueue, now: Time) -> bool {
-    q.front().is_some_and(|&(_, at)| now - at > BACKLOG)
-}
-
 /// One delivery into a task's mailbox.
 pub(crate) enum Envelope {
     /// One input of the activation step, in mailbox order: the start, a
@@ -68,7 +54,7 @@ pub(crate) enum Envelope {
 enum RunState {
     /// Mailbox empty, not on any run queue.
     Idle,
-    /// On exactly one run queue (or in a worker's hand, pre-`begin`).
+    /// On the run queue (or in a worker's hand, pre-`begin`).
     Queued,
     /// A worker is draining the mailbox.
     Running,
@@ -167,97 +153,35 @@ impl Task {
     }
 }
 
-/// The token-based parking lot: `unpark_one` deposits a wake token
-/// (capped at the worker count) and signals a parked worker, if any; a
-/// parking worker first consumes a pending token (then rescans the queues)
-/// and only sleeps when none is banked. The token closes the
-/// scan-then-sleep race — a push landing between a worker's empty scan and
-/// its sleep leaves a token the sleep consumes immediately.
-pub(crate) struct IdleLot {
-    pub(crate) lot: Mutex<Lot>,
-    cv: Condvar,
-    cap: usize,
-}
-
-#[derive(Default)]
-pub(crate) struct Lot {
-    pub(crate) tokens: usize,
-    /// Each parked worker's deadline, `None` if it waits for a token only.
+/// The one run queue and the workers parked on it, under one lock.
+pub(crate) struct RunQueue {
+    /// Each queued task with the instant it was queued and the worker
+    /// whose activation queued it (`None`: from outside the pool).
+    queue: VecDeque<(Arc<Task>, Time, Option<usize>)>,
+    /// Each parked worker's deadline, `None` if it waits for a push only.
     pub(crate) parked: Vec<Option<Time>>,
+    /// Activations by origin, parks and the peak depth.
+    counts: SchedGauges,
 }
 
-impl IdleLot {
-    pub(crate) fn new(cap: usize) -> IdleLot {
-        let (lot, cv) = (Mutex::new(Lot::default()), Condvar::new());
-        IdleLot { lot, cv, cap }
-    }
-
-    pub(crate) fn unpark_one(&self) {
-        let mut lot = relock(&self.lot);
-        if lot.tokens < self.cap {
-            lot.tokens += 1;
-        }
-        debug_assert!(lot.tokens <= self.cap, "token bank never exceeds the cap");
-        let parked = !lot.parked.is_empty();
-        drop(lot);
-        if parked {
-            self.cv.notify_one();
-        }
-    }
-
-    fn unpark_all(&self) {
-        relock(&self.lot).tokens = self.cap;
-        self.cv.notify_all();
-    }
-
-    /// Parks until a token is available or, if no parked worker waits for
-    /// an earlier or equal deadline, until the caller's earliest deadline
-    /// `due` (its instant and the time left to it) — the pool needs one
-    /// timekeeper. Consumes at most one token.
-    pub(crate) fn park(&self, due: Option<(Time, std::time::Duration)>) {
-        let mut lot = relock(&self.lot);
-        if lot.tokens > 0 {
-            lot.tokens -= 1;
-            return;
-        }
-        let due = due.filter(|(at, _)| lot.parked.iter().flatten().all(|t| t > at));
-        let wait = due.map(|(at, _)| at);
-        lot.parked.push(wait);
-        match due {
-            Some((_, d)) => lot = cv_wait_timeout(&self.cv, lot, d).0,
-            None => {
-                while lot.tokens == 0 {
-                    lot = cv_wait(&self.cv, lot);
-                }
-            }
-        }
-        lot.tokens = lot.tokens.saturating_sub(1);
-        let me = lot.parked.iter().position(|w| *w == wait).expect("listed");
-        lot.parked.swap_remove(me);
+impl RunQueue {
+    /// True if the oldest task has waited longer than [`BACKLOG`].
+    fn backlogged(&self, now: Time) -> bool {
+        let waited = |&(_, at, _): &(Arc<Task>, Time, Option<usize>)| now - at > BACKLOG;
+        self.queue.front().is_some_and(waited)
     }
 }
 
-/// Cumulative scheduler counters (atomics; relaxed — totals are exact
-/// only after shutdown).
-#[derive(Default)]
-struct SchedCounters {
-    local_polls: AtomicU64,
-    global_polls: AtomicU64,
-    steals: AtomicU64,
-    parks: AtomicU64,
-    local_peak: AtomicU64,
-    global_peak: AtomicU64,
-    run_hist: [AtomicU64; 5],
-}
-
-/// The shared scheduling fabric: every task, every run queue, the parking
-/// lot, and the shutdown rendezvous.
+/// The shared scheduling fabric: every task, the run queue, and the
+/// shutdown rendezvous.
 pub(crate) struct Scheduler {
     pub(crate) tasks: Vec<Arc<Task>>,
-    locals: Vec<Mutex<LocalQueue>>,
-    injector: Mutex<VecDeque<Arc<Task>>>,
-    pub(crate) idle: IdleLot,
-    counters: SchedCounters,
+    workers: usize,
+    pub(crate) run: Mutex<RunQueue>,
+    /// Where parked workers wait for a push.
+    cv: Condvar,
+    /// Activation run times, bucketed as [`SchedGauges::run_hist`].
+    run_hist: [AtomicU64; 5],
     /// Set when shutdown begins, before the Stops go out: a scripted fault
     /// due from then on is never applied, so the statistics a shutdown
     /// returns cannot change behind it.
@@ -272,9 +196,9 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// Builds the fabric and seeds every task, its `Start` queued, onto
-    /// the run queues round-robin, so each actor's `on_start` runs as soon
-    /// as a worker picks it up.
+    /// Builds the fabric with every task, its `Start` queued, on the run
+    /// queue, so each actor's `on_start` runs as soon as a worker picks it
+    /// up.
     pub(crate) fn new(
         actors: Vec<(Box<dyn DpcActor<NetMsg>>, StdRng)>,
         workers: usize,
@@ -284,16 +208,18 @@ impl Scheduler {
             .enumerate()
             .map(|(i, (actor, rng))| Arc::new(Task::new(NodeId(i as u32), actor, rng)))
             .collect();
-        let mut locals: Vec<LocalQueue> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, task) in tasks.iter().enumerate() {
-            locals[i % workers].push_back((Arc::clone(task), Time::ZERO));
-        }
+        let queue = tasks.iter().map(|t| (Arc::clone(t), Time::ZERO, None));
+        let run = RunQueue {
+            queue: queue.collect(),
+            parked: Vec::with_capacity(workers),
+            counts: SchedGauges::default(),
+        };
         Scheduler {
             tasks,
-            locals: locals.into_iter().map(Mutex::new).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            idle: IdleLot::new(workers),
-            counters: SchedCounters::default(),
+            workers,
+            run: Mutex::new(run),
+            cv: Condvar::new(),
+            run_hist: Default::default(),
             stopping: AtomicBool::new(false),
             exiting: AtomicBool::new(false),
             stopped: AtomicUsize::new(0),
@@ -304,7 +230,7 @@ impl Scheduler {
     }
 
     pub(crate) fn workers(&self) -> usize {
-        self.locals.len()
+        self.workers
     }
 
     pub(crate) fn actors(&self) -> impl Iterator<Item = NodeId> {
@@ -316,12 +242,11 @@ impl Scheduler {
         self.tasks.get(id.index())
     }
 
-    /// Delivers `env` into `to`'s mailbox, transitioning an Idle task to
-    /// Queued exactly once. `from_worker` is the pushing worker's index
-    /// and clock reading (its local queue takes the task); non-worker
-    /// threads pass `None` (the global injector takes it). Pushes to a
-    /// stopped task are dropped silently.
-    pub(crate) fn push(&self, to: NodeId, env: Envelope, from_worker: Option<(usize, Time)>) {
+    /// Delivers `env` into `to`'s mailbox at `now`, transitioning an Idle
+    /// task to Queued exactly once. `by` is the pushing worker's index;
+    /// threads outside the pool pass `None`. Pushes to a stopped task are
+    /// dropped silently.
+    pub(crate) fn push(&self, to: NodeId, env: Envelope, by: Option<usize>, now: Time) {
         let Some(task) = self.tasks.get(to.index()) else {
             return;
         };
@@ -339,7 +264,7 @@ impl Scheduler {
             }
         };
         if newly_queued {
-            self.enqueue(Arc::clone(task), from_worker);
+            self.enqueue(Arc::clone(task), by, now);
         }
     }
 
@@ -349,84 +274,86 @@ impl Scheduler {
     /// several threads (the receiver's activation, `Replenish` entries that
     /// other workers pop off the pool wheel), and pushing after the unlock
     /// would let two of them swap consecutive messages. Lock order is wheel
-    /// → fabric → mailbox → run queue → idle lot everywhere.
+    /// → fabric → mailbox → run queue everywhere.
     pub(crate) fn release_credit(
         &self,
         fabric: &SharedFabric,
         from: NodeId,
         to: NodeId,
         now: Time,
-        from_worker: Option<usize>,
+        by: Option<usize>,
     ) {
         let mut fabric = relock(fabric);
         if let Some(msg) = fabric.consumed(from, to, now) {
             let message = Input::Message { from, msg };
-            self.push(to, Envelope::Input(message), from_worker.map(|w| (w, now)));
+            self.push(to, Envelope::Input(message), by, now);
         }
     }
 
-    /// Puts an already-Queued task on a run queue (batch-budget yields come
-    /// through here too), waking a worker for the injector or a backlog.
-    pub(crate) fn enqueue(&self, task: Arc<Task>, from_worker: Option<(usize, Time)>) {
-        let (depth, peak, wake) = match from_worker {
-            Some((w, now)) => {
-                let mut q = relock(&self.locals[w]);
-                q.push_back((task, now));
-                (q.len(), &self.counters.local_peak, backlogged(&q, now))
-            }
-            None => {
-                let mut q = relock(&self.injector);
-                q.push_back(task);
-                (q.len(), &self.counters.global_peak, true)
-            }
-        };
-        peak.fetch_max(depth as u64, Ordering::Relaxed);
+    /// Puts an already-Queued task on the run queue (batch-budget yields
+    /// come through here too). A push from outside the pool wakes a parked
+    /// worker; a worker's own push wakes one only for a backlog.
+    pub(crate) fn enqueue(&self, task: Arc<Task>, by: Option<usize>, now: Time) {
+        let mut rq = relock(&self.run);
+        rq.queue.push_back((task, now, by));
+        let depth = rq.queue.len() as u64;
+        rq.counts.local_peak = rq.counts.local_peak.max(depth);
+        let wake = !rq.parked.is_empty() && (by.is_none() || rq.backlogged(now));
+        drop(rq);
         if wake {
-            self.idle.unpark_one();
+            self.cv.notify_one();
         }
     }
 
-    /// Finds the next runnable task for worker `w` at `now`: own queue
-    /// front (waking a sibling if what stays behind it is backlogged),
-    /// then the global injector, then steal from a sibling's back.
-    pub(crate) fn pop(&self, w: usize, now: Time) -> Option<Arc<Task>> {
-        let mut own = relock(&self.locals[w]);
-        if let Some((t, _)) = own.pop_front() {
-            let wake = backlogged(&own, now);
-            drop(own);
+    /// Worker `w`'s next task at `now`: the run queue's front, waking a
+    /// sibling if what stays behind it is backlogged. On an empty queue
+    /// the worker parks in the same critical section, so no push slips
+    /// between its empty check and its wait, and returns `None` once woken
+    /// (or at once if the pool is exiting). `due` is the worker's earliest
+    /// wheel deadline (its instant and the time left to it): the parker
+    /// waits for it only if no parked worker waits for an earlier or
+    /// equal one — the pool needs one timekeeper.
+    pub(crate) fn next(
+        &self,
+        w: usize,
+        now: Time,
+        due: Option<(Time, std::time::Duration)>,
+    ) -> Option<Arc<Task>> {
+        let mut rq = relock(&self.run);
+        if let Some((task, _, by)) = rq.queue.pop_front() {
+            let c = &mut rq.counts;
+            match by {
+                None => c.global_polls += 1,
+                Some(b) if b == w => c.local_polls += 1,
+                Some(_) => c.steals += 1,
+            }
+            let wake = !rq.parked.is_empty() && rq.backlogged(now);
+            drop(rq);
             if wake {
-                self.idle.unpark_one();
+                self.cv.notify_one();
             }
-            self.counters.local_polls.fetch_add(1, Ordering::Relaxed);
-            return Some(t);
+            return Some(task);
         }
-        drop(own);
-        let injected = relock(&self.injector).pop_front();
-        if let Some(t) = injected {
-            self.counters.global_polls.fetch_add(1, Ordering::Relaxed);
-            return Some(t);
+        if self.exiting() {
+            return None;
         }
-        let n = self.locals.len();
-        for off in 1..n {
-            let stolen = relock(&self.locals[(w + off) % n]).pop_back();
-            if let Some((t, _)) = stolen {
-                self.counters.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(t);
-            }
-        }
+        rq.counts.parks += 1;
+        let due = due.filter(|(at, _)| rq.parked.iter().flatten().all(|t| t > at));
+        let wait = due.map(|(at, _)| at);
+        rq.parked.push(wait);
+        rq = match due {
+            Some((_, d)) => cv_wait_timeout(&self.cv, rq, d).0,
+            None => cv_wait(&self.cv, rq),
+        };
+        let me = rq.parked.iter().position(|p| *p == wait).expect("listed");
+        rq.parked.swap_remove(me);
         None
-    }
-
-    /// Parks the calling worker ([`IdleLot::park`]).
-    pub(crate) fn park(&self, due: Option<(Time, std::time::Duration)>) {
-        self.counters.parks.fetch_add(1, Ordering::Relaxed);
-        self.idle.park(due);
     }
 
     /// Records one actor activation's run time in the histogram.
     pub(crate) fn record_run(&self, elapsed: std::time::Duration) {
         let bucket = SchedGauges::bucket_for(elapsed.as_micros() as u64);
-        self.counters.run_hist[bucket].fetch_add(1, Ordering::Relaxed);
+        self.run_hist[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
     /// One task stopped for good (Stop processed or actor panicked). The
@@ -457,12 +384,13 @@ impl Scheduler {
         }
     }
 
-    /// Begins shutdown: from now on no scripted fault applies, and every
-    /// task stops once it has drained what it had queued before its Stop.
-    pub(crate) fn stop_all(&self) {
+    /// Begins shutdown at `now`: from now on no scripted fault applies,
+    /// and every task stops once it has drained what it had queued before
+    /// its Stop.
+    pub(crate) fn stop_all(&self, now: Time) {
         self.stopping.store(true, Ordering::Release);
         for task in &self.tasks {
-            self.push(task.id, Envelope::Stop, None);
+            self.push(task.id, Envelope::Stop, None, now);
         }
     }
 
@@ -471,37 +399,28 @@ impl Scheduler {
         self.stopping.load(Ordering::Acquire)
     }
 
-    /// Tells every worker to exit and wakes them all.
+    /// Tells every worker to exit and wakes them all. The run-queue lock
+    /// taken between the flag and the notify orders them after any
+    /// parker's check of the flag.
     pub(crate) fn begin_exit(&self) {
         self.exiting.store(true, Ordering::Release);
-        self.idle.unpark_all();
+        let _rq = relock(&self.run);
+        self.cv.notify_all();
     }
 
     pub(crate) fn exiting(&self) -> bool {
         self.exiting.load(Ordering::Acquire)
     }
 
-    /// Point-in-time scheduler gauges (depths read under the queue locks;
-    /// a cold path).
+    /// Point-in-time scheduler gauges (read under the run-queue lock; a
+    /// cold path).
     pub(crate) fn gauges(&self) -> SchedGauges {
-        let c = &self.counters;
+        let rq = relock(&self.run);
         SchedGauges {
-            workers: self.locals.len() as u64,
-            local_polls: c.local_polls.load(Ordering::Relaxed),
-            global_polls: c.global_polls.load(Ordering::Relaxed),
-            steals: c.steals.load(Ordering::Relaxed),
-            parks: c.parks.load(Ordering::Relaxed),
-            local_depth: self.locals.iter().map(|q| relock(q).len() as u64).sum(),
-            local_peak: c.local_peak.load(Ordering::Relaxed),
-            global_depth: relock(&self.injector).len() as u64,
-            global_peak: c.global_peak.load(Ordering::Relaxed),
-            run_hist: [
-                c.run_hist[0].load(Ordering::Relaxed),
-                c.run_hist[1].load(Ordering::Relaxed),
-                c.run_hist[2].load(Ordering::Relaxed),
-                c.run_hist[3].load(Ordering::Relaxed),
-                c.run_hist[4].load(Ordering::Relaxed),
-            ],
+            workers: self.workers as u64,
+            local_depth: rq.queue.len() as u64,
+            run_hist: self.run_hist.each_ref().map(|h| h.load(Ordering::Relaxed)),
+            ..rq.counts
         }
     }
 }
@@ -511,6 +430,8 @@ mod tests {
     use super::*;
     use borealis_dpc::RuntimeCtx;
     use rand::SeedableRng;
+    use std::thread::JoinHandle;
+    use std::time::Duration as StdDuration;
 
     struct Inert;
     impl DpcActor<NetMsg> for Inert {
@@ -546,63 +467,105 @@ mod tests {
         }
     }
 
+    /// Tasks on the run queue.
+    fn queued(s: &Scheduler) -> u64 {
+        s.gauges().local_depth
+    }
+
+    /// Workers parked on the run queue.
+    fn parked(s: &Scheduler) -> usize {
+        relock(&s.run).parked.len()
+    }
+
+    /// Worker `w`'s next task at instant zero; the queue must hold one.
+    fn pop(s: &Scheduler, w: usize) -> Arc<Task> {
+        s.next(w, Time::ZERO, None).expect("a task is queued")
+    }
+
     /// Drains the initial seeding so every task is Idle.
     fn drain_initial(s: &Scheduler) {
-        for w in 0..s.workers() {
-            while let Some(t) = s.pop(w, Time::ZERO) {
-                t.begin();
-                while t.pop_envelope().is_some() {}
-            }
+        while queued(s) > 0 {
+            run(pop(s, 0));
         }
+    }
+
+    /// Runs `t`'s activation to the end, leaving it Idle.
+    fn run(t: Arc<Task>) {
+        t.begin();
+        while t.pop_envelope().is_some() {}
+    }
+
+    /// Parks worker `w` on a thread of its own with deadline `due` until
+    /// it is woken; returns once one more worker is listed as parked.
+    fn park_sibling(s: &Arc<Scheduler>, w: usize, due: Option<u64>) -> JoinHandle<()> {
+        let s2 = Arc::clone(s);
+        let before = parked(s);
+        let due = due.map(|ms| (Time::from_millis(ms), StdDuration::from_millis(ms)));
+        let sibling = std::thread::spawn(move || assert!(s2.next(w, Time::ZERO, due).is_none()));
+        while parked(s) == before {
+            std::thread::yield_now();
+        }
+        sibling
+    }
+
+    /// Asserts that no parked worker leaves the list within 20 ms.
+    fn stays_parked(s: &Scheduler, n: usize, why: &str) {
+        std::thread::sleep(StdDuration::from_millis(20));
+        assert_eq!(parked(s), n, "{why}");
+    }
+
+    /// Asserts that a parked worker leaves the list within 2 s.
+    fn wakes(s: &Scheduler, n: usize, why: &str) {
+        let deadline = std::time::Instant::now() + StdDuration::from_secs(2);
+        while parked(s) > n && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(parked(s), n, "{why}");
     }
 
     #[test]
     fn push_queues_idle_task_exactly_once() {
         let s = sched(2, 2);
         drain_initial(&s);
-        s.push(NodeId(0), timer(1), None);
-        s.push(NodeId(0), timer(2), None);
+        s.push(NodeId(0), timer(1), None, Time::ZERO);
+        s.push(NodeId(0), timer(2), None, Time::ZERO);
         // Two pushes, one enqueue: the second saw Queued.
-        let t = s.pop(0, Time::ZERO).expect("task queued");
-        assert!(s.pop(0, Time::ZERO).is_none(), "queued exactly once");
+        let t = pop(&s, 0);
+        assert_eq!(queued(&s), 0, "queued exactly once");
         t.begin();
         assert_eq!(timer_kind(t.pop_envelope()), Some(1));
         // Pushes while Running only append.
-        s.push(NodeId(0), timer(3), None);
-        assert!(
-            s.pop(0, Time::ZERO).is_none(),
-            "running task is not re-queued"
-        );
+        s.push(NodeId(0), timer(3), None, Time::ZERO);
+        assert_eq!(queued(&s), 0, "running task is not re-queued");
         assert_eq!(timer_kind(t.pop_envelope()), Some(2));
         assert_eq!(timer_kind(t.pop_envelope()), Some(3));
         assert!(t.pop_envelope().is_none(), "drained back to Idle");
         // Idle again: next push re-queues.
-        s.push(NodeId(0), timer(4), None);
-        assert!(s.pop(1, Time::ZERO).is_some(), "any worker can pick it up");
+        s.push(NodeId(0), timer(4), None, Time::ZERO);
+        assert_eq!(pop(&s, 1).id, NodeId(0), "any worker can pick it up");
     }
 
     #[test]
-    fn steal_takes_from_sibling_back() {
-        let s = sched(4, 2);
-        // Initial seeding round-robins 0,2 → worker 0 and 1,3 → worker 1.
-        let t = s.pop(0, Time::ZERO).unwrap();
-        assert_eq!(t.id, NodeId(0));
-        t.begin();
-        let start = t.pop_envelope();
-        assert!(
-            matches!(start, Some(Envelope::Input(Input::Start))),
-            "seeded"
-        );
+    fn activations_are_classified_by_origin() {
+        let s = sched(3, 2);
+        drain_initial(&s);
+        let seeded = s.gauges().global_polls;
+        assert_eq!(seeded, 3, "the seeded starts come from outside the pool");
+        s.push(NodeId(0), timer(1), Some(0), Time::ZERO);
+        s.push(NodeId(1), timer(1), Some(0), Time::ZERO);
+        s.push(NodeId(2), timer(1), None, Time::ZERO);
+        // One FIFO: the tasks come off in push order, whoever asks.
+        assert_eq!(pop(&s, 0).id, NodeId(0), "queued by worker 0, run by it");
+        assert_eq!(pop(&s, 1).id, NodeId(1), "queued by worker 0, run by 1");
+        assert_eq!(pop(&s, 1).id, NodeId(2), "queued from outside the pool");
+        let g = s.gauges();
         assert_eq!(
-            s.pop(1, Time::ZERO).unwrap().id,
-            NodeId(1),
-            "own queue first"
+            (g.local_polls, g.steals, g.global_polls - seeded),
+            (1, 1, 1),
+            "{g:?}"
         );
-        assert_eq!(s.pop(1, Time::ZERO).unwrap().id, NodeId(3));
-        // Worker 1's queue and the injector are empty: steal from 0's back.
-        let stolen = s.pop(1, Time::ZERO).unwrap();
-        assert_eq!(stolen.id, NodeId(2), "stolen from worker 0's queue");
-        assert!(s.gauges().steals >= 1);
+        assert_eq!(g.activations(), 6);
+        assert_eq!((g.local_depth, g.local_peak), (0, 3));
     }
 
     #[test]
@@ -612,31 +575,25 @@ mod tests {
         let t = Arc::clone(s.task(NodeId(0)).unwrap());
         assert!(t.mark_stopped());
         assert!(!t.mark_stopped(), "idempotent");
-        s.push(NodeId(0), timer(1), None);
-        assert!(
-            s.pop(0, Time::ZERO).is_none(),
-            "push to stopped task dropped"
-        );
+        s.push(NodeId(0), timer(1), None, Time::ZERO);
+        assert_eq!(queued(&s), 0, "push to stopped task dropped");
     }
 
     #[test]
     fn yield_back_requeues_only_with_work_left() {
         let s = sched(1, 1);
         drain_initial(&s);
-        s.push(NodeId(0), timer(1), Some((0, Time::ZERO)));
-        let t = s.pop(0, Time::ZERO).unwrap();
+        s.push(NodeId(0), timer(1), Some(0), Time::ZERO);
+        let t = pop(&s, 0);
         t.begin();
         // Arrives while Running: appends, no second enqueue.
-        s.push(NodeId(0), timer(2), Some((0, Time::ZERO)));
-        assert!(
-            s.pop(0, Time::ZERO).is_none(),
-            "running task is not re-queued"
-        );
+        s.push(NodeId(0), timer(2), Some(0), Time::ZERO);
+        assert_eq!(queued(&s), 0, "running task is not re-queued");
         assert_eq!(timer_kind(t.pop_envelope()), Some(1));
         // Budget hit with work left: yield re-queues.
         assert!(t.yield_back(), "work left: requeue");
-        s.enqueue(Arc::clone(&t), Some((0, Time::ZERO)));
-        let t2 = s.pop(0, Time::ZERO).unwrap();
+        s.enqueue(Arc::clone(&t), Some(0), Time::ZERO);
+        let t2 = pop(&s, 0);
         assert_eq!(t2.id, t.id);
         t2.begin();
         assert_eq!(timer_kind(t2.pop_envelope()), Some(2));
@@ -644,62 +601,67 @@ mod tests {
     }
 
     #[test]
-    fn tokens_cover_the_scan_then_sleep_race() {
-        let lot = IdleLot::new(2);
-        // A push deposited a token before the worker parked: the park
-        // consumes it and returns immediately (no deadline needed).
-        lot.unpark_one();
-        lot.park(None);
-        // Tokens cap at the worker count.
-        lot.unpark_one();
-        lot.unpark_one();
-        lot.unpark_one();
-        let due = |ms| Some((Time::from_millis(ms), std::time::Duration::from_millis(ms)));
-        lot.park(due(0));
-        lot.park(due(0));
-        // Third park finds no token and, the only parker, times out.
+    fn the_empty_check_and_the_park_are_one_step() {
+        let s = Arc::new(sched(2, 2));
+        drain_initial(&s);
+        // A push that lands before the worker asks is popped, not slept
+        // through: no park while a task is queued.
+        s.push(NodeId(0), timer(1), None, Time::ZERO);
+        run(pop(&s, 0));
+        assert_eq!((parked(&s), s.gauges().parks), (0, 0));
+        // A lone parker is the timekeeper: it waits out its deadline.
         let start = std::time::Instant::now();
-        lot.park(due(10));
-        assert!(start.elapsed() >= std::time::Duration::from_millis(5));
+        let due = Some((Time::from_millis(10), StdDuration::from_millis(10)));
+        assert!(s.next(0, Time::ZERO, due).is_none());
+        assert!(start.elapsed() >= StdDuration::from_millis(5));
+        // Behind a timekeeper of an earlier or equal deadline a parker
+        // waits for a push only.
+        let keeper = park_sibling(&s, 0, Some(500));
+        let sibling = park_sibling(&s, 1, Some(500));
+        let mut waits = relock(&s.run).parked.clone();
+        waits.sort();
+        assert_eq!(waits, [None, Some(Time::from_millis(500))]);
+        s.push(NodeId(0), timer(2), None, Time::ZERO);
+        wakes(&s, 1, "an outside push wakes one");
+        s.begin_exit();
+        wakes(&s, 0, "the exit wakes the rest");
+        keeper.join().unwrap();
+        sibling.join().unwrap();
+        assert_eq!(s.gauges().parks, 3);
     }
 
     #[test]
     fn only_a_backlog_or_an_outside_push_wakes_a_sibling() {
-        let s = sched(3, 2);
+        let s = Arc::new(sched(3, 2));
         drain_initial(&s);
-        let on_worker_0_at = |ms| Some((0, Time::from_millis(ms)));
-        s.push(NodeId(0), timer(1), on_worker_0_at(0));
-        s.push(NodeId(1), timer(1), on_worker_0_at(0));
-        assert_eq!(
-            relock(&s.idle.lot).tokens,
-            0,
-            "a worker's own push wakes nobody"
-        );
+        let at = Time::from_millis;
+        let sibling = park_sibling(&s, 1, None);
+        for id in 0..3 {
+            s.push(NodeId(id), timer(1), Some(0), at(0));
+        }
+        stays_parked(&s, 1, "a worker's own push wakes nobody");
         // Task 1, behind the one popped, has waited exactly the backlog.
-        let t = s.pop(0, Time::from_millis(1)).unwrap();
-        assert_eq!(t.id, NodeId(0));
-        assert_eq!(relock(&s.idle.lot).tokens, 0, "not yet a backlog");
-        t.begin();
-        while t.pop_envelope().is_some() {}
-        s.push(NodeId(2), timer(1), on_worker_0_at(2));
-        assert_eq!(
-            relock(&s.idle.lot).tokens,
-            1,
-            "the oldest task waited 2 ms: wake one"
-        );
-        // Task 2, now the oldest, was queued just now.
-        assert_eq!(s.pop(0, Time::from_millis(2)).unwrap().id, NodeId(1));
-        assert_eq!(
-            relock(&s.idle.lot).tokens,
-            1,
-            "no backlog left behind the pop"
-        );
-        s.push(NodeId(0), timer(2), None);
-        assert_eq!(
-            relock(&s.idle.lot).tokens,
-            2,
-            "an outside push always wakes"
-        );
+        run(s.next(0, at(1), None).unwrap());
+        stays_parked(&s, 1, "not yet a backlog");
+        // Task 2, behind the next one, has waited 2 ms.
+        run(s.next(0, at(2), None).unwrap());
+        wakes(&s, 0, "a pop that leaves a backlog behind wakes one");
+        sibling.join().unwrap();
+        run(s.next(0, at(2), None).unwrap());
+        let sibling = park_sibling(&s, 1, None);
+        s.push(NodeId(0), timer(2), Some(0), at(3));
+        s.push(NodeId(1), timer(2), Some(0), at(4));
+        stays_parked(&s, 1, "the oldest task waited exactly 1 ms");
+        s.push(NodeId(2), timer(2), Some(0), at(5));
+        wakes(&s, 0, "the oldest task waited 2 ms: the push wakes one");
+        sibling.join().unwrap();
+        for _ in 0..3 {
+            run(s.next(0, at(5), None).unwrap());
+        }
+        let sibling = park_sibling(&s, 1, None);
+        s.push(NodeId(0), timer(3), None, at(5));
+        wakes(&s, 0, "an outside push always wakes");
+        sibling.join().unwrap();
     }
 
     #[test]

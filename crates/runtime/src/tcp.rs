@@ -366,8 +366,8 @@ impl TcpFabric {
             heard
         };
         for (local, fault) in heard {
-            hub.sched
-                .push(local, Envelope::Input(Input::Fault(fault)), None);
+            let fault = Envelope::Input(Input::Fault(fault));
+            hub.sched.push(local, fault, None, hub.clock.now());
         }
     }
 
@@ -605,7 +605,8 @@ fn reader_loop(mesh: Arc<TcpFabric>, conn: Arc<Conn>, hub: Arc<Hub>) {
                             // worker processes it, the same as an
                             // in-process send.
                             let message = Input::Message { from, msg: m };
-                            hub.sched.push(to, Envelope::Input(message), None);
+                            hub.sched
+                                .push(to, Envelope::Input(message), None, hub.clock.now());
                         }
                         WireMsg::CreditGrant
                             if mesh.placed(from, ours) && mesh.placed(to, theirs) =>

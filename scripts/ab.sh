@@ -7,18 +7,22 @@
 # Builds both benchmark/ binaries into separate target directories, runs
 # them in alternating order at one seed (7 by default; 11 is the held-out
 # seed), and reports every end-to-end metric of BENCHMARK.json from the
-# same runs: each pair, both medians, the parent's inter-quartile spread,
-# the wins, whether the change is a gain — it wins at least nine tenths of
-# the pairs (ties count for neither side) and the medians differ by more
-# than the parent's spread — and whether its median is worse than the
-# parent's by more than the metric's bound (BENCHMARK.json's regression
-# rule). `failed` is summed over each side's runs.
+# same runs: each pair, both medians, the parent's inter-quartile spread
+# (IQR) and that spread as a share of the parent's median — the smallest
+# change the runs can resolve — the wins, whether the change is a gain — it
+# wins at least nine tenths of the pairs (ties count for neither side) and
+# the medians differ by more than the parent's spread — and whether its
+# median is worse than the parent's by more than the metric's bound
+# (BENCHMARK.json's regression rule). Where the parent's spread is wider
+# than the bound that verdict reads `unresolved`, not `no`, unless every
+# change run beats every parent run. `failed` is summed over each side's
+# runs.
 #
 #   scripts/ab.sh <parent-ref> <workload> [pairs=10] [seed=7]
 #   scripts/ab.sh HEAD~1 chain_tcp 10 11
 set -euo pipefail
 
-[ $# -ge 2 ] || { sed -n '2,18p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
 ref=$1 workload=$2 pairs=${3:-10} seed=${4:-7}
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$root/BENCHMARK.json")
@@ -71,20 +75,25 @@ for i in $(seq 1 "$pairs"); do
     echo "$line"
 done
 
-printf '%-24s %-6s %10s %10s %8s %10s %8s  %-7s %s\n' metric better parent change delta \
-    parent-iqr wins gain "worse than bound?"
+printf '%-24s %-6s %10s %10s %8s %10s %7s %8s  %-7s %s\n' metric better parent change delta \
+    parent-iqr iqr-% wins gain "worse than bound?"
 echo "$metrics" | while read -r m better bound; do
     pm=$(quantile 0.5 <"$scratch/parent.$m"); cm=$(quantile 0.5 <"$scratch/change.$m")
     iqr=$(awk -v a="$(quantile 0.25 <"$scratch/parent.$m")" \
         -v b="$(quantile 0.75 <"$scratch/parent.$m")" 'BEGIN { print b - a }')
     paste "$scratch/parent.$m" "$scratch/change.$m" | awk -v m="$m" -v better="$better" \
         -v bound="$bound" -v n="$pairs" -v pm="$pm" -v cm="$cm" -v iqr="$iqr" '
-        { if (better == "lower" ? $2 < $1 : $2 > $1) wins++ }
+        { if (better == "lower" ? $2 < $1 : $2 > $1) wins++
+          if (NR == 1 || $1 < pmin) pmin = $1; if (NR == 1 || $1 > pmax) pmax = $1
+          if (NR == 1 || $2 < cmin) cmin = $2; if (NR == 1 || $2 > cmax) cmax = $2 }
         END { d = better == "lower" ? pm - cm : cm - pm
               worse = better == "lower" ? cm > pm * (1 + bound) : cm < pm * (1 - bound)
-              printf "%-24s %-6s %10g %10g %+7.1f%% %10g %4d/%-3d  %-7s %s (bound %g%%)\n", m, better,
-                  pm, cm, pm ? 100 * (cm - pm) / pm : 0, iqr, wins, n,
-                  (wins >= 0.9 * n && d > iqr) ? "gain" : "no", worse ? "WORSE" : "no", 100 * bound }'
+              spread = pm ? 100 * iqr / pm : 0
+              apart = better == "lower" ? cmax < pmin : cmin > pmax
+              verdict = worse ? "WORSE" : (spread > 100 * bound && !apart) ? "unresolved" : "no"
+              printf "%-24s %-6s %10g %10g %+7.1f%% %10g %6.1f%% %4d/%-3d  %-7s %s (bound %g%%)\n", m, better,
+                  pm, cm, pm ? 100 * (cm - pm) / pm : 0, iqr, spread, wins, n,
+                  (wins >= 0.9 * n && d > iqr) ? "gain" : "no", verdict, 100 * bound }'
 done
 sum() { awk '{ s += $1 } END { print s + 0 }' "$1"; }
 echo "failed: parent $(sum "$scratch/parent.failed"), change $(sum "$scratch/change.failed") (over $pairs runs a side)"

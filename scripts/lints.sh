@@ -130,4 +130,10 @@ built=$(git grep --untracked -nE 'DeadlineQueue(::<.*>)?::(default|new)\(' -- cr
 if [ "$(echo "$built" | grep -c .)" -ne 1 ]; then echo "$built"; fail "one pool clock"; fi
 if git grep --untracked -h -A30 '^struct Worker {' -- crates/runtime/src | sed '/^}/q' | grep -E '^\s*(pub(\([a-z]+\))? )?wheel:'; then fail "one pool clock"; fi
 
+# One run queue: the pool's workers share one FIFO under one lock and park
+# on it in the critical section that found it empty, so the per-worker
+# queues, the global injector and the parking lot's wake tokens stay
+# deleted (the model tests' seeded-bug twins may still name them).
+if git grep --untracked -nE '\binjector\b|IdleLot|\btokens?\b|locals' -- crates/runtime/src ':!crates/runtime/src/model_tests.rs'; then fail "one run queue"; fi
+
 echo "lints: ok"

@@ -68,7 +68,7 @@
 //! | `borealis-store` | Durability: one segmented, checksummed append-only log per node, holding input records and checkpoint records |
 //! | `borealis-sim` | The §2.2 system model written once — the link `Fabric` (link state, shard routing, credit ledger, loss stats, fault application) and the `Actor`/`Ctx` traits — plus its deterministic discrete-event driver |
 //! | `borealis-dpc` | The DPC protocol: nodes, sources, clients, replica management — runtime-agnostic |
-//! | `borealis-runtime` | The wall-clock drivers of the same fabric: a work-stealing worker pool and a TCP mesh across OS processes |
+//! | `borealis-runtime` | The wall-clock drivers of the same fabric: a worker pool on one run queue and a TCP mesh across OS processes |
 //! | `borealis-check` | Bounded exhaustive interleaving explorer for the runtime's concurrency protocols |
 //! | `borealis-workloads` | Paper-experiment setups and runners; `tests/reproduce.rs` asserts the paper's claims on them |
 //!

@@ -97,7 +97,7 @@ fn grid_of_2097_actors_runs_on_8_workers_and_survives_a_crash() {
     );
     assert!(
         stats.sched.steals > 0,
-        "imbalanced queues are stolen from: {:?}",
+        "work moves between workers: {:?}",
         stats.sched
     );
 

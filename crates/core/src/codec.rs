@@ -4,28 +4,17 @@
 //! Every frame is `[len:u32][from:u32][to:u32][kind:u8][payload]` (little
 //! endian, `len` counting everything after itself — see
 //! [`borealis_types::wire`] for the header and tuple layouts). The `kind`
-//! byte selects the payload codec:
-//!
-//! | kind | frame | payload |
-//! |---|---|---|
-//! | `0x00` | `Data` | `stream:u32 batch` |
-//! | `0x01` | `Subscribe` | `stream:u32 last_stable:u64 flags:u8` (bit 0 `saw_tentative`, bit 1 `fresh_only`) |
-//! | `0x02` | `Unsubscribe` | `stream:u32` |
-//! | `0x03` | `Ack` | `stream:u32 through:u64` |
-//! | `0x04` | `HeartbeatReq` | empty |
-//! | `0x05` | `HeartbeatResp` | `node_state:u8 count:u32 (stream:u32 state:u8)* stalled:u64` (µs) |
-//! | `0x06`–`0x09` | `Reconcile{Request,Grant,Reject,Done}` | empty |
-//! | `0xE0` | `CreditGrant` | empty (the link is the header's `from`/`to`) |
-//! | `0xE1` | `Hello` | `proc:u32` |
-//! | `0xE3` | `Goodbye` | empty |
-//!
-//! `0xE2` (a credit-stall report; the stall now rides `HeartbeatResp`) is
-//! retired: like any unknown kind it decodes as `WireError::BadTag`.
+//! byte and the payload are the message's own [`Wire`] encoding: the ten
+//! `NetMsg` kinds (`0x00`–`0x09`) are declared once, with their fields in
+//! order, by the `wire_enum!` beside [`NetMsg`] in `msg.rs`, and the
+//! fabric's three control frames (`0xE0` `CreditGrant`, `0xE1` `Hello`,
+//! `0xE3` `Goodbye`) by [`WireMsg`]'s impl below. `0xE2` (a credit-stall
+//! report; the stall now rides `HeartbeatResp`) is retired: like any
+//! unknown kind it decodes as `WireError::BadTag`.
 //!
 //! `Data` encodes **straight from the `Arc`'d batch view** into the
 //! caller's reusable write buffer — no intermediate message buffer, no
-//! per-tuple allocation. Node states are `Stable=0`, `UpFailure=1`,
-//! `Stabilization=2`, `Failed=3`.
+//! per-tuple allocation.
 //!
 //! Decoding rejects truncated or corrupted frames with a [`WireError`]; it
 //! never panics on foreign bytes.
@@ -33,23 +22,6 @@
 use crate::msg::NetMsg;
 use borealis_types::wire::{begin_frame, end_frame, split_frame, Reader, Wire};
 use borealis_types::{NodeId, WireError};
-
-/// Frame kind bytes (the `NetMsg` range).
-mod kind {
-    pub const DATA: u8 = 0x00;
-    pub const SUBSCRIBE: u8 = 0x01;
-    pub const UNSUBSCRIBE: u8 = 0x02;
-    pub const ACK: u8 = 0x03;
-    pub const HEARTBEAT_REQ: u8 = 0x04;
-    pub const HEARTBEAT_RESP: u8 = 0x05;
-    pub const RECONCILE_REQUEST: u8 = 0x06;
-    pub const RECONCILE_GRANT: u8 = 0x07;
-    pub const RECONCILE_REJECT: u8 = 0x08;
-    pub const RECONCILE_DONE: u8 = 0x09;
-    pub const CREDIT_GRANT: u8 = 0xE0;
-    pub const HELLO: u8 = 0xE1;
-    pub const GOODBYE: u8 = 0xE3;
-}
 
 /// One decoded frame: either an actor-level protocol message or one of
 /// the fabric's own control frames (which never reach a mailbox).
@@ -71,131 +43,52 @@ pub enum WireMsg {
     Goodbye,
 }
 
-impl WireMsg {
-    fn kind(&self) -> u8 {
+const CREDIT_GRANT: u8 = 0xE0;
+const HELLO: u8 = 0xE1;
+const GOODBYE: u8 = 0xE3;
+
+/// A `Net` frame is its message's encoding; a control frame is its kind
+/// byte, then its fields.
+impl Wire for WireMsg {
+    const MIN_LEN: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
         match self {
-            WireMsg::Net(NetMsg::Data { .. }) => kind::DATA,
-            WireMsg::Net(NetMsg::Subscribe { .. }) => kind::SUBSCRIBE,
-            WireMsg::Net(NetMsg::Unsubscribe { .. }) => kind::UNSUBSCRIBE,
-            WireMsg::Net(NetMsg::Ack { .. }) => kind::ACK,
-            WireMsg::Net(NetMsg::HeartbeatReq) => kind::HEARTBEAT_REQ,
-            WireMsg::Net(NetMsg::HeartbeatResp { .. }) => kind::HEARTBEAT_RESP,
-            WireMsg::Net(NetMsg::ReconcileRequest) => kind::RECONCILE_REQUEST,
-            WireMsg::Net(NetMsg::ReconcileGrant) => kind::RECONCILE_GRANT,
-            WireMsg::Net(NetMsg::ReconcileReject) => kind::RECONCILE_REJECT,
-            WireMsg::Net(NetMsg::ReconcileDone) => kind::RECONCILE_DONE,
-            WireMsg::CreditGrant => kind::CREDIT_GRANT,
-            WireMsg::Hello { .. } => kind::HELLO,
-            WireMsg::Goodbye => kind::GOODBYE,
+            WireMsg::Net(msg) => msg.put(buf),
+            WireMsg::CreditGrant => buf.push(CREDIT_GRANT),
+            WireMsg::Hello { proc } => {
+                buf.push(HELLO);
+                proc.put(buf);
+            }
+            WireMsg::Goodbye => buf.push(GOODBYE),
         }
     }
-
-    /// The payload: the variant's fields in declaration order, each in its
-    /// own [`Wire`] format (`decode_payload` reads them back the same way).
-    fn put_payload(&self, buf: &mut Vec<u8>) {
-        match self {
-            // `tuples` is encoded straight from the view's slice into the
-            // write buffer: no intermediate batch on the send path.
-            WireMsg::Net(NetMsg::Data { stream, tuples }) => {
-                stream.put(buf);
-                tuples.put(buf);
-            }
-            WireMsg::Net(NetMsg::Subscribe {
-                stream,
-                last_stable,
-                saw_tentative,
-                fresh_only,
-            }) => {
-                stream.put(buf);
-                last_stable.put(buf);
-                buf.push((*saw_tentative as u8) | ((*fresh_only as u8) << 1));
-            }
-            WireMsg::Net(NetMsg::Unsubscribe { stream }) => stream.put(buf),
-            WireMsg::Net(NetMsg::Ack { stream, through }) => {
-                stream.put(buf);
-                through.put(buf);
-            }
-            WireMsg::Net(NetMsg::HeartbeatResp {
-                node_state,
-                stream_states,
-                stalled,
-            }) => {
-                node_state.put(buf);
-                stream_states.put(buf);
-                stalled.put(buf);
-            }
-            WireMsg::Hello { proc } => proc.put(buf),
-            _ => {}
-        }
+    /// `NetMsg`'s decoder reads the kind byte. A kind it has no variant
+    /// for comes back as its `BadTag`, with the cursor just past that byte:
+    /// one of the control kinds, or foreign.
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let kind = |tag| WireError::BadTag {
+            what: "frame kind",
+            tag,
+        };
+        Ok(match NetMsg::get(r) {
+            Ok(msg) => WireMsg::Net(msg),
+            Err(e) if e == kind(CREDIT_GRANT) => WireMsg::CreditGrant,
+            Err(e) if e == kind(HELLO) => WireMsg::Hello {
+                proc: Wire::get(r)?,
+            },
+            Err(e) if e == kind(GOODBYE) => WireMsg::Goodbye,
+            Err(e) => return Err(e),
+        })
     }
 }
 
 /// Encodes one frame onto `buf` (the per-connection reusable write
 /// buffer) and returns the number of bytes appended.
 pub fn encode_frame(buf: &mut Vec<u8>, from: NodeId, to: NodeId, msg: &WireMsg) -> usize {
-    let mark = begin_frame(buf, from, to, msg.kind());
-    msg.put_payload(buf);
+    let mark = begin_frame(buf, from, to);
+    msg.put(buf);
     end_frame(buf, mark);
     buf.len() - mark
-}
-
-/// Decodes a frame payload given its header `kind` byte.
-pub fn decode_payload(kind_byte: u8, payload: &[u8]) -> Result<WireMsg, WireError> {
-    let mut reader = Reader::new(payload);
-    let r = &mut reader;
-    let msg = match kind_byte {
-        // The receiver sees one contiguous batch regardless of how
-        // fragmented the sender's selection was.
-        kind::DATA => WireMsg::Net(NetMsg::Data {
-            stream: Wire::get(r)?,
-            tuples: Wire::get(r)?,
-        }),
-        kind::SUBSCRIBE => {
-            let (stream, last_stable, flags) = <(_, _, u8)>::get(r)?;
-            if flags & !0b11 != 0 {
-                return Err(WireError::BadTag {
-                    what: "subscribe flags",
-                    tag: flags,
-                });
-            }
-            WireMsg::Net(NetMsg::Subscribe {
-                stream,
-                last_stable,
-                saw_tentative: flags & 0b01 != 0,
-                fresh_only: flags & 0b10 != 0,
-            })
-        }
-        kind::UNSUBSCRIBE => WireMsg::Net(NetMsg::Unsubscribe {
-            stream: Wire::get(r)?,
-        }),
-        kind::ACK => WireMsg::Net(NetMsg::Ack {
-            stream: Wire::get(r)?,
-            through: Wire::get(r)?,
-        }),
-        kind::HEARTBEAT_REQ => WireMsg::Net(NetMsg::HeartbeatReq),
-        kind::HEARTBEAT_RESP => WireMsg::Net(NetMsg::HeartbeatResp {
-            node_state: Wire::get(r)?,
-            stream_states: Wire::get(r)?,
-            stalled: Wire::get(r)?,
-        }),
-        kind::RECONCILE_REQUEST => WireMsg::Net(NetMsg::ReconcileRequest),
-        kind::RECONCILE_GRANT => WireMsg::Net(NetMsg::ReconcileGrant),
-        kind::RECONCILE_REJECT => WireMsg::Net(NetMsg::ReconcileReject),
-        kind::RECONCILE_DONE => WireMsg::Net(NetMsg::ReconcileDone),
-        kind::CREDIT_GRANT => WireMsg::CreditGrant,
-        kind::HELLO => WireMsg::Hello {
-            proc: Wire::get(r)?,
-        },
-        kind::GOODBYE => WireMsg::Goodbye,
-        tag => {
-            return Err(WireError::BadTag {
-                what: "frame kind",
-                tag,
-            })
-        }
-    };
-    reader.finish()?;
-    Ok(msg)
 }
 
 /// Splits and decodes the next complete frame off a receive buffer.
@@ -205,19 +98,19 @@ pub fn decode_payload(kind_byte: u8, payload: &[u8]) -> Result<WireMsg, WireErro
 /// to drain from the buffer.
 #[allow(clippy::type_complexity)]
 pub fn decode_frame(bytes: &[u8]) -> Result<Option<(NodeId, NodeId, WireMsg, usize)>, WireError> {
-    match split_frame(bytes)? {
-        None => Ok(None),
-        Some((from, to, kind_byte, payload, consumed)) => {
-            let msg = decode_payload(kind_byte, payload)?;
-            Ok(Some((from, to, msg, consumed)))
-        }
-    }
+    let Some((from, to, body, consumed)) = split_frame(bytes)? else {
+        return Ok(None);
+    };
+    let mut reader = Reader::new(body);
+    let msg = WireMsg::get(&mut reader)?;
+    reader.finish()?;
+    Ok(Some((from, to, msg, consumed)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::NodeState;
+    use crate::msg::{NodeState, Resume};
     use borealis_types::{Duration, StreamId, Time, Tuple, TupleBatch, TupleId, Value};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -290,8 +183,7 @@ mod tests {
             1 => NetMsg::Subscribe {
                 stream: StreamId(rng.gen_range(0..64u32)),
                 last_stable: TupleId(rng.gen_range(0..100_000u64)),
-                saw_tentative: rng.next_u64() & 1 == 1,
-                fresh_only: rng.next_u64() & 1 == 1,
+                resume: [Resume::Replay, Resume::Undo, Resume::FreshOnly][rng.gen_range(0..3usize)],
             },
             2 => NetMsg::Unsubscribe {
                 stream: StreamId(rng.gen_range(0..64u32)),
@@ -420,12 +312,23 @@ mod tests {
         }
     }
 
+    /// A whole frame: the header, then `body` as the kind byte and payload.
+    fn raw_frame(body: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mark = borealis_types::wire::begin_frame(&mut buf, NodeId(1), NodeId(2));
+        buf.extend_from_slice(body);
+        borealis_types::wire::end_frame(&mut buf, mark);
+        buf
+    }
+
     /// The retired stall-report kind is rejected like any unassigned one,
     /// never reinterpreted.
     #[test]
     fn retired_and_unknown_kinds_are_bad_tags() {
         for tag in [0x0A, 0xE2, 0xE4, 0xFF] {
-            let got = decode_payload(tag, &125_000u64.to_le_bytes());
+            let mut body = vec![tag];
+            body.extend_from_slice(&125_000u64.to_le_bytes());
+            let got = decode_frame(&raw_frame(&body));
             assert!(
                 matches!(got, Err(WireError::BadTag { tag: t, .. }) if t == tag),
                 "{tag:#x}"
@@ -442,11 +345,109 @@ mod tests {
 
     #[test]
     fn trailing_garbage_in_payload_is_rejected() {
-        let mut buf = Vec::new();
-        let mark = borealis_types::wire::begin_frame(&mut buf, NodeId(1), NodeId(2), 0x04);
-        borealis_types::wire::put_u32(&mut buf, 99); // HeartbeatReq has no payload
-        borealis_types::wire::end_frame(&mut buf, mark);
-        assert!(matches!(decode_frame(&buf), Err(WireError::Trailing(4))));
+        let mut body = vec![0x04]; // HeartbeatReq has no payload
+        borealis_types::wire::put_u32(&mut body, 99);
+        assert!(matches!(
+            decode_frame(&raw_frame(&body)),
+            Err(WireError::Trailing(4))
+        ));
+    }
+
+    /// Each `Resume` is the byte the two flags it replaced made
+    /// (`saw_tentative` bit 0, `fresh_only` bit 1), so no frame moved.
+    #[test]
+    fn resume_is_the_old_flag_byte() {
+        let subscribe = |resume| {
+            let msg = NetMsg::Subscribe {
+                stream: StreamId(7),
+                last_stable: TupleId(41),
+                resume,
+            };
+            encode_one(NodeId(1), NodeId(2), &WireMsg::Net(msg))
+        };
+        for (resume, byte) in [
+            (Resume::Replay, 0),
+            (Resume::Undo, 1),
+            (Resume::FreshOnly, 2),
+        ] {
+            let bytes = subscribe(resume);
+            assert_eq!(bytes.len(), 26);
+            assert_eq!((bytes[12], bytes[25]), (0x01, byte), "{resume:?}");
+        }
+        // Both old flags set — which the publisher served as fresh-only —
+        // is no longer a subscription.
+        let mut both = subscribe(Resume::Replay);
+        both[25] = 3;
+        assert_eq!(
+            decode_frame(&both).unwrap_err(),
+            WireError::BadTag {
+                what: "resume",
+                tag: 3
+            }
+        );
+    }
+
+    /// The receive path drains a buffer the way the socket reader does:
+    /// decode at the front, drain what a frame consumed, wait on `Ok(None)`
+    /// for more bytes, give up on an error. Several valid frames back to
+    /// back (one of them twice) decode to exactly those frames, in order.
+    /// With a second frame spliced into the first at any offset, every call
+    /// returns `Ok(None)`, a typed error or a frame, never panics, and a
+    /// frame is exactly its bytes: it re-encodes to what it consumed. A
+    /// splice at a frame boundary yields only input frames. Inside one,
+    /// a frame carries no checksum, so a splice that lands in its trailing
+    /// fixed-width bytes can read as a different well-formed frame of the
+    /// same length (23 of the 3,036 splices here): framing catches
+    /// misalignment, not corruption, which the reliable, in-order socket
+    /// rules out below it.
+    #[test]
+    fn reassembly_yields_whole_frames_or_typed_errors() {
+        let mut rng = StdRng::seed_from_u64(0x5EA3);
+        let net = |v, rng: &mut StdRng| WireMsg::Net(random_net_msg(v, rng));
+        let mut frames: Vec<Vec<u8>> = (0..10)
+            .map(|v| encode_one(NodeId(1), NodeId(2), &net(v, &mut rng)))
+            .collect();
+        for control in [WireMsg::CreditGrant, WireMsg::Hello { proc: 4 }] {
+            frames.push(encode_one(NodeId(2), NodeId(1), &control));
+        }
+        frames.push(frames[0].clone());
+        let drain = |buf: &[u8]| {
+            let (mut used, mut got) = (0, Vec::new());
+            loop {
+                match decode_frame(&buf[used..]) {
+                    Ok(Some((from, to, msg, len))) => {
+                        let bytes = &buf[used..used + len];
+                        assert_eq!(encode_one(from, to, &msg), bytes, "not its bytes");
+                        got.push(bytes.to_vec());
+                        used += len;
+                    }
+                    Ok(None) => return (got, Ok(used)),
+                    Err(e) => return (got, Err(e)),
+                }
+            }
+        };
+        let stream = frames.concat();
+        let (got, end) = drain(&stream);
+        assert_eq!(got, frames);
+        assert_eq!(end, Ok(stream.len()));
+        let (mut splices, mut foreign) = (0, 0);
+        for second in 1..frames.len() {
+            for at in 0..=frames[0].len() {
+                let mut spliced = frames[0][..at].to_vec();
+                spliced.extend_from_slice(&frames[second]);
+                spliced.extend_from_slice(&frames[0][at..]);
+                spliced.extend(frames[1..].concat());
+                let (got, _) = drain(&spliced);
+                let whole = got.iter().all(|f| frames.contains(f));
+                assert!(
+                    whole || (0 < at && at < frames[0].len()),
+                    "{second} at {at}"
+                );
+                splices += 1;
+                foreign += usize::from(!whole);
+            }
+        }
+        assert!(foreign * 100 < splices, "{foreign} of {splices} splices");
     }
 
     #[test]

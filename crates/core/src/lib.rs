@@ -50,10 +50,10 @@ pub mod upstream;
 
 pub use buffers::{BufferPolicy, OutputBuffer};
 pub use client::ClientProxy;
-pub use codec::{decode_frame, decode_payload, encode_frame, WireMsg};
+pub use codec::{decode_frame, encode_frame, WireMsg};
 pub use durable::{DurabilityConfig, NodeDisk, RecoveredImage};
 pub use metrics::{final_stream, MetricsHub, StreamMetrics, StreamRecorder, TraceEntry};
-pub use msg::{NetMsg, NodeState};
+pub use msg::{NetMsg, NodeState, Resume};
 pub use node::{NodeConfig, NodeTuning, ProcessingNode};
 pub use publisher::Publisher;
 pub use runtime::{DpcActor, RuntimeCtx};

@@ -56,13 +56,8 @@ pub enum NetMsg {
         stream: StreamId,
         /// Last stable tuple received on it ([`TupleId::NONE`] for none).
         last_stable: TupleId,
-        /// True if tentative tuples followed that stable prefix.
-        saw_tentative: bool,
-        /// True to receive only *new* emissions (no history replay): used
-        /// for the §4.4.3 dual subscription, where the consumer already
-        /// holds the tentative era and only needs fresh data from the
-        /// still-available replica.
-        fresh_only: bool,
+        /// Where the new stream picks up after `last_stable`.
+        resume: Resume,
     },
     /// Stop sending a stream.
     Unsubscribe {
@@ -105,6 +100,45 @@ pub enum NetMsg {
     /// released.
     ReconcileDone,
 }
+
+borealis_types::wire_enum!(NetMsg, "frame kind", {
+    Data { stream, tuples } = 0x00,
+    Subscribe { stream, last_stable, resume } = 0x01,
+    Unsubscribe { stream } = 0x02,
+    Ack { stream, through } = 0x03,
+    HeartbeatReq = 0x04,
+    HeartbeatResp { node_state, stream_states, stalled } = 0x05,
+    ReconcileRequest = 0x06,
+    ReconcileGrant = 0x07,
+    ReconcileReject = 0x08,
+    ReconcileDone = 0x09,
+});
+
+/// What a [`NetMsg::Subscribe`] asks the upstream peer to send first. A
+/// §4.3 subscription "indicates the last stable tuple it received and
+/// whether it received tentative tuples after stable ones", which is two
+/// of these; §4.4.3 adds the third.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resume {
+    /// Only stable tuples were received: replay every tuple after the
+    /// last stable one.
+    Replay,
+    /// Tentative tuples followed the stable prefix (from another replica,
+    /// or junk from a dead one): the peer first sends an UNDO back to that
+    /// prefix, then replays.
+    Undo,
+    /// New emissions only, no history: the §4.4.3 dual subscription. While
+    /// the current upstream is stabilizing, the consumer stays connected to
+    /// it for the corrections and also subscribes to an UP_FAILURE replica
+    /// for fresh tentative data; it already holds the tentative era.
+    FreshOnly,
+}
+
+borealis_types::wire_enum!(Resume, "resume", {
+    Replay = 0,
+    Undo = 1,
+    FreshOnly = 2,
+});
 
 /// The partitioned send path: a key-sharded receiver gets only its shard
 /// of every `Data` payload (control tuples — boundaries, undo, rec-done —

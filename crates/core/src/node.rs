@@ -566,6 +566,7 @@ impl DpcActor<NetMsg> for ProcessingNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::Resume;
     use crate::runtime::fake::FakeCtx;
     use borealis_diagram::{plan_deployment, DeploymentSpec, DpcConfig, QueryBuilder};
     use borealis_ops::OperatorSpec;
@@ -632,8 +633,7 @@ mod tests {
         let subscribe = NetMsg::Subscribe {
             stream: out,
             last_stable: TupleId::NONE,
-            saw_tentative: false,
-            fresh_only: false,
+            resume: Resume::Replay,
         };
         node.on_message(&mut ctx, CLIENT, subscribe);
 
@@ -701,8 +701,7 @@ mod tests {
         let subscribe = NetMsg::Subscribe {
             stream: out,
             last_stable: TupleId::NONE,
-            saw_tentative: false,
-            fresh_only: false,
+            resume: Resume::Replay,
         };
         node.on_message(&mut ctx, CLIENT, subscribe);
         // One second of input: two tuples and the boundary that makes them

@@ -21,7 +21,7 @@
 //! nothing is ever queued.
 
 use crate::buffers::{BufferPolicy, OutputBuffer};
-use crate::msg::NetMsg;
+use crate::msg::{NetMsg, Resume};
 use crate::runtime::RuntimeCtx;
 use borealis_sim::FaultEvent;
 use borealis_types::{Duration, NodeId, StreamId, Time, Tuple, TupleBatch, TupleId};
@@ -192,20 +192,18 @@ impl Publisher {
             NetMsg::Subscribe {
                 stream,
                 last_stable,
-                saw_tentative,
-                fresh_only,
+                resume,
             } => {
                 let Some(topic) = self.topics.get_mut(&stream) else {
                     return;
                 };
-                let pos = if fresh_only {
-                    topic.log.end()
-                } else {
-                    topic.log.position_after_stable(last_stable)
+                let pos = match resume {
+                    Resume::FreshOnly => topic.log.end(),
+                    Resume::Replay | Resume::Undo => topic.log.position_after_stable(last_stable),
                 };
                 topic.cursors.insert(from, pos);
                 self.drop_queued(from, Some(stream));
-                if saw_tentative && !fresh_only {
+                if resume == Resume::Undo {
                     // The subscriber holds tentative tuples from another
                     // replica (or junk from a dead one): roll them back
                     // before the replay corrects them.
@@ -310,12 +308,11 @@ mod tests {
         Publisher::new([(S, 2)], BufferPolicy::Unbounded, chunk)
     }
 
-    fn subscribe(p: &mut Publisher, ctx: &mut FakeCtx, from: NodeId, after: u64, tentative: bool) {
+    fn subscribe(p: &mut Publisher, ctx: &mut FakeCtx, from: NodeId, after: u64, resume: Resume) {
         let msg = NetMsg::Subscribe {
             stream: S,
             last_stable: TupleId(after),
-            saw_tentative: tentative,
-            fresh_only: false,
+            resume,
         };
         let now = ctx.now;
         p.on_message(ctx, from, msg, now);
@@ -346,7 +343,7 @@ mod tests {
     fn zero_window_sends_now_and_arms_nothing() {
         let mut ctx = FakeCtx::default();
         let mut p = publisher(2);
-        subscribe(&mut p, &mut ctx, A, 0, false);
+        subscribe(&mut p, &mut ctx, A, 0, Resume::Replay);
         ctx.now = ms(5);
         p.publish(S, stables(1..=5));
         p.flush(&mut ctx, ms(5), ms(5));
@@ -360,8 +357,8 @@ mod tests {
     fn late_reversed_timers_keep_emission_order_and_departure_times() {
         let mut ctx = FakeCtx::default();
         let mut p = publisher(2);
-        subscribe(&mut p, &mut ctx, A, 0, false);
-        subscribe(&mut p, &mut ctx, B, 0, false);
+        subscribe(&mut p, &mut ctx, A, 0, Resume::Replay);
+        subscribe(&mut p, &mut ctx, B, 0, Resume::Replay);
         // Six tuples over a busy window [10, 16] ms: chunks depart at 12,
         // 14 and 16 ms, for each subscriber.
         p.publish(S, stables(1..=6));
@@ -405,8 +402,8 @@ mod tests {
     fn link_up_rewinds_to_the_acked_position() {
         let mut ctx = FakeCtx::default();
         let mut p = publisher(100);
-        subscribe(&mut p, &mut ctx, A, 0, false);
-        subscribe(&mut p, &mut ctx, B, 0, false);
+        subscribe(&mut p, &mut ctx, A, 0, Resume::Replay);
+        subscribe(&mut p, &mut ctx, B, 0, Resume::Replay);
         p.publish(S, stables(1..=10));
         p.flush(&mut ctx, ms(0), ms(0));
         let through = TupleId(4);
@@ -446,13 +443,13 @@ mod tests {
 
         // A fresh subscriber gets the live log: the rolled-back tentative
         // tuples are dead history.
-        subscribe(&mut p, &mut ctx, A, 0, false);
+        subscribe(&mut p, &mut ctx, A, 0, Resume::Replay);
         let (t0, stable, undo) = (ms(0), TupleKind::Insertion, TupleKind::Undo);
         let replay = [(t0, stable, 1), (t0, undo, 0), (t0, stable, 2)];
         assert_eq!(received(&ctx, A, 0), replay);
         // One that holds tentative tuples after stable 1 (from another
         // replica) is first told to roll them back, then corrected.
-        subscribe(&mut p, &mut ctx, B, 1, true);
+        subscribe(&mut p, &mut ctx, B, 1, Resume::Undo);
         assert_eq!(received(&ctx, B, 0)[0], (t0, undo, 0));
         assert_eq!(received(&ctx, B, 0)[1..], replay[1..]);
     }
@@ -463,7 +460,7 @@ mod tests {
         let mut ctx = FakeCtx::default();
         // A source's publisher: never truncating, whole batches.
         let mut p = Publisher::new([(S, usize::MAX)], BufferPolicy::Unbounded, usize::MAX);
-        subscribe(&mut p, &mut ctx, A, 0, false);
+        subscribe(&mut p, &mut ctx, A, 0, Resume::Replay);
         for id in 1..=N {
             p.publish(S, stables(id..=id));
             p.flush(&mut ctx, ms(0), ms(0));
@@ -477,7 +474,7 @@ mod tests {
         // A crashed subscriber comes back with nothing: the position is
         // found without a scan, the replay touches each segment once.
         let (sent, seen) = (ctx.sent.len(), walked(&p));
-        subscribe(&mut p, &mut ctx, A, 0, false);
+        subscribe(&mut p, &mut ctx, A, 0, Resume::Replay);
         assert!(ids(&ctx, A, sent).into_iter().eq(1..=N));
         assert_eq!(walked(&p) - seen, N as usize);
 
@@ -486,7 +483,7 @@ mod tests {
         let (sent, seen) = (ctx.sent.len(), walked(&p));
         p.publish(S, stables(N + 1..=N + 1));
         p.flush(&mut ctx, ms(0), ms(0));
-        subscribe(&mut p, &mut ctx, B, N - 9, false);
+        subscribe(&mut p, &mut ctx, B, N - 9, Resume::Replay);
         assert_eq!(ids(&ctx, A, sent), [N + 1]);
         assert!(ids(&ctx, B, sent).into_iter().eq(N - 8..=N + 1));
         assert!(walked(&p) - seen <= 25, "walked {}", walked(&p) - seen);

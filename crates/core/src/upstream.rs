@@ -22,7 +22,7 @@
 //!   arrives, at which point the stabilized upstream becomes the sole
 //!   provider.
 
-use crate::msg::{NetMsg, NodeState};
+use crate::msg::{NetMsg, NodeState, Resume};
 use crate::runtime::RuntimeCtx;
 use borealis_types::{
     BatchView, Duration, NodeId, StreamId, Time, Tuple, TupleBatch, TupleId, TupleKind,
@@ -184,16 +184,20 @@ impl UpstreamManager {
         vec![self.subscribe(self.curr, false)]
     }
 
-    /// Subscribes to `to`, resuming after the stable prefix held (with
-    /// `saw_tentative` signalling that an UNDO + corrections are needed
-    /// first; `fresh_only` skips history — the dual subscription).
+    /// Subscribes to `to`, resuming after the stable prefix held (with an
+    /// UNDO first if tentative tuples followed it; `fresh_only` skips
+    /// history — the dual subscription).
     fn subscribe(&mut self, to: NodeId, fresh_only: bool) -> (NodeId, NetMsg) {
         self.subscribed.insert(to);
+        let resume = match (fresh_only, self.saw_tentative) {
+            (true, _) => Resume::FreshOnly,
+            (false, true) => Resume::Undo,
+            (false, false) => Resume::Replay,
+        };
         let msg = NetMsg::Subscribe {
             stream: self.stream,
             last_stable: self.last_stable,
-            saw_tentative: self.saw_tentative,
-            fresh_only,
+            resume,
         };
         (to, msg)
     }
@@ -496,12 +500,11 @@ mod tests {
     const HEARTBEAT: Duration = Duration::from_millis(100);
 
     /// The `Subscribe` request a manager of stream 0 sends to `to`.
-    fn sub(to: u32, last_stable: u64, saw_tentative: bool, fresh_only: bool) -> (NodeId, NetMsg) {
+    fn sub(to: u32, last_stable: u64, resume: Resume) -> (NodeId, NetMsg) {
         let msg = NetMsg::Subscribe {
             stream: StreamId(0),
             last_stable: TupleId(last_stable),
-            saw_tentative,
-            fresh_only,
+            resume,
         };
         (NodeId(to), msg)
     }
@@ -515,7 +518,7 @@ mod tests {
     fn initial_subscribe_targets_first_candidate() {
         let mut u = um();
         let actions = u.initial_subscribe();
-        assert_eq!(actions, [sub(10, 0, false, false)]);
+        assert_eq!(actions, [sub(10, 0, Resume::Replay)]);
         assert!(u.accepts_from(NodeId(10)));
         assert!(!u.accepts_from(NodeId(11)));
     }
@@ -538,7 +541,7 @@ mod tests {
         hb(&mut u, NodeId(11), NodeState::Stable, 100);
         let actions = u.evaluate(Time::from_millis(150), HEARTBEAT);
         assert_eq!(u.current(), NodeId(11));
-        assert_eq!(actions, [unsub(10), sub(11, 0, false, false)]);
+        assert_eq!(actions, [unsub(10), sub(11, 0, Resume::Replay)]);
     }
 
     #[test]
@@ -573,7 +576,7 @@ mod tests {
         assert_eq!(u.current(), NodeId(10));
         assert!(u.accepts_from(NodeId(10)));
         assert!(u.accepts_from(NodeId(11)));
-        assert_eq!(actions, [sub(11, 0, false, true)]);
+        assert_eq!(actions, [sub(11, 0, Resume::FreshOnly)]);
         // Idempotent: a second evaluation adds nothing.
         assert!(u.evaluate(Time::from_millis(200), HEARTBEAT).is_empty());
     }
@@ -605,7 +608,7 @@ mod tests {
         hb(&mut u, NodeId(10), NodeState::Failed, 100);
         hb(&mut u, NodeId(11), NodeState::Stable, 100);
         let actions = u.evaluate(Time::from_millis(150), HEARTBEAT);
-        assert!(actions.contains(&sub(11, 4, true, false)));
+        assert!(actions.contains(&sub(11, 4, Resume::Undo)));
         // The UNDO from the new upstream clears the tentative flag.
         let undo = Tuple::undo(TupleId::NONE, TupleId(4));
         u.observe_tuple(NodeId(11), &undo);
@@ -653,7 +656,7 @@ mod tests {
         assert!(!inputs.ums[0].has_live_producer());
         at(&mut ctx, 460);
         inputs.heartbeat_response(&mut ctx, NodeId(5), NodeState::Stable, &[], HEARTBEAT);
-        assert_eq!(sent(&ctx), [sub(5, 3, false, false)]);
+        assert_eq!(sent(&ctx), [sub(5, 3, Resume::Replay)]);
         assert!(inputs.ums[0].accepts_from(NodeId(5)));
     }
 

@@ -10,13 +10,14 @@
 //! ## Frame layout
 //!
 //! ```text
-//! +----------+----------+----------+--------+=============+
-//! | len: u32 | from:u32 | to: u32  | kind:u8|   payload   |
-//! +----------+----------+----------+--------+=============+
-//!  `len` counts every byte after itself (from + to + kind + payload),
-//!  so a frame occupies `4 + len` bytes on the wire. All integers are
-//!  little-endian. `from`/`to` are the [`NodeId`]s of the sending and
-//!  receiving actor; `kind` selects the payload codec.
+//! +----------+----------+----------+=====================+
+//! | len: u32 | from:u32 | to: u32  | body: kind:u8 ...   |
+//! +----------+----------+----------+=====================+
+//!  `len` counts every byte after itself (from + to + body), so a frame
+//!  occupies `4 + len` bytes on the wire. All integers are little-endian.
+//!  `from`/`to` are the [`NodeId`]s of the sending and receiving actor.
+//!  The body is one message in its own [`Wire`] encoding, whose first
+//!  byte is the message's kind.
 //! ```
 //!
 //! ## Tuple layout
@@ -64,8 +65,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-/// Bytes of frame header that follow the length prefix: from (4) + to (4)
-/// + kind (1).
+/// The shortest `len` a frame can carry: from (4) + to (4) + the body's
+/// kind byte (1).
 pub const FRAME_OVERHEAD: usize = 9;
 
 /// Hard ceiling on the `len` prefix. A frame longer than this is treated
@@ -147,17 +148,16 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Opens a frame: writes a length placeholder plus the `from`/`to`/`kind`
-/// header and returns the mark to pass to [`end_frame`]. The payload is
-/// appended to `buf` between the two calls — straight from the source
-/// structures, with no intermediate allocation.
+/// Opens a frame: writes a length placeholder plus the `from`/`to` header
+/// and returns the mark to pass to [`end_frame`]. The body is appended to
+/// `buf` between the two calls — straight from the source structures, with
+/// no intermediate allocation.
 #[inline]
-pub fn begin_frame(buf: &mut Vec<u8>, from: NodeId, to: NodeId, kind: u8) -> usize {
+pub fn begin_frame(buf: &mut Vec<u8>, from: NodeId, to: NodeId) -> usize {
     let mark = buf.len();
     put_u32(buf, 0); // patched by end_frame
     put_u32(buf, from.0);
     put_u32(buf, to.0);
-    put_u8(buf, kind);
     mark
 }
 
@@ -425,12 +425,12 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// Splits the next complete frame off `bytes`, if one has fully arrived.
 ///
 /// Returns `Ok(None)` when more bytes are needed, and
-/// `Ok(Some((from, to, kind, payload, consumed)))` for a complete frame —
-/// `payload` borrows from `bytes` and `consumed` is the total frame size
-/// to drain from the receive buffer. A length prefix outside
+/// `Ok(Some((from, to, body, consumed)))` for a complete frame — `body`
+/// (kind byte first) borrows from `bytes` and `consumed` is the total
+/// frame size to drain from the receive buffer. A length prefix outside
 /// `[FRAME_OVERHEAD, MAX_FRAME_LEN]` is corruption ([`WireError::BadLength`]).
 #[allow(clippy::type_complexity)]
-pub fn split_frame(bytes: &[u8]) -> Result<Option<(NodeId, NodeId, u8, &[u8], usize)>, WireError> {
+pub fn split_frame(bytes: &[u8]) -> Result<Option<(NodeId, NodeId, &[u8], usize)>, WireError> {
     if bytes.len() < 4 {
         return Ok(None);
     }
@@ -443,8 +443,7 @@ pub fn split_frame(bytes: &[u8]) -> Result<Option<(NodeId, NodeId, u8, &[u8], us
     }
     let from = NodeId(u32::from_le_bytes(bytes[4..8].try_into().expect("4")));
     let to = NodeId(u32::from_le_bytes(bytes[8..12].try_into().expect("4")));
-    let kind = bytes[12];
-    Ok(Some((from, to, kind, &bytes[13..4 + len], 4 + len)))
+    Ok(Some((from, to, &bytes[12..4 + len], 4 + len)))
 }
 
 // ---------------------------------------------------------------------
@@ -758,13 +757,15 @@ mod tests {
     #[test]
     fn frame_header_round_trips() {
         let mut buf = Vec::new();
-        let mark = begin_frame(&mut buf, NodeId(3), NodeId(9), 0x42);
+        let mark = begin_frame(&mut buf, NodeId(3), NodeId(9));
+        put_u8(&mut buf, 0x42);
         put_u64(&mut buf, 77);
         end_frame(&mut buf, mark);
-        let (from, to, kind, payload, consumed) = split_frame(&buf).unwrap().unwrap();
-        assert_eq!((from, to, kind), (NodeId(3), NodeId(9), 0x42));
+        let (from, to, body, consumed) = split_frame(&buf).unwrap().unwrap();
+        assert_eq!((from, to), (NodeId(3), NodeId(9)));
         assert_eq!(consumed, buf.len());
-        let mut r = Reader::new(payload);
+        let mut r = Reader::new(body);
+        assert_eq!(r.u8().unwrap(), 0x42);
         assert_eq!(r.u64().unwrap(), 77);
         r.finish().unwrap();
     }
@@ -772,7 +773,8 @@ mod tests {
     #[test]
     fn partial_frames_wait_and_bad_lengths_reject() {
         let mut buf = Vec::new();
-        let mark = begin_frame(&mut buf, NodeId(1), NodeId(2), 7);
+        let mark = begin_frame(&mut buf, NodeId(1), NodeId(2));
+        put_u8(&mut buf, 7);
         put_u32(&mut buf, 5);
         end_frame(&mut buf, mark);
         for cut in 0..buf.len() {

@@ -136,4 +136,11 @@ if git grep --untracked -h -A30 '^struct Worker {' -- crates/runtime/src | sed '
 # deleted (the model tests' seeded-bug twins may still name them).
 if git grep --untracked -nE '\binjector\b|IdleLot|\btokens?\b|locals' -- crates/runtime/src ':!crates/runtime/src/model_tests.rs'; then fail "one run queue"; fi
 
+# One frame declaration: each socket frame's kind byte and fields are
+# declared once — `NetMsg`'s by its `wire_enum!` in crates/core/src/msg.rs,
+# the fabric's control frames by `WireMsg`'s one `Wire` impl — so the
+# codec's per-kind constant module, payload writer and payload reader stay
+# deleted.
+if git grep -nE 'fn put_payload|fn decode_payload|mod kind \{' -- 'crates/*.rs'; then fail "one frame declaration"; fi
+
 echo "lints: ok"

@@ -18,7 +18,8 @@
 
 use borealis::diagram::FragmentPlan;
 use borealis::dpc::{
-    decode_frame, encode_frame, ActorSpec, DurabilityConfig, NetMsg, NodeDisk, NodeState, WireMsg,
+    decode_frame, encode_frame, ActorSpec, DurabilityConfig, NetMsg, NodeDisk, NodeState, Resume,
+    WireMsg,
 };
 use borealis::engine::Fragment;
 use borealis::ops::{AggFn, AggregateSpec, DelayMode, OperatorSpec, SJoinSpec, SUnionConfig};
@@ -37,7 +38,8 @@ mod counting_alloc;
 
 /// How the bytes of one format are decoded again.
 enum Decoder {
-    /// `decode_frame` (`split_frame` + the payload codec).
+    /// `decode_frame`: `split_frame`, then the body's one declaration
+    /// (`NetMsg`'s `wire_enum!`, or a control frame of `WireMsg`).
     Frame,
     /// `Reader::tuple`, whose fixed header is read with one bounds check.
     Tuple,
@@ -308,8 +310,7 @@ fn formats(dir: &Path) -> Vec<Format> {
             NetMsg::Subscribe {
                 stream,
                 last_stable: TupleId(41),
-                saw_tentative: true,
-                fresh_only: false,
+                resume: Resume::Undo,
             },
         ),
         net(
@@ -317,8 +318,15 @@ fn formats(dir: &Path) -> Vec<Format> {
             NetMsg::Subscribe {
                 stream,
                 last_stable: TupleId::NONE,
-                saw_tentative: false,
-                fresh_only: true,
+                resume: Resume::FreshOnly,
+            },
+        ),
+        net(
+            "frame subscribe replay",
+            NetMsg::Subscribe {
+                stream,
+                last_stable: TupleId(0x0102_0304),
+                resume: Resume::Replay,
             },
         ),
         net("frame unsubscribe", NetMsg::Unsubscribe { stream }),
@@ -369,10 +377,14 @@ fn formats(dir: &Path) -> Vec<Format> {
 /// were re-pinned when the checkpoint moved into the log (snapshot version
 /// 2): the `HEAD` pointer is gone, the checkpoint is a record of the log,
 /// and a record's body holds a kind byte where its sequence number was.
+/// "frame subscribe replay" was added when `Subscribe`'s two flags became
+/// one `Resume`: the third form, byte 0, which the flags wrote as neither
+/// set (its digest checked by hand against the layout).
 const PINNED: &[(&str, usize, u64)] = &[
     ("frame data", 252, 0xb2dea32ddd52d0d2),
     ("frame subscribe", 26, 0x89809f1e41305990),
     ("frame subscribe fresh", 26, 0xfeb3a35fe4cbdb8e),
+    ("frame subscribe replay", 26, 0x575bded30dbb6e54),
     ("frame unsubscribe", 17, 0x2f8697a900fb63fc),
     ("frame ack", 25, 0x81e775dfe4cbc3f6),
     ("frame heartbeat req", 13, 0x825e1c6e8ebf0ec9),

@@ -19,6 +19,10 @@
 //!   memory), replay the input SUnions' logs in original arrival order, and
 //!   emit REC_DONE markers that propagate to the outputs.
 //!
+//! The fragment alone talks to SUnion and SOutput: it finds its SUnions
+//! once, in [`Fragment::from_plan`], and reaches both through
+//! `<dyn Operator>::downcast_ref`/`downcast_mut`.
+//!
 //! Execution is **batch-wise**: external input arrives as shared
 //! [`TupleBatch`] views, operators run their
 //! [`Operator::process_batch`] path,
@@ -32,7 +36,7 @@
 
 use borealis_diagram::FragmentPlan;
 use borealis_ops::sunion::Phase;
-use borealis_ops::{BatchEmitter, OpSnapshot, Operator, SnapshotCodec};
+use borealis_ops::{BatchEmitter, OpSnapshot, Operator, SOutput, SUnion, SnapshotCodec};
 use borealis_types::wire::{self, Reader, WireError};
 use borealis_types::{
     BatchView, ControlSignal, Duration, StreamId, Time, Tuple, TupleBatch, TupleKind,
@@ -79,6 +83,8 @@ pub struct Fragment {
     external_output: Vec<Option<StreamId>>,
     /// `(stream, op, port)` bindings for external inputs.
     input_bindings: Vec<(StreamId, usize, usize)>,
+    /// Indexes of all SUnions (deadline holders).
+    sunions: Vec<usize>,
     /// Indexes of input SUnions (replay-log holders).
     input_sunions: Vec<usize>,
     /// Per-op input queues of shared batch views.
@@ -97,8 +103,12 @@ impl Fragment {
     pub fn from_plan(plan: &FragmentPlan) -> Fragment {
         let ops: Vec<Box<dyn Operator>> = plan.ops.iter().map(|o| o.spec.instantiate()).collect();
         let n = ops.len();
-        let mut f = Fragment {
-            ops,
+        let sunion = |i: usize| ops[i].downcast_ref::<SUnion>();
+        Fragment {
+            sunions: (0..n).filter(|&i| sunion(i).is_some()).collect(),
+            input_sunions: (0..n)
+                .filter(|&i| sunion(i).is_some_and(|s| s.config().is_input))
+                .collect(),
             fanout: plan.ops.iter().map(|o| o.fanout.clone()).collect(),
             external_output: plan.ops.iter().map(|o| o.external_output).collect(),
             input_bindings: plan
@@ -106,17 +116,13 @@ impl Fragment {
                 .iter()
                 .map(|i| (i.stream, i.target, i.port))
                 .collect(),
-            input_sunions: Vec::new(),
             queues: (0..n).map(|_| VecDeque::new()).collect(),
             op_tainted: vec![false; n],
             tainted: false,
             checkpoint: None,
             total_work: 0,
-        };
-        f.input_sunions = (0..n)
-            .filter(|&i| f.ops[i].as_sunion().is_some_and(|s| s.config().is_input))
-            .collect();
-        f
+            ops,
+        }
     }
 
     /// Output streams this fragment produces.
@@ -140,24 +146,25 @@ impl Fragment {
     /// exists and every input SUnion reports its streams corrected (§4.4).
     pub fn can_reconcile(&self) -> bool {
         self.tainted
-            && self.input_sunions.iter().all(|&i| {
-                self.ops[i]
-                    .as_sunion()
-                    .expect("input_sunions holds SUnions")
-                    .corrected_now()
-            })
+            && self
+                .input_sunions
+                .iter()
+                .all(|&i| self.sunion(i).corrected_now())
     }
 
-    /// Earliest operator deadline (SUnion bucket releases).
+    /// Earliest SUnion deadline (bucket releases).
     pub fn next_deadline(&self) -> Option<Time> {
-        self.ops.iter().filter_map(|o| o.next_deadline()).min()
+        self.sunions
+            .iter()
+            .filter_map(|&i| self.sunion(i).next_deadline())
+            .min()
     }
 
     /// Total tuples buffered in replay logs, for buffer accounting (§8.1).
     pub fn replay_buffered(&self) -> usize {
         self.input_sunions
             .iter()
-            .map(|&i| self.ops[i].as_sunion().expect("sunion").replay_log_len())
+            .map(|&i| self.sunion(i).replay_log_len())
             .sum()
     }
 
@@ -239,7 +246,12 @@ impl Fragment {
     /// checkpoint first if a release is pending.
     pub fn tick(&mut self, now: Time) -> Batch {
         let mut batch = Batch::default();
-        if !self.tainted && self.ops.iter().any(|o| o.wants_tentative(now)) {
+        if !self.tainted
+            && self
+                .sunions
+                .iter()
+                .any(|&i| self.sunion(i).wants_tentative(now))
+        {
             self.take_checkpoint();
         }
         let permitted = self.tainted;
@@ -269,10 +281,7 @@ impl Fragment {
         let mut log: Vec<(Time, usize, usize, TupleBatch)> = Vec::new();
         for k in 0..self.input_sunions.len() {
             let i = self.input_sunions[k];
-            let entries = self.ops[i]
-                .as_sunion_mut()
-                .expect("input_sunions holds SUnions")
-                .take_replay_log();
+            let entries = self.sunion_mut(i).take_replay_log();
             log.extend(
                 entries
                     .into_iter()
@@ -286,7 +295,7 @@ impl Fragment {
         // 2. Restore operators; SOutput keeps its memory and enters
         //    duplicate-suppression mode instead.
         for (i, snap) in snapshot.iter().enumerate() {
-            match self.ops[i].as_soutput_mut() {
+            match self.ops[i].downcast_mut::<SOutput>() {
                 Some(so) => so.begin_stabilization(),
                 None => self.ops[i].restore(snap),
             }
@@ -320,10 +329,7 @@ impl Fragment {
         for k in 0..self.input_sunions.len() {
             let i = self.input_sunions[k];
             let mut em = BatchEmitter::new();
-            self.ops[i]
-                .as_sunion_mut()
-                .expect("input_sunions holds SUnions")
-                .emit_rec_done(now, &mut em);
+            self.sunion_mut(i).emit_rec_done(now, &mut em);
             if !em.is_empty() {
                 self.route(i, em, &mut batch);
             }
@@ -361,9 +367,7 @@ impl Fragment {
             return batch;
         }
         let would_declare = targets.iter().any(|&i| {
-            let su = self.ops[i]
-                .as_sunion()
-                .expect("input_sunions holds SUnions");
+            let su = self.sunion(i);
             su.phase() == Phase::Stable && stalled_for >= su.config().detect_delay
         });
         if would_declare && !self.tainted {
@@ -371,10 +375,7 @@ impl Fragment {
         }
         for i in targets {
             let mut em = BatchEmitter::new();
-            self.ops[i]
-                .as_sunion_mut()
-                .expect("input_sunions holds SUnions")
-                .note_input_stall(stalled_for, &mut em);
+            self.sunion_mut(i).note_input_stall(stalled_for, &mut em);
             if !em.is_empty() {
                 self.route(i, em, &mut batch);
             }
@@ -396,11 +397,18 @@ impl Fragment {
         self.tainted = true;
         for k in 0..self.input_sunions.len() {
             let i = self.input_sunions[k];
-            self.ops[i]
-                .as_sunion_mut()
-                .expect("input_sunions holds SUnions")
-                .set_recording(true);
+            self.sunion_mut(i).set_recording(true);
         }
+    }
+
+    /// The SUnion at operator index `i` (an entry of `sunions`).
+    fn sunion(&self, i: usize) -> &SUnion {
+        self.ops[i].downcast_ref().expect("sunions holds SUnions")
+    }
+
+    /// The SUnion at operator index `i`, mutably.
+    fn sunion_mut(&mut self, i: usize) -> &mut SUnion {
+        self.ops[i].downcast_mut().expect("sunions holds SUnions")
     }
 
     /// Routes one operator's emitted batches: relabels outputs of diverged
@@ -412,7 +420,7 @@ impl Fragment {
     fn route(&mut self, from: usize, mut em: BatchEmitter, batch: &mut Batch) {
         let (chunks, signals) = em.take();
         batch.signals.extend(signals);
-        let exempt = self.ops[from].as_soutput().is_some();
+        let exempt = self.ops[from].downcast_ref::<SOutput>().is_some();
         for chunk in chunks {
             let chunk = if self.op_tainted[from]
                 && !exempt
@@ -547,10 +555,7 @@ impl Fragment {
         self.checkpoint = None;
         for k in 0..self.input_sunions.len() {
             let i = self.input_sunions[k];
-            self.ops[i]
-                .as_sunion_mut()
-                .expect("input_sunions holds SUnions")
-                .set_recording(false);
+            self.sunion_mut(i).set_recording(false);
         }
         Ok(())
     }
@@ -562,7 +567,7 @@ impl Fragment {
         (0..self.ops.len())
             .filter_map(|i| {
                 let stream = self.external_output[i]?;
-                let so = self.ops[i].as_soutput()?;
+                let so = self.ops[i].downcast_ref::<SOutput>()?;
                 Some((stream, so.tentative_since_stable()))
             })
             .collect()

@@ -335,10 +335,6 @@ impl Aggregate {
 }
 
 impl Operator for Aggregate {
-    fn name(&self) -> &'static str {
-        "aggregate"
-    }
-
     fn process_batch(&mut self, _: usize, batch: &TupleBatch, _: Time, out: &mut BatchEmitter) {
         for t in batch.as_slice() {
             self.step(t, out);

@@ -29,10 +29,6 @@ impl Filter {
 }
 
 impl Operator for Filter {
-    fn name(&self) -> &'static str {
-        "filter"
-    }
-
     /// Zero-copy: contiguous runs of passing tuples are forwarded as
     /// shared sub-views of the input batch — when every tuple passes (the
     /// common stable-stream case) the whole batch moves on with a single

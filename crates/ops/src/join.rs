@@ -174,10 +174,6 @@ impl SJoin {
 }
 
 impl Operator for SJoin {
-    fn name(&self) -> &'static str {
-        "sjoin"
-    }
-
     fn process_batch(&mut self, _: usize, batch: &TupleBatch, _: Time, out: &mut BatchEmitter) {
         for t in batch.as_slice() {
             self.step(t, out);

@@ -36,6 +36,7 @@ pub use sunion::{DelayMode, SUnion, SUnionConfig};
 pub use union::Union;
 
 use borealis_types::{ControlSignal, Time, Tuple, TupleBatch};
+use std::any::Any;
 
 /// The single emission path: collects the tuples and control signals an
 /// operator emits, as ordered shared batches.
@@ -147,15 +148,12 @@ impl BatchEmitter {
 /// react to the passage of virtual time through [`Operator::tick`]; SUnion
 /// uses ticks to enforce the availability deadline (`Delaynew < X`,
 /// Property 1) by emitting overdue buckets tentatively.
-pub trait Operator: Send {
-    /// Human-readable operator kind, for diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Number of input ports.
-    fn n_inputs(&self) -> usize {
-        1
-    }
-
+///
+/// The contract is what every operator has: process, tick, and save and
+/// recover state for checkpoint/redo (§4.4.1). What only SUnion or SOutput
+/// offers stays on its own type, where the fragment reaches it through
+/// [`downcast_ref`](#method.downcast_ref)/[`downcast_mut`](#method.downcast_mut).
+pub trait Operator: Any + Send {
     /// Processes a shared batch arriving on `port` at virtual time `now`.
     /// How a stream is cut into batches must never show in what is
     /// emitted. Pass-through operators emit O(1) views of `batch` instead
@@ -174,19 +172,6 @@ pub trait Operator: Send {
     /// SUnion must not release tentative data before the fragment state has
     /// been captured.
     fn tick(&mut self, _now: Time, _tentative_permitted: bool, _out: &mut BatchEmitter) {}
-
-    /// The next instant at which this operator needs a [`Operator::tick`],
-    /// if any.
-    fn next_deadline(&self) -> Option<Time> {
-        None
-    }
-
-    /// True if a tick at `now` would release tentative data. The fragment
-    /// polls this before ticking to take the reconciliation checkpoint
-    /// first.
-    fn wants_tentative(&self, _now: Time) -> bool {
-        false
-    }
 
     /// Captures the operator's state for checkpoint/redo reconciliation.
     ///
@@ -216,27 +201,17 @@ pub trait Operator: Send {
     fn snapshot_codec(&self) -> SnapshotCodec {
         SnapshotCodec::unit()
     }
+}
 
-    /// Downcast hook for the fragment's SUnion-specific plumbing (replay
-    /// buffers, correction status).
-    fn as_sunion_mut(&mut self) -> Option<&mut SUnion> {
-        None
+impl dyn Operator {
+    /// The operator as its concrete type `T`, if it is one.
+    pub fn downcast_ref<T: Operator>(&self) -> Option<&T> {
+        (self as &dyn Any).downcast_ref()
     }
 
-    /// Downcast hook for the fragment's SOutput-specific plumbing
-    /// (stabilization mode).
-    fn as_soutput_mut(&mut self) -> Option<&mut SOutput> {
-        None
-    }
-
-    /// Downcast hook used by tests and diagnostics.
-    fn as_sunion(&self) -> Option<&SUnion> {
-        None
-    }
-
-    /// Downcast hook used for per-stream health reporting (§8.2).
-    fn as_soutput(&self) -> Option<&SOutput> {
-        None
+    /// The operator as its concrete type `T`, mutably, if it is one.
+    pub fn downcast_mut<T: Operator>(&mut self) -> Option<&mut T> {
+        (self as &mut dyn Any).downcast_mut()
     }
 }
 

@@ -35,10 +35,6 @@ impl Map {
 }
 
 impl Operator for Map {
-    fn name(&self) -> &'static str {
-        "map"
-    }
-
     /// A batch the map reproduces (an identity over data all of its width)
     /// is forwarded as it is, as Filter forwards an all-pass batch; any
     /// other is built once (right capacity, one sealed chunk).

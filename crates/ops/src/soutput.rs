@@ -147,10 +147,6 @@ impl SOutput {
 }
 
 impl Operator for SOutput {
-    fn name(&self) -> &'static str {
-        "soutput"
-    }
-
     /// The failure-free path (§4.4.2: "a pass-through filter that remembers
     /// the last stable tuple"): outside stabilization every tuple is
     /// forwarded as it is and only REC_DONE does more than update the two
@@ -200,14 +196,6 @@ impl Operator for SOutput {
     // tuples downstream consumers already acked.
     fn snapshot_codec(&self) -> SnapshotCodec {
         SnapshotCodec::of::<SOutputState>()
-    }
-
-    fn as_soutput_mut(&mut self) -> Option<&mut SOutput> {
-        Some(self)
-    }
-
-    fn as_soutput(&self) -> Option<&SOutput> {
-        Some(self)
     }
 }
 

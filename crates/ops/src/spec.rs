@@ -94,6 +94,7 @@ mod tests {
 
     #[test]
     fn instantiation_matches_spec() {
+        use borealis_types::Duration;
         let specs = [
             OperatorSpec::Filter {
                 predicate: Expr::Const(borealis_types::Value::Bool(true)),
@@ -102,14 +103,42 @@ mod tests {
                 outputs: vec![Expr::field(0)],
             },
             OperatorSpec::Union { n_inputs: 3 },
+            OperatorSpec::Aggregate(AggregateSpec {
+                window: Duration::from_millis(100),
+                slide: Duration::from_millis(100),
+                group_by: vec![],
+                aggs: vec![crate::AggFn::count()],
+            }),
+            OperatorSpec::SJoin(SJoinSpec {
+                window: Duration::from_millis(100),
+                left_key: Expr::field(0),
+                right_key: Expr::field(0),
+                max_state: None,
+                left_split: 1,
+            }),
             OperatorSpec::SUnion(SUnionConfig::new(2)),
             OperatorSpec::SOutput,
         ];
         for spec in &specs {
             let op = spec.instantiate();
-            assert_eq!(op.name(), spec.kind_name());
-            assert_eq!(op.n_inputs(), spec.n_inputs());
+            let kinds = [
+                ("filter", op.downcast_ref::<Filter>().is_some()),
+                ("map", op.downcast_ref::<Map>().is_some()),
+                ("union", op.downcast_ref::<Union>().is_some()),
+                ("aggregate", op.downcast_ref::<Aggregate>().is_some()),
+                ("sjoin", op.downcast_ref::<SJoin>().is_some()),
+                ("sunion", op.downcast_ref::<SUnion>().is_some()),
+                ("soutput", op.downcast_ref::<SOutput>().is_some()),
+            ];
+            let matched: Vec<&str> = kinds.iter().filter(|k| k.1).map(|k| k.0).collect();
+            assert_eq!(matched, [spec.kind_name()], "{spec:?}");
         }
+        let mut su = OperatorSpec::SUnion(SUnionConfig::new(2)).instantiate();
+        assert_eq!(
+            su.downcast_mut::<SUnion>().map(|s| s.config().n_inputs),
+            Some(2)
+        );
+        assert!(su.downcast_mut::<SOutput>().is_none());
     }
 
     #[test]

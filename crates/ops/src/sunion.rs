@@ -386,8 +386,9 @@ impl SUnion {
         self.mode_delay(mode)
     }
 
-    /// Earliest tentative-release deadline over the non-empty buckets.
-    fn oldest_deadline(&self) -> Option<Time> {
+    /// Earliest tentative-release deadline over the non-empty buckets: the
+    /// next instant at which this SUnion needs a [`Operator::tick`], if any.
+    pub fn next_deadline(&self) -> Option<Time> {
         self.state
             .buckets
             .values()
@@ -395,6 +396,13 @@ impl SUnion {
             .map(|b| b.deadline)
             .filter(|&d| d != Time::MAX)
             .min()
+    }
+
+    /// True if a tick at `now` would release tentative data. The fragment
+    /// polls this before ticking to take the reconciliation checkpoint
+    /// first.
+    pub fn wants_tentative(&self, now: Time) -> bool {
+        self.next_deadline().is_some_and(|d| now >= d)
     }
 
     fn conditions_for_healed(&self) -> bool {
@@ -784,14 +792,6 @@ impl SUnion {
 }
 
 impl Operator for SUnion {
-    fn name(&self) -> &'static str {
-        "sunion"
-    }
-
-    fn n_inputs(&self) -> usize {
-        self.cfg.n_inputs
-    }
-
     /// Batch-native ingestion — the serialization hot path. Data runs are
     /// buffered (and recorded for replay) as O(1) shared views of `batch`;
     /// control tuples are handled in place. How the arrivals were cut into
@@ -854,28 +854,12 @@ impl Operator for SUnion {
         self.recheck_phase(out);
     }
 
-    fn next_deadline(&self) -> Option<Time> {
-        self.oldest_deadline()
-    }
-
-    fn wants_tentative(&self, now: Time) -> bool {
-        self.oldest_deadline().is_some_and(|d| now >= d)
-    }
-
     fn checkpoint(&self) -> OpSnapshot {
         OpSnapshot::share(&self.state)
     }
 
     fn restore(&mut self, snap: &OpSnapshot) {
         self.state = snap.shared::<SUnionState>();
-    }
-
-    fn as_sunion_mut(&mut self) -> Option<&mut SUnion> {
-        Some(self)
-    }
-
-    fn as_sunion(&self) -> Option<&SUnion> {
-        Some(self)
     }
 
     // The reconciliation replay log is deliberately NOT part of the durable

@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 /// Non-serializing merge of `n` input streams.
 pub struct Union {
-    n_inputs: usize,
     /// Copy-on-write state: checkpoints share this `Arc` (see
     /// [`crate::snapshot`] for the contract).
     state: Arc<UnionState>,
@@ -38,7 +37,6 @@ impl Union {
     pub fn new(n_inputs: usize) -> Union {
         assert!(n_inputs >= 1, "union needs at least one input");
         Union {
-            n_inputs,
             state: Arc::new(UnionState {
                 watermarks: vec![None; n_inputs],
                 emitted_wm: None,
@@ -92,14 +90,6 @@ impl Union {
 }
 
 impl Operator for Union {
-    fn name(&self) -> &'static str {
-        "union"
-    }
-
-    fn n_inputs(&self) -> usize {
-        self.n_inputs
-    }
-
     fn process_batch(&mut self, port: usize, batch: &TupleBatch, _: Time, out: &mut BatchEmitter) {
         for t in batch.as_slice() {
             self.step(port, t, out);

@@ -12,7 +12,8 @@
 //! crosses every operator.
 
 use borealis_ops::{
-    AggFn, AggregateSpec, BatchEmitter, OpSnapshot, Operator, OperatorSpec, SJoinSpec, SUnionConfig,
+    AggFn, AggregateSpec, BatchEmitter, OpSnapshot, Operator, OperatorSpec, SJoinSpec, SOutput,
+    SUnion, SUnionConfig,
 };
 use borealis_types::{
     ControlSignal, Duration, Expr, Time, Tuple, TupleBatch, TupleId, TupleKind, Value,
@@ -138,7 +139,7 @@ fn feed(
     tally: &mut [usize; 2],
 ) -> Observed {
     let mut op = spec.instantiate();
-    if let Some(sunion) = op.as_sunion_mut() {
+    if let Some(sunion) = op.downcast_mut::<SUnion>() {
         sunion.set_recording(true);
     }
     let (mut tuples, mut signals, mut held) = (Vec::new(), Vec::new(), Vec::new());
@@ -152,7 +153,7 @@ fn feed(
     let mut stabilizing = false;
     for d in script {
         if d.stabilize {
-            if let Some(soutput) = op.as_soutput_mut() {
+            if let Some(soutput) = op.downcast_mut::<SOutput>() {
                 soutput.begin_stabilization();
                 stabilizing = true;
             }
@@ -170,7 +171,9 @@ fn feed(
             // Outside stabilization a REC_DONE-free batch is a pure
             // pass-through: the *same* allocation goes downstream.
             let rec_done = chunk.iter().any(|t| t.kind == TupleKind::RecDone);
-            let passes_whole = op.as_soutput().map(|_| !stabilizing && !rec_done);
+            let passes_whole = op
+                .downcast_ref::<SOutput>()
+                .map(|_| !stabilizing && !rec_done);
             stabilizing &= !rec_done;
             let mut out = BatchEmitter::new();
             op.process_batch(d.port, &chunk, d.at, &mut out);
@@ -191,9 +194,9 @@ fn feed(
     // A held checkpoint never observes later batches.
     for (then, snap) in &held {
         let now = snapshot_bytes(op.as_ref(), snap);
-        assert_eq!(&now, then, "{}: checkpoint mutated", op.name());
+        assert_eq!(&now, then, "{}: checkpoint mutated", spec.kind_name());
     }
-    let log = op.as_sunion_mut().map(|s| s.take_replay_log());
+    let log = op.downcast_mut::<SUnion>().map(|s| s.take_replay_log());
     let flat = |(at, port, b): (Time, usize, TupleBatch)| {
         b.to_vec().into_iter().map(move |t| (at, port, t))
     };

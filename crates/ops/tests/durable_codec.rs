@@ -4,7 +4,7 @@
 //! original — same outputs for the same subsequent input. This is the
 //! contract disk recovery rests on: a restarted process holds only bytes.
 
-use borealis_ops::{AggFn, BatchEmitter, Operator, SnapshotCodec};
+use borealis_ops::{AggFn, BatchEmitter, Operator, SOutput, SnapshotCodec};
 use borealis_ops::{OperatorSpec, SUnionConfig};
 use borealis_types::wire::Reader;
 use borealis_types::{Duration, Expr, Time, Tuple, TupleId, Value};
@@ -154,7 +154,9 @@ fn soutput_codec_round_trips_dedup_memory() {
         now,
     );
     let mut reloaded = reload(original.as_ref(), &spec);
-    let so = reloaded.as_soutput().expect("soutput downcast");
+    let so = reloaded
+        .downcast_ref::<SOutput>()
+        .expect("soutput downcast");
     assert_eq!(
         so.last_stable(),
         TupleId(2),
@@ -163,7 +165,7 @@ fn soutput_codec_round_trips_dedup_memory() {
     // A restarted node replaying its input log must drop regenerated
     // duplicates exactly like a live stabilization replay would.
     reloaded
-        .as_soutput_mut()
+        .downcast_mut::<SOutput>()
         .expect("soutput downcast")
         .begin_stabilization();
     let out = drive(

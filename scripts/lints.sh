@@ -143,4 +143,13 @@ if git grep --untracked -nE '\binjector\b|IdleLot|\btokens?\b|locals' -- crates/
 # deleted.
 if git grep -nE 'fn put_payload|fn decode_payload|mod kind \{' -- 'crates/*.rs'; then fail "one frame declaration"; fi
 
+# One operator contract: `Operator` holds what every operator has —
+# process, tick, checkpoint, restore and the snapshot codec — and the
+# fragment reaches its SUnions and SOutputs through `<dyn Operator>::
+# downcast_ref`/`downcast_mut`, so the per-kind downcast hooks and the
+# diagnostic kind name on every operator stay deleted (a spec's
+# `kind_name()` names the kind).
+if git grep -nE 'fn as_(sunion|soutput)' -- '*.rs'; then fail "one operator contract"; fi
+if git grep -n "fn name(&self) -> &'static str" -- crates/ops/src; then fail "one operator contract"; fi
+
 echo "lints: ok"

@@ -108,9 +108,10 @@ pub mod prelude {
         RunningSystem, SourceConfig, SystemBuilder, SystemLayout, TraceEntry, ValueGen,
     };
     pub use borealis_ops::{AggFn, AggregateSpec, DelayMode, SJoinSpec, SUnionConfig};
+    pub use borealis_runtime::plan_processes;
+    #[cfg(not(borealis_model))]
     pub use borealis_runtime::{
-        deploy_tcp, deploy_threads, plan_processes, RunningTcp, RunningThreads, TcpFabric,
-        ThreadRuntime,
+        deploy_tcp, deploy_threads, RunningTcp, RunningThreads, TcpFabric, ThreadRuntime,
     };
     pub use borealis_types::{
         CreditPolicy, Duration, Expr, FlowGauges, FragmentId, NodeId, PartitionSpec, SchedGauges,

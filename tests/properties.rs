@@ -96,7 +96,7 @@ fn availability_holds_for_any_single_failure() {
 /// state and the Aggregate window state.
 #[test]
 fn cow_checkpoint_restore_round_trips_under_divergence() {
-    use borealis::ops::{AggFn, Aggregate, AggregateSpec, BatchEmitter, Operator, SUnion};
+    use borealis::ops::{AggFn, AggregateSpec, BatchEmitter, Operator, OperatorSpec};
 
     let mut rng = StdRng::seed_from_u64(0xC0_57);
     for case in 0..25 {
@@ -118,20 +118,21 @@ fn cow_checkpoint_restore_round_trips_under_divergence() {
             .collect();
         let close = Tuple::boundary(TupleId::NONE, Time::from_secs(10));
 
-        let mut ops: Vec<Box<dyn Operator>> = vec![
-            Box::new(SUnion::new({
+        let specs = [
+            OperatorSpec::SUnion({
                 let mut c = SUnionConfig::new(1);
                 c.is_input = true;
                 c
-            })),
-            Box::new(Aggregate::new(AggregateSpec {
+            }),
+            OperatorSpec::Aggregate(AggregateSpec {
                 window: Duration::from_millis(100),
                 slide: Duration::from_millis(100),
                 group_by: vec![],
                 aggs: vec![AggFn::count(), AggFn::sum(Expr::field(0))],
-            })),
+            }),
         ];
-        for op in &mut ops {
+        for spec in &specs {
+            let op = &mut spec.instantiate();
             let feed = |op: &mut Box<dyn Operator>, tuples: &[Tuple], out: &mut BatchEmitter| {
                 for t in tuples {
                     op.process(0, t, Time::from_millis(1), out);
@@ -146,19 +147,7 @@ fn cow_checkpoint_restore_round_trips_under_divergence() {
 
             // Diverged run on a fresh twin: prefix, checkpoint, junk
             // (mutates the CoW state), restore, then the same suffix.
-            let mut twin: Box<dyn Operator> = match op.name() {
-                "sunion" => Box::new(SUnion::new({
-                    let mut c = SUnionConfig::new(1);
-                    c.is_input = true;
-                    c
-                })),
-                _ => Box::new(Aggregate::new(AggregateSpec {
-                    window: Duration::from_millis(100),
-                    slide: Duration::from_millis(100),
-                    group_by: vec![],
-                    aggs: vec![AggFn::count(), AggFn::sum(Expr::field(0))],
-                })),
-            };
+            let mut twin = spec.instantiate();
             let mut sink = BatchEmitter::new();
             feed(&mut twin, &prefix, &mut sink);
             let snap = twin.checkpoint();
@@ -173,7 +162,7 @@ fn cow_checkpoint_restore_round_trips_under_divergence() {
                 reference.take_tuples(),
                 replayed.take_tuples(),
                 "case {case}: {} diverged after checkpoint/restore",
-                op.name()
+                spec.kind_name()
             );
         }
     }

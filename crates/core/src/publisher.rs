@@ -426,6 +426,30 @@ mod tests {
         assert_eq!(p.topics[&S].log.len(), 12);
     }
 
+    /// The log is truncated only through the slowest expected consumer's
+    /// ack: with acks through 4 and through 8 it still holds 5 onward, and
+    /// the slow consumer's re-subscription replays from 5.
+    #[test]
+    fn truncation_waits_for_the_slowest_ack() {
+        let mut ctx = FakeCtx::default();
+        let mut p = publisher(100);
+        subscribe(&mut p, &mut ctx, A, 0, Resume::Replay);
+        subscribe(&mut p, &mut ctx, B, 0, Resume::Replay);
+        p.publish(S, stables(1..=10));
+        p.flush(&mut ctx, ms(0), ms(0));
+        for (from, through) in [(A, 4), (B, 8)] {
+            let ack = NetMsg::Ack {
+                stream: S,
+                through: TupleId(through),
+            };
+            p.on_message(&mut ctx, from, ack, ms(0));
+        }
+        assert_eq!(p.topics[&S].log.len(), 6, "5 through 10 are kept");
+        let sent = ctx.sent.len();
+        subscribe(&mut p, &mut ctx, A, 4, Resume::Replay);
+        assert!(ids(&ctx, A, sent).into_iter().eq(5..=10));
+    }
+
     #[test]
     fn undone_tentative_suffix_is_not_replayed_to_a_new_subscriber() {
         let mut ctx = FakeCtx::default();

@@ -258,12 +258,13 @@ impl Worker {
     /// queued message it releases goes to `to`'s own mailbox — the
     /// delivery-time checks still apply there. A *remote* sender's ledger
     /// lives in its process: the credit travels back as a `CreditGrant`
-    /// frame instead.
+    /// frame instead, held on the connection until the link has half a
+    /// window of them or another frame leaves for that process (see
+    /// [`crate::tcp`]) — so most returns queue nothing to flush.
     fn return_credit(&mut self, from: NodeId, to: NodeId) {
         match &self.tcp {
             Some(t) if t.is_remote(from) => {
-                self.unflushed = true;
-                t.send_grant(from, to);
+                self.unflushed |= t.send_grant(from, to);
             }
             _ => {
                 let now = self.hub.clock.now();

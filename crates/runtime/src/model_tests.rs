@@ -645,7 +645,7 @@ fn outbox_race(refuse: Option<u64>) -> Arc<Outbox<Recorder>> {
         let out = Arc::clone(&out);
         thread::spawn(move || {
             for n in 0..2 {
-                assert!(out.append(|buf| buf.extend([id, n])));
+                assert!(out.append(1, |buf| buf.extend([id, n])));
                 out.flush();
             }
         })

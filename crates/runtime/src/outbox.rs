@@ -81,15 +81,15 @@ impl<S: Sink> Outbox<S> {
         &self.sink
     }
 
-    /// Appends the one frame `encode` writes, in place. Refused (`false`)
-    /// once the outbox is closing.
-    pub(crate) fn append(&self, encode: impl FnOnce(&mut Vec<u8>)) -> bool {
+    /// Appends the `frames` frames `encode` writes, in place. Refused
+    /// (`false`, and `encode` not called) once the outbox is closing.
+    pub(crate) fn append(&self, frames: u64, encode: impl FnOnce(&mut Vec<u8>)) -> bool {
         let mut q = relock(&self.q);
         if q.closing {
             return false;
         }
         encode(&mut q.buf);
-        q.frames += 1;
+        q.frames += frames;
         true
     }
 

@@ -38,6 +38,27 @@
 //! overload detection and the §6 delay budget work unchanged across the
 //! wire.
 //!
+//! The receiver **holds credits in half-window batches**: a consumed
+//! delivery's credit is counted on the connection it would travel on, and
+//! only when its link holds `hold = max(1, window / 2)` of them do they go
+//! back, one `CreditGrant` frame each, in one write — so a lone grant wakes
+//! no reader in the sending process. Any other frame queued on that
+//! connection takes every credit held there with it; consumers send acks
+//! and keep-alives to every candidate each keep-alive period, so no credit
+//! waits longer than one. This cannot deadlock: a sender waits only when
+//! its ledger shows `window` deliveries unconsumed; fewer than `hold ≤
+//! window / 2` of them can be held, so at least one is still to be
+//! consumed, and consuming them all reaches the threshold. `Window(1)`
+//! returns every credit at once, as an unbatched grant would. Held counts
+//! die with their connection: a rejoined peer, whose links restart with a
+//! full window, never receives credit for an earlier incarnation's sends.
+//!
+//! **Local replicas first.** `deploy_tcp` orders every hosted consumer's
+//! upstream candidates so that those the plan places in its own process
+//! come first. A consumer subscribes to its first candidate and fails over
+//! in candidate order, so each replica chain runs inside one process while
+//! it is up, and a process crash costs whole chains.
+//!
 //! **Connection reset = crash.** A torn connection (read error, EOF
 //! without a `Goodbye` frame, a corrupt frame, or a header whose actor ids
 //! the plan does not place on this connection's two ends) is a process
@@ -65,9 +86,10 @@ use crate::engine::{Hub, ThreadRuntime};
 use crate::outbox::{Drained, Outbox, Sink};
 use crate::scheduler::Envelope;
 use crate::sync::{cv_wait, relock};
-use crate::sync::{Arc, AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
+use crate::sync::{Arc, AtomicBool, AtomicU64, Condvar, Mutex, MutexGuard, Ordering};
 use borealis_dpc::{
-    decode_frame, encode_frame, DpcActor, MetricsHub, NetMsg, RuntimeCtx, SystemLayout, WireMsg,
+    decode_frame, encode_frame, ActorSpec, DpcActor, MetricsHub, NetMsg, RuntimeCtx, SystemLayout,
+    WireMsg,
 };
 use borealis_sim::{FaultEvent, Input, StatsSnapshot};
 use borealis_types::{NodeId, WireGauges};
@@ -118,6 +140,10 @@ struct Conn {
     /// The peer announced an orderly close (`Goodbye` frame) — a
     /// subsequent EOF is a clean teardown, not a crash.
     peer_goodbye: AtomicBool,
+    /// Credits consumed here and not yet returned, `(from, to, count)` per
+    /// data link the peer sends on (module docs). Locked before `out`'s
+    /// buffer, never after it.
+    held: Mutex<Vec<(NodeId, NodeId, u64)>>,
 }
 
 impl Conn {
@@ -127,6 +153,7 @@ impl Conn {
             out: Outbox::new(stream),
             alive: AtomicBool::new(true),
             peer_goodbye: AtomicBool::new(false),
+            held: Mutex::new(Vec::new()),
         }
     }
 
@@ -134,12 +161,30 @@ impl Conn {
         self.out.sink()
     }
 
-    /// Appends one frame to the write buffer (the closure encodes in place
-    /// — zero intermediate copies); a flush puts it on the wire. Refused
-    /// (`false`) once the connection is dead or closing: the frame is a
-    /// counted drop at the caller.
-    fn enqueue(&self, encode: impl FnOnce(&mut Vec<u8>)) -> bool {
-        self.alive.load(Ordering::Acquire) && self.out.append(encode)
+    /// Appends `frames` frames (the closure encodes them in place — zero
+    /// intermediate copies) behind a `CreditGrant` for every credit
+    /// `held` holds, which it zeroes; a flush puts them on the wire.
+    /// Returns the credits sent, or `None` once the connection is dead or
+    /// closing: the frame is a counted drop at the caller.
+    fn enqueue(
+        &self,
+        mut held: MutexGuard<'_, Vec<(NodeId, NodeId, u64)>>,
+        frames: u64,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Option<u64> {
+        if !self.alive.load(Ordering::Acquire) {
+            return None;
+        }
+        let credits = held.iter().map(|(_, _, n)| n).sum::<u64>();
+        let queued = self.out.append(credits + frames, |buf| {
+            for (from, to, n) in held.iter_mut() {
+                for _ in 0..std::mem::take(n) {
+                    encode_frame(buf, *from, *to, &WireMsg::CreditGrant);
+                }
+            }
+            encode(buf);
+        });
+        queued.then_some(credits)
     }
 }
 
@@ -176,6 +221,9 @@ pub struct TcpFabric {
     addr: SocketAddr,
     /// Orderly shutdown: stops the acceptor and refuses late installs.
     closing: AtomicBool,
+    /// Credits a data link's receiver holds before it returns them: half
+    /// the credit window, at least one. Set once by `start_io`.
+    hold: AtomicU64,
     g: Counters,
     io: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -233,6 +281,7 @@ impl TcpFabric {
             admitted: Condvar::new(),
             addr: listener.local_addr()?,
             closing: AtomicBool::new(false),
+            hold: AtomicU64::new(1),
             g: Counters::default(),
             io: Mutex::new(Vec::new()),
         });
@@ -283,28 +332,48 @@ impl TcpFabric {
         relock(&self.conns[self.plan[id.index()] as usize]).clone()
     }
 
-    /// Encodes `msg` into the write buffer of `to`'s process connection.
-    /// `false` means the connection is down: the caller counts the drop.
+    /// Encodes `msg` into the write buffer of `to`'s process connection,
+    /// behind the credits held on it. `false` means the connection is
+    /// down: the caller counts the drop.
     pub(crate) fn send_net(&self, from: NodeId, to: NodeId, msg: NetMsg) -> bool {
-        match self.conn_to(to) {
-            Some(conn) => conn.enqueue(|buf| {
-                encode_frame(buf, from, to, &WireMsg::Net(msg));
-            }),
-            None => false,
-        }
+        let Some(conn) = self.conn_to(to) else {
+            return false;
+        };
+        let held = relock(&conn.held);
+        let sent = conn.enqueue(held, 1, |buf| {
+            encode_frame(buf, from, to, &WireMsg::Net(msg));
+        });
+        self.count_grants(sent)
     }
 
-    /// Returns one consumed delivery's credit to the remote sender: a
-    /// `CreditGrant` frame whose header names the data link `from → to`
-    /// (`from` = the remote sender whose ledger holds the window).
-    pub(crate) fn send_grant(&self, from: NodeId, to: NodeId) {
-        if let Some(conn) = self.conn_to(from) {
-            if conn.enqueue(|buf| {
-                encode_frame(buf, from, to, &WireMsg::CreditGrant);
-            }) {
-                self.g.grants_sent.fetch_add(1, Ordering::Relaxed);
-            }
+    /// Returns one consumed delivery's credit to the remote sender `from`
+    /// (whose ledger holds the window of the data link `from → to`): held
+    /// on its connection until the link holds `hold` credits, then sent as
+    /// that many `CreditGrant` frames with every other credit held there.
+    /// `true` when it queued frames to flush.
+    pub(crate) fn send_grant(&self, from: NodeId, to: NodeId) -> bool {
+        let Some(conn) = self.conn_to(from) else {
+            return false;
+        };
+        let mut held = relock(&conn.held);
+        let link = held.iter().position(|&(f, t, _)| (f, t) == (from, to));
+        let link = link.unwrap_or_else(|| {
+            held.push((from, to, 0));
+            held.len() - 1
+        });
+        held[link].2 += 1;
+        if held[link].2 < self.hold.load(Ordering::Relaxed) {
+            return false;
         }
+        self.count_grants(conn.enqueue(held, 0, |_| {}))
+    }
+
+    /// Counts the credits one `Conn::enqueue` sent; `true` when it queued.
+    fn count_grants(&self, sent: Option<u64>) -> bool {
+        if let Some(credits @ 1..) = sent {
+            self.g.grants_sent.fetch_add(credits, Ordering::Relaxed);
+        }
+        sent.is_some()
     }
 
     /// Flushes every connection: a worker's call after an activation that
@@ -375,6 +444,9 @@ impl TcpFabric {
     /// connection installed so far, under the install lock: a connection
     /// admitted meanwhile gets its reader exactly once.
     pub(crate) fn start_io(self: &Arc<Self>, hub: Arc<Hub>) {
+        let window = hub.fabric().policy().window();
+        let hold = window.map_or(1, |w| (w / 2).max(1));
+        self.hold.store(u64::from(hold), Ordering::Relaxed);
         let mut installs = relock(&self.hub);
         for conn in self.conns.iter().filter_map(|c| relock(c).clone()) {
             self.spawn_reader(&conn, &hub);
@@ -709,11 +781,31 @@ impl RunningTcp {
     }
 }
 
+/// The local-first candidate order of `spec`, an actor hosted in process
+/// `proc`: each of its inputs lists the candidates `plan` places in `proc`
+/// ahead of the others, both groups in their given order. A consumer
+/// subscribes to its first candidate and fails over in candidate order, so
+/// it reads a co-located replica, over no socket, while one is up.
+fn local_first(spec: &mut ActorSpec, plan: &[u32], proc: u32) {
+    let inputs = match spec {
+        ActorSpec::Node(cfg) => &mut cfg.upstreams,
+        ActorSpec::Client { streams, .. } => streams,
+        ActorSpec::Source(_) => return,
+    };
+    for input in inputs {
+        input
+            .candidates
+            .sort_by_key(|c| plan.get(c.index()) != Some(&proc));
+    }
+}
+
 /// Launches this process's share of a resolved [`SystemLayout`] over an
 /// established [`TcpFabric`]: actors planned here run for real, actors
 /// planned elsewhere become inert stubs that are stopped immediately (a
-/// send to one travels the wire instead). The scripted fault script
-/// replays in every process, keeping the fabrics' decisions consistent.
+/// send to one travels the wire instead). Every hosted consumer prefers
+/// the upstream replicas planned in this process (`local_first`). The
+/// scripted fault script replays in every process, keeping the fabrics'
+/// decisions consistent.
 pub fn deploy_tcp(layout: SystemLayout, fabric: Arc<TcpFabric>) -> RunningTcp {
     assert_eq!(
         fabric.plan.len(),
@@ -726,12 +818,13 @@ pub fn deploy_tcp(layout: SystemLayout, fabric: Arc<TcpFabric>) -> RunningTcp {
         .actors
         .into_iter()
         .enumerate()
-        .map(|(i, spec)| {
+        .map(|(i, mut spec)| {
             let id = NodeId(i as u32);
             if fabric.is_remote(id) {
                 remote.push(id);
                 Box::new(RemoteStub) as Box<dyn DpcActor<NetMsg>>
             } else {
+                local_first(&mut spec, &fabric.plan, fabric.my_proc);
                 spec.into_actor(&metrics)
             }
         })
@@ -769,9 +862,10 @@ mod tests {
         CreditPolicy, Duration, StreamId, Time, Tuple, TupleBatch, TupleId, Value,
     };
 
-    fn data_msg() -> NetMsg {
+    /// A one-tuple data message numbered `n` through its stream id.
+    fn data_msg(n: u32) -> NetMsg {
         NetMsg::Data {
-            stream: StreamId(0),
+            stream: StreamId(n),
             tuples: TupleBatch::single(Tuple::boundary(TupleId::NONE, Time::ZERO)).into(),
         }
     }
@@ -800,15 +894,16 @@ mod tests {
         fabric_pair_after(plan, |_| {})
     }
 
-    /// Sends a burst of data messages to a remote consumer on start.
+    /// Sends a burst of data messages to a remote consumer on start, each
+    /// numbered through its stream id.
     struct Burst {
         to: NodeId,
         n: usize,
     }
     impl DpcActor<NetMsg> for Burst {
         fn on_start(&mut self, ctx: &mut dyn RuntimeCtx<NetMsg>) {
-            for _ in 0..self.n {
-                ctx.send(self.to, data_msg());
+            for i in 0..self.n {
+                ctx.send(self.to, data_msg(i as u32));
             }
         }
         fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, _msg: NetMsg) {}
@@ -825,6 +920,27 @@ mod tests {
             self.seen.fetch_add(1, Ordering::SeqCst);
         }
         fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
+    }
+
+    /// Records the number of every data message it consumes, in arrival
+    /// order (credit returns right away, as for [`Counter`]).
+    struct Log {
+        seen: Arc<Mutex<Vec<u32>>>,
+    }
+    impl DpcActor<NetMsg> for Log {
+        fn on_message(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _from: NodeId, msg: NetMsg) {
+            if let NetMsg::Data { stream, .. } = msg {
+                relock(&self.seen).push(stream.0);
+            }
+        }
+        fn on_timer(&mut self, _ctx: &mut dyn RuntimeCtx<NetMsg>, _kind: u64) {}
+    }
+
+    /// Credits `f` holds for process `peer`, on every link.
+    fn held(f: &TcpFabric, peer: u32) -> u64 {
+        let conn = relock(&f.conns[peer as usize]).clone().expect("mesh is up");
+        let held = relock(&conn.held);
+        held.iter().map(|(_, _, n)| n).sum()
     }
 
     /// Actor 0 bursts `n` data messages at actor 1; actor 1 is remote.
@@ -909,6 +1025,143 @@ mod tests {
         assert_credits_flow(f0, f1);
     }
 
+    /// Under `Window(4)` the receiver holds two credits before it returns
+    /// them: actor 0 (proc 0) bursts 1,001 data messages at actor 1 (proc
+    /// 1), all of which arrive in order, and the sender's ledger ends with
+    /// nothing queued, so no link stalled. The last credit stays held until the
+    /// next frame proc 1 sends proc 0 carries it back.
+    #[test]
+    fn held_credits_keep_a_window_of_four_flowing() {
+        const N: u64 = 1_001;
+        let (f0, f1) = fabric_pair(vec![0, 1]);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Box::new(Log {
+            seen: Arc::clone(&seen),
+        });
+        let window = CreditPolicy::Window(4);
+        let rt0 = spawn_proc(&f0, sender(N as usize), window);
+        let rt1 = spawn_proc(&f1, vec![Box::new(RemoteStub), log], window);
+        let one_held = || held(&f1, 0) == 1 && f0.wire_gauges().grants_recv == N - 1;
+        let paired = wait_until(one_held, 20_000);
+        let (mid, flow0) = (f0.wire_gauges(), rt0.fabric().stats().flow);
+        assert!(f1.send_net(NodeId(1), NodeId(0), NetMsg::HeartbeatReq));
+        f1.flush();
+        let drained = wait_until(|| rt0.fabric().stats().flow.inflight_now == 0, 5000);
+        rt0.shutdown();
+        rt1.shutdown();
+        f0.shutdown();
+        f1.shutdown();
+        let seen = relock(&seen).clone();
+        assert_eq!(seen, (0..N as u32).collect::<Vec<_>>(), "all, in order");
+        assert!(paired, "{mid:?}");
+        assert_eq!(mid.grants_recv, N - 1, "the last credit is held: {mid:?}");
+        assert_eq!((flow0.queued_now, flow0.inflight_now), (0, 1), "{flow0:?}");
+        assert!(drained, "the held credit rode along");
+        let (w0, w1) = (f0.wire_gauges(), f1.wire_gauges());
+        assert_eq!((w1.grants_sent, w0.grants_recv), (N, N), "{w1:?}");
+        assert!(w1.flushes <= N / 2 + 1, "grants go back in pairs: {w1:?}");
+    }
+
+    /// A connection torn while its receiver holds a credit takes the credit
+    /// with it. Under `Window(4)` the first incarnation of proc 1 sends 3:
+    /// two credits go back, one is held when proc 1 is killed. The
+    /// respawned proc 1 starts with a full window and sends 3 more: two
+    /// credits come back at once, and the third rides on the next frame
+    /// proc 0 sends it. Its ledger for the link ends at zero in flight,
+    /// having received exactly its own 3 credits — none of the first
+    /// incarnation's.
+    #[test]
+    fn a_rejoined_peer_never_receives_credit_held_for_its_predecessor() {
+        let window = CreditPolicy::Window(4);
+        let (f0, rt0, seen) = survivor_of_a_kill(window, 3, 2);
+        let (f1, rt1) = respawn(&f0, window);
+        let consumed = wait_until(|| seen.load(Ordering::SeqCst) == 6, 5000);
+        let one_held = || held(&f0, 1) == 1 && f1.wire_gauges().grants_recv == 2;
+        let paired = wait_until(one_held, 5000);
+        // Any frame to proc 1 carries the credit held on its connection.
+        assert!(f0.send_net(NodeId(1), NodeId(0), NetMsg::HeartbeatReq));
+        f0.flush();
+        let returned = wait_until(|| rt1.fabric().stats().flow.inflight_now == 0, 5000);
+        let flow1 = rt1.fabric().stats().flow;
+        rt1.shutdown();
+        f1.shutdown();
+        rt0.shutdown();
+        f0.shutdown();
+        assert!(consumed && paired, "{:?}", f1.wire_gauges());
+        assert!(returned, "the held credit rode along: {flow1:?}");
+        let w1 = f1.wire_gauges();
+        assert_eq!(w1.grants_recv, 3, "no stale grant: {w1:?}");
+        assert_eq!(flow1.delivered, 3, "{flow1:?}");
+    }
+
+    /// The local-first rule on a replicated, sharded chain spread over
+    /// three processes by `plan_processes`: every consumer with a replica
+    /// of its upstream in its own process lists that replica first;
+    /// sources and the client (in process 0, with no replica beside it)
+    /// keep the order they had.
+    #[test]
+    fn consumers_list_the_replicas_of_their_own_process_first() {
+        use borealis_diagram::{plan_deployment, DeploymentSpec, DpcConfig};
+        use borealis_diagram::{FragmentSpec, QueryBuilder};
+        use borealis_dpc::{plan_processes, SourceConfig, SystemBuilder, UpstreamSpec};
+        use borealis_types::Expr;
+        let mut q = QueryBuilder::new();
+        let (s1, s2) = (q.source("s1"), q.source("s2"));
+        let ingest = q.union("ingest", &[s1, s2]);
+        let work = q.map("work", ingest, vec![Expr::field(0)]);
+        let deliver = q.map("deliver", work, vec![Expr::field(0)]);
+        q.output(deliver);
+        let fragment = |name: &str| FragmentSpec::named(name).op(name).replication(2);
+        let spec = DeploymentSpec::new()
+            .fragment(fragment("ingest"))
+            .fragment(fragment("work").shards(2, Expr::field(0)))
+            .fragment(fragment("deliver"));
+        let diagram = q.build().unwrap();
+        let plan = plan_deployment(&diagram, &spec, &DpcConfig::default()).unwrap();
+        let mut layout = SystemBuilder::new(1, Duration::from_millis(1))
+            .source(SourceConfig::seq(s1.id(), 100.0))
+            .source(SourceConfig::seq(s2.id(), 100.0))
+            .plan(plan)
+            .client_streams(vec![deliver.id()])
+            .layout();
+        let procs = plan_processes(&layout, 3);
+        let inputs = |spec: &ActorSpec| -> Vec<UpstreamSpec> {
+            match spec {
+                ActorSpec::Node(cfg) => cfg.upstreams.clone(),
+                ActorSpec::Client { streams, .. } => streams.clone(),
+                ActorSpec::Source(_) => Vec::new(),
+            }
+        };
+        let (mut local, mut moved) = (0, 0);
+        for (i, spec) in layout.actors.iter_mut().enumerate() {
+            let before = inputs(spec);
+            local_first(spec, &procs, procs[i]);
+            let after = inputs(spec);
+            for (was, now) in before.iter().zip(&after) {
+                let sorted = |c: &[NodeId]| {
+                    let mut c = c.to_vec();
+                    c.sort();
+                    c
+                };
+                assert_eq!(sorted(&now.candidates), sorted(&was.candidates));
+                let here = |c: &NodeId| procs[c.index()] == procs[i];
+                if was.candidates.len() == 1 || !was.candidates.iter().any(here) {
+                    assert_eq!(now.candidates, was.candidates, "actor {i} keeps its order");
+                    continue;
+                }
+                assert!(here(&now.candidates[0]), "actor {i} reads locally: {now:?}");
+                local += 1;
+                moved += usize::from(now.candidates != was.candidates);
+            }
+        }
+        let client = layout.client.expect("a client").index();
+        assert_eq!(procs[client], 0, "the client stays with the launcher");
+        assert!(
+            local > 0 && moved > 0,
+            "{local} local inputs, {moved} reordered"
+        );
+    }
+
     /// A stranger ahead of the real peer in process 0's backlog, sending 17
     /// bytes that are not a `Hello`, loses only its own socket: the mesh
     /// still comes up.
@@ -931,7 +1184,7 @@ mod tests {
     /// actor sees the frame.
     #[test]
     fn frames_naming_links_outside_the_plan_reset_the_connection() {
-        let (data, grant) = (|| WireMsg::Net(data_msg()), WireMsg::CreditGrant);
+        let (data, grant) = (|| WireMsg::Net(data_msg(0)), WireMsg::CreditGrant);
         let hostile = [
             ("sender outside the plan", 7, 1, data()),
             ("sender in a third process", 2, 1, data()),
@@ -952,7 +1205,8 @@ mod tests {
             let rt0 = spawn_proc(&f0, actors(Box::new(RemoteStub)), CreditPolicy::Window(1));
             let rt1 = spawn_proc(&f1, actors(counter), CreditPolicy::Window(1));
             let conn = relock(&f0.conns[1]).clone().expect("mesh is up");
-            assert!(conn.enqueue(|buf| _ = encode_frame(buf, NodeId(from), NodeId(to), &msg)));
+            let encode = |buf: &mut Vec<u8>| _ = encode_frame(buf, NodeId(from), NodeId(to), &msg);
+            assert!(conn.enqueue(relock(&conn.held), 1, encode).is_some());
             f0.flush_conn(&conn);
             let reset = wait_until(|| f1.wire_gauges().resets > 0, 3000);
             rt1.shutdown(); // panics naming any actor that panicked
@@ -1109,14 +1363,22 @@ mod tests {
     }
 
     /// Actor 0 lives in proc 1 (the sender), actor 1 in proc 0 (the
-    /// counter). After two deliveries proc 1 dies hard — a torn socket, no
-    /// `Goodbye` — and proc 0, returned here, marks its actor down.
-    fn survivor_of_a_kill() -> (Arc<TcpFabric>, ThreadRuntime, Arc<AtomicUsize>) {
+    /// counter). After `n` deliveries, `grants` credits returned and the
+    /// rest held, proc 1 dies hard — a torn socket, no `Goodbye` — and
+    /// proc 0, returned here, marks its actor down.
+    fn survivor_of_a_kill(
+        policy: CreditPolicy,
+        n: usize,
+        grants: u64,
+    ) -> (Arc<TcpFabric>, ThreadRuntime, Arc<AtomicUsize>) {
         let (f0, f1) = fabric_pair(vec![1, 0]);
         let seen = Arc::new(AtomicUsize::new(0));
-        let rt0 = spawn_proc(&f0, counter(&seen), CreditPolicy::Window(1));
-        let rt1 = spawn_proc(&f1, sender(2), CreditPolicy::Window(1));
-        assert!(wait_until(|| seen.load(Ordering::SeqCst) == 2, 5000));
+        let rt0 = spawn_proc(&f0, counter(&seen), policy);
+        let rt1 = spawn_proc(&f1, sender(n), policy);
+        assert!(wait_until(|| seen.load(Ordering::SeqCst) == n, 5000));
+        let kept = n as u64 - grants;
+        assert!(wait_until(|| f1.wire_gauges().grants_recv == grants, 5000));
+        assert!(wait_until(|| held(&f0, 1) == kept, 5000));
         f1.crash();
         assert!(
             wait_until(|| !rt0.fabric().node_up(NodeId(0)), 5000),
@@ -1131,11 +1393,11 @@ mod tests {
     /// respawn rebinds its configured address; a fresh port keeps the test
     /// race-free.) It runs an engine of its own: `f0`'s shutdown waits for
     /// its `Goodbye`.
-    fn respawn(f0: &TcpFabric) -> (Arc<TcpFabric>, ThreadRuntime) {
+    fn respawn(f0: &TcpFabric, policy: CreditPolicy) -> (Arc<TcpFabric>, ThreadRuntime) {
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
         let addrs = [f0.addr.to_string(), l1.local_addr().unwrap().to_string()];
         let f1 = TcpFabric::establish_rejoin(1, l1, &addrs, f0.plan.clone()).unwrap();
-        let rt1 = spawn_proc(&f1, sender(3), CreditPolicy::Window(1));
+        let rt1 = spawn_proc(&f1, sender(3), policy);
         (f1, rt1)
     }
 
@@ -1144,7 +1406,7 @@ mod tests {
         // A dialer that is not a peer is closed at once; then a fresh
         // fabric rejoins through the acceptor — the slot is reinstalled,
         // the actor marked back up, and deliveries resume.
-        let (f0, rt0, seen) = survivor_of_a_kill();
+        let (f0, rt0, seen) = survivor_of_a_kill(CreditPolicy::Window(1), 2, 2);
         // The handshake reads one `Hello`'s 17 bytes and no more: the first
         // 17 bytes of a 1 MiB `Data` frame, then silence, are refused at
         // once rather than read until the handshake's 30 s timeout.
@@ -1164,7 +1426,7 @@ mod tests {
             Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
         };
         assert!(closed, "the acceptor closes a non-Hello dialer at once");
-        let (f1b, rt1b) = respawn(&f0);
+        let (f1b, rt1b) = respawn(&f0, CreditPolicy::Window(1));
         assert!(
             wait_until(|| rt0.fabric().node_up(NodeId(0)), 5000),
             "rejoin marks the peer's actors back up"
@@ -1187,12 +1449,12 @@ mod tests {
     /// behind them is admitted at once, not after their 30 s deadlines.
     #[test]
     fn silent_dialers_do_not_stall_a_rejoin() {
-        let (f0, rt0, seen) = survivor_of_a_kill();
+        let (f0, rt0, seen) = survivor_of_a_kill(CreditPolicy::Window(1), 2, 2);
         let mute = TcpStream::connect(f0.addr).unwrap();
         let mut partial = TcpStream::connect(f0.addr).unwrap();
         partial.write_all(&[17, 0, 0]).unwrap();
         let started = Instant::now();
-        let (f1, rt1) = respawn(&f0);
+        let (f1, rt1) = respawn(&f0, CreditPolicy::Window(1));
         assert!(
             wait_until(|| rt0.fabric().node_up(NodeId(0)), 3000),
             "the rejoin waited {:?} behind silent dialers",

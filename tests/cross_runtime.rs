@@ -235,8 +235,12 @@ fn overload_with_replica_crash_identical_across_runtimes() {
 /// Healthy-path equivalence at higher rate and no faults: sanity-checks
 /// that wall-clock jitter alone (no failure handling involved) cannot
 /// reorder or drop stable output — in one pool, and across the socket mesh
-/// under a 64-message credit window, where every consumed delivery returns
-/// its credit as a `CreditGrant` frame.
+/// under a 64-message credit window. There every consumer reads the
+/// replica in its own share, so data crosses the sockets only from the
+/// sources and to the client; the credits of those crossings go back as
+/// `CreditGrant` frames, 32 at a time or with the next ack or keep-alive
+/// to that share — so share 0, whose client reads across the wire, sends
+/// some too.
 #[test]
 fn healthy_chain_stable_stream_identical_across_runtimes() {
     let _serial = serial();
